@@ -32,15 +32,11 @@
 //! `--smoke` it asserts the isolation contract: readers never observe a
 //! torn subtree (same-epoch results must be identical — the service
 //! panics otherwise) and reader p95 stays within 1.5x of read-only p95.
-//! The same write percentage drives the LRU-vs-CLOCK page-replacer A/B
-//! on a frame-constrained System H pool (default 20 when the flag is
-//! absent), so the replacement policy is always compared under write
-//! pressure.
 //!
 //! Every run also emits `BENCH_table4.json`: the worker-sweep cells
-//! (QPS, worst-of-mix p50/p95/p99, plan-cache and index counters), the
-//! shard sweep (QPS + pool hit rate per shard count), and the replacer
-//! A/B — a machine-readable baseline CI can diff.
+//! (QPS, worst-of-mix p50/p95/p99, plan-cache and index counters) and
+//! the shard sweep (QPS + pool hit rate per shard count) — a
+//! machine-readable baseline CI can diff.
 
 use std::sync::Arc;
 
@@ -324,157 +320,18 @@ fn main() {
         warm.index_hits,
     );
 
-    // ---- batched drain A/B: vectorized vs item-at-a-time pulls ----------
-    // The same compiled plans, the same store, the same drain loop — the
-    // only difference is the stream's batch capacity. Best-of-five per
-    // side so scheduler noise cannot fake a regression.
-    let batch_mix = [1usize, 17];
-    let store: Arc<dyn XmlStore> = session.load_shared(SystemId::D);
-    let batch_plans: Vec<_> = batch_mix
-        .iter()
-        .map(|&n| compile(query(n).text, store.as_ref()).expect("mix query compiles"))
-        .collect();
-    for plan in &batch_plans {
-        let _ = execute(plan, store.as_ref()).expect("warmup run"); // warm value slots
-    }
-    let rounds = if smoke { 60 } else { 200 };
-    let drain_once = |cap: usize| -> std::time::Duration {
-        let start = std::time::Instant::now();
-        for _ in 0..rounds {
-            for plan in &batch_plans {
-                let n = std::hint::black_box(
-                    plan.stream(store.as_ref())
-                        .with_batch_size(cap)
-                        .collect_seq()
-                        .expect("mix query streams"),
-                )
-                .len();
-                assert!(n > 0, "mix queries have non-empty results");
-            }
-        }
-        start.elapsed()
-    };
-    // Interleave the trials (item, batched, item, batched, …) so both
-    // sides sample the same scheduler-noise windows — measuring one side
-    // wholesale and then the other lets a background hiccup during
-    // either block fake a regression.
-    let mut item_time = std::time::Duration::MAX;
-    let mut batched_time = std::time::Duration::MAX;
-    for _ in 0..7 {
-        item_time = item_time.min(drain_once(1));
-        batched_time = batched_time.min(drain_once(xmark::query::plan::DEFAULT_BATCH));
-    }
-    let batch_ratio = item_time.as_secs_f64() / batched_time.as_secs_f64().max(1e-12);
-    println!(
-        "\nbatched drain A/B (System D, mix {:?}, {} rounds, best of 7):\n\
-         \x20 item-at-a-time (capacity 1):   {item_time:.2?}\n\
-         \x20 batched (capacity {}):        {batched_time:.2?}\n\
-         \x20 speedup: {batch_ratio:.2}x",
-        batch_mix,
-        rounds,
-        xmark::query::plan::DEFAULT_BATCH,
-    );
-
-    // ---- page-replacer A/B: LRU vs CLOCK under write pressure -----------
-    // Two bulkloads of the same document into System H with a pool far
-    // smaller than the page count — every index build and scan runs
-    // through replacement — wrapped in a VersionedStore so a writer lane
-    // commits roughly `--write-pct` structural updates per 100 reads
-    // (default 20) while the readers drain the mix from MVCC snapshots.
-    // The only difference between the two runs is the victim policy.
-    let replacer_pct = xmark_bench::usize_flag("--write-pct").unwrap_or(20) as u32;
-    let replacer_pool = SHARD_POOL;
-    println!(
-        "\npage-replacer A/B (System H, {replacer_pool}-frame pool, {} worker(s), \
-         ~{replacer_pct} writes per 100 reads):",
-        sweep[0]
-    );
-    let mut replacer_cells: Vec<String> = Vec::new();
-    let mut replacer_evictions = 0u64;
-    for kind in [ReplacerKind::Lru, ReplacerKind::Clock] {
-        let paged = Arc::new(
-            PagedStore::load_temp_with(session.xml(), replacer_pool, kind)
-                .expect("benchmark document must parse"),
-        );
-        let before = paged.pool_stats();
-        let versioned = VersionedStore::new(Arc::clone(&paged) as Arc<dyn XmlStore>);
-        let service = QueryService::start_source(
-            Arc::clone(&versioned) as Arc<dyn xmark::store::StoreSource>,
-            sweep[0],
-            DEFAULT_PLAN_CACHE,
-        );
-        let auctions: Vec<_> = {
-            let s = versioned.snapshot();
-            s.descendants_named_iter(s.root(), "open_auction").collect()
-        };
-        let mut calls = 0usize;
-        let mut pending_delete: Option<xmark::store::Node> = None;
-        let mut write = || -> Option<std::time::Duration> {
-            let start = std::time::Instant::now();
-            let mut txn = versioned.begin();
-            match pending_delete.take() {
-                Some(auction) => {
-                    let s = versioned.snapshot();
-                    let bidder = s
-                        .children_named_iter(auction, "bidder")
-                        .last()
-                        .expect("the bidder inserted by the previous call");
-                    txn.delete_subtree(bidder);
-                }
-                None => {
-                    let auction = auctions[(calls / 2) % auctions.len()];
-                    txn.insert_subtree(
-                        auction,
-                        "<bidder><date>28/07/2026</date><time>12:00:00</time>\
-                         <personref person=\"person0\"/><increase>4.50</increase></bidder>",
-                    );
-                    pending_delete = Some(auction);
-                }
-            }
-            calls += 1;
-            txn.commit().expect("replacer A/B writer commit");
-            Some(start.elapsed())
-        };
-        service.run_mix(&mix, mix.len()); // warm the plan cache
-        let report = service.run_mixed(&mix, requests, replacer_pct, &mut write);
-        let after = paged.pool_stats();
-        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        let evictions = after.evictions - before.evictions;
-        replacer_evictions += evictions;
-        println!(
-            "  {kind:?}: {:.0} QPS, pool {:.1}% hits ({hits} hits / {misses} misses, \
-             {evictions} evictions), {} commit(s)",
-            report.read.qps(),
-            hit_rate * 100.0,
-            report.commits,
-        );
-        replacer_cells.push(format!(
-            "{{\"replacer\":\"{kind:?}\",\"qps\":{:.1},\"p95_us\":{},\
-             \"pool_hits\":{hits},\"pool_misses\":{misses},\"pool_evictions\":{evictions},\
-             \"pool_hit_rate\":{hit_rate:.4},\"commits\":{}}}",
-            report.read.qps(),
-            worst_of_mix(&report.read, |s| s.p95).as_micros(),
-            report.commits,
-        ));
-    }
-
     // ---- machine-readable baseline --------------------------------------
     let json = format!(
         "{{\n  \"bench\": \"table4_throughput\",\n  \"factor\": {factor},\n  \
          \"cores\": {cores},\n  \"requests\": {requests},\n  \"mix\": {mix:?},\n  \
          \"worker_sweep\": {sweep:?},\n  \"shard_sweep\": {shard_counts:?},\n  \
-         \"cells\": [\n    {}\n  ],\n  \"replacer_ab\": [\n    {}\n  ],\n  \
+         \"cells\": [\n    {}\n  ],\n  \
          \"plan_cache_ab\": {{\"cold_qps\": {cold_qps:.1}, \"warm_qps\": {warm_qps:.1}, \
          \"speedup\": {speedup:.2}}},\n  \
-         \"index_ab\": {{\"cold_qps\": {:.1}, \"warm_qps\": {:.1}, \"speedup\": {index_speedup:.2}}},\n  \
-         \"batch_ab\": {{\"item_us\": {}, \"batched_us\": {}, \"speedup\": {batch_ratio:.2}}}\n}}\n",
+         \"index_ab\": {{\"cold_qps\": {:.1}, \"warm_qps\": {:.1}, \"speedup\": {index_speedup:.2}}}\n}}\n",
         json_cells.join(",\n    "),
-        replacer_cells.join(",\n    "),
         cold.qps(),
         warm.qps(),
-        item_time.as_micros(),
-        batched_time.as_micros(),
     );
     std::fs::write("BENCH_table4.json", &json).expect("write BENCH_table4.json");
     println!("\nwrote BENCH_table4.json ({} cells)", json_cells.len());
@@ -492,18 +349,6 @@ fn main() {
     }
 
     if smoke {
-        // A gross-regression guard, not a win assertion: on sparse
-        // results (Q1 returns a single item) the capacity-128 batch
-        // buffer is pure setup cost, so the mix legitimately measures
-        // slightly below 1.0x on one core. The batching win itself is
-        // asserted where granularity is isolated — the `batch`
-        // criterion bench (axis scans and scan drains must beat
-        // item-at-a-time outright).
-        assert!(
-            batch_ratio >= 0.90,
-            "the batched drain must stay within 10% of item-at-a-time on \
-             the [Q1,Q17] mix (measured {batch_ratio:.2}x)"
-        );
         assert!(
             speedup >= 1.2,
             "plan cache must lift QPS by >=1.2x on a repeated-query mix \
@@ -537,14 +382,9 @@ fn main() {
                  {shard_scaling:.2}x — correctness still asserted per request)"
             );
         }
-        assert!(
-            replacer_evictions > 0,
-            "the replacer A/B pool never evicted — the frame budget no \
-             longer constrains the working set, so the A/B is vacuous"
-        );
         println!(
-            "\nsmoke: service layer + plan cache + persistent indexes + batched drains \
-             + shard scatter-gather + page-replacer A/B exercised — OK"
+            "\nsmoke: service layer + plan cache + persistent indexes \
+             + shard scatter-gather exercised — OK"
         );
     }
 }

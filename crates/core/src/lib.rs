@@ -151,8 +151,8 @@ pub mod prelude {
         VerifyReport,
     };
     pub use xmark_store::{
-        build_store, IndexManager, IndexStats, PagedStore, PlannerCaps, PoolStats, ReplacerKind,
-        ShardedStore, StoreSource, SystemId, XmlStore, DEFAULT_POOL_PAGES,
+        build_store, IndexManager, IndexStats, PagedStore, PlannerCaps, PoolStats, ShardedStore,
+        StoreSource, SystemId, XmlStore, DEFAULT_POOL_PAGES,
     };
     pub use xmark_txn::{
         recover_paged, CommitInfo, RecoveryReport, SnapshotStore, Transaction, TxnError,

@@ -34,7 +34,7 @@ pub mod rules;
 
 pub use rules::{Diagnostic, Rule};
 
-/// Run the per-file rules (R1–R5, R7, R8) over one source file. `path`
+/// Run the per-file rules (R1–R5, R8) over one source file. `path`
 /// is the repo-relative path (used both for rule scoping and
 /// diagnostics).
 pub fn lint_file(path: &str, source: &str) -> Vec<Diagnostic> {
@@ -45,12 +45,11 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Diagnostic> {
     out.extend(rules::atomic_ordering(path, &lines));
     out.extend(rules::wal_write_back(path, &lines));
     out.extend(rules::page_guard_pins(path, &lines));
-    out.extend(rules::batch_prealloc(path, &lines));
     out.extend(rules::wal_logged_mutations(path, &lines));
     out
 }
 
-/// Run every rule — the per-file R1–R5, R7 and R8 plus the
+/// Run every rule — the per-file R1–R5 and R8 plus the
 /// workspace-wide R6 — over a set of `(repo-relative path, source)`
 /// pairs.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
@@ -165,48 +164,6 @@ mod tests {
         let src =
             "fn node(&self, pid: PageId) -> NodeRec { let g = self.pool.pin(pid)?; g.read() }";
         assert!(lint_file("crates/store/src/paged/store.rs", src).is_empty());
-    }
-
-    // ---- R7 --------------------------------------------------------------
-
-    #[test]
-    fn r7_flags_growable_vec_inside_batch_fills() {
-        let src = "fn next_batch(&mut self, ev: &Evaluator, out: &mut Batch) {\n\
-                   \x20 let mut buf = Vec::new();\n\
-                   \x20 buf.push(1);\n\
-                   }\n\
-                   pub fn next_block(\n\
-                   \x20 &mut self,\n\
-                   \x20 out: &mut NodeBatch,\n\
-                   ) -> usize {\n\
-                   \x20 let runs = vec![0u32; 4];\n\
-                   \x20 runs.len()\n\
-                   }";
-        let diags = lint_file("crates/store/src/axis.rs", src);
-        assert_eq!(codes(&diags), ["R7", "R7"]);
-        assert_eq!(diags[0].line, 2);
-        assert_eq!(diags[1].line, 9, "multi-line signatures are tracked");
-        assert!(diags[0].message.contains("preallocated"));
-    }
-
-    #[test]
-    fn r7_clean_outside_batch_fills_with_capacity_and_waivers() {
-        // The same allocation outside a batch fill is not R7's business.
-        let outside = "fn build() -> Vec<u32> { let v = Vec::new(); v }\n\
-                       fn next_batch(&mut self, out: &mut Batch) {\n\
-                       \x20 out.push(1);\n\
-                       }\n\
-                       fn after() { let v = vec![1]; }";
-        assert!(lint_file("crates/query/src/stream.rs", outside).is_empty());
-        // Preallocation is the fix, so it stays legal; so does a waiver
-        // that states its reason.
-        let ok = "fn next_block(&mut self, out: &mut NodeBatch) -> usize {\n\
-                  \x20 let scratch = Vec::with_capacity(out.room());\n\
-                  \x20 // lint: allow(R7) one-time lazy init, reused across calls\n\
-                  \x20 let first = Vec::new();\n\
-                  \x20 scratch.len() + first.len()\n\
-                  }";
-        assert!(lint_file("crates/store/src/axis.rs", ok).is_empty());
     }
 
     // ---- R8 --------------------------------------------------------------

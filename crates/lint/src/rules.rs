@@ -1,4 +1,4 @@
-//! The eight workspace discipline rules.
+//! The seven workspace discipline rules.
 //!
 //! Each rule is a lexer-level check over the [`crate::lexer`] source
 //! model; all of them honor inline waivers of the form
@@ -24,10 +24,6 @@
 //! * **R6 send-sync-roster** — every `impl XmlStore for T` appears in the
 //!   compile-time `Send + Sync` assertion roster in
 //!   `crates/store/src/lib.rs`.
-//! * **R7 batch-prealloc** — `next_batch` / `next_block` bodies fill the
-//!   caller's preallocated batch; allocating a fresh growable `Vec`
-//!   (`Vec::new(…)` / `vec![…]`) per call reintroduces exactly the
-//!   per-item reallocation the vectorized pull path exists to remove.
 //! * **R8 wal-logged-mutations** — in the commit paths (`paged/` outside
 //!   the pool internals, plus `crates/txn/`), every page mutation
 //!   (`.write()` on a pinned guard) sits in a function that also appends
@@ -36,7 +32,7 @@
 
 use crate::lexer::Line;
 
-/// One of the eight lint rules.
+/// One of the seven lint rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
     /// R1: no `.unwrap()` / `.expect()` in hot-path modules.
@@ -51,22 +47,19 @@ pub enum Rule {
     PageGuardPins,
     /// R6: every `XmlStore` impl is in the `Send + Sync` roster.
     SendSyncRoster,
-    /// R7: no fresh growable `Vec` inside `next_batch` / `next_block`.
-    BatchPrealloc,
     /// R8: commit-path page mutations sit in WAL-appending functions.
     WalLoggedMutations,
 }
 
 impl Rule {
-    /// All rules, in R1…R8 order.
-    pub const ALL: [Rule; 8] = [
+    /// All rules, in code order (R1…R6, R8).
+    pub const ALL: [Rule; 7] = [
         Rule::HotPathPanics,
         Rule::LockDiscipline,
         Rule::AtomicOrdering,
         Rule::WalWriteBack,
         Rule::PageGuardPins,
         Rule::SendSyncRoster,
-        Rule::BatchPrealloc,
         Rule::WalLoggedMutations,
     ];
 
@@ -79,7 +72,6 @@ impl Rule {
             Rule::WalWriteBack => "R4",
             Rule::PageGuardPins => "R5",
             Rule::SendSyncRoster => "R6",
-            Rule::BatchPrealloc => "R7",
             Rule::WalLoggedMutations => "R8",
         }
     }
@@ -93,7 +85,6 @@ impl Rule {
             Rule::WalWriteBack => "wal-write-back",
             Rule::PageGuardPins => "page-guard-pins",
             Rule::SendSyncRoster => "send-sync-roster",
-            Rule::BatchPrealloc => "batch-prealloc",
             Rule::WalLoggedMutations => "wal-logged-mutations",
         }
     }
@@ -321,62 +312,6 @@ pub fn page_guard_pins(path: &str, lines: &[Line]) -> Vec<Diagnostic> {
     out
 }
 
-/// R7: batch producers fill the caller's preallocated buffer. A fresh
-/// growable `Vec` (`Vec::new(…)` / `vec![…]`) inside a `fn next_batch` /
-/// `fn next_block` body grows by per-item reallocation on the hottest
-/// loop in the engine — the allocation belongs in the cursor constructor
-/// (or uses `Vec::with_capacity`), not in the per-batch fill.
-pub fn batch_prealloc(path: &str, lines: &[Line]) -> Vec<Diagnostic> {
-    const TOKENS: [&str; 2] = ["Vec::new(", "vec!["];
-    let mut out = Vec::new();
-    // Brace-depth tracking: `in_sig` between the `fn` token and its
-    // opening brace (signatures span lines), then `depth` counts braces
-    // until the body closes. Braces inside string literals would confuse
-    // this, but batch fills have no business formatting strings either.
-    let mut in_sig = false;
-    let mut depth = 0usize;
-    for (idx, line) in lines.iter().enumerate() {
-        let code = line.code.as_str();
-        if depth == 0
-            && !in_sig
-            && (code.contains("fn next_batch") || code.contains("fn next_block"))
-        {
-            in_sig = true;
-        }
-        if (in_sig || depth > 0) && !line.in_test {
-            for token in TOKENS {
-                if code.contains(token) && !waived(lines, idx, Rule::BatchPrealloc) {
-                    out.push(Diagnostic {
-                        rule: Rule::BatchPrealloc,
-                        file: path.to_string(),
-                        line: idx + 1,
-                        message: format!(
-                            "`{token}…` inside a batch fill: the buffer is preallocated by \
-                             the caller — allocate in the constructor or with \
-                             `Vec::with_capacity`"
-                        ),
-                    });
-                }
-            }
-        }
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    if in_sig {
-                        in_sig = false;
-                        depth = 1;
-                    } else if depth > 0 {
-                        depth += 1;
-                    }
-                }
-                '}' => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
 /// R8: in the commit paths — `paged/` outside the pool internals
 /// (`buffer.rs`, `file.rs`) plus `crates/txn/` — every page mutation
 /// (`.write()` on a pinned page guard) must sit inside a function that
@@ -391,10 +326,10 @@ pub fn wal_logged_mutations(path: &str, lines: &[Line]) -> Vec<Diagnostic> {
         return out;
     }
 
-    // Pass 1: function spans via brace-depth tracking (same caveats as
-    // R7 — the lexer blanks string contents, so literal braces cannot
-    // confuse the count). A span runs from the `fn` keyword to the `}`
-    // that closes its body; nested `fn` items produce nested spans.
+    // Pass 1: function spans via brace-depth tracking (the lexer blanks
+    // string contents, so literal braces cannot confuse the count). A
+    // span runs from the `fn` keyword to the `}` that closes its body;
+    // nested `fn` items produce nested spans.
     struct Span {
         start: usize,
         end: usize,

@@ -25,12 +25,7 @@
 //!   child-value index,
 //! * `[summary]` — Aggregate answered by summary/extent arithmetic,
 //! * `[idx]` — Aggregate answered by a posting-range length of the shared
-//!   element-name index,
-//! * `[batch=N]` — vectorized operator: full drains pull `N`-item blocks
-//!   through a native block cursor (PathScans whose final expansion
-//!   block-copies off the store's axis encodings; HashJoins probing in
-//!   `N`-item runs). The plan verifier's V10 invariant pins the
-//!   annotation to exactly the supporting shapes.
+//!   element-name index.
 
 use crate::ast::{ArithOp, Axis, CmpOp, NodeTest};
 use crate::plan::*;
@@ -153,14 +148,12 @@ fn render_flwor(f: &FlworPlan, indent: usize, out: &mut String) {
             residual,
             est_probe,
             est_build,
-            batch,
             ..
         } => {
-            let batch = batch.map(|n| format!(" [batch={n}]")).unwrap_or_default();
             line(
                 indent,
                 format!(
-                    "HashJoin {} = {}{}{batch}",
+                    "HashJoin {} = {}{}",
                     inline(probe_key),
                     inline(build_key),
                     cost_suffix(*est_probe, *est_build)
@@ -320,9 +313,6 @@ fn path_line(p: &PathPlan) -> String {
     }
     if p.memo.is_some() {
         text.push_str(" [memo]");
-    }
-    if let Some(n) = p.batch {
-        text.push_str(&format!(" [batch={n}]"));
     }
     text
 }

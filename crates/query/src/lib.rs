@@ -5,9 +5,8 @@
 //! implements the language subset those queries need as an explicit
 //! pipeline, mirroring the compile/execute split the paper's Table 2
 //! measures — with execution redesigned around **pull-based operator
-//! cursors at two granularities**: every cursor answers `next()` one
-//! item at a time and `next_batch(out)`, which fills a caller-owned
-//! fixed-capacity [`stream::Batch`] in a single virtual dispatch:
+//! cursors at one granularity**: every cursor answers `next()`, so
+//! results leave the engine item by item:
 //!
 //! ```text
 //!   query text
@@ -20,7 +19,7 @@
 //!      │                    NestedLoop, HashJoin, IndexLookup, Sort,
 //!      │  open cursors      Project; explain.rs renders it)
 //!      ▼
-//!   stream::ResultStream   (stream.rs — next()/next_batch(out) per
+//!   stream::ResultStream   (stream.rs — Volcano-style next() per
 //!      │        │           operator; eval.rs supplies the shared
 //!      │        │           step/join/memo mechanics)
 //!      │        └─ write_to(sink)   one item serialized at a time into
@@ -44,20 +43,13 @@
 //! cursor. Boolean contexts short-circuit the same way: an existential
 //! predicate like `[bidder]` pulls one child, not the whole axis.
 //!
-//! **Pull granularities.** Bulk drains
+//! **One pull protocol.** The full drains
 //! ([`collect_seq`](stream::ResultStream::collect_seq), `count`,
-//! [`write_to`](stream::ResultStream::write_to)) pull fixed-capacity
-//! batches — axis scans fill [`xmark_store::NodeBatch`] blocks straight
-//! out of the store, hash joins emit probe runs — while the
-//! early-terminating fast paths stay on the item facade, so `take`/
-//! `exists` bounds never widen by more than one batch. The planner
-//! annotates batch-eligible operators (EXPLAIN shows `[batch=N]`,
-//! verifier invariant V10 audits it);
-//! [`with_batch_size`](stream::ResultStream::with_batch_size) overrides
-//! the capacity and [`pulls`](stream::ResultStream::pulls) counts items
-//! delivered identically in both modes. The opt-in `parallel` feature
-//! forks hash-join build sides across threads without reordering probe
-//! output.
+//! [`write_to`](stream::ResultStream::write_to)) loop over the same
+//! `next()` the early-terminating fast paths use, so `take`/`exists`
+//! bounds are exact, `write_to` reaches the sink after the first item,
+//! and [`pulls`](stream::ResultStream::pulls) counts items delivered the
+//! same way for every consumer.
 //!
 //! * [`parse`] — parser producing the [`ast`] (FLWOR, paths, constructors,
 //!   quantifiers, the `<<` node-order operator, user-defined functions),
@@ -169,5 +161,5 @@ pub use scatter::execute_scattered;
 pub use result::{
     atomize, canonicalize, serialize_sequence, write_item, write_sequence, IoSink, Item, Sequence,
 };
-pub use stream::{Batch, ResultStream, StreamStats, WriteError};
+pub use stream::{ResultStream, StreamStats, WriteError};
 pub use verify::{verify_plan, verify_plan_against, Invariant, VerifyReport, Violation};

@@ -272,77 +272,8 @@ pub struct PathPlan {
     /// generalization available on every backend; entity columns
     /// (`inlined_tail`) take precedence where both apply.
     pub value_tail: Option<String>,
-    /// `Some(n)` when the scan's final expansion runs vectorized: the
-    /// cursor fills `n`-slot batches straight off the store's block
-    /// cursors ([`xmark_store::NodeBatch`]) instead of dispatching per
-    /// item. Set by the optimizing planner exactly when
-    /// [`batch_eligible`] holds; EXPLAIN renders it as `[batch=n]` and
-    /// the verifier's V10 pins the correspondence.
-    pub batch: Option<u16>,
     /// Estimated output cardinality (0 = unknown).
     pub est_rows: u64,
-}
-
-/// Batch capacity of vectorized operators — the block size the executor
-/// amortizes its per-pull dispatch over.
-pub const DEFAULT_BATCH: usize = 128;
-
-/// Probe run length of the vectorized hash join: how many probe items one
-/// `advance` call hoist-filters and table-probes in a single pass.
-pub const JOIN_PROBE_RUN: usize = 64;
-
-/// Whether a path plan's final expansion has a native vectorized drain —
-/// the static shape test shared by the planner (which annotates
-/// [`PathPlan::batch`]) and the verifier (V10, which checks the
-/// annotation appears only here).
-///
-/// The shape mirrors [`crate::stream`]'s cursor lowering: the inlined /
-/// child-value tails replace the final steps with their own operators, a
-/// nested upstream forces the final step into a blocking (buffered)
-/// stage, and only an unpredicated tag test over the generic or
-/// index-scan access paths maps onto the store's block cursors.
-pub fn batch_eligible(p: &PathPlan) -> bool {
-    if p.inlined_tail.is_some() || p.value_tail.is_some() || p.steps.is_empty() {
-        return false;
-    }
-    // `//tag` from the root streams the store's descendant cursor as the
-    // source itself — natively blocked even though later matches nest.
-    let root_desc_first = matches!(p.base, PlanBase::Root)
-        && matches!(
-            (&p.steps[0].axis, &p.steps[0].test),
-            (Axis::Descendant, NodeTest::Tag(_))
-        )
-        && p.steps[0].preds.is_empty();
-    let start = usize::from(root_desc_first);
-    if p.steps.len() == start {
-        return true;
-    }
-    // Track whether the flowing context set may hold ancestor/descendant
-    // pairs — the condition that forces the final step to buffer.
-    let mut nested = root_desc_first;
-    for step in &p.steps[start..p.steps.len() - 1] {
-        if matches!(step.access, StepAccess::IdProbe(_)) {
-            nested = false; // the probe yields at most one node
-            continue;
-        }
-        nested = match (&step.axis, &step.test) {
-            (_, NodeTest::Text) | (Axis::Attribute, _) => false,
-            (Axis::Descendant, _) => true,
-            (Axis::Child, _) => nested,
-        };
-    }
-    let last = &p.steps[p.steps.len() - 1];
-    !nested
-        && last.preds.is_empty()
-        && matches!(
-            (&last.axis, &last.test, &last.access),
-            (Axis::Child, NodeTest::Tag(_), StepAccess::Generic)
-                | (
-                    Axis::Descendant,
-                    NodeTest::Tag(_),
-                    StepAccess::Generic | StepAccess::IndexScan
-                )
-        )
 }
 
 /// One annotated navigation step.
@@ -472,10 +403,6 @@ pub enum Strategy {
         hoisted: Vec<HoistedEq>,
         /// Remaining where-conjuncts, evaluated per joined tuple.
         residual: Vec<PlanExpr>,
-        /// Probe run length: the producer hoist-filters and table-probes
-        /// this many probe items per pass (always [`JOIN_PROBE_RUN`] on
-        /// optimized plans; naive plans never build a hash join).
-        batch: Option<u16>,
         /// Estimated probe/build cardinalities (0 = unknown).
         est_probe: u64,
         /// Estimated build-side cardinality (0 = unknown).

@@ -179,9 +179,6 @@ impl Planner<'_> {
         path.inlined_tail = None;
         path.value_tail = None;
         path.est_rows = last_tag_estimate(&path.steps);
-        // The counted step is gone: re-decide vectorization for the
-        // remaining prefix shape.
-        path.batch = (self.optimized() && batch_eligible(&path)).then_some(DEFAULT_BATCH as u16);
         Some(AggregatePlan {
             input: path,
             tag,
@@ -212,21 +209,14 @@ impl Planner<'_> {
             None
         };
         let est_rows = last_tag_estimate(&planned);
-        let mut plan = PathPlan {
+        PathPlan {
             base,
             steps: planned,
             memo,
             inlined_tail,
             value_tail,
-            batch: None,
             est_rows,
-        };
-        // Vectorization is an optimizer decision: naive plans stay on the
-        // one-item pull path the oracle compares against.
-        if self.optimized() && batch_eligible(&plan) {
-            plan.batch = Some(DEFAULT_BATCH as u16);
         }
-        plan
     }
 
     /// Annotate `…/tag/text()` tails for System C's entity columns.
@@ -637,7 +627,6 @@ fn build_hash_join(
         build_sig,
         hoisted,
         residual,
-        batch: Some(JOIN_PROBE_RUN as u16),
         est_probe,
         est_build,
     }

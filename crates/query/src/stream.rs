@@ -29,48 +29,18 @@
 //!   contexts stay lazy, descendant steps mark their output as
 //!   potentially nested.
 //!
-//! # Two granularities: item facade over a batch core
+//! # One pull granularity
 //!
-//! Every cursor answers two pull calls:
-//!
-//! * `next()` — one item at a time. This is the **facade** that
-//!   early-terminating consumers use: [`take`], [`exists`],
-//!   [`ResultStream::next_item`], FLWOR binding iteration, and every
-//!   effective-boolean-value probe. It never fetches more than the one
-//!   item it returns, so the PR 4 short-circuit guarantees (`take(n)`
-//!   pulls nothing past item `n`, `exists()` pulls at most one) hold
-//!   unchanged.
-//! * `next_batch(&mut self, ev, out)` — fill a fixed-capacity [`Batch`]
-//!   per call. This is the **vectorized core** that full-drain
-//!   consumers use: [`count`], [`collect_seq`] and [`write_to`] pull
-//!   [`DEFAULT_BATCH`]-item blocks (tunable per stream via
-//!   [`ResultStream::with_batch_size`]). The postcondition is uniform:
-//!   `Ok(())` with `out` full means "maybe more", `Ok(())` with `out`
-//!   not full means the cursor is exhausted, and `Err` fuses the cursor
-//!   (items appended before the error stay in the batch, so a
-//!   serializing drain can still flush them).
-//!
-//! `next_batch` has a **default path** — loop `next()` until the batch
-//! fills — used by every operator without a native block drain (sorted
-//! FLWORs, buffered path stages, materialized fallbacks). The hot
-//! producers override it with tight loops:
-//!
-//! * final unpredicated `child::tag` / `descendant::tag` path
-//!   expansions block-copy out of the store's columnar axis cursors
-//!   (`NodeBatch` blocks off interval/edge/paged encodings and PR 5
-//!   posting slices) — one `next_block` call per batch instead of one
-//!   virtual `next()` per node,
-//! * memoized sequence replay ([`Cursor::Shared`]) slice-clones
-//!   directly at its offset,
-//! * streaming FLWOR projection forwards whole batches from the
-//!   `return` cursor,
-//! * the hash join probes its pre-materialized probe side one
-//!   [`JOIN_PROBE_RUN`]-item run at a time.
-//!
-//! The planner annotates operators whose *final expansion* has a native
-//! block drain ([`batch_eligible`]); EXPLAIN prints them as
-//! `[batch=N]` and the plan verifier's V10 invariant pins the
-//! annotation to exactly those shapes.
+//! `next()` is the only pull protocol, from the store's axis cursors up
+//! to [`ResultStream`]. Every consumer — the early-terminating ones
+//! ([`take`], [`exists`], FLWOR binding iteration, effective-boolean-value
+//! probes) and the full drains ([`count`], [`collect_seq`], [`write_to`])
+//! — loops over it, so a cursor never fetches more than the one item it
+//! returns: `take(n)` pulls nothing past item `n`, `exists()` pulls at
+//! most one, and `write_to` hands the sink its first byte after the
+//! first item. A stream may be advanced with
+//! [`next_item`](ResultStream::next_item) and then drained; the drain
+//! yields exactly the remaining suffix.
 //!
 //! [`ResultStream`] is the public face: an iterator over
 //! `Result<Item, EvalError>` with early-terminating [`take`],
@@ -83,105 +53,15 @@
 //! [`collect_seq`]: ResultStream::collect_seq
 //! [`write_to`]: ResultStream::write_to
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use xmark_store::{ChildValues, ChildrenNamed, DescendantsNamed, Node, NodeBatch, XmlStore};
+use xmark_store::{ChildValues, ChildrenNamed, DescendantsNamed, Node, XmlStore};
 
 use crate::ast::{Axis, NodeTest};
 use crate::eval::{compare_keys, EResult, Env, EvalError, Evaluator, JoinIndex, OrderKey};
 use crate::plan::*;
 use crate::result::{write_item, Item, Sequence};
-
-// ---- the batch -------------------------------------------------------------
-
-/// A fixed-capacity block of result items — the unit of the vectorized
-/// pull path (see the module docs for the item-facade/batch-core split).
-///
-/// The backing vector is allocated once at construction and never grows:
-/// [`reset`](Batch::reset) clears it and clamps the fill limit without
-/// reallocating, so a drain loop reuses one allocation for its whole
-/// lifetime. Capacity defaults to [`DEFAULT_BATCH`] slots.
-pub struct Batch {
-    slots: Vec<Item>,
-    limit: usize,
-}
-
-impl Batch {
-    /// An empty batch that can hold up to `capacity` items (at least 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Batch {
-            slots: Vec::with_capacity(capacity),
-            limit: capacity,
-        }
-    }
-
-    /// Clear the batch and set the fill limit for the next `next_batch`
-    /// call. The limit is clamped to the construction capacity, so this
-    /// never reallocates.
-    pub fn reset(&mut self, limit: usize) {
-        self.slots.clear();
-        self.limit = limit.max(1).min(self.slots.capacity());
-    }
-
-    /// Slots still unfilled before the batch reaches its limit.
-    #[must_use]
-    pub fn room(&self) -> usize {
-        self.limit - self.slots.len()
-    }
-
-    /// Whether the batch has reached its fill limit.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.slots.len() >= self.limit
-    }
-
-    /// Items currently in the batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the batch holds no items.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The current fill limit (`reset` argument, clamped to capacity).
-    #[must_use]
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Append one item. Callers check [`is_full`](Batch::is_full) first;
-    /// the batch never grows past its construction capacity.
-    pub fn push(&mut self, item: Item) {
-        debug_assert!(self.slots.len() < self.limit, "push past the batch limit");
-        self.slots.push(item);
-    }
-
-    /// The filled items, in emission order.
-    #[must_use]
-    pub fn as_slice(&self) -> &[Item] {
-        &self.slots
-    }
-
-    /// Move the filled items out, leaving the batch empty (capacity
-    /// retained).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, Item> {
-        self.slots.drain(..)
-    }
-}
-
-impl Default for Batch {
-    fn default() -> Self {
-        Batch::new(DEFAULT_BATCH)
-    }
-}
 
 // ---- the operator cursor ---------------------------------------------------
 
@@ -336,87 +216,6 @@ impl<'a> Cursor<'a> {
             Cursor::Flwor(f) => f.next(ev),
         }
     }
-
-    /// Fill `out` up to its limit. Postcondition: `Ok(())` with `out`
-    /// full means the cursor may have more; `Ok(())` with `out` not full
-    /// means it is exhausted; `Err` fuses the cursor — items appended
-    /// before the error stay in `out` so a serializing drain can flush
-    /// them first.
-    pub(crate) fn next_batch(&mut self, ev: &Evaluator<'a>, out: &mut Batch) -> EResult<()> {
-        match self {
-            Cursor::Done => Ok(()),
-            Cursor::Failed(e) => {
-                let err = e.take();
-                *self = Cursor::Done;
-                match err {
-                    Some(err) => Err(err),
-                    None => Ok(()),
-                }
-            }
-            Cursor::Materialized(iter) => {
-                while !out.is_full() {
-                    match iter.next() {
-                        Some(item) => out.push(item),
-                        None => break,
-                    }
-                }
-                Ok(())
-            }
-            // Replay resumes at the shared offset — a half-consumed batch
-            // never re-fetches earlier items.
-            Cursor::Shared(seq, pos) => {
-                let end = seq.len().min(*pos + out.room());
-                for item in &seq[*pos..end] {
-                    out.push(item.clone());
-                }
-                *pos = end;
-                Ok(())
-            }
-            Cursor::Tee { sig, inner, buf } => {
-                let before = out.len();
-                match inner.next_batch(ev, out) {
-                    Ok(()) => {
-                        if let Some(buffered) = buf.as_mut() {
-                            buffered.extend(out.as_slice()[before..].iter().cloned());
-                        }
-                        if !out.is_full() {
-                            // Inner exhausted: one complete drain publishes.
-                            if let Some(buffered) = buf.take() {
-                                ev.publish_path(sig, Arc::new(buffered));
-                            }
-                        }
-                        Ok(())
-                    }
-                    Err(e) => {
-                        *buf = None; // a failed walk must not be published
-                        Err(e)
-                    }
-                }
-            }
-            Cursor::Concat {
-                parts,
-                env,
-                ctx,
-                idx,
-                cur,
-            } => loop {
-                if let Some(c) = cur {
-                    c.next_batch(ev, out)?;
-                    if out.is_full() {
-                        return Ok(());
-                    }
-                    *cur = None;
-                }
-                let Some(part) = parts.get(*idx) else {
-                    return Ok(());
-                };
-                *idx += 1;
-                *cur = Some(Box::new(Cursor::build(ev, part, env, ctx.as_ref())));
-            },
-            Cursor::Path(p) => p.next_batch(ev, out),
-            Cursor::Flwor(f) => f.next_batch(ev, out),
-        }
-    }
 }
 
 /// Build the PathScan cursor for `p` (no memo handling — callers check
@@ -539,10 +338,6 @@ pub(crate) struct PathCursor<'a> {
     ctx: Option<Item>,
     source: PathSource<'a>,
     stages: Vec<Stage<'a>>,
-    /// Reusable node block for the vectorized drain — allocated on the
-    /// first `next_batch` call, sized to the consumer's batch capacity,
-    /// and never touched by the item facade.
-    scratch: Option<NodeBatch>,
 }
 
 impl<'a> PathCursor<'a> {
@@ -666,7 +461,6 @@ impl<'a> PathCursor<'a> {
             ctx: ctx.cloned(),
             source,
             stages,
-            scratch: None,
         })))
     }
 
@@ -676,161 +470,9 @@ impl<'a> PathCursor<'a> {
             ctx,
             source,
             stages,
-            ..
         } = self;
         pull_through(ev, source, stages, env, ctx.as_ref())
     }
-
-    /// Vectorized drain. The two hot final shapes — a bare base source
-    /// and a final lazy expansion — block-copy out of the store's axis
-    /// cursors through the reusable [`NodeBatch`] scratch; every other
-    /// final stage funnels through the item facade (it buffers
-    /// internally anyway, so per-item forwarding is not the bottleneck).
-    fn next_batch(&mut self, ev: &Evaluator<'a>, out: &mut Batch) -> EResult<()> {
-        if out.is_full() {
-            return Ok(());
-        }
-        if self.stages.is_empty() {
-            return self.drain_source_batch(ev, out);
-        }
-        if matches!(self.stages.last(), Some(Stage::Lazy { .. })) {
-            return self.drain_lazy_batch(ev, out);
-        }
-        while !out.is_full() {
-            match self.next(ev) {
-                None => break,
-                Some(Ok(item)) => out.push(item),
-                Some(Err(e)) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Stage-free path: the batch fills straight off the base source.
-    fn drain_source_batch(&mut self, ev: &Evaluator<'a>, out: &mut Batch) -> EResult<()> {
-        let PathCursor {
-            source, scratch, ..
-        } = self;
-        match source {
-            PathSource::Items(iter) => {
-                while !out.is_full() {
-                    match iter.next() {
-                        Some(item) => out.push(item),
-                        None => break,
-                    }
-                }
-            }
-            PathSource::RootDescendants { pending, iter } => {
-                if let Some(n) = pending.take() {
-                    ev.count_pulls(1);
-                    out.push(Item::Node(n));
-                }
-                let nb = scratch.get_or_insert_with(|| NodeBatch::new(out.limit()));
-                fill_node_batch(
-                    ev,
-                    |nb| {
-                        iter.next_block(nb);
-                    },
-                    nb,
-                    out,
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Final lazy stage: expansions block-copy; upstream contexts are
-    /// pulled through the item pipeline one node at a time.
-    fn drain_lazy_batch(&mut self, ev: &Evaluator<'a>, out: &mut Batch) -> EResult<()> {
-        let PathCursor {
-            env,
-            ctx,
-            source,
-            stages,
-            scratch,
-        } = self;
-        let Some((Stage::Lazy { step, active }, upstream)) = stages.split_last_mut() else {
-            return Ok(()); // unreachable: guarded by next_batch
-        };
-        loop {
-            if out.is_full() {
-                return Ok(());
-            }
-            if let Some(exp) = active {
-                let exhausted = match exp {
-                    Expansion::Children(iter) => {
-                        let nb = scratch.get_or_insert_with(|| NodeBatch::new(out.limit()));
-                        fill_node_batch(
-                            ev,
-                            |nb| {
-                                iter.next_block(nb);
-                            },
-                            nb,
-                            out,
-                        )
-                    }
-                    Expansion::Descendants(iter) => {
-                        let nb = scratch.get_or_insert_with(|| NodeBatch::new(out.limit()));
-                        fill_node_batch(
-                            ev,
-                            |nb| {
-                                iter.next_block(nb);
-                            },
-                            nb,
-                            out,
-                        )
-                    }
-                    Expansion::Queue(iter) => loop {
-                        if out.is_full() {
-                            break false;
-                        }
-                        match iter.next() {
-                            Some(item) => out.push(item),
-                            None => break true,
-                        }
-                    },
-                };
-                if !exhausted {
-                    return Ok(()); // out is full; expansion may have more
-                }
-                *active = None;
-            }
-            match pull_through(ev, source, upstream, env, ctx.as_ref()) {
-                None => return Ok(()),
-                Some(Err(e)) => return Err(e),
-                Some(Ok(Item::Node(n))) => match expand(ev, n, step, env, ctx.as_ref()) {
-                    Ok(exp) => *active = Some(exp),
-                    Err(e) => return Err(e),
-                },
-                Some(Ok(_)) => return Err(EvalError::PathOverNonNode),
-            }
-        }
-    }
-}
-
-/// Block-copy a store axis cursor into `out` through the `nb` scratch:
-/// one `next_block` call per `out.room()`-sized run instead of one
-/// virtual `next()` per node. Pull accounting stays per-item-identical
-/// to the facade (`count_pulls(block len)`). Returns whether the store
-/// cursor is exhausted.
-fn fill_node_batch(
-    ev: &Evaluator<'_>,
-    mut next_block: impl FnMut(&mut NodeBatch),
-    nb: &mut NodeBatch,
-    out: &mut Batch,
-) -> bool {
-    while !out.is_full() {
-        nb.reset(out.room());
-        next_block(nb);
-        ev.count_pulls(nb.len() as u64);
-        for &n in nb.as_slice() {
-            out.push(Item::Node(n));
-        }
-        if !nb.is_full() {
-            return true; // the store cursor ran dry mid-block
-        }
-    }
-    false
 }
 
 /// Pull one item out of the stage pipeline `stages` fed by `source`.
@@ -1129,46 +771,6 @@ impl<'a> FlworCursor<'a> {
             }
         }
     }
-
-    /// Vectorized drain: a streaming FLWOR forwards whole batches from
-    /// each tuple's `return` cursor; a sorted FLWOR buffers internally
-    /// anyway and funnels through the item facade.
-    fn next_batch(&mut self, ev: &Evaluator<'a>, out: &mut Batch) -> EResult<()> {
-        if matches!(self.mode, FlworMode::Sorted { .. }) {
-            while !out.is_full() {
-                match self.next(ev) {
-                    None => break,
-                    Some(Ok(item)) => out.push(item),
-                    Some(Err(e)) => return Err(e),
-                }
-            }
-            return Ok(());
-        }
-        loop {
-            if out.is_full() {
-                return Ok(());
-            }
-            if let FlworMode::Stream { ret } = &mut self.mode {
-                if let Some(cursor) = ret {
-                    cursor.next_batch(ev, out)?;
-                    if out.is_full() {
-                        return Ok(());
-                    }
-                    *ret = None;
-                }
-            }
-            if !self.producer.advance(ev)? {
-                return Ok(());
-            }
-            let f = self.f;
-            let (env, ctx) = self.producer.tuple_scope();
-            let ctx = ctx.cloned();
-            let cursor = Box::new(Cursor::build(ev, &f.ret, env, ctx.as_ref()));
-            if let FlworMode::Stream { ret } = &mut self.mode {
-                *ret = Some(cursor);
-            }
-        }
-    }
 }
 
 /// The binding strategies as tuple producers: `advance` binds the next
@@ -1449,11 +1051,6 @@ struct HashJoinState {
     hoisted_outer: Vec<Vec<String>>,
     /// Next probe item index.
     li: usize,
-    /// Probe-ahead queue: probe items with at least one table match,
-    /// filled one [`JOIN_PROBE_RUN`]-item run at a time. The probe side
-    /// is pre-materialized, so probing ahead pulls nothing extra
-    /// upstream and over-runs a `take(n)` boundary by at most one run.
-    runs: VecDeque<(usize, Vec<Item>)>,
     /// Distinct matched build items for the current probe item, in build
     /// order.
     matched: std::vec::IntoIter<Item>,
@@ -1513,7 +1110,6 @@ impl<'a> HashJoinProducer<'a> {
                 hoisted_keys,
                 hoisted_outer,
                 li: 0,
-                runs: VecDeque::new(),
                 matched: Vec::new().into_iter(),
             });
         }
@@ -1541,70 +1137,42 @@ impl<'a> HashJoinProducer<'a> {
                 self.env.pop();
                 self.probe_bound = false;
             }
-            // Probe ahead one run: scan up to JOIN_PROBE_RUN probe items
-            // against the table in a tight loop and queue the ones with
-            // matches, instead of interleaving one table probe per
-            // producer call. Pull accounting is unchanged — one pull per
-            // hoisted-passing probe item, exactly as the per-item path
-            // counted.
-            if state.runs.is_empty() {
-                let mut scanned = 0;
-                while state.li < state.left.len() && scanned < JOIN_PROBE_RUN {
-                    let li = state.li;
-                    state.li += 1;
-                    scanned += 1;
-                    // Hoisted probe-side equalities: a probe item failing
-                    // any of them produces no pair for this open (the
-                    // outer side does not involve the build variable), so
-                    // skip it before probing the table — this replaces a
-                    // per-pair path re-evaluation with a set intersection
-                    // over precomputed keys.
-                    let hoisted_pass = state
-                        .hoisted_keys
-                        .iter()
-                        .zip(&state.hoisted_outer)
-                        .all(|(keys, outer)| keys[li].iter().any(|k| outer.contains(k)));
-                    if !hoisted_pass {
-                        continue;
-                    }
-                    ev.count_pulls(1);
-                    // Distinct matched build items, preserving build order
-                    // (the nested loop visits inner items in order for
-                    // each outer item).
-                    let mut matched: Vec<(usize, &Item)> = Vec::new();
-                    for key in &state.probe_keys[li] {
-                        if let Some(entries) = state.table.get(key) {
-                            matched.extend(entries.iter().map(|(i, item)| (*i, item)));
-                        }
-                    }
-                    matched.sort_by_key(|(i, _)| *i);
-                    matched.dedup_by_key(|(i, _)| *i);
-                    if matched.is_empty() {
-                        // A matchless probe item binds and immediately
-                        // unbinds in the per-item path — residuals never
-                        // see it, so skipping the queue is unobservable.
-                        continue;
-                    }
-                    let items: Vec<Item> =
-                        matched.into_iter().map(|(_, item)| item.clone()).collect();
-                    state.runs.push_back((li, items));
+            if state.li >= state.left.len() {
+                self.done = true;
+                return Ok(false);
+            }
+            let li = state.li;
+            state.li += 1;
+            // Hoisted probe-side equalities: a probe item failing any of
+            // them produces no pair for this open (the outer side does
+            // not involve the build variable), so skip it before probing
+            // the table — this replaces a per-pair path re-evaluation
+            // with a set intersection over precomputed keys.
+            let hoisted_pass = state
+                .hoisted_keys
+                .iter()
+                .zip(&state.hoisted_outer)
+                .all(|(keys, outer)| keys[li].iter().any(|k| outer.contains(k)));
+            if !hoisted_pass {
+                continue;
+            }
+            // Distinct matched build items, preserving build order (the
+            // nested loop visits inner items in order for each outer
+            // item).
+            let mut matched: Vec<(usize, &Item)> = Vec::new();
+            for key in &state.probe_keys[li] {
+                if let Some(entries) = state.table.get(key) {
+                    matched.extend(entries.iter().map(|(i, item)| (*i, item)));
                 }
             }
-            match state.runs.pop_front() {
-                None => {
-                    if state.li >= state.left.len() {
-                        self.done = true;
-                        return Ok(false);
-                    }
-                    // A full run of matchless probe items: scan the next.
-                }
-                Some((li, items)) => {
-                    let probe_item = state.left[li].clone();
-                    state.matched = items.into_iter();
-                    self.env.push(self.probe_var, Arc::new(vec![probe_item]));
-                    self.probe_bound = true;
-                }
-            }
+            matched.sort_by_key(|(i, _)| *i);
+            matched.dedup_by_key(|(i, _)| *i);
+            let items: Vec<Item> = matched.into_iter().map(|(_, item)| item.clone()).collect();
+            let probe_item = state.left[li].clone();
+            state.matched = items.into_iter();
+            ev.count_pulls(1);
+            self.env.push(self.probe_var, Arc::new(vec![probe_item]));
+            self.probe_bound = true;
         }
     }
 
@@ -1752,7 +1320,6 @@ pub struct ResultStream<'a> {
     ev: Evaluator<'a>,
     cursor: Cursor<'a>,
     fused: bool,
-    batch: usize,
 }
 
 impl<'a> ResultStream<'a> {
@@ -1765,7 +1332,6 @@ impl<'a> ResultStream<'a> {
             ev,
             cursor,
             fused: false,
-            batch: DEFAULT_BATCH,
         }
     }
 
@@ -1774,34 +1340,11 @@ impl<'a> ResultStream<'a> {
         self.ev.store
     }
 
-    /// Set the batch capacity the full-drain consumers ([`count`],
-    /// [`collect_seq`], [`write_to`]) pull with (clamped to at least 1;
-    /// default [`DEFAULT_BATCH`]). `with_batch_size(1)` degenerates to
-    /// item-at-a-time pulling — the A/B baseline the benches and the
-    /// oracle tests compare against. The item-facade consumers
-    /// ([`next_item`], [`take`], [`exists`]) are unaffected.
-    ///
-    /// [`count`]: ResultStream::count
-    /// [`collect_seq`]: ResultStream::collect_seq
-    /// [`write_to`]: ResultStream::write_to
-    /// [`next_item`]: ResultStream::next_item
-    /// [`take`]: ResultStream::take
-    /// [`exists`]: ResultStream::exists
-    #[must_use]
-    pub fn with_batch_size(mut self, n: usize) -> Self {
-        self.batch = n.max(1);
-        self
-    }
-
-    /// **Items delivered** through operator cursors so far — not cursor
-    /// calls: one batched `next_batch` delivering `k` items counts `k`,
-    /// exactly what `k` facade `next()` calls would count, so batched
-    /// and item-at-a-time drains of the same query report the same
-    /// total (pinned by the streaming oracle tests). This is the probe
-    /// the early-termination tests assert on: `exists()`/`take(n)` pull
-    /// strictly fewer items than a full drain, and a batched drain
-    /// never over-pulls a `take(n)`/`exists()` boundary by more than
-    /// one batch.
+    /// Items delivered through operator cursors so far — the probe the
+    /// early-termination tests assert on: `exists()`/`take(n)` pull
+    /// strictly fewer items than a full drain, and a drain that follows
+    /// `k` [`next_item`](ResultStream::next_item) calls ends on the same
+    /// total as a fresh full drain.
     pub fn pulls(&self) -> u64 {
         self.ev.pulls()
     }
@@ -1837,8 +1380,8 @@ impl<'a> ResultStream<'a> {
         Ok(self.next_item().transpose()?.is_some())
     }
 
-    /// The result cardinality, draining the stream batch-at-a-time
-    /// without keeping or serializing any item.
+    /// The result cardinality, draining the stream without keeping or
+    /// serializing any item.
     ///
     /// Consumes the stream: a by-ref receiver would lose the method
     /// resolution race against [`Iterator::count`] at by-value call
@@ -1846,45 +1389,27 @@ impl<'a> ResultStream<'a> {
     /// the stream must stay inspectable — e.g. to read
     /// [`ResultStream::pulls`] after the drain.
     pub fn count(mut self) -> Result<usize, EvalError> {
-        if self.fused {
-            return Ok(0);
+        let mut n = 0;
+        while let Some(item) = self.next_item() {
+            item?;
+            n += 1;
         }
-        let mut batch = Batch::new(self.batch);
-        let mut n = 0usize;
-        loop {
-            batch.reset(self.batch);
-            self.cursor.next_batch(&self.ev, &mut batch)?;
-            n += batch.len();
-            if !batch.is_full() {
-                return Ok(n);
-            }
-        }
+        Ok(n)
     }
 
     /// Drain into a materialized sequence — `execute()` is exactly this.
-    /// Pulls batch-at-a-time through the vectorized core.
     pub fn collect_seq(&mut self) -> Result<Sequence, EvalError> {
-        if self.fused {
-            return Ok(Vec::new());
-        }
         let mut out = Vec::new();
-        let mut batch = Batch::new(self.batch);
-        loop {
-            batch.reset(self.batch);
-            self.cursor.next_batch(&self.ev, &mut batch)?;
-            let full = batch.is_full();
-            out.extend(batch.drain());
-            if !full {
-                return Ok(out);
-            }
+        while let Some(item) = self.next_item() {
+            out.push(item?);
         }
+        Ok(out)
     }
 
     /// Serialize the stream into `sink`, one item per line, byte-identical
     /// to [`crate::result::serialize_sequence`] of the materialized
-    /// result — pulling batch-at-a-time but never holding more than one
-    /// batch. Items batched before a mid-stream error are flushed to the
-    /// sink before the error is reported. Use
+    /// result — without ever holding more than one item, so the sink
+    /// sees its first byte after the first pull. Use
     /// [`crate::result::IoSink`] to target an [`std::io::Write`].
     pub fn write_to<W: fmt::Write + ?Sized>(
         &mut self,
@@ -1892,24 +1417,13 @@ impl<'a> ResultStream<'a> {
     ) -> Result<StreamStats, WriteError> {
         let mut counted = CountingSink { sink, bytes: 0 };
         let mut items = 0usize;
-        if !self.fused {
-            let mut batch = Batch::new(self.batch);
-            loop {
-                batch.reset(self.batch);
-                let res = self.cursor.next_batch(&self.ev, &mut batch);
-                let full = batch.is_full();
-                for item in batch.drain() {
-                    if items > 0 {
-                        fmt::Write::write_char(&mut counted, '\n').map_err(WriteError::Sink)?;
-                    }
-                    write_item(self.ev.store, &item, &mut counted).map_err(WriteError::Sink)?;
-                    items += 1;
-                }
-                res?;
-                if !full {
-                    break;
-                }
+        while let Some(item) = self.next_item() {
+            let item = item?;
+            if items > 0 {
+                fmt::Write::write_char(&mut counted, '\n').map_err(WriteError::Sink)?;
             }
+            write_item(self.ev.store, &item, &mut counted).map_err(WriteError::Sink)?;
+            items += 1;
         }
         Ok(StreamStats {
             items,

@@ -9,7 +9,8 @@
 //! cardinalities, the canonical signature functions) and compares it with
 //! what the plan records.
 //!
-//! The eleven invariants:
+//! The ten invariants (codes are stable identifiers in audit output, so
+//! the retired V10 is not reused and V11 keeps its code):
 //!
 //! | code | name            | what it pins |
 //! |------|-----------------|--------------|
@@ -22,7 +23,6 @@
 //! | V7   | memo-sig        | memo / build / probe / lookup cache signatures equal their canonical recomputation |
 //! | V8   | card-consistent | cardinality annotations agree with each other and with exact posting counts |
 //! | V9   | var-scope       | every variable reference resolves to an enclosing binding |
-//! | V10  | batch-supported | `[batch=N]` annotations appear exactly where the operator has a native vectorized drain ([`batch_eligible`]) and carry the canonical capacity |
 //! | V11  | shard-merge     | the scatter-gather annotation equals [`shard_mode`] recomputed on the body — a merge operator is declared iff the plan is *not* gather-required, and it is the right one |
 //!
 //! [`compile_with_mode`](crate::compile::compile_with_mode) runs the
@@ -60,15 +60,13 @@ pub enum Invariant {
     CardConsistent,
     /// V9: every variable reference resolves in scope.
     VarScope,
-    /// V10: batch annotations appear exactly where supported.
-    BatchSupported,
     /// V11: the shard annotation equals its recomputed classification.
     ShardMerge,
 }
 
 impl Invariant {
-    /// All invariants, in V1…V11 order.
-    pub const ALL: [Invariant; 11] = [
+    /// All invariants, in code order (V1…V9, V11).
+    pub const ALL: [Invariant; 10] = [
         Invariant::CapsAccess,
         Invariant::DensityGate,
         Invariant::NaivePurity,
@@ -78,11 +76,10 @@ impl Invariant {
         Invariant::MemoSig,
         Invariant::CardConsistent,
         Invariant::VarScope,
-        Invariant::BatchSupported,
         Invariant::ShardMerge,
     ];
 
-    /// Stable short code (`"V1"`…`"V10"`).
+    /// Stable short code (`"V1"`…`"V11"`).
     pub fn code(self) -> &'static str {
         match self {
             Invariant::CapsAccess => "V1",
@@ -94,7 +91,6 @@ impl Invariant {
             Invariant::MemoSig => "V7",
             Invariant::CardConsistent => "V8",
             Invariant::VarScope => "V9",
-            Invariant::BatchSupported => "V10",
             Invariant::ShardMerge => "V11",
         }
     }
@@ -111,7 +107,6 @@ impl Invariant {
             Invariant::MemoSig => "memo-sig",
             Invariant::CardConsistent => "card-consistent",
             Invariant::VarScope => "var-scope",
-            Invariant::BatchSupported => "batch-supported",
             Invariant::ShardMerge => "shard-merge",
         }
     }
@@ -158,7 +153,7 @@ impl std::fmt::Display for Violation {
 /// and every violation found.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
-    checks: [usize; 11],
+    checks: [usize; Invariant::ALL.len()],
     /// All violations, in plan-walk order.
     pub violations: Vec<Violation>,
 }
@@ -376,27 +371,6 @@ impl Verifier<'_> {
                 p.est_rows
             )
         });
-        // V10: the batch annotation mirrors eligibility exactly — present
-        // (at the canonical capacity) iff the optimized planner proved the
-        // final expansion has a native block drain, absent otherwise.
-        let eligible = self.mode == PlanMode::Optimized && batch_eligible(p);
-        match p.batch {
-            Some(n) => {
-                self.check(Invariant::BatchSupported, eligible, || {
-                    "batch annotation on a path without a native block drain".to_string()
-                });
-                self.check(
-                    Invariant::BatchSupported,
-                    usize::from(n) == DEFAULT_BATCH,
-                    || format!("path batch capacity {n} != canonical {DEFAULT_BATCH}"),
-                );
-            }
-            None => {
-                self.check(Invariant::BatchSupported, !eligible, || {
-                    "eligible final expansion is missing its batch annotation".to_string()
-                });
-            }
-        }
     }
 
     fn tails(&mut self, p: &PathPlan) {
@@ -636,7 +610,6 @@ impl Verifier<'_> {
             residual,
             est_probe,
             est_build,
-            batch,
         } = strategy
         else {
             return;
@@ -645,13 +618,6 @@ impl Verifier<'_> {
             Invariant::NaivePurity,
             self.mode == PlanMode::Optimized,
             || "naive plan contains a HashJoin".to_string(),
-        );
-        // V10: hash joins always probe in runs of the canonical length
-        // (naive plans never build one, so the annotation is unconditional).
-        self.check(
-            Invariant::BatchSupported,
-            *batch == Some(JOIN_PROBE_RUN as u16),
-            || format!("hash join probe run {batch:?} != canonical {JOIN_PROBE_RUN}"),
         );
         self.check(Invariant::JoinKeys, probe_var != build_var, || {
             format!("HashJoin binds ${probe_var} on both sides")

@@ -217,73 +217,6 @@ fn inconsistent_cardinality_is_rejected() {
 }
 
 #[test]
-fn batch_annotation_must_mirror_eligibility() {
-    let store = EdgeStore::load(DOC).unwrap();
-    // The final child expansion has a native block drain, so the
-    // optimized plan is annotated; stripping it violates V10.
-    let mut compiled = compile(&store, "/site/people/person", PlanMode::Optimized);
-    {
-        let path = body_path(&mut compiled);
-        assert!(path.batch.is_some(), "eligible path is annotated");
-        path.batch = None;
-    }
-    let report = verify_plan(&compiled.plan, &store);
-    assert!(
-        report.violations_of(Invariant::BatchSupported) > 0,
-        "{report}"
-    );
-
-    // A non-canonical capacity is equally rejected.
-    let mut compiled = compile(&store, "/site/people/person", PlanMode::Optimized);
-    body_path(&mut compiled).batch = Some(7);
-    let report = verify_plan(&compiled.plan, &store);
-    assert!(
-        report.violations_of(Invariant::BatchSupported) > 0,
-        "{report}"
-    );
-
-    // Naive plans stay on the one-item pull path: annotating one is a
-    // violation even at the canonical capacity.
-    let mut compiled = compile(&store, "/site/people/person", PlanMode::Naive);
-    {
-        let path = body_path(&mut compiled);
-        assert!(path.batch.is_none(), "naive plans are never annotated");
-        path.batch = Some(xmark_query::plan::DEFAULT_BATCH as u16);
-    }
-    let report = verify_plan(&compiled.plan, &store);
-    assert!(
-        report.violations_of(Invariant::BatchSupported) > 0,
-        "{report}"
-    );
-}
-
-#[test]
-fn hash_join_with_corrupted_probe_run_is_rejected() {
-    let store = EdgeStore::load(DOC).unwrap();
-    let q = r#"for $a in /site/people/person, $b in /site/people/person
-               where $a/name/text() = $b/name/text() return $a"#;
-    let mut compiled = compile(&store, q, PlanMode::Optimized);
-    let PlanExpr::Flwor(f) = &mut compiled.plan.body else {
-        panic!("body is a FLWOR");
-    };
-    let Strategy::HashJoin { batch, .. } = &mut f.strategy else {
-        panic!("equi-join plans as a hash join");
-    };
-    assert_eq!(
-        *batch,
-        Some(xmark_query::plan::JOIN_PROBE_RUN as u16),
-        "hash joins probe in canonical runs"
-    );
-    *batch = None;
-
-    let report = verify_plan(&compiled.plan, &store);
-    assert!(
-        report.violations_of(Invariant::BatchSupported) > 0,
-        "{report}"
-    );
-}
-
-#[test]
 fn unbound_variable_is_reported() {
     let store = EdgeStore::load(DOC).unwrap();
     let mut compiled = compile(&store, "/site/people/person", PlanMode::Optimized);

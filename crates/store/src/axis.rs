@@ -29,89 +29,6 @@ use crate::paged::{PagedChildren, PagedChildrenNamed, PagedScanNamed};
 use crate::summary::{LinkedChildren, LinkedChildrenNamed, SummaryDescendantsNamed};
 use crate::traits::Node;
 
-/// A fixed-capacity block of nodes — the unit of the vectorized pull
-/// protocol.
-///
-/// The buffer is allocated once ([`NodeBatch::new`]) and never grows:
-/// producers append with [`push`](NodeBatch::push) up to the *effective*
-/// limit set by the last [`reset`](NodeBatch::reset), which is clamped to
-/// the allocated capacity. Consumers that need fewer slots (an executor
-/// honoring a `take(n)` bound) shrink the limit per refill instead of
-/// reallocating.
-pub struct NodeBatch {
-    slots: Vec<Node>,
-    limit: usize,
-}
-
-impl NodeBatch {
-    /// Allocate a batch holding up to `cap` nodes (at least one).
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        NodeBatch {
-            slots: Vec::with_capacity(cap),
-            limit: cap,
-        }
-    }
-
-    /// Clear the batch and set the effective limit for the next fill,
-    /// clamped to the allocated capacity — never reallocates.
-    pub fn reset(&mut self, limit: usize) {
-        self.slots.clear();
-        self.limit = limit.max(1).min(self.slots.capacity());
-    }
-
-    /// Slots still open under the effective limit.
-    #[inline]
-    pub fn room(&self) -> usize {
-        self.limit - self.slots.len()
-    }
-
-    /// Whether the effective limit is reached.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.slots.len() >= self.limit
-    }
-
-    /// Nodes currently in the batch.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the batch holds no nodes.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Append one node. The caller checks [`is_full`](NodeBatch::is_full)
-    /// first; the buffer is pre-reserved, so this never reallocates.
-    #[inline]
-    pub fn push(&mut self, n: Node) {
-        debug_assert!(self.slots.len() < self.limit, "push past batch limit");
-        self.slots.push(n);
-    }
-
-    /// The filled prefix.
-    #[inline]
-    pub fn as_slice(&self) -> &[Node] {
-        &self.slots
-    }
-}
-
-/// Fill `out` from a plain iterator: the default one-item loop used by
-/// variants without a native block path. A single enum dispatch buys a
-/// monomorphized tight loop over the concrete cursor.
-#[inline]
-fn fill_from<I: Iterator<Item = Node>>(it: &mut I, out: &mut NodeBatch) {
-    while !out.is_full() {
-        match it.next() {
-            Some(n) => out.push(n),
-            None => break,
-        }
-    }
-}
-
 /// Cursor over *all* children (elements and text) in document order.
 pub enum ChildIter<'a> {
     /// No children.
@@ -201,28 +118,6 @@ impl Iterator for ChildrenNamed<'_> {
     }
 }
 
-impl ChildrenNamed<'_> {
-    /// Fill `out` until it is full or this cursor is exhausted; returns
-    /// the number of nodes appended. Postcondition: `out` not full ⇒
-    /// the cursor is exhausted. The columnar encodings (interval, edge
-    /// posting lists, paged) run a native per-block loop; the rest fall
-    /// back to a monomorphized one-item loop.
-    pub fn next_block(&mut self, out: &mut NodeBatch) -> usize {
-        let before = out.len();
-        match self {
-            ChildrenNamed::Empty => {}
-            ChildrenNamed::Materialized(it) => fill_from(it, out),
-            ChildrenNamed::Dom(it) => fill_from(it, out),
-            ChildrenNamed::Edge(it) => it.next_block(out),
-            ChildrenNamed::Frag(it) => fill_from(it, out),
-            ChildrenNamed::Interval(it) => it.next_block(out),
-            ChildrenNamed::Linked(it) => fill_from(it, out),
-            ChildrenNamed::Paged(it) => it.next_block(out),
-        }
-        out.len() - before
-    }
-}
-
 /// Cursor over descendant elements with a given tag, in document order.
 pub enum DescendantsNamed<'a> {
     /// No matches.
@@ -270,40 +165,6 @@ impl Iterator for DescendantsNamed<'_> {
             DescendantsNamed::SummaryMerge(it) => it.next(),
             DescendantsNamed::PagedScan(it) => it.next(),
         }
-    }
-}
-
-impl DescendantsNamed<'_> {
-    /// Fill `out` until it is full or this cursor is exhausted; returns
-    /// the number of nodes appended. Postcondition: `out` not full ⇒
-    /// the cursor is exhausted. Posting-range (`Extent`) blocks are a
-    /// straight slice copy; the interval/edge/paged encodings run native
-    /// per-block loops; the rest fall back to a monomorphized one-item
-    /// loop.
-    pub fn next_block(&mut self, out: &mut NodeBatch) -> usize {
-        let before = out.len();
-        match self {
-            DescendantsNamed::Empty => {}
-            DescendantsNamed::Materialized(it) => fill_from(it, out),
-            DescendantsNamed::Dom(it) => fill_from(it, out),
-            DescendantsNamed::Edge(it) => it.next_block(out),
-            DescendantsNamed::Frag(it) => fill_from(it, out),
-            DescendantsNamed::Extent(it) => {
-                // PR 5 posting ranges are already sorted contiguous id
-                // runs: copy a prefix of the slice and rebuild the iter
-                // on the remainder.
-                let run = it.as_slice();
-                let k = run.len().min(out.room());
-                for &id in &run[..k] {
-                    out.push(Node(id));
-                }
-                *it = run[k..].iter();
-            }
-            DescendantsNamed::IntervalScan(it) => it.next_block(out),
-            DescendantsNamed::SummaryMerge(it) => fill_from(it, out),
-            DescendantsNamed::PagedScan(it) => it.next_block(out),
-        }
-        out.len() - before
     }
 }
 

@@ -57,23 +57,6 @@ impl Iterator for EdgeChildrenNamed<'_> {
     }
 }
 
-impl EdgeChildrenNamed<'_> {
-    /// Native block fill: drain the posting slice in one loop, tag-testing
-    /// each row id against the `node` relation.
-    pub(crate) fn next_block(&mut self, out: &mut crate::axis::NodeBatch) {
-        while !out.is_full() {
-            match self.rids.next() {
-                Some(&rid) => {
-                    if self.store.nodes.cell(rid, 1).as_str() == Some(self.tag) {
-                        out.push(Node(rid as u32));
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-}
-
 /// Streaming form of System A's generic descendant plan: walk the tag
 /// extent and verify containment by climbing parent pointers — the
 /// repeated self-joins the paper attributes to edge mappings.
@@ -102,30 +85,6 @@ impl Iterator for EdgeDescendantsNamed<'_> {
             }
         }
         None
-    }
-}
-
-impl EdgeDescendantsNamed<'_> {
-    /// Native block fill: one loop over the tag extent, containment
-    /// verified per entry (the root case degenerates to an identity
-    /// test, so `//tag` from the root is a straight extent copy).
-    pub(crate) fn next_block(&mut self, out: &mut crate::axis::NodeBatch) {
-        while !out.is_full() {
-            match self.extent.next() {
-                Some(&rid) => {
-                    let c = Node(rid as u32);
-                    let contained = if self.from_root {
-                        c != self.ctx
-                    } else {
-                        self.store.climb_reaches(c, self.ctx)
-                    };
-                    if contained {
-                        out.push(c);
-                    }
-                }
-                None => break,
-            }
-        }
     }
 }
 

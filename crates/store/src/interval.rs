@@ -73,20 +73,6 @@ impl Iterator for IntervalChildrenNamed<'_> {
     }
 }
 
-impl IntervalChildrenNamed<'_> {
-    /// Native block fill: one tight loop over the interval hop, no
-    /// per-item cursor dispatch.
-    pub(crate) fn next_block(&mut self, out: &mut crate::axis::NodeBatch) {
-        while self.cur <= self.stop && !out.is_full() {
-            let id = self.cur;
-            self.cur = self.end[id as usize] + 1;
-            if self.tag_code[id as usize] == self.code {
-                out.push(Node(id));
-            }
-        }
-    }
-}
-
 /// System F's descendant plan as a cursor: scan every position of the
 /// interval and test the tag code.
 pub struct IntervalScanNamed<'a> {
@@ -110,31 +96,6 @@ impl Iterator for IntervalScanNamed<'_> {
             }
         }
         None
-    }
-}
-
-impl IntervalScanNamed<'_> {
-    /// Native block fill over the columnar tag array. The inner loop is
-    /// a straight slice scan bounded by the batch's remaining room — the
-    /// compiler sees both bounds up front, so the tag test is the only
-    /// data-dependent branch left per position.
-    pub(crate) fn next_block(&mut self, out: &mut crate::axis::NodeBatch) {
-        while self.cur <= self.stop && !out.is_full() {
-            let lo = self.cur as usize;
-            let hi = (self.stop as usize + 1)
-                .min(lo + out.room() * 4)
-                .max(lo + 1);
-            for (off, &code) in self.tag_code[lo..hi].iter().enumerate() {
-                if code == self.code {
-                    out.push(Node((lo + off) as u32));
-                    if out.is_full() {
-                        self.cur = (lo + off + 1) as u32;
-                        return;
-                    }
-                }
-            }
-            self.cur = hi as u32;
-        }
     }
 }
 

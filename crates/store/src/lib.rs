@@ -52,14 +52,14 @@ pub mod summary;
 pub mod sync;
 pub mod traits;
 
-pub use axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed, NodeBatch};
+pub use axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
 pub use edge::EdgeStore;
 pub use fragmented::FragmentedStore;
 pub use index::{AttrIndex, ChildValues, ElementIndex, IndexManager, IndexStats};
 pub use inlined::InlinedStore;
 pub use interval::IntervalStore;
 pub use naive::NaiveStore;
-pub use paged::{PagedStore, PoolStats, ReplacerKind, DEFAULT_POOL_PAGES};
+pub use paged::{PagedStore, PoolStats, DEFAULT_POOL_PAGES};
 pub use shard::{ShardError, ShardedStore};
 pub use summary::SummaryStore;
 pub use traits::{Node, PlannerCaps, PositionSpec, StepEstimate, StoreSource, SystemId, XmlStore};

@@ -81,30 +81,12 @@ impl PoolStats {
     }
 }
 
-/// Victim-selection policy for the frame pool.
-///
-/// LRU keeps an exact recency order (one tick per pin/unpin) and evicts
-/// the coldest unpinned frame; CLOCK approximates it with one reference
-/// bit and a sweeping hand — O(1) amortized, no full scan per eviction,
-/// the classic trade under write-heavy mixes where the LRU scan and its
-/// tick bookkeeping sit inside the pool lock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ReplacerKind {
-    /// Exact least-recently-used scan (the default).
-    #[default]
-    Lru,
-    /// Second-chance clock sweep over reference bits.
-    Clock,
-}
-
 struct Frame {
     page_id: PageId,
     data: Arc<RwLock<Page>>,
     pin_count: u32,
     dirty: bool,
     last_use: u64,
-    /// CLOCK reference bit: set on every pin, cleared by a passing hand.
-    referenced: bool,
 }
 
 struct Inner {
@@ -112,8 +94,6 @@ struct Inner {
     /// page id → frame index.
     table: HashMap<PageId, usize>,
     tick: u64,
-    /// CLOCK hand: next frame the sweep inspects.
-    hand: usize,
 }
 
 /// The bounded frame pool over one page file (plus its WAL).
@@ -122,7 +102,6 @@ pub struct BufferPool {
     inner: Mutex<Inner>,
     file: Mutex<FileManager>,
     wal: Option<Arc<LogManager>>,
-    replacer: ReplacerKind,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -135,17 +114,6 @@ impl BufferPool {
     /// A pool of at most `capacity` frames over `file`, logging page
     /// writes against `wal` (when present).
     pub fn new(file: FileManager, wal: Option<Arc<LogManager>>, capacity: usize) -> BufferPool {
-        BufferPool::with_replacer(file, wal, capacity, ReplacerKind::Lru)
-    }
-
-    /// A pool with an explicit victim-selection policy (see
-    /// [`ReplacerKind`]).
-    pub fn with_replacer(
-        file: FileManager,
-        wal: Option<Arc<LogManager>>,
-        capacity: usize,
-        replacer: ReplacerKind,
-    ) -> BufferPool {
         assert!(capacity >= 2, "a useful pool needs at least two frames");
         BufferPool {
             capacity,
@@ -153,11 +121,9 @@ impl BufferPool {
                 frames: Vec::new(),
                 table: HashMap::new(),
                 tick: 0,
-                hand: 0,
             }),
             file: Mutex::new(file),
             wal,
-            replacer,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -215,7 +181,6 @@ impl BufferPool {
             let frame = &mut inner.frames[idx];
             frame.pin_count += 1;
             frame.last_use = tick;
-            frame.referenced = true;
             self.hits.fetch_add(1, Ordering::Relaxed);
             let data = Arc::clone(&frame.data);
             return Ok(PageGuard {
@@ -261,8 +226,8 @@ impl BufferPool {
         Ok((id, guard))
     }
 
-    /// Pick a frame: grow the pool to capacity, else evict per the
-    /// configured replacer (write-back if dirty). Caller holds the inner
+    /// Pick a frame: grow the pool to capacity, else evict the LRU
+    /// unpinned frame (write-back if dirty). Caller holds the inner
     /// lock.
     fn take_frame(&self, inner: &mut Inner) -> io::Result<usize> {
         if inner.frames.len() < self.capacity {
@@ -272,49 +237,22 @@ impl BufferPool {
                 pin_count: 0,
                 dirty: false,
                 last_use: 0,
-                referenced: false,
             });
             return Ok(inner.frames.len() - 1);
         }
-        let exhausted = || {
-            io::Error::other(format!(
-                "buffer pool exhausted: all {} frames pinned",
-                self.capacity
-            ))
-        };
-        let victim = match self.replacer {
-            ReplacerKind::Lru => inner
-                .frames
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.pin_count == 0)
-                .min_by_key(|(_, f)| f.last_use)
-                .map(|(i, _)| i)
-                .ok_or_else(exhausted)?,
-            ReplacerKind::Clock => {
-                // Second-chance sweep: a set reference bit buys the frame
-                // one revolution. Two full revolutions (first clears every
-                // bit, second must find a victim) bound the scan; only
-                // pinned-everywhere pools fail.
-                let n = inner.frames.len();
-                let mut found = None;
-                for _ in 0..2 * n {
-                    let idx = inner.hand;
-                    inner.hand = (inner.hand + 1) % n;
-                    let frame = &mut inner.frames[idx];
-                    if frame.pin_count > 0 {
-                        continue;
-                    }
-                    if frame.referenced {
-                        frame.referenced = false;
-                        continue;
-                    }
-                    found = Some(idx);
-                    break;
-                }
-                found.ok_or_else(exhausted)?
-            }
-        };
+        let victim = inner
+            .frames
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.pin_count == 0)
+            .min_by_key(|(_, f)| f.last_use)
+            .map(|(i, _)| i)
+            .ok_or_else(|| {
+                io::Error::other(format!(
+                    "buffer pool exhausted: all {} frames pinned",
+                    self.capacity
+                ))
+            })?;
         let (old_id, dirty) = {
             let f = &inner.frames[victim];
             (f.page_id, f.dirty)
@@ -344,7 +282,6 @@ impl BufferPool {
         frame.pin_count = 1;
         frame.dirty = false;
         frame.last_use = tick;
-        frame.referenced = true;
         let data = Arc::clone(&frame.data);
         inner.table.insert(id, idx);
         Ok(PageGuard {
@@ -485,28 +422,6 @@ mod tests {
         (BufferPool::new(fm, None, capacity), path)
     }
 
-    /// Like [`seeded_pool`] but with an explicit replacement policy.
-    fn seeded_pool_with(
-        name: &str,
-        pages: u32,
-        capacity: usize,
-        replacer: ReplacerKind,
-    ) -> (BufferPool, PathBuf) {
-        let path = tmp(name);
-        let mut fm = FileManager::create(&path).unwrap();
-        for id in 0..pages {
-            let _ = fm.allocate();
-            let mut p = Page::new();
-            p.insert(format!("page-{id}").as_bytes()).unwrap();
-            p.seal();
-            fm.write_page(id, &p).unwrap();
-        }
-        (
-            BufferPool::with_replacer(fm, None, capacity, replacer),
-            path,
-        )
-    }
-
     #[test]
     fn hits_and_misses_are_counted() {
         let (pool, path) = seeded_pool("counters", 3, 2);
@@ -534,42 +449,6 @@ mod tests {
         assert_eq!(pool.stats().misses, before);
         let _ = pool.pin(1).unwrap(); // evicted earlier — a miss
         assert_eq!(pool.stats().misses, before + 1);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn clock_sweep_diverges_from_lru_on_rereference() {
-        // Same pin sequence as `eviction_follows_lru_order`, CLOCK policy:
-        // re-pinning page 0 only re-sets its reference bit, so the sweep
-        // clears both bits on its first revolution and evicts the frame
-        // the hand reaches first (page 0) — where exact LRU evicts page 1.
-        let (pool, path) = seeded_pool_with("clock", 4, 2, ReplacerKind::Clock);
-        let _ = pool.pin(0).unwrap();
-        let _ = pool.pin(1).unwrap();
-        let _ = pool.pin(0).unwrap(); // hit: sets (already-set) ref bit
-        let _ = pool.pin(2).unwrap(); // sweep clears both bits, evicts 0
-        assert_eq!(pool.stats().evictions, 1);
-        let misses_before = pool.stats().misses;
-        let _ = pool.pin(1).unwrap(); // survived the sweep — a hit
-        assert_eq!(pool.stats().misses, misses_before);
-        let _ = pool.pin(0).unwrap(); // was evicted — a miss
-        assert_eq!(pool.stats().misses, misses_before + 1);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn clock_skips_pinned_frames_and_reports_exhaustion() {
-        let (pool, path) = seeded_pool_with("clockpin", 4, 2, ReplacerKind::Clock);
-        let held = pool.pin(0).unwrap();
-        let _ = pool.pin(1).unwrap();
-        let _ = pool.pin(2).unwrap(); // must evict 1, never pinned 0
-        assert_eq!(held.read().record(0), b"page-0");
-        assert_eq!(pool.stats().evictions, 1);
-        let also_held = pool.pin(2).unwrap();
-        let err = pool.pin(3).unwrap_err();
-        assert!(err.to_string().contains("exhausted"), "{err}");
-        drop(also_held);
-        assert!(pool.pin(3).is_ok(), "freed frame is reusable");
         std::fs::remove_file(path).unwrap();
     }
 

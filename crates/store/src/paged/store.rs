@@ -34,7 +34,7 @@ use crate::index::IndexManager;
 use crate::loader::{parent_array, subtree_ends, NONE};
 use crate::traits::{Node, PlannerCaps, SystemId, XmlStore};
 
-use super::buffer::{BufferPool, PageGuard, PoolStats, ReplacerKind};
+use super::buffer::{BufferPool, PageGuard, PoolStats};
 use super::file::FileManager;
 use super::layout::{le_u16, le_u32, Catalog, Header, NodeRec, NODES_PER_PAGE, TEXT_CHUNK};
 use super::page::{PageId, PageKind};
@@ -137,20 +137,6 @@ impl PagedStore {
     /// # Errors
     /// I/O failure creating or writing the files.
     pub fn create_at(path: &Path, doc: &Document, pool_pages: usize) -> io::Result<PagedStore> {
-        PagedStore::create_at_with(path, doc, pool_pages, ReplacerKind::default())
-    }
-
-    /// [`PagedStore::create_at`] with an explicit pool replacement
-    /// policy (see [`ReplacerKind`]).
-    ///
-    /// # Errors
-    /// I/O failure creating or writing the files.
-    pub fn create_at_with(
-        path: &Path,
-        doc: &Document,
-        pool_pages: usize,
-        replacer: ReplacerKind,
-    ) -> io::Result<PagedStore> {
         let n = doc.node_count();
         let parent = parent_array(doc);
         let end = subtree_ends(doc);
@@ -183,11 +169,10 @@ impl PagedStore {
         let wal_path = wal_path_for(path);
         let wal = Arc::new(LogManager::create(&wal_path)?);
         wal.append(&LogRecord::BeginBulkLoad { nodes: n as u32 });
-        let pool = BufferPool::with_replacer(
+        let pool = BufferPool::new(
             FileManager::create(path)?,
             Some(Arc::clone(&wal)),
             pool_pages,
-            replacer,
         );
 
         // Page 0 is the header; its contents are written *last* so a
@@ -336,18 +321,6 @@ impl PagedStore {
     /// header, or checksum mismatches on the pages read here; plain I/O
     /// errors otherwise.
     pub fn open(path: &Path, pool_pages: usize) -> io::Result<PagedStore> {
-        PagedStore::open_with(path, pool_pages, ReplacerKind::default())
-    }
-
-    /// [`PagedStore::open`] with an explicit pool replacement policy.
-    ///
-    /// # Errors
-    /// As [`PagedStore::open`].
-    pub fn open_with(
-        path: &Path,
-        pool_pages: usize,
-        replacer: ReplacerKind,
-    ) -> io::Result<PagedStore> {
         let wal_path = wal_path_for(path);
         let records = LogManager::read_all(&wal_path)?;
         if !records
@@ -360,12 +333,7 @@ impl PagedStore {
             )));
         }
         let wal = Arc::new(LogManager::open(&wal_path)?);
-        let pool = BufferPool::with_replacer(
-            FileManager::open(path)?,
-            Some(Arc::clone(&wal)),
-            pool_pages,
-            replacer,
-        );
+        let pool = BufferPool::new(FileManager::open(path)?, Some(Arc::clone(&wal)), pool_pages);
         let header = {
             let g = pool.pin(0)?;
             let page = g.read();
@@ -417,19 +385,6 @@ impl PagedStore {
     /// Propagates XML parse errors. Scratch-file I/O failure is
     /// environmental and panics.
     pub fn load_temp(xml: &str, pool_pages: usize) -> Result<PagedStore, xmark_xml::Error> {
-        PagedStore::load_temp_with(xml, pool_pages, ReplacerKind::default())
-    }
-
-    /// [`PagedStore::load_temp`] with an explicit pool replacement
-    /// policy.
-    ///
-    /// # Errors
-    /// As [`PagedStore::load_temp`].
-    pub fn load_temp_with(
-        xml: &str,
-        pool_pages: usize,
-        replacer: ReplacerKind,
-    ) -> Result<PagedStore, xmark_xml::Error> {
         static SEQ: AtomicU32 = AtomicU32::new(0);
         let doc = xmark_xml::parse_document(xml)?;
         let path = super::scratch_dir().join(format!(
@@ -437,7 +392,7 @@ impl PagedStore {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut store = PagedStore::create_at_with(&path, &doc, pool_pages, replacer)
+        let mut store = PagedStore::create_at(&path, &doc, pool_pages)
             .unwrap_or_else(|e| panic!("scratch page store at {}: {e}", path.display()));
         store.ephemeral = true;
         Ok(store)
@@ -643,27 +598,6 @@ impl Iterator for PagedChildrenNamed<'_> {
     }
 }
 
-impl PagedChildrenNamed<'_> {
-    /// Native block fill: pin each node page once and hop every child
-    /// whose record lives on it, instead of one pool pin per child.
-    pub(crate) fn next_block(&mut self, out: &mut crate::axis::NodeBatch) {
-        let per_page = NODES_PER_PAGE as u32;
-        while self.cur <= self.stop && !out.is_full() {
-            let page_no = self.cur / per_page;
-            let guard = self.store.pin(self.store.header.node_start + page_no);
-            let page = guard.read();
-            while self.cur <= self.stop && !out.is_full() && self.cur / per_page == page_no {
-                let id = self.cur;
-                let rec = NodeRec::decode(page.record((id % per_page) as u16));
-                self.cur = rec.end + 1;
-                if rec.tag_code == self.code {
-                    out.push(Node(id));
-                }
-            }
-        }
-    }
-}
-
 /// Descendant scan: every id in the interval, tag-code tested — the
 /// sequential-page access pattern the LRU pool likes.
 pub struct PagedScanNamed<'a> {
@@ -685,30 +619,6 @@ impl Iterator for PagedScanNamed<'_> {
             }
         }
         None
-    }
-}
-
-impl PagedScanNamed<'_> {
-    /// Native block fill: pin each node page once and tag-test the whole
-    /// slot run on it — the per-page unit of the vectorized scan.
-    pub(crate) fn next_block(&mut self, out: &mut crate::axis::NodeBatch) {
-        let per_page = NODES_PER_PAGE as u32;
-        while self.cur <= self.stop && !out.is_full() {
-            let page_no = self.cur / per_page;
-            let run_end = ((page_no + 1) * per_page - 1).min(self.stop);
-            let guard = self.store.pin(self.store.header.node_start + page_no);
-            let page = guard.read();
-            while self.cur <= run_end {
-                let id = self.cur;
-                self.cur += 1;
-                if NodeRec::decode(page.record((id % per_page) as u16)).tag_code == self.code {
-                    out.push(Node(id));
-                    if out.is_full() {
-                        return;
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -14,7 +14,7 @@
 //!   instead of draining the axis.
 
 use xmark::prelude::*;
-use xmark::query::Compiled;
+use xmark::query::{Compiled, Sequence, WriteError};
 use xmark::store::NaiveStore;
 
 fn compiled(store: &dyn XmlStore, text: &str) -> Compiled {
@@ -171,136 +171,166 @@ fn exists_function_pulls_at_most_one_item() {
 }
 
 #[test]
-fn batched_drain_is_byte_identical_at_every_capacity() {
-    // The vectorized core under the item facade: at every batch
-    // capacity — degenerate (1), misaligned (3), the join run (64) and
-    // the widest supported (256) — the batched drains must reproduce
-    // `execute`'s bytes exactly, and the pull counter must report the
-    // same items-delivered total as an item-at-a-time drain. A full
-    // drain has no early-termination boundary, so the totals are equal,
-    // not merely within one batch.
+fn partly_consumed_stream_drains_exactly_the_remaining_suffix() {
+    // One pull protocol: `next_item()` × k followed by `collect_seq()` or
+    // `write_to()` continues from where the prefix stopped — the drain
+    // is exactly the remaining suffix of a fresh full drain, byte for
+    // byte, and ends on the same `pulls()` total. Prefix lengths cover
+    // the empty prefix, the middle (inside replayed memo sequences and
+    // half-expanded axis cursors) and the last item.
     let doc = generate_document(0.002);
-    for system in SystemId::EXTENDED {
+    for system in [SystemId::A, SystemId::E, SystemId::H] {
         let store = build_store(system, &doc.xml).unwrap();
         let store = store.as_ref();
         for q in &ALL_QUERIES {
             let c = compiled(store, q.text);
-            let materialized = execute(&c, store).expect("query runs");
-            let expected = serialize_sequence(store, &materialized);
-            let (_, item_pulls) = drain_counting(c.stream(store));
+            // The first execution publishes the loop-invariant paths to
+            // the store; every drain below then sees the same cache state.
+            let all = execute(&c, store).expect("query runs");
+            let expected = serialize_sequence(store, &all);
+            let (_, full_pulls) = drain_counting(c.stream(store));
 
-            for cap in [1usize, 3, 64, 256] {
-                let mut s = c.stream(store).with_batch_size(cap);
-                let streamed = s.collect_seq().expect("stream runs");
+            let mut prefixes = vec![0, 1, 2, all.len() / 2, all.len().saturating_sub(1)];
+            prefixes.retain(|&k| k <= all.len());
+            prefixes.sort_unstable();
+            prefixes.dedup();
+            for k in prefixes {
+                let prefix = |s: &mut ResultStream<'_>| -> Sequence {
+                    (0..k)
+                        .map(|_| {
+                            s.next_item()
+                                .expect("prefix item exists")
+                                .expect("query runs")
+                        })
+                        .collect()
+                };
+
+                let mut s = c.stream(store);
+                let mut items = prefix(&mut s);
+                items.extend(s.collect_seq().expect("stream resumes"));
                 assert_eq!(
-                    serialize_sequence(store, &streamed),
+                    serialize_sequence(store, &items),
                     expected,
-                    "Q{} batched items diverge on {system} at capacity {cap}",
+                    "Q{}: {k} items then collect_seq diverges on {system}",
                     q.number
                 );
                 assert_eq!(
                     s.pulls(),
-                    item_pulls,
-                    "Q{} batched drain pull total diverges on {system} at \
-                     capacity {cap}",
+                    full_pulls,
+                    "Q{}: {k} items then collect_seq pull total diverges on {system}",
                     q.number
                 );
-            }
 
-            // Sink serialization through the batched core, at the two
-            // extreme capacities.
-            for cap in [3usize, 256] {
+                let mut s = c.stream(store);
+                prefix(&mut s);
                 let mut sunk = String::new();
-                let stats = c
-                    .stream(store)
-                    .with_batch_size(cap)
-                    .write_to(&mut sunk)
-                    .expect("write_to runs");
+                let stats = s.write_to(&mut sunk).expect("stream resumes");
                 assert_eq!(
-                    sunk, expected,
-                    "Q{} batched write_to bytes diverge on {system} at \
-                     capacity {cap}",
+                    sunk,
+                    serialize_sequence(store, &all[k..]),
+                    "Q{}: {k} items then write_to diverges on {system}",
                     q.number
                 );
-                assert_eq!(stats.items, materialized.len());
-            }
-        }
-    }
-}
-
-#[test]
-fn half_consumed_stream_resumes_batched_from_the_item_offset() {
-    // Granularity switch mid-stream: pull a prefix through the item
-    // facade — leaving memoized inner cursors half-way through their
-    // shared sequences — then drain the rest batched. The resumed batch
-    // drain must continue from the facade's offset, not replay the memo
-    // from its start. The FLWOR body replays an absolute memoized path
-    // per binding, so every prefix length that is misaligned with the
-    // batch capacity lands inside a replayed sequence.
-    let doc = generate_document(0.002);
-    let loaded = load_system(SystemId::D, &doc.xml);
-    let store = loaded.store.as_ref();
-    let c = compiled(
-        store,
-        r#"for $p in document("auction.xml")/site/people/person
-           return document("auction.xml")/site/regions//item/name/text()"#,
-    );
-    let all = execute(&c, store).unwrap();
-    assert!(
-        all.len() > 8,
-        "need a multi-item result to misalign against every capacity"
-    );
-    let expected = serialize_sequence(store, &all);
-
-    for cap in [1usize, 3, 64, 256] {
-        for k in [1usize, 2, all.len() / 2, all.len() - 1] {
-            let mut s = c.stream(store).with_batch_size(cap);
-            let mut items = Vec::with_capacity(all.len());
-            for _ in 0..k {
-                items.push(
-                    s.next_item()
-                        .expect("prefix item exists")
-                        .expect("query runs"),
+                assert_eq!(stats.items, all.len() - k);
+                assert_eq!(
+                    s.pulls(),
+                    full_pulls,
+                    "Q{}: {k} items then write_to pull total diverges on {system}",
+                    q.number
                 );
             }
-            items.extend(s.collect_seq().expect("stream resumes batched"));
-            assert_eq!(
-                serialize_sequence(store, &items),
-                expected,
-                "prefix of {k} items then a capacity-{cap} batched drain \
-                 diverges from the materialized result"
-            );
         }
     }
 }
 
-#[test]
-fn batch_capacity_never_widens_a_take_boundary_by_more_than_one_batch() {
-    // The early-termination bound, restated for configured capacities:
-    // `take(n)` / `exists()` ride the item facade, so a stream carrying
-    // any batch capacity may pull at most one batch beyond what the
-    // item-at-a-time boundary pulls — and must still pull strictly
-    // fewer items than a full drain.
-    let doc = generate_document(0.002);
-    let loaded = load_system(SystemId::D, &doc.xml);
-    let store = loaded.store.as_ref();
-    let c = compiled(store, query(13).text);
-    let (items, full_pulls) = drain_counting(c.stream(store));
-    assert!(items > 1);
-    let boundary_pulls = pulls_after_taking(c.stream(store), 1);
+/// A sink that rejects every write.
+struct ClosedSink;
 
-    for cap in [1usize, 3, 64, 256] {
-        let pulls = pulls_after_taking(c.stream(store).with_batch_size(cap), 1);
+impl std::fmt::Write for ClosedSink {
+    fn write_str(&mut self, _: &str) -> std::fmt::Result {
+        Err(std::fmt::Error)
+    }
+}
+
+#[test]
+fn write_to_reaches_the_sink_after_the_first_pull() {
+    // First-byte contract: `write_to` serializes each item as it is
+    // pulled, so a sink that rejects its first write stops the scan
+    // after a constant number of pulls — whatever the result size.
+    let docs = [0.002, 0.01].map(generate_document);
+    for system in [SystemId::A, SystemId::E] {
+        let mut pulls_at = Vec::new();
+        for doc in &docs {
+            let store = build_store(system, &doc.xml).unwrap();
+            let store = store.as_ref();
+            let c = compiled(store, r#"document("auction.xml")/site//item"#);
+            // A fresh store: nothing has drained (and so memoized) the
+            // path yet, the stream walks the descendant axis lazily.
+            let mut s = c.stream(store);
+            let err = s.write_to(&mut ClosedSink).expect_err("the sink rejects");
+            assert!(matches!(err, WriteError::Sink(_)), "{system}: {err}");
+            let pulls = s.pulls();
+            pulls_at.push((c.stream(store).count().unwrap(), pulls));
+        }
+        let [(small, small_pulls), (large, large_pulls)] = pulls_at[..] else {
+            unreachable!("two factors");
+        };
         assert!(
-            pulls < full_pulls,
-            "capacity-{cap} stream pulled {pulls} items for one item — \
-             no fewer than the full drain's {full_pulls}"
+            small > 2 && large > 2 * small,
+            "{system}: {small} vs {large} items"
         );
         assert!(
-            pulls <= boundary_pulls + cap as u64,
-            "capacity-{cap} stream pulled {pulls} items for one item — \
-             more than one batch past the item-facade boundary \
-             ({boundary_pulls})"
+            (1..=2).contains(&small_pulls),
+            "{system}: {small_pulls} pulls before the first write"
+        );
+        assert_eq!(
+            small_pulls, large_pulls,
+            "{system}: pulls before the first write grow with the result"
+        );
+    }
+}
+
+#[test]
+fn take_one_over_a_hash_join_probes_no_item_past_the_first_match() {
+    // Ten probe items of which only the `HIT`-th has a build partner:
+    // the join emits one tuple. `take(1)` must stop probing right there,
+    // so it pulls exactly the `PROBES - HIT` trailing probe items fewer
+    // than the full drain — the only work the full drain adds.
+    const PROBES: usize = 10;
+    const HIT: usize = 4;
+    let auctions: String = (1..=PROBES)
+        .map(|i| {
+            let item = if i == HIT { "item1" } else { "nowhere" };
+            format!(r#"<closed_auction><itemref item="{item}"/></closed_auction>"#)
+        })
+        .collect();
+    let items: String = (0..3)
+        .map(|i| format!(r#"<item id="item{i}"><name>thing {i}</name></item>"#))
+        .collect();
+    let xml = format!(
+        "<site><regions><europe>{items}</europe></regions>\
+         <closed_auctions>{auctions}</closed_auctions></site>"
+    );
+    for system in [SystemId::A, SystemId::E, SystemId::G] {
+        let store = build_store(system, &xml).unwrap();
+        let store = store.as_ref();
+        let c = compiled(
+            store,
+            r#"for $t in document("auction.xml")/site/closed_auctions/closed_auction,
+                   $e in document("auction.xml")/site/regions/europe/item
+               where $t/itemref/@item = $e/@id
+               return $e/name/text()"#,
+        );
+        assert!(c.explain().contains("HashJoin"), "{}", c.explain());
+        let all = execute(&c, store).expect("query runs");
+        assert_eq!(serialize_sequence(store, &all), "thing 1");
+
+        let (_, full_pulls) = drain_counting(c.stream(store));
+        let first_pulls = pulls_after_taking(c.stream(store), 1);
+        assert_eq!(
+            full_pulls - first_pulls,
+            (PROBES - HIT) as u64,
+            "{system}: take(1) probed past the first matching probe item"
         );
     }
 }
