@@ -7,9 +7,45 @@
 //! replacement victim, so the bytes a cursor is reading cannot be
 //! evicted underneath it (pin-count safety is pinned by tests here).
 //! Replacement is LRU over unpinned frames (last-use ticks, updated on
-//! every pin). Evicting a dirty frame first flushes the WAL up to the
-//! page's LSN, seals the page checksum, and writes it back — the
-//! flush-before-write discipline the update path will rely on.
+//! every pin and unpin). Evicting a dirty frame first flushes the WAL up
+//! to the page's LSN, seals the page checksum, and writes it back — the
+//! flush-before-write discipline the update path relies on.
+//!
+//! # Latch protocol
+//!
+//! Three kinds of lock, always taken in this order: the pool **latch**
+//! (`Mutex<Inner>`: page table, pin counts, dirty bits, LRU ticks), then
+//! one **frame lock** (`RwLock<Slot>`: the 4 KiB image and its load
+//! state), then the **file** mutex.
+//!
+//! * The latch is held for bookkeeping only: a hit counts its pin and
+//!   lets go; a miss picks the victim, publishes `id → frame` with
+//!   `pin_count = 1`, takes the frame's write lock (free, since the
+//!   victim had no pins) and lets go. The page read and its checksum run
+//!   under that frame lock alone, into the frame's existing buffer, so
+//!   pins of other pages proceed meanwhile. The one I/O still done under
+//!   the latch is the write-back of a dirty victim, which must reach
+//!   disk before its mapping disappears.
+//! * A frame is *loading* while its loader holds the write lock; a
+//!   second pin of that page takes the ordinary hit path and waits on
+//!   the frame lock. When it gets through, the slot's load state is
+//!   either `Ready` or `Failed` with the error.
+//! * When the read or the checksum fails, the **loader** records the
+//!   error in the slot, releases the frame lock, and under the latch
+//!   removes the mapping and marks the frame free (`NO_PAGE`), so the
+//!   next pin of the page reads it again. Loader and waiters all return
+//!   that error and unpin; nobody ever sees a stale or zeroed image, and
+//!   the frame is reusable as soon as the last of them has unpinned.
+//! * [`PageGuard`] carries its frame index: unpin goes straight to the
+//!   frame, no page-table lookup.
+//!
+//! A thread blocks on a frame lock only while that frame's loader is
+//! doing file I/O, and a loader never waits for a pin, so holding pins
+//! while pinning more cannot deadlock. It can exhaust the pool: `pin`
+//! fails with [`io::ErrorKind::ResourceBusy`] when every frame is
+//! pinned. `PagedStore`'s page-run reader therefore holds at most one
+//! pin per extent — **at most 3 pins per thread** — and treats them as a
+//! cache it drops and retries without on that error.
 //!
 //! Every pool keeps hit/miss/eviction/read/write counters
 //! ([`PoolStats`]) — the numbers the `fig4_embedded` report prints for
@@ -17,6 +53,7 @@
 
 use std::collections::HashMap;
 use std::io;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -81,12 +118,35 @@ impl PoolStats {
     }
 }
 
+/// `page_id` of a frame that holds no page: freshly grown, or freed by a
+/// failed load. Such a frame has no page-table entry, and reusing it is
+/// not an eviction.
+const NO_PAGE: PageId = PageId::MAX;
+
+/// One frame: latch-side bookkeeping plus the buffer, which has a lock
+/// of its own and is allocated once, when the pool grows to the frame.
 struct Frame {
     page_id: PageId,
-    data: Arc<RwLock<Page>>,
     pin_count: u32,
     dirty: bool,
     last_use: u64,
+    slot: Arc<RwLock<Slot>>,
+}
+
+/// What a frame's buffer holds. A third state, *loading*, is the
+/// frame's write lock being held by the loader: nobody else can look.
+enum Load {
+    /// The image of page `Frame::page_id`, checksum verified.
+    Ready,
+    /// The read or its checksum failed; every pin of the frame reports
+    /// this error until the frame is reused.
+    Failed(io::Error),
+}
+
+/// One frame's buffer, behind the frame's own lock.
+struct Slot {
+    page: Page,
+    load: Load,
 }
 
 struct Inner {
@@ -99,6 +159,7 @@ struct Inner {
 /// The bounded frame pool over one page file (plus its WAL).
 pub struct BufferPool {
     capacity: usize,
+    /// The pool latch: page table, pin counts, LRU ticks.
     inner: Mutex<Inner>,
     file: Mutex<FileManager>,
     wal: Option<Arc<LogManager>>,
@@ -108,6 +169,12 @@ pub struct BufferPool {
     pages_read: AtomicU64,
     pages_written: AtomicU64,
     dirty_writebacks: AtomicU64,
+}
+
+/// A second `io::Error` with the kind and message of `e` (`io::Error`
+/// is not `Clone`) — what the waiters on a failed load report.
+fn same_error(e: &io::Error) -> io::Error {
+    io::Error::new(e.kind(), e.to_string())
 }
 
 impl BufferPool {
@@ -167,12 +234,25 @@ impl BufferPool {
         lock(&self.file).size_bytes()
     }
 
+    /// The guard of one pin already counted on frame `idx`. Caller
+    /// holds the latch.
+    fn guard(&self, inner: &Inner, idx: usize) -> PageGuard<'_> {
+        let frame = &inner.frames[idx];
+        PageGuard {
+            pool: self,
+            page_id: frame.page_id,
+            frame: idx,
+            slot: Arc::clone(&frame.slot),
+            dirty: false,
+        }
+    }
+
     /// Pin page `id`, reading it from disk on a miss (checksum
     /// verified). The returned guard unpins on drop.
     ///
     /// # Errors
     /// I/O failure, checksum mismatch, or pool exhaustion (every frame
-    /// pinned).
+    /// pinned; kind [`io::ErrorKind::ResourceBusy`]).
     pub fn pin(&self, id: PageId) -> io::Result<PageGuard<'_>> {
         let mut inner = lock(&self.inner);
         inner.tick += 1;
@@ -181,23 +261,78 @@ impl BufferPool {
             let frame = &mut inner.frames[idx];
             frame.pin_count += 1;
             frame.last_use = tick;
+            let guard = self.guard(&inner, idx);
+            drop(inner);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            let data = Arc::clone(&frame.data);
-            return Ok(PageGuard {
-                pool: self,
-                page_id: id,
-                data,
-                dirty: false,
-            });
+            // While another pin is still loading the page this waits on
+            // the frame's lock, not on the latch.
+            let waited = match &read(&guard.slot).load {
+                Load::Ready => Ok(()),
+                Load::Failed(e) => Err(same_error(e)),
+            };
+            return waited.map(|()| guard);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let idx = self.take_frame(&mut inner)?;
-
-        let mut page = Page::new();
-        {
-            let mut file = lock(&self.file);
-            file.read_page(id, &mut page)?;
+        let guard = self.claim_frame(&mut inner, id, tick)?;
+        // The victim had no pins, so nobody holds its lock and taking it
+        // under the latch never waits. Pins of `id` that hit the new
+        // mapping from here on wait on this lock while the page loads.
+        let mut slot = write(&guard.slot);
+        drop(inner);
+        let loaded = self.load(id, &mut slot.page);
+        slot.load = match &loaded {
+            Ok(()) => Load::Ready,
+            Err(e) => Load::Failed(same_error(e)),
+        };
+        drop(slot);
+        if loaded.is_err() {
+            // The loader unpublishes. Its guard then unpins; the frame
+            // is reused once the waiters that already hit the mapping
+            // have seen the error and unpinned too.
+            let mut inner = lock(&self.inner);
+            inner.table.remove(&id);
+            inner.frames[guard.frame].page_id = NO_PAGE;
+            inner.frames[guard.frame].last_use = 0;
         }
+        loaded.map(|()| guard)
+    }
+
+    /// Allocate a brand-new page in the file and pin its (empty, dirty)
+    /// frame — the bulkload path. Returns the new page id with the
+    /// guard.
+    pub fn pin_new(&self) -> io::Result<(PageId, PageGuard<'_>)> {
+        let id = lock(&self.file).allocate();
+        let mut inner = lock(&self.inner);
+        inner.tick += 1;
+        let tick = inner.tick;
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.claim_frame(&mut inner, id, tick)?;
+        let mut slot = write(&guard.slot);
+        drop(inner);
+        slot.page.clear();
+        slot.load = Load::Ready;
+        drop(slot);
+        guard.dirty = true;
+        Ok((id, guard))
+    }
+
+    /// Take a frame for page `id` and publish `id → frame` with one
+    /// pin. The caller takes the frame's write lock *before* it lets
+    /// the latch go, then fills the buffer.
+    fn claim_frame(&self, inner: &mut Inner, id: PageId, tick: u64) -> io::Result<PageGuard<'_>> {
+        let idx = self.take_frame(inner)?;
+        let frame = &mut inner.frames[idx];
+        frame.page_id = id;
+        frame.pin_count = 1;
+        frame.last_use = tick;
+        inner.table.insert(id, idx);
+        Ok(self.guard(inner, idx))
+    }
+
+    /// Read page `id` into `page` and verify its checksum. Runs under
+    /// the frame's write lock, outside the latch.
+    fn load(&self, id: PageId, page: &mut Page) -> io::Result<()> {
+        lock(&self.file).read_page(id, page)?;
         self.pages_read.fetch_add(1, Ordering::Relaxed);
         if !page.verify() {
             return Err(io::Error::new(
@@ -205,38 +340,23 @@ impl BufferPool {
                 format!("checksum mismatch reading page {id}"),
             ));
         }
-        self.install(&mut inner, idx, id, page, tick)
+        Ok(())
     }
 
-    /// Allocate a brand-new page in the file and pin its (empty, dirty)
-    /// frame — the bulkload path. Returns the new page id with the
-    /// guard.
-    pub fn pin_new(&self) -> io::Result<(PageId, PageGuard<'_>)> {
-        let id = {
-            let mut file = lock(&self.file);
-            file.allocate()
-        };
-        let mut inner = lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let idx = self.take_frame(&mut inner)?;
-        let mut guard = self.install(&mut inner, idx, id, Page::new(), tick)?;
-        guard.dirty = true;
-        Ok((id, guard))
-    }
-
-    /// Pick a frame: grow the pool to capacity, else evict the LRU
-    /// unpinned frame (write-back if dirty). Caller holds the inner
-    /// lock.
+    /// Pick a frame: grow the pool to capacity, else take the LRU
+    /// unpinned one — a freed frame first, at tick 0 — writing it back
+    /// if dirty and unpublishing its page. Caller holds the latch.
     fn take_frame(&self, inner: &mut Inner) -> io::Result<usize> {
         if inner.frames.len() < self.capacity {
             inner.frames.push(Frame {
-                page_id: u32::MAX,
-                data: Arc::new(RwLock::new(Page::new())),
+                page_id: NO_PAGE,
                 pin_count: 0,
                 dirty: false,
                 last_use: 0,
+                slot: Arc::new(RwLock::new(Slot {
+                    page: Page::new(),
+                    load: Load::Ready,
+                })),
             });
             return Ok(inner.frames.len() - 1);
         }
@@ -248,79 +368,52 @@ impl BufferPool {
             .min_by_key(|(_, f)| f.last_use)
             .map(|(i, _)| i)
             .ok_or_else(|| {
-                io::Error::other(format!(
-                    "buffer pool exhausted: all {} frames pinned",
-                    self.capacity
-                ))
+                io::Error::new(
+                    io::ErrorKind::ResourceBusy,
+                    format!("buffer pool exhausted: all {} frames pinned", self.capacity),
+                )
             })?;
-        let (old_id, dirty) = {
-            let f = &inner.frames[victim];
-            (f.page_id, f.dirty)
-        };
-        if dirty {
-            let data = Arc::clone(&inner.frames[victim].data);
-            self.write_back(old_id, &data)?;
+        let old_id = inner.frames[victim].page_id;
+        if inner.frames[victim].dirty {
+            self.write_back(old_id, &inner.frames[victim].slot)?;
             self.dirty_writebacks.fetch_add(1, Ordering::Relaxed);
             inner.frames[victim].dirty = false;
         }
-        inner.table.remove(&old_id);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        if old_id != NO_PAGE {
+            inner.table.remove(&old_id);
+            inner.frames[victim].page_id = NO_PAGE;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(victim)
     }
 
-    fn install<'a>(
-        &'a self,
-        inner: &mut Inner,
-        idx: usize,
-        id: PageId,
-        page: Page,
-        tick: u64,
-    ) -> io::Result<PageGuard<'a>> {
-        let frame = &mut inner.frames[idx];
-        frame.page_id = id;
-        frame.data = Arc::new(RwLock::new(page));
-        frame.pin_count = 1;
-        frame.dirty = false;
-        frame.last_use = tick;
-        let data = Arc::clone(&frame.data);
-        inner.table.insert(id, idx);
-        Ok(PageGuard {
-            pool: self,
-            page_id: id,
-            data,
-            dirty: false,
-        })
-    }
-
-    /// WAL-disciplined page write: flush the log up to the page's LSN
-    /// *before* the data write, then seal the checksum and write.
-    fn write_back(&self, id: PageId, data: &Arc<RwLock<Page>>) -> io::Result<()> {
-        let mut page = write(data);
+    /// WAL-disciplined write of an unpinned frame as page `id`: flush
+    /// the log up to the page's LSN *before* the data write, then seal
+    /// the checksum and write. Caller holds the latch.
+    fn write_back(&self, id: PageId, slot: &RwLock<Slot>) -> io::Result<()> {
+        let mut slot = write(slot);
         if let Some(wal) = &self.wal {
-            wal.flush(page.lsn())?;
+            wal.flush(slot.page.lsn())?;
         }
-        page.seal();
-        let mut file = lock(&self.file);
-        file.write_page(id, &page)?;
+        slot.page.seal();
+        lock(&self.file).write_page(id, &slot.page)?;
         self.pages_written.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    fn unpin(&self, id: PageId, dirtied: bool) {
+    /// Runs from `PageGuard::drop`.
+    fn unpin(&self, idx: usize, dirtied: bool) {
         let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        // Runs from PageGuard::drop: a missing entry is a pool bug, but
-        // panicking in Drop would abort mid-unwind, so tolerate it.
-        let Some(&idx) = inner.table.get(&id) else {
-            debug_assert!(false, "unpin of unresident page {id}");
-            return;
-        };
         let frame = &mut inner.frames[idx];
-        assert!(frame.pin_count > 0, "unpin of unpinned page {id}");
+        assert!(frame.pin_count > 0, "unpin of unpinned frame {idx}");
         frame.pin_count -= 1;
         frame.dirty |= dirtied;
-        frame.last_use = tick;
+        // A freed frame keeps tick 0: it goes before any page.
+        if frame.page_id != NO_PAGE {
+            frame.last_use = tick;
+        }
     }
 
     /// Write every dirty frame back (WAL first) and sync the file — the
@@ -329,8 +422,9 @@ impl BufferPool {
     /// # Errors
     /// I/O failure; also if a dirty frame is still pinned.
     pub fn flush_all(&self) -> io::Result<()> {
-        let inner = lock(&self.inner);
-        for frame in &inner.frames {
+        let mut inner = lock(&self.inner);
+        for idx in 0..inner.frames.len() {
+            let frame = &inner.frames[idx];
             if !frame.dirty {
                 continue;
             }
@@ -340,13 +434,8 @@ impl BufferPool {
                     frame.page_id
                 )));
             }
-            self.write_back(frame.page_id, &frame.data)?;
-        }
-        drop(inner);
-        // Second pass to clear dirty bits (write_back borrowed data).
-        let mut inner = lock(&self.inner);
-        for frame in &mut inner.frames {
-            frame.dirty = false;
+            self.write_back(frame.page_id, &frame.slot)?;
+            inner.frames[idx].dirty = false;
         }
         drop(inner);
         lock(&self.file).sync()
@@ -359,7 +448,8 @@ impl BufferPool {
 pub struct PageGuard<'a> {
     pool: &'a BufferPool,
     page_id: PageId,
-    data: Arc<RwLock<Page>>,
+    frame: usize,
+    slot: Arc<RwLock<Slot>>,
     dirty: bool,
 }
 
@@ -367,6 +457,7 @@ impl std::fmt::Debug for PageGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageGuard")
             .field("page_id", &self.page_id)
+            .field("frame", &self.frame)
             .field("dirty", &self.dirty)
             .finish_non_exhaustive()
     }
@@ -379,21 +470,49 @@ impl PageGuard<'_> {
     }
 
     /// Shared read access to the page image.
-    pub fn read(&self) -> RwLockReadGuard<'_, Page> {
-        read(&self.data)
+    pub fn read(&self) -> PageRead<'_> {
+        PageRead(read(&self.slot))
     }
 
     /// Exclusive write access; the frame is marked dirty when the guard
     /// unpins.
-    pub fn write(&mut self) -> RwLockWriteGuard<'_, Page> {
+    pub fn write(&mut self) -> PageWrite<'_> {
         self.dirty = true;
-        write(&self.data)
+        PageWrite(write(&self.slot))
     }
 }
 
 impl Drop for PageGuard<'_> {
     fn drop(&mut self) {
-        self.pool.unpin(self.page_id, self.dirty);
+        self.pool.unpin(self.frame, self.dirty);
+    }
+}
+
+/// Shared access to a pinned page's image, from [`PageGuard::read`].
+pub struct PageRead<'a>(RwLockReadGuard<'a, Slot>);
+
+impl Deref for PageRead<'_> {
+    type Target = Page;
+
+    fn deref(&self) -> &Page {
+        &self.0.page
+    }
+}
+
+/// Exclusive access to a pinned page's image, from [`PageGuard::write`].
+pub struct PageWrite<'a>(RwLockWriteGuard<'a, Slot>);
+
+impl Deref for PageWrite<'_> {
+    type Target = Page;
+
+    fn deref(&self) -> &Page {
+        &self.0.page
+    }
+}
+
+impl DerefMut for PageWrite<'_> {
+    fn deref_mut(&mut self) -> &mut Page {
+        &mut self.0.page
     }
 }
 
@@ -555,19 +674,102 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
+    /// [`seeded_pool`] with one payload byte of page `bad` flipped on
+    /// disk.
+    fn corrupted_pool(name: &str, pages: u32, capacity: usize, bad: u32) -> (BufferPool, PathBuf) {
+        let (pool, path) = seeded_pool(name, pages, capacity);
+        drop(pool);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[bad as usize * PAGE_SIZE + 100] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let pool = BufferPool::new(FileManager::open(&path).unwrap(), None, capacity);
+        (pool, path)
+    }
+
+    fn pin_record(pool: &BufferPool, id: PageId) -> io::Result<Vec<u8>> {
+        pool.pin(id).map(|g| g.read().record(0).to_vec())
+    }
+
     #[test]
     fn checksum_corruption_is_detected_at_pin_time() {
-        let (pool, path) = seeded_pool("corrupt", 2, 2);
-        drop(pool);
-        // Flip one payload byte of page 1 on disk.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[PAGE_SIZE + 100] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let pool = BufferPool::new(FileManager::open(&path).unwrap(), None, 2);
+        let (pool, path) = corrupted_pool("corrupt", 2, 2, 1);
         assert!(pool.pin(0).is_ok(), "untouched page still reads");
         let err = pool.pin(1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// Pin cold page `id` from two threads so that the second provably
+    /// hits the mapping while the first is still loading: the test holds
+    /// the file mutex, which stops the loader after it has published.
+    /// Returns what the loader and the waiter got.
+    fn loader_and_waiter(pool: &BufferPool, id: PageId) -> [io::Result<Vec<u8>>; 2] {
+        let before = pool.stats();
+        let file = lock(&pool.file);
+        std::thread::scope(|s| {
+            let loader = s.spawn(|| pin_record(pool, id));
+            while pool.stats().misses == before.misses {
+                std::thread::yield_now();
+            }
+            // The miss is counted under the latch, which the loader
+            // keeps until the mapping is published.
+            assert!(lock(&pool.inner).table.contains_key(&id));
+            let waiter = s.spawn(|| pin_record(pool, id));
+            while pool.stats().hits == before.hits {
+                std::thread::yield_now();
+            }
+            drop(file);
+            [loader.join().unwrap(), waiter.join().unwrap()]
+        })
+    }
+
+    #[test]
+    fn a_pin_of_a_loading_page_waits_for_the_one_read() {
+        let (pool, path) = seeded_pool("loading", 3, 2);
+        let [loader, waiter] = loader_and_waiter(&pool, 1);
+        assert_eq!(loader.unwrap(), b"page-1");
+        assert_eq!(waiter.unwrap(), b"page-1");
+        let s = pool.stats();
+        assert_eq!((s.misses, s.hits, s.pages_read), (1, 1, 1));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_load_fails_its_waiters_and_frees_the_frame() {
+        let (pool, path) = corrupted_pool("failwait", 4, 2, 1);
+        for got in loader_and_waiter(&pool, 1) {
+            let err = got.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("checksum"), "{err}");
+        }
+        // No leaked pin, no stranded frame: both frames of the pool are
+        // pinnable at once, and every other page still reads.
+        for (a, b) in [(0, 2), (2, 3), (3, 0)] {
+            let ga = pool.pin(a).unwrap();
+            let gb = pool.pin(b).unwrap();
+            assert_eq!(ga.read().record(0), format!("page-{a}").as_bytes());
+            assert_eq!(gb.read().record(0), format!("page-{b}").as_bytes());
+        }
+        // The page was unpublished, so a later pin reads it again.
+        assert!(pool.pin(1).is_err());
+        assert_eq!(pool.stats().pages_read, 2 + 4);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_load_counts_one_eviction_for_its_frame() {
+        let (pool, path) = corrupted_pool("failevict", 4, 2, 2);
+        assert_eq!(pin_record(&pool, 0).unwrap(), b"page-0");
+        assert_eq!(pin_record(&pool, 1).unwrap(), b"page-1");
+        assert!(pool.pin(2).is_err()); // evicts page 0, then fails
+        assert_eq!(pool.stats().evictions, 1);
+        // Page 3 takes the frame the failed load freed: no page leaves.
+        assert_eq!(pin_record(&pool, 3).unwrap(), b"page-3");
+        assert_eq!(pool.stats().evictions, 1);
+        let hits = pool.stats().hits;
+        assert_eq!(pin_record(&pool, 1).unwrap(), b"page-1");
+        assert_eq!(pool.stats().hits, hits + 1, "page 1 stayed resident");
         std::fs::remove_file(path).unwrap();
     }
 }

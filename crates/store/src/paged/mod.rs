@@ -30,7 +30,7 @@ mod page;
 mod store;
 mod wal;
 
-pub use buffer::{BufferPool, PageGuard, PoolStats};
+pub use buffer::{BufferPool, PageGuard, PageRead, PageWrite, PoolStats};
 pub use file::FileManager;
 pub use layout::{Catalog, Header, NodeRec, NODES_PER_PAGE};
 pub use page::{checksum, Page, PageId, PageKind, PAGE_SIZE};

@@ -110,6 +110,12 @@ impl Page {
         page
     }
 
+    /// Reset to the state of [`Page::new`], keeping the allocation.
+    pub fn clear(&mut self) {
+        self.bytes.fill(0);
+        self.set_free_ptr(PAGE_SIZE as u16);
+    }
+
     /// The raw page image (for disk writes).
     pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.bytes

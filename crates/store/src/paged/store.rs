@@ -9,7 +9,15 @@
 //! cold: [`PagedStore::open`] reads the header and catalog pages only,
 //! no XML parse.
 //!
-//! Navigation pins pages per record touch. Node records are fixed-width
+//! Navigation pins once per *page run*: every multi-record read path (the
+//! named cursors, `string_value_into`, `serialize_node_to`, the text and
+//! attribute reads) goes through one private reader, `PageRun`, that
+//! keeps the last node, text and attribute page pinned and re-pins only
+//! when the page number changes. A reader lives inside one call — never
+//! across a cursor's `next()` — and its pins are a cache: at most one per
+//! extent (3 per thread), dropped and retried without when the pool runs
+//! out of frames. Single-record callers (`tag_of`, `parent`,
+//! `is_text_node`) pin per call. Node records are fixed-width
 //! ([`NODES_PER_PAGE`] per page), so a node id maps to a `(page, slot)`
 //! pair by arithmetic; text and attribute lookups binary-search the
 //! catalog's sparse first-id-per-page indexes. The borrowed-`&str`
@@ -20,6 +28,7 @@
 //! [`XmlStore::is_text_node`]) is overridden with owned page reads and
 //! never touches them.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -433,18 +442,9 @@ impl PagedStore {
 
     // ---- page reads ------------------------------------------------------
 
-    fn pin(&self, pid: PageId) -> PageGuard<'_> {
-        self.pool
-            .pin(pid)
-            .unwrap_or_else(|e| panic!("paged read of page {pid}: {e}"))
-    }
-
+    /// One record, one pin — for the single-record callers.
     fn node_rec(&self, id: u32) -> NodeRec {
-        let page = self.header.node_start + id / NODES_PER_PAGE as u32;
-        let slot = (id % NODES_PER_PAGE as u32) as u16;
-        let guard = self.pin(page);
-        let page = guard.read();
-        NodeRec::decode(page.record(slot))
+        PageRun::new(self).node_rec(id)
     }
 
     /// Locate the first sparse-index page that can hold records of
@@ -459,59 +459,6 @@ impl PagedStore {
             pi -= 1;
         }
         Some(pi)
-    }
-
-    /// Append the text content of text node `id` (concatenating its
-    /// chunk records) to `out`.
-    fn read_text_into(&self, id: u32, out: &mut String) {
-        let Some(start) = Self::sparse_start(&self.catalog.text_first_id, id) else {
-            return;
-        };
-        for pi in start..self.header.text_pages as usize {
-            let guard = self.pin(self.header.text_start + pi as u32);
-            let page = guard.read();
-            for slot in 0..page.slot_count() {
-                let rec = page.record(slot);
-                let owner = le_u32(rec, 0);
-                if owner < id {
-                    continue;
-                }
-                if owner > id {
-                    return;
-                }
-                // Chunks are split on char boundaries at write time, and
-                // the page checksum was verified at pin time — a lossy
-                // decode never actually lossifies, it just keeps the
-                // infallible read path panic-free.
-                out.push_str(&String::from_utf8_lossy(&rec[4..]));
-            }
-        }
-    }
-
-    /// All attributes of node `id`, read from the attribute extent.
-    fn read_attrs(&self, id: u32) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        let Some(start) = Self::sparse_start(&self.catalog.attr_first_owner, id) else {
-            return out;
-        };
-        for pi in start..self.header.attr_pages as usize {
-            let guard = self.pin(self.header.attr_start + pi as u32);
-            let page = guard.read();
-            for slot in 0..page.slot_count() {
-                let rec = page.record(slot);
-                let owner = le_u32(rec, 0);
-                if owner < id {
-                    continue;
-                }
-                if owner > id {
-                    return out;
-                }
-                let code = le_u16(rec, 4);
-                let value = String::from_utf8_lossy(&rec[6..]).into_owned();
-                out.push((self.catalog.attr_names[code as usize].clone(), value));
-            }
-        }
-        out
     }
 
     fn text_cache(&self) -> &[OnceLock<Box<str>>] {
@@ -551,6 +498,177 @@ impl Drop for PagedStore {
     }
 }
 
+// ---- the page-run reader --------------------------------------------------
+
+fn write_attr(out: &mut dyn fmt::Write, name: &str, value: &str) -> fmt::Result {
+    out.write_char(' ')?;
+    out.write_str(name)?;
+    out.write_str("=\"")?;
+    xmark_xml::escape::escape_attr_to(value, out)?;
+    out.write_char('"')
+}
+
+// Where each extent's cached pin sits in `PageRun::pins`.
+const NODE: usize = 0;
+const TEXT: usize = 1;
+const ATTR: usize = 2;
+
+/// Reads records through at most one cached pin per extent, re-pinning
+/// only when a read leaves the page the previous one was on. The pins
+/// are a cache, never needed for correctness.
+struct PageRun<'a> {
+    store: &'a PagedStore,
+    pins: [Option<PageGuard<'a>>; 3],
+}
+
+impl<'a> PageRun<'a> {
+    fn new(store: &'a PagedStore) -> Self {
+        PageRun {
+            store,
+            pins: [None, None, None],
+        }
+    }
+
+    /// Page `pid` of extent `ext`, pinned. When every frame is pinned
+    /// (a pool smaller than the pins in flight) the cached pins go and
+    /// the pin is tried once more.
+    fn page(&mut self, ext: usize, pid: PageId) -> &PageGuard<'a> {
+        if !matches!(&self.pins[ext], Some(g) if g.page_id() == pid) {
+            self.pins[ext] = None;
+            let pool = &self.store.pool;
+            let guard = match pool.pin(pid) {
+                Err(e) if e.kind() == io::ErrorKind::ResourceBusy => {
+                    self.pins = [None, None, None];
+                    pool.pin(pid)
+                }
+                other => other,
+            }
+            .unwrap_or_else(|e| panic!("paged read of page {pid}: {e}"));
+            self.pins[ext] = Some(guard);
+        }
+        match &self.pins[ext] {
+            Some(guard) => guard,
+            None => unreachable!("pinned just above"),
+        }
+    }
+
+    fn node_rec(&mut self, id: u32) -> NodeRec {
+        let pid = self.store.header.node_start + id / NODES_PER_PAGE as u32;
+        let slot = (id % NODES_PER_PAGE as u32) as u16;
+        NodeRec::decode(self.page(NODE, pid).read().record(slot))
+    }
+
+    /// Call `visit` with the bytes after the owner id of every record
+    /// of `owner` in extent `ext` (`TEXT` or `ATTR`, the two keyed by
+    /// owner), in order, until it returns `Some`.
+    fn find_record<T>(
+        &mut self,
+        ext: usize,
+        owner: u32,
+        mut visit: impl FnMut(&[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let store = self.store;
+        let (firsts, first_page, pages) = match ext {
+            TEXT => (
+                &store.catalog.text_first_id,
+                store.header.text_start,
+                store.header.text_pages,
+            ),
+            _ => (
+                &store.catalog.attr_first_owner,
+                store.header.attr_start,
+                store.header.attr_pages,
+            ),
+        };
+        let start = PagedStore::sparse_start(firsts, owner)?;
+        for pi in start as u32..pages {
+            let page = self.page(ext, first_page + pi).read();
+            for slot in 0..page.slot_count() {
+                let rec = page.record(slot);
+                match le_u32(rec, 0) {
+                    o if o < owner => continue,
+                    o if o > owner => return None,
+                    _ => {}
+                }
+                if let Some(found) = visit(&rec[4..]) {
+                    return Some(found);
+                }
+            }
+        }
+        None
+    }
+
+    /// Append the text content of text node `id` (concatenating its
+    /// chunk records) to `out`.
+    fn text_into(&mut self, id: u32, out: &mut String) {
+        self.find_record(TEXT, id, |chunk| {
+            // Chunks are split on char boundaries at write time, and
+            // the page checksum was verified at pin time — a lossy
+            // decode never actually lossifies, it just keeps the
+            // infallible read path panic-free.
+            out.push_str(&String::from_utf8_lossy(chunk));
+            None::<()>
+        });
+    }
+
+    /// Call `visit(name_code, value)` for the attributes of node `id`
+    /// in document order until it returns `Some`.
+    fn find_attr<T>(
+        &mut self,
+        id: u32,
+        mut visit: impl FnMut(u16, Cow<'_, str>) -> Option<T>,
+    ) -> Option<T> {
+        self.find_record(ATTR, id, |rec| {
+            visit(le_u16(rec, 0), String::from_utf8_lossy(&rec[2..]))
+        })
+    }
+
+    /// All attributes of node `id`.
+    fn attrs(&mut self, id: u32) -> Vec<(String, String)> {
+        let names = &self.store.catalog.attr_names;
+        let mut out = Vec::new();
+        self.find_attr(id, |code, value| {
+            out.push((names[code as usize].clone(), value.into_owned()));
+            None::<()>
+        });
+        out
+    }
+
+    /// Serialize the subtree of node `id`; returns the last id in it.
+    fn serialize(&mut self, id: u32, out: &mut dyn fmt::Write) -> Result<u32, fmt::Error> {
+        let rec = self.node_rec(id);
+        if rec.tag_code == TEXT_TAG {
+            let mut s = String::new();
+            self.text_into(id, &mut s);
+            xmark_xml::escape::escape_text_to(&s, out)?;
+            return Ok(rec.end);
+        }
+        let catalog = &self.store.catalog;
+        let tag = &catalog.tag_names[rec.tag_code as usize];
+        out.write_char('<')?;
+        out.write_str(tag)?;
+        let failed = self.find_attr(id, |code, value| {
+            write_attr(out, &catalog.attr_names[code as usize], &value).err()
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if rec.end == id {
+            out.write_str("/>")?;
+            return Ok(rec.end);
+        }
+        out.write_char('>')?;
+        let mut child = id + 1;
+        while child <= rec.end {
+            child = self.serialize(child, out)? + 1;
+        }
+        out.write_str("</")?;
+        out.write_str(tag)?;
+        out.write_char('>')?;
+        Ok(rec.end)
+    }
+}
+
 // ---- streaming cursors over pinned pages --------------------------------
 
 /// Child cursor: interval hop (`cur = end(cur) + 1`) where each `end`
@@ -586,9 +704,10 @@ impl Iterator for PagedChildrenNamed<'_> {
     type Item = Node;
 
     fn next(&mut self) -> Option<Node> {
+        let mut run = PageRun::new(self.store);
         while self.cur <= self.stop {
             let id = self.cur;
-            let rec = self.store.node_rec(id);
+            let rec = run.node_rec(id);
             self.cur = rec.end + 1;
             if rec.tag_code == self.code {
                 return Some(Node(id));
@@ -611,10 +730,11 @@ impl Iterator for PagedScanNamed<'_> {
     type Item = Node;
 
     fn next(&mut self) -> Option<Node> {
+        let mut run = PageRun::new(self.store);
         while self.cur <= self.stop {
             let id = self.cur;
             self.cur += 1;
-            if self.store.node_rec(id).tag_code == self.code {
+            if run.node_rec(id).tag_code == self.code {
                 return Some(Node(id));
             }
         }
@@ -708,26 +828,25 @@ impl XmlStore for PagedStore {
         }
         Some(self.text_cache()[n.index()].get_or_init(|| {
             let mut s = String::new();
-            self.read_text_into(n.0, &mut s);
+            PageRun::new(self).text_into(n.0, &mut s);
             s.into_boxed_str()
         }))
     }
 
     fn attribute(&self, n: Node, name: &str) -> Option<String> {
-        self.read_attrs(n.0)
-            .into_iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        let names = &self.catalog.attr_names;
+        let code = names.iter().position(|a| a == name)? as u16;
+        PageRun::new(self).find_attr(n.0, |c, value| (c == code).then(|| value.into_owned()))
     }
 
     fn attributes(&self, n: Node) -> Vec<(String, String)> {
-        self.read_attrs(n.0)
+        PageRun::new(self).attrs(n.0)
     }
 
     fn attributes_iter(&self, n: Node) -> AttrIter<'_> {
         // Same compat-cache story as text(): prefer attributes().
-        let list =
-            self.attr_cache()[n.index()].get_or_init(|| self.read_attrs(n.0).into_boxed_slice());
+        let list = self.attr_cache()[n.index()]
+            .get_or_init(|| PageRun::new(self).attrs(n.0).into_boxed_slice());
         if list.is_empty() {
             AttrIter::Empty
         } else {
@@ -768,55 +887,24 @@ impl XmlStore for PagedStore {
     }
 
     fn string_value_into(&self, n: Node, out: &mut String) {
-        let rec = self.node_rec(n.0);
+        let mut run = PageRun::new(self);
+        let rec = run.node_rec(n.0);
         if rec.tag_code == TEXT_TAG {
-            self.read_text_into(n.0, out);
+            run.text_into(n.0, out);
             return;
         }
         // Subtree text in document order == ascending id over the
         // interval; a sequential page scan instead of recursion.
         for id in n.0 + 1..=rec.end {
-            if self.node_rec(id).tag_code == TEXT_TAG {
-                self.read_text_into(id, out);
+            if run.node_rec(id).tag_code == TEXT_TAG {
+                run.text_into(id, out);
             }
         }
     }
 
     fn serialize_node_to(&self, n: Node, out: &mut dyn fmt::Write) -> fmt::Result {
-        let rec = self.node_rec(n.0);
-        if rec.tag_code == TEXT_TAG {
-            let mut s = String::new();
-            self.read_text_into(n.0, &mut s);
-            return xmark_xml::escape::escape_text_to(&s, out);
-        }
-        let tag = &self.catalog.tag_names[rec.tag_code as usize];
-        out.write_char('<')?;
-        out.write_str(tag)?;
-        for (name, value) in self.read_attrs(n.0) {
-            out.write_char(' ')?;
-            out.write_str(&name)?;
-            out.write_str("=\"")?;
-            xmark_xml::escape::escape_attr_to(&value, out)?;
-            out.write_char('"')?;
-        }
-        let mut children = PagedChildren {
-            store: self,
-            cur: n.0 + 1,
-            stop: rec.end,
-        };
-        match children.next() {
-            None => out.write_str("/>"),
-            Some(first) => {
-                out.write_char('>')?;
-                self.serialize_node_to(first, out)?;
-                for child in children {
-                    self.serialize_node_to(child, out)?;
-                }
-                out.write_str("</")?;
-                out.write_str(tag)?;
-                out.write_char('>')
-            }
-        }
+        // One reader for the whole recursion.
+        PageRun::new(self).serialize(n.0, out).map(|_| ())
     }
 
     fn begin_compile(&self) {
@@ -899,6 +987,23 @@ mod tests {
         assert_eq!(h.compile_step("item"), 2);
         assert_eq!(h.compile_step("ghost"), 0);
         assert!(h.planner_caps().exact_statistics);
+    }
+
+    #[test]
+    fn attribute_agrees_with_attributes() {
+        let xml = r#"<site><item id="i0" featured="yes" lang="en" rank="3">x</item><item id="i1"/></site>"#;
+        let h = temp(xml, 2);
+        let items = h.descendants_named(h.root(), "item");
+        let all = h.attributes(items[0]);
+        assert_eq!(all.len(), 4);
+        for (name, value) in &all {
+            assert_eq!(h.attribute(items[0], name).as_deref(), Some(value.as_str()));
+        }
+        assert_eq!(h.attribute(items[1], "id").as_deref(), Some("i1"));
+        // A name the catalog knows but the node lacks, and one the
+        // catalog has never seen.
+        assert_eq!(h.attribute(items[1], "rank"), None);
+        assert_eq!(h.attribute(items[0], "ghost"), None);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property tests: all seven storage architectures are *navigationally
 //! equivalent* on arbitrary documents — same children, descendants,
 //! attributes, string values and serializations. The query layer's
-//! cross-backend equivalence rests on exactly these primitives.
+//! cross-backend equivalence rests on exactly these primitives. The
+//! disk-resident eighth, H, is held to System E under pools of 2–8
+//! frames.
 
 use proptest::prelude::*;
 
-use xmark_store::{build_store, SystemId, XmlStore};
+use xmark_store::{build_store, PagedStore, SystemId, XmlStore};
 
 const TAGS: [&str; 6] = ["site", "a", "b", "c", "item", "person"];
 
@@ -32,6 +34,29 @@ fn arb_elem(depth: u32) -> BoxedStrategy<String> {
         })
     })
     .boxed()
+}
+
+/// Elements that carry attributes *and* text (plus children), so one
+/// read of the paged store touches its node, attribute and text extents
+/// together; long enough values that a document spans several pages.
+fn arb_rich_document() -> impl Strategy<Value = String> {
+    let item = (
+        0..TAGS.len(),
+        prop::collection::vec("[a-z0-9&<\" ]{0,40}", 0..4),
+        "[a-z ]{1,200}",
+        prop::collection::vec(arb_elem(1), 0..3),
+    )
+        .prop_map(|(t, attrs, text, children)| {
+            let tag = TAGS[t];
+            let mut open = format!("<{tag}");
+            for (name, value) in ["id", "kind", "lang", "rank"].iter().zip(&attrs) {
+                open.push_str(&format!(" {name}=\""));
+                xmark_xml::escape::escape_attr_into(value, &mut open);
+                open.push('"');
+            }
+            format!("{open}>{text}{}</{tag}>", children.concat())
+        });
+    prop::collection::vec(item, 1..40).prop_map(|items| format!("<site>{}</site>", items.concat()))
 }
 
 fn stores(xml: &str) -> Vec<Box<dyn XmlStore>> {
@@ -127,6 +152,43 @@ proptest! {
                 prop_assert!(sink.writes >= 1, "nothing reached the sink");
                 stack.extend(store.children(n));
             }
+        }
+    }
+
+    #[test]
+    fn tiny_pool_paged_store_equals_the_interval_store(
+        xml in arb_rich_document(),
+        pool in 2usize..9,
+        tag in 0..TAGS.len(),
+    ) {
+        // H's page-run reader may hold a node, a text and an attribute
+        // page at once; a pool of two frames cannot, so every path must
+        // also work by giving its cached pins up.
+        let tag = TAGS[tag];
+        let e = build_store(SystemId::E, &xml).expect("document parses");
+        let h = PagedStore::load_temp(&xml, pool).expect("document parses");
+        prop_assert_eq!(h.node_count(), e.node_count());
+        for id in 0..e.node_count() as u32 {
+            let n = xmark_store::Node(id);
+            prop_assert_eq!(h.children(n), e.children(n), "children of {}", n);
+            prop_assert_eq!(
+                h.children_named(n, tag),
+                e.children_named(n, tag),
+                "children_named of {}",
+                n
+            );
+            prop_assert_eq!(
+                h.descendants_named(n, tag),
+                e.descendants_named(n, tag),
+                "descendants_named of {}",
+                n
+            );
+            prop_assert_eq!(h.attributes(n), e.attributes(n), "attributes of {}", n);
+            prop_assert_eq!(h.string_value(n), e.string_value(n), "string_value of {}", n);
+            let (mut hs, mut es) = (String::new(), String::new());
+            h.serialize_node(n, &mut hs);
+            e.serialize_node(n, &mut es);
+            prop_assert_eq!(hs, es, "serialize_node of {}", n);
         }
     }
 

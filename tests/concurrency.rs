@@ -1,6 +1,6 @@
 //! Cross-backend concurrency property: N threads running the same query
 //! mix over ONE shared store must produce canonical outputs identical to
-//! the single-threaded run — for every one of the seven backends.
+//! the single-threaded run — for every one of the eight backends.
 //!
 //! This is the correctness half of the concurrent service layer. The
 //! throughput half (`table4_throughput`) only makes sense if sharing a
@@ -21,20 +21,17 @@ const THREADS: usize = 4;
 /// Closed-loop rounds each thread runs over the whole mix.
 const ROUNDS: usize = 2;
 
-fn assert_concurrent_matches_sequential(system: SystemId, xml: &str) {
-    let loaded = load_system(system, xml);
-
+fn assert_concurrent_matches_sequential(system: SystemId, store: &Arc<dyn XmlStore>) {
     // Ground truth: the single-threaded canonical output of each query.
     let expected: Vec<String> = MIX
         .iter()
-        .map(|&q| canonical_output(loaded.store.as_ref(), q))
+        .map(|&q| canonical_output(store.as_ref(), q))
         .collect();
 
-    let store: Arc<dyn XmlStore> = Arc::from(loaded.store);
     let outputs: Vec<Vec<String>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let store = Arc::clone(&store);
+                let store = Arc::clone(store);
                 scope.spawn(move || {
                     let mut seen = Vec::new();
                     for round in 0..ROUNDS {
@@ -75,7 +72,8 @@ macro_rules! concurrency_test {
         #[test]
         fn $name() {
             let doc = generate_document(0.002);
-            assert_concurrent_matches_sequential($system, &doc.xml);
+            let store = Arc::from(load_system($system, &doc.xml).store);
+            assert_concurrent_matches_sequential($system, &store);
         }
     };
 }
@@ -87,6 +85,38 @@ concurrency_test!(system_d_concurrent_equals_sequential, SystemId::D);
 concurrency_test!(system_e_concurrent_equals_sequential, SystemId::E);
 concurrency_test!(system_f_concurrent_equals_sequential, SystemId::F);
 concurrency_test!(system_g_concurrent_equals_sequential, SystemId::G);
+
+/// H shares a buffer pool, not just read-only arrays: the page file is
+/// opened cold behind a pool of a tenth of its pages, so the four
+/// threads' page loads, their waits on each other's loading frames and
+/// evictions genuinely overlap.
+#[test]
+fn system_h_concurrent_equals_sequential() {
+    let doc = generate_document(0.005);
+    let path = xmark::store::paged::scratch_dir()
+        .join(format!("it-{}-concurrent.pages", std::process::id()));
+    let file_pages = {
+        let parsed = xmark::xml::parse_document(&doc.xml).unwrap();
+        let warm = PagedStore::create_at(&path, &parsed, DEFAULT_POOL_PAGES).unwrap();
+        warm.num_pages() as usize
+    };
+    let pool = file_pages / 10;
+    // A thread's reader pins at most one page per extent; fewer frames
+    // than that per thread and the pool could run dry.
+    assert!(
+        pool >= 3 * THREADS,
+        "document too small: {file_pages} pages give a {pool}-frame pool"
+    );
+    let mut cold = PagedStore::open(&path, pool).unwrap();
+    cold.mark_ephemeral();
+    let cold: Arc<dyn XmlStore> = Arc::new(cold);
+    assert_concurrent_matches_sequential(SystemId::H, &cold);
+    let stats = cold.paged_stats().expect("H reports pool counters");
+    assert!(
+        stats.evictions > 0 && stats.hits > 0,
+        "a {pool}-frame pool over {file_pages} pages must evict: {stats:?}"
+    );
+}
 
 /// The service layer itself, driven over every backend: worker-pool
 /// results carry the same cardinalities the sequential evaluator reports.
