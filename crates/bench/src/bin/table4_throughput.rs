@@ -19,10 +19,10 @@
 //! served from sharded union deployments of 1, 2, …, N entity shards
 //! (System A in-memory, System H with one cold-opened page file and a
 //! fixed **per-shard** frame budget per shard — scale-out adds memory
-//! with machines). Shard-parallel plans scatter one thread per shard
-//! part and merge; under `--smoke` the sweep asserts the sharded H
-//! deployment beats (multi-core) or stays near (single-core guard) the
-//! one-shard baseline.
+//! with machines). Every request streams off the union view, whose
+//! cursors concatenate the shard runs in document order; under `--smoke`
+//! the sweep asserts the sharded H deployment beats the one-shard
+//! baseline on a host with at least four cores.
 //!
 //! `--write-pct N` adds a mixed closed loop: the same reader pool drains
 //! the query mix from MVCC snapshots while a writer lane commits roughly
@@ -146,15 +146,14 @@ fn main() {
          scaling up to the physical core count, and ~1x on a single core)"
     );
 
-    // ---- shard sweep (--shards N): scatter-gather scale-out -------------
+    // ---- shard sweep (--shards N): scale-out -----------------------------
     // The same document partitioned over 1, 2, …, N entity shards plus
-    // the global head, served by the same worker pool with request
-    // batching. System A shards are in-memory (the sweep isolates the
-    // scatter/merge overhead and the multi-core win); System H shards are
-    // per-shard page files opened **cold** with a fixed frame budget per
-    // shard — a scale-out deployment adds buffer-pool memory with every
-    // machine, so the sharded aggregate hit rate beats one frame-starved
-    // monolithic pool even on a single core.
+    // the global head, served by the same worker pool. System A shards
+    // are in-memory (the sweep isolates the union view's cost); System H
+    // shards are per-shard page files opened **cold** with a fixed frame
+    // budget per shard — a scale-out deployment adds buffer-pool memory
+    // with every machine, so the sharded aggregate hit rate beats one
+    // frame-starved monolithic pool even on a single core.
     let max_shards = xmark_bench::usize_flag("--shards").unwrap_or(if smoke { 2 } else { 4 });
     let mut shard_counts = vec![1usize];
     let mut next_shards = 2;
@@ -164,10 +163,9 @@ fn main() {
     }
     let shard_workers = *sweep.last().expect("non-empty sweep");
     const SHARD_POOL: usize = 12; // frames per shard node
-    let shard_batch = mix.len().max(2);
     println!(
-        "\nshard sweep (counts {shard_counts:?}, {shard_workers} worker(s), batches of \
-         {shard_batch}, H pool {SHARD_POOL} frames/shard):"
+        "\nshard sweep (counts {shard_counts:?}, {shard_workers} worker(s), \
+         H pool {SHARD_POOL} frames/shard):"
     );
     let mut shard_table = TextTable::new(&["System", "shards", "QPS", "worst p95", "pool hit"]);
     let mut h_shard_qps: Vec<(usize, f64)> = Vec::new();
@@ -182,11 +180,11 @@ fn main() {
                 (_, n) => session.load_sharded_shared(system, n),
             };
             let service = QueryService::start(Arc::clone(&store), shard_workers);
-            service.run_mix_batched(&mix, mix.len(), shard_batch); // warm plans + indexes
+            service.run_mix(&mix, mix.len()); // warm plans + indexes
             let pool_before = store.paged_stats();
             let mut best: Option<ThroughputReport> = None;
             for _ in 0..3 {
-                let report = service.run_mix_batched(&mix, requests, shard_batch);
+                let report = service.run_mix(&mix, requests);
                 if best.as_ref().is_none_or(|b| report.qps() > b.qps()) {
                     best = Some(report);
                 }
@@ -364,12 +362,11 @@ fn main() {
              by >=1.3x (measured {index_speedup:.2}x)"
         );
         // Scale-out contract: on a multi-core box the sharded H
-        // deployment must beat the one-shard baseline outright (parallel
-        // scatter + aggregate pool memory). A single-core container
-        // cannot honor a QPS floor — the per-request scatter threads are
-        // pure overhead when there is nothing to run them on — so there
-        // the sweep asserts only that every shard count completed (the
-        // service already panics on any cross-shard result divergence).
+        // deployment must beat the one-shard baseline outright (aggregate
+        // pool memory). Below four cores the QPS ratio is too noisy to
+        // floor, so there the sweep asserts only that every shard count
+        // completed (the service already panics on any divergence between
+        // concurrent requests).
         if cores >= 4 {
             assert!(
                 shard_scaling >= 1.0,
@@ -384,7 +381,7 @@ fn main() {
         }
         println!(
             "\nsmoke: service layer + plan cache + persistent indexes \
-             + shard scatter-gather exercised — OK"
+             + sharded unions exercised — OK"
         );
     }
 }

@@ -145,10 +145,9 @@ pub mod prelude {
     };
     pub use xmark_gen::{generate_split, generate_string, Generator, GeneratorConfig, AUCTION_DTD};
     pub use xmark_query::{
-        compile, compile_with_mode, execute, execute_scattered, explain_plan, run_query,
-        serialize_sequence, shard_mode, stream, verify_plan, verify_plan_against, write_item,
-        write_sequence, Invariant, IoSink, PlanMode, ResultStream, ShardMode, StreamStats,
-        VerifyReport,
+        compile, compile_with_mode, execute, explain_plan, run_query, serialize_sequence, stream,
+        verify_plan, verify_plan_against, write_item, write_sequence, Invariant, IoSink, PlanMode,
+        ResultStream, StreamStats, VerifyReport,
     };
     pub use xmark_store::{
         build_store, IndexManager, IndexStats, PagedStore, PlannerCaps, PoolStats, ShardedStore,

@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use xmark_query::{compile, execute_scattered, Compiled};
+use xmark_query::{compile, Compiled};
 use xmark_store::sync::lock;
 use xmark_store::{IndexStats, StoreSource, SystemId, XmlStore};
 
@@ -283,16 +283,6 @@ pub struct MixedReport {
     pub epochs_observed: usize,
 }
 
-enum Job {
-    /// One query request.
-    Run(usize),
-    /// A batch of query requests served back-to-back by one worker: one
-    /// channel round-trip and one snapshot-source touch per batch instead
-    /// of per request, with one [`RequestMeasurement`] still reported per
-    /// query (see [`QueryService::run_mix_batched`]).
-    Batch(Vec<usize>),
-}
-
 /// A fixed pool of query workers bound to one shared store source.
 ///
 /// Dropping the service closes the job channel; workers drain what is
@@ -305,7 +295,7 @@ pub struct QueryService {
     store: Arc<dyn XmlStore>,
     source: Arc<dyn StoreSource>,
     cache: Arc<PlanCache>,
-    jobs: Option<mpsc::Sender<Job>>,
+    jobs: Option<mpsc::Sender<usize>>,
     results: mpsc::Receiver<RequestMeasurement>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -350,16 +340,16 @@ impl QueryService {
         let store = source.snapshot();
         let system = store.system();
         let cache = Arc::new(PlanCache::new(cache_capacity));
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let (job_tx, job_rx) = mpsc::channel::<usize>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let (result_tx, result_rx) = mpsc::channel::<RequestMeasurement>();
         let handles = (0..workers)
-            .map(|worker| {
+            .map(|_| {
                 let source = Arc::clone(&source);
                 let cache = Arc::clone(&cache);
                 let job_rx = Arc::clone(&job_rx);
                 let result_tx = result_tx.clone();
-                thread::spawn(move || worker_loop(worker, &*source, &cache, &job_rx, &result_tx))
+                thread::spawn(move || worker_loop(&*source, &cache, &job_rx, &result_tx))
             })
             .collect();
         QueryService {
@@ -415,25 +405,7 @@ impl QueryService {
     /// Panics if the mix is empty or a query fails (all twenty canonical
     /// queries are tested to run on every backend).
     pub fn run_mix(&self, mix: &[usize], requests: usize) -> ThroughputReport {
-        self.run_loop(mix, requests, 1, 0, &mut || None).read
-    }
-
-    /// [`QueryService::run_mix`] with request batching: the front end
-    /// groups consecutive requests into [`Job::Batch`]es of `batch`
-    /// queries, so a worker pays one channel round-trip and one snapshot
-    /// pin per batch instead of per request. Latencies are still measured
-    /// and reported per query; `batch == 1` is exactly `run_mix`.
-    ///
-    /// # Panics
-    /// As [`QueryService::run_mix`]; additionally if `batch` is zero.
-    pub fn run_mix_batched(
-        &self,
-        mix: &[usize],
-        requests: usize,
-        batch: usize,
-    ) -> ThroughputReport {
-        assert!(batch > 0, "batch size must be positive");
-        self.run_loop(mix, requests, batch, 0, &mut || None).read
+        self.run_loop(mix, requests, 0, &mut || None).read
     }
 
     /// Execute a closed-loop **mixed** run: readers cycle through `mix`
@@ -462,14 +434,13 @@ impl QueryService {
         write_pct: u32,
         write: &mut dyn FnMut() -> Option<Duration>,
     ) -> MixedReport {
-        self.run_loop(mix, requests, 1, write_pct, write)
+        self.run_loop(mix, requests, write_pct, write)
     }
 
     fn run_loop(
         &self,
         mix: &[usize],
         requests: usize,
-        batch: usize,
         write_pct: u32,
         write: &mut dyn FnMut() -> Option<Duration>,
     ) -> MixedReport {
@@ -485,16 +456,9 @@ impl QueryService {
             hits: index_hits_before,
         } = self.store.indexes().stats();
         let start = Instant::now();
-        let mut i = 0;
-        while i < requests {
-            let end = (i + batch).min(requests);
-            let job = if end - i == 1 {
-                Job::Run(mix[i % mix.len()])
-            } else {
-                Job::Batch((i..end).map(|r| mix[r % mix.len()]).collect())
-            };
-            jobs.send(job).expect("workers outlive the run");
-            i = end;
+        for i in 0..requests {
+            jobs.send(mix[i % mix.len()])
+                .expect("workers outlive the run");
         }
         // Per (query, epoch): (latency, time-to-first-item) samples plus
         // the result cardinality/bytes every same-epoch request must
@@ -652,96 +616,63 @@ impl std::fmt::Write for ByteSink {
 }
 
 fn worker_loop(
-    worker: usize,
     source: &dyn StoreSource,
     cache: &PlanCache,
-    jobs: &Mutex<mpsc::Receiver<Job>>,
+    jobs: &Mutex<mpsc::Receiver<usize>>,
     results: &mpsc::Sender<RequestMeasurement>,
 ) {
-    // Per-shard warmup affinity: on a sharded union every worker eagerly
-    // builds the store-walk indexes of *its* shard part (round-robin by
-    // worker id), so warmup cost is spread across the pool instead of
-    // paid serially inside the first scattered request. Monolithic
-    // stores skip this — explicit warmup stays `build_indexes`.
-    {
-        let snap = source.snapshot();
-        let parts = snap.shard_part_count();
-        if parts >= 2 {
-            if let Some(part) = snap.shard_part(worker % parts) {
-                part.indexes().build_all(part);
-            }
-        }
-    }
     loop {
         // Hold the lock only for the dequeue, never during execution.
-        let job = lock(jobs).recv();
-        let numbers: Vec<usize> = match job {
-            Ok(Job::Run(number)) => vec![number],
-            Ok(Job::Batch(numbers)) => numbers,
-            Err(_) => return, // channel closed: the service is shutting down
+        let Ok(number) = lock(jobs).recv() else {
+            return; // channel closed: the service is shutting down
         };
-        // Pin one snapshot per batch: a commit landing mid-batch
+        // Pin one snapshot per request: a commit landing mid-request
         // publishes a *new* snapshot and cannot tear this one. On a
-        // read-only store the pin is the store itself. (A batch of one —
-        // the unbatched path — pins per request, unchanged.)
+        // read-only store the pin is the store itself.
         let store = source.snapshot();
         let epoch = store.content_epoch();
-        for number in numbers {
-            let q = query(number);
-            let start = Instant::now();
-            // Plans are valid per (snapshot epoch, query): an epoch bump
-            // invalidates every cached plan implicitly through the key, so
-            // a plan compiled against dropped indexes is never reused.
-            let key = format!("{epoch}|{}", q.text);
-            // A cache hit reuses the whole compiled artifact: no parse, no
-            // metadata resolution, no planning. Two workers racing on the
-            // same cold query both compile — harmless, last insert wins.
-            let compiled = match cache.lookup(&key) {
-                Some(compiled) => compiled,
-                None => {
-                    let compiled = Arc::new(
-                        compile(q.text, store.as_ref())
-                            .unwrap_or_else(|e| panic!("Q{number} failed to compile: {e}")),
-                    );
-                    cache.insert(&key, Arc::clone(&compiled));
-                    compiled
-                }
-            };
-            let mut sink = ByteSink::default();
-            let items = if store.shard_part_count() >= 2 {
-                // Sharded union: scatter the plan across the shard parts
-                // (shard-parallel modes run one thread per part, gather
-                // plans fall through) and serialize the merged result.
-                let seq = execute_scattered(&compiled, store.as_ref())
-                    .unwrap_or_else(|e| panic!("Q{number} failed to execute: {e}"));
-                let _ = xmark_query::write_sequence(store.as_ref(), &seq, &mut sink);
-                seq.len()
-            } else {
-                // Monolithic: stream — `write_to` serializes items
-                // straight off the operator cursors into the sink, no
-                // materialized result sequence — and the sink's
-                // first-write timestamp is the client-visible TTFB.
-                let stats = xmark_query::stream(&compiled, store.as_ref())
-                    .write_to(&mut sink)
-                    .unwrap_or_else(|e| panic!("Q{number} failed to execute: {e}"));
-                stats.items
-            };
-            let latency = start.elapsed();
-            if results
-                .send(RequestMeasurement {
-                    query: number,
-                    epoch,
-                    latency,
-                    first_item: sink
-                        .first_write
-                        .map_or(latency, |at| at.duration_since(start)),
-                    result_items: items,
-                    result_bytes: sink.bytes,
-                })
-                .is_err()
-            {
-                return; // collector gone: nothing left to report to
+        let q = query(number);
+        let start = Instant::now();
+        // Plans are valid per (snapshot epoch, query): an epoch bump
+        // invalidates every cached plan implicitly through the key, so
+        // a plan compiled against dropped indexes is never reused.
+        let key = format!("{epoch}|{}", q.text);
+        // A cache hit reuses the whole compiled artifact: no parse, no
+        // metadata resolution, no planning. Two workers racing on the
+        // same cold query both compile — harmless, last insert wins.
+        let compiled = match cache.lookup(&key) {
+            Some(compiled) => compiled,
+            None => {
+                let compiled = Arc::new(
+                    compile(q.text, store.as_ref())
+                        .unwrap_or_else(|e| panic!("Q{number} failed to compile: {e}")),
+                );
+                cache.insert(&key, Arc::clone(&compiled));
+                compiled
             }
+        };
+        // Stream: `write_to` serializes items straight off the operator
+        // cursors into the sink, no materialized result sequence — and
+        // the sink's first-write timestamp is the client-visible TTFB.
+        let mut sink = ByteSink::default();
+        let stats = xmark_query::stream(&compiled, store.as_ref())
+            .write_to(&mut sink)
+            .unwrap_or_else(|e| panic!("Q{number} failed to execute: {e}"));
+        let latency = start.elapsed();
+        if results
+            .send(RequestMeasurement {
+                query: number,
+                epoch,
+                latency,
+                first_item: sink
+                    .first_write
+                    .map_or(latency, |at| at.duration_since(start)),
+                result_items: stats.items,
+                result_bytes: sink.bytes,
+            })
+            .is_err()
+        {
+            return; // collector gone: nothing left to report to
         }
     }
 }
@@ -915,38 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_runs_agree_with_unbatched() {
-        let doc = generate_document(0.001);
-        let store: Arc<dyn XmlStore> = Arc::from(load_system(SystemId::D, &doc.xml).store);
-        let service = QueryService::start(Arc::clone(&store), 2);
-        let unbatched = service.run_mix(&[1, 6, 17], 12);
-        let batched = service.run_mix_batched(&[1, 6, 17], 12, 4);
-        assert_eq!(batched.requests, 12);
-        for q in [1, 6, 17] {
-            let a = unbatched.stats(q).unwrap();
-            let b = batched.stats(q).unwrap();
-            assert_eq!(a.count, b.count, "Q{q} request count differs batched");
-            assert_eq!(
-                a.result_items, b.result_items,
-                "Q{q} cardinality differs batched"
-            );
-        }
-        // A batch larger than the whole run degenerates to one job.
-        let one_job = service.run_mix_batched(&[6], 5, 64);
-        assert_eq!(one_job.stats(6).unwrap().count, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_is_rejected() {
-        let doc = generate_document(0.001);
-        let store: Arc<dyn XmlStore> = Arc::from(load_system(SystemId::D, &doc.xml).store);
-        let service = QueryService::start(store, 1);
-        let _ = service.run_mix_batched(&[1], 4, 0);
-    }
-
-    #[test]
-    fn sharded_service_scatters_and_matches_monolithic() {
+    fn sharded_service_streams_and_matches_monolithic() {
         let session = crate::spec::Benchmark::at_factor(0.001).generate();
         let mono = session.load(SystemId::A);
         // Reference: cardinality + canonical output per query, sequential.
@@ -955,16 +855,26 @@ mod tests {
             .iter()
             .map(|&q| canonical_output(mono.store.as_ref(), q))
             .collect();
-        let sharded = session.load_sharded_shared(SystemId::A, 2);
-        assert!(sharded.shard_part_count() >= 2, "union exposes its parts");
-        let service = QueryService::start(Arc::clone(&sharded), 2);
-        let report = service.run_mix_batched(&mix, 9, 3);
+        let files = xmark_gen::generate_sharded(&xmark_gen::GeneratorConfig::at_factor(0.001), 2);
+        let docs: Vec<&str> = files.iter().map(|f| f.content.as_str()).collect();
+        let union = Arc::new(xmark_store::ShardedStore::load(SystemId::A, &docs).unwrap());
+        let service = QueryService::start(Arc::clone(&union) as Arc<dyn XmlStore>, 2);
+        let report = service.run_mix(&mix, 9);
         assert_eq!(report.requests, 9);
         for (&q, want) in mix.iter().zip(&expected) {
-            let got = canonical_output(sharded.as_ref(), q);
+            let got = canonical_output(union.as_ref(), q);
             assert_eq!(&got, want, "Q{q} sharded union output diverged");
             let stats = report.stats(q).unwrap();
             assert_eq!(stats.count, 3);
+        }
+        // The union's IndexManager is the only index: requests run on the
+        // union view, so no shard part ever builds one of its own.
+        for (j, part) in union.shard_stores().enumerate() {
+            assert_eq!(
+                part.indexes().stats().builds,
+                0,
+                "shard part {j} built an index"
+            );
         }
     }
 

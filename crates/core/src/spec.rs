@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use xmark_gen::{generate_sharded, GenStats, Generator, GeneratorConfig};
 use xmark_query::{
-    compile, execute_scattered, parse_query, verify_plan_against, CompileStats, Compiled, PlanMode,
+    compile, execute, parse_query, verify_plan_against, CompileStats, Compiled, PlanMode,
     ResultStream, Sequence, StreamStats, VerifyReport,
 };
 use xmark_store::{build_store, PagedStore, ShardedStore, SystemId, XmlStore, DEFAULT_POOL_PAGES};
@@ -273,11 +273,8 @@ pub fn canonical_output(store: &dyn XmlStore, number: usize) -> String {
     let q = query(number);
     let compiled =
         compile(q.text, store).unwrap_or_else(|e| panic!("Q{number} failed to compile: {e}"));
-    // `execute_scattered` fans the plan out across shard parts when the
-    // store is a sharded union and falls through to the sequential
-    // executor otherwise — one entry point for both deployments.
-    let result = execute_scattered(&compiled, store)
-        .unwrap_or_else(|e| panic!("Q{number} failed to execute: {e}"));
+    let result =
+        execute(&compiled, store).unwrap_or_else(|e| panic!("Q{number} failed to execute: {e}"));
     xmark_query::canonicalize(store, &result)
 }
 
@@ -309,15 +306,13 @@ impl PreparedQuery {
     }
 
     /// Execute the prepared plan (no parse, no plan), materializing the
-    /// whole result. On a sharded union store the shard-parallel plans
-    /// scatter across the shard parts and merge
-    /// ([`xmark_query::execute_scattered`]); on a monolithic store this
-    /// is the plain sequential drain.
+    /// whole result — the same drain on a sharded union as on a
+    /// monolithic store.
     ///
     /// # Panics
     /// Panics on evaluation errors, mirroring the façade's other helpers.
     pub fn execute(&self) -> Sequence {
-        execute_scattered(&self.compiled, self.store.as_ref())
+        execute(&self.compiled, self.store.as_ref())
             .unwrap_or_else(|e| panic!("prepared query failed to execute: {e}"))
     }
 
@@ -657,8 +652,9 @@ impl Session {
     /// plus the global head (entity content byte-identical to the
     /// monolithic document — per-entity RNG streams make the split exact)
     /// and bulkload each into its own `system` store under a
-    /// [`ShardedStore`] union view. Shard-parallel plans executed through
-    /// the session façade or the service scatter across the shards.
+    /// [`ShardedStore`] union view, whose cursors concatenate the shard
+    /// runs in document order: queries run through the same executor as
+    /// on a monolithic store.
     ///
     /// # Panics
     /// Panics if a shard document fails to parse or the shard skeletons
@@ -732,8 +728,8 @@ impl Session {
     }
 
     /// Spawn a [`QueryService`] worker pool over a sharded `system`
-    /// deployment with `entity_shards` shards: workers take per-shard
-    /// warmup affinity and shard-parallel plans scatter per request.
+    /// deployment with `entity_shards` shards: workers stream every
+    /// request off the union view, as on a monolithic store.
     pub fn serve_sharded(
         &self,
         system: SystemId,
@@ -1104,8 +1100,8 @@ mod tests {
             sharded.store.shard_part_count() >= 3,
             "head + 2 entity shards"
         );
-        // One query per scatter mode: doc-order path (Q6 count is Gather,
-        // use a path via Q1's lookup instead), append FLWOR, sum, gather.
+        // An id lookup, a count over a FLWOR, a correlated join and an
+        // ordered FLWOR.
         for q in [1, 5, 8, 19] {
             assert_eq!(
                 canonical_output(sharded.store.as_ref(), q),
@@ -1113,10 +1109,13 @@ mod tests {
                 "Q{q} differs sharded vs monolithic"
             );
         }
-        // The prepared-query façade scatters through the same entry point.
+        // The prepared-query façade runs through the same executor.
         let shared: Arc<dyn XmlStore> = Arc::from(sharded.store);
         let prepared = PreparedQuery::new(shared, query(5).text);
-        assert!(!prepared.execute().is_empty(), "Q5 count lands via scatter");
+        assert!(
+            !prepared.execute().is_empty(),
+            "Q5 count lands on the union"
+        );
     }
 
     #[test]

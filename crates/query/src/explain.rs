@@ -33,14 +33,9 @@ use crate::plan::*;
 /// Maximum width of an inline scalar rendering before truncation.
 const INLINE_WIDTH: usize = 96;
 
-/// Render a whole plan, functions first, one line per operator. The
-/// leading `Shard` line carries the scatter-gather classification
-/// ([`crate::plan::shard_mode`]): `parallel merge=<op>` names the merge
-/// operator reassembling per-shard results, `gather` marks plans that
-/// run once on the union view.
+/// Render a whole plan, functions first, one line per operator.
 pub fn explain_plan(plan: &PhysicalPlan) -> String {
     let mut out = String::new();
-    out.push_str(&format!("Shard {}\n", plan.shard));
     for f in &plan.functions {
         out.push_str(&format!(
             "Function {}({})\n",

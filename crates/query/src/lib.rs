@@ -85,6 +85,13 @@
 //!   ([`write_sequence`], [`IoSink`]), and the canonicalizer used for
 //!   cross-backend output-equivalence testing.
 //!
+//! One executor serves every store. A sharded union
+//! ([`xmark_store::ShardedStore`]) is just another [`xmark_store::XmlStore`]:
+//! its axis cursors concatenate the shard runs in global document order,
+//! so it streams through the same cursors as a monolithic store.
+//! [`scatter::execute_scattered`] survives only as an alias of
+//! [`execute`] for the perf lab's adapter.
+//!
 //! The optimizer oracle compiles every query twice —
 //! [`compile::compile_with_mode`] with [`plan::PlanMode::Naive`] yields
 //! the pure nested-loop specification — and requires byte-identical
@@ -155,7 +162,7 @@ pub use compile::{
 pub use eval::{ebv, EvalError, Evaluator};
 pub use explain::explain_plan;
 pub use parse::{parse_query, ParseError};
-pub use plan::{shard_mode, PhysicalPlan, PlanMode, ShardMode};
+pub use plan::{PhysicalPlan, PlanMode};
 pub use scatter::execute_scattered;
 
 pub use result::{

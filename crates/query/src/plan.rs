@@ -59,129 +59,6 @@ pub struct PhysicalPlan {
     pub body: PlanExpr,
     /// The mode the planner ran in.
     pub mode: PlanMode,
-    /// How the scatter-gather executor distributes the body across a
-    /// sharded store. Stamped by the planner as [`shard_mode`] of the
-    /// body; the verifier's V11 pins the correspondence.
-    pub shard: ShardMode,
-}
-
-/// The scatter-gather executor's classification of a plan body against a
-/// sharded store ([`xmark_store::ShardedStore`]): the three parallel
-/// shapes each name the merge operator that reassembles per-shard
-/// results, and `Gather` marks the plans that must run once on the
-/// gathered union view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ShardMode {
-    /// Bare PathScan: every shard's cursor already streams in global
-    /// document order, so the **ordered merge** on document-order keys is
-    /// the concatenation of the shard runs.
-    ParallelDocOrder,
-    /// Unordered FLWOR driven by a partitionable source: the driving
-    /// bindings are cut into shard-local runs and per-run outputs are
-    /// **appended** in run order (join build sides stay whole-document —
-    /// built once in the union's signature-keyed slots and broadcast to
-    /// every run, so probes stay shard-local).
-    ParallelAppend,
-    /// `count(…)` over a shardable FLWOR: per-run counts are **summed**
-    /// (partial-aggregate combine).
-    ParallelSum,
-    /// Gather-required: ordered/constructed/holistic results run once on
-    /// the union view (which still distributes storage access, e.g.
-    /// Aggregate counts sum per-shard extents inside the store).
-    Gather,
-}
-
-impl ShardMode {
-    /// Whether the plan fans out per shard (any parallel variant).
-    pub fn is_parallel(self) -> bool {
-        self != ShardMode::Gather
-    }
-
-    /// The merge operator reassembling per-shard results, as EXPLAIN
-    /// prints it.
-    pub fn merge_name(self) -> &'static str {
-        match self {
-            ShardMode::ParallelDocOrder => "ordered",
-            ShardMode::ParallelAppend => "append",
-            ShardMode::ParallelSum => "sum",
-            ShardMode::Gather => "none",
-        }
-    }
-}
-
-impl std::fmt::Display for ShardMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardMode::ParallelDocOrder => write!(f, "parallel merge=ordered"),
-            ShardMode::ParallelAppend => write!(f, "parallel merge=append"),
-            ShardMode::ParallelSum => write!(f, "parallel merge=sum"),
-            ShardMode::Gather => write!(f, "gather"),
-        }
-    }
-}
-
-/// Classify a plan body for the scatter-gather executor — the static
-/// shape test shared by the planner (which stamps [`PhysicalPlan::shard`]),
-/// the verifier (V11, which recomputes it), and the executor (which
-/// dispatches on it).
-///
-/// The parallel shapes are exactly the ones whose per-run results
-/// reassemble into the monolithic answer by construction:
-///
-/// * a bare [`PlanExpr::Path`] — shard cursors stream in global document
-///   order, so concatenation *is* the ordered merge;
-/// * a FLWOR without `order by` whose tuple producer iterates a driving
-///   `for` source in document order (NestedLoop's first clause, or a
-///   HashJoin's probe side — the build side is evaluated whole and
-///   broadcast), partitioned into contiguous runs;
-/// * `count(…)` over such a FLWOR, with per-run counts summed.
-///
-/// Everything else — `order by` (a holistic sort), element construction
-/// over holistic content, Aggregate (the union store already combines
-/// per-shard counts), user-function bodies — gathers.
-pub fn shard_mode(body: &PlanExpr) -> ShardMode {
-    match body {
-        PlanExpr::Path(p) if path_scatters(p) => ShardMode::ParallelDocOrder,
-        PlanExpr::Flwor(f) => {
-            if flwor_scatters(f) {
-                ShardMode::ParallelAppend
-            } else {
-                ShardMode::Gather
-            }
-        }
-        PlanExpr::Call(name, args) if name == "count" && args.len() == 1 => match &args[0] {
-            PlanExpr::Flwor(f) if flwor_scatters(f) => ShardMode::ParallelSum,
-            _ => ShardMode::Gather,
-        },
-        _ => ShardMode::Gather,
-    }
-}
-
-/// Whether a path's per-shard result streams reassemble by an ordered
-/// merge on document-order keys (see [`shard_mode`]): the path must be
-/// absolute (no environment needed inside a scatter task) and must
-/// produce *nodes* — a trailing attribute step or an inlined/value tail
-/// atomizes to strings, which carry no mergeable order key.
-fn path_scatters(p: &PathPlan) -> bool {
-    matches!(p.base, PlanBase::Root)
-        && p.inlined_tail.is_none()
-        && p.value_tail.is_none()
-        && p.steps.last().is_none_or(|s| s.axis != Axis::Attribute)
-}
-
-/// Whether a FLWOR's tuple producer admits contiguous partitioning of
-/// its driving bindings (see [`shard_mode`]).
-fn flwor_scatters(f: &FlworPlan) -> bool {
-    if f.order_by.is_some() {
-        return false;
-    }
-    match &f.strategy {
-        Strategy::NestedLoop { clauses, .. } => {
-            matches!(clauses.first(), Some(PlanClause::For(..)))
-        }
-        Strategy::HashJoin { .. } => true,
-        Strategy::IndexLookup { .. } => false,
-    }
 }
 
 /// A planned user-defined function.

@@ -1,291 +1,24 @@
-//! The scatter-gather executor for sharded stores.
+//! The former scatter-gather entry point, kept as an alias.
 //!
-//! [`execute_scattered`] runs a compiled plan against a
-//! [`xmark_store::ShardedStore`]'s union view by fanning per-shard
-//! subplans out to scoped threads and reassembling their results with
-//! the merge operator the plan's [`ShardMode`] annotation names (stamped
-//! by the planner, pinned by the verifier's V11):
-//!
-//! * **ParallelDocOrder** — the whole path plan runs against every
-//!   physical shard part (each part is a complete `site` document with
-//!   the same skeleton, so absolute paths evaluate unchanged), local
-//!   node ids map into the union's global id space through
-//!   [`xmark_store::XmlStore::shard_part_global`], and the sorted
-//!   per-part streams are k-way merged on document-order keys. Fused
-//!   skeleton nodes (the root, section elements) surface from several
-//!   parts; the merge emits each exactly once.
-//! * **ParallelAppend** — the FLWOR's driving source is evaluated once
-//!   on the union, cut into contiguous runs at shard-ownership
-//!   boundaries ([`xmark_store::XmlStore::shard_of`]), and the FLWOR is
-//!   re-run per slice with the driver pre-bound; outputs concatenate in
-//!   run order. Join build sides keep their planner signatures, so the
-//!   first run to need a hash table builds it in the union's
-//!   signature-keyed value slots and every other run probes the shared
-//!   (broadcast) copy; probe-side signatures are stripped because each
-//!   run probes a different slice.
-//! * **ParallelSum** — `count(…)` over a shardable FLWOR scatters the
-//!   inner FLWOR the same way and sums per-run item counts (the
-//!   partial-aggregate combine).
-//! * **Gather** — everything else executes once on the union view,
-//!   which still distributes storage access across the shard stores.
-//!
-//! On a monolithic store (no shard parts) every mode degrades to plain
-//! [`crate::compile::execute`] — the single code path `table4_throughput
-//! --shards 1` baselines against.
-
-use std::sync::Arc;
+//! A [`xmark_store::ShardedStore`]'s union view already streams every
+//! axis in global document order (shard runs concatenate into the
+//! ordered merge), so a sharded store runs through the same cursor
+//! engine as every other store. The tests below pin that union ≡
+//! monolithic on hand-built shard documents.
 
 use xmark_store::XmlStore;
 
 use crate::compile::{execute, Compiled};
-use crate::eval::{Env, EvalError, Evaluator};
-use crate::plan::{PhysicalPlan, PlanClause, PlanExpr, ShardMode, Strategy};
-use crate::result::{Item, Sequence};
+use crate::eval::EvalError;
+use crate::result::Sequence;
 
-/// The reserved variable the scatter rewrite binds each run's driver
-/// slice to. `#` cannot appear in a source-level variable name, so the
-/// binding can never shadow or be shadowed by user bindings.
-const DRIVER: &str = "#shard-driver";
-
-/// Execute `compiled` against `store`, scattering across shards when the
-/// store is sharded and the plan's [`ShardMode`] annotation allows it.
-///
-/// On monolithic stores this is exactly [`execute`]. On sharded stores
-/// the result is item-identical to `execute` on the union view — the
-/// oracle suite pins byte-identical serializations across shard counts.
+/// Exactly [`execute`]. Exists only because `perflab/src/sut.rs` calls it;
+/// the benchmark PR that moves `sut.rs` to `execute` deletes it.
 ///
 /// # Errors
-/// Propagates evaluation errors from any scatter task.
+/// As [`execute`].
 pub fn execute_scattered(compiled: &Compiled, store: &dyn XmlStore) -> Result<Sequence, EvalError> {
-    if store.shard_part_count() < 2 {
-        return execute(compiled, store);
-    }
-    match compiled.plan.shard {
-        ShardMode::ParallelDocOrder => scatter_path(compiled, store),
-        ShardMode::ParallelAppend => {
-            let runs = scatter_flwor(compiled, store, false)?;
-            Ok(runs.into_iter().flatten().collect())
-        }
-        ShardMode::ParallelSum => {
-            let runs = scatter_flwor(compiled, store, true)?;
-            let total: usize = runs.iter().map(Vec::len).sum();
-            Ok(vec![Item::Num(total as f64)])
-        }
-        ShardMode::Gather => execute(compiled, store),
-    }
-}
-
-// ---- ParallelDocOrder ----------------------------------------------------
-
-/// Run the whole plan against every shard part concurrently, map local
-/// results into the global id space, and merge on document-order keys.
-fn scatter_path(compiled: &Compiled, store: &dyn XmlStore) -> Result<Sequence, EvalError> {
-    let parts = store.shard_part_count();
-    let plan = &compiled.plan;
-    let streams = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..parts)
-            .map(|j| {
-                scope.spawn(move || -> Result<Sequence, EvalError> {
-                    let part = store
-                        .shard_part(j)
-                        .expect("part index within shard_part_count");
-                    let ev = Evaluator::new(part, plan);
-                    let local = ev.run(plan)?;
-                    // Map shard-local node ids into the union's global id
-                    // space. Every node of a shard document is either
-                    // fused skeleton or owned content, so the mapping is
-                    // total over well-formed path results.
-                    Ok(local
-                        .into_iter()
-                        .filter_map(|item| match item {
-                            Item::Node(l) => {
-                                let g = store.shard_part_global(j, l);
-                                debug_assert!(g.is_some(), "unmappable path result node");
-                                g.map(Item::Node)
-                            }
-                            other => {
-                                debug_assert!(false, "non-node item in a doc-order scatter");
-                                Some(other)
-                            }
-                        })
-                        .collect())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scatter task panicked"))
-            .collect::<Result<Vec<Sequence>, EvalError>>()
-    })?;
-    Ok(merge_doc_order(store, streams))
-}
-
-/// K-way merge of per-part result streams, each already sorted by global
-/// document order. Equal keys across streams are the fused skeleton
-/// nodes every part reports — emitted once.
-fn merge_doc_order(store: &dyn XmlStore, streams: Vec<Sequence>) -> Sequence {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut idx = vec![0usize; streams.len()];
-    loop {
-        let mut best: Option<(u64, usize)> = None;
-        for (j, stream) in streams.iter().enumerate() {
-            if let Some(Item::Node(n)) = stream.get(idx[j]) {
-                let key = store.doc_order_key(*n);
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, j));
-                }
-            }
-        }
-        let Some((key, j)) = best else { break };
-        out.push(streams[j][idx[j]].clone());
-        idx[j] += 1;
-        // Skip the same fused node at the head of every other stream.
-        for (j2, stream) in streams.iter().enumerate() {
-            if j2 == j {
-                continue;
-            }
-            while matches!(stream.get(idx[j2]), Some(Item::Node(n))
-                if store.doc_order_key(*n) == key)
-            {
-                idx[j2] += 1;
-            }
-        }
-    }
-    out
-}
-
-// ---- ParallelAppend / ParallelSum ----------------------------------------
-
-/// Scatter a FLWOR body: evaluate the driving source on the union, cut
-/// it into shard-contiguous runs, and execute the rewritten plan per run
-/// concurrently. Returns the per-run outputs in run order. With `count`,
-/// the body is the FLWOR inside the top-level `count(…)` call.
-fn scatter_flwor(
-    compiled: &Compiled,
-    store: &dyn XmlStore,
-    count: bool,
-) -> Result<Vec<Sequence>, EvalError> {
-    let (scattered, driver_src) =
-        rewrite_driver(&compiled.plan, count).expect("shard mode implies a scatterable FLWOR");
-
-    // The driving bindings, evaluated once on the union view.
-    let ev = Evaluator::new(store, &compiled.plan);
-    let mut env = Env::default();
-    let driver = ev.eval(driver_src, &mut env, None)?;
-
-    let runs = partition_runs(store, driver);
-    if runs.len() <= 1 {
-        // One shard's worth of driving bindings (or none): no fan-out.
-        let slice = runs.into_iter().next().unwrap_or_default();
-        return Ok(vec![run_slice(store, &scattered, slice)?]);
-    }
-    std::thread::scope(|scope| {
-        let scattered = &scattered;
-        let handles: Vec<_> = runs
-            .into_iter()
-            .map(|slice| scope.spawn(move || run_slice(store, scattered, slice)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scatter task panicked"))
-            .collect()
-    })
-}
-
-/// Execute the rewritten plan with one driver slice pre-bound.
-fn run_slice(
-    store: &dyn XmlStore,
-    scattered: &PhysicalPlan,
-    slice: Sequence,
-) -> Result<Sequence, EvalError> {
-    let ev = Evaluator::new(store, scattered);
-    let mut env = Env::default();
-    env.push(DRIVER, Arc::new(slice));
-    ev.eval(&scattered.body, &mut env, None)
-}
-
-/// Cut the driving sequence into contiguous runs at shard-ownership
-/// boundaries: items owned by the same entity shard stay in one run, and
-/// head-owned / fused / non-node items glue to the run in progress (they
-/// carry no affinity). Contiguity keeps concatenation order-correct even
-/// when a scan spans sections.
-fn partition_runs(store: &dyn XmlStore, driver: Sequence) -> Vec<Sequence> {
-    let mut runs: Vec<Sequence> = Vec::new();
-    let mut current: Option<usize> = None;
-    for item in driver {
-        let owner = match &item {
-            Item::Node(n) => store.shard_of(*n),
-            _ => None,
-        };
-        match runs.last_mut() {
-            Some(run) if owner.is_none() || current.is_none() || owner == current => {
-                run.push(item);
-                current = current.or(owner);
-            }
-            _ => {
-                runs.push(vec![item]);
-                current = owner;
-            }
-        }
-    }
-    runs
-}
-
-/// Clone the plan with the FLWOR's driving source replaced by the
-/// reserved driver variable, returning the clone and a borrow of the
-/// original driving source. Probe-side cache signatures are stripped
-/// (each run probes a different slice); build-side signatures stay, so
-/// the build happens once in the union's signature-keyed value slots and
-/// is broadcast to every run.
-fn rewrite_driver(plan: &PhysicalPlan, count: bool) -> Option<(PhysicalPlan, &PlanExpr)> {
-    let flwor = match (&plan.body, count) {
-        (PlanExpr::Flwor(f), false) => f,
-        (PlanExpr::Call(name, args), true) if name == "count" && args.len() == 1 => {
-            match &args[0] {
-                PlanExpr::Flwor(f) => f,
-                _ => return None,
-            }
-        }
-        _ => return None,
-    };
-    let driver_src = match &flwor.strategy {
-        Strategy::NestedLoop { clauses, .. } => match clauses.first() {
-            Some(PlanClause::For(_, src)) => src,
-            _ => return None,
-        },
-        Strategy::HashJoin { probe_src, .. } => probe_src,
-        Strategy::IndexLookup { .. } => return None,
-    };
-    let mut scattered = flwor.clone();
-    match &mut scattered.strategy {
-        Strategy::NestedLoop { clauses, .. } => {
-            let Some(PlanClause::For(_, src)) = clauses.first_mut() else {
-                unreachable!("checked above")
-            };
-            *src = PlanExpr::Var(DRIVER.to_string());
-        }
-        Strategy::HashJoin {
-            probe_src,
-            probe_sig,
-            hoisted,
-            ..
-        } => {
-            *probe_src = PlanExpr::Var(DRIVER.to_string());
-            *probe_sig = None;
-            for h in hoisted.iter_mut() {
-                h.sig = None;
-            }
-        }
-        Strategy::IndexLookup { .. } => unreachable!("checked above"),
-    }
-    let plan = PhysicalPlan {
-        functions: plan.functions.clone(),
-        body: PlanExpr::Flwor(scattered),
-        mode: plan.mode,
-        shard: plan.shard,
-    };
-    Some((plan, driver_src))
+    execute(compiled, store)
 }
 
 #[cfg(test)]
@@ -304,78 +37,54 @@ mod tests {
         ShardedStore::load(SystemId::A, &[GLOBAL, SHARD0, SHARD1]).unwrap()
     }
 
-    fn oracle(query: &str, expect_mode: ShardMode) {
+    fn oracle(query: &str) {
         let sharded = union();
         let whole = xmark_store::EdgeStore::load(WHOLE).unwrap();
         let cs = compile(query, &sharded).unwrap();
-        assert_eq!(cs.plan.shard, expect_mode, "classification of {query}");
-        let scattered = execute_scattered(&cs, &sharded).unwrap();
+        let got = execute_scattered(&cs, &sharded).unwrap();
         let cw = compile(query, &whole).unwrap();
         let expected = execute(&cw, &whole).unwrap();
         assert_eq!(
-            serialize_sequence(&sharded, &scattered),
+            serialize_sequence(&sharded, &got),
             serialize_sequence(&whole, &expected),
-            "scattered != monolithic for {query}"
+            "union != monolithic for {query}"
         );
     }
 
     #[test]
     fn doc_order_path_merges_across_shards() {
-        oracle("/site/people/person/name", ShardMode::ParallelDocOrder);
-        // Spans two sections on different shards: a real interleaving merge.
-        oracle("//name", ShardMode::ParallelDocOrder);
-        oracle("/site", ShardMode::ParallelDocOrder);
+        oracle("/site/people/person/name");
+        // Spans sections owned by different shards.
+        oracle("//name");
+        oracle("/site");
     }
 
     #[test]
     fn append_flwor_partitions_the_driver() {
-        oracle(
-            "for $p in /site/people/person return $p/name/text()",
-            ShardMode::ParallelAppend,
-        );
-        // A non-equi filter keeps the strategy a NestedLoop (equi
-        // predicates become IndexLookup plans, which gather).
-        oracle(
-            r#"for $p in /site/people/person where $p/name != "Zed" return $p/name/text()"#,
-            ShardMode::ParallelAppend,
-        );
-        oracle(
-            r#"for $p in /site/people/person where $p/@id = "person1" return $p/name/text()"#,
-            ShardMode::Gather,
-        );
+        oracle("for $p in /site/people/person return $p/name/text()");
+        // A non-equi filter keeps the strategy a NestedLoop; the equi
+        // predicate below plans as an IndexLookup.
+        oracle(r#"for $p in /site/people/person where $p/name != "Zed" return $p/name/text()"#);
+        oracle(r#"for $p in /site/people/person where $p/@id = "person1" return $p/name/text()"#);
     }
 
     #[test]
     fn sum_combines_partial_counts() {
-        oracle(
-            "count(for $p in //person return $p)",
-            ShardMode::ParallelSum,
-        );
+        oracle("count(for $p in //person return $p)");
     }
 
     #[test]
     fn gather_plans_run_on_the_union() {
-        oracle(
-            "for $p in //person order by $p/name return $p/name/text()",
-            ShardMode::Gather,
-        );
-        // Attribute-final paths atomize — no mergeable order key.
-        oracle("//person/@id", ShardMode::Gather);
+        oracle("for $p in //person order by $p/name return $p/name/text()");
+        // Attribute-final paths atomize.
+        oracle("//person/@id");
     }
 
     #[test]
     fn hash_join_broadcasts_the_build_side() {
         let q = r#"for $a in /site/open_auctions/open_auction, $p in /site/people/person
                    where $a/@id = $p/@id return $p"#;
-        let sharded = union();
-        let cs = compile(q, &sharded).unwrap();
-        // Only meaningful if the planner actually chose a hash join.
-        if let PlanExpr::Flwor(f) = &cs.plan.body {
-            if matches!(f.strategy, Strategy::HashJoin { .. }) {
-                assert_eq!(cs.plan.shard, ShardMode::ParallelAppend);
-            }
-        }
-        oracle(q, cs.plan.shard);
+        oracle(q);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! cardinalities, the canonical signature functions) and compares it with
 //! what the plan records.
 //!
-//! The ten invariants (codes are stable identifiers in audit output, so
-//! the retired V10 is not reused and V11 keeps its code):
+//! The nine invariants (codes are stable identifiers in audit output;
+//! the retired V10 and V11 are not reused):
 //!
 //! | code | name            | what it pins |
 //! |------|-----------------|--------------|
@@ -23,7 +23,6 @@
 //! | V7   | memo-sig        | memo / build / probe / lookup cache signatures equal their canonical recomputation |
 //! | V8   | card-consistent | cardinality annotations agree with each other and with exact posting counts |
 //! | V9   | var-scope       | every variable reference resolves to an enclosing binding |
-//! | V11  | shard-merge     | the scatter-gather annotation equals [`shard_mode`] recomputed on the body — a merge operator is declared iff the plan is *not* gather-required, and it is the right one |
 //!
 //! [`compile_with_mode`](crate::compile::compile_with_mode) runs the
 //! verifier on every plan in debug builds (`debug_assertions`); release
@@ -39,7 +38,7 @@ use crate::planner::{
     expr_estimate, invariant_join_signature, last_tag_estimate, INDEX_SCAN_DENSITY,
 };
 
-/// One of the ten verified plan invariants.
+/// One of the nine verified plan invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// V1: access annotations only where [`PlannerCaps`] permits.
@@ -60,13 +59,11 @@ pub enum Invariant {
     CardConsistent,
     /// V9: every variable reference resolves in scope.
     VarScope,
-    /// V11: the shard annotation equals its recomputed classification.
-    ShardMerge,
 }
 
 impl Invariant {
-    /// All invariants, in code order (V1…V9, V11).
-    pub const ALL: [Invariant; 10] = [
+    /// All invariants, in code order (V1…V9).
+    pub const ALL: [Invariant; 9] = [
         Invariant::CapsAccess,
         Invariant::DensityGate,
         Invariant::NaivePurity,
@@ -76,10 +73,9 @@ impl Invariant {
         Invariant::MemoSig,
         Invariant::CardConsistent,
         Invariant::VarScope,
-        Invariant::ShardMerge,
     ];
 
-    /// Stable short code (`"V1"`…`"V11"`).
+    /// Stable short code (`"V1"`…`"V9"`).
     pub fn code(self) -> &'static str {
         match self {
             Invariant::CapsAccess => "V1",
@@ -91,7 +87,6 @@ impl Invariant {
             Invariant::MemoSig => "V7",
             Invariant::CardConsistent => "V8",
             Invariant::VarScope => "V9",
-            Invariant::ShardMerge => "V11",
         }
     }
 
@@ -107,7 +102,6 @@ impl Invariant {
             Invariant::MemoSig => "memo-sig",
             Invariant::CardConsistent => "card-consistent",
             Invariant::VarScope => "var-scope",
-            Invariant::ShardMerge => "shard-merge",
         }
     }
 
@@ -242,14 +236,6 @@ fn run(plan: &PhysicalPlan, store: &dyn XmlStore, query: Option<&Query>) -> Veri
     }
     v.path.push("body".to_string());
     v.expr(&plan.body);
-    let expected = shard_mode(&plan.body);
-    v.check(Invariant::ShardMerge, plan.shard == expected, || {
-        format!(
-            "plan annotated `{}` but the body classifies as `{}` \
-             (merge operator present iff not gather-required)",
-            plan.shard, expected
-        )
-    });
     v.path.pop();
     if let Some(query) = query {
         v.sort_presence(query, plan);

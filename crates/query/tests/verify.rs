@@ -236,51 +236,3 @@ fn unbound_variable_is_reported() {
         "diagnostic names the variable:\n{report}"
     );
 }
-
-#[test]
-fn corrupted_shard_annotation_is_rejected() {
-    use xmark_query::plan::ShardMode;
-    let store = EdgeStore::load(DOC).unwrap();
-
-    // A scatterable FLWOR mislabeled as gather-required: a merge
-    // operator must be declared for non-gather shapes.
-    let mut compiled = compile(
-        &store,
-        "for $p in /site/people/person return $p/name/text()",
-        PlanMode::Optimized,
-    );
-    assert_eq!(compiled.plan.shard, ShardMode::ParallelAppend);
-    compiled.plan.shard = ShardMode::Gather;
-    let report = verify_plan(&compiled.plan, &store);
-    assert!(report.violations_of(Invariant::ShardMerge) > 0, "{report}");
-
-    // An order-by FLWOR mislabeled as parallel: a merge operator may
-    // only be declared where the classification supports it.
-    let mut compiled = compile(
-        &store,
-        "for $p in /site/people/person order by $p/name/text() return $p",
-        PlanMode::Optimized,
-    );
-    assert_eq!(compiled.plan.shard, ShardMode::Gather);
-    compiled.plan.shard = ShardMode::ParallelAppend;
-    let report = verify_plan(&compiled.plan, &store);
-    assert!(report.violations_of(Invariant::ShardMerge) > 0, "{report}");
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.message.contains("gather")),
-        "diagnostic explains the classification:\n{report}"
-    );
-
-    // The wrong *merge operator* is as invalid as a missing one.
-    let mut compiled = compile(
-        &store,
-        "count(for $p in /site/people/person return $p)",
-        PlanMode::Optimized,
-    );
-    assert_eq!(compiled.plan.shard, ShardMode::ParallelSum);
-    compiled.plan.shard = ShardMode::ParallelAppend;
-    let report = verify_plan(&compiled.plan, &store);
-    assert!(report.violations_of(Invariant::ShardMerge) > 0, "{report}");
-}

@@ -22,9 +22,11 @@
 //!   **partial-aggregate combine**: per-shard counts summed, each answered
 //!   by whatever summary/extent arithmetic the shard backend has,
 //! * the union owns its own [`IndexManager`], so id lookups, element
-//!   postings and the query layer's shared join build sides ("broadcast"
-//!   build sides — built once against the whole view, probed by every
-//!   shard-local task) work unchanged.
+//!   postings and the query layer's shared join build sides work
+//!   unchanged — the shard stores' own index managers stay empty.
+//!
+//! Queries therefore run on the union through the same executor as on
+//! any monolithic store.
 //!
 //! The per-shard *section elements* (`<people>` in shard 2, say) are
 //! shadowed: they are never surfaced as nodes of the union; their fused
@@ -244,28 +246,6 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.as_ref())
     }
 
-    /// Map a node id local to shard `j` (`0` = global head) into the
-    /// union's global id space: the shard's root maps to the fused root,
-    /// its section elements to the fused section ids, owned content
-    /// through the segment offset. `None` for out-of-range ids or
-    /// unknown shards.
-    pub fn global_of(&self, j: usize, local: Node) -> Option<Node> {
-        let shard = self.shards.get(j)?;
-        if local == shard.root() {
-            return Some(Node(0));
-        }
-        if let Ok(s) = self.sec_local[j].binary_search(&local.0) {
-            return Some(Node(self.section_gid[s]));
-        }
-        for k in self.seg_of[j].iter().flatten() {
-            let seg = &self.segs[*k];
-            if local.0 >= seg.lstart && local.0 - seg.lstart < seg.gend - seg.gstart {
-                return Some(seg.to_global(local));
-            }
-        }
-        None
-    }
-
     /// Resolve a global id.
     fn locate(&self, n: Node) -> Loc {
         if n.0 == 0 {
@@ -355,31 +335,8 @@ impl XmlStore for ShardedStore {
         self.shards.iter().map(|s| s.content_epoch()).sum()
     }
 
-    fn shard_count(&self) -> usize {
-        self.entity_shards()
-    }
-
-    fn shard_of(&self, n: Node) -> Option<usize> {
-        match self.locate(n) {
-            Loc::In(k, _) => {
-                let shard = self.segs[k].shard as usize;
-                // Shard 0 is the shared global head — not an entity shard.
-                shard.checked_sub(1)
-            }
-            _ => None,
-        }
-    }
-
     fn shard_part_count(&self) -> usize {
         self.shards.len()
-    }
-
-    fn shard_part(&self, part: usize) -> Option<&dyn XmlStore> {
-        self.shards.get(part).map(|s| s.as_ref())
-    }
-
-    fn shard_part_global(&self, part: usize, local: Node) -> Option<Node> {
-        self.global_of(part, local)
     }
 
     fn tag_of(&self, n: Node) -> Option<&str> {
@@ -653,7 +610,7 @@ mod tests {
         let u = union();
         let whole = EdgeStore::load(WHOLE).unwrap();
         assert_eq!(u.node_count(), whole.node_count());
-        assert_eq!(u.shard_count(), 2);
+        assert_eq!(u.entity_shards(), 2);
     }
 
     #[test]
@@ -717,46 +674,23 @@ mod tests {
     fn global_of_inverts_locate_for_every_node() {
         let u = union();
         assert_eq!(u.shard_part_count(), 3);
+        let mut fused = 0;
         for g in 0..u.node_count() as u32 {
             let n = Node(g);
             match u.locate(n) {
-                Loc::Root => {
-                    // Every part's root fuses into global id 0.
-                    for j in 0..u.shards.len() {
-                        assert_eq!(u.global_of(j, u.shards[j].root()), Some(Node(0)));
-                    }
-                }
+                Loc::Root => fused += 1,
                 Loc::Section(s) => {
-                    for j in 0..u.shards.len() {
-                        assert_eq!(u.shard_part_global(j, Node(u.sec_local[j][s])), Some(n));
-                    }
+                    assert_eq!(u.section_gid[s], g);
+                    fused += 1;
                 }
-                Loc::In(k, l) => {
-                    let j = u.segs[k].shard as usize;
-                    assert_eq!(u.shard_part_global(j, l), Some(n));
-                }
+                // The segment offset maps the owned local id back to `n`.
+                Loc::In(k, l) => assert_eq!(u.segs[k].to_global(l), n),
             }
         }
-        // Out-of-range locals and parts map to nothing.
-        assert_eq!(u.global_of(0, Node(u32::MAX)), None);
-        assert_eq!(u.global_of(17, Node(0)), None);
+        assert_eq!(fused, 1 + u.sections.len());
         // Monolithic stores expose no parts.
         let whole = EdgeStore::load(WHOLE).unwrap();
         assert_eq!(whole.shard_part_count(), 0);
-        assert!(whole.shard_part(0).is_none());
-        assert_eq!(whole.shard_part_global(0, Node(0)), None);
-    }
-
-    #[test]
-    fn shard_of_reports_entity_owners() {
-        let u = union();
-        let people = u.descendants_named(u.root(), "person");
-        assert_eq!(u.shard_of(people[0]), Some(0));
-        assert_eq!(u.shard_of(people[1]), Some(1));
-        assert_eq!(u.shard_of(people[2]), Some(1));
-        let item = u.descendants_named(u.root(), "item")[0];
-        assert_eq!(u.shard_of(item), None); // global head
-        assert_eq!(u.shard_of(u.root()), None);
     }
 
     #[test]

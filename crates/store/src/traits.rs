@@ -261,46 +261,13 @@ pub trait XmlStore: Send + Sync {
         None
     }
 
-    // ---- sharding hooks --------------------------------------------------
-
-    /// Number of physical shards behind this store. `1` (the default) for
-    /// every monolithic backend; the sharded union view reports its entity
-    /// shard count so the scatter-gather executor knows to partition work.
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// Which entity shard owns node `n`, for sharded stores: `0`-based
-    /// entity shard index, or `None` when the node lives in the shared
-    /// global head (fused virtual nodes, regions/categories subtrees) or
-    /// the store is monolithic. The scatter executor cuts driving-node
-    /// runs at ownership boundaries; contiguous runs keep merge order
-    /// trivially correct.
-    fn shard_of(&self, _n: Node) -> Option<usize> {
-        None
-    }
+    // ---- sharding hook ----------------------------------------------------
 
     /// Number of physical shard *parts* behind this store, counting the
     /// global head: `0` for monolithic backends, `entity shards + 1` for
-    /// the sharded union view. Parts index [`XmlStore::shard_part`].
+    /// the sharded union view.
     fn shard_part_count(&self) -> usize {
         0
-    }
-
-    /// The physical store backing part `part` (`0` = global head,
-    /// `1..` = entity shards), or `None` on monolithic backends. The
-    /// scatter executor runs path subplans against each part directly
-    /// and maps results back through [`XmlStore::shard_part_global`].
-    fn shard_part(&self, _part: usize) -> Option<&dyn XmlStore> {
-        None
-    }
-
-    /// Map a node id local to part `part` into the union's global id
-    /// space: fused skeleton nodes (root, section elements) map to their
-    /// fused ids, owned content maps through the segment offset, and
-    /// anything else — or any part on a monolithic store — is `None`.
-    fn shard_part_global(&self, _part: usize, _local: Node) -> Option<Node> {
-        None
     }
 
     /// Tag name for elements, `None` for text nodes.

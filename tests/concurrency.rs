@@ -1,6 +1,7 @@
 //! Cross-backend concurrency property: N threads running the same query
 //! mix over ONE shared store must produce canonical outputs identical to
-//! the single-threaded run — for every one of the eight backends.
+//! the single-threaded run — for every one of the eight backends, and
+//! for a sharded union whose cursors the threads share.
 //!
 //! This is the correctness half of the concurrent service layer. The
 //! throughput half (`table4_throughput`) only makes sense if sharing a
@@ -21,7 +22,7 @@ const THREADS: usize = 4;
 /// Closed-loop rounds each thread runs over the whole mix.
 const ROUNDS: usize = 2;
 
-fn assert_concurrent_matches_sequential(system: SystemId, store: &Arc<dyn XmlStore>) {
+fn assert_concurrent_matches_sequential(system: impl std::fmt::Display, store: &Arc<dyn XmlStore>) {
     // Ground truth: the single-threaded canonical output of each query.
     let expected: Vec<String> = MIX
         .iter()
@@ -116,6 +117,17 @@ fn system_h_concurrent_equals_sequential() {
         stats.evictions > 0 && stats.hits > 0,
         "a {pool}-frame pool over {file_pages} pages must evict: {stats:?}"
     );
+}
+
+/// A 2-shard union of E: the threads read through one union view (its
+/// fused nodes, segment offsets and union-owned index) instead of one
+/// thread per shard part.
+#[test]
+fn sharded_e_concurrent_equals_sequential() {
+    let session = Benchmark::at_factor(0.002).generate();
+    let union = session.load_sharded_shared(SystemId::E, 2);
+    assert_eq!(union.shard_part_count(), 3, "global head + 2 entity shards");
+    assert_concurrent_matches_sequential("E x2 shards", &union);
 }
 
 /// The service layer itself, driven over every backend: worker-pool

@@ -43,43 +43,36 @@ fn assert_explains_match(system: SystemId, expected: &str) {
 }
 
 const EXPLAIN_A: &str = r#"=== A Q1 ===
-Shard parallel merge=append
 Project $b/name/text()->vals("name")
   NestedLoop
     For $b in PathScan /site/people/person[./@id = "person0"]->id("person0") ~51
 === A Q2 ===
-Shard parallel merge=append
 Project <increase>{$b/bidder[1]/increase/text()->vals("increase")}</increase>
   NestedLoop
     For $b in PathScan /site/open_auctions/open_auction ~24 [memo]
 === A Q3 ===
-Shard parallel merge=append
 Project <increase first="{$b/bidder[1]/increase/text()->vals("increase")}" last="{$b/bidder[last()]/inc…
   NestedLoop
     For $b in PathScan /site/open_auctions/open_auction ~24 [memo]
     Filter@1 zero-or-one($b/bidder[1]/increase/text()->vals("increase")) * 2 <= $b/bidder[last()]/increase/t…
 === A Q4 ===
-Shard parallel merge=append
 Project <history>{$b/reserve/text()->vals("reserve")}</history>
   NestedLoop
     For $b in PathScan /site/open_auctions/open_auction ~24 [memo]
     Filter@1 some $pr1 in $b/bidder/personref[./@person = "person20"], $pr2 in $b/bidder/personref[./@person…
 === A Q5 ===
-Shard parallel merge=sum
 Eval count(flwor(… return $i/price))
   Project $i/price
     NestedLoop
       For $i in PathScan /site/closed_auctions/closed_auction ~19 [memo]
       Filter@1 $i/price/text()->vals("price") >= 40
 === A Q6 ===
-Shard parallel merge=append
 Project count($b//item)
   Aggregate count(//item) ~43 [idx]
     PathScan $b
   NestedLoop
     For $b in PathScan /site/regions ~1 [memo]
 === A Q7 ===
-Shard parallel merge=append
 Project count($p//description) + count($p//annotation) + count($p//email)
   Aggregate count(//description) ~73 [idx]
     PathScan $p
@@ -90,7 +83,6 @@ Project count($p//description) + count($p//annotation) + count($p//email)
   NestedLoop
     For $p in PathScan /site ~1 [memo]
 === A Q8 ===
-Shard parallel merge=append
 Project <item person="{$p/name/text()->vals("name")}">{count($a)}</item>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
@@ -99,7 +91,6 @@ Project <item person="{$p/name/text()->vals("name")}">{count($a)}</item>
         IndexLookup $t/buyer/@person = $p/@id ~19
           index $t [memo] in PathScan /site/closed_auctions/closed_auction ~19 [memo]
 === A Q9 ===
-Shard parallel merge=append
 Project <person name="{$p/name/text()->vals("name")}">{$a}</person>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
@@ -110,7 +101,6 @@ Project <person name="{$p/name/text()->vals("name")}">{$a}</person>
           build $e [memo] in PathScan /site/regions/europe/item ~43 [memo]
           Filter@probe $t/buyer/@person = $p/@id [memo]
 === A Q10 ===
-Shard parallel merge=append
 Project <categorie>{(<id>{$i}</id>, $p)}</categorie>
   NestedLoop
     For $i in distinct-values(/site/people/person/profile/interest/@category)
@@ -119,7 +109,6 @@ Project <categorie>{(<id>{$i}</id>, $p)}</categorie>
         IndexLookup $t/profile/interest/@category = $i ~51
           index $t [memo] in PathScan /site/people/person ~51 [memo]
 === A Q11 ===
-Shard parallel merge=append
 Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
@@ -129,7 +118,6 @@ Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
           For $i in PathScan /site/open_auctions/open_auction/initial ~24 [memo]
           Filter@1 $p/profile/@income > 5000 * $i/text()
 === A Q12 ===
-Shard parallel merge=append
 Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
@@ -140,49 +128,41 @@ Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
           For $i in PathScan /site/open_auctions/open_auction/initial ~24 [memo]
           Filter@1 $p/profile/@income > 5000 * $i/text()
 === A Q13 ===
-Shard parallel merge=append
 Project <item name="{$i/name/text()->vals("name")}">{$i/description}</item>
   NestedLoop
     For $i in PathScan /site/regions/australia/item ~43 [memo]
 === A Q14 ===
-Shard parallel merge=append
 Project $i/name/text()->vals("name")
   NestedLoop
     For $i in PathScan /site//item->idx ~43 [memo]
     Filter@1 contains(string($i/description), "gold")
 === A Q15 ===
-Shard parallel merge=append
 Project <text>{$a}</text>
   NestedLoop
     For $a in PathScan /site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text()->vals("keyword") ~119 [memo]
 === A Q16 ===
-Shard parallel merge=append
 Project <person id="{$a/seller/@person}"/>
   NestedLoop
     For $a in PathScan /site/closed_auctions/closed_auction ~19 [memo]
     Filter@1 not(empty($a/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text()-…
 === A Q17 ===
-Shard parallel merge=append
 Project <person name="{$p/name/text()->vals("name")}"/>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
     Filter@1 empty($p/homepage/text()->vals("homepage"))
 === A Q18 ===
-Shard parallel merge=append
 Function local:convert($v)
   Eval 2.20371 * $v
 Project local:convert(zero-or-one($i/reserve/text()->vals("reserve")))
   NestedLoop
     For $i in PathScan /site/open_auctions/open_auction ~24 [memo]
 === A Q19 ===
-Shard gather
 Project <item name="{$k}">{$b/location/text()->vals("location")}</item>
   Sort zero-or-one($b/location) ascending
     NestedLoop
       For $b in PathScan /site/regions//item->idx ~43 [memo]
       Let $k in PathScan $b/name/text()->vals("name") ~96
 === A Q20 ===
-Shard gather
 Eval <result><preferred>{count(/site/people/person/profile[./@income >= 100000])}</preferred><standa…
   Project $p
     NestedLoop
@@ -191,43 +171,36 @@ Eval <result><preferred>{count(/site/people/person/profile[./@income >= 100000])
 "#;
 
 const EXPLAIN_E: &str = r#"=== E Q1 ===
-Shard parallel merge=append
 Project $b/name/text()->vals("name")
   NestedLoop
     For $b in PathScan /site/people/person[./@id = "person0"]->id("person0") ~51
 === E Q2 ===
-Shard parallel merge=append
 Project <increase>{$b/bidder[1]/increase/text()->vals("increase")}</increase>
   NestedLoop
     For $b in PathScan /site/open_auctions/open_auction ~24 [memo]
 === E Q3 ===
-Shard parallel merge=append
 Project <increase first="{$b/bidder[1]/increase/text()->vals("increase")}" last="{$b/bidder[last()]/inc…
   NestedLoop
     For $b in PathScan /site/open_auctions/open_auction ~24 [memo]
     Filter@1 zero-or-one($b/bidder[1]/increase/text()->vals("increase")) * 2 <= $b/bidder[last()]/increase/t…
 === E Q4 ===
-Shard parallel merge=append
 Project <history>{$b/reserve/text()->vals("reserve")}</history>
   NestedLoop
     For $b in PathScan /site/open_auctions/open_auction ~24 [memo]
     Filter@1 some $pr1 in $b/bidder/personref[./@person = "person20"], $pr2 in $b/bidder/personref[./@person…
 === E Q5 ===
-Shard parallel merge=sum
 Eval count(flwor(… return $i/price))
   Project $i/price
     NestedLoop
       For $i in PathScan /site/closed_auctions/closed_auction ~19 [memo]
       Filter@1 $i/price/text()->vals("price") >= 40
 === E Q6 ===
-Shard parallel merge=append
 Project count($b//item)
   Aggregate count(//item) ~43 [summary]
     PathScan $b
   NestedLoop
     For $b in PathScan /site/regions ~1 [memo]
 === E Q7 ===
-Shard parallel merge=append
 Project count($p//description) + count($p//annotation) + count($p//email)
   Aggregate count(//description) ~73 [summary]
     PathScan $p
@@ -238,7 +211,6 @@ Project count($p//description) + count($p//annotation) + count($p//email)
   NestedLoop
     For $p in PathScan /site ~1 [memo]
 === E Q8 ===
-Shard parallel merge=append
 Project <item person="{$p/name/text()->vals("name")}">{count($a)}</item>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
@@ -247,7 +219,6 @@ Project <item person="{$p/name/text()->vals("name")}">{count($a)}</item>
         IndexLookup $t/buyer/@person = $p/@id ~19
           index $t [memo] in PathScan /site/closed_auctions/closed_auction ~19 [memo]
 === E Q9 ===
-Shard parallel merge=append
 Project <person name="{$p/name/text()->vals("name")}">{$a}</person>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
@@ -258,7 +229,6 @@ Project <person name="{$p/name/text()->vals("name")}">{$a}</person>
           build $e [memo] in PathScan /site/regions/europe/item ~43 [memo]
           Filter@probe $t/buyer/@person = $p/@id [memo]
 === E Q10 ===
-Shard parallel merge=append
 Project <categorie>{(<id>{$i}</id>, $p)}</categorie>
   NestedLoop
     For $i in distinct-values(/site/people/person/profile/interest/@category)
@@ -267,7 +237,6 @@ Project <categorie>{(<id>{$i}</id>, $p)}</categorie>
         IndexLookup $t/profile/interest/@category = $i ~51
           index $t [memo] in PathScan /site/people/person ~51 [memo]
 === E Q11 ===
-Shard parallel merge=append
 Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
@@ -277,7 +246,6 @@ Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
           For $i in PathScan /site/open_auctions/open_auction/initial ~24 [memo]
           Filter@1 $p/profile/@income > 5000 * $i/text()
 === E Q12 ===
-Shard parallel merge=append
 Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
@@ -288,49 +256,41 @@ Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
           For $i in PathScan /site/open_auctions/open_auction/initial ~24 [memo]
           Filter@1 $p/profile/@income > 5000 * $i/text()
 === E Q13 ===
-Shard parallel merge=append
 Project <item name="{$i/name/text()->vals("name")}">{$i/description}</item>
   NestedLoop
     For $i in PathScan /site/regions/australia/item ~43 [memo]
 === E Q14 ===
-Shard parallel merge=append
 Project $i/name/text()->vals("name")
   NestedLoop
     For $i in PathScan /site//item ~43 [memo]
     Filter@1 contains(string($i/description), "gold")
 === E Q15 ===
-Shard parallel merge=append
 Project <text>{$a}</text>
   NestedLoop
     For $a in PathScan /site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text()->vals("keyword") ~119 [memo]
 === E Q16 ===
-Shard parallel merge=append
 Project <person id="{$a/seller/@person}"/>
   NestedLoop
     For $a in PathScan /site/closed_auctions/closed_auction ~19 [memo]
     Filter@1 not(empty($a/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text()-…
 === E Q17 ===
-Shard parallel merge=append
 Project <person name="{$p/name/text()->vals("name")}"/>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
     Filter@1 empty($p/homepage/text()->vals("homepage"))
 === E Q18 ===
-Shard parallel merge=append
 Function local:convert($v)
   Eval 2.20371 * $v
 Project local:convert(zero-or-one($i/reserve/text()->vals("reserve")))
   NestedLoop
     For $i in PathScan /site/open_auctions/open_auction ~24 [memo]
 === E Q19 ===
-Shard gather
 Project <item name="{$k}">{$b/location/text()->vals("location")}</item>
   Sort zero-or-one($b/location) ascending
     NestedLoop
       For $b in PathScan /site/regions//item ~43 [memo]
       Let $k in PathScan $b/name/text()->vals("name") ~96
 === E Q20 ===
-Shard gather
 Eval <result><preferred>{count(/site/people/person/profile[./@income >= 100000])}</preferred><standa…
   Project $p
     NestedLoop

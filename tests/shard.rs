@@ -1,14 +1,14 @@
-//! Scatter-gather oracle: sharded deployments are invisible to queries.
+//! Shard oracle: sharded deployments are invisible to queries.
 //!
 //! A [`ShardedStore`] partitions one logical XMark document across N
-//! entity shards plus a global head shard, and the query layer's scatter
-//! executor fans shard-parallel plans out per shard and reassembles the
-//! result (ordered merge on document-order keys for path scans, run
-//! concatenation for FLWOR iteration, partial-aggregate combine for
-//! counts, fall-through for gather-required plans). This suite is the
-//! correctness contract for all of it: **every** benchmark query must
-//! produce byte-identical canonical output on the sharded union and on
-//! the monolithic store it partitions — for 2, 4 and 8 shards, on an
+//! entity shards plus a global head shard and presents them as one
+//! union view: fused root and section nodes, dense global ids in
+//! document order, and axis cursors that concatenate the shard runs in
+//! shard (= document) order. Queries run on that view through the same
+//! executor as on any store. This suite is the correctness contract for
+//! it: **every** benchmark query must produce byte-identical canonical
+//! output on the sharded union and on the monolithic store it
+//! partitions — for 2, 4 and 8 shards, on an
 //! in-memory backend (A) and on the disk-resident backend (H, one page
 //! file per shard, opened cold).
 
@@ -31,7 +31,7 @@ fn assert_sharded_matches(store: &dyn XmlStore, reference: &[String], label: &st
         let got = canonical_output(store, q);
         assert_eq!(
             &got, want,
-            "Q{q} diverged on {label}: the scatter executor reassembled a \
+            "Q{q} diverged on {label}: the union view produced a \
              different result than the monolithic run"
         );
     }
@@ -77,32 +77,4 @@ fn all_queries_agree_sharded_vs_monolithic_paged_cold() {
             .expect("sharded H union merges shard pool stats");
         assert!(stats.pages_read > 0, "cold shards must read pages");
     }
-}
-
-#[test]
-fn every_scatter_mode_appears_in_the_benchmark_mix() {
-    // The oracle above proves outputs agree; this pins *why* it is a
-    // scatter test at all — the twenty queries exercise every shard
-    // execution mode, so a classification regression cannot silently
-    // turn the whole suite into gather fall-throughs.
-    let session = Benchmark::at_factor(FACTOR).generate();
-    let sharded = session.load_sharded(SystemId::A, 2);
-    let store = sharded.store.as_ref();
-    let mut modes = std::collections::BTreeMap::new();
-    for q in 1..=20 {
-        let compiled = compile(query(q).text, store).expect("benchmark query compiles");
-        *modes.entry(compiled.plan.shard).or_insert(0usize) += 1;
-    }
-    assert!(
-        modes.keys().any(|m| m.is_parallel()),
-        "no benchmark query scatters at all: {modes:?}"
-    );
-    assert!(
-        modes.contains_key(&ShardMode::ParallelSum),
-        "no partial-aggregate query in the mix: {modes:?}"
-    );
-    assert!(
-        modes.contains_key(&ShardMode::Gather),
-        "no gather-required query in the mix: {modes:?}"
-    );
 }

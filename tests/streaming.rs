@@ -3,7 +3,8 @@
 //!
 //! Two families of assertions:
 //!
-//! * **Byte identity** — for all twenty queries on every backend A–H,
+//! * **Byte identity** — for all twenty queries on every backend A–H
+//!   and on sharded unions (A in memory, H cold per-shard page files),
 //!   draining a [`ResultStream`] yields exactly the sequence `execute`
 //!   returns, and `write_to` produces exactly the bytes
 //!   `serialize_sequence` produces from the materialized result.
@@ -13,6 +14,8 @@
 //!   existential predicate (`[bidder]`-shaped) stops at its first witness
 //!   instead of draining the axis.
 
+use std::sync::Arc;
+
 use xmark::prelude::*;
 use xmark::query::{Compiled, Sequence, WriteError};
 use xmark::store::NaiveStore;
@@ -21,11 +24,30 @@ fn compiled(store: &dyn XmlStore, text: &str) -> Compiled {
     compile(text, store).expect("query compiles")
 }
 
+/// `systems` loaded from the factor-0.002 document, then the same
+/// document as a 2-shard union of A and as a union of cold-opened
+/// per-shard H page files: sharded requests are served by `write_to`
+/// over the union, so the unions are inputs like any backend.
+fn stores_and_unions(systems: &[SystemId]) -> Vec<(String, Arc<dyn XmlStore>)> {
+    let session = Benchmark::at_factor(0.002).generate();
+    let mut stores: Vec<(String, Arc<dyn XmlStore>)> = systems
+        .iter()
+        .map(|&system| (system.to_string(), session.load_shared(system)))
+        .collect();
+    stores.push((
+        "A x2 shards".to_string(),
+        session.load_sharded_shared(SystemId::A, 2),
+    ));
+    stores.push((
+        "H x2 cold shards".to_string(),
+        Arc::from(session.load_sharded_paged(2, Some(32)).store),
+    ));
+    stores
+}
+
 #[test]
 fn stream_matches_execute_on_all_twenty_queries_and_backends() {
-    let doc = generate_document(0.002);
-    for system in SystemId::EXTENDED {
-        let store = build_store(system, &doc.xml).unwrap();
+    for (system, store) in stores_and_unions(&SystemId::EXTENDED) {
         let store = store.as_ref();
         for q in &ALL_QUERIES {
             let c = compiled(store, q.text);
@@ -178,9 +200,7 @@ fn partly_consumed_stream_drains_exactly_the_remaining_suffix() {
     // byte, and ends on the same `pulls()` total. Prefix lengths cover
     // the empty prefix, the middle (inside replayed memo sequences and
     // half-expanded axis cursors) and the last item.
-    let doc = generate_document(0.002);
-    for system in [SystemId::A, SystemId::E, SystemId::H] {
-        let store = build_store(system, &doc.xml).unwrap();
+    for (system, store) in stores_and_unions(&[SystemId::A, SystemId::E, SystemId::H]) {
         let store = store.as_ref();
         for q in &ALL_QUERIES {
             let c = compiled(store, q.text);
