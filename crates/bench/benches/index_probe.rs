@@ -1,7 +1,7 @@
 //! Index-probe microbench: the store-resident index subsystem against
 //! the walks it replaces.
 //!
-//! Three probes, all on the same loaded stores:
+//! Two probes, each on its own loaded store:
 //!
 //! * `descendant_scan` — the raw access path under `//item` on System
 //!   A: the native descendant cursor (climbing parent chains per extent
@@ -9,9 +9,6 @@
 //!   binary searches).
 //! * `id_lookup` — Q1 on System G: the naive interpretive scan vs the
 //!   shared attribute-value index answering `lookup_id`.
-//! * `q8_join` — Q8 (decorrelated IndexLookup) on System A with value
-//!   persistence off (cold: every execution rebuilds its lookup index
-//!   and path materializations) vs on (warm: probes only).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -82,17 +79,6 @@ fn bench_index_probe(c: &mut Criterion) {
             })
         },
     );
-
-    // Q8 serving: cold per-execution builds vs warm persistent indexes.
-    let q8 = compile(query(8).text, store_a.as_ref()).unwrap();
-    let _ = execute(&q8, store_a.as_ref()).unwrap(); // warm the value slots
-    for (label, persistent) in [("cold", false), ("warm", true)] {
-        group.bench_with_input(BenchmarkId::new("q8_join", label), &store_a, |b, store| {
-            store.indexes().set_persistent(persistent);
-            b.iter(|| black_box(execute(&q8, store.as_ref()).unwrap()).len());
-        });
-    }
-    store_a.indexes().set_persistent(true);
 
     group.finish();
 }

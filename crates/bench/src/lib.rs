@@ -10,13 +10,13 @@
 //! | Table 2 (parse/plan/execute split, Q1/Q2 on A–G) | `table2_phases` |
 //! | Table 3 (13 queries × systems A–F) | `table3_queries` |
 //! | Fig. 4 (Q1–Q20 on embedded System G) | `fig4_embedded` |
-//! | Table 4 (concurrent throughput + plan cache, this reproduction's extension) | `table4_throughput` |
 //!
-//! Criterion microbenches (`benches/`) cover generator throughput, bulk
-//! loading, the query suite, the two architecture ablations (structural
-//! summary on/off, interval index vs scan), the concurrent service layer
-//! (`throughput`), and prepared-vs-unprepared serving through the plan
-//! cache (`plan_cache`).
+//! plus `plan_audit`, the plan-invariant audit over Q1–Q20 × every
+//! backend. Criterion microbenches (`benches/`) cover generator
+//! throughput, bulk loading, the query suite, the two architecture
+//! ablations (structural summary on/off, interval index vs scan), and
+//! the index probes (`index_probe`). Throughput, latency and
+//! time-to-first-item are measured by `perflab/`, not here.
 
 use std::time::{Duration, Instant};
 

@@ -59,24 +59,23 @@
 //! use xmark::prelude::*;
 //!
 //! let session = Benchmark::at_scale("mini").generate();
-//! let service = session.serve(SystemId::D, 2); // 2 worker threads
+//! let service = QueryService::start(session.load_shared(SystemId::D), 2); // 2 worker threads
 //! let report = service.run_mix(&[1, 6, 17], 30);
 //! assert_eq!(report.requests, 30);
 //! let q17 = report.stats(17).unwrap();
 //! assert!(q17.p50 <= q17.p99 && report.qps() > 0.0);
 //! ```
 //!
-//! (`Session::measure_throughput` collapses the load + serve + run chain
-//! into one call; the `table4_throughput` report binary sweeps worker
-//! counts 1→#cores across all seven backends.)
+//! (The `perflab/` benchmark drives this same service for the repo's
+//! throughput and latency record.)
 //!
 //! Serving composes with the **persistent index layer**: every store
 //! owns an [`xmark_store::IndexManager`] whose element postings,
 //! attribute values, and join-side value indexes build lazily, exactly
-//! once, and are shared by all workers. `Session::build_indexes(system)`
-//! and [`service::QueryService::build_indexes`] warm the store-walk
-//! indexes off the request path; [`service::ThroughputReport`] reports
-//! index builds and hits per run (zero builds once warm).
+//! once, and are shared by all workers.
+//! [`service::QueryService::build_indexes`] warms the store-walk indexes
+//! off the request path; [`service::ThroughputReport`] reports index
+//! builds and hits per run (zero builds once warm).
 //!
 //! The loaded stores stay alive in the report, and navigation is exposed
 //! as **streaming axis cursors** — no intermediate node sets:
@@ -128,7 +127,7 @@ pub use xmark_xml as xml;
 /// pieces (`generate_document`, `load_system`, `measure_query`) still
 /// exported for custom harnesses. For concurrent serving,
 /// [`service::QueryService`] runs a worker pool over one shared
-/// `Arc<dyn XmlStore>` (see `Session::serve` / `measure_throughput`).
+/// `Arc<dyn XmlStore>` (see `Session::load_shared`).
 /// Stores expose navigation as streaming axis cursors
 /// ([`xmark_store::XmlStore::children_iter`] and friends); the
 /// `Vec`-returning methods remain as thin wrappers.

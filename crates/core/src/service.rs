@@ -307,27 +307,15 @@ impl QueryService {
     /// # Panics
     /// Panics if `workers` is zero.
     pub fn start(store: Arc<dyn XmlStore>, workers: usize) -> Self {
-        Self::start_with_cache(store, workers, DEFAULT_PLAN_CACHE)
-    }
-
-    /// Spawn a pool with an explicit plan-cache capacity. Capacity 0
-    /// disables caching, forcing a cold parse + plan per request — the
-    /// baseline the throughput comparison measures against.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn start_with_cache(
-        store: Arc<dyn XmlStore>,
-        workers: usize,
-        cache_capacity: usize,
-    ) -> Self {
-        Self::start_source(Arc::new(store), workers, cache_capacity)
+        Self::start_source(Arc::new(store), workers, DEFAULT_PLAN_CACHE)
     }
 
     /// Spawn a pool over a [`StoreSource`]: every request pins whatever
     /// snapshot the source publishes at dispatch time, which is how the
     /// pool keeps serving consistent reads while a writer commits new
     /// epochs through a versioned store (see the `xmark-txn` crate).
+    /// `cache_capacity` sizes the plan cache; 0 disables it, forcing a
+    /// cold parse + plan per request.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
@@ -776,7 +764,7 @@ mod tests {
     fn disabled_plan_cache_always_misses() {
         let doc = generate_document(0.001);
         let store: Arc<dyn XmlStore> = Arc::from(load_system(SystemId::G, &doc.xml).store);
-        let service = QueryService::start_with_cache(store, 1, 0);
+        let service = QueryService::start_source(Arc::new(store), 1, 0);
         let report = service.run_mix(&[17], 5);
         assert_eq!(report.plan_cache_hits, 0);
         assert_eq!(report.plan_cache_misses, 5);

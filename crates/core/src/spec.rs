@@ -20,7 +20,6 @@ use xmark_store::{build_store, PagedStore, ShardedStore, SystemId, XmlStore, DEF
 use xmark_txn::VersionedStore;
 
 use crate::queries::query;
-use crate::service::{QueryService, ThroughputReport};
 
 /// A named document scale (paper Fig. 3 + the Fig. 4 miniatures).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -727,53 +726,6 @@ impl Session {
         }
     }
 
-    /// Spawn a [`QueryService`] worker pool over a sharded `system`
-    /// deployment with `entity_shards` shards: workers stream every
-    /// request off the union view, as on a monolithic store.
-    pub fn serve_sharded(
-        &self,
-        system: SystemId,
-        entity_shards: usize,
-        workers: usize,
-    ) -> QueryService {
-        QueryService::start(self.load_sharded_shared(system, entity_shards), workers)
-    }
-
-    /// Bulkload `system` and eagerly warm its shared store-resident
-    /// indexes (element postings + `@id` attribute values) so no later
-    /// query — or service request — pays an index build on its critical
-    /// path. Join-side value indexes warm on their first execution.
-    pub fn build_indexes(&self, system: SystemId) -> Arc<dyn XmlStore> {
-        let store = self.load_shared(system);
-        store.indexes().build_all(store.as_ref());
-        store
-    }
-
-    /// Spawn a [`QueryService`] worker pool over a freshly loaded
-    /// `system`.
-    pub fn serve(&self, system: SystemId, workers: usize) -> QueryService {
-        QueryService::start(self.load_shared(system), workers)
-    }
-
-    /// Bulkload `system` and wrap it as a [`VersionedStore`] — the entry
-    /// point for structural updates: [`VersionedStore::begin`] opens a
-    /// [`xmark_txn::Transaction`], and [`VersionedStore::snapshot`] pins
-    /// consistent read views while commits publish new epochs.
-    pub fn load_versioned(&self, system: SystemId) -> Arc<VersionedStore> {
-        VersionedStore::new(self.load_shared(system))
-    }
-
-    /// Spawn a [`QueryService`] whose workers resolve each request
-    /// against the *current* snapshot of `store` — reads keep flowing,
-    /// pinned per request, while transactions commit.
-    pub fn serve_versioned(&self, store: &Arc<VersionedStore>, workers: usize) -> QueryService {
-        QueryService::start_source(
-            Arc::clone(store) as Arc<dyn xmark_store::StoreSource>,
-            workers,
-            crate::service::DEFAULT_PLAN_CACHE,
-        )
-    }
-
     /// Bulkload `system` and compile `text` against it once, returning a
     /// reusable prepared query: repeated [`PreparedQuery::execute`] calls
     /// skip parse and plan.
@@ -824,18 +776,6 @@ impl Session {
         sink: &mut W,
     ) -> StreamStats {
         self.prepare(system, text).write_to(sink)
-    }
-
-    /// Bulkload `system`, spawn `workers` threads, and run `requests`
-    /// closed-loop requests cycling through this session's selected
-    /// queries — the Table 4 cell for one (system, worker-count) pair.
-    pub fn measure_throughput(
-        &self,
-        system: SystemId,
-        workers: usize,
-        requests: usize,
-    ) -> ThroughputReport {
-        self.serve(system, workers).run_mix(&self.queries, requests)
     }
 
     /// Load everything, measure every selected query on every selected

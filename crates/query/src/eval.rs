@@ -142,10 +142,10 @@ pub struct Evaluator<'a> {
     /// The element index, resolved once per execution (see
     /// [`Evaluator::index_postings`]).
     element_index: std::cell::OnceCell<&'a xmark_store::ElementIndex>,
-    /// Per-execution memo of resolved child-value indexes by tag
-    /// (`None` = unavailable), so the per-open resolution never touches
-    /// the manager's locks on the hot path.
-    child_values_cache: RefCell<HashMap<String, Option<Arc<ChildValues>>>>,
+    /// Per-execution memo of resolved child-value indexes by tag, so the
+    /// per-open resolution never touches the manager's locks on the hot
+    /// path.
+    child_values_cache: RefCell<HashMap<String, Arc<ChildValues>>>,
     /// Items pulled through operator cursors (path-step expansions and
     /// clause bindings). The probe behind the early-termination tests:
     /// `exists()`/`take(n)` must pull strictly fewer items than a full
@@ -798,34 +798,31 @@ impl<'a> Evaluator<'a> {
         Ok((current, start_index))
     }
 
-    /// The child-value index for `tag`, memoized per execution (`None`
-    /// = unavailable: value persistence off, or a naive plan). With
-    /// `build` false this only *peeks* at an already-built index — the
-    /// contract of a streaming cursor open, which must not pay an
-    /// extent walk before its first item; materializing (blocking)
-    /// consumers pass `build` true and pay the one-time build where a
-    /// full drain is already owed.
+    /// The child-value index for `tag`, memoized per execution. `None`
+    /// means only a naive plan (no shared values) or, with `build`
+    /// false, a peek miss. With `build` false this only *peeks* at an
+    /// already-built index — the contract of a streaming cursor open,
+    /// which must not pay an extent walk before its first item;
+    /// materializing (blocking) consumers pass `build` true and pay the
+    /// one-time build where a full drain is already owed.
     pub(crate) fn child_values(&self, tag: &str, build: bool) -> Option<Arc<ChildValues>> {
         if !self.shared_values {
             return None;
         }
         if let Some(cached) = self.child_values_cache.borrow().get(tag) {
-            return cached.clone();
+            return Some(Arc::clone(cached));
         }
         let resolved = if build {
             self.indexes.child_values(self.store, tag)
         } else {
             // A peek miss is not cached: a later materializing consumer
             // may still build within this execution.
-            match self.indexes.child_values_if_built(tag) {
-                Some(values) => Some(values),
-                None => return None,
-            }
+            self.indexes.child_values_if_built(tag)?
         };
         self.child_values_cache
             .borrow_mut()
-            .insert(tag.to_string(), resolved.clone());
-        resolved
+            .insert(tag.to_string(), Arc::clone(&resolved));
+        Some(resolved)
     }
 
     /// `…/tag/text()` over the shared typed child-value index. `None`

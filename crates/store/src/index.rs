@@ -54,7 +54,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::sync::lock;
@@ -364,8 +364,7 @@ type ValueSlot = Mutex<Option<(Arc<dyn Any + Send + Sync>, usize)>>;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Structures built since the store was loaded (element index,
-    /// attribute indexes, value-index slots; in non-persistent mode every
-    /// value build counts).
+    /// attribute indexes, value-index slots).
     pub builds: u64,
     /// Probes answered from an already-built structure.
     pub hits: u64,
@@ -380,11 +379,6 @@ pub struct IndexManager {
     /// Bytes held by filled value slots (tracked separately because the
     /// slot payloads are type-erased).
     value_bytes: AtomicU64,
-    /// When false, value slots are bypassed: every
-    /// [`IndexManager::value_or_build`] call rebuilds — the cold
-    /// per-execution baseline the `table4_throughput` A/B measures
-    /// against. Element and attribute indexes are unaffected.
-    persistent: AtomicBool,
     builds: AtomicU64,
     hits: AtomicU64,
 }
@@ -396,14 +390,13 @@ impl Default for IndexManager {
 }
 
 impl IndexManager {
-    /// A fresh manager with nothing built and persistence enabled.
+    /// A fresh manager with nothing built.
     pub fn new() -> Self {
         IndexManager {
             element: OnceLock::new(),
             attrs: Mutex::new(HashMap::new()),
             values: Mutex::new(HashMap::new()),
             value_bytes: AtomicU64::new(0),
-            persistent: AtomicBool::new(true),
             builds: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         }
@@ -457,17 +450,12 @@ impl IndexManager {
 
     /// Fetch (or build exactly once) the type-erased value structure for
     /// the planner signature `sig`. `build` returns the structure plus its
-    /// approximate resident bytes. With persistence disabled the slot is
-    /// bypassed and every call rebuilds.
+    /// approximate resident bytes.
     pub fn value_or_build<E>(
         &self,
         sig: &str,
         build: impl FnOnce() -> Result<(Arc<dyn Any + Send + Sync>, usize), E>,
     ) -> Result<Arc<dyn Any + Send + Sync>, E> {
-        if !self.persistent.load(Ordering::Relaxed) {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            return build().map(|(value, _)| value);
-        }
         let slot = {
             let mut values = lock(&self.values);
             Arc::clone(values.entry(sig.to_string()).or_default())
@@ -484,17 +472,8 @@ impl IndexManager {
         Ok(value)
     }
 
-    /// The typed child-value index for `tag`, or `None` when value
-    /// persistence is disabled (the pre-index-layer baseline evaluates
-    /// `tag/text()` tails generically). Built exactly once per tag.
-    pub fn child_values<S: XmlStore + ?Sized>(
-        &self,
-        store: &S,
-        tag: &str,
-    ) -> Option<Arc<ChildValues>> {
-        if !self.persistent() {
-            return None;
-        }
+    /// The typed child-value index for `tag`, built exactly once per tag.
+    pub fn child_values<S: XmlStore + ?Sized>(&self, store: &S, tag: &str) -> Arc<ChildValues> {
         let erased = self
             .value_or_build::<std::convert::Infallible>(&format!("cvals|{tag}"), || {
                 let values = ChildValues::build(store, tag);
@@ -502,7 +481,9 @@ impl IndexManager {
                 Ok((Arc::new(values) as Arc<dyn Any + Send + Sync>, bytes))
             })
             .expect("infallible build");
-        erased.downcast::<ChildValues>().ok()
+        erased
+            .downcast::<ChildValues>()
+            .expect("cvals slots hold ChildValues")
     }
 
     /// The typed child-value index for `tag` if (and only if) it has
@@ -520,9 +501,6 @@ impl IndexManager {
     /// built — never triggers a build. Used by streaming cursors that
     /// prefer to stay lazy on a cold slot.
     pub fn value_if_built(&self, sig: &str) -> Option<Arc<dyn Any + Send + Sync>> {
-        if !self.persistent.load(Ordering::Relaxed) {
-            return None;
-        }
         let slot = {
             let values = lock(&self.values);
             Arc::clone(values.get(sig)?)
@@ -533,16 +511,6 @@ impl IndexManager {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
-    }
-
-    /// Toggle value-slot persistence (see [`IndexManager::value_or_build`]).
-    pub fn set_persistent(&self, persistent: bool) {
-        self.persistent.store(persistent, Ordering::Relaxed);
-    }
-
-    /// Whether value slots persist across executions.
-    pub fn persistent(&self) -> bool {
-        self.persistent.load(Ordering::Relaxed)
     }
 
     /// A manager pre-populated with structures carried over (and
@@ -703,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    fn value_slots_build_once_and_respect_the_persistence_toggle() {
+    fn value_slots_build_once() {
         let manager = IndexManager::new();
         let build = || -> Result<_, std::convert::Infallible> {
             Ok((Arc::new(41usize) as Arc<dyn Any + Send + Sync>, 8))
@@ -715,11 +683,6 @@ mod tests {
         assert_eq!(manager.builds(), 1, "slot hit");
         assert_eq!(manager.hits(), 1);
         assert!(manager.size_bytes() >= 8);
-
-        manager.set_persistent(false);
-        let _ = manager.value_or_build("sig2", build).unwrap();
-        let _ = manager.value_or_build("sig2", build).unwrap();
-        assert_eq!(manager.builds(), 3, "non-persistent mode rebuilds");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! for a sharded union whose cursors the threads share.
 //!
 //! This is the correctness half of the concurrent service layer. The
-//! throughput half (`table4_throughput`) only makes sense if sharing a
+//! throughput half (perflab's workloads) only makes sense if sharing a
 //! store across threads never changes an answer: no torn metadata
 //! counters, no cache cross-talk, no evaluator state leaking between
 //! concurrent executions.

@@ -251,13 +251,8 @@ fn assert_indexes_match_rebuild(snap: &SnapshotStore, context: &str) {
     assert_eq!(kept_map, fresh_map, "{context}: @id index drifted");
 
     for tag in ["increase", "current"] {
-        let kept_cv = snap
-            .indexes()
-            .child_values(snap, tag)
-            .expect("value persistence is on");
-        let fresh_cv = rebuilt
-            .child_values(snap, tag)
-            .expect("value persistence is on");
+        let kept_cv = snap.indexes().child_values(snap, tag);
+        let fresh_cv = rebuilt.child_values(snap, tag);
         assert_eq!(
             normalized(kept_cv.clone_map()),
             normalized(fresh_cv.clone_map()),
@@ -459,17 +454,37 @@ fn readers_pin_snapshots_while_the_writer_commits() {
         3,
         DEFAULT_PLAN_CACHE,
     );
-    let auctions: Vec<Node> = {
+    let (auctions, baseline_bidders): (Vec<Node>, usize) = {
         let s = versioned.snapshot();
-        s.descendants_named_iter(s.root(), "open_auction").collect()
+        (
+            s.descendants_named_iter(s.root(), "open_auction").collect(),
+            s.count_descendants_named(s.root(), "bidder"),
+        )
     };
-    let mut i = 0usize;
+    // The writer alternates: an insert into the next auction, then a
+    // delete of that auction's last bidder, so every commit but a
+    // trailing insert is paired and the final count is checkable.
+    let mut inserts = 0usize;
+    let mut pending_delete: Option<Node> = None;
     let mut write = || -> Option<std::time::Duration> {
-        let target = auctions[i % auctions.len()];
-        i += 1;
         let start = std::time::Instant::now();
         let mut txn = versioned.begin();
-        txn.insert_subtree(target, NEW_BIDDER);
+        match pending_delete.take() {
+            Some(auction) => {
+                let s = versioned.snapshot();
+                let bidder = s
+                    .children_named_iter(auction, "bidder")
+                    .last()
+                    .expect("the bidder inserted by the previous call");
+                txn.delete_subtree(bidder);
+            }
+            None => {
+                let auction = auctions[inserts % auctions.len()];
+                inserts += 1;
+                txn.insert_subtree(auction, NEW_BIDDER);
+                pending_delete = Some(auction);
+            }
+        }
         txn.commit().expect("writer lane commit");
         Some(start.elapsed())
     };
@@ -488,4 +503,12 @@ fn readers_pin_snapshots_while_the_writer_commits() {
         report.epochs_observed
     );
     assert!(report.commit_p50 <= report.commit_p95);
+    // Writer-lane parity: inserts and deletes pair up, leaving the
+    // baseline plus the one insert still awaiting its delete.
+    let s = versioned.snapshot();
+    assert_eq!(
+        s.count_descendants_named(s.root(), "bidder"),
+        baseline_bidders + usize::from(pending_delete.is_some()),
+        "writer-lane parity"
+    );
 }
