@@ -682,53 +682,6 @@ impl<'a> Evaluator<'a> {
         !self.streamed_paths.borrow_mut().insert(sig.to_string())
     }
 
-    /// Materializing step-by-step path evaluation — the fallback the
-    /// streaming path cursor uses when its ordering invariants do not
-    /// hold (multi-item bases).
-    pub(crate) fn eval_path_uncached(
-        &self,
-        p: &'a PathPlan,
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<Sequence> {
-        let steps = &p.steps;
-        let (mut current, start_index) = self.root_base(p, env, ctx)?;
-
-        let mut i = start_index;
-        while i < steps.len() {
-            let step = &steps[i];
-
-            // Planned shortcut: `…/tag/text()` tail answered from inlined
-            // entity columns (System C) or the shared child-value index.
-            // Falls back to the generic steps if not covered.
-            if i + 2 == steps.len() {
-                if let Some(tag) = &p.inlined_tail {
-                    if let Some(shortcut) = self.try_inlined_tail(&current, tag)? {
-                        return Ok(shortcut);
-                    }
-                }
-                if let Some(tag) = &p.value_tail {
-                    if let Some(shortcut) = self.try_value_tail(&current, tag)? {
-                        return Ok(shortcut);
-                    }
-                }
-            }
-
-            // Planned shortcut: `tag[@id = "…"]` via the store's ID index.
-            if let StepAccess::IdProbe(literal) = &step.access {
-                if let Some(rewritten) = self.id_probe(&current, step, literal)? {
-                    current = rewritten;
-                    i += 1;
-                    continue;
-                }
-            }
-
-            current = self.apply_step(&current, step, env, ctx)?;
-            i += 1;
-        }
-        Ok(current)
-    }
-
     /// Resolve a path's base items and the index of the first unapplied
     /// step (the root base consumes its first step specially: the first
     /// step matches against the root *element* itself).
@@ -779,7 +732,7 @@ impl<'a> Evaluator<'a> {
                                 })
                                 .collect();
                             seq = self
-                                .apply_predicates(nodes, &first.preds, env, ctx)?
+                                .apply_predicates(nodes, &first.preds, env)?
                                 .into_iter()
                                 .map(Item::Node)
                                 .collect();
@@ -825,36 +778,9 @@ impl<'a> Evaluator<'a> {
         Some(resolved)
     }
 
-    /// `…/tag/text()` over the shared typed child-value index. `None`
-    /// when the index is unavailable — the generic two-step expansion
-    /// remains the fallback. The index holds the real text *nodes*, so
-    /// the rewrite is invisible even to node-order operators; a
-    /// monotonicity guard bails out to the generic steps on the exotic
-    /// context sets (nested or duplicated nodes) where the generic
-    /// expansion would re-sort and deduplicate across contexts.
-    pub(crate) fn try_value_tail(&self, current: &[Item], tag: &str) -> EResult<Option<Sequence>> {
-        let Some(values) = self.child_values(tag, true) else {
-            return Ok(None);
-        };
-        let mut out = Vec::new();
-        let mut last: Option<u32> = None;
-        for item in current {
-            let Item::Node(n) = item else {
-                return Err(EvalError::PathOverNonNode);
-            };
-            for &id in values.get(*n) {
-                if last.is_some_and(|l| id <= l) {
-                    return Ok(None);
-                }
-                last = Some(id);
-                out.push(Item::Node(Node(id)));
-            }
-        }
-        Ok(Some(out))
-    }
-
     /// `…/tag/text()` over inlined columns. Returns `Some` only if *every*
-    /// context node could be answered from the entity tables.
+    /// context node could be answered from the entity tables. Answers
+    /// follow context order, so the contexts must not nest.
     pub(crate) fn try_inlined_tail(
         &self,
         current: &[Item],
@@ -931,7 +857,6 @@ impl<'a> Evaluator<'a> {
         current: &[Item],
         step: &'a PlanStep,
         env: &mut Env<'a>,
-        ctx: Option<&Item>,
     ) -> EResult<Sequence> {
         let mut out: Sequence = Vec::new();
         let multi_context = current.len() > 1;
@@ -939,7 +864,7 @@ impl<'a> Evaluator<'a> {
             let Item::Node(n) = item else {
                 return Err(EvalError::PathOverNonNode);
             };
-            self.expand_step(*n, step, env, ctx, &mut out)?;
+            self.expand_step(*n, step, env, &mut out)?;
         }
         // Document order + set semantics across merged contexts.
         if multi_context && out.iter().all(|i| matches!(i, Item::Node(_))) {
@@ -953,14 +878,13 @@ impl<'a> Evaluator<'a> {
     /// to `out` with this context's predicates already applied —
     /// predicates are per-context (positional `[1]` selects within each
     /// node's children, not across the merged output). Shared by the
-    /// materializing [`Evaluator::apply_step`] and the streaming path
-    /// cursor.
+    /// path cursor's blocking stages (through [`Evaluator::apply_step`])
+    /// and its lazy stages (one context at a time).
     pub(crate) fn expand_step(
         &self,
         n: Node,
         step: &'a PlanStep,
         env: &mut Env<'a>,
-        ctx: Option<&Item>,
         out: &mut Sequence,
     ) -> EResult<()> {
         // Where this context node's matches begin.
@@ -1013,7 +937,7 @@ impl<'a> Evaluator<'a> {
                     return Ok(());
                 }
                 let matched: Vec<Node> = self.store.children_named_iter(n, tag).collect();
-                let filtered = self.apply_predicates(matched, &step.preds, env, ctx)?;
+                let filtered = self.apply_predicates(matched, &step.preds, env)?;
                 out.extend(filtered.into_iter().map(Item::Node));
                 return Ok(());
             }
@@ -1026,7 +950,7 @@ impl<'a> Evaluator<'a> {
                     return Ok(());
                 }
                 let matched: Vec<Node> = self.descendant_iter(n, tag, &step.access).collect();
-                let filtered = self.apply_predicates(matched, &step.preds, env, ctx)?;
+                let filtered = self.apply_predicates(matched, &step.preds, env)?;
                 out.extend(filtered.into_iter().map(Item::Node));
                 return Ok(());
             }
@@ -1054,7 +978,7 @@ impl<'a> Evaluator<'a> {
                     _ => None,
                 })
                 .collect();
-            let filtered = self.apply_predicates(nodes, &step.preds, env, ctx)?;
+            let filtered = self.apply_predicates(nodes, &step.preds, env)?;
             out.extend(filtered.into_iter().map(Item::Node));
         }
         Ok(())
@@ -1065,9 +989,7 @@ impl<'a> Evaluator<'a> {
         mut nodes: Vec<Node>,
         preds: &'a [PlanPred],
         env: &mut Env<'a>,
-        ctx: Option<&Item>,
     ) -> EResult<Vec<Node>> {
-        let _ = ctx;
         for pred in preds {
             nodes = match pred {
                 PlanPred::Position(k) => {

@@ -27,7 +27,8 @@
 //!   re-sorted into document order, which needs the whole step result.
 //!   The cursor tracks this statically — child steps from non-nested
 //!   contexts stay lazy, descendant steps mark their output as
-//!   potentially nested.
+//!   potentially nested, and so does a base of more than one item,
+//!   whose order is unknown (the first step sorts and deduplicates it).
 //!
 //! # One pull granularity
 //!
@@ -72,8 +73,8 @@ pub(crate) enum Cursor<'a> {
     Done,
     /// An error to report once, then fused.
     Failed(Option<EvalError>),
-    /// A fully materialized sequence (scalar expressions, blocking
-    /// operators, fallbacks).
+    /// A fully materialized sequence (scalar expressions, and the
+    /// re-open of a memoized path).
     Materialized(std::vec::IntoIter<Item>),
     /// A shared sequence streamed without cloning the vector (variable
     /// bindings, path-memo hits).
@@ -252,7 +253,8 @@ pub(crate) fn flwor_cursor<'a>(
 
 /// Where a streaming path's items originate.
 enum PathSource<'a> {
-    /// Materialized base items (single-item bases, root-child firsts).
+    /// Materialized base items (variable, context and expression bases,
+    /// root-child firsts).
     Items(std::vec::IntoIter<Item>),
     /// `//tag` from the document root, streamed off the store's
     /// descendant cursor (the root element itself may match first).
@@ -295,27 +297,10 @@ enum Stage<'a> {
         step: &'a PlanStep,
         active: Option<Expansion<'a>>,
     },
-    /// Blocking step: drains the upstream, then applies the step with
-    /// the materializing semantics (document-order merge across
-    /// contexts).
-    Buffered {
-        step: &'a PlanStep,
-        out: Option<std::vec::IntoIter<Item>>,
-    },
-    /// Planned `tag[@id = "…"]` probe over the whole upstream context
-    /// set, with generic fallback when the store has no ID index.
-    IdProbe {
-        step: &'a PlanStep,
-        literal: &'a str,
-        out: Option<std::vec::IntoIter<Item>>,
-    },
-    /// Planned `…/tag/text()` tail over inlined entity columns,
-    /// covering the final two steps; generic fallback when a context
-    /// node is not covered.
-    InlinedTail {
-        tag: &'a str,
-        first: &'a PlanStep,
-        second: &'a PlanStep,
+    /// Blocking stage: drains the upstream once, applies `op` to the
+    /// whole context set, then replays the result.
+    Blocking {
+        op: BlockingOp<'a>,
         out: Option<std::vec::IntoIter<Item>>,
     },
     /// Planned `…/tag/text()` tail over the shared typed child-value
@@ -331,21 +316,62 @@ enum Stage<'a> {
     },
 }
 
+/// What a [`Stage::Blocking`] applies to its drained context set.
+enum BlockingOp<'a> {
+    /// One generic step: per-context expansion, then document order and
+    /// set semantics across the merged contexts.
+    Step(&'a PlanStep),
+    /// Planned `tag[@id = "…"]` probe over the whole context set, with
+    /// generic fallback when the store has no ID index.
+    IdProbe {
+        step: &'a PlanStep,
+        literal: &'a str,
+    },
+    /// Planned `…/tag/text()` tail over inlined entity columns, covering
+    /// the final two steps; generic fallback when a context node is not
+    /// covered. Only planned over contexts that cannot nest, so the
+    /// per-context answers concatenate in document order.
+    InlinedTail {
+        tag: &'a str,
+        first: &'a PlanStep,
+        second: &'a PlanStep,
+    },
+}
+
+impl<'a> BlockingOp<'a> {
+    fn apply(&self, ev: &Evaluator<'a>, current: &[Item], env: &mut Env<'a>) -> EResult<Sequence> {
+        match *self {
+            BlockingOp::Step(step) => ev.apply_step(current, step, env),
+            BlockingOp::IdProbe { step, literal } => match ev.id_probe(current, step, literal)? {
+                Some(seq) => Ok(seq),
+                None => ev.apply_step(current, step, env),
+            },
+            BlockingOp::InlinedTail { tag, first, second } => {
+                match ev.try_inlined_tail(current, tag)? {
+                    Some(seq) => Ok(seq),
+                    None => {
+                        let mid = ev.apply_step(current, first, env)?;
+                        ev.apply_step(&mid, second, env)
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The PathScan operator as a pull pipeline: a base source plus one
 /// [`Stage`] per remaining step.
 pub(crate) struct PathCursor<'a> {
     env: Env<'a>,
-    ctx: Option<Item>,
     source: PathSource<'a>,
     stages: Vec<Stage<'a>>,
 }
 
 impl<'a> PathCursor<'a> {
-    /// Lower a path plan into a cursor. Bases are resolved eagerly (they
-    /// are at most one item on every streaming-relevant shape); when the
-    /// base is a multi-item sequence the ordering invariants cannot be
-    /// assumed and the whole path falls back to the materializing
-    /// evaluator.
+    /// Lower a path plan into a cursor. Bases are resolved eagerly; a
+    /// base of more than one item enters the pipeline as possibly
+    /// nested, so its first step runs as a blocking stage that sorts and
+    /// deduplicates it.
     fn build(
         ev: &Evaluator<'a>,
         p: &'a PathPlan,
@@ -384,55 +410,52 @@ impl<'a> PathCursor<'a> {
             }
             _ => {
                 let (items, start_index) = ev.root_base(p, env, ctx)?;
-                if items.len() > 1 {
-                    // Multi-item base: ordering/nesting unknown — fall
-                    // back to the materializing step loop wholesale.
-                    let result = ev.eval_path_uncached(p, env, ctx)?;
-                    ev.count_pulls(result.len() as u64);
-                    return Ok(Cursor::Materialized(result.into_iter()));
-                }
                 // A zero-or-one-item base cannot contain an
-                // ancestor/descendant pair.
-                (PathSource::Items(items.into_iter()), start_index, false)
+                // ancestor/descendant pair; a longer one may hold any
+                // order, duplicates included.
+                let nested = items.len() > 1;
+                (PathSource::Items(items.into_iter()), start_index, nested)
             }
         };
 
         // Lower the remaining steps into stages, tracking whether the
-        // flowing context set may contain ancestor/descendant pairs — the
-        // one condition under which lazy concatenation is not document
-        // order.
+        // flowing context set may contain ancestor/descendant pairs (or,
+        // straight off a multi-item base, any order) — the one condition
+        // under which lazy concatenation is not document order.
         let mut stages = Vec::with_capacity(steps.len().saturating_sub(start_index));
         let mut i = start_index;
         while i < steps.len() {
             let step = &steps[i];
-            if i + 2 == steps.len() {
+            if i + 2 == steps.len() && !nested {
                 if let Some(tag) = &p.inlined_tail {
-                    stages.push(Stage::InlinedTail {
-                        tag: tag.as_str(),
-                        first: step,
-                        second: &steps[i + 1],
+                    stages.push(Stage::Blocking {
+                        op: BlockingOp::InlinedTail {
+                            tag: tag.as_str(),
+                            first: step,
+                            second: &steps[i + 1],
+                        },
                         out: None,
                     });
                     i += 2;
                     continue;
                 }
-                if !nested {
-                    if let Some(tag) = &p.value_tail {
-                        if let Some(values) = ev.child_values(tag, materializing) {
-                            stages.push(Stage::ValueTail {
-                                values,
-                                active: None,
-                            });
-                            i += 2;
-                            continue;
-                        }
+                if let Some(tag) = &p.value_tail {
+                    if let Some(values) = ev.child_values(tag, materializing) {
+                        stages.push(Stage::ValueTail {
+                            values,
+                            active: None,
+                        });
+                        i += 2;
+                        continue;
                     }
                 }
             }
             if let StepAccess::IdProbe(literal) = &step.access {
-                stages.push(Stage::IdProbe {
-                    step,
-                    literal: literal.as_str(),
+                stages.push(Stage::Blocking {
+                    op: BlockingOp::IdProbe {
+                        step,
+                        literal: literal.as_str(),
+                    },
                     out: None,
                 });
                 nested = false; // the probe yields at most one node
@@ -440,7 +463,10 @@ impl<'a> PathCursor<'a> {
                 continue;
             }
             stages.push(if nested {
-                Stage::Buffered { step, out: None }
+                Stage::Blocking {
+                    op: BlockingOp::Step(step),
+                    out: None,
+                }
             } else {
                 Stage::Lazy { step, active: None }
             });
@@ -458,20 +484,13 @@ impl<'a> PathCursor<'a> {
 
         Ok(Cursor::Path(Box::new(PathCursor {
             env: env.clone(),
-            ctx: ctx.cloned(),
             source,
             stages,
         })))
     }
 
     fn next(&mut self, ev: &Evaluator<'a>) -> Option<EResult<Item>> {
-        let PathCursor {
-            env,
-            ctx,
-            source,
-            stages,
-        } = self;
-        pull_through(ev, source, stages, env, ctx.as_ref())
+        pull_through(ev, &mut self.source, &mut self.stages, &mut self.env)
     }
 }
 
@@ -483,7 +502,6 @@ fn pull_through<'a>(
     source: &mut PathSource<'a>,
     stages: &mut [Stage<'a>],
     env: &mut Env<'a>,
-    ctx: Option<&Item>,
 ) -> Option<EResult<Item>> {
     let Some((stage, upstream)) = stages.split_last_mut() else {
         return source.next(ev).map(Ok);
@@ -512,86 +530,27 @@ fn pull_through<'a>(
                 }
                 *active = None;
             }
-            match pull_through(ev, source, upstream, env, ctx)? {
+            match pull_through(ev, source, upstream, env)? {
                 Err(e) => return Some(Err(e)),
-                Ok(Item::Node(n)) => match expand(ev, n, step, env, ctx) {
+                Ok(Item::Node(n)) => match expand(ev, n, step, env) {
                     Ok(exp) => *active = Some(exp),
                     Err(e) => return Some(Err(e)),
                 },
                 Ok(_) => return Some(Err(EvalError::PathOverNonNode)),
             }
         },
-        Stage::Buffered { step, out } => {
+        Stage::Blocking { op, out } => {
             let iter = match out {
                 Some(iter) => iter,
                 None => {
-                    let current = match drain_upstream(ev, source, upstream, env, ctx) {
-                        Ok(c) => c,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    let seq = match ev.apply_step(&current, step, env, ctx) {
+                    let result = drain_upstream(ev, source, upstream, env)
+                        .and_then(|current| op.apply(ev, &current, env));
+                    let seq = match result {
                         Ok(seq) => seq,
                         Err(e) => return Some(Err(e)),
                     };
                     ev.count_pulls(seq.len() as u64);
                     out.insert(seq.into_iter())
-                }
-            };
-            iter.next().map(Ok)
-        }
-        Stage::IdProbe { step, literal, out } => {
-            let iter = match out {
-                Some(iter) => iter,
-                None => {
-                    let current = match drain_upstream(ev, source, upstream, env, ctx) {
-                        Ok(c) => c,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    let result = match ev.id_probe(&current, step, literal) {
-                        Ok(Some(seq)) => seq,
-                        // No ID index after all: evaluate generically.
-                        Ok(None) => match ev.apply_step(&current, step, env, ctx) {
-                            Ok(seq) => seq,
-                            Err(e) => return Some(Err(e)),
-                        },
-                        Err(e) => return Some(Err(e)),
-                    };
-                    ev.count_pulls(result.len() as u64);
-                    out.insert(result.into_iter())
-                }
-            };
-            iter.next().map(Ok)
-        }
-        Stage::InlinedTail {
-            tag,
-            first,
-            second,
-            out,
-        } => {
-            let iter = match out {
-                Some(iter) => iter,
-                None => {
-                    let current = match drain_upstream(ev, source, upstream, env, ctx) {
-                        Ok(c) => c,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    let result = match ev.try_inlined_tail(&current, tag) {
-                        Ok(Some(seq)) => seq,
-                        // Not covered by the entity tables: apply the two
-                        // remaining steps generically.
-                        Ok(None) => {
-                            match ev
-                                .apply_step(&current, first, env, ctx)
-                                .and_then(|mid| ev.apply_step(&mid, second, env, ctx))
-                            {
-                                Ok(seq) => seq,
-                                Err(e) => return Some(Err(e)),
-                            }
-                        }
-                        Err(e) => return Some(Err(e)),
-                    };
-                    ev.count_pulls(result.len() as u64);
-                    out.insert(result.into_iter())
                 }
             };
             iter.next().map(Ok)
@@ -603,7 +562,7 @@ fn pull_through<'a>(
                 }
                 *active = None;
             }
-            match pull_through(ev, source, upstream, env, ctx)? {
+            match pull_through(ev, source, upstream, env)? {
                 Err(e) => return Some(Err(e)),
                 Ok(Item::Node(n)) => {
                     let items: Vec<Item> = values
@@ -627,10 +586,9 @@ fn drain_upstream<'a>(
     source: &mut PathSource<'a>,
     upstream: &mut [Stage<'a>],
     env: &mut Env<'a>,
-    ctx: Option<&Item>,
 ) -> EResult<Sequence> {
     let mut out = Vec::new();
-    while let Some(r) = pull_through(ev, source, upstream, env, ctx) {
+    while let Some(r) = pull_through(ev, source, upstream, env) {
         out.push(r?);
     }
     Ok(out)
@@ -644,7 +602,6 @@ fn expand<'a>(
     n: Node,
     step: &'a PlanStep,
     env: &mut Env<'a>,
-    ctx: Option<&Item>,
 ) -> EResult<Expansion<'a>> {
     if step.preds.is_empty() {
         match (&step.axis, &step.test, &step.access) {
@@ -664,7 +621,7 @@ fn expand<'a>(
         }
     }
     let mut out = Vec::new();
-    ev.expand_step(n, step, env, ctx, &mut out)?;
+    ev.expand_step(n, step, env, &mut out)?;
     ev.count_pulls(out.len() as u64);
     Ok(Expansion::Queue(out.into_iter()))
 }

@@ -11,12 +11,38 @@
 //! under test.
 
 use xmark::prelude::*;
-use xmark::query::{canonicalize, compile_with_mode};
+use xmark::query::{canonicalize, compile_with_mode, EvalError, WriteError};
 
 fn run_with(store: &dyn XmlStore, text: &str, mode: PlanMode) -> String {
+    run_streamed(store, text, mode).expect("query runs")
+}
+
+/// `text` under `mode`, canonicalized, after checking that `write_to`
+/// streams exactly the bytes of the materialized result, or fails with
+/// the same error.
+fn run_streamed(store: &dyn XmlStore, text: &str, mode: PlanMode) -> Result<String, EvalError> {
     let compiled = compile_with_mode(text, store, mode).expect("query compiles");
-    let result = execute(&compiled, store).expect("query runs");
-    canonicalize(store, &result)
+    let executed = execute(&compiled, store);
+    let mut sunk = String::new();
+    match (&executed, compiled.write_to(store, &mut sunk)) {
+        (Ok(seq), Ok(_)) => assert_eq!(
+            sunk,
+            serialize_sequence(store, seq),
+            "{}: {mode:?} write_to diverges from execute: {text}",
+            store.system()
+        ),
+        (Err(e), Err(WriteError::Eval(streamed))) => assert_eq!(
+            e,
+            &streamed,
+            "{}: {mode:?} write_to fails differently: {text}",
+            store.system()
+        ),
+        (executed, streamed) => panic!(
+            "{}: {mode:?} execute gave {executed:?}, write_to {streamed:?}: {text}",
+            store.system()
+        ),
+    }
+    executed.map(|seq| canonicalize(store, &seq))
 }
 
 fn assert_planned_matches_naive(store: &dyn XmlStore, number: usize, text: &str) {
@@ -56,6 +82,72 @@ fn planned_plans_preserve_results_on_other_seeds() {
             for q in [2, 3, 4, 6, 7, 8, 9, 10, 11, 12] {
                 assert_planned_matches_naive(store.as_ref(), q, query(q).text);
             }
+        }
+    }
+}
+
+#[test]
+fn multi_item_path_bases_answer_in_document_order_on_every_backend() {
+    // A path base holding several items (a `let` binding, a comma
+    // expression) may be in any order, repeat a node, or pair an
+    // ancestor with its descendant. The planned shortcuts (inlined and
+    // value tails, ID probes, positional children) must still answer in
+    // document order without duplicates, exactly as the generic steps
+    // do: planned ≡ naive, streamed ≡ executed, and each case equals its
+    // reference, whose base is already sorted and duplicate-free.
+    let cases = [
+        (
+            "let $x := /site/people/person return $x/name/text()",
+            "/site/people/person/name/text()",
+        ),
+        (
+            "let $x := (/site/people/person[2], /site/people/person[1]) return $x/name/text()",
+            "let $x := (/site/people/person[1], /site/people/person[2]) return $x/name/text()",
+        ),
+        (
+            "let $x := (/site/people/person[1], /site/people/person[1]) return $x/name/text()",
+            "/site/people/person[1]/name/text()",
+        ),
+        (
+            "(/site/regions, /site/regions/europe)//item/name/text()",
+            "/site/regions//item/name/text()",
+        ),
+        (
+            "(/site/regions/europe, /site/regions)//item/name/text()",
+            "/site/regions//item/name/text()",
+        ),
+        (
+            r#"let $x := (/site/people, /site/people) return $x/person[@id = "person0"]/name/text()"#,
+            r#"/site/people/person[@id = "person0"]/name/text()"#,
+        ),
+        (
+            "let $x := /site/open_auctions/open_auction return $x/bidder[1]/increase/text()",
+            "/site/open_auctions/open_auction/bidder[1]/increase/text()",
+        ),
+        (
+            "(/site/open_auctions/open_auction[3], /site/open_auctions/open_auction[1])/initial/text()",
+            "(/site/open_auctions/open_auction[1], /site/open_auctions/open_auction[3])/initial/text()",
+        ),
+    ];
+    let non_node = r#"("a", /site/people/person[1])/name"#;
+    let doc = generate_document(0.002);
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        for (text, reference) in cases {
+            let optimized = run_with(store, text, PlanMode::Optimized);
+            let naive = run_with(store, text, PlanMode::Naive);
+            assert_eq!(optimized, naive, "{system}: planned ≠ naive: {text}");
+            assert!(!optimized.is_empty(), "{system}: empty answer: {text}");
+            let expected = run_with(store, reference, PlanMode::Optimized);
+            assert_eq!(optimized, expected, "{system}: {text} vs {reference}");
+        }
+        for mode in [PlanMode::Optimized, PlanMode::Naive] {
+            assert_eq!(
+                run_streamed(store, non_node, mode),
+                Err(EvalError::PathOverNonNode),
+                "{system}: {mode:?}"
+            );
         }
     }
 }

@@ -172,6 +172,29 @@ fn existential_predicate_stops_at_the_first_witness() {
 }
 
 #[test]
+fn a_multi_item_path_base_is_evaluated_once() {
+    // The FLWOR base runs once when the path cursor opens, and its items
+    // feed the blocking `name` step. The first execution publishes the
+    // loop-invariant `/site/people/person` to the store, so the measured
+    // drain replays it and pulls once per binding plus once per name.
+    // Evaluating the base a second time would add a pass of bindings,
+    // three pulls per person.
+    let doc = generate_document(0.002);
+    for system in [SystemId::A, SystemId::E, SystemId::H] {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        let c = compiled(store, "(for $p in /site/people/person return $p)/name");
+        execute(&c, store).expect("query runs");
+        let (items, pulls) = drain_counting(c.stream(store));
+        assert!(items > 1, "{system}: {items} names");
+        assert!(
+            pulls < 3 * items as u64,
+            "{system}: {pulls} pulls for {items} names — the base ran more than once"
+        );
+    }
+}
+
+#[test]
 fn exists_function_pulls_at_most_one_item() {
     // Same probe through the XQuery surface: exists(...) and the
     // where-clause EBV both go through the short-circuiting cursor.
