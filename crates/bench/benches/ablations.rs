@@ -41,14 +41,14 @@ fn bench_interval_descendants(c: &mut Criterion) {
     group.bench_function("indexed_stab_join", |b| {
         b.iter(|| {
             indexed
-                .descendants_named(indexed.root(), black_box("keyword"))
-                .len()
+                .descendants_named_iter(indexed.root(), black_box("keyword"))
+                .count()
         })
     });
     group.bench_function("interval_scan", |b| {
         b.iter(|| {
-            scan.descendants_named(scan.root(), black_box("keyword"))
-                .len()
+            scan.descendants_named_iter(scan.root(), black_box("keyword"))
+                .count()
         })
     });
     group.finish();
@@ -57,7 +57,9 @@ fn bench_interval_descendants(c: &mut Criterion) {
 fn bench_positional_bidder(c: &mut Criterion) {
     let doc = generate_document(0.01);
     let inlined = InlinedStore::load(&doc.xml).unwrap();
-    let auctions = inlined.descendants_named(inlined.root(), "open_auction");
+    let auctions: Vec<_> = inlined
+        .descendants_named_iter(inlined.root(), "open_auction")
+        .collect();
     let mut group = c.benchmark_group("positional_bidder");
     group.bench_function("positional_index", |b| {
         b.iter(|| {
@@ -78,7 +80,7 @@ fn bench_positional_bidder(c: &mut Criterion) {
         b.iter(|| {
             let mut found = 0usize;
             for &a in &auctions {
-                if !inlined.children_named(a, "bidder").is_empty() {
+                if inlined.children_named_iter(a, "bidder").next().is_some() {
                     found += 1;
                 }
             }

@@ -25,8 +25,8 @@
 //!
 //! ## Streaming results
 //!
-//! Execution is pull-based end to end: [`spec::Session::stream`] (and
-//! [`spec::PreparedQuery::stream`]) open a cursor over the physical plan
+//! Execution is pull-based end to end: a prepared query
+//! ([`spec::Session::prepare`]) opens a cursor over the physical plan
 //! whose `take(n)` / `exists()` / `count()` fast paths stop executing as
 //! soon as the answer is known, and `write_to(sink)` serializes item by
 //! item into any `fmt::Write` (or `io::Write` via `IoSink`) without
@@ -37,7 +37,7 @@
 //! use xmark::prelude::*;
 //!
 //! let session = Benchmark::at_scale("mini").generate();
-//! let people = session.stream(SystemId::E, "/site/people/person");
+//! let people = session.prepare(SystemId::E, "/site/people/person");
 //! assert!(people.exists());          // pulls one person, stops
 //! let preview = people.take(10);     // pulls ten, stops
 //! assert_eq!(preview.len(), 10);
@@ -129,8 +129,7 @@ pub use xmark_xml as xml;
 /// [`service::QueryService`] runs a worker pool over one shared
 /// `Arc<dyn XmlStore>` (see `Session::load_shared`).
 /// Stores expose navigation as streaming axis cursors
-/// ([`xmark_store::XmlStore::children_iter`] and friends); the
-/// `Vec`-returning methods remain as thin wrappers.
+/// ([`xmark_store::XmlStore::children_iter`] and friends).
 pub mod prelude {
     pub use crate::queries::{query, BenchmarkQuery, Concept, ALL_QUERIES, TABLE3_QUERIES};
     pub use crate::service::{
@@ -140,7 +139,7 @@ pub mod prelude {
     pub use crate::spec::{
         canonical_output, generate_document, load_system, measure_query, open_paged,
         open_paged_versioned, scale, Benchmark, BenchmarkReport, GeneratedDocument, LoadedStore,
-        PreparedQuery, QueryMeasurement, QueryStream, Scale, Session, SCALES,
+        PreparedQuery, QueryMeasurement, Scale, Session, SCALES,
     };
     pub use xmark_gen::{generate_split, generate_string, Generator, GeneratorConfig, AUCTION_DTD};
     pub use xmark_query::{

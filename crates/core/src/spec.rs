@@ -385,67 +385,6 @@ impl PreparedQuery {
     }
 }
 
-/// A reusable streaming handle over one (store, compiled query) pair,
-/// produced by [`Session::stream`]. Each accessor opens a fresh pull over
-/// the prepared plan; nothing is materialized unless the consumer drains.
-///
-/// ```
-/// use xmark::prelude::*;
-///
-/// let session = Benchmark::at_scale("mini").generate();
-/// let people = session.stream(SystemId::G, "/site/people/person");
-/// assert!(people.exists());            // pulls one person, stops
-/// let first_two = people.take(2);      // pulls two, stops
-/// assert_eq!(first_two.len(), 2);
-/// ```
-pub struct QueryStream {
-    prepared: PreparedQuery,
-}
-
-impl QueryStream {
-    /// A fresh pull-based iterator over the results.
-    pub fn iter(&self) -> ResultStream<'_> {
-        self.prepared.stream()
-    }
-
-    /// At most the first `n` items (see [`PreparedQuery::take`]).
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn take(&self, n: usize) -> Sequence {
-        self.prepared.take(n)
-    }
-
-    /// Whether any result item exists — pulls at most one.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn exists(&self) -> bool {
-        self.prepared.exists()
-    }
-
-    /// The result cardinality, draining without keeping items.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn count(&self) -> usize {
-        self.prepared.count()
-    }
-
-    /// Serialize everything into `sink` (see [`PreparedQuery::write_to`]).
-    ///
-    /// # Panics
-    /// Panics on evaluation errors or sink failures.
-    pub fn write_to<W: fmt::Write + ?Sized>(&self, sink: &mut W) -> StreamStats {
-        self.prepared.write_to(sink)
-    }
-
-    /// The underlying prepared query (plan, stats, store).
-    pub fn prepared(&self) -> &PreparedQuery {
-        &self.prepared
-    }
-}
-
 // ---- the session façade ----------------------------------------------------
 
 /// Builder-style entry point for a benchmark session.
@@ -728,7 +667,19 @@ impl Session {
 
     /// Bulkload `system` and compile `text` against it once, returning a
     /// reusable prepared query: repeated [`PreparedQuery::execute`] calls
-    /// skip parse and plan.
+    /// skip parse and plan, and each of `stream`/`take`/`exists`/`count`/
+    /// `write_to` opens a fresh pull that stops as soon as the answer is
+    /// known.
+    ///
+    /// ```
+    /// use xmark::prelude::*;
+    ///
+    /// let session = Benchmark::at_scale("mini").generate();
+    /// let people = session.prepare(SystemId::G, "/site/people/person");
+    /// assert!(people.exists());            // pulls one person, stops
+    /// let first_two = people.take(2);      // pulls two, stops
+    /// assert_eq!(first_two.len(), 2);
+    /// ```
     pub fn prepare(&self, system: SystemId, text: &str) -> PreparedQuery {
         PreparedQuery::new(self.load_shared(system), text)
     }
@@ -749,33 +700,6 @@ impl Session {
         let query = parse_query(text).unwrap_or_else(|e| panic!("query failed to parse: {e}"));
         let compiled = xmark_query::compile::plan(&query, store, mode);
         verify_plan_against(&query, &compiled.plan, store)
-    }
-
-    /// Bulkload `system`, compile `text`, and return a reusable streaming
-    /// handle: [`QueryStream::iter`] opens a fresh pull-based
-    /// [`ResultStream`] per call, and the `take`/`exists`/`count`/
-    /// `write_to` fast paths stop executing as soon as the answer is
-    /// known.
-    pub fn stream(&self, system: SystemId, text: &str) -> QueryStream {
-        QueryStream {
-            prepared: self.prepare(system, text),
-        }
-    }
-
-    /// Bulkload `system`, compile `text`, and serialize the whole result
-    /// into `sink` item by item (one item per line) without materializing
-    /// it. Returns the item/byte counts.
-    ///
-    /// # Panics
-    /// Panics if the query fails to compile, execute, or the sink rejects
-    /// a write.
-    pub fn write_to<W: fmt::Write + ?Sized>(
-        &self,
-        system: SystemId,
-        text: &str,
-        sink: &mut W,
-    ) -> StreamStats {
-        self.prepare(system, text).write_to(sink)
     }
 
     /// Load everything, measure every selected query on every selected
@@ -977,18 +901,18 @@ mod tests {
     #[test]
     fn session_stream_handle_round_trips() {
         let session = Benchmark::at_factor(0.001).generate();
-        let stream = session.stream(SystemId::G, "/site/people/person");
-        assert!(stream.exists());
-        let two = stream.take(2);
+        let prepared = session.prepare(SystemId::G, "/site/people/person");
+        assert!(prepared.exists());
+        let two = prepared.take(2);
         assert_eq!(two.len(), 2);
-        assert_eq!(stream.count(), stream.prepared().execute().len());
+        assert_eq!(prepared.count(), prepared.execute().len());
         let mut direct = String::new();
-        let stats = session.write_to(SystemId::G, "/site/people/person", &mut direct);
-        assert_eq!(stats.items, stream.count());
+        let stats = prepared.write_to(&mut direct);
+        assert_eq!(stats.items, prepared.count());
         assert!(stats.bytes > 0 && direct.len() as u64 == stats.bytes);
         // Iterator access yields the same first item as take(1).
-        let first = stream.iter().next().unwrap().unwrap();
-        assert_eq!(vec![first], stream.take(1));
+        let first = prepared.stream().next().unwrap().unwrap();
+        assert_eq!(vec![first], prepared.take(1));
     }
 
     #[test]

@@ -802,7 +802,7 @@ impl<'a> Evaluator<'a> {
 
     /// Execute a planned ID probe: the access path behind every
     /// mass-storage system's Q1. Returns `None` (falling back to the
-    /// generic cursor) if the store turns out not to index IDs.
+    /// generic cursor) if the step has no tag test.
     pub(crate) fn id_probe(
         &self,
         current: &[Item],
@@ -812,10 +812,7 @@ impl<'a> Evaluator<'a> {
         let NodeTest::Tag(tag) = &step.test else {
             return Ok(None);
         };
-        let Some(hit) = self.store.lookup_id(literal) else {
-            return Ok(None); // No ID index after all: evaluate generically.
-        };
-        let Some(node) = hit else {
+        let Some(node) = self.store.lookup_id(literal) else {
             return Ok(Some(Vec::new()));
         };
         // Verify the hit is the right tag and actually below the context.

@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn atomize_handles_every_item_kind() {
         let s = store();
-        let names = s.descendants_named(s.root(), "name");
+        let names: Vec<_> = s.descendants_named_iter(s.root(), "name").collect();
         assert_eq!(atomize(&s, &Item::Node(names[0])), "Alice");
         assert_eq!(atomize(&s, &Item::str("x")), "x");
         assert_eq!(atomize(&s, &Item::Num(4.0)), "4");
@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn write_sequence_agrees_with_serialize_sequence() {
         let s = store();
-        let names = s.descendants_named(s.root(), "name");
+        let names: Vec<_> = s.descendants_named_iter(s.root(), "name").collect();
         let seq = vec![
             Item::Node(names[0]),
             Item::Num(f64::INFINITY),
@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn io_sink_streams_bytes_and_counts() {
         let s = store();
-        let names = s.descendants_named(s.root(), "name");
+        let names: Vec<_> = s.descendants_named_iter(s.root(), "name").collect();
         let seq = vec![Item::Node(names[0]), Item::Num(7.0)];
         let mut sink = IoSink::new(Vec::<u8>::new());
         write_sequence(&s, &seq, &mut sink).unwrap();
@@ -440,7 +440,7 @@ mod tests {
     #[test]
     fn number_parses_node_text() {
         let s = NaiveStore::load("<a><price>40.5</price></a>").unwrap();
-        let price = s.descendants_named(s.root(), "price")[0];
+        let price = s.descendants_named_iter(s.root(), "price").next().unwrap();
         assert_eq!(number(&s, &Item::Node(price)), Some(40.5));
         assert_eq!(number(&s, &Item::str("x")), None);
     }

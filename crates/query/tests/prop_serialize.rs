@@ -50,7 +50,7 @@ fn arb_item(store: &NaiveStore) -> BoxedStrategy<Item> {
         let mut stack = vec![store.root()];
         while let Some(n) = stack.pop() {
             all.push(n);
-            stack.extend(store.children(n));
+            stack.extend(store.children_iter(n));
         }
         all
     };

@@ -21,6 +21,8 @@
 //! posting cursors instead of materialized node sets, and keeps the
 //! access-path contract separate from the executor, willow/bustub-style.
 
+use std::borrow::Cow;
+
 use crate::edge::{EdgeAttrs, EdgeChildren, EdgeChildrenNamed, EdgeDescendantsNamed};
 use crate::fragmented::{FragChildrenNamed, FragDescendantsNamed};
 use crate::interval::{IntervalChildren, IntervalChildrenNamed, IntervalScanNamed};
@@ -168,7 +170,10 @@ impl Iterator for DescendantsNamed<'_> {
     }
 }
 
-/// Cursor over an element's attributes as borrowed `(name, value)` pairs.
+/// Cursor over an element's attributes as `(name, value)` pairs. Names
+/// always borrow from the store's resident name table; values borrow on
+/// the RAM-resident backends and are owned where they live on evictable
+/// pages (backend H).
 pub enum AttrIter<'a> {
     /// No attributes.
     Empty,
@@ -181,19 +186,23 @@ pub enum AttrIter<'a> {
     /// Name-sorted borrowed pairs (System B reassembles per-(tag, attr)
     /// fragments; the sort buffer holds references, not copies).
     Sorted(std::vec::IntoIter<(&'a str, &'a str)>),
+    /// Values copied off pinned pages (backend H).
+    Owned(std::vec::IntoIter<(&'a str, String)>),
 }
 
 impl<'a> Iterator for AttrIter<'a> {
-    type Item = (&'a str, &'a str);
+    type Item = (&'a str, Cow<'a, str>);
 
     #[inline]
-    fn next(&mut self) -> Option<(&'a str, &'a str)> {
-        match self {
-            AttrIter::Empty => None,
-            AttrIter::Pairs(it) => it.next().map(|(k, v)| (k.as_str(), v.as_str())),
-            AttrIter::Dom(it) => it.next(),
-            AttrIter::Edge(it) => it.next(),
-            AttrIter::Sorted(it) => it.next(),
-        }
+    fn next(&mut self) -> Option<(&'a str, Cow<'a, str>)> {
+        let (name, value) = match self {
+            AttrIter::Empty => return None,
+            AttrIter::Pairs(it) => it.next().map(|(k, v)| (k.as_str(), v.as_str()))?,
+            AttrIter::Dom(it) => it.next()?,
+            AttrIter::Edge(it) => it.next()?,
+            AttrIter::Sorted(it) => it.next()?,
+            AttrIter::Owned(it) => return it.next().map(|(k, v)| (k, Cow::Owned(v))),
+        };
+        Some((name, Cow::Borrowed(value)))
     }
 }

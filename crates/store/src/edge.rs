@@ -13,6 +13,7 @@
 //! Every navigation step is an index lookup against those generic
 //! structures; nothing is specialized to the schema.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmark_rel::{HashIndex, Table, Value};
@@ -233,8 +234,8 @@ impl XmlStore for EdgeStore {
             .map(|p| Node(p as u32))
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
-        self.nodes.cell(n.index(), 3).as_str()
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
+        self.nodes.cell(n.index(), 3).as_str().map(Cow::Borrowed)
     }
 
     fn attribute(&self, n: Node, name: &str) -> Option<String> {
@@ -329,8 +330,8 @@ mod tests {
         let s = store();
         let root = s.root();
         assert_eq!(s.tag_of(root), Some("site"));
-        let people = s.children_named(root, "people");
-        let persons = s.children_named(people[0], "person");
+        let people: Vec<_> = s.children_named_iter(root, "people").collect();
+        let persons: Vec<_> = s.children_named_iter(people[0], "person").collect();
         assert_eq!(persons.len(), 2);
         assert_eq!(s.attribute(persons[1], "id").as_deref(), Some("person1"));
         assert_eq!(s.string_value(persons[0]), "Alicehttp://a");
@@ -339,18 +340,18 @@ mod tests {
     #[test]
     fn descendants_climb_parent_chain() {
         let s = store();
-        let people = s.children_named(s.root(), "people")[0];
-        let names = s.descendants_named(people, "name");
+        let people = s.children_named_iter(s.root(), "people").next().unwrap();
+        let names: Vec<_> = s.descendants_named_iter(people, "name").collect();
         assert_eq!(names.len(), 2);
-        let persons = s.children_named(people, "person");
-        let names_under_bob = s.descendants_named(persons[1], "name");
+        let persons: Vec<_> = s.children_named_iter(people, "person").collect();
+        let names_under_bob: Vec<_> = s.descendants_named_iter(persons[1], "name").collect();
         assert_eq!(names_under_bob.len(), 1);
     }
 
     #[test]
     fn id_index_supports_q1() {
         let s = store();
-        let hit = s.lookup_id("person0").unwrap().unwrap();
+        let hit = s.lookup_id("person0").unwrap();
         assert_eq!(s.tag_of(hit), Some("person"));
     }
 
@@ -370,13 +371,11 @@ mod tests {
         let s = store();
         let naive = crate::naive::NaiveStore::load(SAMPLE).unwrap();
         let a: Vec<u32> = s
-            .descendants_named(s.root(), "name")
-            .iter()
+            .descendants_named_iter(s.root(), "name")
             .map(|n| n.0)
             .collect();
         let b: Vec<u32> = naive
-            .descendants_named(naive.root(), "name")
-            .iter()
+            .descendants_named_iter(naive.root(), "name")
             .map(|n| n.0)
             .collect();
         assert_eq!(a, b);

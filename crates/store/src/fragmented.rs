@@ -14,6 +14,7 @@
 //! while per-tag scans are cheap because each relation *is* the extent of
 //! its tag.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -346,7 +347,7 @@ impl XmlStore for FragmentedStore {
         })
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
         let (code, row) = self.entry(n);
         if code & TEXT_FLAG == 0 {
             return None;
@@ -355,6 +356,7 @@ impl XmlStore for FragmentedStore {
             .rows
             .cell(row as usize, 3)
             .as_str()
+            .map(Cow::Borrowed)
     }
 
     fn attribute(&self, n: Node, name: &str) -> Option<String> {
@@ -471,13 +473,11 @@ mod tests {
         let naive = crate::naive::NaiveStore::load(SAMPLE).unwrap();
         for tag in ["name", "person", "item", "ghost"] {
             let a: Vec<u32> = s
-                .descendants_named(s.root(), tag)
-                .iter()
+                .descendants_named_iter(s.root(), tag)
                 .map(|n| n.0)
                 .collect();
             let b: Vec<u32> = naive
-                .descendants_named(naive.root(), tag)
-                .iter()
+                .descendants_named_iter(naive.root(), tag)
                 .map(|n| n.0)
                 .collect();
             assert_eq!(a, b, "tag {tag}");
@@ -487,13 +487,12 @@ mod tests {
     #[test]
     fn children_reassemble_across_fragments() {
         let s = store();
-        let people = s.children_named(s.root(), "people")[0];
-        let persons = s.children(people);
+        let people = s.children_named_iter(s.root(), "people").next().unwrap();
+        let persons: Vec<_> = s.children_iter(people).collect();
         assert_eq!(persons.len(), 2);
         let alice_kids: Vec<_> = s
-            .children(persons[0])
-            .iter()
-            .map(|&c| s.tag_of(c).unwrap().to_string())
+            .children_iter(persons[0])
+            .map(|c| s.tag_of(c).unwrap().to_string())
             .collect();
         assert_eq!(alice_kids, vec!["name", "homepage"]);
     }
@@ -501,13 +500,11 @@ mod tests {
     #[test]
     fn text_and_attributes_round_trip() {
         let s = store();
-        let persons = s.descendants_named(s.root(), "person");
+        let persons: Vec<_> = s.descendants_named_iter(s.root(), "person").collect();
         assert_eq!(s.attribute(persons[0], "id").as_deref(), Some("person0"));
         assert_eq!(s.string_value(persons[1]), "Bob");
-        assert_eq!(
-            s.attributes(persons[0]),
-            vec![("id".to_string(), "person0".to_string())]
-        );
+        let attrs: Vec<_> = s.attributes_iter(persons[0]).collect();
+        assert_eq!(attrs, vec![("id", "person0".into())]);
     }
 
     #[test]
@@ -522,7 +519,7 @@ mod tests {
     #[test]
     fn subtree_scoped_descendants() {
         let s = store();
-        let regions = s.children_named(s.root(), "regions")[0];
-        assert_eq!(s.descendants_named(regions, "name").len(), 1);
+        let regions = s.children_named_iter(s.root(), "regions").next().unwrap();
+        assert_eq!(s.descendants_named_iter(regions, "name").count(), 1);
     }
 }

@@ -15,6 +15,7 @@
 //! [`XmlStore::typed_child_value`] and [`XmlStore::positional_child`] —
 //! that is why C wins the paper's Q2/Q3.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -174,7 +175,7 @@ impl XmlStore for InlinedStore {
         self.base.parent(n)
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
         self.base.text(n)
     }
 
@@ -279,7 +280,7 @@ mod tests {
     #[test]
     fn inlines_scalar_children() {
         let s = store();
-        let persons = s.descendants_named(s.root(), "person");
+        let persons: Vec<_> = s.descendants_named_iter(s.root(), "person").collect();
         assert_eq!(
             s.typed_child_value(persons[0], "name"),
             Some(Some("Alice".to_string()))
@@ -293,7 +294,7 @@ mod tests {
     #[test]
     fn positional_bidder_access() {
         let s = store();
-        let auctions = s.descendants_named(s.root(), "open_auction");
+        let auctions: Vec<_> = s.descendants_named_iter(s.root(), "open_auction").collect();
         let first = s
             .positional_child(auctions[0], "bidder", PositionSpec::First(1))
             .unwrap()
@@ -323,13 +324,11 @@ mod tests {
         let s = store();
         let naive = crate::naive::NaiveStore::load(SAMPLE).unwrap();
         let a: Vec<u32> = s
-            .descendants_named(s.root(), "increase")
-            .iter()
+            .descendants_named_iter(s.root(), "increase")
             .map(|n| n.0)
             .collect();
         let b: Vec<u32> = naive
-            .descendants_named(naive.root(), "increase")
-            .iter()
+            .descendants_named_iter(naive.root(), "increase")
             .map(|n| n.0)
             .collect();
         assert_eq!(a, b);
@@ -374,7 +373,7 @@ mod tests {
     #[test]
     fn inlined_auction_values() {
         let s = store();
-        let auctions = s.descendants_named(s.root(), "open_auction");
+        let auctions: Vec<_> = s.descendants_named_iter(s.root(), "open_auction").collect();
         assert_eq!(
             s.typed_child_value(auctions[0], "initial"),
             Some(Some("12.50".to_string()))

@@ -13,6 +13,7 @@
 //!   indexes: every structural step scans the interval. The E-vs-F delta is
 //!   the ablation the benchmark's `ablation_interval` bench measures.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use xmark_xml::{Document, NodeId};
@@ -290,12 +291,8 @@ impl XmlStore for IntervalStore {
         })
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
-        if self.tag_code[n.index()] == TEXT_TAG {
-            Some(&self.text[n.index()])
-        } else {
-            None
-        }
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
+        (self.tag_code[n.index()] == TEXT_TAG).then(|| Cow::Borrowed(&*self.text[n.index()]))
     }
 
     fn attribute(&self, n: Node, name: &str) -> Option<String> {
@@ -408,7 +405,7 @@ mod tests {
         for store in [&e, &f] {
             let root = store.root();
             assert_eq!(store.tag_of(root), Some("site"));
-            let items = store.descendants_named(root, "item");
+            let items: Vec<_> = store.descendants_named_iter(root, "item").collect();
             assert_eq!(items.len(), 2);
             assert_eq!(store.attribute(items[0], "id").as_deref(), Some("item0"));
             assert_eq!(store.string_value(items[1]), "gold coin");
@@ -420,9 +417,8 @@ mod tests {
         let (e, _) = both();
         let root = e.root();
         let kids: Vec<_> = e
-            .children(root)
-            .iter()
-            .map(|&c| e.tag_of(c).unwrap().to_string())
+            .children_iter(root)
+            .map(|c| e.tag_of(c).unwrap().to_string())
             .collect();
         assert_eq!(kids, vec!["regions", "people"]);
     }
@@ -431,8 +427,11 @@ mod tests {
     fn stab_join_is_scoped_to_subtree() {
         let (e, f) = both();
         for store in [&e, &f] {
-            let people = store.descendants_named(store.root(), "people")[0];
-            let names = store.descendants_named(people, "name");
+            let people = store
+                .descendants_named_iter(store.root(), "people")
+                .next()
+                .unwrap();
+            let names: Vec<_> = store.descendants_named_iter(people, "name").collect();
             assert_eq!(names.len(), 1, "only Alice's name is under people");
         }
     }
@@ -440,13 +439,13 @@ mod tests {
     #[test]
     fn both_variants_answer_id_lookups_via_the_shared_index() {
         let (e, f) = both();
-        let hit = e.lookup_id("person0").unwrap().unwrap();
+        let hit = e.lookup_id("person0").unwrap();
         assert_eq!(e.tag_of(hit), Some("person"));
         // F has no *architectural* ID index (the planner still scans for
         // Q1), but the shared store-layer attribute index answers direct
         // lookups on it too.
-        assert_eq!(f.lookup_id("person0").unwrap(), Some(hit));
-        assert_eq!(f.lookup_id("ghost").unwrap(), None);
+        assert_eq!(f.lookup_id("person0"), Some(hit));
+        assert_eq!(f.lookup_id("ghost"), None);
         assert!(!f.planner_caps().id_index);
     }
 

@@ -62,7 +62,10 @@ pub use naive::NaiveStore;
 pub use paged::{PagedStore, PoolStats, DEFAULT_POOL_PAGES};
 pub use shard::{ShardError, ShardedStore};
 pub use summary::SummaryStore;
-pub use traits::{Node, PlannerCaps, PositionSpec, StepEstimate, StoreSource, SystemId, XmlStore};
+pub use traits::{
+    serialize_by_cursors, string_value_by_cursors, Node, PlannerCaps, PositionSpec, StepEstimate,
+    StoreSource, SystemId, XmlStore,
+};
 
 // Compile-time proof that every backend can be shared across threads:
 // `XmlStore` carries `Send + Sync` supertraits, and each concrete store

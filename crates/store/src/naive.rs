@@ -7,6 +7,8 @@
 //! **no** secondary structures, and answer every query by interpretive
 //! traversal — even the Q1 ID lookup is a full scan.
 
+use std::borrow::Cow;
+
 use xmark_xml::dom::{Children, Descendants, Sym};
 use xmark_xml::Document;
 
@@ -151,8 +153,8 @@ impl XmlStore for NaiveStore {
         self.doc.parent(xmark_xml::NodeId(n.0)).map(|p| Node(p.0))
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
-        self.doc.text(xmark_xml::NodeId(n.0))
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
+        self.doc.text(xmark_xml::NodeId(n.0)).map(Cow::Borrowed)
     }
 
     fn attribute(&self, n: Node, name: &str) -> Option<String> {
@@ -208,9 +210,9 @@ mod tests {
         let store = NaiveStore::load(SAMPLE).unwrap();
         let root = store.root();
         assert_eq!(store.tag_of(root), Some("site"));
-        let people = store.children_named(root, "people");
+        let people: Vec<_> = store.children_named_iter(root, "people").collect();
         assert_eq!(people.len(), 1);
-        let persons = store.children_named(people[0], "person");
+        let persons: Vec<_> = store.children_named_iter(people[0], "person").collect();
         assert_eq!(persons.len(), 2);
         assert_eq!(
             store.attribute(persons[0], "id").as_deref(),
@@ -228,16 +230,16 @@ mod tests {
         let store = NaiveStore::load(SAMPLE).unwrap();
         assert!(!store.planner_caps().id_index);
         assert_eq!(store.indexes().builds(), 0, "nothing built eagerly");
-        let hit = store.lookup_id("person0").unwrap().unwrap();
+        let hit = store.lookup_id("person0").unwrap();
         assert_eq!(store.tag_of(hit), Some("person"));
-        assert_eq!(store.lookup_id("ghost").unwrap(), None);
+        assert_eq!(store.lookup_id("ghost"), None);
         assert_eq!(store.indexes().builds(), 1, "one lazy build, then reuse");
     }
 
     #[test]
     fn descendants_walk_the_tree() {
         let store = NaiveStore::load(SAMPLE).unwrap();
-        let names = store.descendants_named(store.root(), "name");
+        let names: Vec<_> = store.descendants_named_iter(store.root(), "name").collect();
         assert_eq!(names.len(), 2);
         // Document order.
         assert!(names[0] < names[1]);
@@ -246,9 +248,11 @@ mod tests {
     #[test]
     fn serializes_subtrees() {
         let store = NaiveStore::load(SAMPLE).unwrap();
-        let persons = store.descendants_named(store.root(), "person");
+        let persons: Vec<_> = store
+            .descendants_named_iter(store.root(), "person")
+            .collect();
         let mut out = String::new();
-        store.serialize_node(persons[0], &mut out);
+        store.serialize_node_to(persons[0], &mut out).unwrap();
         assert_eq!(out, r#"<person id="person0"><name>Alice</name></person>"#);
     }
 }

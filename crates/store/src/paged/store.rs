@@ -20,13 +20,10 @@
 //! `is_text_node`) pin per call. Node records are fixed-width
 //! ([`NODES_PER_PAGE`] per page), so a node id maps to a `(page, slot)`
 //! pair by arithmetic; text and attribute lookups binary-search the
-//! catalog's sparse first-id-per-page indexes. The borrowed-`&str`
-//! trait methods (`text`, `attributes_iter`) cannot hand out references
-//! into evictable frames, so they fall back to lazily-built
-//! stable-address caches — every hot path (`string_value_into`,
-//! `serialize_node_to`, `attribute`, `attributes`,
-//! [`XmlStore::is_text_node`]) is overridden with owned page reads and
-//! never touches them.
+//! catalog's sparse first-id-per-page indexes. `text` and
+//! `attributes_iter` cannot lend references into evictable frames, so
+//! they return owned copies of the values (`Cow::Owned`); the page file
+//! is the only copy of the document this store keeps.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -34,7 +31,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use xmark_xml::Document;
 
@@ -52,11 +49,6 @@ use super::wal::{LogManager, LogRecord};
 /// Text-node marker in the tag-code column (same sentinel as E/F).
 const TEXT_TAG: u16 = u16::MAX;
 
-/// One lazily-filled slot per node of a borrow-compat cache.
-type LazySlots<T> = OnceLock<Vec<OnceLock<T>>>;
-/// Owned attribute list, cached for the borrowing `attributes_iter`.
-type AttrList = Box<[(String, String)]>;
-
 /// Default frame budget: 256 × 4 KiB = 1 MiB of resident page cache.
 pub const DEFAULT_POOL_PAGES: usize = 256;
 
@@ -71,10 +63,6 @@ pub struct PagedStore {
     wal_path: PathBuf,
     /// Delete the page + log files on drop (scratch stores).
     ephemeral: bool,
-    /// Stable-address compat caches for the borrowed-`&str` trait
-    /// methods; unallocated until a generic caller actually uses one.
-    text_cache: LazySlots<Box<str>>,
-    attr_cache: LazySlots<AttrList>,
     indexes: IndexManager,
     metadata: AtomicU64,
 }
@@ -314,8 +302,6 @@ impl PagedStore {
             path: path.to_path_buf(),
             wal_path,
             ephemeral: false,
-            text_cache: OnceLock::new(),
-            attr_cache: OnceLock::new(),
             indexes: IndexManager::new(),
             metadata: AtomicU64::new(0),
         })
@@ -379,8 +365,6 @@ impl PagedStore {
             path: path.to_path_buf(),
             wal_path,
             ephemeral: false,
-            text_cache: OnceLock::new(),
-            attr_cache: OnceLock::new(),
             indexes: IndexManager::new(),
             metadata: AtomicU64::new(0),
         })
@@ -459,22 +443,6 @@ impl PagedStore {
             pi -= 1;
         }
         Some(pi)
-    }
-
-    fn text_cache(&self) -> &[OnceLock<Box<str>>] {
-        self.text_cache.get_or_init(|| {
-            (0..self.header.node_count)
-                .map(|_| OnceLock::new())
-                .collect()
-        })
-    }
-
-    fn attr_cache(&self) -> &[OnceLock<AttrList>] {
-        self.attr_cache.get_or_init(|| {
-            (0..self.header.node_count)
-                .map(|_| OnceLock::new())
-                .collect()
-        })
     }
 }
 
@@ -623,12 +591,12 @@ impl<'a> PageRun<'a> {
         })
     }
 
-    /// All attributes of node `id`.
-    fn attrs(&mut self, id: u32) -> Vec<(String, String)> {
+    /// All attributes of node `id`, names borrowed from the catalog.
+    fn attrs(&mut self, id: u32) -> Vec<(&'a str, String)> {
         let names = &self.store.catalog.attr_names;
         let mut out = Vec::new();
         self.find_attr(id, |code, value| {
-            out.push((names[code as usize].clone(), value.into_owned()));
+            out.push((names[code as usize].as_str(), value.into_owned()));
             None::<()>
         });
         out
@@ -756,33 +724,13 @@ impl XmlStore for PagedStore {
     }
 
     fn size_bytes(&self) -> usize {
-        // Resident only: pool frames, catalog, tag lookup, any compat
-        // caches actually allocated, and the shared indexes. The page
-        // file itself is disk_bytes().
-        let mut total = self.pool.resident_bytes() + self.catalog.resident_bytes();
-        total += self
-            .tag_lookup
-            .keys()
-            .map(|k| k.capacity() + 2 + 48)
-            .sum::<usize>();
-        if let Some(cache) = self.text_cache.get() {
-            total += cache.len() * std::mem::size_of::<OnceLock<Box<str>>>();
-            total += cache
-                .iter()
-                .filter_map(|c| c.get())
-                .map(|s| s.len())
-                .sum::<usize>();
-        }
-        if let Some(cache) = self.attr_cache.get() {
-            total += cache.len() * std::mem::size_of::<OnceLock<Box<[(String, String)]>>>();
-            total += cache
-                .iter()
-                .filter_map(|c| c.get())
-                .flat_map(|l| l.iter())
-                .map(|(k, v)| k.capacity() + v.capacity() + 48)
-                .sum::<usize>();
-        }
-        total + self.indexes.size_bytes()
+        // Resident only: pool frames, catalog, tag lookup and the shared
+        // indexes. The page file itself is disk_bytes().
+        let tag_lookup: usize = self.tag_lookup.keys().map(|k| k.capacity() + 2 + 48).sum();
+        self.pool.resident_bytes()
+            + self.catalog.resident_bytes()
+            + tag_lookup
+            + self.indexes.size_bytes()
     }
 
     fn disk_bytes(&self) -> usize {
@@ -819,18 +767,14 @@ impl XmlStore for PagedStore {
         }
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
-        // Borrowed-return compat path: generic callers get a lazily
-        // cached copy with a stable address. Hot paths never come here —
-        // they use is_text_node / string_value_into / serialize_node_to.
-        if !self.is_text_node(n) {
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
+        let mut run = PageRun::new(self);
+        if run.node_rec(n.0).tag_code != TEXT_TAG {
             return None;
         }
-        Some(self.text_cache()[n.index()].get_or_init(|| {
-            let mut s = String::new();
-            PageRun::new(self).text_into(n.0, &mut s);
-            s.into_boxed_str()
-        }))
+        let mut s = String::new();
+        run.text_into(n.0, &mut s);
+        Some(Cow::Owned(s))
     }
 
     fn attribute(&self, n: Node, name: &str) -> Option<String> {
@@ -839,19 +783,8 @@ impl XmlStore for PagedStore {
         PageRun::new(self).find_attr(n.0, |c, value| (c == code).then(|| value.into_owned()))
     }
 
-    fn attributes(&self, n: Node) -> Vec<(String, String)> {
-        PageRun::new(self).attrs(n.0)
-    }
-
     fn attributes_iter(&self, n: Node) -> AttrIter<'_> {
-        // Same compat-cache story as text(): prefer attributes().
-        let list = self.attr_cache()[n.index()]
-            .get_or_init(|| PageRun::new(self).attrs(n.0).into_boxed_slice());
-        if list.is_empty() {
-            AttrIter::Empty
-        } else {
-            AttrIter::Pairs(list.iter())
-        }
+        AttrIter::Owned(PageRun::new(self).attrs(n.0).into_iter())
     }
 
     fn children_iter(&self, n: Node) -> ChildIter<'_> {
@@ -959,30 +892,38 @@ mod tests {
             let n = Node(id);
             assert_eq!(h.tag_of(n), e.tag_of(n), "tag of {n}");
             assert_eq!(h.parent(n), e.parent(n), "parent of {n}");
-            assert_eq!(h.children(n), e.children(n), "children of {n}");
-            assert_eq!(h.attributes(n), e.attributes(n), "attrs of {n}");
+            assert_eq!(
+                h.children_iter(n).collect::<Vec<_>>(),
+                e.children_iter(n).collect::<Vec<_>>(),
+                "children of {n}"
+            );
+            assert_eq!(
+                h.attributes_iter(n).collect::<Vec<_>>(),
+                e.attributes_iter(n).collect::<Vec<_>>(),
+                "attrs of {n}"
+            );
             assert_eq!(h.string_value(n), e.string_value(n), "value of {n}");
             assert_eq!(h.is_text_node(n), e.is_text_node(n), "is_text {n}");
         }
         let mut hs = String::new();
         let mut es = String::new();
-        h.serialize_node(h.root(), &mut hs);
-        e.serialize_node(e.root(), &mut es);
+        h.serialize_node_to(h.root(), &mut hs).unwrap();
+        e.serialize_node_to(e.root(), &mut es).unwrap();
         assert_eq!(hs, es, "serialization");
     }
 
     #[test]
     fn named_cursors_and_lookup_work() {
         let h = temp(SAMPLE, 8);
-        let items = h.descendants_named(h.root(), "item");
+        let items: Vec<_> = h.descendants_named_iter(h.root(), "item").collect();
         assert_eq!(items.len(), 2);
         assert_eq!(h.attribute(items[0], "id").as_deref(), Some("item0"));
         assert_eq!(h.attribute(items[0], "featured").as_deref(), Some("yes"));
         assert_eq!(h.attribute(items[1], "featured"), None);
-        let people = h.descendants_named(h.root(), "people")[0];
-        assert_eq!(h.children_named(people, "person").len(), 1);
-        assert_eq!(h.descendants_named(people, "name").len(), 1);
-        let hit = h.lookup_id("person0").unwrap().unwrap();
+        let people = h.descendants_named_iter(h.root(), "people").next().unwrap();
+        assert_eq!(h.children_named_iter(people, "person").count(), 1);
+        assert_eq!(h.descendants_named_iter(people, "name").count(), 1);
+        let hit = h.lookup_id("person0").unwrap();
         assert_eq!(h.tag_of(hit), Some("person"));
         assert_eq!(h.compile_step("item"), 2);
         assert_eq!(h.compile_step("ghost"), 0);
@@ -993,11 +934,11 @@ mod tests {
     fn attribute_agrees_with_attributes() {
         let xml = r#"<site><item id="i0" featured="yes" lang="en" rank="3">x</item><item id="i1"/></site>"#;
         let h = temp(xml, 2);
-        let items = h.descendants_named(h.root(), "item");
-        let all = h.attributes(items[0]);
+        let items: Vec<_> = h.descendants_named_iter(h.root(), "item").collect();
+        let all: Vec<_> = h.attributes_iter(items[0]).collect();
         assert_eq!(all.len(), 4);
         for (name, value) in &all {
-            assert_eq!(h.attribute(items[0], name).as_deref(), Some(value.as_str()));
+            assert_eq!(h.attribute(items[0], name).as_deref(), Some(&**value));
         }
         assert_eq!(h.attribute(items[1], "id").as_deref(), Some("i1"));
         // A name the catalog knows but the node lacks, and one the
@@ -1022,14 +963,12 @@ mod tests {
         );
         let e = IntervalStore::load_indexed(&big).unwrap();
         let h_names: Vec<String> = h
-            .descendants_named(h.root(), "name")
-            .iter()
-            .map(|&n| h.string_value(n))
+            .descendants_named_iter(h.root(), "name")
+            .map(|n| h.string_value(n))
             .collect();
         let e_names: Vec<String> = e
-            .descendants_named(e.root(), "name")
-            .iter()
-            .map(|&n| e.string_value(n))
+            .descendants_named_iter(e.root(), "name")
+            .map(|n| e.string_value(n))
             .collect();
         assert_eq!(h_names, e_names);
         let stats = h.pool_stats();
@@ -1042,11 +981,10 @@ mod tests {
         let long: String = "chunked text αβγ ".repeat(600); // ≫ one page, multi-byte chars
         let xml = format!("<site><doc>{long}</doc></site>");
         let h = temp(&xml, 4);
-        let doc = h.descendants_named(h.root(), "doc")[0];
+        let doc = h.descendants_named_iter(h.root(), "doc").next().unwrap();
         assert_eq!(h.string_value(doc), long);
-        // The borrowed compat path agrees with the owned read.
-        let text_child = h.children(doc)[0];
-        assert_eq!(h.text(text_child), Some(long.as_str()));
+        let text_child = h.children_iter(doc).next().unwrap();
+        assert_eq!(h.text(text_child).as_deref(), Some(long.as_str()));
     }
 
     #[test]
@@ -1057,12 +995,14 @@ mod tests {
         let mut serialized = String::new();
         {
             let store = PagedStore::create_at(&path, &doc, 8).unwrap();
-            store.serialize_node(store.root(), &mut serialized);
+            store
+                .serialize_node_to(store.root(), &mut serialized)
+                .unwrap();
         }
         let cold = PagedStore::open(&path, 4).unwrap();
         assert_eq!(cold.node_count(), doc.node_count());
         let mut again = String::new();
-        cold.serialize_node(cold.root(), &mut again);
+        cold.serialize_node_to(cold.root(), &mut again).unwrap();
         assert_eq!(again, serialized);
         let stats = cold.pool_stats();
         assert!(stats.pages_read > 0, "cold open reads pages: {stats:?}");
@@ -1101,7 +1041,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let cold = PagedStore::open(&path, 4).unwrap(); // header + meta still fine
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cold.children(cold.root());
+            cold.children_iter(cold.root()).count();
         }));
         assert!(err.is_err(), "reading the corrupted page must fail");
         std::fs::remove_file(&path).unwrap();
@@ -1117,7 +1057,7 @@ mod tests {
             format!("<site><regions>{items}</regions></site>")
         };
         let h = temp(&big, 4);
-        let _ = h.descendants_named(h.root(), "name");
+        let _: Vec<_> = h.descendants_named_iter(h.root(), "name").collect();
         assert!(h.disk_bytes() > 10 * super::super::PAGE_SIZE);
         // Resident: 4 frames + catalog + lookup — far below the file.
         assert!(

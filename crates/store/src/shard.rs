@@ -33,11 +33,15 @@
 //! counterparts stand in for them. Navigation below a section's children
 //! is pure delegation plus a constant id offset.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
 use crate::index::IndexManager;
-use crate::traits::{Node, PlannerCaps, PositionSpec, StepEstimate, SystemId, XmlStore};
+use crate::traits::{
+    serialize_by_cursors, string_value_by_cursors, Node, PlannerCaps, PositionSpec, StepEstimate,
+    SystemId, XmlStore,
+};
 
 /// One contiguous run of global ids owned by a `(shard, section)` pair:
 /// the descendants of that shard's section element, local pre-order,
@@ -363,7 +367,7 @@ impl XmlStore for ShardedStore {
         }
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
         match self.locate(n) {
             Loc::In(k, l) => self.seg_store(k).text(l),
             _ => None,
@@ -519,38 +523,16 @@ impl XmlStore for ShardedStore {
     fn string_value_into(&self, n: Node, out: &mut String) {
         match self.locate(n) {
             Loc::In(k, l) => self.seg_store(k).string_value_into(l, out),
-            _ => {
-                for child in self.children_iter(n) {
-                    self.string_value_into(child, out);
-                }
-            }
+            _ => string_value_by_cursors(self, n, out),
         }
     }
 
     fn serialize_node_to(&self, n: Node, out: &mut dyn fmt::Write) -> fmt::Result {
         match self.locate(n) {
             Loc::In(k, l) => self.seg_store(k).serialize_node_to(l, out),
-            loc => {
-                // Fused nodes (root, sections) carry no attributes; their
-                // children serialize through the owning shards.
-                let tag = match loc {
-                    Loc::Root => &self.root_tag,
-                    Loc::Section(s) => &self.sections[s],
-                    Loc::In(..) => unreachable!(),
-                };
-                let mut children = self.children_iter(n);
-                match children.next() {
-                    None => write!(out, "<{tag}/>"),
-                    Some(first) => {
-                        write!(out, "<{tag}>")?;
-                        self.serialize_node_to(first, out)?;
-                        for child in children {
-                            self.serialize_node_to(child, out)?;
-                        }
-                        write!(out, "</{tag}>")
-                    }
-                }
-            }
+            // Fused nodes (root, sections) carry no attributes; their
+            // children serialize through the owning shards.
+            _ => serialize_by_cursors(self, n, out),
         }
     }
 
@@ -636,21 +618,21 @@ mod tests {
     #[test]
     fn section_children_merge_across_shards_in_order() {
         let u = union();
-        let people = u.children_named(u.root(), "people")[0];
+        let people = u.children_named_iter(u.root(), "people").next().unwrap();
         let ids: Vec<String> = u
             .children_iter(people)
             .map(|p| u.attribute(p, "id").unwrap())
             .collect();
         assert_eq!(ids, ["person0", "person1", "person2"]);
         // Global ids ascend (document order = id order).
-        let nodes = u.children(people);
+        let nodes: Vec<_> = u.children_iter(people).collect();
         assert!(nodes.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
     fn descendants_merge_and_count_sums() {
         let u = union();
-        let names = u.descendants_named(u.root(), "name");
+        let names: Vec<_> = u.descendants_named_iter(u.root(), "name").collect();
         assert_eq!(names.len(), 4); // item name + 3 person names
         assert_eq!(u.count_descendants_named(u.root(), "person"), 3);
         assert_eq!(u.count_descendants_named(u.root(), "people"), 1);
@@ -659,13 +641,13 @@ mod tests {
     #[test]
     fn parent_links_cross_the_fused_boundary() {
         let u = union();
-        let person = u.descendants_named(u.root(), "person")[0];
+        let person = u.descendants_named_iter(u.root(), "person").next().unwrap();
         let people = u.parent(person).unwrap();
         assert_eq!(u.tag_of(people), Some("people"));
         assert_eq!(u.parent(people), Some(u.root()));
         assert_eq!(u.parent(u.root()), None);
         // Below the entity level, delegation with offsets.
-        let name = u.children_named(person, "name")[0];
+        let name = u.children_named_iter(person, "name").next().unwrap();
         assert_eq!(u.parent(name), Some(person));
         assert_eq!(u.string_value(name), "Ada");
     }
@@ -698,20 +680,20 @@ mod tests {
         let u = union();
         let whole = EdgeStore::load(WHOLE).unwrap();
         let mut a = String::new();
-        u.serialize_node(u.root(), &mut a);
+        u.serialize_node_to(u.root(), &mut a).unwrap();
         let mut b = String::new();
-        whole.serialize_node(whole.root(), &mut b);
+        whole.serialize_node_to(whole.root(), &mut b).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn lookup_id_spans_all_shards() {
         let u = union();
-        let p2 = u.lookup_id("person2").unwrap().unwrap();
+        let p2 = u.lookup_id("person2").unwrap();
         assert_eq!(u.attribute(p2, "id").as_deref(), Some("person2"));
-        let item = u.lookup_id("item0").unwrap().unwrap();
+        let item = u.lookup_id("item0").unwrap();
         assert_eq!(u.tag_of(item), Some("item"));
-        assert_eq!(u.lookup_id("nope").unwrap(), None);
+        assert_eq!(u.lookup_id("nope"), None);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! binary-searched range per extent — and counting requires no node access
 //! at all.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use xmark_xml::{Document, NodeId};
@@ -319,12 +320,8 @@ impl XmlStore for SummaryStore {
         })
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
-        if self.is_text[n.index()] {
-            Some(&self.text[n.index()])
-        } else {
-            None
-        }
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
+        self.is_text[n.index()].then(|| Cow::Borrowed(&*self.text[n.index()]))
     }
 
     fn attribute(&self, n: Node, name: &str) -> Option<String> {
@@ -434,13 +431,11 @@ mod tests {
         let naive = crate::naive::NaiveStore::load(SAMPLE).unwrap();
         for tag in ["item", "name", "person", "nonexistent"] {
             let via_summary: Vec<u32> = s
-                .descendants_named(s.root(), tag)
-                .iter()
+                .descendants_named_iter(s.root(), tag)
                 .map(|n| n.0)
                 .collect();
             let via_walk: Vec<u32> = naive
-                .descendants_named(naive.root(), tag)
-                .iter()
+                .descendants_named_iter(naive.root(), tag)
                 .map(|n| n.0)
                 .collect();
             assert_eq!(via_summary, via_walk, "tag {tag}");
@@ -453,17 +448,17 @@ mod tests {
         assert_eq!(s.count_descendants_named(s.root(), "item"), 3);
         assert_eq!(s.count_descendants_named(s.root(), "email"), 0);
         // Scoped to a subtree: europe holds two items.
-        let regions = s.children_named(s.root(), "regions");
-        let europe = s.children_named(regions[0], "europe");
+        let regions: Vec<_> = s.children_named_iter(s.root(), "regions").collect();
+        let europe: Vec<_> = s.children_named_iter(regions[0], "europe").collect();
         assert_eq!(s.count_descendants_named(europe[0], "item"), 2);
     }
 
     #[test]
     fn id_index_answers_q1_shape() {
         let s = store();
-        let hit = s.lookup_id("person0").unwrap().unwrap();
+        let hit = s.lookup_id("person0").unwrap();
         assert_eq!(s.tag_of(hit), Some("person"));
-        assert_eq!(s.lookup_id("ghost").unwrap(), None);
+        assert_eq!(s.lookup_id("ghost"), None);
     }
 
     #[test]
@@ -471,7 +466,7 @@ mod tests {
         let s = store();
         let root = s.root();
         assert_eq!(s.tag_of(root), Some("site"));
-        let items = s.descendants_named(root, "item");
+        let items: Vec<_> = s.descendants_named_iter(root, "item").collect();
         assert_eq!(s.attribute(items[1], "id").as_deref(), Some("item1"));
         assert_eq!(s.string_value(items[1]), "gold ring");
         assert_eq!(

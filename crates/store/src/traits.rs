@@ -15,10 +15,12 @@
 //! [`crate::axis`]): `children_iter`, `children_named_iter`,
 //! `descendants_named_iter` and `attributes_iter` return concrete,
 //! allocation-free iterator enums that walk each backend's native
-//! structures lazily. The `Vec`-returning forms (`children`,
-//! `children_named`, `descendants_named`, `attributes`) remain as thin
-//! wrappers over the cursors for tests and non-hot-path callers.
+//! structures lazily; each navigation primitive has exactly one spelling.
+//! Text and attribute values come back as `Cow<str>`: the RAM-resident
+//! backends lend them out, while backend H copies them off pinned pages,
+//! so no backend needs a second, page-independent copy of the document.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
@@ -276,14 +278,14 @@ pub trait XmlStore: Send + Sync {
     /// Parent node.
     fn parent(&self, n: Node) -> Option<Node>;
 
-    /// Text content of a *text node* (`None` for elements).
-    fn text(&self, n: Node) -> Option<&str>;
+    /// Text content of a *text node* (`None` for elements): borrowed on
+    /// the RAM-resident backends, read off the page on backend H.
+    fn text(&self, n: Node) -> Option<Cow<'_, str>>;
 
     /// Whether `n` is a text node. Equivalent to `text(n).is_some()`,
     /// but answerable without materializing the content — disk-resident
     /// backends test a tag code on the node page instead of fetching
-    /// (and caching) text bytes, so `child::text()` existence tests stay
-    /// cheap.
+    /// text bytes, so `child::text()` existence tests stay cheap.
     fn is_text_node(&self, n: Node) -> bool {
         self.text(n).is_some()
     }
@@ -299,7 +301,7 @@ pub trait XmlStore: Send + Sync {
     fn children_iter(&self, n: Node) -> ChildIter<'_>;
 
     /// Cursor over the attributes of `n` in the store's canonical order,
-    /// as borrowed `(name, value)` pairs.
+    /// as `(name, value)` pairs (see [`AttrIter`] for what is borrowed).
     fn attributes_iter(&self, n: Node) -> AttrIter<'_>;
 
     /// Cursor over element children with the given tag, in document order.
@@ -336,42 +338,6 @@ pub trait XmlStore: Send + Sync {
         DescendantsNamed::from_vec(out)
     }
 
-    // ---- materializing wrappers ------------------------------------------
-
-    /// All children (elements and text nodes) in document order.
-    ///
-    /// Thin wrapper over [`XmlStore::children_iter`] kept for tests and
-    /// non-hot-path callers; the evaluator streams instead.
-    fn children(&self, n: Node) -> Vec<Node> {
-        self.children_iter(n).collect()
-    }
-
-    /// Element children with the given tag.
-    ///
-    /// Thin wrapper over [`XmlStore::children_named_iter`]; prefer the
-    /// cursor on hot paths.
-    fn children_named(&self, n: Node, tag: &str) -> Vec<Node> {
-        self.children_named_iter(n, tag).collect()
-    }
-
-    /// Descendant elements with the given tag, in document order.
-    ///
-    /// Thin wrapper over [`XmlStore::descendants_named_iter`]; prefer the
-    /// cursor on hot paths.
-    fn descendants_named(&self, n: Node, tag: &str) -> Vec<Node> {
-        self.descendants_named_iter(n, tag).collect()
-    }
-
-    /// All attributes in document order, as owned pairs.
-    ///
-    /// Thin wrapper over [`XmlStore::attributes_iter`]; prefer the cursor
-    /// on hot paths.
-    fn attributes(&self, n: Node) -> Vec<(String, String)> {
-        self.attributes_iter(n)
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
     // ---- derived / accelerated access paths -----------------------------
 
     /// Count of descendant elements with the given tag. Backends with
@@ -383,17 +349,15 @@ pub trait XmlStore: Send + Sync {
 
     /// Look up an element by its `id` attribute (DTD `ID`).
     ///
-    /// One code path for all seven backends: the shared attribute-value
+    /// One code path for all eight backends: the shared attribute-value
     /// index ([`IndexManager::lookup_id`]), built lazily on first use and
-    /// shared for the store's lifetime — the per-backend `@id` hash maps
-    /// are retired. The outer `Option` is kept for executor compatibility
-    /// (`None` = "no index, scan"), but the default never returns it.
-    /// Whether the *planner* schedules ID probes on a backend remains an
-    /// architectural statement ([`PlannerCaps::id_index`]): Systems F and
-    /// G still plan Q1 as a scan, faithful to the paper, even though a
-    /// direct `lookup_id` call now answers.
-    fn lookup_id(&self, id: &str) -> Option<Option<Node>> {
-        Some(self.indexes().lookup_id(self, id))
+    /// shared for the store's lifetime. Whether the *planner* schedules ID
+    /// probes on a backend remains an architectural statement
+    /// ([`PlannerCaps::id_index`]): Systems F and G still plan Q1 as a
+    /// scan, faithful to the paper, even though a direct `lookup_id` call
+    /// answers.
+    fn lookup_id(&self, id: &str) -> Option<Node> {
+        self.indexes().lookup_id(self, id)
     }
 
     /// Inlined scalar access: the string value of the unique `tag` child of
@@ -416,58 +380,20 @@ pub trait XmlStore: Send + Sync {
         out
     }
 
-    /// Append the string value of `n` to `out`.
+    /// Append the string value of `n` to `out`. The default is
+    /// [`string_value_by_cursors`].
     fn string_value_into(&self, n: Node, out: &mut String) {
-        if let Some(t) = self.text(n) {
-            out.push_str(t);
-            return;
-        }
-        for child in self.children_iter(n) {
-            self.string_value_into(child, out);
-        }
+        string_value_by_cursors(self, n, out);
     }
 
     /// Serialize the subtree rooted at `n` as XML text (Q13
-    /// "reconstruction"). Thin wrapper over
-    /// [`XmlStore::serialize_node_to`]; writing to a `String` cannot fail.
-    fn serialize_node(&self, n: Node, out: &mut String) {
-        let _ = self.serialize_node_to(n, out);
-    }
-
-    /// Serialize the subtree rooted at `n` into an arbitrary
-    /// [`fmt::Write`] sink — the primitive behind the query layer's
-    /// streaming `write_to` serialization: result bytes flow to the sink
-    /// item by item instead of accumulating in one output `String`. The
-    /// default reconstructs through the streaming cursors — which is
-    /// precisely the cost the paper says Q13 measures.
+    /// "reconstruction") into an arbitrary [`fmt::Write`] sink — the
+    /// primitive behind the query layer's streaming `write_to`
+    /// serialization: result bytes flow to the sink item by item instead
+    /// of accumulating in one output `String`. The default is
+    /// [`serialize_by_cursors`].
     fn serialize_node_to(&self, n: Node, out: &mut dyn fmt::Write) -> fmt::Result {
-        if let Some(t) = self.text(n) {
-            return xmark_xml::escape::escape_text_to(t, out);
-        }
-        let tag = self.tag_of(n).expect("serialize of non-node");
-        out.write_char('<')?;
-        out.write_str(tag)?;
-        for (name, value) in self.attributes_iter(n) {
-            out.write_char(' ')?;
-            out.write_str(name)?;
-            out.write_str("=\"")?;
-            xmark_xml::escape::escape_attr_to(value, out)?;
-            out.write_char('"')?;
-        }
-        let mut children = self.children_iter(n);
-        match children.next() {
-            None => out.write_str("/>"),
-            Some(first) => {
-                out.write_char('>')?;
-                self.serialize_node_to(first, out)?;
-                for child in children {
-                    self.serialize_node_to(child, out)?;
-                }
-                out.write_str("</")?;
-                out.write_str(tag)?;
-                out.write_char('>')
-            }
-        }
+        serialize_by_cursors(self, n, out)
     }
 
     // ---- compile-phase hooks (Table 2) -----------------------------------
@@ -505,6 +431,58 @@ pub trait XmlStore: Send + Sync {
         StepEstimate {
             rows: self.compile_step(tag) as u64,
             exact: self.planner_caps().exact_statistics,
+        }
+    }
+}
+
+/// The string value of `n` reassembled node by node through the streaming
+/// cursors — the default [`XmlStore::string_value_into`]. Each child goes
+/// back through `store.string_value_into`, so an overlay that overrides
+/// it for clean subtrees gets them at every level of a dirty one.
+pub fn string_value_by_cursors<S: XmlStore + ?Sized>(store: &S, n: Node, out: &mut String) {
+    if let Some(t) = store.text(n) {
+        out.push_str(&t);
+        return;
+    }
+    for child in store.children_iter(n) {
+        store.string_value_into(child, out);
+    }
+}
+
+/// `n` serialized node by node through the streaming cursors — the
+/// default [`XmlStore::serialize_node_to`], and precisely the cost the
+/// paper says Q13 measures. Children recurse through
+/// `store.serialize_node_to`, as in [`string_value_by_cursors`].
+pub fn serialize_by_cursors<S: XmlStore + ?Sized>(
+    store: &S,
+    n: Node,
+    out: &mut dyn fmt::Write,
+) -> fmt::Result {
+    if let Some(t) = store.text(n) {
+        return xmark_xml::escape::escape_text_to(&t, out);
+    }
+    let tag = store.tag_of(n).expect("serialize of non-node");
+    out.write_char('<')?;
+    out.write_str(tag)?;
+    for (name, value) in store.attributes_iter(n) {
+        out.write_char(' ')?;
+        out.write_str(name)?;
+        out.write_str("=\"")?;
+        xmark_xml::escape::escape_attr_to(&value, out)?;
+        out.write_char('"')?;
+    }
+    let mut children = store.children_iter(n);
+    match children.next() {
+        None => out.write_str("/>"),
+        Some(first) => {
+            out.write_char('>')?;
+            store.serialize_node_to(first, out)?;
+            for child in children {
+                store.serialize_node_to(child, out)?;
+            }
+            out.write_str("</")?;
+            out.write_str(tag)?;
+            out.write_char('>')
         }
     }
 }

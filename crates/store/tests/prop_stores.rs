@@ -73,14 +73,12 @@ proptest! {
     fn all_stores_agree_on_descendants(xml in arb_document(), tag in 0..TAGS.len()) {
         let all = stores(&xml);
         let reference: Vec<u32> = all[0]
-            .descendants_named(all[0].root(), TAGS[tag])
-            .iter()
+            .descendants_named_iter(all[0].root(), TAGS[tag])
             .map(|n| n.0)
             .collect();
         for store in &all[1..] {
             let got: Vec<u32> = store
-                .descendants_named(store.root(), TAGS[tag])
-                .iter()
+                .descendants_named_iter(store.root(), TAGS[tag])
                 .map(|n| n.0)
                 .collect();
             prop_assert_eq!(&got, &reference, "{} disagrees", store.system());
@@ -105,10 +103,10 @@ proptest! {
     fn all_stores_agree_on_serialization(xml in arb_document()) {
         let all = stores(&xml);
         let mut reference = String::new();
-        all[0].serialize_node(all[0].root(), &mut reference);
+        all[0].serialize_node_to(all[0].root(), &mut reference).unwrap();
         for store in &all[1..] {
             let mut got = String::new();
-            store.serialize_node(store.root(), &mut got);
+            store.serialize_node_to(store.root(), &mut got).unwrap();
             prop_assert_eq!(&got, &reference, "{} disagrees", store.system());
         }
         // And the serialization parses back to the same node count.
@@ -119,11 +117,10 @@ proptest! {
     #[test]
     fn sink_serialization_matches_string_serialization(xml in arb_document()) {
         // `serialize_node_to` (the streaming-write primitive behind the
-        // query layer's `write_to`) must produce exactly the bytes of the
-        // String-building `serialize_node`, on every backend and every
-        // element of the document — including through a sink that records
-        // write granularity, proving no backend depends on buffering the
-        // whole subtree.
+        // query layer's `write_to`) must produce the same bytes into a
+        // `String` and into a sink that records write granularity, on
+        // every backend and every element of the document — proving no
+        // backend depends on buffering the whole subtree.
         struct CountingSink {
             out: String,
             writes: usize,
@@ -140,7 +137,7 @@ proptest! {
             let mut stack = vec![store.root()];
             while let Some(n) = stack.pop() {
                 let mut expected = String::new();
-                store.serialize_node(n, &mut expected);
+                store.serialize_node_to(n, &mut expected).unwrap();
                 let mut sink = CountingSink { out: String::new(), writes: 0 };
                 store.serialize_node_to(n, &mut sink).unwrap();
                 prop_assert_eq!(
@@ -150,7 +147,7 @@ proptest! {
                     store.system()
                 );
                 prop_assert!(sink.writes >= 1, "nothing reached the sink");
-                stack.extend(store.children(n));
+                stack.extend(store.children_iter(n));
             }
         }
     }
@@ -170,24 +167,37 @@ proptest! {
         prop_assert_eq!(h.node_count(), e.node_count());
         for id in 0..e.node_count() as u32 {
             let n = xmark_store::Node(id);
-            prop_assert_eq!(h.children(n), e.children(n), "children of {}", n);
             prop_assert_eq!(
-                h.children_named(n, tag),
-                e.children_named(n, tag),
+                h.children_iter(n).collect::<Vec<_>>(),
+                e.children_iter(n).collect::<Vec<_>>(),
+                "children of {}",
+                n
+            );
+            prop_assert_eq!(
+                h.children_named_iter(n, tag).collect::<Vec<_>>(),
+                e.children_named_iter(n, tag).collect::<Vec<_>>(),
                 "children_named of {}",
                 n
             );
             prop_assert_eq!(
-                h.descendants_named(n, tag),
-                e.descendants_named(n, tag),
+                h.descendants_named_iter(n, tag).collect::<Vec<_>>(),
+                e.descendants_named_iter(n, tag).collect::<Vec<_>>(),
                 "descendants_named of {}",
                 n
             );
-            prop_assert_eq!(h.attributes(n), e.attributes(n), "attributes of {}", n);
+            // H copies text and attribute values off its pages; E lends
+            // them. The contents must match either way.
+            prop_assert_eq!(h.text(n), e.text(n), "text of {}", n);
+            prop_assert_eq!(
+                h.attributes_iter(n).collect::<Vec<_>>(),
+                e.attributes_iter(n).collect::<Vec<_>>(),
+                "attributes of {}",
+                n
+            );
             prop_assert_eq!(h.string_value(n), e.string_value(n), "string_value of {}", n);
             let (mut hs, mut es) = (String::new(), String::new());
-            h.serialize_node(n, &mut hs);
-            e.serialize_node(n, &mut es);
+            h.serialize_node_to(n, &mut hs).unwrap();
+            e.serialize_node_to(n, &mut es).unwrap();
             prop_assert_eq!(hs, es, "serialize_node of {}", n);
         }
     }
@@ -213,15 +223,13 @@ proptest! {
         let all = stores(&xml);
         let reference = &all[0];
         let ref_children: Vec<Vec<u32>> = reference
-            .descendants_named(reference.root(), "a")
-            .iter()
-            .map(|&n| reference.children(n).iter().map(|c| c.0).collect())
+            .descendants_named_iter(reference.root(), "a")
+            .map(|n| reference.children_iter(n).map(|c| c.0).collect())
             .collect();
         for store in &all[1..] {
             let got: Vec<Vec<u32>> = store
-                .descendants_named(store.root(), "a")
-                .iter()
-                .map(|&n| store.children(n).iter().map(|c| c.0).collect())
+                .descendants_named_iter(store.root(), "a")
+                .map(|n| store.children_iter(n).map(|c| c.0).collect())
                 .collect();
             prop_assert_eq!(&got, &ref_children, "{} disagrees", store.system());
         }
@@ -233,7 +241,7 @@ proptest! {
             let root = store.root();
             let mut stack = vec![root];
             while let Some(n) = stack.pop() {
-                for c in store.children(n) {
+                for c in store.children_iter(n) {
                     prop_assert_eq!(store.parent(c), Some(n), "{}", store.system());
                     stack.push(c);
                 }
@@ -244,10 +252,8 @@ proptest! {
 
     #[test]
     fn streaming_axes_agree_across_all_backends(xml in arb_document(), tag in 0..TAGS.len()) {
-        // The streaming cursors are the storage contract now, and every
-        // backend overrides them with its own native lazy walk. Comparing
-        // a cursor against the same store's `Vec` wrapper would be
-        // tautological (the wrapper just collects the cursor), so the
+        // The streaming cursors are the storage contract, and every
+        // backend overrides them with its own native lazy walk, so the
         // oracle is cross-backend: on every element of the document, every
         // backend's cursors must yield exactly the node sequences (and
         // attribute pairs) the first backend reports. Counts must agree
@@ -262,10 +268,7 @@ proptest! {
             let ref_named: Vec<u32> = reference.children_named_iter(n, tag).map(|c| c.0).collect();
             let ref_desc: Vec<u32> =
                 reference.descendants_named_iter(n, tag).map(|c| c.0).collect();
-            let ref_attrs: Vec<(String, String)> = reference
-                .attributes_iter(n)
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect();
+            let ref_attrs: Vec<_> = reference.attributes_iter(n).collect();
             prop_assert_eq!(
                 reference.count_descendants_named(n, tag),
                 ref_desc.len(),
@@ -289,10 +292,7 @@ proptest! {
                     store.system()
                 );
 
-                let attrs: Vec<(String, String)> = store
-                    .attributes_iter(n)
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect();
+                let attrs: Vec<_> = store.attributes_iter(n).collect();
                 prop_assert_eq!(&attrs, &ref_attrs, "{} attributes_iter", store.system());
             }
             pending.extend(ref_children.into_iter().map(xmark_store::Node));
@@ -333,7 +333,7 @@ proptest! {
                     "{} counts diverge",
                     store.system()
                 );
-                stack.extend(store.children(n));
+                stack.extend(store.children_iter(n));
             }
         }
     }
@@ -353,12 +353,11 @@ proptest! {
                 }
                 truth = Some(n.0);
             }
-            stack.extend(reference.children(n));
+            stack.extend(reference.children_iter(n));
         }
         for store in &all {
-            if let Some(hit) = store.lookup_id(&probe) {
-                prop_assert_eq!(hit.map(|n| n.0), truth, "{} disagrees", store.system());
-            }
+            let hit = store.lookup_id(&probe).map(|n| n.0);
+            prop_assert_eq!(hit, truth, "{} disagrees", store.system());
         }
     }
 }

@@ -10,16 +10,20 @@
 //! unmodified; in dirty regions they either walk the overlay generically
 //! or answer `None`, which the query layer's established outer-`None`
 //! contract turns into a generic fallback. Serialization and string
-//! values are *not* overridden: the trait defaults recurse through the
-//! overlay's cursors, which is exactly what keeps cross-backend
-//! byte-identity intact under updates.
+//! values follow the same gate: a clean subtree goes to the base whole
+//! (backend H's one-pin-per-page-run reader), and a dirty one recurses
+//! node by node through the overlay's cursors with the trait's default
+//! bodies, which is exactly what keeps cross-backend byte-identity
+//! intact under updates.
 
+use std::borrow::Cow;
+use std::fmt;
 use std::sync::Arc;
 
 use xmark_store::paged::{LogManager, PoolStats};
 use xmark_store::{
-    AttrIter, ChildIter, ChildrenNamed, DescendantsNamed, IndexManager, Node, PlannerCaps,
-    PositionSpec, SystemId, XmlStore,
+    serialize_by_cursors, string_value_by_cursors, AttrIter, ChildIter, ChildrenNamed,
+    DescendantsNamed, IndexManager, Node, PlannerCaps, PositionSpec, SystemId, XmlStore,
 };
 
 use crate::delta::DeltaState;
@@ -138,12 +142,12 @@ impl XmlStore for SnapshotStore {
         }
     }
 
-    fn text(&self, n: Node) -> Option<&str> {
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
         if let Some(node) = self.delta.inserted.get(&n.0) {
-            return node.tag.is_none().then_some(&*node.text);
+            return node.tag.is_none().then_some(Cow::Borrowed(&*node.text));
         }
         if let Some(replaced) = self.delta.text_over.get(&n.0) {
-            return Some(replaced);
+            return Some(Cow::Borrowed(replaced));
         }
         self.base.text(n)
     }
@@ -230,6 +234,20 @@ impl XmlStore for SnapshotStore {
             return self.base.count_descendants_named(n, tag);
         }
         self.walk_descendants(n, tag).len()
+    }
+
+    fn string_value_into(&self, n: Node, out: &mut String) {
+        if self.delta.subtree_clean(n) {
+            return self.base.string_value_into(n, out);
+        }
+        string_value_by_cursors(self, n, out);
+    }
+
+    fn serialize_node_to(&self, n: Node, out: &mut dyn fmt::Write) -> fmt::Result {
+        if self.delta.subtree_clean(n) {
+            return self.base.serialize_node_to(n, out);
+        }
+        serialize_by_cursors(self, n, out)
     }
 
     fn begin_compile(&self) {

@@ -9,6 +9,7 @@
 //! snapshot pointer. Readers pin whatever snapshot was current when
 //! they arrived and are never blocked or torn.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -367,7 +368,7 @@ impl<'a> DeltaBuilder<'a> {
         if let Some(replaced) = self.delta.text_over.get(&id) {
             return Some(replaced.to_string());
         }
-        self.base.text(Node(id)).map(str::to_string)
+        self.base.text(Node(id)).map(Cow::into_owned)
     }
 
     fn is_text(&self, id: u32) -> bool {
@@ -384,7 +385,10 @@ impl<'a> DeltaBuilder<'a> {
         if let Some(list) = self.delta.attr_over.get(&id) {
             return list.as_ref().clone();
         }
-        self.base.attributes(Node(id))
+        self.base
+            .attributes_iter(Node(id))
+            .map(|(k, v)| (k.to_string(), v.into_owned()))
+            .collect()
     }
 
     fn children_of(&self, id: u32) -> Vec<u32> {
@@ -394,7 +398,7 @@ impl<'a> DeltaBuilder<'a> {
         if let Some(list) = self.delta.children_over.get(&id) {
             return list.as_ref().clone();
         }
-        self.base.children(Node(id)).iter().map(|n| n.0).collect()
+        self.base.children_iter(Node(id)).map(|n| n.0).collect()
     }
 
     fn parent_of(&self, id: u32) -> Option<u32> {

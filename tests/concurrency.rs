@@ -1,13 +1,16 @@
 //! Cross-backend concurrency property: N threads running the same query
 //! mix over ONE shared store must produce canonical outputs identical to
-//! the single-threaded run — for every one of the eight backends, and
-//! for a sharded union whose cursors the threads share.
+//! the single-threaded run — for every one of the eight backends, for a
+//! pinned snapshot of an updated H, and for a sharded union whose cursors
+//! the threads share.
 //!
 //! This is the correctness half of the concurrent service layer. The
 //! throughput half (perflab's workloads) only makes sense if sharing a
 //! store across threads never changes an answer: no torn metadata
 //! counters, no cache cross-talk, no evaluator state leaking between
 //! concurrent executions.
+
+mod common;
 
 use std::sync::Arc;
 use std::thread;
@@ -87,15 +90,11 @@ concurrency_test!(system_e_concurrent_equals_sequential, SystemId::E);
 concurrency_test!(system_f_concurrent_equals_sequential, SystemId::F);
 concurrency_test!(system_g_concurrent_equals_sequential, SystemId::G);
 
-/// H shares a buffer pool, not just read-only arrays: the page file is
-/// opened cold behind a pool of a tenth of its pages, so the four
-/// threads' page loads, their waits on each other's loading frames and
-/// evictions genuinely overlap.
-#[test]
-fn system_h_concurrent_equals_sequential() {
-    let doc = generate_document(0.005);
-    let path = xmark::store::paged::scratch_dir()
-        .join(format!("it-{}-concurrent.pages", std::process::id()));
+/// Bulkload `doc` into a page file and reopen it cold behind a pool of a
+/// tenth of its pages; the file goes when the store drops.
+fn cold_h_tenth_pool(doc: &GeneratedDocument, name: &str) -> PagedStore {
+    let path =
+        xmark::store::paged::scratch_dir().join(format!("it-{}-{name}.pages", std::process::id()));
     let file_pages = {
         let parsed = xmark::xml::parse_document(&doc.xml).unwrap();
         let warm = PagedStore::create_at(&path, &parsed, DEFAULT_POOL_PAGES).unwrap();
@@ -110,13 +109,41 @@ fn system_h_concurrent_equals_sequential() {
     );
     let mut cold = PagedStore::open(&path, pool).unwrap();
     cold.mark_ephemeral();
-    let cold: Arc<dyn XmlStore> = Arc::new(cold);
-    assert_concurrent_matches_sequential(SystemId::H, &cold);
-    let stats = cold.paged_stats().expect("H reports pool counters");
+    cold
+}
+
+fn assert_pool_evicted(store: &dyn XmlStore) {
+    let stats = store.paged_stats().expect("H reports pool counters");
     assert!(
         stats.evictions > 0 && stats.hits > 0,
-        "a {pool}-frame pool over {file_pages} pages must evict: {stats:?}"
+        "a tenth-size pool must evict: {stats:?}"
     );
+}
+
+/// H shares a buffer pool, not just read-only arrays: the page file is
+/// opened cold behind a pool of a tenth of its pages, so the four
+/// threads' page loads, their waits on each other's loading frames and
+/// evictions genuinely overlap.
+#[test]
+fn system_h_concurrent_equals_sequential() {
+    let doc = generate_document(0.005);
+    let cold: Arc<dyn XmlStore> = Arc::new(cold_h_tenth_pool(&doc, "concurrent"));
+    assert_concurrent_matches_sequential(SystemId::H, &cold);
+    assert_pool_evicted(cold.as_ref());
+}
+
+/// The same pool under one pinned snapshot of an updated H: the update
+/// script dirties the root, so every thread's reads switch between the
+/// overlay walk and H's own page reads, and the shared index builds on
+/// the snapshot read attributes off the pages concurrently.
+#[test]
+fn versioned_h_concurrent_equals_sequential() {
+    let doc = generate_document(0.005);
+    let versioned = VersionedStore::new(Arc::new(cold_h_tenth_pool(&doc, "versioned")));
+    common::apply_update_script(&versioned);
+    let snapshot: Arc<dyn XmlStore> = versioned.snapshot();
+    assert_concurrent_matches_sequential("versioned H", &snapshot);
+    assert_pool_evicted(snapshot.as_ref());
 }
 
 /// A 2-shard union of E: the threads read through one union view (its

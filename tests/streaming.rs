@@ -380,22 +380,19 @@ fn take_one_over_a_hash_join_probes_no_item_past_the_first_match() {
 
 #[test]
 fn session_stream_facade_short_circuits() {
-    // The façade surface: Session::stream wires the same fast paths.
+    // The façade surface: Session::prepare wires the same fast paths.
     let session = Benchmark::at_scale("mini").generate();
-    let people = session.stream(SystemId::D, "/site/people/person");
+    let people = session.prepare(SystemId::D, "/site/people/person");
     assert!(people.exists());
     let two = people.take(2);
     assert_eq!(two.len(), 2);
-    assert_eq!(people.count(), people.prepared().execute().len());
+    assert_eq!(people.count(), people.execute().len());
 
     let mut sunk = String::new();
     let stats = people.write_to(&mut sunk);
     assert_eq!(stats.items, people.count());
     assert_eq!(
         sunk,
-        serialize_sequence(
-            people.prepared().store().as_ref(),
-            &people.prepared().execute()
-        )
+        serialize_sequence(people.store().as_ref(), &people.execute())
     );
 }

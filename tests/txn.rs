@@ -4,39 +4,16 @@
 //! WAL crash recovery on backend H, and non-blocking readers under a
 //! concurrent writer.
 
+mod common;
+
 use std::io::Write as _;
 use std::sync::Arc;
 
+use common::{apply_update_script, descend, first_text_child, NEW_BIDDER};
 use proptest::prelude::*;
 use xmark::prelude::*;
 use xmark::store::paged::{wal_path_for, LogRecord};
-use xmark::store::Node;
-
-/// Walk `path` tags from the root, taking the first match at each step.
-fn descend(store: &dyn XmlStore, path: &[&str]) -> Node {
-    let mut n = store.root();
-    for tag in path {
-        n = store
-            .children_named_iter(n, tag)
-            .next()
-            .unwrap_or_else(|| panic!("no <{tag}> under node {}", n.0));
-    }
-    n
-}
-
-/// The first text-node child of `n`.
-fn first_text_child(store: &dyn XmlStore, n: Node) -> Node {
-    store
-        .children_iter(n)
-        .find(|&c| store.is_text_node(c))
-        .unwrap_or_else(|| panic!("node {} has no text child", n.0))
-}
-
-const NEW_BIDDER: &str = "<bidder><date>28/07/2026</date><time>12:00:00</time>\
-     <personref person=\"person0\"/><increase>9.50</increase></bidder>";
-
-const NEW_PERSON: &str = "<person id=\"txnperson0\"><name>Txn Tester</name>\
-     <emailaddress>mailto:txn@example.invalid</emailaddress></person>";
+use xmark::store::{Node, PagedStore};
 
 #[test]
 fn pinned_snapshots_never_move_and_commits_publish_epochs() {
@@ -93,8 +70,12 @@ fn pinned_snapshots_never_move_and_commits_publish_epochs() {
     );
     txn.commit().expect("text+attr commit");
     let s2 = versioned.snapshot();
-    assert_eq!(s2.text(inc_text), Some("11.00"));
-    assert_eq!(s1.text(inc_text), Some("9.50"), "epoch 1 stays pinned");
+    assert_eq!(s2.text(inc_text).as_deref(), Some("11.00"));
+    assert_eq!(
+        s1.text(inc_text).as_deref(),
+        Some("9.50"),
+        "epoch 1 stays pinned"
+    );
     let personref = s2
         .children_named_iter(last, "personref")
         .next()
@@ -141,16 +122,26 @@ fn first_committer_wins_and_losers_get_a_conflict() {
     assert!(matches!(bad.commit(), Err(TxnError::RootImmutable)));
 }
 
-/// The same update script produces byte-identical answers on every
-/// in-memory backend — structural updates preserve the repo's
-/// cross-backend equivalence invariant.
+/// The same update script produces byte-identical answers on three
+/// in-memory backends and on backend H behind a tiny pool — structural
+/// updates preserve the repo's cross-backend equivalence invariant. The
+/// script dirties the root but leaves most of its children clean, so on
+/// H serialization switches between the overlay walk and H's own
+/// page-run reader inside one subtree.
 #[test]
 fn updated_stores_answer_queries_byte_identically_across_backends() {
     let doc = generate_document(0.002);
     let queries = [1, 2, 3, 4, 8, 13, 17, 20];
+    let tiny_pool_h: Arc<dyn XmlStore> =
+        Arc::new(PagedStore::load_temp(&doc.xml, 8).expect("document parses"));
+    let bases = [SystemId::A, SystemId::D, SystemId::G]
+        .map(|system| Arc::from(load_system(system, &doc.xml).store))
+        .into_iter()
+        .chain([tiny_pool_h]);
     let mut reference: Option<Vec<String>> = None;
-    for system in [SystemId::A, SystemId::D, SystemId::G] {
-        let versioned = VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
+    for base in bases {
+        let system = base.system();
+        let versioned = VersionedStore::new(base);
         apply_update_script(&versioned);
         let snap = versioned.snapshot();
         let outputs: Vec<String> = queries
@@ -169,35 +160,6 @@ fn updated_stores_answer_queries_byte_identically_across_backends() {
             }
         }
     }
-}
-
-/// One fixed update script, located structurally so it applies to any
-/// backend: grow an auction, add a person, prune a closed auction,
-/// rewrite a price.
-fn apply_update_script(versioned: &Arc<VersionedStore>) {
-    let s = versioned.snapshot();
-    let auction = descend(s.as_ref(), &["open_auctions", "open_auction"]);
-    let people = descend(s.as_ref(), &["people"]);
-    let mut txn = versioned.begin();
-    txn.insert_subtree(auction, NEW_BIDDER);
-    txn.insert_subtree(people, NEW_PERSON);
-    txn.commit().expect("insert script commits");
-
-    let s = versioned.snapshot();
-    if let Some(closed) = s
-        .children_named_iter(descend(s.as_ref(), &["closed_auctions"]), "closed_auction")
-        .next()
-    {
-        let mut txn = versioned.begin();
-        txn.delete_subtree(closed);
-        txn.commit().expect("delete script commits");
-    }
-
-    let s = versioned.snapshot();
-    let price = descend(s.as_ref(), &["open_auctions", "open_auction", "current"]);
-    let mut txn = versioned.begin();
-    txn.replace_text(first_text_child(s.as_ref(), price), "424.42");
-    txn.commit().expect("text script commits");
 }
 
 // ---- index-maintenance oracle ---------------------------------------------
@@ -440,6 +402,40 @@ fn backend_h_replays_committed_and_discards_uncommitted_after_crash() {
         canonical_output(reference_snap.as_ref(), 13),
     );
     drop(again);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Backend H keeps no copy of the document beside its pages: serving
+/// Q1–Q20 through the MVCC overlay, with commits in between, leaves the
+/// base's resident bytes (pool frames and catalog, indexes aside) flat
+/// once the pool is full.
+#[test]
+fn versioned_h_resident_bytes_stay_flat_once_the_pool_is_full() {
+    let session = Benchmark::at_factor(0.002).generate();
+    let dir = std::env::temp_dir().join(format!("xmark-txn-flat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("flat.xmk");
+    drop(session.persist_paged(&path, None).expect("persist H"));
+    let (versioned, _) = open_paged_versioned(&path, Some(16)).expect("cold open");
+    let base = Arc::clone(versioned.base());
+    let resident = || base.size_bytes() - base.index_size_bytes();
+
+    // Fill every frame with H's own serializer, which reads each page.
+    base.serialize_node_to(base.root(), &mut String::new())
+        .expect("a String sink never fails");
+    assert!(base.paged_stats().expect("H has a pool").evictions > 0);
+    let full = resident();
+
+    let serve = || {
+        for q in 1..=20usize {
+            canonical_output(versioned.snapshot().as_ref(), q);
+        }
+    };
+    serve();
+    apply_update_script(&versioned);
+    serve();
+    assert_eq!(resident(), full, "H's resident bytes grew past its pool");
+    drop((base, versioned));
     std::fs::remove_dir_all(&dir).ok();
 }
 
