@@ -93,7 +93,8 @@
 //!
 //! * [`xmark_gen`] — the deterministic document generator (paper §4),
 //! * [`xmark_xml`] — XML tokenizer, DOM, serializer,
-//! * [`xmark_rel`] — the relational substrate behind Systems A/B/C,
+//! * [`xmark_rel`] — the tables, values and hash indexes Systems A/B/C
+//!   map XML onto,
 //! * [`xmark_store`] — the seven storage architectures (§7), all
 //!   `Send + Sync`, each reporting its planner capabilities and catalog
 //!   selectivity estimates,

@@ -6,8 +6,9 @@
 //! production deployment cares about. Every backend is `Send + Sync`
 //! (compile-time asserted in `xmark-store`), so a loaded store is shared
 //! across workers behind an `Arc<dyn XmlStore>` with no copying and no
-//! locking on the read path: the only runtime mutation anywhere in a
-//! store is the relaxed atomic metadata counter.
+//! locking on the read path: the lazily built indexes and buffer pools
+//! synchronize internally, and a compile keeps its statistics to itself
+//! (each catalog estimate reports its own metadata accesses).
 //!
 //! Architecture: [`QueryService::start`] spawns N OS threads. Jobs (query
 //! numbers) travel over an `mpsc` channel shared through a mutexed
@@ -627,7 +628,8 @@ fn worker_loop(
         let key = format!("{epoch}|{}", q.text);
         // A cache hit reuses the whole compiled artifact: no parse, no
         // metadata resolution, no planning. Two workers racing on the
-        // same cold query both compile — harmless, last insert wins.
+        // same cold query both compile the same plan with the same
+        // statistics; last insert wins.
         let compiled = match cache.lookup(&key) {
             Some(compiled) => compiled,
             None => {

@@ -31,7 +31,8 @@ use crate::stream::{ResultStream, StreamStats, WriteError};
 pub struct CompileStats {
     /// Path steps resolved.
     pub steps_resolved: usize,
-    /// Metadata (catalog) accesses the store performed.
+    /// Metadata (catalog) accesses the store reported, summed over the
+    /// resolved steps' [`xmark_store::StepEstimate`]s.
     pub metadata_accesses: u64,
     /// Sum of estimated extent cardinalities (the optimizer's input).
     pub estimated_rows: u64,
@@ -119,14 +120,10 @@ pub fn compile_with_mode(
 /// [`Compiled`] against `store`. The harness calls this between separate
 /// parse and execute timers to split Table 2 into three columns.
 pub fn plan(query: &Query, store: &dyn XmlStore, mode: PlanMode) -> Compiled {
-    store.begin_compile();
-    let (plan, mut stats) = plan_query(query, store, mode);
-    stats.metadata_accesses = store.metadata_accesses();
+    let (plan, stats) = plan_query(query, store, mode);
     // Debug builds verify every plan the planner emits (see
     // [`crate::verify`]); release callers opt in through
-    // `Session::verify_plan` or the `plan_audit` binary. Runs after the
-    // metadata snapshot so the verifier's own catalog touches never leak
-    // into the Table 2 statistics.
+    // `Session::verify_plan` or the `plan_audit` binary.
     #[cfg(debug_assertions)]
     {
         use crate::verify::Invariant;

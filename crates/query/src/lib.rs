@@ -64,8 +64,8 @@
 //!   shared element index's IndexScan — costed on exact posting
 //!   cardinalities, falling back to streamed scans when postings are
 //!   dense). Cardinalities come from
-//!   [`xmark_store::XmlStore::estimate_step`], the same catalog touches
-//!   Table 2 counts as metadata accesses,
+//!   [`xmark_store::XmlStore::estimate_step`], which also reports the
+//!   catalog touches Table 2 counts as metadata accesses,
 //! * [`explain`] — stable one-line-per-operator plan rendering (pinned by
 //!   golden tests so planner regressions are visible in review),
 //! * [`stream`] — the pull-based operator cursors and the public

@@ -45,11 +45,10 @@ use crate::ast::*;
 use crate::compile::CompileStats;
 use crate::plan::*;
 
-/// Plan `query` against `store`, collecting compile statistics.
-///
-/// The caller is responsible for bracketing with
-/// [`XmlStore::begin_compile`] / [`XmlStore::metadata_accesses`] (see
-/// [`crate::compile::compile`]).
+/// Plan `query` against `store`, collecting compile statistics — the
+/// metadata accesses included: each step's [`XmlStore::estimate_step`]
+/// reports its own, so concurrent compiles against one store never see
+/// each other's counts.
 pub fn plan_query(
     query: &Query,
     store: &dyn XmlStore,
@@ -250,14 +249,15 @@ impl Planner<'_> {
     }
 
     fn plan_step(&mut self, step: &Step) -> PlanStep {
-        // Catalog resolution: one estimate per non-attribute tag step —
-        // the Table 2 metadata-access accounting.
+        // Catalog resolution: one estimate per non-attribute tag step,
+        // whose reported accesses are the Table 2 metadata column.
         let mut est_rows = match (&step.test, step.axis) {
             (NodeTest::Tag(_), Axis::Attribute) => 0,
             (NodeTest::Tag(tag), _) => {
                 self.stats.steps_resolved += 1;
                 let est = self.store.estimate_step(tag);
                 self.stats.estimated_rows += est.rows;
+                self.stats.metadata_accesses += est.metadata_accesses;
                 est.rows
             }
             _ => 0,

@@ -1,10 +1,10 @@
-//! Hash and B-tree indexes over table columns.
+//! Hash indexes over table columns.
 //!
 //! The relational stores build these during bulkload (their cost is part of
-//! the Table 1 load times) and the query compiler chooses between an index
-//! lookup and a scan — the difference the paper's Q1 baseline measures.
+//! the Table 1 load times) and navigate through them — parent, tag and
+//! owner postings — instead of scanning their tables.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::table::{RowId, Table};
 use crate::value::{OrdValue, Value};
@@ -57,67 +57,6 @@ impl HashIndex {
     }
 }
 
-/// Ordered index: value → row ids, supporting range scans.
-#[derive(Debug, Clone, Default)]
-pub struct BTreeIndex {
-    map: BTreeMap<OrdValue, Vec<RowId>>,
-}
-
-impl BTreeIndex {
-    /// Build over one column of `table`.
-    pub fn build(table: &Table, column: usize) -> Self {
-        let mut map: BTreeMap<OrdValue, Vec<RowId>> = BTreeMap::new();
-        for (rid, row) in table.scan() {
-            if row[column].is_null() {
-                continue;
-            }
-            map.entry(OrdValue(row[column].clone()))
-                .or_default()
-                .push(rid);
-        }
-        BTreeIndex { map }
-    }
-
-    /// Rows with exactly this key.
-    pub fn get(&self, key: &Value) -> &[RowId] {
-        self.map
-            .get(&OrdValue(key.clone()))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Rows whose key is `>= lo` (when given) and `<= hi` (when given).
-    pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<RowId> {
-        use std::ops::Bound::*;
-        let lo_bound = lo.map_or(Unbounded, |v| Included(OrdValue(v.clone())));
-        let hi_bound = hi.map_or(Unbounded, |v| Included(OrdValue(v.clone())));
-        let mut out = Vec::new();
-        for (_, rows) in self.map.range((lo_bound, hi_bound)) {
-            out.extend_from_slice(rows);
-        }
-        out
-    }
-
-    /// Keys in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = &Value> {
-        self.map.keys().map(|k| &k.0)
-    }
-
-    /// Approximate resident bytes.
-    pub fn heap_size_bytes(&self) -> usize {
-        let mut total = 0;
-        for (k, v) in &self.map {
-            total += std::mem::size_of::<OrdValue>()
-                + std::mem::size_of::<Vec<RowId>>()
-                + v.capacity() * std::mem::size_of::<RowId>();
-            if let Value::Str(s) = &k.0 {
-                total += s.capacity();
-            }
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,36 +87,8 @@ mod tests {
     }
 
     #[test]
-    fn btree_point_and_range() {
-        let mut t = Table::new("n", &["x"]);
-        for i in 0..10 {
-            t.insert(vec![Value::Int(i)]);
-        }
-        let idx = BTreeIndex::build(&t, 0);
-        assert_eq!(idx.get(&Value::Int(7)), &[7]);
-        let mid = idx.range(Some(&Value::Int(3)), Some(&Value::Int(5)));
-        assert_eq!(mid, vec![3, 4, 5]);
-        let tail = idx.range(Some(&Value::Int(8)), None);
-        assert_eq!(tail, vec![8, 9]);
-        let head = idx.range(None, Some(&Value::Int(1)));
-        assert_eq!(head, vec![0, 1]);
-    }
-
-    #[test]
-    fn btree_orders_mixed_numeric_keys() {
-        let mut t = Table::new("n", &["x"]);
-        t.insert(vec![Value::Float(2.5)]);
-        t.insert(vec![Value::Int(2)]);
-        t.insert(vec![Value::Int(3)]);
-        let idx = BTreeIndex::build(&t, 0);
-        let keys: Vec<String> = idx.keys().map(|k| k.to_string()).collect();
-        assert_eq!(keys, vec!["2", "2.5", "3"]);
-    }
-
-    #[test]
     fn index_sizes_are_positive() {
         let t = table();
         assert!(HashIndex::build(&t, 0).heap_size_bytes() > 0);
-        assert!(BTreeIndex::build(&t, 0).heap_size_bytes() > 0);
     }
 }

@@ -1,25 +1,17 @@
-//! A miniature relational engine.
+//! A miniature relational storage layer.
 //!
-//! The paper's Systems A, B and C are "based on relational technology, come
-//! with a cost-based query optimizer" (§7). To reproduce their behaviour we
-//! need an actual relational substrate to map XML onto: typed values,
-//! row-addressable tables, hash and B-tree indexes, and the handful of
-//! physical operators the XMark query plans need (scans, filters, hash
-//! joins, sorts, grouping).
-//!
-//! The engine is deliberately minimal but real: the XML stores in
-//! `xmark-store` translate path expressions into plans over these tables,
-//! and the metadata-access counting in [`Catalog`] is what lets the
-//! benchmark reproduce the paper's Table 2 (compile-time metadata cost of a
-//! fragmenting mapping vs a monolithic one).
+//! The paper's Systems A, B and C are "based on relational technology"
+//! (§7). Their mappings in `xmark-store` shred XML into what this crate
+//! provides: typed values with a total order ([`Value`], [`OrdValue`]),
+//! row-addressable tables ([`Table`]) and hash indexes ([`HashIndex`]).
+//! The stores navigate those structures directly through the shared query
+//! engine; each one's catalog cost (the paper's Table 2) is reported by
+//! its own `XmlStore::estimate_step`.
 
-pub mod catalog;
 pub mod index;
-pub mod ops;
 pub mod table;
 pub mod value;
 
-pub use catalog::Catalog;
-pub use index::{BTreeIndex, HashIndex};
+pub use index::HashIndex;
 pub use table::{ColumnDef, RowId, Table};
 pub use value::{OrdValue, Value};

@@ -23,7 +23,7 @@ pub type RowId = usize;
 /// A heap table: a schema plus rows.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
-    /// Table name (used by the catalog and for metadata accounting).
+    /// Table name (System B resolves its fragments by it).
     pub name: String,
     columns: Vec<ColumnDef>,
     rows: Vec<Vec<Value>>,

@@ -62,14 +62,6 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
-
-    /// SQL-ish three-valued equality: NULL never equals anything.
-    pub fn sql_eq(&self, other: &Value) -> bool {
-        if self.is_null() || other.is_null() {
-            return false;
-        }
-        self == other
-    }
 }
 
 impl fmt::Display for Value {
@@ -107,9 +99,10 @@ impl From<String> for Value {
     }
 }
 
-/// Total-order wrapper for [`Value`], usable as a B-tree key. The order is
-/// NULL < numbers (Int and Float compared numerically) < strings; float
-/// NaNs sort above all other numbers.
+/// Total-order wrapper for [`Value`], the key type of
+/// [`crate::HashIndex`]. The order is NULL < numbers (Int and Float
+/// compared numerically) < strings; float NaNs sort above all other
+/// numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrdValue(pub Value);
 
@@ -177,13 +170,6 @@ mod tests {
         assert_eq!(Value::str(" 7 ").as_i64(), Some(7));
         assert_eq!(Value::str("gold").as_f64(), None);
         assert_eq!(Value::Null.as_f64(), None);
-    }
-
-    #[test]
-    fn null_never_equals() {
-        assert!(!Value::Null.sql_eq(&Value::Null));
-        assert!(!Value::Null.sql_eq(&Value::Int(1)));
-        assert!(Value::Int(1).sql_eq(&Value::Int(1)));
     }
 
     #[test]

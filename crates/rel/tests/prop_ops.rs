@@ -1,10 +1,9 @@
-//! Property tests for the relational substrate: operator correctness
-//! against brute-force oracles, and the total order on values.
+//! Property tests for the relational substrate: the total order on values
+//! and hash-index lookups against brute-force scans.
 
 use proptest::prelude::*;
 
-use xmark_rel::ops;
-use xmark_rel::{BTreeIndex, HashIndex, OrdValue, Table, Value};
+use xmark_rel::{HashIndex, OrdValue, Table, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -13,10 +12,6 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (-100.0f64..100.0).prop_map(Value::Float),
         "[a-z]{0,6}".prop_map(Value::str),
     ]
-}
-
-fn arb_row(width: usize) -> impl Strategy<Value = Vec<Value>> {
-    prop::collection::vec(arb_value(), width)
 }
 
 proptest! {
@@ -50,77 +45,6 @@ proptest! {
     }
 
     #[test]
-    fn hash_join_matches_nested_loop_oracle(
-        left in prop::collection::vec(arb_row(2), 0..20),
-        right in prop::collection::vec(arb_row(2), 0..20),
-    ) {
-        let joined = ops::hash_join(&left, 0, &right, 0);
-        // Oracle: nested loop with SQL NULL semantics.
-        let mut expected = 0usize;
-        for l in &left {
-            for r in &right {
-                if !l[0].is_null() && !r[0].is_null()
-                    && OrdValue(l[0].clone()) == OrdValue(r[0].clone())
-                {
-                    expected += 1;
-                }
-            }
-        }
-        prop_assert_eq!(joined.len(), expected);
-        for row in &joined {
-            prop_assert_eq!(row.len(), 4);
-            prop_assert_eq!(
-                OrdValue(row[0].clone()).cmp(&OrdValue(row[2].clone())),
-                std::cmp::Ordering::Equal
-            );
-        }
-    }
-
-    #[test]
-    fn outer_join_covers_every_left_row(
-        left in prop::collection::vec(arb_row(1), 0..15),
-        right in prop::collection::vec(arb_row(2), 0..15),
-    ) {
-        let joined = ops::left_outer_hash_join(&left, 0, &right, 0, 2);
-        prop_assert!(joined.len() >= left.len());
-        // Every joined row is width 3 and unmatched rows carry NULLs.
-        for row in &joined {
-            prop_assert_eq!(row.len(), 3);
-        }
-    }
-
-    #[test]
-    fn sort_by_column_is_sorted_and_a_permutation(
-        rows in prop::collection::vec(arb_row(2), 0..30),
-    ) {
-        let sorted = ops::sort_by_column(rows.clone(), 0);
-        prop_assert_eq!(sorted.len(), rows.len());
-        for pair in sorted.windows(2) {
-            prop_assert!(OrdValue(pair[0][0].clone()) <= OrdValue(pair[1][0].clone()));
-        }
-        // Permutation: same multiset of second-column values.
-        let mut a: Vec<String> = rows.iter().map(|r| format!("{:?}", r)).collect();
-        let mut b: Vec<String> = sorted.iter().map(|r| format!("{:?}", r)).collect();
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn group_count_totals_match(rows in prop::collection::vec(arb_row(1), 0..40)) {
-        let groups = ops::group_count(&rows, 0);
-        let total: usize = groups.iter().map(|(_, c)| c).sum();
-        prop_assert_eq!(total, rows.len());
-    }
-
-    #[test]
-    fn distinct_is_idempotent(rows in prop::collection::vec(arb_row(1), 0..30)) {
-        let once = ops::distinct(rows);
-        let twice = ops::distinct(once.clone());
-        prop_assert_eq!(once, twice);
-    }
-
-    #[test]
     fn indexes_agree_with_scans(
         keys in prop::collection::vec(arb_value(), 1..40),
         probe in arb_value(),
@@ -130,7 +54,6 @@ proptest! {
             t.insert(vec![k.clone()]);
         }
         let hash = HashIndex::build(&t, 0);
-        let btree = BTreeIndex::build(&t, 0);
         let expected: Vec<usize> = t
             .scan()
             .filter(|(_, row)| {
@@ -140,31 +63,6 @@ proptest! {
             })
             .map(|(rid, _)| rid)
             .collect();
-        prop_assert_eq!(hash.get(&probe).to_vec(), expected.clone());
-        prop_assert_eq!(btree.get(&probe).to_vec(), expected);
-    }
-
-    #[test]
-    fn btree_range_matches_filter(
-        keys in prop::collection::vec(-50i64..50, 1..40),
-        lo in -50i64..50,
-        hi in -50i64..50,
-    ) {
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let mut t = Table::new("t", &["k"]);
-        for k in &keys {
-            t.insert(vec![Value::Int(*k)]);
-        }
-        let idx = BTreeIndex::build(&t, 0);
-        let mut got = idx.range(Some(&Value::Int(lo)), Some(&Value::Int(hi)));
-        got.sort_unstable();
-        let mut expected: Vec<usize> = keys
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k >= lo && k <= hi)
-            .map(|(i, _)| i)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(hash.get(&probe).to_vec(), expected);
     }
 }

@@ -14,14 +14,13 @@
 //! structures; nothing is specialized to the schema.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmark_rel::{HashIndex, Table, Value};
 use xmark_xml::{Document, NodeId};
 
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
 use crate::index::IndexManager;
-use crate::traits::{Node, PlannerCaps, SystemId, XmlStore};
+use crate::traits::{Node, PlannerCaps, StepEstimate, SystemId, XmlStore};
 
 /// Streaming cursor over a parent-index posting list. Row ids in the
 /// `node` relation *are* pre-order node ids, and posting lists are built
@@ -117,7 +116,6 @@ pub struct EdgeStore {
     tag_idx: HashIndex,
     owner_idx: HashIndex,
     root: u32,
-    metadata: AtomicU64,
     indexes: IndexManager,
 }
 
@@ -174,7 +172,6 @@ impl EdgeStore {
             tag_idx,
             owner_idx,
             root: doc.root_element().0,
-            metadata: AtomicU64::new(0),
             indexes: IndexManager::new(),
         }
     }
@@ -277,26 +274,9 @@ impl XmlStore for EdgeStore {
         })
     }
 
-    fn begin_compile(&self) {
-        self.metadata.store(0, Ordering::Relaxed);
-    }
-
-    fn compile_step(&self, tag: &str) -> usize {
-        // One relation descriptor: the whole point of System A. A second
-        // access fetches index statistics for the optimizer.
-        self.metadata.fetch_add(2, Ordering::Relaxed);
-        self.tag_idx.get(&Value::str(tag)).len()
-    }
-
-    fn metadata_accesses(&self) -> u64 {
-        self.metadata.load(Ordering::Relaxed)
-    }
-
     fn planner_caps(&self) -> PlannerCaps {
         PlannerCaps {
             id_index: true,
-            // The tag index stores the whole extent per tag: exact counts.
-            exact_statistics: true,
             // The generic edge mapping has no subtree-scoped descendant
             // access of its own (extent scans climb parent chains), so the
             // shared posting-list index pays off.
@@ -304,6 +284,16 @@ impl XmlStore for EdgeStore {
             value_index: true,
             child_values: true,
             ..PlannerCaps::default()
+        }
+    }
+
+    fn estimate_step(&self, tag: &str) -> StepEstimate {
+        // One relation descriptor: the whole point of System A. A second
+        // access fetches index statistics for the optimizer; the tag index
+        // stores the whole extent per tag, so the count is exact.
+        StepEstimate {
+            rows: self.tag_idx.get(&Value::str(tag)).len() as u64,
+            metadata_accesses: 2,
         }
     }
 }
@@ -358,12 +348,11 @@ mod tests {
     #[test]
     fn compile_metering_counts_two_per_step() {
         let s = store();
-        s.begin_compile();
-        let card = s.compile_step("person");
-        assert_eq!(card, 2);
-        assert_eq!(s.metadata_accesses(), 2);
-        s.compile_step("name");
-        assert_eq!(s.metadata_accesses(), 4);
+        let person = s.estimate_step("person");
+        assert_eq!(person.rows, 2);
+        assert_eq!(person.metadata_accesses, 2);
+        let name = s.estimate_step("name");
+        assert_eq!(person.metadata_accesses + name.metadata_accesses, 4);
     }
 
     #[test]

@@ -16,14 +16,13 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmark_rel::{HashIndex, Table, Value};
 use xmark_xml::{Document, NodeId};
 
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
 use crate::index::IndexManager;
-use crate::traits::{Node, PlannerCaps, SystemId, XmlStore};
+use crate::traits::{Node, PlannerCaps, StepEstimate, SystemId, XmlStore};
 
 const TEXT_FLAG: u16 = 1 << 15;
 
@@ -106,7 +105,6 @@ pub struct FragmentedStore {
     /// Logical OID directory: node id → (tag code | TEXT_FLAG, row).
     directory: Vec<(u16, u32)>,
     root: u32,
-    metadata: AtomicU64,
     indexes: IndexManager,
 }
 
@@ -225,7 +223,6 @@ impl FragmentedStore {
             attr,
             directory,
             root: doc.root_element().0,
-            metadata: AtomicU64::new(0),
             indexes: IndexManager::new(),
         }
     }
@@ -236,8 +233,9 @@ impl FragmentedStore {
         self.elem.len() + self.text.len() + self.attr.len()
     }
 
-    /// Extent cardinality of a tag *without* metadata accounting — used by
-    /// the DTD-inlined store, whose schema already knows the fragment.
+    /// Extent cardinality of a tag *without* B's four-descriptor
+    /// resolution — used by the DTD-inlined store, whose schema already
+    /// knows the fragment.
     pub fn fragment_cardinality(&self, tag: &str) -> usize {
         self.tag_lookup
             .get(tag)
@@ -401,19 +399,30 @@ impl XmlStore for FragmentedStore {
         })
     }
 
-    fn begin_compile(&self) {
-        self.metadata.store(0, Ordering::Relaxed);
+    fn planner_caps(&self) -> PlannerCaps {
+        PlannerCaps {
+            id_index: true,
+            // Fragment scans verify containment by climbing parent chains;
+            // the shared posting-list index stabs instead.
+            element_index: true,
+            value_index: true,
+            child_values: true,
+            ..PlannerCaps::default()
+        }
     }
 
-    fn compile_step(&self, tag: &str) -> usize {
+    fn estimate_step(&self, tag: &str) -> StepEstimate {
         // Per step: the element fragment descriptor, its text twin, the
         // attribute fragments of the tag, and per-fragment statistics —
         // four metadata accesses resolved by *name* against a catalog of
         // hundreds of relations. This breadth is what the paper blames for
         // B's 51% compile share on Q1.
-        self.metadata.fetch_add(4, Ordering::Relaxed);
+        let mut est = StepEstimate {
+            rows: 0,
+            metadata_accesses: 4,
+        };
         let Some(&code) = self.tag_lookup.get(tag) else {
-            return 0;
+            return est;
         };
         let f = &self.elem[code as usize];
         // Name-keyed descriptor resolution, as a catalog would do it.
@@ -424,27 +433,11 @@ impl XmlStore for FragmentedStore {
         let prefix = format!("{tag}.");
         let attr_fragments = self.attr.keys().filter(|k| k.starts_with(&prefix)).count();
         let _ = attr_fragments;
-        // Per-fragment statistics for the optimizer.
+        // Per-fragment statistics for the optimizer; per-tag fragments
+        // carry exact row counts.
         let _ = f.parent_idx.distinct_keys();
-        f.rows.len()
-    }
-
-    fn metadata_accesses(&self) -> u64 {
-        self.metadata.load(Ordering::Relaxed)
-    }
-
-    fn planner_caps(&self) -> PlannerCaps {
-        PlannerCaps {
-            id_index: true,
-            // Per-tag fragments carry exact row counts.
-            exact_statistics: true,
-            // Fragment scans verify containment by climbing parent chains;
-            // the shared posting-list index stabs instead.
-            element_index: true,
-            value_index: true,
-            child_values: true,
-            ..PlannerCaps::default()
-        }
+        est.rows = f.rows.len() as u64;
+        est
     }
 }
 
@@ -510,10 +503,9 @@ mod tests {
     #[test]
     fn compile_cost_is_four_accesses_per_step() {
         let s = store();
-        s.begin_compile();
-        let card = s.compile_step("person");
-        assert_eq!(card, 2);
-        assert_eq!(s.metadata_accesses(), 4);
+        let est = s.estimate_step("person");
+        assert_eq!(est.rows, 2);
+        assert_eq!(est.metadata_accesses, 4);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use xmark_rel::{Table, Value};
 use xmark_xml::{Document, NodeId};
@@ -25,7 +24,7 @@ use xmark_xml::{Document, NodeId};
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
 use crate::fragmented::FragmentedStore;
 use crate::index::IndexManager;
-use crate::traits::{Node, PlannerCaps, PositionSpec, SystemId, XmlStore};
+use crate::traits::{Node, PlannerCaps, PositionSpec, StepEstimate, SystemId, XmlStore};
 
 struct EntityTable {
     /// Scalar column names, aligned with table columns `1..`.
@@ -42,7 +41,6 @@ pub struct InlinedStore {
     entity_of_tag: HashMap<String, usize>,
     /// Positional child index: auction node → bidder nodes in order.
     bidders: HashMap<u32, Vec<u32>>,
-    metadata: AtomicU64,
 }
 
 impl InlinedStore {
@@ -125,7 +123,6 @@ impl InlinedStore {
             entities,
             entity_of_tag,
             bidders,
-            metadata: AtomicU64::new(0),
         }
     }
 
@@ -226,43 +223,37 @@ impl XmlStore for InlinedStore {
         Some(picked.map(|&id| Node(id)))
     }
 
-    fn begin_compile(&self) {
-        self.metadata.store(0, Ordering::Relaxed);
-        self.base.begin_compile();
-    }
-
-    fn compile_step(&self, tag: &str) -> usize {
-        // The DTD-derived schema answers most steps from the (small) entity
-        // catalog: one access. Steps outside the entity schema cost one
-        // schema-tree probe plus one statistics read — still cheaper than
-        // B's four-descriptor resolution, because the DTD pre-resolves
-        // which fragment a tag lives in.
-        if let Some(&eidx) = self.entity_of_tag.get(tag) {
-            self.metadata.fetch_add(1, Ordering::Relaxed);
-            self.entities[eidx].rows.len()
-        } else {
-            self.metadata.fetch_add(2, Ordering::Relaxed);
-            self.base.fragment_cardinality(tag)
-        }
-    }
-
-    fn metadata_accesses(&self) -> u64 {
-        self.metadata.load(Ordering::Relaxed) + self.base.metadata_accesses()
-    }
-
     fn planner_caps(&self) -> PlannerCaps {
         PlannerCaps {
             id_index: true,
             positional_index: true,
             inlined_values: true,
-            // Entity tables and fragments both know their row counts.
-            exact_statistics: true,
             // Descendant access delegates to the fragmented base, which
             // climbs parent chains — posting-list stabs win.
             element_index: true,
             value_index: true,
             child_values: true,
             ..PlannerCaps::default()
+        }
+    }
+
+    fn estimate_step(&self, tag: &str) -> StepEstimate {
+        // The DTD-derived schema answers most steps from the (small) entity
+        // catalog: one access. Steps outside the entity schema cost one
+        // schema-tree probe plus one statistics read — still cheaper than
+        // B's four-descriptor resolution, because the DTD pre-resolves
+        // which fragment a tag lives in. Entity tables and fragments both
+        // know their row counts.
+        if let Some(&eidx) = self.entity_of_tag.get(tag) {
+            StepEstimate {
+                rows: self.entities[eidx].rows.len() as u64,
+                metadata_accesses: 1,
+            }
+        } else {
+            StepEstimate {
+                rows: self.base.fragment_cardinality(tag) as u64,
+                metadata_accesses: 2,
+            }
         }
     }
 }
@@ -337,10 +328,9 @@ mod tests {
     #[test]
     fn compile_uses_small_entity_catalog() {
         let s = store();
-        s.begin_compile();
-        let card = s.compile_step("open_auction");
-        assert_eq!(card, 1);
-        assert_eq!(s.metadata_accesses(), 1);
+        let est = s.estimate_step("open_auction");
+        assert_eq!(est.rows, 1);
+        assert_eq!(est.metadata_accesses, 1);
     }
 
     #[test]

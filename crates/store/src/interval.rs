@@ -21,7 +21,7 @@ use xmark_xml::{Document, NodeId};
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
 use crate::index::IndexManager;
 use crate::loader::{level_array, parent_array, subtree_ends, NONE};
-use crate::traits::{Node, PlannerCaps, SystemId, XmlStore};
+use crate::traits::{Node, PlannerCaps, StepEstimate, SystemId, XmlStore};
 
 const TEXT_TAG: u16 = u16::MAX;
 
@@ -347,25 +347,12 @@ impl XmlStore for IntervalStore {
         }
     }
 
-    fn compile_step(&self, tag: &str) -> usize {
-        if self.indexed {
-            self.tag_lookup
-                .get(tag)
-                .map(|&c| self.tag_extents[c as usize].len())
-                .unwrap_or(0)
-        } else {
-            // F has no statistics; its heuristic optimizer guesses.
-            0
-        }
-    }
-
     fn planner_caps(&self) -> PlannerCaps {
         if self.indexed {
             PlannerCaps {
                 id_index: true,
                 // Counting is extent partition-point arithmetic.
                 summary_counts: true,
-                exact_statistics: true,
                 // Native per-tag extents already are a descendant index —
                 // the shared posting lists would duplicate them.
                 value_index: true,
@@ -382,6 +369,22 @@ impl XmlStore for IntervalStore {
                 child_values: true,
                 ..PlannerCaps::default()
             }
+        }
+    }
+
+    fn estimate_step(&self, tag: &str) -> StepEstimate {
+        if !self.indexed {
+            // F has no statistics; its heuristic optimizer guesses.
+            return StepEstimate::default();
+        }
+        // E's per-tag extents are the statistics: exact counts, and no
+        // catalog to consult.
+        StepEstimate {
+            rows: self
+                .tag_lookup
+                .get(tag)
+                .map_or(0, |&c| self.tag_extents[c as usize].len() as u64),
+            metadata_accesses: 0,
         }
     }
 }
@@ -464,7 +467,7 @@ mod tests {
     #[test]
     fn f_reports_no_statistics() {
         let (e, f) = both();
-        assert_eq!(e.compile_step("item"), 2);
-        assert_eq!(f.compile_step("item"), 0);
+        assert_eq!(e.estimate_step("item").rows, 2);
+        assert_eq!(f.estimate_step("item").rows, 0);
     }
 }

@@ -69,9 +69,9 @@ pub use traits::{
 
 // Compile-time proof that every backend can be shared across threads:
 // `XmlStore` carries `Send + Sync` supertraits, and each concrete store
-// must satisfy them (metadata counters are relaxed atomics, everything
-// else is immutable after bulkload). A backend that regresses to `Cell`,
-// `Rc`, or `RefCell` fails to compile right here.
+// must satisfy them (everything is immutable after bulkload, and the
+// lazily built indexes and buffer pools synchronize internally). A backend
+// that regresses to `Cell`, `Rc`, or `RefCell` fails to compile right here.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<EdgeStore>();

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use xmark_xml::Document;
@@ -38,7 +38,7 @@ use xmark_xml::Document;
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
 use crate::index::IndexManager;
 use crate::loader::{parent_array, subtree_ends, NONE};
-use crate::traits::{Node, PlannerCaps, SystemId, XmlStore};
+use crate::traits::{Node, PlannerCaps, StepEstimate, SystemId, XmlStore};
 
 use super::buffer::{BufferPool, PageGuard, PoolStats};
 use super::file::FileManager;
@@ -64,7 +64,6 @@ pub struct PagedStore {
     /// Delete the page + log files on drop (scratch stores).
     ephemeral: bool,
     indexes: IndexManager,
-    metadata: AtomicU64,
 }
 
 /// Fills one contiguous same-kind extent through the pool, logging each
@@ -303,7 +302,6 @@ impl PagedStore {
             wal_path,
             ephemeral: false,
             indexes: IndexManager::new(),
-            metadata: AtomicU64::new(0),
         })
     }
 
@@ -366,7 +364,6 @@ impl PagedStore {
             wal_path,
             ephemeral: false,
             indexes: IndexManager::new(),
-            metadata: AtomicU64::new(0),
         })
     }
 
@@ -840,33 +837,27 @@ impl XmlStore for PagedStore {
         PageRun::new(self).serialize(n.0, out).map(|_| ())
     }
 
-    fn begin_compile(&self) {
-        self.metadata.store(0, Ordering::Relaxed);
-    }
-
-    fn compile_step(&self, tag: &str) -> usize {
-        self.metadata.fetch_add(1, Ordering::Relaxed);
-        self.tag_lookup
-            .get(tag)
-            .map(|&c| self.catalog.tag_counts[c as usize] as usize)
-            .unwrap_or(0)
-    }
-
-    fn metadata_accesses(&self) -> u64 {
-        self.metadata.load(Ordering::Relaxed)
-    }
-
     fn planner_caps(&self) -> PlannerCaps {
         PlannerCaps {
             id_index: true,
-            // Per-tag extent counts live in the resident catalog.
-            exact_statistics: true,
             // Descendant steps should stab the shared posting lists
             // instead of scanning the interval page by page.
             element_index: true,
             value_index: true,
             child_values: true,
             ..PlannerCaps::default()
+        }
+    }
+
+    fn estimate_step(&self, tag: &str) -> StepEstimate {
+        // One read of the resident catalog, whose per-tag extent counts
+        // are exact.
+        StepEstimate {
+            rows: self
+                .tag_lookup
+                .get(tag)
+                .map_or(0, |&c| u64::from(self.catalog.tag_counts[c as usize])),
+            metadata_accesses: 1,
         }
     }
 }
@@ -925,9 +916,8 @@ mod tests {
         assert_eq!(h.descendants_named_iter(people, "name").count(), 1);
         let hit = h.lookup_id("person0").unwrap();
         assert_eq!(h.tag_of(hit), Some("person"));
-        assert_eq!(h.compile_step("item"), 2);
-        assert_eq!(h.compile_step("ghost"), 0);
-        assert!(h.planner_caps().exact_statistics);
+        assert_eq!(h.estimate_step("item").rows, 2);
+        assert_eq!(h.estimate_step("ghost").rows, 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use xmark_xml::{Document, NodeId};
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
 use crate::index::IndexManager;
 use crate::loader::{parent_array, subtree_ends, NONE};
-use crate::traits::{Node, PlannerCaps, SystemId, XmlStore};
+use crate::traits::{Node, PlannerCaps, StepEstimate, SystemId, XmlStore};
 
 /// Streaming child cursor over the columnar `next_sibling` chain —
 /// pointer-chasing, no allocation.
@@ -375,10 +375,21 @@ impl XmlStore for SummaryStore {
             .sum()
     }
 
-    fn begin_compile(&self) {}
+    fn planner_caps(&self) -> PlannerCaps {
+        PlannerCaps {
+            id_index: true,
+            summary_counts: true,
+            // The structural summary's path extents already serve
+            // descendant steps; only the value indexes add anything.
+            value_index: true,
+            child_values: true,
+            ..PlannerCaps::default()
+        }
+    }
 
-    fn compile_step(&self, tag: &str) -> usize {
-        // Metadata = the summary itself; one traversal, extents give exact
+    fn estimate_step(&self, tag: &str) -> StepEstimate {
+        // Metadata = the summary itself, walked in memory rather than
+        // looked up in a catalog; one traversal, extents give exact
         // cardinalities (a "perfect statistics" optimizer).
         let mut stack = vec![self.root_summary];
         let mut total = 0;
@@ -389,19 +400,9 @@ impl XmlStore for SummaryStore {
             }
             stack.extend(node.children.values().copied());
         }
-        total
-    }
-
-    fn planner_caps(&self) -> PlannerCaps {
-        PlannerCaps {
-            id_index: true,
-            summary_counts: true,
-            exact_statistics: true,
-            // The structural summary's path extents already serve
-            // descendant steps; only the value indexes add anything.
-            value_index: true,
-            child_values: true,
-            ..PlannerCaps::default()
+        StepEstimate {
+            rows: total as u64,
+            metadata_accesses: 0,
         }
     }
 }
@@ -478,9 +479,9 @@ mod tests {
     }
 
     #[test]
-    fn compile_step_returns_exact_cardinalities() {
+    fn estimate_step_returns_exact_cardinalities() {
         let s = store();
-        assert_eq!(s.compile_step("item"), 3);
-        assert_eq!(s.compile_step("missing"), 0);
+        assert_eq!(s.estimate_step("item").rows, 3);
+        assert_eq!(s.estimate_step("missing").rows, 0);
     }
 }

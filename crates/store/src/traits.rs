@@ -150,9 +150,6 @@ pub struct PlannerCaps {
     /// [`XmlStore::count_descendants_named`] is summary/extent arithmetic,
     /// not a node walk (Systems D and E).
     pub summary_counts: bool,
-    /// [`XmlStore::estimate_step`] returns exact extent cardinalities
-    /// ("perfect statistics"), not heuristic guesses.
-    pub exact_statistics: bool,
     /// The shared element-name index ([`crate::index::ElementIndex`])
     /// should back IndexScan plans on this mapping: predicate-free
     /// descendant steps stab a posting list instead of walking. Backends
@@ -171,25 +168,28 @@ pub struct PlannerCaps {
 }
 
 /// A per-step cardinality estimate the catalog resolves during query
-/// compilation — the selectivity input of the cost-based planner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// compilation — the selectivity input of the cost-based planner — and
+/// what resolving it cost (the Table 2 metadata column).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepEstimate {
-    /// Estimated extent cardinality of the step's tag. `0` with
-    /// `exact == false` means the backend has no statistics (System F's
-    /// "heuristic optimizer guesses").
+    /// Extent cardinality of the step's tag: exact counts on the
+    /// "perfect statistics" mappings, `0` where the backend has none
+    /// (System F's "heuristic optimizer guesses").
     pub rows: u64,
-    /// Whether `rows` is an exact count.
-    pub exact: bool,
+    /// Catalog metadata accesses this resolution made — one relation
+    /// descriptor plus index statistics for System A, four name-keyed
+    /// descriptors for System B, and so on.
+    pub metadata_accesses: u64,
 }
 
 /// The storage contract. Handles are only meaningful within the store that
 /// produced them.
 ///
 /// Every store is `Send + Sync`: bulkload builds immutable structures and
-/// the only runtime mutation is the relaxed atomic metadata counter, so a
-/// loaded store can be shared across query worker threads behind an
-/// `Arc<dyn XmlStore>` (the concurrent service layer in `xmark::service`
-/// relies on this).
+/// planning only reads them (each [`StepEstimate`] carries its own
+/// metadata-access count), so a loaded store can be shared across query
+/// worker threads behind an `Arc<dyn XmlStore>` (the concurrent service
+/// layer in `xmark::service` relies on this).
 pub trait XmlStore: Send + Sync {
     /// Which paper system this store models.
     fn system(&self) -> SystemId;
@@ -398,24 +398,6 @@ pub trait XmlStore: Send + Sync {
 
     // ---- compile-phase hooks (Table 2) -----------------------------------
 
-    /// Called by the compiler once per query before lowering; resets the
-    /// metadata-access counter.
-    fn begin_compile(&self) {}
-
-    /// Called by the compiler for every path step with the step's tag. The
-    /// backend resolves whatever catalog metadata its architecture needs —
-    /// one heap-relation descriptor for System A, a per-tag table for
-    /// System B — and returns an estimated extent cardinality for the
-    /// optimizer.
-    fn compile_step(&self, _tag: &str) -> usize {
-        0
-    }
-
-    /// Metadata accesses since [`XmlStore::begin_compile`].
-    fn metadata_accesses(&self) -> u64 {
-        0
-    }
-
     /// The access paths this mapping offers the planner. Resolved once per
     /// compilation; the default claims nothing, forcing generic plans
     /// (System G).
@@ -423,15 +405,15 @@ pub trait XmlStore: Send + Sync {
         PlannerCaps::default()
     }
 
-    /// Resolve catalog statistics for one path step — the selectivity
-    /// estimate the cost-based planner consumes. Counts as metadata access
-    /// exactly like [`XmlStore::compile_step`] (it *is* the same catalog
-    /// touch, plus the exactness flag).
-    fn estimate_step(&self, tag: &str) -> StepEstimate {
-        StepEstimate {
-            rows: self.compile_step(tag) as u64,
-            exact: self.planner_caps().exact_statistics,
-        }
+    /// Resolve catalog statistics for one path step, called by the
+    /// compiler with the step's tag. The backend resolves whatever catalog
+    /// metadata its architecture needs — one heap-relation descriptor for
+    /// System A, a per-tag table for System B — and returns the extent
+    /// cardinality the optimizer consumes together with the number of
+    /// metadata accesses that took. The default has neither statistics
+    /// nor a catalog: `0` rows, `0` accesses.
+    fn estimate_step(&self, _tag: &str) -> StepEstimate {
+        StepEstimate::default()
     }
 }
 

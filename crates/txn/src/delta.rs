@@ -79,14 +79,6 @@ impl DeltaState {
         id >= self.floor
     }
 
-    /// Whether any change whatsoever has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.inserted.is_empty()
-            && self.deleted_base.is_empty()
-            && self.text_over.is_empty()
-            && self.attr_over.is_empty()
-    }
-
     /// Document-order rank of a live node.
     pub fn rank_of(&self, id: u32) -> u64 {
         match self.inserted.get(&id) {

@@ -23,7 +23,8 @@ use std::sync::Arc;
 use xmark_store::paged::{LogManager, PoolStats};
 use xmark_store::{
     serialize_by_cursors, string_value_by_cursors, AttrIter, ChildIter, ChildrenNamed,
-    DescendantsNamed, IndexManager, Node, PlannerCaps, PositionSpec, SystemId, XmlStore,
+    DescendantsNamed, IndexManager, Node, PlannerCaps, PositionSpec, StepEstimate, SystemId,
+    XmlStore,
 };
 
 use crate::delta::DeltaState;
@@ -250,25 +251,13 @@ impl XmlStore for SnapshotStore {
         serialize_by_cursors(self, n, out)
     }
 
-    fn begin_compile(&self) {
-        self.base.begin_compile();
-    }
-
-    fn compile_step(&self, tag: &str) -> usize {
-        self.base.compile_step(tag)
-    }
-
-    fn metadata_accesses(&self) -> u64 {
-        self.base.metadata_accesses()
-    }
-
     fn planner_caps(&self) -> PlannerCaps {
-        let mut caps = self.base.planner_caps();
-        if !self.delta.is_empty() {
-            // Catalog statistics describe the bulkloaded document;
-            // after a commit they are estimates, not exact counts.
-            caps.exact_statistics = false;
-        }
-        caps
+        self.base.planner_caps()
+    }
+
+    fn estimate_step(&self, tag: &str) -> StepEstimate {
+        // Catalog statistics describe the bulkloaded document; after a
+        // commit they are estimates, not exact counts.
+        self.base.estimate_step(tag)
     }
 }

@@ -2,13 +2,14 @@
 //! mix over ONE shared store must produce canonical outputs identical to
 //! the single-threaded run — for every one of the eight backends, for a
 //! pinned snapshot of an updated H, and for a sharded union whose cursors
-//! the threads share.
+//! the threads share — and concurrent compiles must report the sequential
+//! compile statistics.
 //!
 //! This is the correctness half of the concurrent service layer. The
 //! throughput half (perflab's workloads) only makes sense if sharing a
-//! store across threads never changes an answer: no torn metadata
-//! counters, no cache cross-talk, no evaluator state leaking between
-//! concurrent executions.
+//! store across threads never changes an answer: no compile statistics
+//! that depend on another thread's timing, no cache cross-talk, no
+//! evaluator state leaking between concurrent executions.
 
 mod common;
 
@@ -16,6 +17,7 @@ use std::sync::Arc;
 use std::thread;
 
 use xmark::prelude::*;
+use xmark::query::CompileStats;
 
 /// A mix that exercises every access-path family: ID lookup (Q1),
 /// positional index (Q2), casting (Q5), structural-summary counting (Q6),
@@ -185,5 +187,52 @@ fn service_pool_preserves_cardinalities_on_all_backends() {
                 "{system}: Q{q} cardinality under the pool diverged from sequential"
             );
         }
+    }
+}
+
+/// Planning only reads the store: every step's catalog estimate reports
+/// its own metadata accesses. So compiles racing on one shared store — the
+/// service's cache-miss path — each report exactly the sequential
+/// [`CompileStats`], Table 2's metadata column included.
+#[test]
+fn concurrent_compiles_report_their_own_metadata_accesses() {
+    const COMPILE_ROUNDS: usize = 50;
+    let doc = generate_document(0.002);
+    let mut stores: Vec<(String, Arc<dyn XmlStore>)> =
+        [SystemId::A, SystemId::B, SystemId::C, SystemId::H]
+            .into_iter()
+            .map(|system| {
+                let store = Arc::from(load_system(system, &doc.xml).store);
+                (system.to_string(), store)
+            })
+            .collect();
+    let versioned = VersionedStore::new(Arc::from(load_system(SystemId::A, &doc.xml).store));
+    common::apply_update_script(&versioned);
+    stores.push(("versioned A".to_string(), versioned.snapshot()));
+
+    for (name, store) in &stores {
+        let expected: Vec<CompileStats> = ALL_QUERIES
+            .iter()
+            .map(|q| compile(q.text, store.as_ref()).unwrap().stats)
+            .collect();
+        thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (store, expected) = (store.as_ref(), &expected);
+                scope.spawn(move || {
+                    for round in 0..COMPILE_ROUNDS {
+                        for i in 0..ALL_QUERIES.len() {
+                            let slot = (i + t + round) % ALL_QUERIES.len();
+                            let q = &ALL_QUERIES[slot];
+                            assert_eq!(
+                                compile(q.text, store).unwrap().stats,
+                                expected[slot],
+                                "{name}: thread {t}, round {round}, Q{}",
+                                q.number
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 }
