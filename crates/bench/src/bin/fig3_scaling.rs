@@ -5,14 +5,21 @@
 //! (< 2 MB) and produced 100 MB in 33.4 s on a 450 MHz Pentium III.
 //!
 //! ```text
-//! cargo run --release -p xmark-bench --bin fig3_scaling [--max-factor 0.1]
+//! cargo run --release -p xmark-bench --bin fig3_scaling [--factor 0.1]
 //! ```
+//!
+//! `--factor` is the largest preset factor generated.
 
 use std::io::Write;
 
 use xmark::gen::{Generator, GeneratorConfig};
 use xmark::prelude::SCALES;
-use xmark_bench::TextTable;
+use xmark_bench::{Finding, TextTable};
+
+/// Fig. 3 sizes every scale at exactly 100 MB per unit factor (10 MB,
+/// 100 MB, 1 GB); bytes per unit factor that stay within this fraction
+/// of each other across the measured scales count as flat.
+const FLAT_TOLERANCE: f64 = 0.10;
 
 /// An `io::Write` sink that counts bytes — generation is measured without
 /// any buffering or disk cost, like the paper's elapsed-time figures.
@@ -64,25 +71,39 @@ fn main() {
     println!("{}", table.render());
 
     // Linearity check (the paper's "accurately scalable").
-    if sizes.len() >= 2 {
-        println!("linearity (bytes per unit factor):");
-        for (factor, bytes) in &sizes {
-            println!(
-                "  factor {factor:<8} -> {:.1} MB / factor",
-                *bytes as f64 / factor / 1e6
-            );
-        }
+    println!("linearity (bytes per unit factor):");
+    let per_factor: Vec<f64> = sizes
+        .iter()
+        .map(|&(factor, bytes)| bytes as f64 / factor)
+        .collect();
+    for ((factor, _), bytes) in sizes.iter().zip(&per_factor) {
+        println!("  factor {factor:<8} -> {:.1} MB / factor", bytes / 1e6);
     }
 
-    // Constant-resource claim: the generator state is the vocabulary plus
-    // the open-tag stack; report it.
-    let generator = Generator::new(GeneratorConfig::at_factor(1.0));
-    let vocab_bytes: usize = (0..generator.vocabulary().len())
-        .map(|i| generator.vocabulary().word(i).len() + 24)
-        .sum();
-    println!(
-        "\nresident generator state (independent of factor): vocabulary ≈ {}, plus an O(depth) tag stack",
-        xmark_bench::human_bytes(vocab_bytes)
-    );
-    println!("(paper §4.5: xmlgen requires less than 2 MB of main memory)");
+    let lowest = per_factor.iter().copied().fold(f64::INFINITY, f64::min);
+    let highest = per_factor.iter().copied().fold(0.0, f64::max);
+    let flat = if sizes.len() >= 2 {
+        Finding::check(
+            "Fig. 3",
+            format!(
+                "bytes per unit factor stay within {:.0}% across the measured scales",
+                FLAT_TOLERANCE * 100.0
+            ),
+            highest <= lowest * (1.0 + FLAT_TOLERANCE),
+        )
+    } else {
+        Finding::not_reproducible(
+            "Fig. 3",
+            "bytes per unit factor are flat across scales",
+            "fewer than two scales at this --factor",
+        )
+    };
+    xmark_bench::print_findings(&[
+        flat,
+        Finding::not_reproducible(
+            "§4.5",
+            "xmlgen runs in less than 2 MB of main memory",
+            "this binary does not measure the generator's memory",
+        ),
+    ]);
 }

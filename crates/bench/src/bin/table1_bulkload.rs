@@ -9,12 +9,11 @@
 //! small database.
 //!
 //! ```text
-//! cargo run --release -p xmark-bench --bin table1_bulkload \
-//!     [--factor 0.1] [--parse-only] [--pool-pages 256]
+//! cargo run --release -p xmark-bench --bin table1_bulkload [--factor 0.1]
 //! ```
 
 use xmark::prelude::*;
-use xmark_bench::TextTable;
+use xmark_bench::{Finding, TextTable};
 
 fn main() {
     let factor = xmark_bench::factor_from_args(0.1);
@@ -38,9 +37,6 @@ fn main() {
         xmark::xml::parser::scan_only(session.xml()).expect("document scans")
     });
     println!("tokenizer scan baseline: {tokens} tokens in {scan_time:.2?} (no semantic actions)\n",);
-    if xmark_bench::has_flag("--parse-only") {
-        return;
-    }
 
     let mut table = TextTable::new(&[
         "System",
@@ -52,9 +48,8 @@ fn main() {
         "Bulkload time",
         "Index build",
     ]);
-    let pool_pages = xmark_bench::usize_flag("--pool-pages");
     let mut rows = session.load_all();
-    rows.push(session.load_paged(pool_pages));
+    rows.push(session.load_paged(None));
     for loaded in &rows {
         // The shared store-resident indexes build lazily; warm them here
         // (timed) so the Index column reports their real resident bytes —
@@ -90,9 +85,8 @@ fn main() {
     let h = rows.last().expect("H row was just pushed");
     let stats = h.store.paged_stats().expect("backend H exposes pool stats");
     println!(
-        "H buffer pool after bulkload + index build ({} frame budget): \
+        "H buffer pool after bulkload + index build ({DEFAULT_POOL_PAGES} frame budget): \
          {} pages read, {} written, {} evictions, hit rate {:.1}%",
-        pool_pages.unwrap_or(DEFAULT_POOL_PAGES),
         stats.pages_read,
         stats.pages_written,
         stats.evictions,
@@ -103,7 +97,34 @@ fn main() {
     println!("paper's Table 1 (factor 1.0, 550 MHz PIII) for shape comparison:");
     println!("  A 241 MB / 414 s   B 280 MB / 781 s   C 238 MB / 548 s");
     println!("  D 142 MB /  50 s   E 302 MB /  96 s   F 345 MB / 215 s");
-    println!("\nshape expectations: native stores (D/E/F) load faster than the");
-    println!("relational conversions (A/B/C); the fragmenting mapping (B) pays");
-    println!("the most conversion work among the relational stores.");
+
+    let load = |system: SystemId| {
+        rows.iter()
+            .find(|l| l.system == system)
+            .expect("every mass-storage system was loaded")
+            .load_time
+    };
+    let relational = [SystemId::A, SystemId::B, SystemId::C].map(load);
+    let native = [SystemId::D, SystemId::E, SystemId::F].map(load);
+    let fastest_relational = relational.iter().min().expect("three systems");
+    let slowest_native = native.iter().max().expect("three systems");
+    let slowest_relational = relational.iter().max().expect("three systems");
+    let fastest_load = rows.iter().map(|l| l.load_time).min().expect("rows");
+    xmark_bench::print_findings(&[
+        Finding::check(
+            "Table 1",
+            "D, E and F each load faster than every one of A, B and C",
+            slowest_native < fastest_relational,
+        ),
+        Finding::check(
+            "Table 1",
+            "B loads slowest of A, B and C",
+            load(SystemId::B) == *slowest_relational,
+        ),
+        Finding::check(
+            "§7",
+            "the tokenizer scan (expat's role) beats every bulkload",
+            scan_time < fastest_load,
+        ),
+    ]);
 }

@@ -19,8 +19,10 @@
 //! `--smoke` runs a seconds-scale version (tiny document, fewer repeats)
 //! so CI exercises the three-phase timing path end to end.
 
+use std::collections::HashMap;
+
 use xmark::prelude::*;
-use xmark_bench::TextTable;
+use xmark_bench::{Finding, TextTable};
 
 fn main() {
     let smoke = xmark_bench::has_flag("--smoke");
@@ -51,6 +53,8 @@ fn main() {
         "Est. rows",
     ]);
 
+    let mut metadata = HashMap::new();
+    let mut execute_pct = HashMap::new();
     for &q in session.queries() {
         for l in &loaded {
             let text = query(q).text;
@@ -77,6 +81,8 @@ fn main() {
                 compiled.stats.metadata_accesses.to_string(),
                 compiled.stats.estimated_rows.to_string(),
             ]);
+            metadata.insert((q, l.system), compiled.stats.metadata_accesses);
+            execute_pct.insert((q, l.system), 100.0 - cpct);
         }
     }
     println!("{}", table.render());
@@ -88,14 +94,32 @@ fn main() {
     println!(
         "  Q2: A compile 13% / exec 87%   B compile 20% / exec 80%   C compile 16% / exec 84%"
     );
-    println!("\nshape expectations: parse time is backend-independent; B touches");
-    println!("the most metadata per step (one relation per tag), so its plan");
-    println!("share exceeds A's; C resolves steps against the small DTD-derived");
-    println!("schema and plans cheapest of the relational trio; D/E plan against");
-    println!("exact summary/extent statistics; F and G have no statistics and");
-    println!("plan generically; execution dominates on the data-heavy Q2.");
 
     if smoke {
         println!("\nsmoke: three-phase timing exercised across all seven backends — OK");
     }
+
+    let metadata = |q: usize, system: SystemId| metadata[&(q, system)];
+    xmark_bench::print_findings(&[
+        Finding::check(
+            "Table 2",
+            "B makes more metadata accesses than A on Q1 and on Q2",
+            [1, 2]
+                .into_iter()
+                .all(|q| metadata(q, SystemId::B) > metadata(q, SystemId::A)),
+        ),
+        Finding::check(
+            "Table 2",
+            "C makes the fewest metadata accesses of A, B and C on Q1 and on Q2",
+            [1, 2].into_iter().all(|q| {
+                let c = metadata(q, SystemId::C);
+                c < metadata(q, SystemId::A) && c < metadata(q, SystemId::B)
+            }),
+        ),
+        Finding::check(
+            "Table 2",
+            "execution is more than half of Q2's total on every system",
+            loaded.iter().all(|l| execute_pct[&(2, l.system)] > 50.0),
+        ),
+    ]);
 }

@@ -12,12 +12,12 @@
 //! | Fig. 4 (Q1–Q20 on embedded System G) | `fig4_embedded` |
 //!
 //! plus `plan_audit`, the plan-invariant audit over Q1–Q20 × every
-//! backend. Criterion microbenches (`benches/`) cover generator
-//! throughput, bulk loading, the query suite, the two architecture
-//! ablations (structural summary on/off, interval index vs scan), and
-//! the index probes (`index_probe`). Throughput, latency and
-//! time-to-first-item are measured by `perflab/`, not here.
+//! backend. Each report binary ends with a block of [`Finding`]s: the
+//! paper's qualitative claims, checked against the numbers the binary
+//! just measured. Throughput, latency and time-to-first-item are
+//! measured by `perflab/`, not here.
 
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Parse `--factor <f>` (or a bare positional float) from argv, with a
@@ -168,6 +168,87 @@ impl TextTable {
     }
 }
 
+/// How one of the paper's findings fares against this run's numbers.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// The measured numbers satisfy the claim.
+    Agree,
+    /// The measured numbers contradict the claim.
+    Disagree,
+    /// The binary does not measure what the claim is about, for the
+    /// stated reason.
+    NotReproducible(&'static str),
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Verdict::Agree => f.write_str("agree"),
+            Verdict::Disagree => f.write_str("disagree"),
+            Verdict::NotReproducible(reason) => write!(f, "not reproducible ({reason})"),
+        }
+    }
+}
+
+/// One of the paper's qualitative findings, stated as a predicate over
+/// the numbers a report binary measured.
+pub struct Finding {
+    /// Where the paper makes the claim, e.g. "Table 3" or "§7".
+    source: &'static str,
+    /// The claim in words.
+    claim: String,
+    verdict: Verdict,
+}
+
+impl Finding {
+    /// A claim whose predicate, evaluated on this run, gave `holds`.
+    pub fn check(source: &'static str, claim: impl Into<String>, holds: bool) -> Self {
+        Finding {
+            source,
+            claim: claim.into(),
+            verdict: if holds {
+                Verdict::Agree
+            } else {
+                Verdict::Disagree
+            },
+        }
+    }
+
+    /// A claim this binary does not measure.
+    pub fn not_reproducible(
+        source: &'static str,
+        claim: impl Into<String>,
+        reason: &'static str,
+    ) -> Self {
+        Finding {
+            source,
+            claim: claim.into(),
+            verdict: Verdict::NotReproducible(reason),
+        }
+    }
+}
+
+/// Print the findings block a report binary ends with.
+pub fn print_findings(findings: &[Finding]) {
+    print!("{}", render_findings(findings));
+}
+
+fn render_findings(findings: &[Finding]) -> String {
+    let source_width = findings
+        .iter()
+        .map(|f| f.source.chars().count())
+        .max()
+        .unwrap_or(0);
+    let mut out = String::from("\n== Paper findings checked against this run ==\n\n");
+    for f in findings {
+        out.push_str(&format!(
+            "{:<source_width$}  {}: {}\n",
+            f.source, f.claim, f.verdict
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +301,28 @@ mod tests {
         assert_eq!(human_bytes(2048), "2.0 kB");
         assert_eq!(ms(Duration::from_millis(250)), "250");
         assert_eq!(ms(Duration::from_micros(1500)), "1.5");
+    }
+
+    #[test]
+    fn findings_report_agree_and_disagree() {
+        let (d_ms, a_ms) = (83.0, 177.0);
+        let findings = [
+            Finding::check("Table 1", "D loads faster than A", d_ms < a_ms),
+            Finding::check("Table 1", "A loads faster than D", a_ms < d_ms),
+            Finding::not_reproducible("Fig. 4", "takes 2.5-5 s", "2002 hardware"),
+        ];
+        assert_eq!(findings[0].verdict, Verdict::Agree);
+        assert_eq!(findings[1].verdict, Verdict::Disagree);
+        let rendered = render_findings(&findings);
+        let lines: Vec<&str> = rendered.lines().skip(3).collect();
+        assert_eq!(
+            lines,
+            [
+                "Table 1  D loads faster than A: agree",
+                "Table 1  A loads faster than D: disagree",
+                "Fig. 4   takes 2.5-5 s: not reproducible (2002 hardware)",
+            ]
+        );
     }
 
     #[test]

@@ -404,7 +404,7 @@ impl PreparedQuery {
 ///
 /// [`Benchmark::generate`] stops after document generation and returns a
 /// [`Session`] for callers that need custom measurement (the
-/// Table 2 phase split, criterion benches).
+/// Table 2 phase split).
 #[derive(Debug, Clone)]
 pub struct Benchmark {
     scale: Option<Scale>,

@@ -119,13 +119,12 @@ pub struct Evaluator<'a> {
     /// value indexes the join operators probe.
     indexes: &'a IndexManager,
     /// Whether this execution consults (and feeds) the shared value
-    /// indexes: requires both the backend capability
-    /// ([`xmark_store::PlannerCaps::value_index`]) and an optimized
-    /// plan. Naive-mode executions stay fully independent of every
-    /// shared structure, so the planned-vs-naive oracles compare two
-    /// genuinely separate evaluations — the specification must never
-    /// replay the implementation's cached results. The per-execution
-    /// memos below remain as a lock-free first level either way.
+    /// indexes: only optimized plans do. Naive-mode executions stay fully
+    /// independent of every shared structure, so the planned-vs-naive
+    /// oracles compare two genuinely separate evaluations — the
+    /// specification must never replay the implementation's cached
+    /// results. The per-execution memos below remain as a lock-free
+    /// first level either way.
     shared_values: bool,
     functions: HashMap<&'a str, &'a PlanFunction>,
     /// Memo for loop-invariant absolute paths — the materialization every
@@ -166,8 +165,7 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             store,
             indexes: store.indexes(),
-            shared_values: store.planner_caps().value_index
-                && plan.mode == crate::plan::PlanMode::Optimized,
+            shared_values: plan.mode == crate::plan::PlanMode::Optimized,
             functions: plan
                 .functions
                 .iter()

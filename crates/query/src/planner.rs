@@ -200,7 +200,7 @@ impl Planner<'_> {
         let pred_free = steps.iter().all(|s| s.preds.is_empty());
         let memo = (matches!(base, PlanBase::Root) && pred_free).then(|| path_signature(&planned));
         let inlined_tail = self.inlined_tail_of(steps);
-        let value_tail = if inlined_tail.is_none() && self.caps.child_values {
+        let value_tail = if inlined_tail.is_none() {
             self.tail_tag_of(steps)
         } else {
             None
@@ -676,7 +676,7 @@ pub(crate) fn invariant_join_signature(src: &PlanExpr, key: &PlanExpr) -> Option
         return None;
     };
     // `memo` is only set for absolute predicate-free paths — exactly the
-    // loop-invariance criterion.
+    // loop-invariance condition.
     src_path.memo.as_ref()?;
     let PlanExpr::Path(key_path) = key else {
         return None;

@@ -371,9 +371,6 @@ impl Verifier<'_> {
             );
         }
         if p.value_tail.is_some() {
-            self.check(Invariant::CapsAccess, self.caps.child_values, || {
-                "value tail on a backend without the child-value index".to_string()
-            });
             self.check(Invariant::CapsAccess, p.inlined_tail.is_none(), || {
                 "value tail and inlined tail annotated together".to_string()
             });

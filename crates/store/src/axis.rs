@@ -14,8 +14,8 @@
 //! architecture.
 //!
 //! The enums are deliberately *concrete* (not `Box<dyn Iterator>`): a path
-//! step on Systems D, E and G performs no heap allocation at all, which is
-//! what lets the criterion `streaming` bench isolate access-path cost.
+//! step on Systems D, E and G performs no heap allocation at all, so
+//! timings reflect access-path cost rather than allocator traffic.
 //!
 //! This mirrors how disk-based structured-search engines expose lazy
 //! posting cursors instead of materialized node sets, and keeps the

@@ -281,8 +281,6 @@ impl XmlStore for EdgeStore {
             // access of its own (extent scans climb parent chains), so the
             // shared posting-list index pays off.
             element_index: true,
-            value_index: true,
-            child_values: true,
             ..PlannerCaps::default()
         }
     }

@@ -405,8 +405,6 @@ impl XmlStore for FragmentedStore {
             // Fragment scans verify containment by climbing parent chains;
             // the shared posting-list index stabs instead.
             element_index: true,
-            value_index: true,
-            child_values: true,
             ..PlannerCaps::default()
         }
     }

@@ -231,8 +231,6 @@ impl XmlStore for InlinedStore {
             // Descendant access delegates to the fragmented base, which
             // climbs parent chains — posting-list stabs win.
             element_index: true,
-            value_index: true,
-            child_values: true,
             ..PlannerCaps::default()
         }
     }

@@ -355,8 +355,6 @@ impl XmlStore for IntervalStore {
                 summary_counts: true,
                 // Native per-tag extents already are a descendant index —
                 // the shared posting lists would duplicate them.
-                value_index: true,
-                child_values: true,
                 ..PlannerCaps::default()
             }
         } else {
@@ -365,8 +363,6 @@ impl XmlStore for IntervalStore {
             // stabs replace full interval scans.
             PlannerCaps {
                 element_index: true,
-                value_index: true,
-                child_values: true,
                 ..PlannerCaps::default()
             }
         }

@@ -138,8 +138,6 @@ impl XmlStore for NaiveStore {
             // still refuses ID probes (`id_index: false`), faithful to the
             // paper's System G, even though `lookup_id` now answers.
             element_index: true,
-            value_index: true,
-            child_values: true,
             ..PlannerCaps::default()
         }
     }

@@ -843,8 +843,6 @@ impl XmlStore for PagedStore {
             // Descendant steps should stab the shared posting lists
             // instead of scanning the interval page by page.
             element_index: true,
-            value_index: true,
-            child_values: true,
             ..PlannerCaps::default()
         }
     }

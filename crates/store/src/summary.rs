@@ -380,9 +380,7 @@ impl XmlStore for SummaryStore {
             id_index: true,
             summary_counts: true,
             // The structural summary's path extents already serve
-            // descendant steps; only the value indexes add anything.
-            value_index: true,
-            child_values: true,
+            // descendant steps, so no element index.
             ..PlannerCaps::default()
         }
     }

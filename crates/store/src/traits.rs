@@ -156,15 +156,6 @@ pub struct PlannerCaps {
     /// whose native descendant access is already extent-based (Systems D
     /// and E) leave this off — their architecture *is* the index.
     pub element_index: bool,
-    /// The store's [`IndexManager`] persists loop-invariant join build
-    /// sides and lookup indexes across executions, so the executor probes
-    /// shared value indexes instead of rebuilding per execution.
-    pub value_index: bool,
-    /// `…/tag/text()` tails may be answered from the shared typed
-    /// child-value index ([`crate::index::ChildValues`]) — the
-    /// store-layer generalization of System C's inlined entity columns
-    /// (which, where present, still take precedence in plans).
-    pub child_values: bool,
 }
 
 /// A per-step cardinality estimate the catalog resolves during query

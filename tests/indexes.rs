@@ -103,7 +103,7 @@ fn concurrent_workers_share_one_index_build() {
     assert_eq!(report.index_builds, stats.builds, "all builds were in-run");
 }
 
-/// Acceptance criterion: repeated execution of Q8–Q12 through the
+/// Acceptance check: repeated execution of Q8–Q12 through the
 /// service performs **zero** index rebuilds after warmup, and the
 /// planned output stays byte-identical to naive on all seven backends.
 #[test]

@@ -24,7 +24,7 @@ fn remove(path: &PathBuf) {
     let _ = std::fs::remove_file(path);
 }
 
-/// The headline acceptance criterion: Q1–Q20 on H are byte-identical to
+/// The headline acceptance check: Q1–Q20 on H are byte-identical to
 /// System A on a document bigger than the buffer pool. The pool is capped
 /// at a quarter of the file's pages, so the store cannot keep the
 /// database resident — the identical output is produced through pin /
