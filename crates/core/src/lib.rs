@@ -107,8 +107,8 @@
 //! * [`queries`] — the twenty benchmark queries,
 //! * [`spec`] — scales, workload driver, three-phase measurement types,
 //!   prepared queries,
-//! * [`service`] — the concurrent query service (worker pool, shared LRU
-//!   plan cache, latency percentiles, QPS).
+//! * [`service`] — the concurrent query service (worker pool, shared
+//!   plan cache that survives commits, latency percentiles, QPS).
 
 pub mod queries;
 pub mod service;

@@ -16,12 +16,14 @@
 //! closed-loop run keeps the queue non-empty, which is equivalent to N
 //! concurrent always-on client streams.
 //!
-//! Workers share an LRU [`PlanCache`] keyed by query text: the first
+//! Workers share a [`PlanCache`] keyed by query text alone: the first
 //! request for a query compiles it (parse + metadata + plan — the
 //! Table 2 compile phase) and caches the [`Compiled`] artifact; every
-//! subsequent request executes the cached physical plan directly. The
-//! cache hit rate and the resulting cold-vs-warm throughput gap are
-//! reported per run ([`ThroughputReport::plan_cache_hit_rate`]).
+//! subsequent request executes the cached physical plan directly, on
+//! whatever snapshot it pinned — a plan survives commits (see
+//! [`PlanCache`] for why that is correct). The cache hit rate and the
+//! resulting cold-vs-warm throughput gap are reported per run
+//! ([`ThroughputReport::plan_cache_hit_rate`]).
 //!
 //! Workers **stream**: each request opens a pull-based
 //! [`xmark_query::ResultStream`] over the cached plan and serializes
@@ -44,7 +46,7 @@
 //! assert!(report.qps() > 0.0);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -61,29 +63,33 @@ use crate::queries::query;
 /// twenty benchmark queries.
 pub const DEFAULT_PLAN_CACHE: usize = 64;
 
-/// A shared LRU cache of compiled plans, keyed by query text.
+/// A shared cache of compiled plans, keyed by query text.
 ///
 /// Compilation (parse + metadata resolution + planning) is pure per
-/// (query, store), so a service serving one store caches the whole
-/// [`Compiled`] artifact: a hit skips parse and plan entirely and the
-/// Table 2 statistics are collected once at miss time instead of per
-/// request — the free throughput the ROADMAP's million-user target needs.
+/// (query, store), so a service caches the whole [`Compiled`] artifact: a
+/// hit skips parse and plan entirely and the Table 2 statistics are
+/// collected once at miss time instead of per request.
 ///
-/// Hit/miss counters are relaxed atomics; the map itself sits behind a
-/// mutex taken only for the lookup/insert, never during compilation or
-/// execution.
+/// The key carries no snapshot epoch: a plan compiled against one epoch
+/// of a versioned store is correct at every other. The planner reads the
+/// store through `planner_caps` and `estimate_step`, which a snapshot
+/// forwards to its unchanging base, and through the element index's
+/// density gate. Every access path that gate can choose falls back at
+/// execution time when the running snapshot cannot serve it: an
+/// `IndexScan` or indexed `Aggregate` walks the native axis cursor once
+/// stabbing is off, and value tails and join sides resolve against the
+/// executing snapshot's own indexes.
+///
+/// The cache never evicts: its keys are the service's query texts, at
+/// most the twenty benchmark queries. Once `capacity` plans are cached,
+/// further queries compile per request. Hit/miss counters are relaxed
+/// atomics; the map sits behind a mutex taken only for the lookup or
+/// insert, never during compilation or execution.
 pub struct PlanCache {
     capacity: usize,
-    inner: Mutex<PlanCacheInner>,
+    plans: Mutex<HashMap<String, Arc<Compiled>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-#[derive(Default)]
-struct PlanCacheInner {
-    map: HashMap<String, Arc<Compiled>>,
-    /// Recency queue, least-recent first.
-    order: VecDeque<String>,
 }
 
 impl PlanCache {
@@ -93,7 +99,7 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             capacity,
-            inner: Mutex::new(PlanCacheInner::default()),
+            plans: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -101,43 +107,21 @@ impl PlanCache {
 
     /// Fetch the plan for `text`, counting a hit or a miss.
     pub fn lookup(&self, text: &str) -> Option<Arc<Compiled>> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut inner = lock(&self.inner);
-        match inner.map.get(text).cloned() {
-            Some(hit) => {
-                // Move to most-recent.
-                if let Some(pos) = inner.order.iter().position(|k| k == text) {
-                    inner.order.remove(pos);
-                }
-                inner.order.push_back(text.to_string());
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(hit)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = lock(&self.plans).get(text).cloned();
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Insert a freshly compiled plan, evicting the least recently used
-    /// entries past capacity.
+    /// Cache a freshly compiled plan, unless the cache is full.
     pub fn insert(&self, text: &str, compiled: Arc<Compiled>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = lock(&self.inner);
-        if inner.map.insert(text.to_string(), compiled).is_none() {
-            inner.order.push_back(text.to_string());
-        }
-        while inner.map.len() > self.capacity {
-            let Some(evicted) = inner.order.pop_front() else {
-                break;
-            };
-            inner.map.remove(&evicted);
+        let mut plans = lock(&self.plans);
+        if plans.len() < self.capacity {
+            plans.insert(text.to_string(), compiled);
         }
     }
 
@@ -153,7 +137,7 @@ impl PlanCache {
 
     /// Cached plans right now.
     pub fn len(&self) -> usize {
-        lock(&self.inner).map.len()
+        lock(&self.plans).len()
     }
 
     /// Whether the cache currently holds no plans.
@@ -291,9 +275,6 @@ pub struct MixedReport {
 pub struct QueryService {
     system: SystemId,
     workers: usize,
-    /// The snapshot that was current at service start — the read-only
-    /// fast path resolves to exactly this store on every request.
-    store: Arc<dyn XmlStore>,
     source: Arc<dyn StoreSource>,
     cache: Arc<PlanCache>,
     jobs: Option<mpsc::Sender<usize>>,
@@ -326,8 +307,7 @@ impl QueryService {
         cache_capacity: usize,
     ) -> Self {
         assert!(workers > 0, "a query service needs at least one worker");
-        let store = source.snapshot();
-        let system = store.system();
+        let system = source.snapshot().system();
         let cache = Arc::new(PlanCache::new(cache_capacity));
         let (job_tx, job_rx) = mpsc::channel::<usize>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -344,20 +324,12 @@ impl QueryService {
         QueryService {
             system,
             workers,
-            store,
             source,
             cache,
             jobs: Some(job_tx),
             results: result_rx,
             handles,
         }
-    }
-
-    /// The snapshot that was current when the service started. On a
-    /// read-only store this is *the* store; on a versioned source later
-    /// requests may pin newer epochs.
-    pub fn store(&self) -> &Arc<dyn XmlStore> {
-        &self.store
     }
 
     /// Explicit index warmup: eagerly build the store-walk indexes
@@ -440,10 +412,13 @@ impl QueryService {
         let jobs = self.jobs.as_ref().expect("service is running");
         let hits_before = self.cache.hits();
         let misses_before = self.cache.misses();
+        // Every epoch of a versioned store shares one build/hit counter
+        // pair, so the snapshots current at start and end bracket the
+        // run's index work on all the epochs its requests pinned.
         let IndexStats {
             builds: index_builds_before,
             hits: index_hits_before,
-        } = self.store.indexes().stats();
+        } = self.source.snapshot().indexes().stats();
         let start = Instant::now();
         for i in 0..requests {
             jobs.send(mix[i % mix.len()])
@@ -511,7 +486,7 @@ impl QueryService {
             .map(|(query, (samples, _, result_items))| latency_stats(query, samples, result_items))
             .collect();
         per_query.sort_by_key(|s| s.query);
-        let index_after = self.store.indexes().stats();
+        let index_after = self.source.snapshot().indexes().stats();
         let read = ThroughputReport {
             system: self.system,
             workers: self.workers,
@@ -622,22 +597,18 @@ fn worker_loop(
         let epoch = store.content_epoch();
         let q = query(number);
         let start = Instant::now();
-        // Plans are valid per (snapshot epoch, query): an epoch bump
-        // invalidates every cached plan implicitly through the key, so
-        // a plan compiled against dropped indexes is never reused.
-        let key = format!("{epoch}|{}", q.text);
-        // A cache hit reuses the whole compiled artifact: no parse, no
-        // metadata resolution, no planning. Two workers racing on the
-        // same cold query both compile the same plan with the same
-        // statistics; last insert wins.
-        let compiled = match cache.lookup(&key) {
+        // A cache hit reuses the whole compiled artifact — no parse, no
+        // metadata resolution, no planning — whichever epoch compiled it
+        // (see `PlanCache`). Two workers racing on the same cold query
+        // both compile a plan valid at every epoch; last insert wins.
+        let compiled = match cache.lookup(q.text) {
             Some(compiled) => compiled,
             None => {
                 let compiled = Arc::new(
                     compile(q.text, store.as_ref())
                         .unwrap_or_else(|e| panic!("Q{number} failed to compile: {e}")),
                 );
-                cache.insert(&key, Arc::clone(&compiled));
+                cache.insert(q.text, Arc::clone(&compiled));
                 compiled
             }
         };
@@ -775,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_evicts_least_recently_used() {
+    fn plan_cache_stops_admitting_at_capacity() {
         let cache = PlanCache::new(2);
         let doc = generate_document(0.001);
         let store = load_system(SystemId::G, &doc.xml).store;
@@ -783,12 +754,12 @@ mod tests {
             |n: usize| Arc::new(compile(crate::queries::query(n).text, store.as_ref()).unwrap());
         cache.insert("a", compiled(1));
         cache.insert("b", compiled(6));
-        assert!(cache.lookup("a").is_some()); // refresh "a": "b" is now LRU
         cache.insert("c", compiled(17));
-        assert!(cache.lookup("b").is_none(), "LRU entry evicted");
-        assert!(cache.lookup("a").is_some());
-        assert!(cache.lookup("c").is_some());
         assert_eq!(cache.len(), 2);
+        assert!(cache.lookup("a").is_some());
+        assert!(cache.lookup("b").is_some());
+        assert!(cache.lookup("c").is_none(), "a full cache admits nothing");
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | code | name            | what it pins |
 //! |------|-----------------|--------------|
 //! | V1   | caps-access     | access annotations (`IdProbe`, `Positional`, `IndexScan`, inlined/value tails, summary counts) appear only where [`PlannerCaps`] permits, and are well-formed |
-//! | V2   | density-gate    | every `IndexScan` step re-passes the posting-density gate against the live element index |
+//! | V2   | density-gate    | every `IndexScan` step re-passes the posting-density gate against the element index of the store the plan was compiled on |
 //! | V3   | naive-purity    | [`PlanMode::Naive`] plans carry no access annotations, no Aggregates, no joins, no pushdown |
 //! | V4   | join-keys       | `HashJoin` / `IndexLookup` key expressions are canonical var-rooted predicate-free paths over the right variables |
 //! | V5   | hoist-live      | every hoisted probe-side filter references a live join side and its persistence signature re-derives |
@@ -23,6 +23,14 @@
 //! | V7   | memo-sig        | memo / build / probe / lookup cache signatures equal their canonical recomputation |
 //! | V8   | card-consistent | cardinality annotations agree with each other and with exact posting counts |
 //! | V9   | var-scope       | every variable reference resolves to an enclosing binding |
+//!
+//! V1 and V2 are the store-dependent invariants, and both hold for the
+//! store a plan was compiled on. Running the plan on another snapshot
+//! of the same versioned store — as the service's plan cache does —
+//! does not rely on them: an `IndexScan` or indexed `Aggregate` falls
+//! back to the native axis cursor when that snapshot's element index
+//! cannot stab, and the caps a snapshot reports are its base's at every
+//! epoch.
 //!
 //! [`compile_with_mode`](crate::compile::compile_with_mode) runs the
 //! verifier on every plan in debug builds (`debug_assertions`); release
@@ -43,7 +51,8 @@ use crate::planner::{
 pub enum Invariant {
     /// V1: access annotations only where [`PlannerCaps`] permits.
     CapsAccess,
-    /// V2: `IndexScan` steps re-pass the posting-density gate.
+    /// V2: `IndexScan` steps re-pass the posting-density gate on the
+    /// store the plan was compiled on.
     DensityGate,
     /// V3: naive plans are annotation-free nested loops.
     NaivePurity,

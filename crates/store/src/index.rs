@@ -47,10 +47,11 @@
 //! `[n, subtree_end(n)]`. All eight backends number nodes that way; the
 //! build walk *verifies* it (ids strictly increase along the pre-order
 //! traversal) and marks the index [`ElementIndex::ordered`] only when the
-//! invariant holds. An unordered store — none exist today, but the check
-//! keeps the contract honest — degrades gracefully: `postings_in` returns
-//! `None` and both the planner and the executor fall back to the native
-//! streamed axis cursors.
+//! invariant holds. An unordered index degrades gracefully: `postings_in`
+//! returns `None` and both the planner and the executor fall back to the
+//! native streamed axis cursors. The transaction layer relies on this:
+//! once a commit has inserted nodes, its snapshots carry an empty,
+//! unordered index instead of posting lists nothing could stab.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -96,8 +97,6 @@ pub struct ElementIndex {
     /// Whether ids were verified to increase along the pre-order walk —
     /// the invariant subtree stabbing rests on.
     ordered: bool,
-    /// Total elements indexed.
-    elements: usize,
 }
 
 impl ElementIndex {
@@ -107,11 +106,9 @@ impl ElementIndex {
         let mut postings: HashMap<String, Arc<Vec<u32>>> = HashMap::new();
         let mut subtree_end: Vec<u32> = vec![0; store.node_count()];
         let mut ordered = true;
-        let mut elements = 0usize;
 
-        let mut push_posting = |n: Node, elements: &mut usize| {
+        let mut push_posting = |n: Node| {
             if let Some(tag) = store.tag_of(n) {
-                *elements += 1;
                 match postings.get_mut(tag) {
                     // Arc never escapes during the build, so this is a
                     // plain in-place push.
@@ -122,7 +119,7 @@ impl ElementIndex {
                 }
             }
         };
-        push_posting(root, &mut elements);
+        push_posting(root);
 
         // Iterative pre-order DFS. While ids stay monotonic, the last
         // visited id at the moment a node is popped is exactly the end of
@@ -142,7 +139,7 @@ impl ElementIndex {
                     if child.index() >= subtree_end.len() {
                         subtree_end.resize(child.index() + 1, 0);
                     }
-                    push_posting(child, &mut elements);
+                    push_posting(child);
                     stack.push((child, store.children_iter(child)));
                 }
                 None => {
@@ -155,7 +152,6 @@ impl ElementIndex {
             postings,
             subtree_end: Arc::new(subtree_end),
             ordered,
-            elements,
         }
     }
 
@@ -167,13 +163,11 @@ impl ElementIndex {
         postings: HashMap<String, Arc<Vec<u32>>>,
         subtree_end: Arc<Vec<u32>>,
         ordered: bool,
-        elements: usize,
     ) -> ElementIndex {
         ElementIndex {
             postings,
             subtree_end,
             ordered,
-            elements,
         }
     }
 
@@ -188,11 +182,6 @@ impl ElementIndex {
         &self.subtree_end
     }
 
-    /// The largest id inside `n`'s subtree, when known.
-    pub fn subtree_end_of(&self, n: Node) -> Option<u32> {
-        self.subtree_end.get(n.index()).copied()
-    }
-
     /// Whether subtree stabbing is valid (ids verified pre-order).
     pub fn ordered(&self) -> bool {
         self.ordered
@@ -201,11 +190,6 @@ impl ElementIndex {
     /// Exact extent cardinality of `tag` over the whole document.
     pub fn count(&self, tag: &str) -> usize {
         self.postings.get(tag).map_or(0, |list| list.len())
-    }
-
-    /// Total elements indexed.
-    pub fn elements(&self) -> usize {
-        self.elements
     }
 
     /// The whole-document posting list of `tag`, ascending ids.
@@ -367,6 +351,13 @@ pub struct IndexStats {
     pub hits: u64,
 }
 
+/// The build/hit counter pair behind [`IndexStats`].
+#[derive(Default)]
+struct Counters {
+    builds: AtomicU64,
+    hits: AtomicU64,
+}
+
 /// The per-store index service: lazily-built, exactly-once, thread-safe
 /// shared structures (see the [module docs](self)).
 pub struct IndexManager {
@@ -376,8 +367,9 @@ pub struct IndexManager {
     /// Bytes held by filled value slots (tracked separately because the
     /// slot payloads are type-erased).
     value_bytes: AtomicU64,
-    builds: AtomicU64,
-    hits: AtomicU64,
+    /// Shared with every manager [`seeded`](IndexManager::seeded) from
+    /// this one, so all epochs of a versioned store count into one pair.
+    counters: Arc<Counters>,
 }
 
 impl Default for IndexManager {
@@ -394,8 +386,7 @@ impl IndexManager {
             attrs: Mutex::new(HashMap::new()),
             values: Mutex::new(HashMap::new()),
             value_bytes: AtomicU64::new(0),
-            builds: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
+            counters: Arc::default(),
         }
     }
 
@@ -405,19 +396,13 @@ impl IndexManager {
         let mut built = false;
         let index = self.element.get_or_init(|| {
             built = true;
-            self.builds.fetch_add(1, Ordering::Relaxed);
+            self.counters.builds.fetch_add(1, Ordering::Relaxed);
             ElementIndex::build(store)
         });
         if !built {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
         }
         index
-    }
-
-    /// The element-name index if it has been built, without triggering a
-    /// build.
-    pub fn element_if_built(&self) -> Option<&ElementIndex> {
-        self.element.get()
     }
 
     /// The value index for attribute `name`, building it on first use
@@ -430,11 +415,11 @@ impl IndexManager {
         let mut built = false;
         let index = slot.get_or_init(|| {
             built = true;
-            self.builds.fetch_add(1, Ordering::Relaxed);
+            self.counters.builds.fetch_add(1, Ordering::Relaxed);
             Arc::new(AttrIndex::build(store, name))
         });
         if !built {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
         }
         Arc::clone(index)
     }
@@ -459,13 +444,13 @@ impl IndexManager {
         };
         let mut filled = lock(&slot);
         if let Some((value, _)) = filled.as_ref() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(value));
         }
         let (value, bytes) = build()?;
         *filled = Some((Arc::clone(&value), bytes));
         self.value_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.builds.fetch_add(1, Ordering::Relaxed);
+        self.counters.builds.fetch_add(1, Ordering::Relaxed);
         Ok(value)
     }
 
@@ -505,24 +490,27 @@ impl IndexManager {
         let filled = lock(&slot);
         let hit = filled.as_ref().map(|(value, _)| Arc::clone(value));
         if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    /// A manager pre-populated with structures carried over (and
-    /// incrementally maintained) from a predecessor snapshot — the
-    /// transaction layer's commit path. Seeded structures count as
-    /// neither builds nor hits until probed.
+    /// A successor manager pre-populated with structures carried over
+    /// (and incrementally maintained) from this one — the transaction
+    /// layer's commit path. The successor shares this manager's build/hit
+    /// counters; seeded structures count as neither builds nor hits until
+    /// probed.
     pub fn seeded(
-        element: Option<ElementIndex>,
+        &self,
+        element: ElementIndex,
         attrs: Vec<(String, Arc<AttrIndex>)>,
         values: Vec<(String, Arc<dyn Any + Send + Sync>, usize)>,
     ) -> IndexManager {
-        let manager = IndexManager::new();
-        if let Some(index) = element {
-            let _ = manager.element.set(index);
-        }
+        let manager = IndexManager {
+            counters: Arc::clone(&self.counters),
+            ..IndexManager::new()
+        };
+        let _ = manager.element.set(element);
         {
             let mut map = lock(&manager.attrs);
             for (name, index) in attrs {
@@ -555,12 +543,18 @@ impl IndexManager {
     /// Every filled value slot `(signature, structure, bytes)` — what a
     /// commit filters through signature invalidation and carries forward.
     pub fn built_values(&self) -> Vec<(String, Arc<dyn Any + Send + Sync>, usize)> {
-        lock(&self.values)
+        // Release the map before waiting on any slot: a build holds its
+        // slot while it probes other slots through the map.
+        let slots: Vec<(String, Arc<ValueSlot>)> = lock(&self.values)
             .iter()
+            .map(|(sig, slot)| (sig.clone(), Arc::clone(slot)))
+            .collect();
+        slots
+            .into_iter()
             .filter_map(|(sig, slot)| {
-                let filled = lock(slot);
+                let filled = lock(&slot);
                 let (value, bytes) = filled.as_ref()?;
-                Some((sig.clone(), Arc::clone(value), *bytes))
+                Some((sig, Arc::clone(value), *bytes))
             })
             .collect()
     }
@@ -576,12 +570,12 @@ impl IndexManager {
 
     /// Structures built since load.
     pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
+        self.counters.builds.load(Ordering::Relaxed)
     }
 
     /// Probes served from an already-built structure.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.counters.hits.load(Ordering::Relaxed)
     }
 
     /// Both counters at once.

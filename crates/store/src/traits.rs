@@ -230,9 +230,9 @@ pub trait XmlStore: Send + Sync {
     /// Every bulkloaded backend is immutable and permanently at epoch 0.
     /// MVCC snapshot overlays (the `xmark-txn` crate) report the commit
     /// epoch of the version they pin, so two handles with equal epochs
-    /// serve byte-identical content. Plan caches key compiled artifacts
-    /// on `(epoch, query text)` — a commit invalidates cached plans by
-    /// changing the epoch, never by mutating the cache.
+    /// serve byte-identical content. The epoch identifies a snapshot's
+    /// content for consistency checks; compiled plans do not key on it,
+    /// since a plan compiled at one epoch runs correctly at every other.
     fn content_epoch(&self) -> u64 {
         0
     }

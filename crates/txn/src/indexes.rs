@@ -3,10 +3,13 @@
 //! [`maintain`] derives the successor snapshot's
 //! [`IndexManager`] from the predecessor's without rebuilding:
 //!
-//! * **element postings** — copy-on-write splice of only the touched
-//!   tags' lists (deleted ids filtered, inserted ids merged by
-//!   document-order rank; untouched tags share the predecessor's
-//!   `Arc`ed lists);
+//! * **element postings** — kept only while subtree stabbing stays
+//!   valid: a deletion-only commit over an ordered index filters the
+//!   deleted ids out of the touched tags' lists (copy-on-write; untouched
+//!   tags share the predecessor's `Arc`ed lists). Once a commit inserts,
+//!   ids stop following document order, every reader falls back to the
+//!   native axis cursors, and the successor gets an empty, unordered
+//!   index — no later commit splices lists nobody can consult;
 //! * **attribute indexes** — upsert/remove against a cloned map with
 //!   first-in-document-order semantics, matching a rebuild;
 //! * **`cvals|` typed-value slots** — surgical patch of the
@@ -70,8 +73,6 @@ pub(crate) struct Changes {
     /// Tags and attribute names a cached structure could observe the
     /// change through (op subtree tags + anchor ancestor tags).
     pub touched_tags: HashSet<String>,
-    /// Whether any insert happened (degrades the `ordered` fast path).
-    pub had_insert: bool,
 }
 
 /// Whether a planner signature could observe a change to any touched
@@ -105,69 +106,25 @@ pub(crate) fn maintain(
     let delta = work.delta();
     let fresh_ids: HashSet<u32> = changes.inserted_elems.iter().map(|e| e.id).collect();
 
-    // ---- element index: per-tag splice -------------------------------
+    // ---- element index: filter deletions while stabbing holds -------
     let old = cur.indexes().element(cur);
-    let mut postings = old.shared_postings().clone();
-    let affected: HashSet<&str> = changes
-        .inserted_elems
-        .iter()
-        .map(|e| e.tag.as_str())
-        .chain(changes.deleted_elems.iter().map(|d| d.tag.as_str()))
-        .collect();
-    for tag in affected {
-        let kept: Vec<u32> = postings
-            .get(tag)
-            .map(|list| {
-                list.iter()
-                    .copied()
-                    .filter(|id| !changes.deleted_ids.contains(id))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut fresh: Vec<u32> = changes
-            .inserted_elems
+    // Every insert journals at least its fragment's root element.
+    let element = if old.ordered() && changes.inserted_elems.is_empty() {
+        let mut postings = old.shared_postings().clone();
+        let touched: HashSet<&str> = changes
+            .deleted_elems
             .iter()
-            .filter(|e| e.tag == tag && !changes.deleted_ids.contains(&e.id))
-            .map(|e| e.id)
+            .map(|d| d.tag.as_str())
             .collect();
-        fresh.sort_by_key(|&id| delta.rank_of(id));
-        let mut merged = Vec::with_capacity(kept.len() + fresh.len());
-        let mut next = fresh.into_iter().peekable();
-        for id in kept {
-            let rank = delta.rank_of(id);
-            while let Some(&f) = next.peek() {
-                if delta.rank_of(f) < rank {
-                    merged.push(f);
-                    next.next();
-                } else {
-                    break;
-                }
+        for tag in touched {
+            if let Some(list) = postings.get_mut(tag) {
+                Arc::make_mut(list).retain(|id| !changes.deleted_ids.contains(id));
             }
-            merged.push(id);
         }
-        merged.extend(next);
-        if merged.is_empty() {
-            postings.remove(tag);
-        } else {
-            postings.insert(tag.to_string(), Arc::new(merged));
-        }
-    }
-    let removed_existing = changes
-        .deleted_elems
-        .iter()
-        .filter(|d| !fresh_ids.contains(&d.id))
-        .count();
-    let live_new = changes
-        .inserted_elems
-        .iter()
-        .filter(|e| !changes.deleted_ids.contains(&e.id))
-        .count();
-    let element = ElementIndex::from_parts(
-        postings,
-        Arc::clone(old.shared_subtree_end()),
-        old.ordered() && !changes.had_insert,
-        old.elements() - removed_existing + live_new,
-    );
+        ElementIndex::from_parts(postings, Arc::clone(old.shared_subtree_end()), true)
+    } else {
+        ElementIndex::from_parts(HashMap::new(), Arc::default(), false)
+    };
 
     // ---- attribute indexes: clone + patch ----------------------------
     let mut attrs_out = Vec::new();
@@ -256,5 +213,5 @@ pub(crate) fn maintain(
         // snapshot the first time a plan asks for it.
     }
 
-    IndexManager::seeded(Some(element), attrs_out, values_out)
+    cur.indexes().seeded(element, attrs_out, values_out)
 }

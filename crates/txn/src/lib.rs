@@ -39,13 +39,17 @@
 //!   concurrent change.
 //! * **Commits maintain indexes incrementally.** The successor
 //!   snapshot's [`xmark_store::IndexManager`] is *seeded* from the
-//!   predecessor's: element postings are spliced per touched tag
-//!   (copy-on-write, `O(touched lists)`), built attribute indexes are
-//!   upserted, `cvals` typed-value slots are patched surgically, and
-//!   every other value slot (join build sides, lookup indexes, path
-//!   materializations) survives **iff** its planner signature mentions
-//!   no touched tag or attribute name — signature-keyed invalidation
-//!   instead of a full rebuild.
+//!   predecessor's and shares its build/hit counters: element postings
+//!   lose a deletion-only commit's ids (copy-on-write, `O(touched
+//!   lists)`) and are dropped for good at the first insert (see below),
+//!   built attribute indexes are upserted, `cvals` typed-value slots are
+//!   patched surgically, and every other value slot (join build sides,
+//!   lookup indexes, path materializations) survives **iff** its planner
+//!   signature mentions no touched tag or attribute name —
+//!   signature-keyed invalidation instead of a full rebuild. Compiled
+//!   plans need no invalidation at all: every access path a plan can
+//!   pick falls back at execution time on a snapshot that cannot serve
+//!   it, so a plan cache keyed on query text stays valid across commits.
 //! * **Durability on backend H.** When the base store exposes a WAL
 //!   ([`xmark_store::XmlStore::txn_wal`]), commit appends logical
 //!   redo/undo records (`TxnBegin … TxnCommit`) and forces the log
@@ -67,10 +71,9 @@
 //! exhausts it). An inserted fragment takes its ids and its ranks in
 //! pre-order, the order the parser numbers it in, so within a fragment
 //! id order and rank order agree. [`SnapshotStore`] surfaces the rank
-//! through [`xmark_store::XmlStore::doc_order_key`]; posting lists stay
-//! sorted by rank; `Q4`'s `<<` compares ranks, and a path step merged
-//! over several context nodes sorts its output by the same key, never
-//! by raw id.
+//! through [`xmark_store::XmlStore::doc_order_key`]; `Q4`'s `<<`
+//! compares ranks, and a path step merged over several context nodes
+//! sorts its output by the same key, never by raw id.
 //!
 //! A commit reads its own in-progress state through a *working*
 //! [`SnapshotStore`] — the same overlay readers use — and publishes that
@@ -79,14 +82,14 @@
 //! exactly like a fresh bulkload of its own serialization.
 //!
 //! Subtree *stabbing* (the `ordered` element-index fast path) is the
-//! one structure inserts degrade: after the first insert the seeded
-//! index reports `ordered() == false` and executors fall back to the
-//! streamed axis cursors — exactly what a rebuild-from-scratch over the
-//! snapshot would report, which is what makes the incremental index
-//! answer-identical to a rebuilt one (the oracle test's hinge).
-//! Deletion-only histories keep `ordered() == true`: deleted ids are
-//! absent from the postings and the stale subtree-end bounds only widen
-//! stab ranges over ids that no longer exist.
+//! one structure inserts end: stabbing needs ids in document order, and
+//! inserted ids are not. From the first insert on, every snapshot's
+//! element index is empty and reports `ordered() == false`, so planner
+//! and executors use the streamed axis cursors and no commit maintains
+//! posting lists nobody can consult. Deletion-only histories keep
+//! `ordered() == true`: deleted ids are filtered out of the postings,
+//! which then equal a rebuild's, and the stale subtree-end bounds only
+//! widen stab ranges over ids that no longer exist.
 
 mod delta;
 mod indexes;

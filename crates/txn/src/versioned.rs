@@ -109,22 +109,20 @@ impl VersionedStore {
     /// Wrap `base` for versioned reads and writes. Builds the base
     /// element index up front (the rank and clean-gate math need the
     /// subtree-end array) and carries every index the base has already
-    /// built into the epoch-0 snapshot.
+    /// built into the epoch-0 snapshot, whose manager starts its own
+    /// build/hit counters.
     pub fn new(base: Arc<dyn XmlStore>) -> Arc<VersionedStore> {
-        let element = {
-            let index = base.indexes().element(base.as_ref());
-            xmark_store::ElementIndex::from_parts(
-                index.shared_postings().clone(),
-                index.shared_subtree_end().clone(),
-                index.ordered(),
-                index.elements(),
-            )
-        };
-        let base_end = Arc::clone(element.shared_subtree_end());
+        let index = base.indexes().element(base.as_ref());
+        let base_end = Arc::clone(index.shared_subtree_end());
+        let element = xmark_store::ElementIndex::from_parts(
+            index.shared_postings().clone(),
+            Arc::clone(&base_end),
+            index.ordered(),
+        );
         let floor = base.node_count().max(base_end.len()) as u32;
         let delta = DeltaState::pristine(floor, base_end);
-        let manager = IndexManager::seeded(
-            Some(element),
+        let manager = IndexManager::new().seeded(
+            element,
             base.indexes().built_attrs(),
             base.indexes().built_values(),
         );
@@ -480,7 +478,6 @@ impl DeltaBuilder {
         // Gate + change journal.
         self.touch_anchor(parent);
         self.touch_ancestor_tags(parent);
-        self.changes.had_insert = true;
         self.records.push(LogRecord::TxnInsert {
             txn: self.txn,
             parent: parent.0,

@@ -1,16 +1,21 @@
 //! The transaction subsystem, end to end: MVCC snapshot isolation
 //! semantics, cross-backend result identity under structural updates,
 //! the reload oracle (an updated snapshot == a fresh load of its own
-//! serialization), multi-op transactions == the same ops committed one
-//! by one, the index-maintenance oracle (incremental ==
+//! serialization), plan portability (a plan compiled at one epoch ==
+//! a fresh compile at another), multi-op transactions == the same ops
+//! committed one by one, the index-maintenance oracle (incremental ==
 //! rebuilt-from-scratch), WAL crash recovery on backend H, and
-//! non-blocking readers under a concurrent writer.
+//! non-blocking readers under a concurrent writer, whose cached plans
+//! and index counters span every epoch they pin.
 
 mod common;
 
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::{self, ThreadId};
+use std::time::{Duration, Instant};
 
 use common::{
     apply_update_script, canonical_query, descend, first_text_child, DEEP_FRAGMENT, NEW_BIDDER,
@@ -18,6 +23,7 @@ use common::{
 };
 use proptest::prelude::*;
 use xmark::prelude::*;
+use xmark::query::{canonicalize, Compiled};
 use xmark::store::paged::{wal_path_for, LogManager, LogRecord};
 use xmark::store::{Node, PagedStore};
 
@@ -217,6 +223,77 @@ fn updated_snapshots_answer_like_a_reload_of_their_serialization() {
     }
 }
 
+// ---- plan portability ------------------------------------------------------
+
+/// A deletion-only update script: prune a closed auction, then an open
+/// auction's first bidder. Element ids stay in document order, so
+/// subtree stabbing survives it.
+fn apply_delete_script(versioned: &Arc<VersionedStore>) {
+    for path in [
+        &["closed_auctions", "closed_auction"][..],
+        &["open_auctions", "open_auction", "bidder"],
+    ] {
+        let s = versioned.snapshot();
+        let mut txn = versioned.begin();
+        txn.delete_subtree(descend(s.as_ref(), path));
+        txn.commit().expect("delete script commits");
+    }
+}
+
+/// `compiled` run on `store`, canonicalized.
+fn run_on(compiled: &Compiled, store: &dyn XmlStore) -> String {
+    let result = execute(compiled, store).expect("the plan executes");
+    canonicalize(store, &result)
+}
+
+/// A plan compiled at one epoch answers at another exactly like a fresh
+/// compile there, in both directions and on every backend: epoch-0 plans
+/// run on the updated snapshot, and the updated snapshot's plans run on
+/// the pinned epoch-0 one. This is what lets the service's plan cache
+/// key on query text alone.
+#[test]
+fn plans_compiled_at_one_epoch_answer_like_fresh_compiles_at_another() {
+    let doc = generate_document(0.001);
+    let texts: Vec<&str> = (1..=20)
+        .map(|q| query(q).text)
+        .chain(ORDER_PROBES)
+        .collect();
+    let mut differing_plans = 0;
+    for system in SystemId::EXTENDED {
+        for (script_name, script) in [
+            ("insert script", apply_update_script as fn(&_)),
+            ("delete script", apply_delete_script),
+        ] {
+            let versioned = VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
+            let old = versioned.snapshot();
+            let old_plans: Vec<Compiled> = texts
+                .iter()
+                .map(|text| compile(text, old.as_ref()).expect("compiles"))
+                .collect();
+            script(&versioned);
+            let new = versioned.snapshot();
+            for (text, old_plan) in texts.iter().zip(&old_plans) {
+                let new_plan = compile(text, new.as_ref()).expect("compiles");
+                let context = format!("`{text}` on {system} after the {script_name}");
+                assert_eq!(
+                    run_on(old_plan, new.as_ref()),
+                    run_on(&new_plan, new.as_ref()),
+                    "{context}: the old plan misreads the new snapshot"
+                );
+                assert_eq!(
+                    run_on(&new_plan, old.as_ref()),
+                    run_on(old_plan, old.as_ref()),
+                    "{context}: the new plan misreads the old snapshot"
+                );
+                if old_plan.explain() != new_plan.explain() {
+                    differing_plans += 1;
+                }
+            }
+        }
+    }
+    assert!(differing_plans > 0, "no cell compared two different plans");
+}
+
 // ---- multi-op transactions -------------------------------------------------
 
 /// One operation to queue on a transaction.
@@ -355,28 +432,29 @@ fn assert_indexes_match_rebuild(snap: &SnapshotStore, context: &str) {
     let rebuilt = IndexManager::new();
     let fresh = rebuilt.element(snap);
     let kept = snap.indexes().element(snap);
-    assert_eq!(
-        kept.elements(),
-        fresh.elements(),
-        "{context}: element count drifted"
-    );
-    let mut tags: Vec<&String> = fresh.shared_postings().keys().collect();
-    tags.extend(kept.shared_postings().keys());
-    tags.sort();
-    tags.dedup();
-    for tag in tags {
-        assert_eq!(
-            kept.postings(tag),
-            fresh.postings(tag),
-            "{context}: postings of <{tag}> drifted"
-        );
-    }
     // Subtree stabbing must never be *claimed* when a rebuild would not
-    // claim it (over-conservatism is allowed, wrong slices are not).
+    // claim it (over-conservatism is allowed, wrong slices are not), and
+    // an index that cannot stab keeps no postings.
     if kept.ordered() {
         assert!(
             fresh.ordered(),
             "{context}: maintained index claims ordered postings a rebuild rejects"
+        );
+        let mut tags: Vec<&String> = fresh.shared_postings().keys().collect();
+        tags.extend(kept.shared_postings().keys());
+        tags.sort();
+        tags.dedup();
+        for tag in tags {
+            assert_eq!(
+                kept.postings(tag),
+                fresh.postings(tag),
+                "{context}: postings of <{tag}> drifted"
+            );
+        }
+    } else {
+        assert!(
+            kept.shared_postings().is_empty(),
+            "{context}: an unordered index keeps postings"
         );
     }
 
@@ -617,33 +695,34 @@ fn versioned_h_resident_bytes_stay_flat_once_the_pool_is_full() {
 
 // ---- concurrent readers under a writer ------------------------------------
 
-#[test]
-fn readers_pin_snapshots_while_the_writer_commits() {
-    let doc = generate_document(0.001);
-    let versioned = VersionedStore::new(Arc::from(load_system(SystemId::A, &doc.xml).store));
-    let service = QueryService::start_source(
-        Arc::clone(&versioned) as Arc<dyn StoreSource>,
-        3,
-        DEFAULT_PLAN_CACHE,
-    );
-    let (auctions, baseline_bidders): (Vec<Node>, usize) = {
+/// The writer lane: it alternates an insert into the next open auction
+/// with a delete of that auction's last bidder, so every commit but a
+/// trailing insert is paired and the final bidder count is checkable.
+struct BidderLane {
+    versioned: Arc<VersionedStore>,
+    auctions: Vec<Node>,
+    inserts: usize,
+    pending_delete: Option<Node>,
+}
+
+impl BidderLane {
+    fn new(versioned: &Arc<VersionedStore>) -> BidderLane {
         let s = versioned.snapshot();
-        (
-            s.descendants_named_iter(s.root(), "open_auction").collect(),
-            s.count_descendants_named(s.root(), "bidder"),
-        )
-    };
-    // The writer alternates: an insert into the next auction, then a
-    // delete of that auction's last bidder, so every commit but a
-    // trailing insert is paired and the final count is checkable.
-    let mut inserts = 0usize;
-    let mut pending_delete: Option<Node> = None;
-    let mut write = || -> Option<std::time::Duration> {
-        let start = std::time::Instant::now();
-        let mut txn = versioned.begin();
-        match pending_delete.take() {
+        BidderLane {
+            versioned: Arc::clone(versioned),
+            auctions: s.descendants_named_iter(s.root(), "open_auction").collect(),
+            inserts: 0,
+            pending_delete: None,
+        }
+    }
+
+    /// One commit, returning its latency.
+    fn commit(&mut self) -> Option<Duration> {
+        let start = Instant::now();
+        let mut txn = self.versioned.begin();
+        match self.pending_delete.take() {
             Some(auction) => {
-                let s = versioned.snapshot();
+                let s = self.versioned.snapshot();
                 let bidder = s
                     .children_named_iter(auction, "bidder")
                     .last()
@@ -651,18 +730,63 @@ fn readers_pin_snapshots_while_the_writer_commits() {
                 txn.delete_subtree(bidder);
             }
             None => {
-                let auction = auctions[inserts % auctions.len()];
-                inserts += 1;
+                let auction = self.auctions[self.inserts % self.auctions.len()];
+                self.inserts += 1;
                 txn.insert_subtree(auction, NEW_BIDDER);
-                pending_delete = Some(auction);
+                self.pending_delete = Some(auction);
             }
         }
         txn.commit().expect("writer lane commit");
         Some(start.elapsed())
+    }
+}
+
+/// The source the test pools read: it holds every worker request after
+/// the first until the writer has committed, so a mixed run pins at
+/// least two epochs however fast the reads drain. Calls from the thread
+/// that built it — the test, which also collects and commits — pass.
+struct HoldUntilCommit {
+    versioned: Arc<VersionedStore>,
+    collector: ThreadId,
+    first_taken: AtomicBool,
+}
+
+impl StoreSource for HoldUntilCommit {
+    fn snapshot(&self) -> Arc<dyn XmlStore> {
+        if thread::current().id() != self.collector && self.first_taken.swap(true, Ordering::SeqCst)
+        {
+            while self.versioned.epoch() == 0 {
+                thread::yield_now();
+            }
+        }
+        self.versioned.snapshot()
+    }
+}
+
+/// A pool over a versioned System A at factor 0.001.
+fn versioned_service(workers: usize) -> (Arc<VersionedStore>, QueryService) {
+    let doc = generate_document(0.001);
+    let versioned = VersionedStore::new(Arc::from(load_system(SystemId::A, &doc.xml).store));
+    let source = HoldUntilCommit {
+        versioned: Arc::clone(&versioned),
+        collector: thread::current().id(),
+        first_taken: AtomicBool::new(false),
     };
+    let service = QueryService::start_source(Arc::new(source), workers, DEFAULT_PLAN_CACHE);
+    (versioned, service)
+}
+
+#[test]
+fn readers_pin_snapshots_while_the_writer_commits() {
+    let (versioned, service) = versioned_service(3);
+    let baseline_bidders = {
+        let s = versioned.snapshot();
+        s.count_descendants_named(s.root(), "bidder")
+    };
+    let mut lane = BidderLane::new(&versioned);
     // 10 writes per 100 reads; the collector panics on any same-epoch
     // result divergence — the torn-read detector.
-    let report = service.run_mixed(&[1, 8, 13], 60, 10, &mut write);
+    let report = service.run_mixed(&[1, 8, 13], 60, 10, &mut || lane.commit());
     assert_eq!(report.read.requests, 60);
     assert!(
         report.commits >= 5,
@@ -680,7 +804,44 @@ fn readers_pin_snapshots_while_the_writer_commits() {
     let s = versioned.snapshot();
     assert_eq!(
         s.count_descendants_named(s.root(), "bidder"),
-        baseline_bidders + usize::from(pending_delete.is_some()),
+        baseline_bidders + usize::from(lane.pending_delete.is_some()),
         "writer-lane parity"
+    );
+}
+
+/// Cached plans survive commits: each query of the mix compiles once,
+/// however many epochs its requests pin.
+#[test]
+fn cached_plans_survive_commits() {
+    let (versioned, service) = versioned_service(1);
+    let mut lane = BidderLane::new(&versioned);
+    let mix = [1, 8, 13];
+    let report = service.run_mixed(&mix, 60, 20, &mut || lane.commit());
+    assert!(report.epochs_observed >= 2, "reads must span commits");
+    assert_eq!(
+        report.read.plan_cache_misses,
+        mix.len() as u64,
+        "one compile per query, whatever the epoch"
+    );
+}
+
+/// The service counts index work on the epochs its requests pin, not on
+/// the snapshot that was current when it started.
+#[test]
+fn index_hits_count_on_the_pinned_epoch() {
+    let (versioned, service) = versioned_service(1);
+    service.build_indexes();
+    let s = versioned.snapshot();
+    let mut txn = versioned.begin();
+    txn.insert_subtree(
+        descend(s.as_ref(), &["open_auctions", "open_auction"]),
+        NEW_BIDDER,
+    );
+    txn.commit().expect("insert commits");
+    let report = service.run_mix(&[1], 10);
+    assert!(
+        report.index_hits >= 10,
+        "each Q1 probes the @id index (counted {})",
+        report.index_hits
     );
 }
