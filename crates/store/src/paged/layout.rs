@@ -4,7 +4,7 @@
 //! A store file is laid out as contiguous extents of same-kind pages:
 //!
 //! ```text
-//! page 0            header (magic, version, extent table, checksums)
+//! page 0            header (magic, format version 2, extent table)
 //! node_start ..     fixed 12-byte interval-encoding node records,
 //!                    [`NODES_PER_PAGE`] per page → node id addresses a
 //!                    (page, slot) pair by pure arithmetic
@@ -31,8 +31,10 @@ use super::page::{Page, MAX_RECORD, PAGE_HEADER, PAGE_SIZE, SLOT_SIZE};
 /// File magic: "XPG1" little-endian.
 pub const MAGIC: u32 = 0x3147_5058;
 
-/// Format version.
-pub const VERSION: u32 = 1;
+/// Format version. Version 2 changed the page checksum to four
+/// interleaved lanes of rotated FNV-1a over `u32` words (`page.rs`); a
+/// version-1 file fails verification and is refused by its version.
+pub const VERSION: u32 = 2;
 
 /// Bytes of one encoded node record.
 pub const NODE_RECORD: usize = 12;
@@ -159,10 +161,20 @@ impl Header {
         }
     }
 
+    /// The version a header page claims when its magic matches and its
+    /// version is a known older one (`1..VERSION`). Read from an
+    /// unverified image, this only names the format of a file that
+    /// failed verification; no other header field is trusted. Any other
+    /// version is not a format but corruption, so it yields `None`.
+    pub(crate) fn older_version(page: &Page) -> Option<u32> {
+        let version = page.read_u32(Self::BASE + 4);
+        (page.read_u32(Self::BASE) == MAGIC && (1..VERSION).contains(&version)).then_some(version)
+    }
+
     /// Parse the header page, validating magic / version / page size.
     ///
     /// # Errors
-    /// `InvalidData` when the page is not a version-1 store header —
+    /// `InvalidData` when the page is not a current-version store header —
     /// a torn bulkload leaves page 0 zeroed and lands here.
     pub fn read_from(page: &Page) -> io::Result<Header> {
         let bad = |what: &str, got: u32, want: u32| {

@@ -33,7 +33,7 @@ mod wal;
 pub use buffer::{BufferPool, PageGuard, PageRead, PageWrite, PoolStats};
 pub use file::FileManager;
 pub use layout::{Catalog, Header, NodeRec, NODES_PER_PAGE};
-pub use page::{checksum, Page, PageId, PageKind, PAGE_SIZE};
+pub use page::{Page, PageId, PageKind, PAGE_SIZE};
 pub use store::{
     wal_path_for, PagedChildren, PagedChildrenNamed, PagedScanNamed, PagedStore, DEFAULT_POOL_PAGES,
 };

@@ -4,7 +4,9 @@
 //! header:
 //!
 //! ```text
-//! offset  0..4   checksum   FNV-1a over bytes 4..PAGE_SIZE, written by
+//! offset  0..4   checksum   four-lane rotated FNV-1a over the u32
+//!                           words of bytes 4..PAGE_SIZE (see
+//!                           [`checksum`]), written by
 //!                           [`Page::seal`] just before the page goes to
 //!                           disk and verified by [`Page::verify`] on
 //!                           every read
@@ -77,16 +79,64 @@ impl fmt::Display for PageKind {
     }
 }
 
-/// FNV-1a over `bytes` — the page checksum. Hand-rolled (no external
-/// crates) and stable across platforms: little-endian byte order is
-/// used for every multi-byte field on the page.
-pub fn checksum(bytes: &[u8]) -> u32 {
-    let mut hash = 0x811c_9dc5u32;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
+/// FNV-1a-32 offset basis and prime; the prime is odd, so multiplying
+/// by it is invertible mod 2³².
+const FNV_OFFSET: u32 = 0x811c_9dc5;
+const FNV_PRIME: u32 = 0x0100_0193;
+
+/// Hash lanes the checksum interleaves.
+const LANES: usize = 4;
+
+/// Left rotation after each multiply. A multiply only carries
+/// differences upward, so without it a difference in bit 31 would stay
+/// in bit 31 to the end and two such flips would cancel; the rotation
+/// brings the well-mixed high bits back down for the next multiply.
+const ROTATE: u32 = 15;
+
+const _: () = assert!(
+    (PAGE_SIZE - 4).is_multiple_of(4),
+    "the checksummed body must be whole u32 words"
+);
+
+/// The page checksum over the body (`bytes[4..]`). Hand-rolled (no
+/// external crates) and stable across platforms.
+///
+/// The body's 1 023 little-endian `u32` words are dealt round-robin to
+/// four lanes, each stepped as `lane = rotl((lane ^ word) * prime, 15)`
+/// — FNV-1a with a rotation — whose multiply chains are independent
+/// and so overlap in the pipeline. The lanes are folded into one hash
+/// in lane order, then the 3 words left over after the last 16-byte
+/// block are folded in the same way.
+///
+/// Detection guarantee: every step is a bijection of the hash state
+/// for a fixed word and of the word for a fixed state, so a change
+/// confined to one aligned 4-byte word — every single-byte flip among
+/// them — always changes the checksum. The state is as wide as the
+/// stored field, so nothing is lost in a final fold. Changes spread
+/// over several words are caught except by chance, including the same
+/// bit flipped in several words.
+///
+/// The on-disk format depends on this function: changing it requires
+/// a [`super::layout::VERSION`] bump.
+fn checksum(body: &[u8]) -> u32 {
+    let step = |hash: u32, word: &[u8]| {
+        let mut le = [0u8; 4];
+        le.copy_from_slice(word);
+        (hash ^ u32::from_le_bytes(le))
+            .wrapping_mul(FNV_PRIME)
+            .rotate_left(ROTATE)
+    };
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut blocks = body.chunks_exact(4 * LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            *lane = step(*lane, word);
+        }
     }
-    hash
+    let hash = lanes
+        .iter()
+        .fold(FNV_OFFSET, |hash, lane| step(hash, &lane.to_le_bytes()));
+    blocks.remainder().chunks_exact(4).fold(hash, step)
 }
 
 /// One in-memory page image.
@@ -322,6 +372,119 @@ mod tests {
         // Flipping the stored checksum itself is also caught.
         p.bytes_mut()[0] ^= 0x01;
         assert!(!p.verify());
+    }
+
+    /// A full node page as bulkload writes it: fixed 12-byte interval
+    /// records in every slot, stamped and sealed.
+    fn node_page(lsn: u64, salt: u32) -> Page {
+        use super::super::layout::{NodeRec, NODES_PER_PAGE};
+        let mut p = Page::new();
+        for i in 0..NODES_PER_PAGE as u32 {
+            let rec = NodeRec {
+                parent: i / 3,
+                end: i * 7 + salt,
+                tag_code: (i % 17) as u16,
+                level: (i % 9) as u16,
+            };
+            p.insert(&rec.encode()).unwrap();
+        }
+        assert!(!p.fits(super::super::layout::NODE_RECORD), "page is full");
+        p.set_lsn(lsn);
+        p.seal();
+        assert!(p.verify());
+        p
+    }
+
+    #[test]
+    fn every_single_byte_flip_fails_verification() {
+        let mut p = node_page(7, 1);
+        for off in 4..PAGE_SIZE {
+            for mask in [0x01, 0x80, 0xff] {
+                p.bytes_mut()[off] ^= mask;
+                assert!(!p.verify(), "flip {mask:#04x} at byte {off} undetected");
+                p.bytes_mut()[off] ^= mask;
+            }
+        }
+        assert!(p.verify());
+    }
+
+    #[test]
+    fn a_torn_image_fails_verification() {
+        let old = node_page(7, 1);
+        let new = node_page(8, 2);
+        let half = PAGE_SIZE / 2;
+        let mut torn = Page::new();
+        torn.bytes_mut()[..half].copy_from_slice(&new.bytes()[..half]);
+        torn.bytes_mut()[half..].copy_from_slice(&old.bytes()[half..]);
+        assert_ne!(torn.bytes()[..], new.bytes()[..]);
+        assert_ne!(torn.bytes()[..], old.bytes()[..]);
+        assert!(!torn.verify(), "new first half over an old second half");
+    }
+
+    #[test]
+    fn swapping_words_of_different_lanes_fails_verification() {
+        let page = node_page(7, 1);
+        // Body word `w` sits at byte 4 + 4w and feeds lane w % LANES.
+        let at = |w: usize| 4 + 4 * w;
+        for a in 0..LANES {
+            for b in (a + 1)..LANES {
+                for (wa, wb) in [(40 + a, 40 + b), (8 + a, 800 + b), (1000 + b, 500 + a)] {
+                    assert_ne!(wa % LANES, wb % LANES);
+                    let mut p = Page::new();
+                    p.bytes_mut().copy_from_slice(page.bytes());
+                    let (x, y) = (p.read_u32(at(wa)), p.read_u32(at(wb)));
+                    assert_ne!(x, y, "words {wa} and {wb} must differ");
+                    p.write_u32(at(wa), y);
+                    p.write_u32(at(wb), x);
+                    assert!(!p.verify(), "swap of words {wa} and {wb} undetected");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flipping_high_bits_of_two_words_fails_verification() {
+        let page = node_page(7, 1);
+        let mut p = Page::new();
+        p.bytes_mut().copy_from_slice(page.bytes());
+        // Body word `w`'s top byte (bits 24..32) sits at byte 4 + 4w + 3.
+        let top = |w: usize| 4 + 4 * w + 3;
+        let words = PAGE_SIZE / 4 - 1;
+        let mut pairs: Vec<(usize, usize)> = (0..words - 4)
+            .flat_map(|a| [(a, a + 1), (a, a + LANES)])
+            .collect();
+        for a in (0..words).step_by(31) {
+            pairs.extend((a + 1..words).step_by(31).map(|b| (a, b)));
+        }
+        for (a, b) in pairs {
+            // Bits 28..32, every combination across the two words.
+            for ma in [0x10, 0x20, 0x40, 0x80] {
+                for mb in [0x10, 0x20, 0x40, 0x80] {
+                    p.bytes_mut()[top(a)] ^= ma;
+                    p.bytes_mut()[top(b)] ^= mb;
+                    assert!(
+                        !p.verify(),
+                        "flips {ma:#04x} in word {a} and {mb:#04x} in word {b} undetected"
+                    );
+                    p.bytes_mut()[top(a)] ^= ma;
+                    p.bytes_mut()[top(b)] ^= mb;
+                }
+            }
+        }
+        assert!(p.verify());
+    }
+
+    /// Pins the on-disk checksum. Changing `checksum` changes every
+    /// sealed page, so updating this value requires a
+    /// `layout::VERSION` bump.
+    #[test]
+    fn golden_checksum_pins_the_format() {
+        let mut p = Page::new();
+        p.insert(b"XMark golden page").unwrap();
+        p.insert(&[0xa5; 100]).unwrap();
+        p.set_lsn(0x0102_0304_0506_0708);
+        p.seal();
+        assert_eq!(p.read_u32(0), 0x8f3a_3582);
     }
 
     #[test]

@@ -42,8 +42,10 @@ use crate::traits::{Node, PlannerCaps, StepEstimate, SystemId, XmlStore};
 
 use super::buffer::{BufferPool, PageGuard, PoolStats};
 use super::file::FileManager;
-use super::layout::{le_u16, le_u32, Catalog, Header, NodeRec, NODES_PER_PAGE, TEXT_CHUNK};
-use super::page::{PageId, PageKind};
+use super::layout::{
+    le_u16, le_u32, Catalog, Header, NodeRec, NODES_PER_PAGE, TEXT_CHUNK, VERSION,
+};
+use super::page::{Page, PageId, PageKind};
 use super::wal::{LogManager, LogRecord};
 
 /// Text-node marker in the tag-code column (same sentinel as E/F).
@@ -122,6 +124,23 @@ pub fn wal_path_for(path: &Path) -> PathBuf {
 
 fn corrupt(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// The error for a page file written in an older format version, when
+/// its page 0 failed verification: a checksum change comes with a
+/// version bump, so an old file fails verification and is named by
+/// its version instead of reported as corrupt. `None` when page 0 does
+/// not claim a known older version.
+fn older_format(path: &Path) -> Option<io::Error> {
+    let mut page = Page::new();
+    // lint: allow(R5) the unverified image is only read to name its
+    // version in the error; no header field of it is used.
+    FileManager::open(path).ok()?.read_page(0, &mut page).ok()?;
+    let version = Header::older_version(&page)?;
+    Some(corrupt(format!(
+        "{} is page-store format version {version}, expected {VERSION}; re-create it",
+        path.display()
+    )))
 }
 
 impl PagedStore {
@@ -310,9 +329,9 @@ impl PagedStore {
     /// everything else on demand — no XML parse.
     ///
     /// # Errors
-    /// `InvalidData` for a torn load (WAL without `EndBulkLoad`), a bad
-    /// header, or checksum mismatches on the pages read here; plain I/O
-    /// errors otherwise.
+    /// `InvalidData` for a torn load (WAL without `EndBulkLoad`), a file
+    /// of an older format version, a bad header, or checksum mismatches
+    /// on the pages read here; plain I/O errors otherwise.
     pub fn open(path: &Path, pool_pages: usize) -> io::Result<PagedStore> {
         let wal_path = wal_path_for(path);
         let records = LogManager::read_all(&wal_path)?;
@@ -327,10 +346,9 @@ impl PagedStore {
         }
         let wal = Arc::new(LogManager::open(&wal_path)?);
         let pool = BufferPool::new(FileManager::open(path)?, Some(Arc::clone(&wal)), pool_pages);
-        let header = {
-            let g = pool.pin(0)?;
-            let page = g.read();
-            Header::read_from(&page)?
+        let header = match pool.pin(0) {
+            Ok(g) => Header::read_from(&g.read())?,
+            Err(e) => return Err(older_format(path).unwrap_or(e)),
         };
         let mut blob = Vec::with_capacity(header.meta_len as usize);
         for pi in 0..header.meta_pages {
@@ -1032,6 +1050,43 @@ mod tests {
             cold.children_iter(cold.root()).count();
         }));
         assert!(err.is_err(), "reading the corrupted page must fail");
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(wal_path_for(&path)).unwrap();
+    }
+
+    #[test]
+    fn a_file_of_an_older_format_is_refused_by_its_version() {
+        let path =
+            super::super::scratch_dir().join(format!("h-oldfmt-{}.pages", std::process::id()));
+        let doc = xmark_xml::parse_document(SAMPLE).unwrap();
+        drop(PagedStore::create_at(&path, &doc, 8).unwrap());
+        let current = std::fs::read(&path).unwrap();
+        let version_at = super::super::page::PAGE_HEADER + 4;
+        assert_eq!(
+            le_u32(&current, version_at - 4),
+            super::super::layout::MAGIC
+        );
+        // Page 0 keeps the magic, its version becomes `version`, and the
+        // stored checksum is stale.
+        let open_with_version = |version: u32| {
+            let mut bytes = current.clone();
+            bytes[version_at..version_at + 4].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = PagedStore::open(&path, 4).expect_err("a forged page 0 must not open");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        // A version-1 file is named by its version, not called corrupt.
+        let msg = open_with_version(1);
+        assert!(msg.contains("version 1, expected 2"), "{msg}");
+        assert!(!msg.contains("checksum"), "{msg}");
+        // A version no format ever had is corruption of a current file:
+        // the checksum error stands.
+        for garbage in [0, 3, 0x8000_0002] {
+            let msg = open_with_version(garbage);
+            assert!(msg.contains("checksum"), "version {garbage}: {msg}");
+            assert!(!msg.contains("expected 2"), "version {garbage}: {msg}");
+        }
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(wal_path_for(&path)).unwrap();
     }
