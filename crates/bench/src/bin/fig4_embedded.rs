@@ -16,11 +16,14 @@
 //!
 //! ```text
 //! cargo run --release -p xmark-bench --bin fig4_embedded \
-//!     [--factor 0.01] [--pool-pages 64] [--smoke]
+//!     [--factor 0.01] [--smoke]
 //! ```
 
 use xmark::prelude::*;
 use xmark_bench::{Finding, TextTable};
+
+/// Buffer-pool frames for both backend-H passes.
+const POOL_PAGES: usize = 64;
 
 fn main() {
     let smoke = xmark_bench::has_flag("--smoke");
@@ -98,11 +101,18 @@ fn paged_section(factor: f64, smoke: bool) {
         .systems(&[SystemId::H])
         .queries(1..=20)
         .generate();
-    let pool_pages = xmark_bench::usize_flag("--pool-pages").unwrap_or(64);
 
     // Warm pass: scratch-load, run every query once to populate the
     // pool, then measure with the pool warm.
-    let warm = session.load_paged(Some(pool_pages));
+    let load_start = std::time::Instant::now();
+    let store =
+        PagedStore::load_temp(session.xml(), POOL_PAGES).expect("benchmark document must parse");
+    let warm = LoadedStore {
+        system: SystemId::H,
+        load_time: load_start.elapsed(),
+        size_bytes: store.size_bytes(),
+        store: Box::new(store),
+    };
     for q in 1..=20 {
         measure_query(&warm, q);
     }
@@ -113,15 +123,15 @@ fn paged_section(factor: f64, smoke: bool) {
     let path =
         xmark::store::paged::scratch_dir().join(format!("fig4-h-{}.pages", std::process::id()));
     let built = session
-        .persist_paged(&path, Some(pool_pages))
+        .persist_paged(&path, Some(POOL_PAGES))
         .expect("page file persists");
     let file_pages = built.num_pages();
     drop(built);
     let open_start = std::time::Instant::now();
-    let cold = open_paged(&path, Some(pool_pages)).expect("page file re-opens");
+    let cold = open_paged(&path, Some(POOL_PAGES)).expect("page file re-opens");
     let open_time = open_start.elapsed();
 
-    println!("\n== backend H (paged file, {pool_pages}-frame pool over {file_pages} pages) ==\n");
+    println!("\n== backend H (paged file, {POOL_PAGES}-frame pool over {file_pages} pages) ==\n");
     println!(
         "cold open: {open_time:.2?} (header + catalog pages only, no XML re-parse); \
          warm bulkload: {:.2?}",

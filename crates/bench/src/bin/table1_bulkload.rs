@@ -49,7 +49,7 @@ fn main() {
         "Index build",
     ]);
     let mut rows = session.load_all();
-    rows.push(session.load_paged(None));
+    rows.push(session.load(SystemId::H));
     for loaded in &rows {
         // The shared store-resident indexes build lazily; warm them here
         // (timed) so the Index column reports their real resident bytes —

@@ -54,15 +54,6 @@ pub fn has_flag(flag: &str) -> bool {
     std::env::args().skip(1).any(|a| a == flag)
 }
 
-/// Parse `--<flag> <n>` from argv as a usize, if present.
-pub fn usize_flag(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 /// Best-of-`runs` wall time of `f` (first run discarded as warm-up when
 /// `runs > 1`).
 pub fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (Duration, T) {

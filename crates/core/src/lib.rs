@@ -25,25 +25,28 @@
 //!
 //! ## Streaming results
 //!
-//! Execution is pull-based end to end: a prepared query
-//! ([`spec::Session::prepare`]) opens a cursor over the physical plan
-//! whose `take(n)` / `exists()` / `count()` fast paths stop executing as
-//! soon as the answer is known, and `write_to(sink)` serializes item by
-//! item into any `fmt::Write` (or `io::Write` via `IoSink`) without
-//! materializing the result. `execute()` remains as the materializing
-//! wrapper — byte-identical, just eager.
+//! Execution is pull-based end to end: [`xmark_query::compile()`] a query
+//! once against a store, then each [`xmark_query::stream()`] call opens a
+//! cursor over the physical plan whose `take(n)` / `exists()` / `count()`
+//! fast paths stop executing as soon as the answer is known, and whose
+//! `write_to(sink)` serializes item by item into any `fmt::Write` (or
+//! `io::Write` via `IoSink`) without materializing the result.
+//! `execute()` remains as the materializing wrapper — byte-identical,
+//! just eager.
 //!
 //! ```
 //! use xmark::prelude::*;
 //!
 //! let session = Benchmark::at_scale("mini").generate();
-//! let people = session.prepare(SystemId::E, "/site/people/person");
-//! assert!(people.exists());          // pulls one person, stops
-//! let preview = people.take(10);     // pulls ten, stops
+//! let loaded = session.load(SystemId::E);
+//! let store = loaded.store.as_ref();
+//! let people = compile("/site/people/person", store).unwrap();
+//! assert!(stream(&people, store).exists().unwrap()); // pulls one person, stops
+//! let preview = stream(&people, store).take(10).unwrap(); // pulls ten, stops
 //! assert_eq!(preview.len(), 10);
 //! let mut out = String::new();
-//! let stats = people.write_to(&mut out);
-//! assert_eq!(stats.items, people.count());
+//! let stats = stream(&people, store).write_to(&mut out).unwrap();
+//! assert_eq!(stats.items, stream(&people, store).count().unwrap());
 //! ```
 //!
 //! ## Serving concurrent traffic
@@ -56,10 +59,12 @@
 //! percentiles plus aggregate QPS:
 //!
 //! ```
+//! use std::sync::Arc;
 //! use xmark::prelude::*;
 //!
 //! let session = Benchmark::at_scale("mini").generate();
-//! let service = QueryService::start(session.load_shared(SystemId::D), 2); // 2 worker threads
+//! let store = Arc::from(session.load(SystemId::D).store);
+//! let service = QueryService::start(store, 2); // 2 worker threads
 //! let report = service.run_mix(&[1, 6, 17], 30);
 //! assert_eq!(report.requests, 30);
 //! let q17 = report.stats(17).unwrap();
@@ -106,13 +111,17 @@
 //!   `take`/`exists`/`count` and sink-generic `write_to` serialization,
 //! * [`queries`] — the twenty benchmark queries,
 //! * [`spec`] — scales, workload driver, three-phase measurement types,
-//!   prepared queries,
 //! * [`service`] — the concurrent query service (worker pool, shared
 //!   plan cache that survives commits, latency percentiles, QPS).
 
 pub mod queries;
 pub mod service;
 pub mod spec;
+
+// README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
 
 pub use xmark_gen as gen;
 pub use xmark_query as query;
@@ -128,7 +137,7 @@ pub use xmark_xml as xml;
 /// pieces (`generate_document`, `load_system`, `measure_query`) still
 /// exported for custom harnesses. For concurrent serving,
 /// [`service::QueryService`] runs a worker pool over one shared
-/// `Arc<dyn XmlStore>` (see `Session::load_shared`).
+/// `Arc<dyn XmlStore>` (`Arc::from(session.load(system).store)`).
 /// Stores expose navigation as streaming axis cursors
 /// ([`xmark_store::XmlStore::children_iter`] and friends).
 pub mod prelude {
@@ -140,7 +149,7 @@ pub mod prelude {
     pub use crate::spec::{
         canonical_output, generate_document, load_system, measure_query, open_paged,
         open_paged_versioned, scale, Benchmark, BenchmarkReport, GeneratedDocument, LoadedStore,
-        PreparedQuery, QueryMeasurement, Scale, Session, SCALES,
+        QueryMeasurement, Scale, Session, SCALES,
     };
     pub use xmark_gen::{generate_split, generate_string, Generator, GeneratorConfig, AUCTION_DTD};
     pub use xmark_query::{

@@ -6,16 +6,12 @@
 //! systems and queries and produce the measurements the harness formats
 //! into the paper's tables.
 
-use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xmark_gen::{generate_sharded, GenStats, Generator, GeneratorConfig};
-use xmark_query::{
-    compile, execute, parse_query, verify_plan_against, CompileStats, Compiled, PlanMode,
-    ResultStream, Sequence, StreamStats, VerifyReport,
-};
+use xmark_query::{compile, execute, PlanMode, Sequence};
 use xmark_store::{build_store, PagedStore, ShardedStore, SystemId, XmlStore, DEFAULT_POOL_PAGES};
 use xmark_txn::VersionedStore;
 
@@ -277,114 +273,6 @@ pub fn canonical_output(store: &dyn XmlStore, number: usize) -> String {
     xmark_query::canonicalize(store, &result)
 }
 
-/// A query compiled once against one shared store, ready for repeated
-/// execution: re-running it skips parse and plan entirely, and the
-/// Table 2 statistics (metadata accesses, estimates) are collected once
-/// instead of per call.
-///
-/// Produced by [`Session::prepare`] or [`PreparedQuery::new`]; the
-/// service layer's plan cache stores the same [`Compiled`] artifact.
-pub struct PreparedQuery {
-    store: Arc<dyn XmlStore>,
-    compiled: Arc<Compiled>,
-}
-
-impl PreparedQuery {
-    /// Compile `text` against `store`.
-    ///
-    /// # Panics
-    /// Panics if the query does not parse — prepared statements are for
-    /// known-good query text (the benchmark queries all are).
-    pub fn new(store: Arc<dyn XmlStore>, text: &str) -> Self {
-        let compiled = compile(text, store.as_ref())
-            .unwrap_or_else(|e| panic!("query failed to compile: {e}"));
-        PreparedQuery {
-            store,
-            compiled: Arc::new(compiled),
-        }
-    }
-
-    /// Execute the prepared plan (no parse, no plan), materializing the
-    /// whole result — the same drain on a sharded union as on a
-    /// monolithic store.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors, mirroring the façade's other helpers.
-    pub fn execute(&self) -> Sequence {
-        execute(&self.compiled, self.store.as_ref())
-            .unwrap_or_else(|e| panic!("prepared query failed to execute: {e}"))
-    }
-
-    /// Open a pull-based result stream over the prepared plan: items are
-    /// produced on demand, so `stream().take(n)` / `.exists()` stop
-    /// executing as soon as the answer is known.
-    pub fn stream(&self) -> ResultStream<'_> {
-        xmark_query::stream(&self.compiled, self.store.as_ref())
-    }
-
-    /// At most the first `n` result items, pulling nothing past them.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn take(&self, n: usize) -> Sequence {
-        self.stream()
-            .take(n)
-            .unwrap_or_else(|e| panic!("prepared query failed to execute: {e}"))
-    }
-
-    /// Whether the result has at least one item — pulls at most one.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn exists(&self) -> bool {
-        self.stream()
-            .exists()
-            .unwrap_or_else(|e| panic!("prepared query failed to execute: {e}"))
-    }
-
-    /// The result cardinality, without keeping or serializing any item.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors.
-    pub fn count(&self) -> usize {
-        self.stream()
-            .count()
-            .unwrap_or_else(|e| panic!("prepared query failed to execute: {e}"))
-    }
-
-    /// Execute and serialize straight into `sink`, one item per line,
-    /// byte-identical to serializing [`PreparedQuery::execute`]'s result —
-    /// without materializing it.
-    ///
-    /// # Panics
-    /// Panics on evaluation errors or sink failures.
-    pub fn write_to<W: fmt::Write + ?Sized>(&self, sink: &mut W) -> StreamStats {
-        self.stream()
-            .write_to(sink)
-            .unwrap_or_else(|e| panic!("prepared query failed to stream: {e}"))
-    }
-
-    /// The physical plan, one line per operator.
-    pub fn explain(&self) -> String {
-        self.compiled.explain()
-    }
-
-    /// Compile-phase statistics, collected exactly once at prepare time.
-    pub fn stats(&self) -> &CompileStats {
-        &self.compiled.stats
-    }
-
-    /// The underlying compiled artifact.
-    pub fn compiled(&self) -> &Compiled {
-        &self.compiled
-    }
-
-    /// The store the query was planned against.
-    pub fn store(&self) -> &Arc<dyn XmlStore> {
-        &self.store
-    }
-}
-
 // ---- the session façade ----------------------------------------------------
 
 /// Builder-style entry point for a benchmark session.
@@ -542,28 +430,6 @@ impl Session {
         self.systems.iter().map(|&s| self.load(s)).collect()
     }
 
-    /// Bulkload the disk-resident backend H with an explicit buffer-pool
-    /// frame budget (`None` = [`DEFAULT_POOL_PAGES`]). The page and WAL
-    /// files land in the scratch directory and are deleted when the
-    /// store drops; use [`Session::persist_paged`] for a file that
-    /// outlives the session.
-    pub fn load_paged(&self, pool_pages: Option<usize>) -> LoadedStore {
-        let start = Instant::now();
-        let store = PagedStore::load_temp(
-            &self.generated.xml,
-            pool_pages.unwrap_or(DEFAULT_POOL_PAGES),
-        )
-        .expect("benchmark document must parse");
-        let load_time = start.elapsed();
-        let size_bytes = store.size_bytes();
-        LoadedStore {
-            system: SystemId::H,
-            store: Box::new(store),
-            load_time,
-            size_bytes,
-        }
-    }
-
     /// Bulkload backend H into a page file at `path` that outlives this
     /// session; re-open it later — cold, without re-parsing the XML —
     /// via [`open_paged`].
@@ -578,12 +444,6 @@ impl Session {
         let doc =
             xmark_xml::parse_document(&self.generated.xml).expect("benchmark document must parse");
         PagedStore::create_at(path, &doc, pool_pages.unwrap_or(DEFAULT_POOL_PAGES))
-    }
-
-    /// Bulkload `system` and share it behind an `Arc` — the shape the
-    /// concurrent service layer consumes.
-    pub fn load_shared(&self, system: SystemId) -> Arc<dyn XmlStore> {
-        Arc::from(self.load(system).store)
     }
 
     /// Re-generate this session's document as `entity_shards` shard files
@@ -628,7 +488,7 @@ impl Session {
     ///
     /// # Panics
     /// Panics on generator bugs (shard documents failing to parse) or
-    /// scratch-file I/O failure, mirroring [`Session::load_paged`].
+    /// scratch-file I/O failure.
     pub fn load_sharded_paged(
         &self,
         entity_shards: usize,
@@ -663,43 +523,6 @@ impl Session {
             load_time,
             size_bytes,
         }
-    }
-
-    /// Bulkload `system` and compile `text` against it once, returning a
-    /// reusable prepared query: repeated [`PreparedQuery::execute`] calls
-    /// skip parse and plan, and each of `stream`/`take`/`exists`/`count`/
-    /// `write_to` opens a fresh pull that stops as soon as the answer is
-    /// known.
-    ///
-    /// ```
-    /// use xmark::prelude::*;
-    ///
-    /// let session = Benchmark::at_scale("mini").generate();
-    /// let people = session.prepare(SystemId::G, "/site/people/person");
-    /// assert!(people.exists());            // pulls one person, stops
-    /// let first_two = people.take(2);      // pulls two, stops
-    /// assert_eq!(first_two.len(), 2);
-    /// ```
-    pub fn prepare(&self, system: SystemId, text: &str) -> PreparedQuery {
-        PreparedQuery::new(self.load_shared(system), text)
-    }
-
-    /// Bulkload `system`, compile `text` in `mode`, and run the
-    /// post-optimizer plan verifier ([`xmark_query::verify`]) over the
-    /// result: every structural invariant of the physical algebra is
-    /// re-checked against the live store and reported per invariant.
-    /// Debug builds verify every compile implicitly; this is the explicit
-    /// entry point for release builds and audits.
-    ///
-    /// # Panics
-    /// Panics if the query does not parse — verification is for plans,
-    /// not for syntax errors.
-    pub fn verify_plan(&self, system: SystemId, text: &str, mode: PlanMode) -> VerifyReport {
-        let loaded = self.load(system);
-        let store = loaded.store.as_ref();
-        let query = parse_query(text).unwrap_or_else(|e| panic!("query failed to parse: {e}"));
-        let compiled = xmark_query::compile::plan(&query, store, mode);
-        verify_plan_against(&query, &compiled.plan, store)
     }
 
     /// Load everything, measure every selected query on every selected
@@ -789,6 +612,90 @@ mod tests {
     }
 
     #[test]
+    fn prepared_stream_agrees_with_execute_and_short_circuits() {
+        let session = Benchmark::at_factor(0.001).generate();
+        let loaded = session.load(SystemId::E);
+        let store = loaded.store.as_ref();
+        let compiled = compile(query(2).text, store).unwrap();
+        let materialized = execute(&compiled, store).unwrap();
+        // Byte-identical serialization through the sink path.
+        let mut sunk = String::new();
+        let stats = xmark_query::stream(&compiled, store)
+            .write_to(&mut sunk)
+            .unwrap();
+        assert_eq!(sunk, xmark_query::serialize_sequence(store, &materialized));
+        assert_eq!(stats.items, materialized.len());
+        assert_eq!(stats.bytes, sunk.len() as u64);
+        // Fast paths agree with the materialized result.
+        let open = || xmark_query::stream(&compiled, store);
+        assert_eq!(open().count().unwrap(), materialized.len());
+        assert_eq!(open().exists().unwrap(), !materialized.is_empty());
+        assert_eq!(
+            open().take(3).unwrap(),
+            materialized[..3.min(materialized.len())]
+        );
+        // And pulling one item costs strictly fewer cursor pulls than a
+        // full drain.
+        let mut partial = open();
+        let _ = partial.next_item();
+        let partial_pulls = partial.pulls();
+        let mut full = open();
+        while full.next_item().is_some() {}
+        let full_pulls = full.pulls();
+        assert!(
+            partial_pulls < full_pulls,
+            "one pulled item must cost fewer cursor pulls ({partial_pulls} vs {full_pulls})"
+        );
+    }
+
+    #[test]
+    fn session_stream_handle_round_trips() {
+        let session = Benchmark::at_factor(0.001).generate();
+        let loaded = session.load(SystemId::G);
+        let store = loaded.store.as_ref();
+        let compiled = compile("/site/people/person", store).unwrap();
+        let open = || xmark_query::stream(&compiled, store);
+        assert!(open().exists().unwrap());
+        let two = open().take(2).unwrap();
+        assert_eq!(two.len(), 2);
+        let count = open().count().unwrap();
+        assert_eq!(count, execute(&compiled, store).unwrap().len());
+        let mut direct = String::new();
+        let stats = open().write_to(&mut direct).unwrap();
+        assert_eq!(stats.items, count);
+        assert!(stats.bytes > 0 && direct.len() as u64 == stats.bytes);
+        // Iterator access yields the same first item as take(1).
+        let first = open().next().unwrap().unwrap();
+        assert_eq!(vec![first], open().take(1).unwrap());
+    }
+
+    #[test]
+    fn prepared_queries_reuse_one_plan() {
+        let session = Benchmark::at_factor(0.001).generate();
+        let loaded = session.load(SystemId::D);
+        let store = loaded.store.as_ref();
+        let compiled = compile(query(1).text, store).unwrap();
+        // Stats were collected once, at compile time. (System D reports no
+        // metadata accesses — the summary *is* the metadata — so check the
+        // resolved steps.)
+        assert!(compiled.stats.steps_resolved > 0);
+        assert!(compiled.explain().contains("PathScan"));
+        let first = execute(&compiled, store).unwrap();
+        let second = execute(&compiled, store).unwrap();
+        assert_eq!(first.len(), 1, "Q1 returns person0's name");
+        assert_eq!(
+            xmark_query::canonicalize(store, &first),
+            xmark_query::canonicalize(store, &second)
+        );
+        // The compiled plan agrees with a one-shot run.
+        let one_shot = xmark_query::run_query(query(1).text, store).unwrap();
+        assert_eq!(
+            xmark_query::canonicalize(store, &first),
+            xmark_query::canonicalize(store, &one_shot)
+        );
+    }
+
+    #[test]
     fn generator_stats_are_populated() {
         // The Table 1 report depends on real element/depth counts; they
         // used to be hardcoded to zero.
@@ -869,74 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_stream_agrees_with_execute_and_short_circuits() {
-        let session = Benchmark::at_factor(0.001).generate();
-        let prepared = session.prepare(SystemId::E, query(2).text);
-        let materialized = prepared.execute();
-        // Byte-identical serialization through the sink path.
-        let mut sunk = String::new();
-        let stats = prepared.write_to(&mut sunk);
-        let store = prepared.store().as_ref();
-        assert_eq!(sunk, xmark_query::serialize_sequence(store, &materialized));
-        assert_eq!(stats.items, materialized.len());
-        assert_eq!(stats.bytes, sunk.len() as u64);
-        // Fast paths agree with the materialized result.
-        assert_eq!(prepared.count(), materialized.len());
-        assert_eq!(prepared.exists(), !materialized.is_empty());
-        assert_eq!(prepared.take(3), materialized[..3.min(materialized.len())]);
-        // And pulling one item costs strictly fewer cursor pulls than a
-        // full drain.
-        let mut partial = prepared.stream();
-        let _ = partial.next_item();
-        let partial_pulls = partial.pulls();
-        let mut full = prepared.stream();
-        while full.next_item().is_some() {}
-        let full_pulls = full.pulls();
-        assert!(
-            partial_pulls < full_pulls,
-            "one pulled item must cost fewer cursor pulls ({partial_pulls} vs {full_pulls})"
-        );
-    }
-
-    #[test]
-    fn session_stream_handle_round_trips() {
-        let session = Benchmark::at_factor(0.001).generate();
-        let prepared = session.prepare(SystemId::G, "/site/people/person");
-        assert!(prepared.exists());
-        let two = prepared.take(2);
-        assert_eq!(two.len(), 2);
-        assert_eq!(prepared.count(), prepared.execute().len());
-        let mut direct = String::new();
-        let stats = prepared.write_to(&mut direct);
-        assert_eq!(stats.items, prepared.count());
-        assert!(stats.bytes > 0 && direct.len() as u64 == stats.bytes);
-        // Iterator access yields the same first item as take(1).
-        let first = prepared.stream().next().unwrap().unwrap();
-        assert_eq!(vec![first], prepared.take(1));
-    }
-
-    #[test]
-    fn prepared_queries_reuse_one_plan() {
-        let session = Benchmark::at_factor(0.001).generate();
-        let prepared = session.prepare(SystemId::D, query(1).text);
-        // Stats were collected once, at prepare time. (System D reports no
-        // metadata accesses — the summary *is* the metadata — so check the
-        // resolved steps.)
-        assert!(prepared.stats().steps_resolved > 0);
-        assert!(prepared.explain().contains("PathScan"));
-        let first = prepared.execute();
-        let second = prepared.execute();
-        assert_eq!(first.len(), 1, "Q1 returns person0's name");
-        assert_eq!(first.len(), second.len());
-        // The prepared plan agrees with a one-shot run.
-        let one_shot = xmark_query::run_query(query(1).text, prepared.store().as_ref()).unwrap();
-        assert_eq!(
-            xmark_query::canonicalize(prepared.store().as_ref(), &first),
-            xmark_query::canonicalize(prepared.store().as_ref(), &one_shot)
-        );
-    }
-
-    #[test]
     fn canonical_outputs_agree_between_two_systems() {
         let doc = generate_document(0.001);
         let d = load_system(SystemId::D, &doc.xml);
@@ -973,13 +812,6 @@ mod tests {
                 "Q{q} differs sharded vs monolithic"
             );
         }
-        // The prepared-query façade runs through the same executor.
-        let shared: Arc<dyn XmlStore> = Arc::from(sharded.store);
-        let prepared = PreparedQuery::new(shared, query(5).text);
-        assert!(
-            !prepared.execute().is_empty(),
-            "Q5 count lands on the union"
-        );
     }
 
     #[test]
@@ -1002,10 +834,9 @@ mod tests {
             .queries([1])
             .generate();
 
-        // Scratch-file load through the session façade.
-        let warm = session.load_paged(Some(64));
-        assert_eq!(warm.system, SystemId::H);
-        let q6_warm = canonical_output(warm.store.as_ref(), 6);
+        // Scratch-file load.
+        let warm = PagedStore::load_temp(session.xml(), 64).unwrap();
+        let q6_warm = canonical_output(&warm, 6);
 
         // Persist to an explicit path, then cold-open without the XML.
         let path = xmark_store::paged::scratch_dir()

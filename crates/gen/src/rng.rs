@@ -80,12 +80,6 @@ impl XmarkRng {
         result
     }
 
-    /// Next 32 random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

@@ -33,16 +33,6 @@ impl<W: Write> XmlWriter<W> {
         }
     }
 
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total elements opened so far (including empty elements).
-    pub fn elements_written(&self) -> u64 {
-        self.elements
-    }
-
     /// Deepest nesting level reached.
     pub fn max_depth(&self) -> usize {
         self.max_depth

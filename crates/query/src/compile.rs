@@ -24,7 +24,7 @@ use crate::parse::{parse_query, ParseError};
 use crate::plan::{PhysicalPlan, PlanMode};
 use crate::planner::plan_query;
 use crate::result::Sequence;
-use crate::stream::{ResultStream, StreamStats, WriteError};
+use crate::stream::ResultStream;
 
 /// Compilation statistics (the "metadata" column of Table 2).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -55,23 +55,6 @@ impl Compiled {
     /// [`crate::explain`]).
     pub fn explain(&self) -> String {
         crate::explain::explain_plan(&self.plan)
-    }
-
-    /// Open a pull-based [`ResultStream`] over this plan against `store`.
-    /// Items are produced on demand; `stream(store).take(n)` /
-    /// `.exists()` stop executing as soon as the answer is known.
-    pub fn stream<'a>(&'a self, store: &'a dyn XmlStore) -> ResultStream<'a> {
-        ResultStream::new(&self.plan, store)
-    }
-
-    /// Execute against `store`, serializing straight into `sink` item by
-    /// item (one item per line) without materializing the result.
-    pub fn write_to<W: std::fmt::Write + ?Sized>(
-        &self,
-        store: &dyn XmlStore,
-        sink: &mut W,
-    ) -> Result<StreamStats, WriteError> {
-        self.stream(store).write_to(sink)
     }
 }
 
@@ -123,7 +106,8 @@ pub fn plan(query: &Query, store: &dyn XmlStore, mode: PlanMode) -> Compiled {
     let (plan, stats) = plan_query(query, store, mode);
     // Debug builds verify every plan the planner emits (see
     // [`crate::verify`]); release callers opt in through
-    // `Session::verify_plan` or the `plan_audit` binary.
+    // [`crate::verify::verify_plan_against`], as the `plan_audit` binary
+    // does.
     #[cfg(debug_assertions)]
     {
         use crate::verify::Invariant;

@@ -31,11 +31,12 @@
 //!
 //! **Consumption modes.** [`compile::execute`] materializes the whole
 //! sequence (kept as a thin wrapper draining the stream);
-//! [`compile::stream`] / [`Compiled::stream`] opens a
+//! [`compile::stream`] opens a
 //! [`stream::ResultStream`] whose [`take`](stream::ResultStream::take),
 //! [`exists`](stream::ResultStream::exists) and
 //! [`count`](stream::ResultStream::count) fast paths stop pulling as soon
-//! as the answer is known; [`Compiled::write_to`] serializes straight
+//! as the answer is known; its
+//! [`write_to`](stream::ResultStream::write_to) serializes straight
 //! into a sink without ever holding the result. Pipelining operators
 //! (path steps, FLWOR clause iteration, join probes, the `return`
 //! projection) never buffer; blocking operators (Sort, Aggregate, hash
@@ -119,17 +120,17 @@
 //!
 //! ```
 //! use xmark_store::NaiveStore;
-//! use xmark_query::compile;
+//! use xmark_query::{compile, stream};
 //!
 //! let store = NaiveStore::load(
 //!     "<site><people><person/><person/><person/></people></site>",
 //! ).unwrap();
 //! let compiled = compile("/site/people/person", &store).unwrap();
-//! assert!(compiled.stream(&store).exists().unwrap()); // pulls one item
-//! let two = compiled.stream(&store).take(2).unwrap();
+//! assert!(stream(&compiled, &store).exists().unwrap()); // pulls one item
+//! let two = stream(&compiled, &store).take(2).unwrap();
 //! assert_eq!(two.len(), 2);
 //! let mut out = String::new();
-//! compiled.write_to(&store, &mut out).unwrap();       // sink serialization
+//! stream(&compiled, &store).write_to(&mut out).unwrap(); // sink serialization
 //! assert_eq!(out, "<person/>\n<person/>\n<person/>");
 //! ```
 //!

@@ -1267,9 +1267,8 @@ impl From<EvalError> for WriteError {
 
 /// A pull-based stream of query results.
 ///
-/// Produced by [`crate::stream`](crate::compile::stream) /
-/// [`crate::Compiled::stream`]; an `Iterator` over
-/// `Result<Item, EvalError>`. Items are produced on demand: dropping the
+/// Produced by [`crate::stream`](crate::compile::stream); an `Iterator`
+/// over `Result<Item, EvalError>`. Items are produced on demand: dropping the
 /// stream (or using [`take`](ResultStream::take) /
 /// [`exists`](ResultStream::exists)) stops pulling from the operator
 /// tree, so upstream work is never performed for items nobody consumes.

@@ -34,9 +34,9 @@
 //!
 //! [`compile_with_mode`](crate::compile::compile_with_mode) runs the
 //! verifier on every plan in debug builds (`debug_assertions`); release
-//! callers opt in through `Session::verify_plan` or the `plan_audit`
-//! bench binary, which sweeps Q1–Q20 × all eight backends × both plan
-//! modes and prints the per-invariant matrix.
+//! callers opt in through [`verify_plan_against`], as the `plan_audit`
+//! bench binary does when it sweeps Q1–Q20 × all eight backends × both
+//! plan modes and prints the per-invariant matrix.
 
 use xmark_store::{PlannerCaps, XmlStore};
 

@@ -125,11 +125,6 @@ impl InlinedStore {
             bidders,
         }
     }
-
-    /// Number of entity tables (exposed for the Table 2 report).
-    pub fn entity_table_count(&self) -> usize {
-        self.entities.len()
-    }
 }
 
 impl XmlStore for InlinedStore {

@@ -192,11 +192,6 @@ impl IntervalStore {
             indexes: IndexManager::new(),
         }
     }
-
-    /// Whether this instance is the indexed variant (System E).
-    pub fn is_indexed(&self) -> bool {
-        self.indexed
-    }
 }
 
 impl XmlStore for IntervalStore {

@@ -129,12 +129,6 @@ impl Document {
         &self.interner
     }
 
-    /// Mutable access to the interner (used by query compilation to intern
-    /// the tag names appearing in path expressions).
-    pub fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
-    }
-
     /// The root element.
     ///
     /// # Panics
@@ -295,11 +289,6 @@ impl Document {
             doc: self,
             next: self.nodes[node.index()].first_child,
         }
-    }
-
-    /// Iterate over the element children of `node`.
-    pub fn child_elements(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.children(node).filter(move |&c| self.is_element(c))
     }
 
     /// Iterate over element children with tag `name`.

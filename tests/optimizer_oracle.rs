@@ -24,7 +24,7 @@ fn run_streamed(store: &dyn XmlStore, text: &str, mode: PlanMode) -> Result<Stri
     let compiled = compile_with_mode(text, store, mode).expect("query compiles");
     let executed = execute(&compiled, store);
     let mut sunk = String::new();
-    match (&executed, compiled.write_to(store, &mut sunk)) {
+    match (&executed, stream(&compiled, store).write_to(&mut sunk)) {
         (Ok(seq), Ok(_)) => assert_eq!(
             sunk,
             serialize_sequence(store, seq),

@@ -32,7 +32,7 @@ fn stores_and_unions(systems: &[SystemId]) -> Vec<(String, Arc<dyn XmlStore>)> {
     let session = Benchmark::at_factor(0.002).generate();
     let mut stores: Vec<(String, Arc<dyn XmlStore>)> = systems
         .iter()
-        .map(|&system| (system.to_string(), session.load_shared(system)))
+        .map(|&system| (system.to_string(), Arc::from(session.load(system).store)))
         .collect();
     stores.push((
         "A x2 shards".to_string(),
@@ -55,7 +55,7 @@ fn stream_matches_execute_on_all_twenty_queries_and_backends() {
             let expected = serialize_sequence(store, &materialized);
 
             // Draining the stream yields the same item sequence …
-            let streamed = c.stream(store).collect_seq().expect("stream runs");
+            let streamed = stream(&c, store).collect_seq().expect("stream runs");
             assert_eq!(
                 serialize_sequence(store, &streamed),
                 expected,
@@ -66,7 +66,9 @@ fn stream_matches_execute_on_all_twenty_queries_and_backends() {
             // … and sink serialization produces the same bytes without
             // ever materializing the sequence.
             let mut sunk = String::new();
-            let stats = c.write_to(store, &mut sunk).expect("write_to runs");
+            let stats = stream(&c, store)
+                .write_to(&mut sunk)
+                .expect("write_to runs");
             assert_eq!(
                 sunk, expected,
                 "Q{} write_to bytes diverge on {system}",
@@ -74,6 +76,27 @@ fn stream_matches_execute_on_all_twenty_queries_and_backends() {
             );
             assert_eq!(stats.items, materialized.len());
             assert_eq!(stats.bytes, expected.len() as u64);
+
+            // The fast paths and the iterator agree with the materialized
+            // result.
+            let n = materialized.len();
+            let count = stream(&c, store).count().unwrap();
+            assert_eq!(count, n, "Q{} count diverges on {system}", q.number);
+            let exists = stream(&c, store).exists().unwrap();
+            assert_eq!(exists, n > 0, "Q{} exists diverges on {system}", q.number);
+            assert_eq!(
+                serialize_sequence(store, &stream(&c, store).take(3).unwrap()),
+                serialize_sequence(store, &materialized[..3.min(n)]),
+                "Q{} take(3) diverges on {system}",
+                q.number
+            );
+            let first = stream(&c, store).next().transpose().expect("query runs");
+            assert_eq!(
+                serialize_sequence(store, first.as_slice()),
+                serialize_sequence(store, &materialized[..1.min(n)]),
+                "Q{} first iterated item diverges on {system}",
+                q.number
+            );
         }
     }
 }
@@ -89,7 +112,9 @@ fn write_to_reaches_io_sinks() {
     let expected = serialize_sequence(store, &execute(&c, store).unwrap());
 
     let mut sink = IoSink::new(Vec::<u8>::new());
-    let stats = c.write_to(store, &mut sink).expect("streams to io::Write");
+    let stats = stream(&c, store)
+        .write_to(&mut sink)
+        .expect("streams to io::Write");
     assert!(sink.take_error().is_none());
     assert_eq!(stats.bytes, sink.bytes());
     assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), expected);
@@ -128,10 +153,10 @@ fn take_and_exists_pull_strictly_fewer_items_than_full_evaluation() {
     // tail stays pipelining: taking one item must not drain the chain.
     for number in [13, 14, 15] {
         let c = compiled(store, query(number).text);
-        let (items, full_pulls) = drain_counting(c.stream(store));
+        let (items, full_pulls) = drain_counting(stream(&c, store));
         assert!(items > 1, "Q{number} must have a multi-item result");
 
-        let first_pulls = pulls_after_taking(c.stream(store), 1);
+        let first_pulls = pulls_after_taking(stream(&c, store), 1);
         assert!(
             first_pulls < full_pulls,
             "Q{number}: pulling one item cost {first_pulls} pulls, \
@@ -141,12 +166,12 @@ fn take_and_exists_pull_strictly_fewer_items_than_full_evaluation() {
         // The public fast paths agree with the materialized prefix.
         let all = execute(&c, store).unwrap();
         assert_eq!(
-            serialize_sequence(store, &c.stream(store).take(2).unwrap()),
+            serialize_sequence(store, &stream(&c, store).take(2).unwrap()),
             serialize_sequence(store, &all[..2.min(all.len())]),
             "Q{number}: take(2) diverges from the materialized prefix"
         );
-        assert!(c.stream(store).exists().unwrap());
-        assert_eq!(c.stream(store).count().unwrap(), all.len());
+        assert!(stream(&c, store).exists().unwrap());
+        assert_eq!(stream(&c, store).count().unwrap(), all.len());
     }
 }
 
@@ -162,7 +187,7 @@ fn existential_predicate_stops_at_the_first_witness() {
     let store = NaiveStore::load(&format!("<site>{body}</site>")).unwrap();
     let c = compiled(&store, r#"document("auction.xml")/site/a[b]"#);
 
-    let (items, pulls) = drain_counting(c.stream(&store));
+    let (items, pulls) = drain_counting(stream(&c, &store));
     assert_eq!(items, 3, "all three <a> elements qualify");
     assert!(
         (pulls as usize) < 3 * FANOUT,
@@ -185,7 +210,7 @@ fn a_multi_item_path_base_is_evaluated_once() {
         let store = store.as_ref();
         let c = compiled(store, "(for $p in /site/people/person return $p)/name");
         execute(&c, store).expect("query runs");
-        let (items, pulls) = drain_counting(c.stream(store));
+        let (items, pulls) = drain_counting(stream(&c, store));
         assert!(items > 1, "{system}: {items} names");
         assert!(
             pulls < 3 * items as u64,
@@ -203,10 +228,10 @@ fn exists_function_pulls_at_most_one_item() {
     let store = loaded.store.as_ref();
 
     let c = compiled(store, r#"exists(document("auction.xml")/site//item)"#);
-    let (_, pulls) = drain_counting(c.stream(store));
+    let (_, pulls) = drain_counting(stream(&c, store));
 
     let scan = compiled(store, r#"document("auction.xml")/site//item"#);
-    let (items, scan_pulls) = drain_counting(scan.stream(store));
+    let (items, scan_pulls) = drain_counting(stream(&scan, store));
     assert!(items > 1);
     assert!(
         pulls < scan_pulls,
@@ -231,7 +256,7 @@ fn partly_consumed_stream_drains_exactly_the_remaining_suffix() {
             // the store; every drain below then sees the same cache state.
             let all = execute(&c, store).expect("query runs");
             let expected = serialize_sequence(store, &all);
-            let (_, full_pulls) = drain_counting(c.stream(store));
+            let (_, full_pulls) = drain_counting(stream(&c, store));
 
             let mut prefixes = vec![0, 1, 2, all.len() / 2, all.len().saturating_sub(1)];
             prefixes.retain(|&k| k <= all.len());
@@ -248,7 +273,7 @@ fn partly_consumed_stream_drains_exactly_the_remaining_suffix() {
                         .collect()
                 };
 
-                let mut s = c.stream(store);
+                let mut s = stream(&c, store);
                 let mut items = prefix(&mut s);
                 items.extend(s.collect_seq().expect("stream resumes"));
                 assert_eq!(
@@ -264,7 +289,7 @@ fn partly_consumed_stream_drains_exactly_the_remaining_suffix() {
                     q.number
                 );
 
-                let mut s = c.stream(store);
+                let mut s = stream(&c, store);
                 prefix(&mut s);
                 let mut sunk = String::new();
                 let stats = s.write_to(&mut sunk).expect("stream resumes");
@@ -309,11 +334,11 @@ fn write_to_reaches_the_sink_after_the_first_pull() {
             let c = compiled(store, r#"document("auction.xml")/site//item"#);
             // A fresh store: nothing has drained (and so memoized) the
             // path yet, the stream walks the descendant axis lazily.
-            let mut s = c.stream(store);
+            let mut s = stream(&c, store);
             let err = s.write_to(&mut ClosedSink).expect_err("the sink rejects");
             assert!(matches!(err, WriteError::Sink(_)), "{system}: {err}");
             let pulls = s.pulls();
-            pulls_at.push((c.stream(store).count().unwrap(), pulls));
+            pulls_at.push((stream(&c, store).count().unwrap(), pulls));
         }
         let [(small, small_pulls), (large, large_pulls)] = pulls_at[..] else {
             unreachable!("two factors");
@@ -368,8 +393,8 @@ fn take_one_over_a_hash_join_probes_no_item_past_the_first_match() {
         let all = execute(&c, store).expect("query runs");
         assert_eq!(serialize_sequence(store, &all), "thing 1");
 
-        let (_, full_pulls) = drain_counting(c.stream(store));
-        let first_pulls = pulls_after_taking(c.stream(store), 1);
+        let (_, full_pulls) = drain_counting(stream(&c, store));
+        let first_pulls = pulls_after_taking(stream(&c, store), 1);
         assert_eq!(
             full_pulls - first_pulls,
             (PROBES - HIT) as u64,
@@ -380,19 +405,20 @@ fn take_one_over_a_hash_join_probes_no_item_past_the_first_match() {
 
 #[test]
 fn session_stream_facade_short_circuits() {
-    // The façade surface: Session::prepare wires the same fast paths.
+    // The façade surface: a store loaded through a Session and a plan from
+    // `compile` reach the same fast paths through `stream`.
     let session = Benchmark::at_scale("mini").generate();
-    let people = session.prepare(SystemId::D, "/site/people/person");
-    assert!(people.exists());
-    let two = people.take(2);
+    let loaded = session.load(SystemId::D);
+    let store = loaded.store.as_ref();
+    let people = compiled(store, "/site/people/person");
+    assert!(stream(&people, store).exists().unwrap());
+    let two = stream(&people, store).take(2).unwrap();
     assert_eq!(two.len(), 2);
-    assert_eq!(people.count(), people.execute().len());
+    let all = execute(&people, store).unwrap();
+    assert_eq!(stream(&people, store).count().unwrap(), all.len());
 
     let mut sunk = String::new();
-    let stats = people.write_to(&mut sunk);
-    assert_eq!(stats.items, people.count());
-    assert_eq!(
-        sunk,
-        serialize_sequence(people.store().as_ref(), &people.execute())
-    );
+    let stats = stream(&people, store).write_to(&mut sunk).unwrap();
+    assert_eq!(stats.items, all.len());
+    assert_eq!(sunk, serialize_sequence(store, &all));
 }
