@@ -6,38 +6,65 @@
 //! a [`PageGuard`] whose `Drop` unpins it; a pinned frame is never a
 //! replacement victim, so the bytes a cursor is reading cannot be
 //! evicted underneath it (pin-count safety is pinned by tests here).
-//! Replacement is LRU over unpinned frames (last-use ticks, updated on
-//! every pin and unpin). Evicting a dirty frame first flushes the WAL up
-//! to the page's LSN, seals the page checksum, and writes it back — the
-//! flush-before-write discipline the update path relies on.
+//! Replacement is exact LRU over unpinned frames: the victim is the
+//! frame unpinned longest ago. Evicting a dirty frame first flushes the
+//! WAL up to the page's LSN, seals the page checksum, and writes it
+//! back — the flush-before-write discipline the update path relies on.
 //!
 //! # Latch protocol
 //!
-//! Three kinds of lock, always taken in this order: the pool **latch**
-//! (`Mutex<Inner>`: page table, pin counts, dirty bits, LRU ticks), then
-//! one **frame lock** (`RwLock<Slot>`: the 4 KiB image and its load
-//! state), then the **file** mutex.
+//! A pin that finds its page resident, and every unpin, run without the
+//! pool **latch** (`Mutex<Latched>`). The latch guards only what changes
+//! which page a frame holds:
 //!
-//! * The latch is held for bookkeeping only: a hit counts its pin and
-//!   lets go; a miss picks the victim, publishes `id → frame` with
-//!   `pin_count = 1`, takes the frame's write lock (free, since the
-//!   victim had no pins) and lets go. The page read and its checksum run
-//!   under that frame lock alone, into the frame's existing buffer, so
-//!   pins of other pages proceed meanwhile. The one I/O still done under
-//!   the latch is the write-back of a dirty victim, which must reach
-//!   disk before its mapping disappears.
-//! * A frame is *loading* while its loader holds the write lock; a
-//!   second pin of that page takes the ordinary hit path and waits on
-//!   the frame lock. When it gets through, the slot's load state is
-//!   either `Ready` or `Failed` with the error.
+//! * growing the frame array (chunks of [`FRAME_CHUNK`] frames, made as
+//!   the pool fills, never freed before the pool);
+//! * choosing a victim and publishing `page → frame` in the page table;
+//! * unpublishing a page whose load failed;
+//! * [`BufferPool::flush_all`] and the write-back of a dirty victim,
+//!   which must reach disk before its mapping disappears.
+//!
+//! Lock order is latch, then one **frame lock** (`RwLock<Slot>`: the
+//! 4 KiB image and its load state), then the **file** mutex.
+//!
+//! **The page table** is two levels of `AtomicU32` frame indexes: page
+//! ids are dense (the file allocates append-only), so a page's entry
+//! sits at a fixed place, and the leaves are made under the latch as
+//! pages appear. A hit reads it without the latch.
+//!
+//! **Pin counts.** Each frame's `pins` word is its pin count plus the
+//! [`CLAIMED`] bit, which only the latch holder sets and clears:
+//!
+//! * A hit loads the frame index, `fetch_add`s one pin (acquire), then
+//!   re-checks the frame's `page_id`. If the frame was claimed or holds
+//!   another page by then, it takes its pin back and goes the latched
+//!   way, which looks the page up again under the latch.
+//! * The latch holder claims a frame by a compare-and-swap of `pins`
+//!   from 0 to `CLAIMED` (acquire: it sees the writes and dirty bit of
+//!   the last unpin). From then on every racing hit sees the bit and
+//!   backs off, so nobody else touches the frame's lock or image. The
+//!   holder writes the victim back if dirty, moves the mapping, stores
+//!   the new `page_id`, takes the frame's write lock (free: no pins, so
+//!   no readers) and turns the bit into the loader's own pin with one
+//!   release `fetch_sub`. A hit that acquires a later value of `pins`
+//!   therefore sees the new `page_id`, and while the page loads it
+//!   waits on the frame lock, not on the latch.
+//! * An unpin stamps `last_use` from one shared tick, sets the dirty
+//!   bit if it wrote, and releases its pin (release `fetch_sub`).
 //! * When the read or the checksum fails, the **loader** records the
 //!   error in the slot, releases the frame lock, and under the latch
-//!   removes the mapping and marks the frame free (`NO_PAGE`), so the
-//!   next pin of the page reads it again. Loader and waiters all return
-//!   that error and unpin; nobody ever sees a stale or zeroed image, and
-//!   the frame is reusable as soon as the last of them has unpinned.
-//! * [`PageGuard`] carries its frame index: unpin goes straight to the
-//!   frame, no page-table lookup.
+//!   unpublishes the page and marks the frame free (`NO_PAGE`). Hits
+//!   that pinned it meanwhile see the error and unpin; nobody ever
+//!   sees a stale or zeroed image.
+//!
+//! **Why LRU stays exact.** Stamping only at unpin orders the unpinned
+//! frames by their last unpin, which is after their last pin, so it
+//! picks the same victim as stamping at every pin and unpin; a free
+//! frame ranks before every page. Single-threaded, the pool therefore
+//! reads exactly the pages a fully latched LRU pool reads (a test
+//! checks it against a plain model). Under concurrency the victim scan
+//! reads ticks that hits are updating, so its choice is LRU as of some
+//! moment during the scan.
 //!
 //! A thread blocks on a frame lock only while that frame's loader is
 //! doing file I/O, and a loader never waits for a pin, so holding pins
@@ -49,13 +76,13 @@
 //!
 //! Every pool keeps hit/miss/eviction/read/write counters
 //! ([`PoolStats`]) — the numbers the `fig4_embedded` report prints for
-//! backend H's cold-vs-warm comparison.
+//! backend H's cold-vs-warm comparison. Hits are counted per frame, on
+//! the cache line the pin already writes.
 
-use std::collections::HashMap;
 use std::io;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use super::file::FileManager;
 use super::page::{Page, PageId, PAGE_SIZE};
@@ -119,18 +146,87 @@ impl PoolStats {
 }
 
 /// `page_id` of a frame that holds no page: freshly grown, or freed by a
-/// failed load. Such a frame has no page-table entry, and reusing it is
-/// not an eviction.
+/// failed load. Such a frame has no page-table entry, ranks before every
+/// page as a victim, and reusing it is not an eviction.
 const NO_PAGE: PageId = PageId::MAX;
 
-/// One frame: latch-side bookkeeping plus the buffer, which has a lock
-/// of its own and is allocated once, when the pool grows to the frame.
+/// Page-table entry of a page that has no frame.
+const NO_FRAME: u32 = u32::MAX;
+
+/// The bit of `Frame::pins` the latch holder sets while it claims the
+/// frame (victim choice, write-back, publishing its next page); hits
+/// that see it back off.
+const CLAIMED: u32 = 1 << 31;
+
+/// Frames made at a time as the pool fills.
+const FRAME_CHUNK: usize = 8;
+
+/// Page-table entries per leaf (16 KiB), and leaves per table: pages
+/// up to 4 Mi, a 16 GiB file.
+const TABLE_LEAF: usize = 4096;
+const TABLE_LEAVES: usize = 1024;
+
+/// What [`BufferPool::resident_bytes`] charges per frame: the image
+/// plus the frame's header, lock and share of the page table.
+const FRAME_BYTES: usize = PAGE_SIZE + 80;
+
+/// One frame. The header is atomics read and written without the latch
+/// (see the module doc); the buffer has a lock of its own and is
+/// allocated once, with the frame's chunk. One cache line holds
+/// everything a hit touches.
+#[repr(align(64))]
 struct Frame {
-    page_id: PageId,
-    pin_count: u32,
-    dirty: bool,
-    last_use: u64,
-    slot: Arc<RwLock<Slot>>,
+    /// The page held, or [`NO_PAGE`]; changed only by the latch holder.
+    page_id: AtomicU32,
+    /// Pin count, plus [`CLAIMED`].
+    pins: AtomicU32,
+    /// Written since its last write-back; set by unpins.
+    dirty: AtomicBool,
+    /// Tick of the last unpin: the LRU key.
+    last_use: AtomicU64,
+    /// Pins of this frame served without a read.
+    hits: AtomicU64,
+    slot: RwLock<Slot>,
+}
+
+impl Frame {
+    fn new() -> Frame {
+        Frame {
+            page_id: AtomicU32::new(NO_PAGE),
+            pins: AtomicU32::new(0),
+            dirty: AtomicBool::new(false),
+            last_use: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            slot: RwLock::new(Slot {
+                page: Page::new(),
+                load: Load::Ready,
+            }),
+        }
+    }
+
+    /// Claim the frame for the latch holder if nobody has it pinned.
+    fn try_claim(&self) -> bool {
+        let pins = &self.pins;
+        // ordering: acquire pairs with the release of the frame's last
+        // unpin, so its page writes and dirty bit are visible here.
+        pins.compare_exchange(0, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Give a claim up, the frame keeping its page.
+    fn unclaim(&self) {
+        // ordering: release, as an unpin.
+        self.pins.fetch_sub(CLAIMED, Ordering::Release);
+    }
+
+    /// Replacement rank: the least goes first.
+    fn lru_key(&self) -> u64 {
+        if self.page_id.load(Ordering::Relaxed) == NO_PAGE {
+            0
+        } else {
+            self.last_use.load(Ordering::Relaxed)
+        }
+    }
 }
 
 /// What a frame's buffer holds. A third state, *loading*, is the
@@ -149,21 +245,82 @@ struct Slot {
     load: Load,
 }
 
-struct Inner {
-    frames: Vec<Frame>,
-    /// page id → frame index.
-    table: HashMap<PageId, usize>,
-    tick: u64,
+/// page id → frame index, read without the latch, written under it.
+struct PageTable {
+    leaves: Box<[OnceLock<Box<[AtomicU32]>>]>,
 }
+
+impl PageTable {
+    fn new() -> PageTable {
+        PageTable {
+            leaves: (0..TABLE_LEAVES).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn entry(&self, id: PageId) -> Option<&AtomicU32> {
+        let leaf = self.leaves.get(id as usize / TABLE_LEAF)?.get()?;
+        Some(&leaf[id as usize % TABLE_LEAF])
+    }
+
+    /// The frame holding page `id`, if one is published.
+    fn get(&self, id: PageId) -> Option<usize> {
+        // ordering: acquire pairs with `set`'s release, so the frame's
+        // chunk is visible to whoever finds its index here.
+        let idx = self.entry(id)?.load(Ordering::Acquire);
+        (idx != NO_FRAME).then_some(idx as usize)
+    }
+
+    /// Publish `id → idx`, making the leaf if needed. Caller holds the
+    /// latch and has run [`PageTable::check`].
+    fn set(&self, id: PageId, idx: usize) {
+        let leaf = self.leaves[id as usize / TABLE_LEAF]
+            .get_or_init(|| (0..TABLE_LEAF).map(|_| AtomicU32::new(NO_FRAME)).collect());
+        // ordering: release publishes the frame (and its chunk) to the
+        // acquire in `get`.
+        leaf[id as usize % TABLE_LEAF].store(idx as u32, Ordering::Release);
+    }
+
+    /// Unpublish page `id`. Caller holds the latch.
+    fn clear(&self, id: PageId) {
+        if let Some(entry) = self.entry(id) {
+            entry.store(NO_FRAME, Ordering::Relaxed);
+        }
+    }
+
+    /// Fails unless page `id` has a place in the table.
+    fn check(id: PageId) -> io::Result<()> {
+        if (id as usize) < TABLE_LEAF * TABLE_LEAVES {
+            Ok(())
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("page {id} is beyond the buffer pool's page table"),
+            ))
+        }
+    }
+}
+
+/// What only the latch holder reads or writes.
+struct Latched {
+    /// Frames grown so far (≤ capacity).
+    frames: usize,
+}
+
+/// The unpin clock, alone on its cache line: every unpin bumps it.
+#[repr(align(64))]
+struct Tick(AtomicU64);
 
 /// The bounded frame pool over one page file (plus its WAL).
 pub struct BufferPool {
     capacity: usize,
-    /// The pool latch: page table, pin counts, LRU ticks.
-    inner: Mutex<Inner>,
+    /// The pool latch: frame growth, victim choice, (un)publishing.
+    latch: Mutex<Latched>,
+    /// The frames, [`FRAME_CHUNK`] per chunk, made as the pool grows.
+    chunks: Box<[OnceLock<Box<[Frame]>>]>,
+    table: PageTable,
+    tick: Tick,
     file: Mutex<FileManager>,
     wal: Option<Arc<LogManager>>,
-    hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     pages_read: AtomicU64,
@@ -184,14 +341,14 @@ impl BufferPool {
         assert!(capacity >= 2, "a useful pool needs at least two frames");
         BufferPool {
             capacity,
-            inner: Mutex::new(Inner {
-                frames: Vec::new(),
-                table: HashMap::new(),
-                tick: 0,
-            }),
+            latch: Mutex::new(Latched { frames: 0 }),
+            chunks: (0..capacity.div_ceil(FRAME_CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
+            table: PageTable::new(),
+            tick: Tick(AtomicU64::new(0)),
             file: Mutex::new(file),
             wal,
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             pages_read: AtomicU64::new(0),
@@ -208,14 +365,21 @@ impl BufferPool {
     /// Resident bytes of the frames currently held (≤ capacity × page
     /// size) plus bookkeeping.
     pub fn resident_bytes(&self) -> usize {
-        let inner = lock(&self.inner);
-        inner.frames.len() * (PAGE_SIZE + std::mem::size_of::<Frame>() + 48)
+        lock(&self.latch).frames * FRAME_BYTES
+    }
+
+    /// Every frame grown so far, in index order.
+    fn frames(&self) -> impl Iterator<Item = &Frame> {
+        self.chunks
+            .iter()
+            .map_while(OnceLock::get)
+            .flat_map(|chunk| chunk.iter())
     }
 
     /// The counters right now.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: self.frames().map(|f| f.hits.load(Ordering::Relaxed)).sum(),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             pages_read: self.pages_read.load(Ordering::Relaxed),
@@ -234,16 +398,11 @@ impl BufferPool {
         lock(&self.file).size_bytes()
     }
 
-    /// The guard of one pin already counted on frame `idx`. Caller
-    /// holds the latch.
-    fn guard(&self, inner: &Inner, idx: usize) -> PageGuard<'_> {
-        let frame = &inner.frames[idx];
-        PageGuard {
-            pool: self,
-            page_id: frame.page_id,
-            frame: idx,
-            slot: Arc::clone(&frame.slot),
-            dirty: false,
+    /// Frame `idx`, which the pool has grown to.
+    fn frame(&self, idx: usize) -> &Frame {
+        match self.chunks[idx / FRAME_CHUNK].get() {
+            Some(chunk) => &chunk[idx % FRAME_CHUNK],
+            None => unreachable!("frame {idx} is used before the pool grew to it"),
         }
     }
 
@@ -254,47 +413,88 @@ impl BufferPool {
     /// I/O failure, checksum mismatch, or pool exhaustion (every frame
     /// pinned; kind [`io::ErrorKind::ResourceBusy`]).
     pub fn pin(&self, id: PageId) -> io::Result<PageGuard<'_>> {
-        let mut inner = lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(&idx) = inner.table.get(&id) {
-            let frame = &mut inner.frames[idx];
-            frame.pin_count += 1;
-            frame.last_use = tick;
-            let guard = self.guard(&inner, idx);
-            drop(inner);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            // While another pin is still loading the page this waits on
-            // the frame's lock, not on the latch.
-            let waited = match &read(&guard.slot).load {
-                Load::Ready => Ok(()),
-                Load::Failed(e) => Err(same_error(e)),
-            };
-            return waited.map(|()| guard);
+        self.pin_read(id).map(PinnedPage::into_guard)
+    }
+
+    /// [`BufferPool::pin`], keeping the frame's read lock for as long as
+    /// the pin lives: the reader of a page run pays one lock per page,
+    /// not one per record.
+    pub(crate) fn pin_read(&self, id: PageId) -> io::Result<PinnedPage<'_>> {
+        match self.table.get(id).and_then(|idx| self.try_hit(id, idx)) {
+            Some(guard) => Self::when_loaded(guard),
+            None => self.pin_latched(id),
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let guard = self.claim_frame(&mut inner, id, tick)?;
-        // The victim had no pins, so nobody holds its lock and taking it
-        // under the latch never waits. Pins of `id` that hit the new
-        // mapping from here on wait on this lock while the page loads.
-        let mut slot = write(&guard.slot);
-        drop(inner);
+    }
+
+    /// Read-lock a hit's frame and report how its load went. While
+    /// another pin is still loading the page this waits on the frame's
+    /// lock, not on the latch.
+    fn when_loaded(guard: PageGuard<'_>) -> io::Result<PinnedPage<'_>> {
+        let frame = guard.frame;
+        let slot = read(&frame.slot);
+        match &slot.load {
+            Load::Ready => Ok(PinnedPage { slot, guard }),
+            Load::Failed(e) => Err(same_error(e)),
+        }
+    }
+
+    /// Pin frame `idx` for page `id` without the latch; `None` (the pin
+    /// taken back) when the frame is claimed or holds another page.
+    fn try_hit(&self, id: PageId, idx: usize) -> Option<PageGuard<'_>> {
+        let frame = self.frame(idx);
+        // ordering: acquire pairs with the release that ends a claim, so
+        // the `page_id` read below is the one that claim published.
+        let pins = frame.pins.fetch_add(1, Ordering::Acquire);
+        if pins & CLAIMED != 0 || frame.page_id.load(Ordering::Relaxed) != id {
+            frame.pins.fetch_sub(1, Ordering::Relaxed);
+            return None;
+        }
+        frame.hits.fetch_add(1, Ordering::Relaxed);
+        Some(self.guard(frame, id))
+    }
+
+    fn guard<'a>(&'a self, frame: &'a Frame, page_id: PageId) -> PageGuard<'a> {
+        PageGuard {
+            pool: self,
+            frame,
+            page_id,
+            dirty: false,
+        }
+    }
+
+    /// The latched way in: a hit on a page published since the
+    /// latch-free look, or a miss that claims a frame and loads into it.
+    fn pin_latched(&self, id: PageId) -> io::Result<PinnedPage<'_>> {
+        let mut latch = lock(&self.latch);
+        if let Some(idx) = self.table.get(id) {
+            // Under the latch a published frame is never claimed, so the
+            // pin cannot fail.
+            let frame = self.frame(idx);
+            // ordering: acquire, as in `try_hit`.
+            frame.pins.fetch_add(1, Ordering::Acquire);
+            frame.hits.fetch_add(1, Ordering::Relaxed);
+            drop(latch);
+            return Self::when_loaded(self.guard(frame, id));
+        }
+        let (guard, mut slot) = self.claim(&mut latch, id)?;
+        drop(latch);
         let loaded = self.load(id, &mut slot.page);
         slot.load = match &loaded {
             Ok(()) => Load::Ready,
             Err(e) => Load::Failed(same_error(e)),
         };
         drop(slot);
-        if loaded.is_err() {
+        if let Err(e) = loaded {
             // The loader unpublishes. Its guard then unpins; the frame
-            // is reused once the waiters that already hit the mapping
-            // have seen the error and unpinned too.
-            let mut inner = lock(&self.inner);
-            inner.table.remove(&id);
-            inner.frames[guard.frame].page_id = NO_PAGE;
-            inner.frames[guard.frame].last_use = 0;
+            // is reused once the hits that already pinned it have seen
+            // the error and unpinned too.
+            let _latch = lock(&self.latch);
+            self.table.clear(id);
+            guard.frame.page_id.store(NO_PAGE, Ordering::Relaxed);
+            return Err(e);
         }
-        loaded.map(|()| guard)
+        let slot = read(&guard.frame.slot);
+        Ok(PinnedPage { slot, guard })
     }
 
     /// Allocate a brand-new page in the file and pin its (empty, dirty)
@@ -302,13 +502,9 @@ impl BufferPool {
     /// guard.
     pub fn pin_new(&self) -> io::Result<(PageId, PageGuard<'_>)> {
         let id = lock(&self.file).allocate();
-        let mut inner = lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.claim_frame(&mut inner, id, tick)?;
-        let mut slot = write(&guard.slot);
-        drop(inner);
+        let mut latch = lock(&self.latch);
+        let (mut guard, mut slot) = self.claim(&mut latch, id)?;
+        drop(latch);
         slot.page.clear();
         slot.load = Load::Ready;
         drop(slot);
@@ -316,17 +512,26 @@ impl BufferPool {
         Ok((id, guard))
     }
 
-    /// Take a frame for page `id` and publish `id → frame` with one
-    /// pin. The caller takes the frame's write lock *before* it lets
-    /// the latch go, then fills the buffer.
-    fn claim_frame(&self, inner: &mut Inner, id: PageId, tick: u64) -> io::Result<PageGuard<'_>> {
-        let idx = self.take_frame(inner)?;
-        let frame = &mut inner.frames[idx];
-        frame.page_id = id;
-        frame.pin_count = 1;
-        frame.last_use = tick;
-        inner.table.insert(id, idx);
-        Ok(self.guard(inner, idx))
+    /// Take a frame for page `id`, publish `id → frame` with one pin and
+    /// count the miss. Returns the pin with the frame's write lock,
+    /// taken before any hit can reach the frame; the caller lets the
+    /// latch go, then fills the buffer.
+    fn claim<'a>(
+        &'a self,
+        latch: &mut Latched,
+        id: PageId,
+    ) -> io::Result<(PageGuard<'a>, RwLockWriteGuard<'a, Slot>)> {
+        PageTable::check(id)?;
+        let (idx, frame) = self.take_frame(latch)?;
+        frame.page_id.store(id, Ordering::Relaxed);
+        self.table.set(id, idx);
+        let slot = write(&frame.slot);
+        // ordering: release hands the new `page_id` to every hit that
+        // acquires `pins` from here on; the claim becomes the loader's
+        // pin, keeping any pins racing hits have not yet taken back.
+        frame.pins.fetch_sub(CLAIMED - 1, Ordering::Release);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Ok((self.guard(frame, id), slot))
     }
 
     /// Read page `id` into `page` and verify its checksum. Runs under
@@ -343,77 +548,89 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Pick a frame: grow the pool to capacity, else take the LRU
-    /// unpinned one — a freed frame first, at tick 0 — writing it back
-    /// if dirty and unpublishing its page. Caller holds the latch.
-    fn take_frame(&self, inner: &mut Inner) -> io::Result<usize> {
-        if inner.frames.len() < self.capacity {
-            inner.frames.push(Frame {
-                page_id: NO_PAGE,
-                pin_count: 0,
-                dirty: false,
-                last_use: 0,
-                slot: Arc::new(RwLock::new(Slot {
-                    page: Page::new(),
-                    load: Load::Ready,
-                })),
+    /// Claim a frame: grow the pool to capacity, else take the LRU
+    /// unpinned one — a free frame first — writing it back if dirty and
+    /// unpublishing its page. Returns it (with its index) [`CLAIMED`],
+    /// holding no page. Caller holds the latch.
+    fn take_frame(&self, latch: &mut Latched) -> io::Result<(usize, &Frame)> {
+        if latch.frames < self.capacity {
+            let idx = latch.frames;
+            let start = idx - idx % FRAME_CHUNK;
+            let chunk = self.chunks[idx / FRAME_CHUNK].get_or_init(|| {
+                let len = FRAME_CHUNK.min(self.capacity - start);
+                (0..len).map(|_| Frame::new()).collect()
             });
-            return Ok(inner.frames.len() - 1);
+            latch.frames += 1;
+            let frame = &chunk[idx % FRAME_CHUNK];
+            // Unpublished, so no hit can reach it.
+            frame.pins.store(CLAIMED, Ordering::Relaxed);
+            return Ok((idx, frame));
         }
-        let victim = inner
-            .frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.pin_count == 0)
-            .min_by_key(|(_, f)| f.last_use)
-            .map(|(i, _)| i)
-            .ok_or_else(|| {
+        let (idx, victim) = loop {
+            // A plain loop: `filter` + `min_by_key` over the chunked
+            // iterator measured ~1 µs slower per miss at 128 frames.
+            let mut least: Option<(usize, &Frame, u64)> = None;
+            for (idx, frame) in self.frames().take(latch.frames).enumerate() {
+                if frame.pins.load(Ordering::Relaxed) == 0 {
+                    let key = frame.lru_key();
+                    if least.is_none_or(|(_, _, min)| key < min) {
+                        least = Some((idx, frame, key));
+                    }
+                }
+            }
+            let (idx, victim, _) = least.ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::ResourceBusy,
                     format!("buffer pool exhausted: all {} frames pinned", self.capacity),
                 )
             })?;
-        let old_id = inner.frames[victim].page_id;
-        if inner.frames[victim].dirty {
-            self.write_back(old_id, &inner.frames[victim].slot)?;
+            // Else a hit pinned it since the scan: choose again.
+            if victim.try_claim() {
+                break (idx, victim);
+            }
+        };
+        let old_id = victim.page_id.load(Ordering::Relaxed);
+        if victim.dirty.load(Ordering::Relaxed) {
+            if let Err(e) = self.write_back(old_id, victim) {
+                victim.unclaim();
+                return Err(e);
+            }
             self.dirty_writebacks.fetch_add(1, Ordering::Relaxed);
-            inner.frames[victim].dirty = false;
         }
         if old_id != NO_PAGE {
-            inner.table.remove(&old_id);
-            inner.frames[victim].page_id = NO_PAGE;
+            self.table.clear(old_id);
+            victim.page_id.store(NO_PAGE, Ordering::Relaxed);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(victim)
+        Ok((idx, victim))
     }
 
-    /// WAL-disciplined write of an unpinned frame as page `id`: flush
-    /// the log up to the page's LSN *before* the data write, then seal
-    /// the checksum and write. Caller holds the latch.
-    fn write_back(&self, id: PageId, slot: &RwLock<Slot>) -> io::Result<()> {
-        let mut slot = write(slot);
+    /// WAL-disciplined write of a claimed frame as page `id`: flush the
+    /// log up to the page's LSN *before* the data write, then seal the
+    /// checksum and write. Caller holds the latch.
+    fn write_back(&self, id: PageId, frame: &Frame) -> io::Result<()> {
+        let mut slot = write(&frame.slot);
         if let Some(wal) = &self.wal {
             wal.flush(slot.page.lsn())?;
         }
         slot.page.seal();
         lock(&self.file).write_page(id, &slot.page)?;
+        frame.dirty.store(false, Ordering::Relaxed);
         self.pages_written.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Runs from `PageGuard::drop`.
-    fn unpin(&self, idx: usize, dirtied: bool) {
-        let mut inner = lock(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let frame = &mut inner.frames[idx];
-        assert!(frame.pin_count > 0, "unpin of unpinned frame {idx}");
-        frame.pin_count -= 1;
-        frame.dirty |= dirtied;
-        // A freed frame keeps tick 0: it goes before any page.
-        if frame.page_id != NO_PAGE {
-            frame.last_use = tick;
+    fn unpin(&self, frame: &Frame, dirtied: bool) {
+        if dirtied {
+            frame.dirty.store(true, Ordering::Relaxed);
         }
+        let tick = self.tick.0.fetch_add(1, Ordering::Relaxed) + 1;
+        frame.last_use.store(tick, Ordering::Relaxed);
+        // ordering: release hands this pin's page writes and dirty bit
+        // to the claim that next takes the frame (its acquire).
+        let pins = frame.pins.fetch_sub(1, Ordering::Release);
+        assert!(pins & !CLAIMED > 0, "unpin of an unpinned frame");
     }
 
     /// Write every dirty frame back (WAL first) and sync the file — the
@@ -422,22 +639,22 @@ impl BufferPool {
     /// # Errors
     /// I/O failure; also if a dirty frame is still pinned.
     pub fn flush_all(&self) -> io::Result<()> {
-        let mut inner = lock(&self.inner);
-        for idx in 0..inner.frames.len() {
-            let frame = &inner.frames[idx];
-            if !frame.dirty {
+        let latch = lock(&self.latch);
+        for frame in self.frames().take(latch.frames) {
+            if !frame.dirty.load(Ordering::Relaxed) {
                 continue;
             }
-            if frame.pin_count > 0 {
+            let page_id = frame.page_id.load(Ordering::Relaxed);
+            if !frame.try_claim() {
                 return Err(io::Error::other(format!(
-                    "flush_all with page {} still pinned",
-                    frame.page_id
+                    "flush_all with page {page_id} still pinned"
                 )));
             }
-            self.write_back(frame.page_id, &frame.slot)?;
-            inner.frames[idx].dirty = false;
+            let written = self.write_back(page_id, frame);
+            frame.unclaim();
+            written?;
         }
-        drop(inner);
+        drop(latch);
         lock(&self.file).sync()
     }
 }
@@ -447,9 +664,8 @@ impl BufferPool {
 /// Dropping the guard unpins the frame.
 pub struct PageGuard<'a> {
     pool: &'a BufferPool,
+    frame: &'a Frame,
     page_id: PageId,
-    frame: usize,
-    slot: Arc<RwLock<Slot>>,
     dirty: bool,
 }
 
@@ -457,7 +673,6 @@ impl std::fmt::Debug for PageGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageGuard")
             .field("page_id", &self.page_id)
-            .field("frame", &self.frame)
             .field("dirty", &self.dirty)
             .finish_non_exhaustive()
     }
@@ -471,20 +686,50 @@ impl PageGuard<'_> {
 
     /// Shared read access to the page image.
     pub fn read(&self) -> PageRead<'_> {
-        PageRead(read(&self.slot))
+        PageRead(read(&self.frame.slot))
     }
 
     /// Exclusive write access; the frame is marked dirty when the guard
     /// unpins.
     pub fn write(&mut self) -> PageWrite<'_> {
         self.dirty = true;
-        PageWrite(write(&self.slot))
+        PageWrite(write(&self.frame.slot))
     }
 }
 
 impl Drop for PageGuard<'_> {
     fn drop(&mut self) {
         self.pool.unpin(self.frame, self.dirty);
+    }
+}
+
+/// A pin that holds its frame's read lock as long as it lives, from
+/// [`BufferPool::pin_read`]; derefs to the page.
+pub(crate) struct PinnedPage<'a> {
+    // Declared first, so the lock goes before the pin.
+    slot: RwLockReadGuard<'a, Slot>,
+    guard: PageGuard<'a>,
+}
+
+impl<'a> PinnedPage<'a> {
+    /// The pinned page's id.
+    pub(crate) fn page_id(&self) -> PageId {
+        self.guard.page_id
+    }
+
+    /// Let the read lock go and keep the pin.
+    fn into_guard(self) -> PageGuard<'a> {
+        let PinnedPage { slot, guard } = self;
+        drop(slot);
+        guard
+    }
+}
+
+impl Deref for PinnedPage<'_> {
+    type Target = Page;
+
+    fn deref(&self) -> &Page {
+        &self.slot.page
     }
 }
 
@@ -712,9 +957,9 @@ mod tests {
             while pool.stats().misses == before.misses {
                 std::thread::yield_now();
             }
-            // The miss is counted under the latch, which the loader
-            // keeps until the mapping is published.
-            assert!(lock(&pool.inner).table.contains_key(&id));
+            // The miss is counted under the latch once the mapping is
+            // published.
+            assert!(pool.table.get(id).is_some());
             let waiter = s.spawn(|| pin_record(pool, id));
             while pool.stats().hits == before.hits {
                 std::thread::yield_now();
@@ -770,6 +1015,196 @@ mod tests {
         let hits = pool.stats().hits;
         assert_eq!(pin_record(&pool, 1).unwrap(), b"page-1");
         assert_eq!(pool.stats().hits, hits + 1, "page 1 stayed resident");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_hit_through_a_stale_frame_index_backs_off() {
+        let (pool, path) = seeded_pool("stale", 4, 2);
+        drop(pool.pin(0).unwrap());
+        let idx = pool.table.get(0).unwrap();
+        drop(pool.pin(1).unwrap());
+        drop(pool.pin(2).unwrap()); // page 2 takes page 0's frame
+        assert_eq!(pool.table.get(0), None);
+        assert_eq!(pool.table.get(2), Some(idx));
+        let frame = pool.frame(idx);
+        // A hit that looked page 0 up before the eviction pins after it:
+        // it must see the frame holds another page and take its pin back.
+        assert!(pool.try_hit(0, idx).is_none());
+        assert_eq!(frame.pins.load(Ordering::Relaxed), 0);
+        // A hit on a frame the latch holder has claimed backs off too.
+        assert!(frame.try_claim());
+        assert!(pool.try_hit(2, idx).is_none());
+        assert_eq!(frame.pins.load(Ordering::Relaxed), CLAIMED);
+        frame.unclaim();
+        let (g0, g2) = (pool.pin(0).unwrap(), pool.pin(2).unwrap());
+        assert_eq!(g0.read().record(0), b"page-0");
+        assert_eq!(g2.read().record(0), b"page-2");
+        drop((g0, g2));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// splitmix64: a seeded stream for the scripted tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Whether page `id` is published in a frame.
+    fn resident(pool: &BufferPool, id: PageId) -> bool {
+        pool.table.get(id).is_some()
+    }
+
+    /// A plain LRU pool: frames grow to the capacity, then the victim is
+    /// the least recent unpin among the unpinned frames.
+    struct LruModel {
+        capacity: usize,
+        /// `(page, pins, last unpin)` per frame.
+        frames: Vec<(PageId, u32, u64)>,
+        tick: u64,
+        stats: PoolStats,
+    }
+
+    impl LruModel {
+        fn pin(&mut self, page: PageId) {
+            if let Some(f) = self.frames.iter_mut().find(|f| f.0 == page) {
+                f.1 += 1;
+                self.stats.hits += 1;
+                return;
+            }
+            self.stats.misses += 1;
+            self.stats.pages_read += 1;
+            if self.frames.len() < self.capacity {
+                self.frames.push((page, 1, 0));
+                return;
+            }
+            let victim = (self.frames.iter_mut())
+                .filter(|f| f.1 == 0)
+                .min_by_key(|f| f.2)
+                .expect("the scripts never pin every frame");
+            *victim = (page, 1, 0);
+            self.stats.evictions += 1;
+        }
+
+        fn unpin(&mut self, page: PageId) {
+            self.tick += 1;
+            let f = self.frames.iter_mut().find(|f| f.0 == page).unwrap();
+            f.1 -= 1;
+            f.2 = self.tick;
+        }
+    }
+
+    #[test]
+    fn replacement_matches_a_plain_lru_model() {
+        let mut rng = Rng(0x5eed);
+        for case in 0..48 {
+            let capacity = 2 + rng.below(7);
+            let pages = (capacity * (3 + rng.below(2))) as PageId;
+            let (pool, path) = seeded_pool(&format!("model-{case}"), pages, capacity);
+            let mut model = LruModel {
+                capacity,
+                frames: Vec::new(),
+                tick: 0,
+                stats: PoolStats::default(),
+            };
+            let mut held: Vec<PageGuard<'_>> = Vec::new();
+            for step in 0..300 {
+                if rng.below(10) < 3 && !held.is_empty() {
+                    let g = held.swap_remove(rng.below(held.len()));
+                    model.unpin(g.page_id());
+                    drop(g);
+                    continue;
+                }
+                let id = rng.below(pages as usize) as PageId;
+                model.pin(id);
+                let g = pool.pin(id).unwrap();
+                assert_eq!(g.read().record(0), format!("page-{id}").as_bytes());
+                // Counters and residency after every pin: a miss that
+                // evicted another page than the model's victim shows as
+                // a different resident set.
+                let mut want: Vec<PageId> = model.frames.iter().map(|f| f.0).collect();
+                want.sort_unstable();
+                let got: Vec<PageId> = (0..pages).filter(|&p| resident(&pool, p)).collect();
+                assert_eq!(got, want, "case {case} step {step}: resident pages");
+                assert_eq!(pool.stats(), model.stats, "case {case} step {step}");
+                // Hold it, as long as one frame stays unpinned.
+                if rng.below(2) == 0 && held.len() + 2 < capacity {
+                    held.push(g);
+                } else {
+                    model.unpin(id);
+                    drop(g);
+                }
+            }
+            drop(held);
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+
+    #[test]
+    fn concurrent_pins_read_their_own_pages_and_count_exactly() {
+        const THREADS: u64 = 4;
+        const ROUNDS: usize = 20_000;
+        let capacity = 16;
+        let pages = 4 * capacity as PageId;
+        let (pool, path) = seeded_pool("stress", pages, capacity);
+        let issued: usize = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        let mut rng = Rng(t);
+                        // At most 3 pins per thread, as the page-run
+                        // reader holds: half plain guards, half pins
+                        // that keep the frame's read lock.
+                        let mut guards = Vec::new();
+                        let mut reads = Vec::new();
+                        for round in 0..ROUNDS {
+                            while guards.len() + reads.len() >= 3
+                                || (guards.len() + reads.len() > 0 && rng.below(2) == 0)
+                            {
+                                if guards.is_empty() || (!reads.is_empty() && rng.below(2) == 0) {
+                                    reads.swap_remove(0);
+                                } else {
+                                    guards.swap_remove(0);
+                                }
+                            }
+                            let id = rng.below(pages as usize) as PageId;
+                            let want = format!("page-{id}");
+                            if round % 2 == 0 {
+                                let g = pool.pin(id).unwrap();
+                                assert_eq!(g.read().record(0), want.as_bytes());
+                                guards.push(g);
+                            } else {
+                                let p = pool.pin_read(id).unwrap();
+                                assert_eq!(p.record(0), want.as_bytes());
+                                reads.push(p);
+                            }
+                        }
+                        ROUNDS
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).sum()
+        });
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, issued as u64, "{s:?}");
+        assert_eq!(s.pages_read, s.misses, "{s:?}");
+        // No leaked pin: every frame of the pool can be pinned at once.
+        let all: Vec<_> = (0..capacity as PageId)
+            .map(|id| pool.pin(id).unwrap())
+            .collect();
+        for g in &all {
+            let id = g.page_id();
+            assert_eq!(g.read().record(0), format!("page-{id}").as_bytes());
+        }
+        drop(all);
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -12,12 +12,13 @@
 //! Navigation pins once per *page run*: every multi-record read path (the
 //! named cursors, `string_value_into`, `serialize_node_to`, the text and
 //! attribute reads) goes through one private reader, `PageRun`, that
-//! keeps the last node, text and attribute page pinned and re-pins only
-//! when the page number changes. A reader lives inside one call — never
-//! across a cursor's `next()` — and its pins are a cache: at most one per
-//! extent (3 per thread), dropped and retried without when the pool runs
-//! out of frames. Single-record callers (`tag_of`, `parent`,
-//! `is_text_node`) pin per call. Node records are fixed-width
+//! keeps the last node, text and attribute page pinned (each pin holding
+//! its frame's read lock) and re-pins only when the page number changes.
+//! A reader lives inside one call — never across a cursor's `next()` —
+//! and its pins are a cache: at most one per extent (3 per thread),
+//! dropped and retried without when the pool runs out of frames.
+//! Single-record callers (`tag_of`, `parent`, `is_text_node`) pin per
+//! call. Node records are fixed-width
 //! ([`NODES_PER_PAGE`] per page), so a node id maps to a `(page, slot)`
 //! pair by arithmetic; text and attribute lookups binary-search the
 //! catalog's sparse first-id-per-page indexes. `text` and
@@ -40,7 +41,7 @@ use crate::index::IndexManager;
 use crate::loader::{parent_array, subtree_ends, NONE};
 use crate::traits::{Node, PlannerCaps, StepEstimate, SystemId, XmlStore};
 
-use super::buffer::{BufferPool, PageGuard, PoolStats};
+use super::buffer::{BufferPool, PageGuard, PinnedPage, PoolStats};
 use super::file::FileManager;
 use super::layout::{
     le_u16, le_u32, Catalog, Header, NodeRec, NODES_PER_PAGE, TEXT_CHUNK, VERSION,
@@ -497,11 +498,12 @@ const TEXT: usize = 1;
 const ATTR: usize = 2;
 
 /// Reads records through at most one cached pin per extent, re-pinning
-/// only when a read leaves the page the previous one was on. The pins
-/// are a cache, never needed for correctness.
+/// only when a read leaves the page the previous one was on. Each pin
+/// keeps its frame's read lock, so a run of records on one page costs
+/// one lock. The pins are a cache, never needed for correctness.
 struct PageRun<'a> {
     store: &'a PagedStore,
-    pins: [Option<PageGuard<'a>>; 3],
+    pins: [Option<PinnedPage<'a>>; 3],
 }
 
 impl<'a> PageRun<'a> {
@@ -515,14 +517,14 @@ impl<'a> PageRun<'a> {
     /// Page `pid` of extent `ext`, pinned. When every frame is pinned
     /// (a pool smaller than the pins in flight) the cached pins go and
     /// the pin is tried once more.
-    fn page(&mut self, ext: usize, pid: PageId) -> &PageGuard<'a> {
+    fn page(&mut self, ext: usize, pid: PageId) -> &PinnedPage<'a> {
         if !matches!(&self.pins[ext], Some(g) if g.page_id() == pid) {
             self.pins[ext] = None;
             let pool = &self.store.pool;
-            let guard = match pool.pin(pid) {
+            let guard = match pool.pin_read(pid) {
                 Err(e) if e.kind() == io::ErrorKind::ResourceBusy => {
                     self.pins = [None, None, None];
-                    pool.pin(pid)
+                    pool.pin_read(pid)
                 }
                 other => other,
             }
@@ -538,7 +540,7 @@ impl<'a> PageRun<'a> {
     fn node_rec(&mut self, id: u32) -> NodeRec {
         let pid = self.store.header.node_start + id / NODES_PER_PAGE as u32;
         let slot = (id % NODES_PER_PAGE as u32) as u16;
-        NodeRec::decode(self.page(NODE, pid).read().record(slot))
+        NodeRec::decode(self.page(NODE, pid).record(slot))
     }
 
     /// Call `visit` with the bytes after the owner id of every record
@@ -565,7 +567,7 @@ impl<'a> PageRun<'a> {
         };
         let start = PagedStore::sparse_start(firsts, owner)?;
         for pi in start as u32..pages {
-            let page = self.page(ext, first_page + pi).read();
+            let page = self.page(ext, first_page + pi);
             for slot in 0..page.slot_count() {
                 let rec = page.record(slot);
                 match le_u32(rec, 0) {

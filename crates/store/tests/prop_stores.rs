@@ -3,7 +3,7 @@
 //! attributes, string values and serializations. The query layer's
 //! cross-backend equivalence rests on exactly these primitives. The
 //! disk-resident eighth, H, is held to System E under pools of 2–8
-//! frames.
+//! frames, read by one thread and by two sharing the pool.
 
 use proptest::prelude::*;
 
@@ -57,6 +57,58 @@ fn arb_rich_document() -> impl Strategy<Value = String> {
             format!("{open}>{text}{}</{tag}>", children.concat())
         });
     prop::collection::vec(item, 1..40).prop_map(|items| format!("<site>{}</site>", items.concat()))
+}
+
+/// H ≡ E on every per-node read of nodes `ids`: children (all and
+/// named `tag`), descendants named `tag`, text, attributes, string
+/// value and serialization.
+fn paged_probes_agree(
+    h: &PagedStore,
+    e: &dyn XmlStore,
+    tag: &str,
+    ids: impl Iterator<Item = u32>,
+) -> Result<(), TestCaseError> {
+    for id in ids {
+        let n = xmark_store::Node(id);
+        prop_assert_eq!(
+            h.children_iter(n).collect::<Vec<_>>(),
+            e.children_iter(n).collect::<Vec<_>>(),
+            "children of {}",
+            n
+        );
+        prop_assert_eq!(
+            h.children_named_iter(n, tag).collect::<Vec<_>>(),
+            e.children_named_iter(n, tag).collect::<Vec<_>>(),
+            "children_named of {}",
+            n
+        );
+        prop_assert_eq!(
+            h.descendants_named_iter(n, tag).collect::<Vec<_>>(),
+            e.descendants_named_iter(n, tag).collect::<Vec<_>>(),
+            "descendants_named of {}",
+            n
+        );
+        // H copies text and attribute values off its pages; E lends
+        // them. The contents must match either way.
+        prop_assert_eq!(h.text(n), e.text(n), "text of {}", n);
+        prop_assert_eq!(
+            h.attributes_iter(n).collect::<Vec<_>>(),
+            e.attributes_iter(n).collect::<Vec<_>>(),
+            "attributes of {}",
+            n
+        );
+        prop_assert_eq!(
+            h.string_value(n),
+            e.string_value(n),
+            "string_value of {}",
+            n
+        );
+        let (mut hs, mut es) = (String::new(), String::new());
+        h.serialize_node_to(n, &mut hs).unwrap();
+        e.serialize_node_to(n, &mut es).unwrap();
+        prop_assert_eq!(hs, es, "serialize_node of {}", n);
+    }
+    Ok(())
 }
 
 fn stores(xml: &str) -> Vec<Box<dyn XmlStore>> {
@@ -161,45 +213,34 @@ proptest! {
         // H's page-run reader may hold a node, a text and an attribute
         // page at once; a pool of two frames cannot, so every path must
         // also work by giving its cached pins up.
-        let tag = TAGS[tag];
         let e = build_store(SystemId::E, &xml).expect("document parses");
         let h = PagedStore::load_temp(&xml, pool).expect("document parses");
         prop_assert_eq!(h.node_count(), e.node_count());
-        for id in 0..e.node_count() as u32 {
-            let n = xmark_store::Node(id);
-            prop_assert_eq!(
-                h.children_iter(n).collect::<Vec<_>>(),
-                e.children_iter(n).collect::<Vec<_>>(),
-                "children of {}",
-                n
-            );
-            prop_assert_eq!(
-                h.children_named_iter(n, tag).collect::<Vec<_>>(),
-                e.children_named_iter(n, tag).collect::<Vec<_>>(),
-                "children_named of {}",
-                n
-            );
-            prop_assert_eq!(
-                h.descendants_named_iter(n, tag).collect::<Vec<_>>(),
-                e.descendants_named_iter(n, tag).collect::<Vec<_>>(),
-                "descendants_named of {}",
-                n
-            );
-            // H copies text and attribute values off its pages; E lends
-            // them. The contents must match either way.
-            prop_assert_eq!(h.text(n), e.text(n), "text of {}", n);
-            prop_assert_eq!(
-                h.attributes_iter(n).collect::<Vec<_>>(),
-                e.attributes_iter(n).collect::<Vec<_>>(),
-                "attributes of {}",
-                n
-            );
-            prop_assert_eq!(h.string_value(n), e.string_value(n), "string_value of {}", n);
-            let (mut hs, mut es) = (String::new(), String::new());
-            h.serialize_node_to(n, &mut hs).unwrap();
-            e.serialize_node_to(n, &mut es).unwrap();
-            prop_assert_eq!(hs, es, "serialize_node of {}", n);
-        }
+        paged_probes_agree(&h, e.as_ref(), TAGS[tag], 0..e.node_count() as u32)?;
+    }
+
+    #[test]
+    fn tiny_pool_paged_store_equals_the_interval_store_from_two_threads(
+        xml in arb_rich_document(),
+        pool in 4usize..9,
+        tag in 0..TAGS.len(),
+    ) {
+        // Two readers share one pool, so their hits race the other's
+        // evictions. A pool of at least four frames leaves one free for
+        // a reader that has given its pins up while the other holds its
+        // three.
+        let e = build_store(SystemId::E, &xml).expect("document parses");
+        let h = PagedStore::load_temp(&xml, pool).expect("document parses");
+        prop_assert_eq!(h.node_count(), e.node_count());
+        let ids = 0..e.node_count() as u32;
+        let (h, e, tag) = (&h, e.as_ref(), TAGS[tag]);
+        let [forward, backward] = std::thread::scope(|s| {
+            let forward = s.spawn(|| paged_probes_agree(h, e, tag, ids.clone()));
+            let backward = s.spawn(|| paged_probes_agree(h, e, tag, ids.clone().rev()));
+            [forward, backward].map(|t| t.join().expect("reader thread panicked"))
+        });
+        forward?;
+        backward?;
     }
 
     #[test]
