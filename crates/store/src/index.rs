@@ -51,7 +51,8 @@
 //! returns `None` and both the planner and the executor fall back to the
 //! native streamed axis cursors. The transaction layer relies on this:
 //! once a commit has inserted nodes, its snapshots carry an empty,
-//! unordered index instead of posting lists nothing could stab.
+//! unordered index, and their cursors stab the immutable base store's
+//! index instead, merging the inserted elements in by order rank.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -87,6 +88,9 @@ fn preorder<S: XmlStore + ?Sized>(store: &S, mut visit: impl FnMut(Node)) {
 
 /// The element-name index: per tag, the document-ordered posting list of
 /// element node ids, plus each node's subtree end for range stabbing.
+/// The default is empty and unordered: it can never stab. A clone
+/// shares the posting lists and the subtree-end array.
+#[derive(Default, Clone)]
 pub struct ElementIndex {
     /// tag → ascending node ids (document order). Lists are `Arc`-shared
     /// so the transaction layer's incremental maintenance clones the map

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use xmark_store::Node;
+use xmark_store::{ElementIndex, Node};
 
 /// One node created by a transaction. Text nodes have `tag == None`.
 #[derive(Debug, Clone)]
@@ -29,6 +29,24 @@ pub(crate) struct InsertedNode {
     pub children: Vec<u32>,
     /// Document-order rank (see the crate docs).
     pub rank: u64,
+}
+
+/// One live inserted element in a per-tag list of
+/// [`DeltaState::inserted_postings`].
+pub(crate) struct InsertedPosting {
+    /// Document-order rank.
+    pub rank: u64,
+    /// Node id.
+    pub id: u32,
+    /// Nearest base ancestor: the element lies in a base node `n`'s
+    /// subtree iff `anchor` lies in `[n, base_subtree_end(n)]`.
+    pub anchor: u32,
+}
+
+/// Document-order rank of base node `id`; inserted ranks fall strictly
+/// between consecutive base ranks.
+pub(crate) fn base_rank(id: u32) -> u64 {
+    (id as u64) << 32
 }
 
 /// The committed difference between a snapshot and its base store.
@@ -56,20 +74,20 @@ pub(crate) struct DeltaState {
     /// point — the gate deciding when a base fast path may be
     /// delegated (see [`DeltaState::base_range_clean`]).
     pub touched: Vec<(u32, u32)>,
-    /// Base subtree-end array (`id → last id in its base subtree`),
-    /// shared from the base element index; used for rank math and the
-    /// clean gate.
-    pub base_end: Arc<Vec<u32>>,
+    /// The base store's element index (postings and subtree ends),
+    /// exact forever because the base is immutable: the clean gate's
+    /// subtree bounds and the postings snapshot descendant scans stab.
+    pub base_index: Arc<ElementIndex>,
 }
 
 impl DeltaState {
     /// A pristine epoch-0 delta over a base whose ids end below `floor`.
-    pub fn pristine(floor: u32, base_end: Arc<Vec<u32>>) -> DeltaState {
+    pub fn pristine(floor: u32, base_index: Arc<ElementIndex>) -> DeltaState {
         DeltaState {
             epoch: 0,
             floor,
             next_id: floor,
-            base_end,
+            base_index,
             ..DeltaState::default()
         }
     }
@@ -93,13 +111,38 @@ impl DeltaState {
     pub fn rank_of(&self, id: u32) -> u64 {
         match self.inserted.get(&id) {
             Some(node) => node.rank,
-            None => (id as u64) << 32,
+            None => base_rank(id),
         }
     }
 
     /// Last id of the *base* subtree under base node `id` (inclusive).
     pub fn base_subtree_end(&self, id: u32) -> u32 {
-        self.base_end.get(id as usize).copied().unwrap_or(id)
+        let ends = self.base_index.shared_subtree_end();
+        ends.get(id as usize).copied().unwrap_or(id)
+    }
+
+    /// The live inserted elements by tag, each list sorted by rank — the
+    /// overlay's half of a descendant scan. Walks every inserted node
+    /// once.
+    pub fn inserted_postings(&self) -> HashMap<Box<str>, Vec<InsertedPosting>> {
+        let mut by_tag: HashMap<Box<str>, Vec<InsertedPosting>> = HashMap::new();
+        for (&id, node) in &self.inserted {
+            let Some(tag) = &node.tag else { continue };
+            let mut anchor = node.parent;
+            while let Some(up) = self.inserted.get(&anchor) {
+                anchor = up.parent;
+            }
+            let posting = InsertedPosting {
+                rank: node.rank,
+                id,
+                anchor,
+            };
+            by_tag.entry(tag.clone()).or_default().push(posting);
+        }
+        for list in by_tag.values_mut() {
+            list.sort_unstable_by_key(|p| p.rank);
+        }
+        by_tag
     }
 
     /// Whether the base-id range `[lo, hi]` contains no modification
@@ -180,7 +223,7 @@ mod tests {
 
     #[test]
     fn touch_merges_overlapping_and_abutting_intervals() {
-        let mut delta = DeltaState::pristine(100, Arc::new(Vec::new()));
+        let mut delta = DeltaState::pristine(100, Arc::default());
         delta.touch(10, 12);
         delta.touch(20, 25);
         assert_eq!(delta.touched, vec![(10, 12), (20, 25)]);

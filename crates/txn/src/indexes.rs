@@ -8,8 +8,9 @@
 //!   deleted ids out of the touched tags' lists (copy-on-write; untouched
 //!   tags share the predecessor's `Arc`ed lists). Once a commit inserts,
 //!   ids stop following document order, every reader falls back to the
-//!   native axis cursors, and the successor gets an empty, unordered
-//!   index — no later commit splices lists nobody can consult;
+//!   snapshot's axis cursors (which stab the base store's index, see
+//!   [`crate::SnapshotStore`]), and the successor gets an empty,
+//!   unordered index — no later commit splices lists;
 //! * **attribute indexes** — upsert/remove against a cloned map with
 //!   first-in-document-order semantics, matching a rebuild;
 //! * **`cvals|` typed-value slots** — surgical patch of the
@@ -123,7 +124,7 @@ pub(crate) fn maintain(
         }
         ElementIndex::from_parts(postings, Arc::clone(old.shared_subtree_end()), true)
     } else {
-        ElementIndex::from_parts(HashMap::new(), Arc::default(), false)
+        ElementIndex::default()
     };
 
     // ---- attribute indexes: clone + patch ----------------------------

@@ -81,15 +81,20 @@
 //! integration tests checks the result: an updated snapshot answers
 //! exactly like a fresh bulkload of its own serialization.
 //!
-//! Subtree *stabbing* (the `ordered` element-index fast path) is the
-//! one structure inserts end: stabbing needs ids in document order, and
-//! inserted ids are not. From the first insert on, every snapshot's
-//! element index is empty and reports `ordered() == false`, so planner
-//! and executors use the streamed axis cursors and no commit maintains
-//! posting lists nobody can consult. Deletion-only histories keep
-//! `ordered() == true`: deleted ids are filtered out of the postings,
-//! which then equal a rebuild's, and the stale subtree-end bounds only
-//! widen stab ranges over ids that no longer exist.
+//! A snapshot's own element index stops stabbing at the first insert:
+//! stabbing needs ids in document order, and inserted ids are not. From
+//! then on every snapshot's element index is empty and reports
+//! `ordered() == false`, so planner and executors use the streamed axis
+//! cursors and no commit maintains posting lists. Deletion-only
+//! histories keep `ordered() == true`: deleted ids are filtered out of
+//! the postings, which then equal a rebuild's, and the stale
+//! subtree-end bounds only widen stab ranges over ids that no longer
+//! exist. The axis cursors themselves still stab: under a base node,
+//! [`SnapshotStore`]'s descendant scans and counts take the *base*
+//! store's postings (exact forever — the base is immutable), drop
+//! deleted ids, and merge in by rank the live inserted elements whose
+//! nearest base ancestor lies in the node's base subtree. Only an
+//! inserted context node walks its subtree.
 
 mod delta;
 mod indexes;

@@ -4,21 +4,27 @@
 //!
 //! The overlay resolves node-level reads (tag, text, parent, children,
 //! attributes) by consulting the delta maps first and delegating to the
-//! base otherwise. Subtree-granular *fast paths* (descendant scans,
-//! inlined typed values, positional probes) delegate to the base only
-//! when the delta's touched-interval gate proves the whole subtree
-//! unmodified; in dirty regions they either walk the overlay generically
-//! or answer `None`, which the query layer's established outer-`None`
-//! contract turns into a generic fallback. Serialization and string
-//! values follow the same gate: a clean subtree goes to the base whole
-//! (backend H's one-pin-per-page-run reader), and a dirty one recurses
-//! node by node through the overlay's cursors with the trait's default
-//! bodies, which is exactly what keeps cross-backend byte-identity
-//! intact under updates.
+//! base otherwise. Descendant scans and counts under a base node stab
+//! the base's element index, clean subtree or dirty: the base postings
+//! under the node, minus deleted base ids, merged by rank with the
+//! snapshot's live inserted elements of that tag whose nearest base
+//! ancestor lies in the node's base subtree. Only an inserted context
+//! node walks its (small) subtree through the overlay's cursors. The
+//! other subtree-granular *fast paths* (inlined typed values,
+//! positional probes) delegate to the base only when the delta's
+//! touched-interval gate proves the whole subtree unmodified; in dirty
+//! regions they answer `None`, which the query layer's established
+//! outer-`None` contract turns into a generic fallback. Serialization
+//! and string values follow the same gate: a clean subtree goes to the
+//! base whole (backend H's one-pin-per-page-run reader), and a dirty
+//! one recurses node by node through the overlay's cursors with the
+//! trait's default bodies, which is exactly what keeps cross-backend
+//! byte-identity intact under updates.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use xmark_store::paged::{LogManager, PoolStats};
 use xmark_store::{
@@ -27,7 +33,7 @@ use xmark_store::{
     SystemId, XmlStore,
 };
 
-use crate::delta::DeltaState;
+use crate::delta::{base_rank, DeltaState, InsertedPosting};
 
 /// One immutable published version of a [`crate::VersionedStore`]:
 /// `(base, delta)` behind the standard read contract. Readers pin a
@@ -36,6 +42,9 @@ pub struct SnapshotStore {
     base: Arc<dyn XmlStore>,
     delta: DeltaState,
     indexes: IndexManager,
+    /// [`DeltaState::inserted_postings`], built on the first descendant
+    /// scan that needs it.
+    inserted_postings: OnceLock<HashMap<Box<str>, Vec<InsertedPosting>>>,
 }
 
 impl SnapshotStore {
@@ -48,6 +57,7 @@ impl SnapshotStore {
             base,
             delta,
             indexes,
+            inserted_postings: OnceLock::new(),
         }
     }
 
@@ -57,8 +67,9 @@ impl SnapshotStore {
 
     /// The delta of a commit's working snapshot, which the commit edits
     /// in place before publishing it. A published snapshot is never
-    /// edited.
+    /// edited. Drops the inserted postings an earlier read built.
     pub(crate) fn delta_mut(&mut self) -> &mut DeltaState {
+        self.inserted_postings.take();
         &mut self.delta
     }
 
@@ -74,6 +85,39 @@ impl SnapshotStore {
     /// The commit epoch this snapshot was published at (0 = pristine).
     pub fn epoch(&self) -> u64 {
         self.delta.epoch
+    }
+
+    /// The descendants of `n` named `tag`, as the base index's postings
+    /// under `n` (deleted ids not yet dropped) and the rank-sorted run
+    /// of live inserted elements under `n`; `None` for an inserted
+    /// `n`, or a base index that cannot stab. The inserted elements
+    /// ranked after `n` open with `n`'s own and then leave its subtree
+    /// for good, so the run ends at the first anchor outside it — a rank
+    /// range alone would also take `n`'s inserted next siblings.
+    fn stab(&self, n: Node, tag: &str) -> Option<(&[u32], &[InsertedPosting])> {
+        if self.delta.is_delta(n.0) {
+            return None;
+        }
+        let base = self.delta.base_index.postings_in(tag, n)?;
+        let end = self.delta.base_subtree_end(n.0);
+        let inserted = self
+            .inserted_postings
+            .get_or_init(|| self.delta.inserted_postings());
+        let list = inserted.get(tag).map_or(&[][..], Vec::as_slice);
+        let from = list.partition_point(|p| p.rank < base_rank(n.0));
+        let run = list[from..]
+            .iter()
+            .take_while(|p| (n.0..=end).contains(&p.anchor))
+            .count();
+        Some((base, &list[from..from + run]))
+    }
+
+    /// Whether base ids in `n`'s subtree may have been deleted.
+    fn deletes_under(&self, n: Node) -> bool {
+        !self.delta.deleted_base.is_empty()
+            && !self
+                .delta
+                .base_range_clean(n.0, self.delta.base_subtree_end(n.0))
     }
 }
 
@@ -199,10 +243,26 @@ impl XmlStore for SnapshotStore {
     }
 
     fn descendants_named_iter<'a>(&'a self, n: Node, tag: &'a str) -> DescendantsNamed<'a> {
-        if self.delta.subtree_clean(n) {
-            return self.base.descendants_named_iter(n, tag);
+        let Some((base, inserted)) = self.stab(n, tag) else {
+            return descendants_by_cursors(self, n, tag);
+        };
+        let deletes = self.deletes_under(n);
+        if inserted.is_empty() && !deletes {
+            return DescendantsNamed::Extent(base.iter());
         }
-        descendants_by_cursors(self, n, tag)
+        let mut out = Vec::with_capacity(base.len() + inserted.len());
+        let mut inserted = inserted.iter().peekable();
+        for &id in base {
+            if deletes && self.delta.deleted_base.contains(&id) {
+                continue;
+            }
+            while let Some(p) = inserted.next_if(|p| p.rank < base_rank(id)) {
+                out.push(Node(p.id));
+            }
+            out.push(Node(id));
+        }
+        out.extend(inserted.map(|p| Node(p.id)));
+        DescendantsNamed::from_vec(out)
     }
 
     fn typed_child_value(&self, n: Node, tag: &str) -> Option<Option<String>> {
@@ -222,10 +282,17 @@ impl XmlStore for SnapshotStore {
     }
 
     fn count_descendants_named(&self, n: Node, tag: &str) -> usize {
-        if self.delta.subtree_clean(n) {
-            return self.base.count_descendants_named(n, tag);
+        let Some((base, inserted)) = self.stab(n, tag) else {
+            return descendants_by_cursors(self, n, tag).count();
+        };
+        let mut deleted = 0;
+        if self.deletes_under(n) {
+            deleted = base
+                .iter()
+                .filter(|id| self.delta.deleted_base.contains(id))
+                .count();
         }
-        descendants_by_cursors(self, n, tag).count()
+        base.len() - deleted + inserted.len()
     }
 
     fn string_value_into(&self, n: Node, out: &mut String) {

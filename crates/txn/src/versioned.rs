@@ -107,22 +107,16 @@ pub struct VersionedStore {
 
 impl VersionedStore {
     /// Wrap `base` for versioned reads and writes. Builds the base
-    /// element index up front (the rank and clean-gate math need the
-    /// subtree-end array) and carries every index the base has already
-    /// built into the epoch-0 snapshot, whose manager starts its own
-    /// build/hit counters.
+    /// element index up front (the clean gate needs its subtree-end
+    /// array, snapshot descendant scans its postings) and carries every
+    /// index the base has already built into the epoch-0 snapshot, whose
+    /// manager starts its own build/hit counters.
     pub fn new(base: Arc<dyn XmlStore>) -> Arc<VersionedStore> {
         let index = base.indexes().element(base.as_ref());
-        let base_end = Arc::clone(index.shared_subtree_end());
-        let element = xmark_store::ElementIndex::from_parts(
-            index.shared_postings().clone(),
-            Arc::clone(&base_end),
-            index.ordered(),
-        );
-        let floor = base.node_count().max(base_end.len()) as u32;
-        let delta = DeltaState::pristine(floor, base_end);
+        let floor = base.node_count().max(index.shared_subtree_end().len()) as u32;
+        let delta = DeltaState::pristine(floor, Arc::new(index.clone()));
         let manager = IndexManager::new().seeded(
-            element,
+            index.clone(),
             base.indexes().built_attrs(),
             base.indexes().built_values(),
         );

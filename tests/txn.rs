@@ -4,9 +4,10 @@
 //! serialization), plan portability (a plan compiled at one epoch ==
 //! a fresh compile at another), multi-op transactions == the same ops
 //! committed one by one, the index-maintenance oracle (incremental ==
-//! rebuilt-from-scratch), WAL crash recovery on backend H, and
-//! non-blocking readers under a concurrent writer, whose cached plans
-//! and index counters span every epoch they pin.
+//! rebuilt-from-scratch), the overlay-scan oracle (snapshot descendant
+//! scans == a walk of the overlay's cursors), WAL crash recovery on
+//! backend H, and non-blocking readers under a concurrent writer, whose
+//! cached plans and index counters span every epoch they pin.
 
 mod common;
 
@@ -25,7 +26,7 @@ use proptest::prelude::*;
 use xmark::prelude::*;
 use xmark::query::{canonicalize, Compiled};
 use xmark::store::paged::{wal_path_for, LogManager, LogRecord};
-use xmark::store::{Node, PagedStore};
+use xmark::store::{descendants_by_cursors, Node, PagedStore};
 
 #[test]
 fn pinned_snapshots_never_move_and_commits_publish_epochs() {
@@ -584,6 +585,224 @@ fn apply_random_op(
             None => false,
         },
     }
+}
+
+// ---- overlay descendant scans ----------------------------------------------
+
+/// Tags the scan oracle asks for: base-only, grown by inserts
+/// (`bidder`, `personref`), shrunk by deletes, and one no document has.
+const SCAN_TAGS: [&str; 8] = [
+    "bidder",
+    "personref",
+    "increase",
+    "person",
+    "closed_auction",
+    "annotation",
+    "description",
+    "no_such_tag",
+];
+
+/// Tags whose elements the scan oracle samples as context nodes.
+const SCAN_CONTEXTS: [&str; 8] = [
+    "open_auctions",
+    "open_auction",
+    "bidder",
+    "people",
+    "person",
+    "closed_auctions",
+    "closed_auction",
+    "regions",
+];
+
+/// Assert that every sampled `descendants_named_iter(n, tag)` of `snap`
+/// equals the plain cursor walk over the overlay, as a sequence, and
+/// that `count_descendants_named` equals its length. Contexts: the
+/// root, the first, last and `selector`-th element of each
+/// [`SCAN_CONTEXTS`] tag, and `extra`.
+fn assert_scans_match_cursor_walks(
+    snap: &SnapshotStore,
+    selector: usize,
+    extra: &[Node],
+    context: &str,
+) {
+    let root = snap.root();
+    let mut nodes = vec![root];
+    for ctx in SCAN_CONTEXTS {
+        let all: Vec<Node> = descendants_by_cursors(snap, root, ctx).collect();
+        if let (Some(&first), Some(&last)) = (all.first(), all.last()) {
+            nodes.extend([first, last, all[selector % all.len()]]);
+        }
+    }
+    nodes.extend(extra);
+    for n in nodes {
+        for tag in SCAN_TAGS {
+            let walked: Vec<Node> = descendants_by_cursors(snap, n, tag).collect();
+            let scanned: Vec<Node> = snap.descendants_named_iter(n, tag).collect();
+            assert_eq!(
+                scanned, walked,
+                "{context}: //{tag} under node {} diverged from the cursor walk",
+                n.0
+            );
+            assert_eq!(
+                snap.count_descendants_named(n, tag),
+                walked.len(),
+                "{context}: count(//{tag}) under node {}",
+                n.0
+            );
+        }
+    }
+}
+
+/// Commit one transaction built by `stage` and return the new snapshot.
+fn commit_with(
+    versioned: &Arc<VersionedStore>,
+    stage: impl FnOnce(&dyn XmlStore, &mut Transaction),
+) -> Arc<SnapshotStore> {
+    let s = versioned.snapshot();
+    let mut txn = versioned.begin();
+    stage(s.as_ref(), &mut txn);
+    txn.commit().expect("staged ops commit");
+    versioned.snapshot()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The overlay-scan oracle: after every commit of a random update
+    /// script (and of the shared fixed script), snapshot descendant
+    /// scans and counts answer exactly like a walk of the overlay's
+    /// cursors, on an element-index store and on the paged store.
+    #[test]
+    fn overlay_scans_match_cursor_walks_under_random_updates(
+        script in proptest::collection::vec((0u8..5, 0usize..64, 0u32..1000), 1..7),
+    ) {
+        let doc = generate_document(0.001);
+        for system in [SystemId::E, SystemId::H] {
+            let versioned =
+                VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
+            let mut uniq = 0u32;
+            for &(kind, selector, value) in &script {
+                let s = versioned.snapshot();
+                let mut txn = versioned.begin();
+                if !apply_random_op(s.as_ref(), &mut txn, kind, selector, value, &mut uniq) {
+                    continue;
+                }
+                txn.commit().expect("scripted op commits");
+                assert_scans_match_cursor_walks(
+                    &versioned.snapshot(),
+                    selector,
+                    &[],
+                    &format!("{system} after op {kind}/{selector}"),
+                );
+            }
+            apply_update_script(&versioned);
+            assert_scans_match_cursor_walks(
+                &versioned.snapshot(),
+                script.len(),
+                &[],
+                &format!("{system} after the update script"),
+            );
+        }
+    }
+}
+
+/// The scan oracle's edge cases, one commit at a time: an element
+/// inserted right after a context's subtree (its next sibling), an
+/// insert into an inserted element, the delete of a base subtree that
+/// holds inserted elements, and a history of deletes only.
+#[test]
+fn overlay_scans_cover_next_siblings_nested_inserts_and_deleted_subtrees() {
+    let doc = generate_document(0.001);
+    for system in [SystemId::E, SystemId::H] {
+        let versioned = VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
+        let s = versioned.snapshot();
+        let auctions: Vec<Node> = descendants_by_cursors(s.as_ref(), s.root(), "open_auction")
+            .take(2)
+            .collect();
+        let (auction, doomed) = (auctions[0], auctions[1]);
+        // The new bidder becomes the next sibling of the auction's last
+        // child and ranks right after that child's subtree.
+        let tail = s.children_iter(auction).last().expect("auction children");
+        let snap = commit_with(&versioned, |_, txn| txn.insert_subtree(auction, NEW_BIDDER));
+        assert_eq!(snap.count_descendants_named(tail, "bidder"), 0);
+        assert_scans_match_cursor_walks(&snap, 0, &[auction, tail], &format!("{system} sibling"));
+
+        let bidder = snap
+            .children_named_iter(auction, "bidder")
+            .last()
+            .expect("the inserted bidder");
+        let snap = commit_with(&versioned, |_, txn| {
+            txn.insert_subtree(bidder, "<personref person=\"person1\"/>")
+        });
+        assert_scans_match_cursor_walks(
+            &snap,
+            1,
+            &[auction, tail, bidder],
+            &format!("{system} nested insert"),
+        );
+
+        commit_with(&versioned, |_, txn| {
+            txn.insert_subtree(doomed, NEW_BIDDER);
+            txn.insert_subtree(doomed, DEEP_FRAGMENT);
+        });
+        let snap = commit_with(&versioned, |_, txn| txn.delete_subtree(doomed));
+        assert_scans_match_cursor_walks(
+            &snap,
+            2,
+            &[auction, tail, bidder],
+            &format!("{system} deleted subtree with inserts"),
+        );
+
+        let versioned = VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
+        for round in 0..3 {
+            let snap = commit_with(&versioned, |s, txn| {
+                let closed = descend(s, &["closed_auctions", "closed_auction"]);
+                txn.delete_subtree(closed);
+                txn.delete_subtree(descend(s, &["people", "person"]));
+            });
+            assert_scans_match_cursor_walks(
+                &snap,
+                round,
+                &[],
+                &format!("{system} deletes only, round {round}"),
+            );
+        }
+    }
+}
+
+/// After an insert, a count and a drained scan from the root of a
+/// versioned H answer from the base's element index and the overlay's
+/// inserted postings: not one page is pinned.
+#[test]
+fn root_scans_of_an_updated_h_pin_no_pages() {
+    let session = Benchmark::at_factor(0.002).generate();
+    let dir = std::env::temp_dir().join(format!("xmark-txn-scan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("scan.xmk");
+    drop(session.persist_paged(&path, None).expect("persist H"));
+    let (versioned, _) = open_paged_versioned(&path, Some(16)).expect("cold open");
+    let snap = commit_with(&versioned, |s, txn| {
+        txn.insert_subtree(descend(s, &["open_auctions", "open_auction"]), NEW_BIDDER)
+    });
+    let root = snap.root();
+    let pins = || {
+        let stats = snap.paged_stats().expect("H has a pool");
+        stats.hits + stats.misses
+    };
+    let before = pins();
+    let descriptions = snap.count_descendants_named(root, "description");
+    let items = snap.descendants_named_iter(root, "item").count();
+    assert_eq!(pins() - before, 0, "root scans pinned pages");
+    assert_eq!(
+        descriptions,
+        descendants_by_cursors(snap.as_ref(), root, "description").count()
+    );
+    assert_eq!(
+        items,
+        descendants_by_cursors(snap.as_ref(), root, "item").count()
+    );
+    drop((snap, versioned));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---- crash recovery on backend H ------------------------------------------
