@@ -148,6 +148,13 @@ pub struct PathPlan {
     /// ([`xmark_store::index::ChildValues`]) — the store-layer
     /// generalization available on every backend; entity columns
     /// (`inlined_tail`) take precedence where both apply.
+    ///
+    /// Kept by an ablation in which the planner never set it (perflab,
+    /// `--seconds 10 --trace 0`, seeds 1–4, 4 alternating pairs per
+    /// workload, medians with → without): `lookup_paged` qps 594.8 →
+    /// 530.4 (4/4 pairs); `mixed_rw` qps 580.3 → 496.6 (3/4 pairs) and
+    /// `lat_geo_p50_ms` 0.533 → 0.663; `lookup_mem` qps 1104 → 1070
+    /// (noise); `suite_all` qps 224.1 → 222.3 (flat).
     pub value_tail: Option<String>,
     /// Estimated output cardinality (0 = unknown).
     pub est_rows: u64,

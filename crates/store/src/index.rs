@@ -21,10 +21,9 @@
 //!   the matches stream off the slice, replacing full descendant walks
 //!   (System A's parent-chain climbs, System F's interval scans, System
 //!   G's DOM traversals).
-//! * **Attribute-value index** ([`AttrIndex`]) — attribute value → first
-//!   element carrying it, per attribute name. This single code path now
-//!   answers [`XmlStore::lookup_id`] on *all eight* backends; the
-//!   per-backend `@id` hash maps are retired.
+//! * **`@id` index** ([`AttrIndex`]) — `id` value → the element carrying
+//!   it. This single code path answers [`XmlStore::lookup_id`] on *all
+//!   eight* backends; the per-backend `@id` hash maps are retired.
 //! * **Value indexes** — planner-signature-keyed slots holding the query
 //!   layer's join build sides and decorrelated lookup indexes
 //!   (canonical key → postings). The signatures exist only for
@@ -32,8 +31,8 @@
 //!   for the lifetime of the store; repeated executions of the join
 //!   queries (Q8–Q12) probe instead of rebuilding.
 //!
-//! Builds are exactly-once under concurrency: the element index sits in a
-//! [`OnceLock`], and attribute/value slots are per-key locks, so two
+//! Builds are exactly-once under concurrency: the element and `@id`
+//! indexes sit in [`OnceLock`]s, and value slots are per-key locks, so two
 //! service workers racing on a cold index perform one build between them
 //! (pinned by `tests/indexes.rs`). [`IndexManager::builds`] and
 //! [`IndexManager::hits`] expose the counters the throughput report and
@@ -50,9 +49,11 @@
 //! invariant holds. An unordered index degrades gracefully: `postings_in`
 //! returns `None` and both the planner and the executor fall back to the
 //! native streamed axis cursors. The transaction layer relies on this:
-//! once a commit has inserted nodes, its snapshots carry an empty,
-//! unordered index, and their cursors stab the immutable base store's
-//! index instead, merging the inserted elements in by order rank.
+//! every snapshot after the first carries an empty, unordered index, and
+//! its cursors stab the immutable base store's index instead, merging the
+//! inserted elements in by order rank. Its `@id` lookups likewise read
+//! the base's `@id` index, shared by every snapshot, and correct it
+//! through the snapshot's delta.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -93,8 +94,8 @@ fn preorder<S: XmlStore + ?Sized>(store: &S, mut visit: impl FnMut(Node)) {
 #[derive(Default, Clone)]
 pub struct ElementIndex {
     /// tag → ascending node ids (document order). Lists are `Arc`-shared
-    /// so the transaction layer's incremental maintenance clones the map
-    /// in O(tags) and replaces only the lists a commit touched.
+    /// so the transaction layer's copies of a base store's index clone
+    /// the map in O(tags).
     postings: HashMap<String, Arc<Vec<u32>>>,
     /// node id → largest id in its subtree (inclusive). Indexed by id.
     subtree_end: Arc<Vec<u32>>,
@@ -159,28 +160,6 @@ impl ElementIndex {
         }
     }
 
-    /// Assemble an index from pre-computed parts — the transaction
-    /// layer's incremental maintenance path. `ordered` must only be
-    /// passed as `true` when every posting list is ascending in node id
-    /// *and* `subtree_end` covers every listed id.
-    pub fn from_parts(
-        postings: HashMap<String, Arc<Vec<u32>>>,
-        subtree_end: Arc<Vec<u32>>,
-        ordered: bool,
-    ) -> ElementIndex {
-        ElementIndex {
-            postings,
-            subtree_end,
-            ordered,
-        }
-    }
-
-    /// The shared posting map — cheap to clone (O(tags) `Arc` bumps) for
-    /// copy-on-write maintenance.
-    pub fn shared_postings(&self) -> &HashMap<String, Arc<Vec<u32>>> {
-        &self.postings
-    }
-
     /// The shared subtree-end array.
     pub fn shared_subtree_end(&self) -> &Arc<Vec<u32>> {
         &self.subtree_end
@@ -231,35 +210,24 @@ impl ElementIndex {
     }
 }
 
-/// A per-attribute-name value index: value → the first (document-order)
-/// element carrying `name="value"`. DTD `ID` values are unique, so "first"
-/// is also "only" for the `id` index this backs.
+/// The `@id` value index: value → the first (document-order) element
+/// carrying `id="value"`. DTD `ID` values are unique, so "first" is also
+/// "only".
 pub struct AttrIndex {
     map: HashMap<String, u32>,
 }
 
 impl AttrIndex {
-    fn build<S: XmlStore + ?Sized>(store: &S, name: &str) -> AttrIndex {
+    fn build<S: XmlStore + ?Sized>(store: &S) -> AttrIndex {
         let mut map = HashMap::new();
         preorder(store, |n| {
             // A by-name probe, not the whole attribute list: every
-            // backend allocates only when the node carries `name`.
-            if let Some(value) = store.attribute(n, name) {
+            // backend allocates only when the node carries an `id`.
+            if let Some(value) = store.attribute(n, "id") {
                 map.entry(value).or_insert(n.0);
             }
         });
         AttrIndex { map }
-    }
-
-    /// Assemble from a pre-computed map — the transaction layer's
-    /// incremental upsert path.
-    pub fn from_map(map: HashMap<String, u32>) -> AttrIndex {
-        AttrIndex { map }
-    }
-
-    /// A copy of the underlying map, for copy-on-write maintenance.
-    pub fn clone_map(&self) -> HashMap<String, u32> {
-        self.map.clone()
     }
 
     /// The element carrying this attribute value, if any.
@@ -316,7 +284,7 @@ impl ChildValues {
     }
 
     /// Assemble from a pre-computed map — the transaction layer's
-    /// incremental upsert path.
+    /// `cvals|` patch.
     pub fn from_map(map: HashMap<u32, Vec<u32>>) -> ChildValues {
         ChildValues { map }
     }
@@ -349,7 +317,7 @@ type ValueSlot = Mutex<Option<(Arc<dyn Any + Send + Sync>, usize)>>;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Structures built since the store was loaded (element index,
-    /// attribute indexes, value-index slots).
+    /// `@id` index, value-index slots).
     pub builds: u64,
     /// Probes answered from an already-built structure.
     pub hits: u64,
@@ -366,7 +334,7 @@ struct Counters {
 /// shared structures (see the [module docs](self)).
 pub struct IndexManager {
     element: OnceLock<ElementIndex>,
-    attrs: Mutex<HashMap<String, Arc<OnceLock<Arc<AttrIndex>>>>>,
+    ids: OnceLock<Arc<AttrIndex>>,
     values: Mutex<HashMap<String, Arc<ValueSlot>>>,
     /// Bytes held by filled value slots (tracked separately because the
     /// slot payloads are type-erased).
@@ -387,7 +355,7 @@ impl IndexManager {
     pub fn new() -> Self {
         IndexManager {
             element: OnceLock::new(),
-            attrs: Mutex::new(HashMap::new()),
+            ids: OnceLock::new(),
             values: Mutex::new(HashMap::new()),
             value_bytes: AtomicU64::new(0),
             counters: Arc::default(),
@@ -409,29 +377,26 @@ impl IndexManager {
         index
     }
 
-    /// The value index for attribute `name`, building it on first use
-    /// (exactly once, even under concurrent callers).
-    pub fn attribute<S: XmlStore + ?Sized>(&self, store: &S, name: &str) -> Arc<AttrIndex> {
-        let slot = {
-            let mut attrs = lock(&self.attrs);
-            Arc::clone(attrs.entry(name.to_string()).or_default())
-        };
+    /// The `@id` index, building it over `store` on first use (exactly
+    /// once, even under concurrent callers) — the single code path behind
+    /// [`XmlStore::lookup_id`] on every backend.
+    pub fn ids<S: XmlStore + ?Sized>(&self, store: &S) -> &AttrIndex {
         let mut built = false;
-        let index = slot.get_or_init(|| {
+        let index = self.ids.get_or_init(|| {
             built = true;
             self.counters.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(AttrIndex::build(store, name))
+            Arc::new(AttrIndex::build(store))
         });
         if !built {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
         }
-        Arc::clone(index)
+        index
     }
 
-    /// `@id` lookup through the shared attribute-value index — the single
-    /// code path behind [`XmlStore::lookup_id`] on every backend.
-    pub fn lookup_id<S: XmlStore + ?Sized>(&self, store: &S, id: &str) -> Option<Node> {
-        self.attribute(store, "id").get(id)
+    /// The `@id` index if (and only if) it has already been built — what
+    /// a successor manager is [`seeded`](IndexManager::seeded) with.
+    pub fn built_ids(&self) -> Option<Arc<AttrIndex>> {
+        self.ids.get().cloned()
     }
 
     /// Fetch (or build exactly once) the type-erased value structure for
@@ -500,14 +465,13 @@ impl IndexManager {
     }
 
     /// A successor manager pre-populated with structures carried over
-    /// (and incrementally maintained) from this one — the transaction
-    /// layer's commit path. The successor shares this manager's build/hit
-    /// counters; seeded structures count as neither builds nor hits until
-    /// probed.
+    /// (and patched) from this one — the transaction layer's commit path.
+    /// The successor shares this manager's build/hit counters; seeded
+    /// structures count as neither builds nor hits until probed.
     pub fn seeded(
         &self,
         element: ElementIndex,
-        attrs: Vec<(String, Arc<AttrIndex>)>,
+        ids: Option<Arc<AttrIndex>>,
         values: Vec<(String, Arc<dyn Any + Send + Sync>, usize)>,
     ) -> IndexManager {
         let manager = IndexManager {
@@ -515,13 +479,8 @@ impl IndexManager {
             ..IndexManager::new()
         };
         let _ = manager.element.set(element);
-        {
-            let mut map = lock(&manager.attrs);
-            for (name, index) in attrs {
-                let slot = Arc::new(OnceLock::new());
-                let _ = slot.set(index);
-                map.insert(name, slot);
-            }
+        if let Some(ids) = ids {
+            let _ = manager.ids.set(ids);
         }
         {
             let mut map = lock(&manager.values);
@@ -533,15 +492,6 @@ impl IndexManager {
             manager.value_bytes.store(bytes, Ordering::Relaxed);
         }
         manager
-    }
-
-    /// Every attribute index built so far, by name — what a commit
-    /// carries forward into the successor snapshot's manager.
-    pub fn built_attrs(&self) -> Vec<(String, Arc<AttrIndex>)> {
-        lock(&self.attrs)
-            .iter()
-            .filter_map(|(name, slot)| Some((name.clone(), Arc::clone(slot.get()?))))
-            .collect()
     }
 
     /// Every filled value slot `(signature, structure, bytes)` — what a
@@ -569,7 +519,7 @@ impl IndexManager {
     /// their first probing execution.
     pub fn build_all<S: XmlStore + ?Sized>(&self, store: &S) {
         self.element(store);
-        self.attribute(store, "id");
+        self.ids(store);
     }
 
     /// Structures built since load.
@@ -593,11 +543,9 @@ impl IndexManager {
     /// Resident bytes of everything built so far — included in
     /// [`XmlStore::size_bytes`] and reported as its own Table 1 column.
     pub fn size_bytes(&self) -> usize {
-        let mut total = self.element.get().map_or(0, ElementIndex::size_bytes);
-        for slot in lock(&self.attrs).values() {
-            total += slot.get().map_or(0, |index| index.size_bytes());
-        }
-        total + self.value_bytes.load(Ordering::Relaxed) as usize
+        self.element.get().map_or(0, ElementIndex::size_bytes)
+            + self.ids.get().map_or(0, |index| index.size_bytes())
+            + self.value_bytes.load(Ordering::Relaxed) as usize
     }
 }
 
@@ -642,12 +590,12 @@ mod tests {
         let store = store.as_ref();
         let manager = store.indexes();
         assert_eq!(manager.builds(), 0);
-        let first = manager.attribute(store, "id");
+        let first = manager.ids(store);
         assert_eq!(manager.builds(), 1);
-        let again = manager.attribute(store, "id");
+        let again = manager.ids(store);
         assert_eq!(manager.builds(), 1, "second access reuses the build");
         assert!(manager.hits() >= 1);
-        assert!(Arc::ptr_eq(&first, &again));
+        assert!(std::ptr::eq(first, again));
         assert_eq!(first.len(), 3);
         assert_eq!(first.get("person0"), store.lookup_id("person0"));
     }
@@ -660,7 +608,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     store.indexes().element(store).count("item");
-                    store.indexes().lookup_id(store, "item0");
+                    store.indexes().ids(store).get("item0");
                 });
             }
         });

@@ -331,14 +331,14 @@ pub trait XmlStore: Send + Sync {
     /// Look up an element by its `id` attribute (DTD `ID`).
     ///
     /// One code path for all eight backends: the shared attribute-value
-    /// index ([`IndexManager::lookup_id`]), built lazily on first use and
+    /// index ([`IndexManager::ids`]), built lazily on first use and
     /// shared for the store's lifetime. Whether the *planner* schedules ID
     /// probes on a backend remains an architectural statement
     /// ([`PlannerCaps::id_index`]): Systems F and G still plan Q1 as a
     /// scan, faithful to the paper, even though a direct `lookup_id` call
     /// answers.
     fn lookup_id(&self, id: &str) -> Option<Node> {
-        self.indexes().lookup_id(self, id)
+        self.indexes().ids(self).get(id)
     }
 
     /// Inlined scalar access: the string value of the unique `tag` child of

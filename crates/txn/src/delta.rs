@@ -145,6 +145,31 @@ impl DeltaState {
         by_tag
     }
 
+    /// The live delta elements carrying an `id` attribute — inserted
+    /// elements and base elements with an attribute override — as
+    /// value → the `(rank, id)` of its lowest-ranked such holder: the
+    /// overlay's half of an `@id` lookup.
+    pub fn id_holders(&self) -> HashMap<String, (u64, u32)> {
+        let inserted = self
+            .inserted
+            .iter()
+            .filter(|(_, node)| node.tag.is_some())
+            .map(|(&id, node)| (node.rank, id, &node.attrs));
+        let overridden = self
+            .attr_over
+            .iter()
+            .map(|(&id, attrs)| (base_rank(id), id, &**attrs));
+        let mut holders: HashMap<String, (u64, u32)> = HashMap::new();
+        for (rank, id, attrs) in inserted.chain(overridden) {
+            let Some((_, value)) = attrs.iter().find(|(k, _)| k == "id") else {
+                continue;
+            };
+            let holder = holders.entry(value.clone()).or_insert((rank, id));
+            *holder = (*holder).min((rank, id));
+        }
+        holders
+    }
+
     /// Whether the base-id range `[lo, hi]` contains no modification
     /// point — the condition under which reads below a base node may be
     /// answered by the base store directly.

@@ -18,7 +18,7 @@
 //!    └──────────────────────┘  │   │   1. re-check epoch (conflict) │
 //!        never blocks,         │   │   2. apply ops to a *copy* of  │
 //!        never sees N+1        │   │      the delta (O(changes))    │
-//!        mid-request           │   │   3. maintain indexes          │
+//!        mid-request           │   │   3. carry indexes forward     │
 //!                              │   │   4. WAL append + force (H)    │
 //!                              └── │   5. publish epoch N+1         │
 //!                                  └────────────────────────────────┘
@@ -37,16 +37,19 @@
 //!   commit. First-committer-wins: a commit whose start epoch is stale
 //!   fails with [`TxnError::Conflict`] instead of publishing over a
 //!   concurrent change.
-//! * **Commits maintain indexes incrementally.** The successor
-//!   snapshot's [`xmark_store::IndexManager`] is *seeded* from the
-//!   predecessor's and shares its build/hit counters: element postings
-//!   lose a deletion-only commit's ids (copy-on-write, `O(touched
-//!   lists)`) and are dropped for good at the first insert (see below),
-//!   built attribute indexes are upserted, `cvals` typed-value slots are
-//!   patched surgically, and every other value slot (join build sides,
-//!   lookup indexes, path materializations) survives **iff** its planner
-//!   signature mentions no touched tag or attribute name —
-//!   signature-keyed invalidation instead of a full rebuild. Compiled
+//! * **Commits share the base's indexes and correct them through the
+//!   delta.** The successor snapshot's [`xmark_store::IndexManager`] is
+//!   *seeded* from the predecessor's and shares its build/hit counters.
+//!   Two of its structures describe the immutable base and are never
+//!   copied or patched: every snapshot shares the base's `@id` index,
+//!   built once by [`VersionedStore::new`], and
+//!   [`SnapshotStore`]'s `lookup_id` corrects it through the delta (see
+//!   below); every snapshot after the first gets an empty element
+//!   index. `cvals` typed-value slots are patched surgically, and every
+//!   other value slot (join build sides, lookup indexes, path
+//!   materializations) survives **iff** its planner signature mentions
+//!   no touched tag or attribute name — signature-keyed invalidation
+//!   instead of a full rebuild. Compiled
 //!   plans need no invalidation at all: every access path a plan can
 //!   pick falls back at execution time on a snapshot that cannot serve
 //!   it, so a plan cache keyed on query text stays valid across commits.
@@ -77,24 +80,30 @@
 //!
 //! A commit reads its own in-progress state through a *working*
 //! [`SnapshotStore`] — the same overlay readers use — and publishes that
-//! snapshot once its indexes are maintained. The reload oracle in the
-//! integration tests checks the result: an updated snapshot answers
+//! snapshot once its indexes are carried forward. The reload oracle in
+//! the integration tests checks the result: an updated snapshot answers
 //! exactly like a fresh bulkload of its own serialization.
 //!
-//! A snapshot's own element index stops stabbing at the first insert:
-//! stabbing needs ids in document order, and inserted ids are not. From
-//! then on every snapshot's element index is empty and reports
+//! Only the epoch-0 snapshot's element index stabs (it is the base's):
+//! stabbing needs ids in document order, and inserted ids are not. Every
+//! later snapshot's element index is empty and reports
 //! `ordered() == false`, so planner and executors use the streamed axis
-//! cursors and no commit maintains posting lists. Deletion-only
-//! histories keep `ordered() == true`: deleted ids are filtered out of
-//! the postings, which then equal a rebuild's, and the stale
-//! subtree-end bounds only widen stab ranges over ids that no longer
-//! exist. The axis cursors themselves still stab: under a base node,
+//! cursors and no commit derives posting lists. The axis cursors
+//! themselves still stab: under a base node,
 //! [`SnapshotStore`]'s descendant scans and counts take the *base*
 //! store's postings (exact forever — the base is immutable), drop
 //! deleted ids, and merge in by rank the live inserted elements whose
 //! nearest base ancestor lies in the node's base subtree. Only an
 //! inserted context node walks its subtree.
+//!
+//! `@id` lookups follow the same rule. The shared base index names a
+//! value's base holder; the snapshot keeps it only if that node is live
+//! and its `id` still carries the value, and takes the lowest-ranked
+//! live delta holder (inserted elements and base elements with an
+//! attribute override) instead when that one ranks first. An index built
+//! over a post-commit snapshot could not be corrected this way: once an
+//! inserted holder that shadowed a base holder is deleted, nothing would
+//! point at the base holder any more.
 
 mod delta;
 mod indexes;

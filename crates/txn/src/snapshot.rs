@@ -45,6 +45,8 @@ pub struct SnapshotStore {
     /// [`DeltaState::inserted_postings`], built on the first descendant
     /// scan that needs it.
     inserted_postings: OnceLock<HashMap<Box<str>, Vec<InsertedPosting>>>,
+    /// [`DeltaState::id_holders`], built on the first `@id` lookup.
+    id_holders: OnceLock<HashMap<String, (u64, u32)>>,
 }
 
 impl SnapshotStore {
@@ -58,6 +60,7 @@ impl SnapshotStore {
             delta,
             indexes,
             inserted_postings: OnceLock::new(),
+            id_holders: OnceLock::new(),
         }
     }
 
@@ -67,9 +70,10 @@ impl SnapshotStore {
 
     /// The delta of a commit's working snapshot, which the commit edits
     /// in place before publishing it. A published snapshot is never
-    /// edited. Drops the inserted postings an earlier read built.
+    /// edited. Drops the per-snapshot maps an earlier read built.
     pub(crate) fn delta_mut(&mut self) -> &mut DeltaState {
         self.inserted_postings.take();
+        self.id_holders.take();
         &mut self.delta
     }
 
@@ -150,6 +154,36 @@ impl XmlStore for SnapshotStore {
 
     fn content_epoch(&self) -> u64 {
         self.delta.epoch
+    }
+
+    /// The first element in document order whose `id` is `id`:
+    /// whichever ranks first of the base holder that the shared base
+    /// `@id` index names (probed through this snapshot's manager, so the
+    /// hit counts on this epoch), kept only while it is live and its
+    /// `id` unchanged, and the lowest-ranked live delta holder. Exact
+    /// when base `id` values are unique, as XMark's DTD declares them
+    /// (`ID #REQUIRED`): with duplicates, a later base holder of a value
+    /// whose first holder went is not found.
+    fn lookup_id(&self, id: &str) -> Option<Node> {
+        let base = self
+            .indexes
+            .ids(self.base.as_ref())
+            .get(id)
+            .filter(|b| {
+                !self.delta.deleted_base.contains(&b.0)
+                    && self
+                        .delta
+                        .attr_over
+                        .get(&b.0)
+                        .is_none_or(|attrs| attrs.iter().any(|(k, v)| k == "id" && v == id))
+            })
+            .map(|b| (base_rank(b.0), b.0));
+        let delta = self
+            .id_holders
+            .get_or_init(|| self.delta.id_holders())
+            .get(id)
+            .copied();
+        base.into_iter().chain(delta).min().map(|(_, n)| Node(n))
     }
 
     fn doc_order_key(&self, n: Node) -> u64 {

@@ -5,7 +5,7 @@
 //! snapshot over a clone of the current delta (cheap — per-entry
 //! payloads are `Arc`-shared), applies the transaction's operations to
 //! it while reading the in-progress state through the same overlay
-//! readers use, derives the successor's indexes incrementally, makes the
+//! readers use, derives the successor's indexes, makes the
 //! commit durable through the base's WAL when it has one, and only then
 //! publishes the working snapshot. Readers pin whatever snapshot was
 //! current when they arrived and are never blocked or torn.
@@ -110,16 +110,20 @@ impl VersionedStore {
     /// element index up front (the clean gate needs its subtree-end
     /// array, snapshot descendant scans its postings) and carries every
     /// index the base has already built into the epoch-0 snapshot, whose
-    /// manager starts its own build/hit counters.
+    /// manager starts its own build/hit counters. That manager also gets
+    /// the `@id` index every snapshot shares: the base's own if it has
+    /// built one, else one built over the base here — into the
+    /// snapshot's manager, so the base's resident size does not grow.
     pub fn new(base: Arc<dyn XmlStore>) -> Arc<VersionedStore> {
         let index = base.indexes().element(base.as_ref());
         let floor = base.node_count().max(index.shared_subtree_end().len()) as u32;
         let delta = DeltaState::pristine(floor, Arc::new(index.clone()));
         let manager = IndexManager::new().seeded(
             index.clone(),
-            base.indexes().built_attrs(),
+            base.indexes().built_ids(),
             base.indexes().built_values(),
         );
+        manager.ids(base.as_ref());
         let snapshot = Arc::new(SnapshotStore::assemble(Arc::clone(&base), delta, manager));
         Arc::new(VersionedStore {
             base,
@@ -437,7 +441,6 @@ impl DeltaBuilder {
                     id,
                     tag: tag.to_string(),
                     parent: node_parent,
-                    attrs: attrs.clone(),
                     text_children: doc
                         .children(doc_node)
                         .filter(|&c| !doc.is_element(c))
@@ -505,20 +508,14 @@ impl DeltaBuilder {
         for &n in &doomed {
             let n_parent = self.work.parent(n).unwrap_or(parent).0;
             if let Some(tag) = self.work.tag_of(n) {
-                let attrs: Vec<(String, String)> = self
-                    .work
-                    .attributes_iter(n)
-                    .map(|(k, v)| (k.to_string(), v.into_owned()))
-                    .collect();
                 self.changes.touched_tags.insert(tag.to_string());
-                for (name, _) in &attrs {
-                    self.changes.touched_tags.insert(name.clone());
+                for (name, _) in self.work.attributes_iter(n) {
+                    self.changes.touched_tags.insert(name.to_string());
                 }
                 self.changes.deleted_elems.push(DeletedElem {
                     id: n.0,
                     tag: tag.to_string(),
                     parent: n_parent,
-                    attrs,
                 });
             } else {
                 self.changes.deleted_texts.push((n.0, n_parent));
@@ -616,9 +613,6 @@ impl DeltaBuilder {
         self.touch_anchor(node);
         self.touch_ancestor_tags(node);
         self.changes.touched_tags.insert(name.to_string());
-        self.changes
-            .attr_sets
-            .push((node.0, name.to_string(), old.clone(), value.to_string()));
         self.records.push(LogRecord::TxnSetAttr {
             txn: self.txn,
             node: node.0,
