@@ -19,13 +19,18 @@
 //!   node (an un-inlined value, an unsupported positional probe) — the
 //!   generic cursor path always remains correct.
 //!
-//! Scalar contexts (comparison operands, arithmetic, function arguments)
-//! still evaluate to materialized [`Sequence`]s via `Evaluator::eval`;
-//! boolean contexts (where-filters, predicates, quantifiers, `and`/`or`)
-//! go through the short-circuiting `eval_ebv`, which pulls at most two
-//! items from a streaming cursor instead of draining the operand.
+//! Function arguments and other scalar contexts evaluate to materialized
+//! [`Sequence`]s via `Evaluator::eval`; comparison and arithmetic
+//! operands, `count()` and constructor content take their items one at a
+//! time through `Evaluator::eval_each`, which pulls exactly what `eval`
+//! would without building the sequence. Boolean contexts (where-filters,
+//! predicates, quantifiers, `and`/`or`, comparisons and the boolean
+//! built-ins) go through `eval_ebv`, which answers a `bool` and, for a
+//! streamable operand, pulls at most two items from its cursor instead of
+//! draining it.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -34,7 +39,7 @@ use xmark_store::{ChildValues, DescendantsNamed, IndexManager, Node, XmlStore};
 
 use crate::ast::{Axis, CmpOp, NodeTest};
 use crate::plan::*;
-use crate::result::{atomize, number, CElem, Item, Sequence};
+use crate::result::{atomize, atomized, format_number, number, xs_double, CElem, Item, Sequence};
 use crate::stream::{flwor_cursor, path_cursor, Cursor};
 
 /// Evaluation errors.
@@ -84,30 +89,66 @@ pub(crate) type JoinIndex = HashMap<String, Vec<(usize, Item)>>;
 /// Variable environment with lexical scoping, borrowing its names from
 /// the plan (`'a`).
 ///
-/// Bindings hold `&'a str` names and `Arc<Sequence>` values, so pushing
-/// a binding and cloning an environment (operator cursors own a snapshot
-/// each, once per tuple) copy a few pointers — no per-tuple name
-/// allocations, and never the bound sequences.
+/// A persistent list: each binding is one reference-counted [`Frame`]
+/// that points at the scope it extends. A frame holds its value inline —
+/// one item for a `for`, quantifier or join binding, the whole sequence
+/// for a `let` or a function parameter — so binding copies nothing.
+/// Cloning an environment (every operator cursor owns one) is one count
+/// bump, and `$x` read by a cursor or a path base shares the frame
+/// instead of copying its items. `Arc`, not `Rc`, keeps a
+/// [`crate::ResultStream`] `Send`.
 #[derive(Default, Clone)]
 pub(crate) struct Env<'a> {
-    bindings: Vec<(&'a str, Arc<Sequence>)>,
+    top: Option<Arc<Frame<'a>>>,
+}
+
+/// One binding of an [`Env`], and the scope it extends.
+pub(crate) struct Frame<'a> {
+    name: &'a str,
+    value: Bound,
+    up: Option<Arc<Frame<'a>>>,
+}
+
+/// A bound value: a single item needs no vector.
+pub(crate) enum Bound {
+    One(Item),
+    Seq(Sequence),
+}
+
+impl Frame<'_> {
+    /// The bound items.
+    pub(crate) fn items(&self) -> &[Item] {
+        match &self.value {
+            Bound::One(item) => std::slice::from_ref(item),
+            Bound::Seq(seq) => seq,
+        }
+    }
 }
 
 impl<'a> Env<'a> {
-    pub(crate) fn push(&mut self, name: &'a str, value: Arc<Sequence>) {
-        self.bindings.push((name, value));
+    pub(crate) fn push(&mut self, name: &'a str, value: Bound) {
+        let up = self.top.take();
+        self.top = Some(Arc::new(Frame { name, value, up }));
     }
 
     pub(crate) fn pop(&mut self) {
-        self.bindings.pop();
+        if let Some(top) = self.top.take() {
+            self.top = match Arc::try_unwrap(top) {
+                Ok(frame) => frame.up,
+                Err(shared) => shared.up.clone(),
+            };
+        }
     }
 
-    pub(crate) fn get(&self, name: &str) -> Option<&Arc<Sequence>> {
-        self.bindings
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
+    pub(crate) fn get(&self, name: &str) -> Option<&Arc<Frame<'a>>> {
+        let mut frame = self.top.as_ref();
+        while let Some(f) = frame {
+            if f.name == name {
+                return Some(f);
+            }
+            frame = f.up.as_ref();
+        }
+        None
     }
 }
 
@@ -211,10 +252,7 @@ impl<'a> Evaluator<'a> {
             PlanExpr::Str(s) => Ok(vec![Item::str(s)]),
             PlanExpr::Num(n) => Ok(vec![Item::Num(*n)]),
             PlanExpr::Empty => Ok(Vec::new()),
-            PlanExpr::Var(name) => env
-                .get(name)
-                .map(|s| s.as_ref().clone())
-                .ok_or_else(|| EvalError::UndefinedVariable(name.clone())),
+            PlanExpr::Var(name) => Ok(self.binding(env, name)?.items().to_vec()),
             PlanExpr::Sequence(parts) => {
                 let mut out = Vec::new();
                 for p in parts {
@@ -222,26 +260,8 @@ impl<'a> Evaluator<'a> {
                 }
                 Ok(out)
             }
-            PlanExpr::Or(parts) => {
-                for p in parts {
-                    if self.eval_ebv(p, env, ctx)? {
-                        return Ok(vec![Item::Bool(true)]);
-                    }
-                }
-                Ok(vec![Item::Bool(false)])
-            }
-            PlanExpr::And(parts) => {
-                for p in parts {
-                    if !self.eval_ebv(p, env, ctx)? {
-                        return Ok(vec![Item::Bool(false)]);
-                    }
-                }
-                Ok(vec![Item::Bool(true)])
-            }
-            PlanExpr::Cmp(op, lhs, rhs) => {
-                let l = self.eval(lhs, env, ctx)?;
-                let r = self.eval(rhs, env, ctx)?;
-                Ok(vec![Item::Bool(self.general_compare(*op, &l, &r))])
+            PlanExpr::Or(_) | PlanExpr::And(_) | PlanExpr::Cmp(..) => {
+                Ok(vec![Item::Bool(self.eval_ebv(expr, env, ctx)?)])
             }
             PlanExpr::Before(lhs, rhs) => {
                 let l = self.eval(lhs, env, ctx)?;
@@ -260,12 +280,9 @@ impl<'a> Evaluator<'a> {
                 Ok(vec![Item::Bool(before)])
             }
             PlanExpr::Arith(op, lhs, rhs) => {
-                let l = self.eval(lhs, env, ctx)?;
-                let r = self.eval(rhs, env, ctx)?;
-                let (Some(a), Some(b)) = (
-                    singleton_number(self.store, &l),
-                    singleton_number(self.store, &r),
-                ) else {
+                let l = self.singleton_number(lhs, env, ctx)?;
+                let r = self.singleton_number(rhs, env, ctx)?;
+                let (Some(a), Some(b)) = (l, r) else {
                     return Ok(Vec::new());
                 };
                 use crate::ast::ArithOp;
@@ -278,13 +295,10 @@ impl<'a> Evaluator<'a> {
                 };
                 Ok(vec![Item::Num(v)])
             }
-            PlanExpr::Neg(inner) => {
-                let v = self.eval(inner, env, ctx)?;
-                Ok(match singleton_number(self.store, &v) {
-                    Some(n) => vec![Item::Num(-n)],
-                    None => Vec::new(),
-                })
-            }
+            PlanExpr::Neg(inner) => Ok(match self.singleton_number(inner, env, ctx)? {
+                Some(n) => vec![Item::Num(-n)],
+                None => Vec::new(),
+            }),
             PlanExpr::Path(p) => self.eval_path(p, env, ctx),
             PlanExpr::Aggregate(a) => self.eval_aggregate(a, env, ctx),
             PlanExpr::Flwor(f) => self.drain(flwor_cursor(f, env, ctx, false)),
@@ -344,7 +358,173 @@ impl<'a> Evaluator<'a> {
                     }
                 }
             }
+            PlanExpr::Or(parts) => {
+                for p in parts {
+                    if self.eval_ebv(p, env, ctx)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+            PlanExpr::And(parts) => {
+                for p in parts {
+                    if !self.eval_ebv(p, env, ctx)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            // Both operands are evaluated in full, left first, as `eval`
+            // would: no early exit, so pull counts and the error reported
+            // do not depend on which pair matches.
+            PlanExpr::Cmp(op, lhs, rhs) => {
+                let l = self.cmp_keys(lhs, env, ctx)?;
+                let r = self.cmp_keys(rhs, env, ctx)?;
+                Ok(general_compare(*op, l.as_slice(), r.as_slice()))
+            }
+            PlanExpr::Call(name, args) => match self.bool_call(name, args, env, ctx) {
+                Some(answer) => answer,
+                None => Ok(ebv(&self.eval_call(name, args, env, ctx)?)),
+            },
             _ => Ok(ebv(&self.eval(expr, env, ctx)?)),
+        }
+    }
+
+    /// `ebv(&eval(expr))` without materializing the value: unlike
+    /// [`Evaluator::eval_ebv`], every item of a streamable operand is
+    /// pulled, as `not()` has always done.
+    fn drained_ebv(
+        &self,
+        expr: &'a PlanExpr,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<bool> {
+        if !matches!(
+            expr,
+            PlanExpr::Path(_) | PlanExpr::Flwor(_) | PlanExpr::Sequence(_)
+        ) {
+            return self.eval_ebv(expr, env, ctx);
+        }
+        let mut first = None;
+        let mut more = false;
+        self.eval_each(expr, env, ctx, |item| match first {
+            None => first = Some(item),
+            Some(_) => more = true,
+        })?;
+        Ok(match first {
+            None => false,
+            Some(_) if more => true,
+            Some(item) => ebv(std::slice::from_ref(&item)),
+        })
+    }
+
+    /// Feed each item of `expr`'s value to `sink` in order: `eval`
+    /// without the sequence. A variable's items are read off its binding,
+    /// and a path streams off the same materializing cursor `eval`
+    /// drains (or replays its memo), so the pulls are `eval`'s.
+    pub(crate) fn eval_each(
+        &self,
+        expr: &'a PlanExpr,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+        mut sink: impl FnMut(Item),
+    ) -> EResult<()> {
+        match expr {
+            PlanExpr::Empty => {}
+            PlanExpr::Num(n) => sink(Item::Num(*n)),
+            PlanExpr::Str(s) => sink(Item::str(s)),
+            PlanExpr::Var(name) => self
+                .binding(env, name)?
+                .items()
+                .iter()
+                .cloned()
+                .for_each(sink),
+            PlanExpr::Path(p) => match &p.memo {
+                Some(sig) => self
+                    .memo_path(sig, p, env, ctx)?
+                    .iter()
+                    .cloned()
+                    .for_each(sink),
+                None => {
+                    let mut cur = path_cursor(self, p, env, ctx, true);
+                    while let Some(item) = cur.next(self) {
+                        sink(item?);
+                    }
+                }
+            },
+            _ => self.eval(expr, env, ctx)?.into_iter().for_each(sink),
+        }
+        Ok(())
+    }
+
+    /// The frame binding `$name`.
+    pub(crate) fn binding<'e>(&self, env: &'e Env<'a>, name: &str) -> EResult<&'e Arc<Frame<'a>>> {
+        env.get(name)
+            .ok_or_else(|| EvalError::UndefinedVariable(name.to_string()))
+    }
+
+    /// One general-comparison operand, keyed item by item. A literal is
+    /// keyed in place; at most one item needs no vector.
+    fn cmp_keys(
+        &self,
+        expr: &'a PlanExpr,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<InlineOne<CmpKey<'a>>> {
+        let mut keys = InlineOne::default();
+        match expr {
+            PlanExpr::Num(n) => keys.push(CmpKey::Num(*n)),
+            PlanExpr::Str(s) => keys.push(CmpKey::from_text(Cow::Borrowed(s))),
+            _ => self.eval_each(expr, env, ctx, |item| {
+                keys.push(CmpKey::of(self.store, item));
+            })?,
+        }
+        Ok(keys)
+    }
+
+    /// The numeric value of `expr` if it is exactly one item that has one
+    /// (the operand rule of arithmetic).
+    fn singleton_number(
+        &self,
+        expr: &'a PlanExpr,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<Option<f64>> {
+        let mut only = None;
+        let mut len = 0;
+        self.eval_each(expr, env, ctx, |item| {
+            len += 1;
+            only = Some(item);
+        })?;
+        Ok(match only {
+            Some(item) if len == 1 => number(self.store, &item),
+            _ => None,
+        })
+    }
+
+    /// The built-in functions that answer a boolean, answered without a
+    /// sequence; `None` for every other call, and for a wrong arity
+    /// (which the generic path reports after evaluating the arguments).
+    /// `exists`/`empty` are existence checks: they pull at most one item
+    /// from the argument instead of materializing it.
+    fn bool_call(
+        &self,
+        name: &str,
+        args: &'a [PlanExpr],
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> Option<EResult<bool>> {
+        match (name, args) {
+            ("exists" | "empty", [arg]) => {
+                let mut cur = Cursor::build(self, arg, env, ctx);
+                Some(
+                    cur.next(self)
+                        .transpose()
+                        .map(|first| first.is_some() == (name == "exists")),
+                )
+            }
+            ("not", [arg]) => Some(self.drained_ebv(arg, env, ctx).map(|b| !b)),
+            _ => None,
         }
     }
 
@@ -425,11 +605,11 @@ impl<'a> Evaluator<'a> {
         let source = self.eval(src, env, ctx)?;
         let mut map: JoinIndex = HashMap::with_capacity(source.len());
         for (i, item) in source.into_iter().enumerate() {
-            env.push(var, Arc::new(vec![item.clone()]));
+            env.push(var, Bound::One(item.clone()));
             let keys = self.eval(key_expr, env, ctx);
             env.pop();
             for key in keys? {
-                if let Some(canonical) = canonical_key(&atomize(self.store, &key)) {
+                if let Some(canonical) = canonical_key(&atomized(self.store, &key)) {
                     map.entry(canonical).or_default().push((i, item.clone()));
                 }
             }
@@ -502,13 +682,13 @@ impl<'a> Evaluator<'a> {
     ) -> EResult<Vec<Vec<String>>> {
         let mut keys = Vec::with_capacity(left.len());
         for item in left {
-            env.push(var, Arc::new(vec![item.clone()]));
+            env.push(var, Bound::One(item.clone()));
             let evaluated = self.eval(key_expr, env, ctx);
             env.pop();
             keys.push(
                 evaluated?
                     .iter()
-                    .filter_map(|k| canonical_key(&atomize(self.store, k)))
+                    .filter_map(|k| canonical_key(&atomized(self.store, k)))
                     .collect::<Vec<String>>(),
             );
         }
@@ -518,7 +698,7 @@ impl<'a> Evaluator<'a> {
     /// Canonicalize an atomized value for join lookup (`None` = NaN,
     /// which matches nothing).
     pub(crate) fn canonical_join_key(&self, item: &Item) -> Option<String> {
-        canonical_key(&atomize(self.store, item))
+        canonical_key(&atomized(self.store, item))
     }
 
     /// Evaluate the Sort operator's key for the current tuple.
@@ -533,7 +713,7 @@ impl<'a> Evaluator<'a> {
                 let key_seq = self.eval(key_expr, env, ctx)?;
                 Ok(key_seq.first().map(|item| {
                     let s = atomize(self.store, item);
-                    let n = s.trim().parse::<f64>().ok();
+                    let n = xs_double(s.trim());
                     OrderKey { text: s, num: n }
                 }))
             }
@@ -559,7 +739,7 @@ impl<'a> Evaluator<'a> {
         while let Some(next) = cur.next(self) {
             let item = next?;
             self.count_pulls(1);
-            env.push(var, Arc::new(vec![item]));
+            env.push(var, Bound::One(item));
             let found = self.eval_some(bindings, depth + 1, satisfies, env, ctx);
             env.pop();
             if found? {
@@ -613,16 +793,27 @@ impl<'a> Evaluator<'a> {
         env: &mut Env<'a>,
         ctx: Option<&Item>,
     ) -> EResult<Sequence> {
-        if let Some(sig) = &p.memo {
-            if let Some(cached) = self.cached_path(sig) {
-                return Ok(cached.as_ref().clone());
-            }
-            let result = self.drain(path_cursor(self, p, env, ctx, true))?;
-            let shared = Arc::new(result);
-            self.publish_path(sig, Arc::clone(&shared));
-            return Ok(shared.as_ref().clone());
+        match &p.memo {
+            Some(sig) => Ok(self.memo_path(sig, p, env, ctx)?.as_ref().clone()),
+            None => self.drain(path_cursor(self, p, env, ctx, true)),
         }
-        self.drain(path_cursor(self, p, env, ctx, true))
+    }
+
+    /// The memoized path `p` under signature `sig`: replayed if already
+    /// materialized, else drained once and published.
+    fn memo_path(
+        &self,
+        sig: &str,
+        p: &'a PathPlan,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<Arc<Sequence>> {
+        if let Some(cached) = self.cached_path(sig) {
+            return Ok(cached);
+        }
+        let shared = Arc::new(self.drain(path_cursor(self, p, env, ctx, true))?);
+        self.publish_path(sig, Arc::clone(&shared));
+        Ok(shared)
     }
 
     /// The memoized path sequence for `sig`, if already materialized —
@@ -673,73 +864,37 @@ impl<'a> Evaluator<'a> {
         !self.streamed_paths.borrow_mut().insert(sig.to_string())
     }
 
-    /// Resolve a path's base items and the index of the first unapplied
-    /// step (the root base consumes its first step specially: the first
-    /// step matches against the root *element* itself).
+    /// Resolve a root-based path's base nodes and the index of the first
+    /// unapplied step (the root base consumes its first step specially:
+    /// the first step matches against the root *element* itself).
     pub(crate) fn root_base(
         &self,
         p: &'a PathPlan,
         env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<(Sequence, usize)> {
-        let steps = &p.steps;
-        let mut start_index = 0;
-        let current: Sequence = match &p.base {
-            PlanBase::Root => {
-                let root = self.store.root();
-                match steps.first() {
-                    None => vec![Item::Node(root)],
-                    Some(first) => {
-                        start_index = 1;
-                        let mut seq: Sequence = Vec::new();
-                        match (&first.axis, &first.test) {
-                            (Axis::Child, NodeTest::Tag(tag)) => {
-                                if self.store.tag_of(root) == Some(tag) {
-                                    seq.push(Item::Node(root));
-                                }
-                            }
-                            (Axis::Descendant, NodeTest::Tag(tag)) => {
-                                if self.store.tag_of(root) == Some(tag) {
-                                    seq.push(Item::Node(root));
-                                }
-                                seq.extend(
-                                    self.descendant_iter(root, tag, &first.access)
-                                        .map(Item::Node),
-                                );
-                            }
-                            _ => {
-                                // Rare forms (`/*`, `/@x`): evaluate the
-                                // step against the root element generically.
-                                start_index = 0;
-                                seq.push(Item::Node(root));
-                            }
-                        }
-                        if start_index == 1 && !first.preds.is_empty() {
-                            let nodes: Vec<Node> = seq
-                                .into_iter()
-                                .filter_map(|i| match i {
-                                    Item::Node(n) => Some(n),
-                                    _ => None,
-                                })
-                                .collect();
-                            seq = self
-                                .apply_predicates(nodes, &first.preds, env)?
-                                .into_iter()
-                                .map(Item::Node)
-                                .collect();
-                        }
-                        seq
-                    }
+    ) -> EResult<(Vec<Node>, usize)> {
+        let root = self.store.root();
+        let Some(first) = p.steps.first() else {
+            return Ok((vec![root], 0));
+        };
+        let mut nodes = Vec::new();
+        match (&first.axis, &first.test) {
+            (Axis::Child, NodeTest::Tag(tag)) => {
+                if self.store.tag_of(root) == Some(tag) {
+                    nodes.push(root);
                 }
             }
-            PlanBase::Var(name) => env
-                .get(name)
-                .map(|s| s.as_ref().clone())
-                .ok_or_else(|| EvalError::UndefinedVariable(name.clone()))?,
-            PlanBase::Context => vec![ctx.ok_or(EvalError::NoContext)?.clone()],
-            PlanBase::Expr(e) => self.eval(e, env, ctx)?,
-        };
-        Ok((current, start_index))
+            (Axis::Descendant, NodeTest::Tag(tag)) => {
+                if self.store.tag_of(root) == Some(tag) {
+                    nodes.push(root);
+                }
+                nodes.extend(self.descendant_iter(root, tag, &first.access));
+            }
+            // Rare forms (`/*`, `/@x`): evaluate the step against the
+            // root element generically.
+            _ => return Ok((vec![root], 0)),
+        }
+        self.apply_predicates(&mut nodes, &first.preds, env)?;
+        Ok((nodes, 1))
     }
 
     /// The child-value index for `tag`, memoized per execution. `None`
@@ -884,9 +1039,7 @@ impl<'a> Evaluator<'a> {
         let context_start = out.len();
         match (&step.axis, &step.test) {
             (Axis::Attribute, NodeTest::Tag(name)) => {
-                if let Some(v) = self.store.attribute(n, name) {
-                    out.push(Item::str(v));
-                }
+                out.extend(self.store.attribute(n, name).map(Item::str));
             }
             (Axis::Attribute, test) => {
                 // `@*` / `@text()`: a real step form we don't implement —
@@ -929,9 +1082,8 @@ impl<'a> Evaluator<'a> {
                     out.extend(self.store.children_named_iter(n, tag).map(Item::Node));
                     return Ok(());
                 }
-                let matched: Vec<Node> = self.store.children_named_iter(n, tag).collect();
-                let filtered = self.apply_predicates(matched, &step.preds, env)?;
-                out.extend(filtered.into_iter().map(Item::Node));
+                let matched = self.tag_step_nodes(n, step, tag, env)?;
+                out.extend(matched.into_iter().map(Item::Node));
                 return Ok(());
             }
             (Axis::Descendant, NodeTest::Tag(tag)) => {
@@ -942,9 +1094,8 @@ impl<'a> Evaluator<'a> {
                     out.extend(self.descendant_iter(n, tag, &step.access).map(Item::Node));
                     return Ok(());
                 }
-                let matched: Vec<Node> = self.descendant_iter(n, tag, &step.access).collect();
-                let filtered = self.apply_predicates(matched, &step.preds, env)?;
-                out.extend(filtered.into_iter().map(Item::Node));
+                let matched = self.tag_step_nodes(n, step, tag, env)?;
+                out.extend(matched.into_iter().map(Item::Node));
                 return Ok(());
             }
             (Axis::Descendant, NodeTest::Text) => {
@@ -968,53 +1119,72 @@ impl<'a> Evaluator<'a> {
         // Predicates for the non-tag axes above, applied to this context
         // node's matches only.
         if !step.preds.is_empty() {
-            let nodes: Vec<Node> = out
+            let mut nodes: Vec<Node> = out
                 .drain(context_start..)
                 .filter_map(|i| match i {
                     Item::Node(n) => Some(n),
                     _ => None,
                 })
                 .collect();
-            let filtered = self.apply_predicates(nodes, &step.preds, env)?;
-            out.extend(filtered.into_iter().map(Item::Node));
+            self.apply_predicates(&mut nodes, &step.preds, env)?;
+            out.extend(nodes.into_iter().map(Item::Node));
         }
         Ok(())
     }
 
-    fn apply_predicates(
+    /// The `tag` children or descendants (per `step.axis`) of one context
+    /// node, with the step's predicates applied.
+    pub(crate) fn tag_step_nodes(
         &self,
-        mut nodes: Vec<Node>,
-        preds: &'a [PlanPred],
+        n: Node,
+        step: &'a PlanStep,
+        tag: &'a str,
         env: &mut Env<'a>,
     ) -> EResult<Vec<Node>> {
+        let mut nodes: Vec<Node> = match step.axis {
+            Axis::Descendant => self.descendant_iter(n, tag, &step.access).collect(),
+            _ => self.store.children_named_iter(n, tag).collect(),
+        };
+        self.apply_predicates(&mut nodes, &step.preds, env)?;
+        Ok(nodes)
+    }
+
+    /// Filter `nodes` through `preds` in place, one predicate after the
+    /// other.
+    fn apply_predicates(
+        &self,
+        nodes: &mut Vec<Node>,
+        preds: &'a [PlanPred],
+        env: &mut Env<'a>,
+    ) -> EResult<()> {
         for pred in preds {
-            nodes = match pred {
+            match pred {
                 PlanPred::Position(k) => {
-                    if *k >= 1 && *k <= nodes.len() {
-                        vec![nodes[*k - 1]]
-                    } else {
-                        Vec::new()
-                    }
+                    let hit = k.checked_sub(1).and_then(|i| nodes.get(i).copied());
+                    nodes.clear();
+                    nodes.extend(hit);
                 }
-                PlanPred::Last => match nodes.last() {
-                    Some(&n) => vec![n],
-                    None => Vec::new(),
-                },
+                PlanPred::Last => {
+                    let last = nodes.last().copied();
+                    nodes.clear();
+                    nodes.extend(last);
+                }
                 PlanPred::Expr(e) => {
-                    let mut kept = Vec::new();
-                    for n in nodes {
-                        let item = Item::Node(n);
+                    let mut kept = 0;
+                    for i in 0..nodes.len() {
+                        let n = nodes[i];
                         // Short-circuit: an existential predicate stops at
                         // its first witness instead of draining the axis.
-                        if self.eval_ebv(e, env, Some(&item))? {
-                            kept.push(n);
+                        if self.eval_ebv(e, env, Some(&Item::Node(n)))? {
+                            nodes[kept] = n;
+                            kept += 1;
                         }
                     }
-                    kept
+                    nodes.truncate(kept);
                 }
-            };
+            }
         }
-        Ok(nodes)
+        Ok(())
     }
 
     // ---- Aggregate -------------------------------------------------------
@@ -1057,16 +1227,13 @@ impl<'a> Evaluator<'a> {
         env: &mut Env<'a>,
         ctx: Option<&Item>,
     ) -> EResult<Sequence> {
-        // `exists`/`empty` are existence checks: pull at most one item
-        // from the argument instead of materializing it.
-        if let ("exists" | "empty", [arg]) = (name, args) {
-            let mut cur = Cursor::build(self, arg, env, ctx);
-            let has_item = cur.next(self).transpose()?.is_some();
-            return Ok(vec![Item::Bool(if name == "exists" {
-                has_item
-            } else {
-                !has_item
-            })]);
+        if let Some(answer) = self.bool_call(name, args, env, ctx) {
+            return Ok(vec![Item::Bool(answer?)]);
+        }
+        if let ("count", [arg]) = (name, args) {
+            let mut n = 0usize;
+            self.eval_each(arg, env, ctx, |_| n += 1)?;
+            return Ok(vec![Item::Num(n as f64)]);
         }
 
         let mut evaluated: Vec<Sequence> = Vec::with_capacity(args.len());
@@ -1075,10 +1242,8 @@ impl<'a> Evaluator<'a> {
         }
 
         match name {
-            "count" => {
-                expect_arity(name, &evaluated, 1)?;
-                Ok(vec![Item::Num(evaluated[0].len() as f64)])
-            }
+            // Their unary forms are answered above.
+            "count" | "not" | "empty" | "exists" => Err(EvalError::Arity(name.to_string())),
             "sum" => {
                 expect_arity(name, &evaluated, 1)?;
                 let total: f64 = evaluated[0]
@@ -1087,23 +1252,11 @@ impl<'a> Evaluator<'a> {
                     .sum();
                 Ok(vec![Item::Num(total)])
             }
-            "not" => {
-                expect_arity(name, &evaluated, 1)?;
-                Ok(vec![Item::Bool(!ebv(&evaluated[0]))])
-            }
-            "empty" => {
-                expect_arity(name, &evaluated, 1)?;
-                Ok(vec![Item::Bool(evaluated[0].is_empty())])
-            }
-            "exists" => {
-                expect_arity(name, &evaluated, 1)?;
-                Ok(vec![Item::Bool(!evaluated[0].is_empty())])
-            }
             "contains" => {
                 expect_arity(name, &evaluated, 2)?;
                 let hay = join_atomized(self.store, &evaluated[0]);
                 let needle = join_atomized(self.store, &evaluated[1]);
-                Ok(vec![Item::Bool(hay.contains(&needle))])
+                Ok(vec![Item::Bool(hay.contains(&*needle))])
             }
             "string" => {
                 expect_arity(name, &evaluated, 1)?;
@@ -1130,10 +1283,11 @@ impl<'a> Evaluator<'a> {
             }
             "zero-or-one" => {
                 expect_arity(name, &evaluated, 1)?;
-                if evaluated[0].len() > 1 {
+                let arg = evaluated.swap_remove(0);
+                if arg.len() > 1 {
                     return Err(EvalError::Cardinality("zero-or-one"));
                 }
-                Ok(evaluated[0].clone())
+                Ok(arg)
             }
             "number" => {
                 expect_arity(name, &evaluated, 1)?;
@@ -1153,7 +1307,7 @@ impl<'a> Evaluator<'a> {
                     return Err(EvalError::Arity(name.to_string()));
                 }
                 for (param, value) in decl.params.iter().zip(evaluated) {
-                    env.push(param, Arc::new(value));
+                    env.push(param, Bound::Seq(value));
                 }
                 let result = self.eval(&decl.body, env, ctx);
                 for _ in &decl.params {
@@ -1166,7 +1320,7 @@ impl<'a> Evaluator<'a> {
 
     // ---- constructors ------------------------------------------------------
 
-    fn build_element(
+    pub(crate) fn build_element(
         &self,
         ctor: &'a PlanElement,
         env: &mut Env<'a>,
@@ -1179,14 +1333,15 @@ impl<'a> Evaluator<'a> {
                 match part {
                     PlanAttrPart::Lit(s) => value.push_str(s),
                     PlanAttrPart::Expr(e) => {
-                        let seq = self.eval(e, env, ctx)?;
                         // AVT: items joined with single spaces.
-                        for (i, item) in seq.iter().enumerate() {
-                            if i > 0 {
+                        let mut first = true;
+                        self.eval_each(e, env, ctx, |item| {
+                            if !first {
                                 value.push(' ');
                             }
-                            value.push_str(&atomize(self.store, item));
-                        }
+                            first = false;
+                            value.push_str(&atomized(self.store, &item));
+                        })?;
                     }
                 }
             }
@@ -1196,7 +1351,7 @@ impl<'a> Evaluator<'a> {
         for content in &ctor.content {
             match content {
                 PlanContent::Text(t) => children.push(Item::str(t)),
-                PlanContent::Expr(e) => children.extend(self.eval(e, env, ctx)?),
+                PlanContent::Expr(e) => self.eval_each(e, env, ctx, |item| children.push(item))?,
                 PlanContent::Element(nested) => {
                     children.push(Item::Elem(Arc::new(self.build_element(nested, env, ctx)?)));
                 }
@@ -1208,29 +1363,116 @@ impl<'a> Evaluator<'a> {
             children,
         })
     }
+}
 
-    fn general_compare(&self, op: CmpOp, l: &[Item], r: &[Item]) -> bool {
-        for a in l {
-            let sa = atomize(self.store, a);
-            let ta = sa.trim();
-            let na = ta.parse::<f64>().ok();
-            for b in r {
-                let sb = atomize(self.store, b);
-                let tb = sb.trim();
-                // Both branches compare the *trimmed* values: the numeric
-                // path already parsed from trimmed text, so the string
-                // fallback must trim too, or whitespace-padded text nodes
-                // would fail equality against their trimmed value.
-                let matched = match (na, tb.parse::<f64>().ok()) {
-                    (Some(x), Some(y)) => compare_ord(op, x.partial_cmp(&y)),
-                    _ => compare_ord(op, Some(ta.cmp(tb))),
-                };
-                if matched {
-                    return true;
-                }
+/// XQuery general comparison over keyed operands: true if any pair
+/// matches. A pair compares numerically when both sides are numbers,
+/// else as trimmed text — the string fallback must trim too, or
+/// whitespace-padded text nodes would fail equality against their
+/// trimmed value.
+fn general_compare(op: CmpOp, l: &[CmpKey<'_>], r: &[CmpKey<'_>]) -> bool {
+    l.iter().any(|a| {
+        r.iter().any(|b| match (a.num(), b.num()) {
+            (Some(x), Some(y)) => compare_ord(op, x.partial_cmp(&y)),
+            _ => compare_ord(op, Some(a.text().cmp(&b.text()))),
+        })
+    })
+}
+
+/// One general-comparison operand item, keyed once. A number stays a
+/// number and is rendered with [`format_number`] only on the string
+/// fallback — exact, since `xs_double(&format_number(n))` is `n` for
+/// every `f64` (`-0` reads back as `0`, which compares equal). Anything
+/// else is its atomized text, lent where the item or the store holds it,
+/// with the number that text spells.
+enum CmpKey<'a> {
+    Num(f64),
+    Text(Cow<'a, str>, Option<f64>),
+    Shared(Arc<str>, Option<f64>),
+}
+
+impl<'a> CmpKey<'a> {
+    fn of(store: &'a dyn XmlStore, item: Item) -> CmpKey<'a> {
+        match item {
+            Item::Num(n) => CmpKey::Num(n),
+            Item::Str(s) => {
+                let num = xs_double(s.trim());
+                CmpKey::Shared(s, num)
             }
+            Item::Node(n) => CmpKey::from_text(crate::result::node_string_value(store, n)),
+            Item::Bool(b) => CmpKey::from_text(Cow::Borrowed(if b { "true" } else { "false" })),
+            Item::Elem(_) => CmpKey::from_text(Cow::Owned(atomize(store, &item))),
         }
-        false
+    }
+
+    fn from_text(text: Cow<'a, str>) -> CmpKey<'a> {
+        let num = xs_double(text.trim());
+        CmpKey::Text(text, num)
+    }
+
+    fn num(&self) -> Option<f64> {
+        match self {
+            CmpKey::Num(n) => Some(*n),
+            CmpKey::Text(_, num) | CmpKey::Shared(_, num) => *num,
+        }
+    }
+
+    /// The trimmed text the string fallback compares.
+    fn text(&self) -> Cow<'_, str> {
+        match self {
+            CmpKey::Num(n) => Cow::Owned(format_number(*n)),
+            CmpKey::Text(text, _) => Cow::Borrowed(text.trim()),
+            CmpKey::Shared(text, _) => Cow::Borrowed(text.trim()),
+        }
+    }
+}
+
+/// A list that holds a lone element inline: zero or one element needs
+/// no vector. Comparison operands and path stages are mostly that short.
+#[derive(Default)]
+pub(crate) enum InlineOne<T> {
+    #[default]
+    Zero,
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> InlineOne<T> {
+    pub(crate) fn push(&mut self, x: T) {
+        self.push_within(x, 4);
+    }
+
+    /// Push `x` into a list expected to reach `total` elements: a second
+    /// element moves both into a vector of that capacity.
+    pub(crate) fn push_within(&mut self, x: T, total: usize) {
+        *self = match std::mem::take(self) {
+            InlineOne::Zero => InlineOne::One(x),
+            InlineOne::One(first) => {
+                let mut xs = Vec::with_capacity(total.max(2));
+                xs.extend([first, x]);
+                InlineOne::Many(xs)
+            }
+            InlineOne::Many(mut xs) => {
+                xs.push(x);
+                InlineOne::Many(xs)
+            }
+        };
+    }
+
+    pub(crate) fn as_slice(&self) -> &[T] {
+        match self {
+            InlineOne::Zero => &[],
+            InlineOne::One(x) => std::slice::from_ref(x),
+            InlineOne::Many(xs) => xs,
+        }
+    }
+
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            InlineOne::Zero => &mut [],
+            InlineOne::One(x) => std::slice::from_mut(x),
+            InlineOne::Many(xs) => xs,
+        }
     }
 }
 
@@ -1289,22 +1531,20 @@ pub(crate) fn ebv(seq: &[Item]) -> bool {
     }
 }
 
-fn singleton_number(store: &dyn XmlStore, seq: &[Item]) -> Option<f64> {
-    match seq {
-        [item] => number(store, item),
-        _ => None,
+/// The items' atomized values joined with single spaces; one item lends
+/// its value where [`atomized`] can.
+fn join_atomized<'s>(store: &'s dyn XmlStore, seq: &'s [Item]) -> Cow<'s, str> {
+    if let [item] = seq {
+        return atomized(store, item);
     }
-}
-
-fn join_atomized(store: &dyn XmlStore, seq: &[Item]) -> String {
     let mut out = String::new();
     for (i, item) in seq.iter().enumerate() {
         if i > 0 {
             out.push(' ');
         }
-        out.push_str(&atomize(store, item));
+        out.push_str(&atomized(store, item));
     }
-    out
+    Cow::Owned(out)
 }
 
 /// Approximate resident bytes of a join index, for the store's index
@@ -1321,10 +1561,10 @@ fn join_index_bytes(map: &JoinIndex) -> usize {
 /// *trimmed* exactly like the string fallback. `None` for NaN — NaN
 /// equals nothing, so a NaN key must never enter or probe a join index.
 fn canonical_key(s: &str) -> Option<String> {
-    match s.trim().parse::<f64>() {
-        Ok(n) if n.is_nan() => None,
-        Ok(n) => Some(crate::result::format_number(if n == 0.0 { 0.0 } else { n })),
-        Err(_) => Some(s.trim().to_string()),
+    match xs_double(s.trim()) {
+        Some(n) if n.is_nan() => None,
+        Some(n) => Some(format_number(if n == 0.0 { 0.0 } else { n })),
+        None => Some(s.trim().to_string()),
     }
 }
 
@@ -1544,6 +1784,60 @@ mod tests {
     }
 
     #[test]
+    fn numbers_are_xml_schema_doubles_only() {
+        // Rust's `f64::from_str` also reads `nan`, `inf` and `Infinity`
+        // in any case; XQuery reads only the `xs:double` forms, so those
+        // words compare as the text they are.
+        let doc = r#"<a><t>Nan</t><v>Infinity</v><u>INF</u><w> 1e3 </w></a>"#;
+        let store = NaiveStore::load(doc).unwrap();
+        for (q, expected) in [
+            (r#"/a/t = "Nan""#, "true"),
+            (r#"/a/t != "Nan""#, "false"),
+            (r#"/a/v = "inf""#, "false"),
+            (r#"/a/v = "Infinity""#, "true"),
+            (r#"/a/u = "INF""#, "true"),
+            (r#"/a/u > 1000000"#, "true"),
+            (r#"/a/w = 1000"#, "true"),
+            (r#"number("inf")"#, "NaN"),
+            (r#"number("+inf")"#, "NaN"),
+            (r#"number("Infinity")"#, "NaN"),
+            (r#"number("INF")"#, "INF"),
+            (r#"number("-INF")"#, "-INF"),
+            (r#"number(" .5 ")"#, "0.5"),
+            (r#"number("5.")"#, "5"),
+            (r#"number("1e")"#, "NaN"),
+            (r#"number(".")"#, "NaN"),
+        ] {
+            let compiled = compile(q, &store).unwrap();
+            let result = execute(&compiled, &store).unwrap();
+            assert_eq!(serialize_sequence(&store, &result), expected, "query {q}");
+        }
+    }
+
+    #[test]
+    fn join_keys_agree_with_comparison_on_number_spellings() {
+        // `inf` and `Infinity` are two different words, not one number:
+        // the join's canonical key must not pair them, or the join would
+        // disagree with the comparison the nested loop evaluates.
+        let doc = r#"<site><people><person id="inf"><name>A</name></person><person id="Infinity"><name>B</name></person><person id="1e1"><name>C</name></person></people><open_auctions><open_auction><bidder><personref person="Infinity"/></bidder><bidder><personref person="10"/></bidder></open_auction></open_auctions></site>"#;
+        let q = r#"for $p in /site/people/person let $a := for $t in /site/open_auctions/open_auction/bidder/personref where $t/@person = $p/@id return $t return <n name="{$p/name/text()}">{count($a)}</n>"#;
+        let store = NaiveStore::load(doc).unwrap();
+        let expected = "<n name=\"A\">0</n>\n<n name=\"B\">1</n>\n<n name=\"C\">1</n>";
+        for mode in [PlanMode::Optimized, PlanMode::Naive] {
+            let compiled = crate::compile::compile_with_mode(q, &store, mode).unwrap();
+            if mode == PlanMode::Optimized {
+                let plan = crate::explain::explain_plan(&compiled.plan);
+                assert!(
+                    plan.contains("HashJoin") || plan.contains("IndexLookup"),
+                    "the value join must run as a join operator:\n{plan}"
+                );
+            }
+            let result = execute(&compiled, &store).unwrap();
+            assert_eq!(serialize_sequence(&store, &result), expected, "{mode:?}");
+        }
+    }
+
+    #[test]
     fn unsupported_attribute_steps_are_named() {
         for (q, step) in [
             ("/site/people/person/@*", "@*"),
@@ -1658,5 +1952,157 @@ mod tests {
             run_err("nosuchfn(1)"),
             EvalError::UnknownFunction(_)
         ));
+    }
+
+    /// The comparison `general_compare` replaced, kept as the reference
+    /// model: every operand item atomized to a string on every pair, its
+    /// number read back from that string.
+    fn string_round_trip_compare(store: &dyn XmlStore, op: CmpOp, l: &[Item], r: &[Item]) -> bool {
+        for a in l {
+            let sa = atomize(store, a);
+            let ta = sa.trim();
+            let na = xs_double(ta);
+            for b in r {
+                let sb = atomize(store, b);
+                let tb = sb.trim();
+                let matched = match (na, xs_double(tb)) {
+                    (Some(x), Some(y)) => compare_ord(op, x.partial_cmp(&y)),
+                    _ => compare_ord(op, Some(ta.cmp(tb))),
+                };
+                if matched {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    const NUMS: [f64; 16] = [
+        0.0,
+        -0.0,
+        42.0,
+        7.5,
+        -3.0,
+        0.1,
+        5.0,
+        0.5,
+        1000.0,
+        1e15,
+        1.5e16,
+        -2.5e17,
+        1e300,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    const WORDS: [&str; 26] = [
+        "42", "  42  ", "7.5", " 7.5", "-3", "+5", ".5", "5.", "0", "-0", "1000", "1e3", "1E3",
+        "1e15", "NaN", "INF", "-INF", "inf", "Infinity", "nan", "+INF", "", "gold", "  gold ",
+        "silver", "1e",
+    ];
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// One drawn operand item: a number, a word as a string item (keyed
+    /// as an item or, like a query literal, in place), or a word as a
+    /// text node.
+    #[derive(Debug, Clone)]
+    enum Draw {
+        Num(f64),
+        Str(usize, bool),
+        Text(usize),
+    }
+
+    fn draw() -> impl proptest::Strategy<Value = Draw> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0..NUMS.len()).prop_map(|i| Draw::Num(NUMS[i])),
+            (-2000i64..2000).prop_map(|n| Draw::Num(n as f64)),
+            (-2000.0f64..2000.0).prop_map(Draw::Num),
+            (0..WORDS.len(), any::<bool>()).prop_map(|(i, literal)| Draw::Str(i, literal)),
+            (0..WORDS.len()).prop_map(Draw::Text),
+        ]
+    }
+
+    /// A store holding one `<t>` text node per non-empty word.
+    fn word_store() -> NaiveStore {
+        let body: String = WORDS.iter().map(|w| format!("<t>{w}</t>")).collect();
+        NaiveStore::load(&format!("<a>{body}</a>")).unwrap()
+    }
+
+    /// The items the reference model compares, and the keys the typed
+    /// comparison compares, for one drawn operand.
+    fn operand<'s>(store: &'s NaiveStore, draws: &[Draw]) -> (Vec<Item>, Vec<CmpKey<'s>>) {
+        let texts: Vec<Node> = store
+            .descendants_named_iter(store.root(), "t")
+            .map(|t| store.children_iter(t).next().unwrap_or(t))
+            .collect();
+        let mut items = Vec::new();
+        let mut keys = Vec::new();
+        for d in draws {
+            let item = match *d {
+                Draw::Num(n) => Item::Num(n),
+                Draw::Str(i, true) => {
+                    keys.push(CmpKey::from_text(Cow::Borrowed(WORDS[i])));
+                    items.push(Item::str(WORDS[i]));
+                    continue;
+                }
+                Draw::Str(i, false) => Item::str(WORDS[i]),
+                Draw::Text(i) if WORDS[i].is_empty() => Item::str(""),
+                Draw::Text(i) => Item::Node(texts[i]),
+            };
+            keys.push(CmpKey::of(store, item.clone()));
+            items.push(item);
+        }
+        (items, keys)
+    }
+
+    #[test]
+    fn result_streams_stay_send() {
+        // Environments share frames through `Arc`, so a stream (and the
+        // cursors and environments it owns) can move to another thread.
+        fn send<T: Send>() {}
+        send::<crate::ResultStream<'static>>();
+    }
+
+    #[test]
+    fn word_store_holds_one_text_node_per_word() {
+        let store = word_store();
+        for (i, t) in store.descendants_named_iter(store.root(), "t").enumerate() {
+            let text = store.children_iter(t).next().and_then(|c| store.text(c));
+            assert_eq!(text.as_deref().unwrap_or(""), WORDS[i]);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn typed_comparison_matches_the_string_round_trip(
+            l in proptest::collection::vec(draw(), 0..4usize),
+            r in proptest::collection::vec(draw(), 0..4usize),
+        ) {
+            let store = word_store();
+            let (l_items, l_keys) = operand(&store, &l);
+            let (r_items, r_keys) = operand(&store, &r);
+            for op in OPS {
+                proptest::prop_assert_eq!(
+                    general_compare(op, &l_keys, &r_keys),
+                    string_round_trip_compare(&store, op, &l_items, &r_items),
+                    "{:?} {:?} {:?}",
+                    l,
+                    op,
+                    r
+                );
+            }
+        }
     }
 }

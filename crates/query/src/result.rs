@@ -16,6 +16,7 @@
 //! `String`-returning helpers ([`serialize_sequence`], [`canonicalize`])
 //! are thin wrappers over the same code.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::io;
 use std::sync::Arc;
@@ -80,19 +81,85 @@ pub fn format_number(n: f64) -> String {
     }
 }
 
+/// The number `s` spells, read as an XML Schema `xs:double` lexical
+/// form: an optional sign, digits with an optional fraction (or a bare
+/// fraction), an optional exponent, or exactly `NaN`, `INF` or `-INF`.
+/// `None` for anything else — Rust's `f64::from_str` would also take
+/// `nan`, `inf`, `infinity` and `+inf` in any case, and none of those is
+/// an XQuery number. Callers trim first. Every site that asks "is this
+/// text a number" (general comparison, `number()`, order keys and the
+/// hash join's canonical key) asks here, so they agree.
+pub(crate) fn xs_double(s: &str) -> Option<f64> {
+    match s {
+        "NaN" => return Some(f64::NAN),
+        "INF" => return Some(f64::INFINITY),
+        "-INF" => return Some(f64::NEG_INFINITY),
+        _ => {}
+    }
+    let b = s.as_bytes();
+    let digits = |i: &mut usize| {
+        let start = *i;
+        while b.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i - start
+    };
+    let mut i = usize::from(matches!(b.first(), Some(b'+' | b'-')));
+    let mut mantissa = digits(&mut i);
+    if b.get(i) == Some(&b'.') {
+        i += 1;
+        mantissa += digits(&mut i);
+    }
+    if mantissa == 0 {
+        return None;
+    }
+    if matches!(b.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(b.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if digits(&mut i) == 0 {
+            return None;
+        }
+    }
+    if i != b.len() {
+        return None;
+    }
+    s.parse().ok()
+}
+
 /// The atomized (string) value of an item.
 pub fn atomize(store: &dyn XmlStore, item: &Item) -> String {
     match item {
         Item::Node(n) => store.string_value(*n),
-        Item::Str(s) => s.to_string(),
-        Item::Num(n) => format_number(*n),
-        Item::Bool(b) => b.to_string(),
+        _ => atomized(store, item).into_owned(),
+    }
+}
+
+/// The atomized value of an item, lent where it already exists as text:
+/// a string item's own text, a text node's content on the backends that
+/// lend it, and the spelling of a boolean.
+pub(crate) fn atomized<'s>(store: &'s dyn XmlStore, item: &'s Item) -> Cow<'s, str> {
+    match item {
+        Item::Node(n) => node_string_value(store, *n),
+        Item::Str(s) => Cow::Borrowed(s),
+        Item::Num(n) => Cow::Owned(format_number(*n)),
+        Item::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
         Item::Elem(e) => {
             let mut out = String::new();
             elem_string_value(store, e, &mut out);
-            out
+            Cow::Owned(out)
         }
     }
+}
+
+/// The string value of node `n`: a text node's content as the store
+/// hands it out (lent by every RAM-resident backend), an element's
+/// subtree text otherwise.
+pub(crate) fn node_string_value(store: &dyn XmlStore, n: Node) -> Cow<'_, str> {
+    store
+        .text(n)
+        .unwrap_or_else(|| Cow::Owned(store.string_value(n)))
 }
 
 fn elem_string_value(store: &dyn XmlStore, elem: &CElem, out: &mut String) {
@@ -114,7 +181,7 @@ pub fn number(store: &dyn XmlStore, item: &Item) -> Option<f64> {
     match item {
         Item::Num(n) => Some(*n),
         Item::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-        _ => atomize(store, item).trim().parse::<f64>().ok(),
+        _ => xs_double(atomized(store, item).trim()),
     }
 }
 
@@ -435,6 +502,30 @@ mod tests {
         assert!(write_sequence(&s, &[Item::Num(1.0)], &mut sink).is_err());
         let err = sink.take_error().expect("error parked");
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn xs_double_reads_the_xml_schema_forms_only() {
+        for (text, expected) in [
+            ("42", Some(42.0)),
+            ("-0", Some(0.0)),
+            ("+.5", Some(0.5)),
+            ("5.", Some(5.0)),
+            ("1E3", Some(1000.0)),
+            ("1e+3", Some(1000.0)),
+            ("-2.5e-1", Some(-0.25)),
+            ("INF", Some(f64::INFINITY)),
+            ("-INF", Some(f64::NEG_INFINITY)),
+        ] {
+            assert_eq!(xs_double(text), expected, "{text:?}");
+        }
+        assert!(xs_double("NaN").is_some_and(f64::is_nan));
+        for text in [
+            "", ".", "+", "-", "e3", "1e", "1e+", " 1", "1 ", "0x10", "1_000", "nan", "Nan", "inf",
+            "+INF", "Infinity", "infinity", "-inf", "1.2.3",
+        ] {
+            assert_eq!(xs_double(text), None, "{text:?}");
+        }
     }
 
     #[test]

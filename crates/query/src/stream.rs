@@ -60,7 +60,9 @@ use std::sync::Arc;
 use xmark_store::{ChildValues, ChildrenNamed, DescendantsNamed, Node, XmlStore};
 
 use crate::ast::{Axis, NodeTest};
-use crate::eval::{compare_keys, EResult, Env, EvalError, Evaluator, JoinIndex, OrderKey};
+use crate::eval::{
+    compare_keys, Bound, EResult, Env, EvalError, Evaluator, Frame, InlineOne, JoinIndex, OrderKey,
+};
 use crate::plan::*;
 use crate::result::{write_item, Item, Sequence};
 
@@ -76,9 +78,13 @@ pub(crate) enum Cursor<'a> {
     /// A fully materialized sequence (scalar expressions, and the
     /// re-open of a memoized path).
     Materialized(std::vec::IntoIter<Item>),
-    /// A shared sequence streamed without cloning the vector (variable
-    /// bindings, path-memo hits).
+    /// At most one item: a literal or a constructed element.
+    One(Option<Item>),
+    /// A shared sequence streamed without cloning the vector (path-memo
+    /// hits).
     Shared(Arc<Sequence>, usize),
+    /// A variable's items, streamed off its binding.
+    Bound(Arc<Frame<'a>>, usize),
     /// A lazy first open of a loop-invariant path that records what it
     /// emits: one complete drain publishes the materialization to the
     /// path memos (including the store-resident value index), so every
@@ -99,7 +105,7 @@ pub(crate) enum Cursor<'a> {
         cur: Option<Box<Cursor<'a>>>,
     },
     /// PathScan operator.
-    Path(Box<PathCursor<'a>>),
+    Path(PathCursor<'a>),
     /// FLWOR pipeline: binding strategy → (optional Sort) → Project.
     Flwor(Box<FlworCursor<'a>>),
 }
@@ -116,9 +122,15 @@ impl<'a> Cursor<'a> {
     ) -> Cursor<'a> {
         match expr {
             PlanExpr::Empty => Cursor::Done,
-            PlanExpr::Var(name) => match env.get(name) {
-                Some(seq) => Cursor::Shared(Arc::clone(seq), 0),
-                None => Cursor::Failed(Some(EvalError::UndefinedVariable(name.clone()))),
+            PlanExpr::Num(n) => Cursor::One(Some(Item::Num(*n))),
+            PlanExpr::Str(s) => Cursor::One(Some(Item::str(s))),
+            PlanExpr::Var(name) => match ev.binding(env, name) {
+                Ok(frame) => Cursor::Bound(Arc::clone(frame), 0),
+                Err(e) => Cursor::Failed(Some(e)),
+            },
+            PlanExpr::Element(ctor) => match ev.build_element(ctor, env, ctx) {
+                Ok(elem) => Cursor::One(Some(Item::Elem(Arc::new(elem)))),
+                Err(e) => Cursor::Failed(Some(e)),
             },
             PlanExpr::Sequence(parts) => Cursor::Concat {
                 parts,
@@ -173,8 +185,14 @@ impl<'a> Cursor<'a> {
                 Some(Err(err))
             }
             Cursor::Materialized(iter) => iter.next().map(Ok),
+            Cursor::One(item) => item.take().map(Ok),
             Cursor::Shared(seq, pos) => {
                 let item = seq.get(*pos)?.clone();
+                *pos += 1;
+                Some(Ok(item))
+            }
+            Cursor::Bound(frame, pos) => {
+                let item = frame.items().get(*pos)?.clone();
                 *pos += 1;
                 Some(Ok(item))
             }
@@ -253,9 +271,14 @@ pub(crate) fn flwor_cursor<'a>(
 
 /// Where a streaming path's items originate.
 enum PathSource<'a> {
-    /// Materialized base items (variable, context and expression bases,
-    /// root-child firsts).
+    /// Materialized expression-base items.
     Items(std::vec::IntoIter<Item>),
+    /// Root-based firsts (the root element, or the first step's matches).
+    Nodes(std::vec::IntoIter<Node>),
+    /// The context item.
+    Context(Option<Item>),
+    /// A variable base's items, read off its binding.
+    Bound(Arc<Frame<'a>>, usize),
     /// `//tag` from the document root, streamed off the store's
     /// descendant cursor (the root element itself may match first).
     RootDescendants {
@@ -268,6 +291,13 @@ impl<'a> PathSource<'a> {
     fn next(&mut self, ev: &Evaluator<'a>) -> Option<Item> {
         match self {
             PathSource::Items(iter) => iter.next(),
+            PathSource::Nodes(iter) => iter.next().map(Item::Node),
+            PathSource::Context(item) => item.take(),
+            PathSource::Bound(frame, pos) => {
+                let item = frame.items().get(*pos)?.clone();
+                *pos += 1;
+                Some(item)
+            }
             PathSource::RootDescendants { pending, iter } => {
                 let node = pending.take().or_else(|| iter.next())?;
                 ev.count_pulls(1);
@@ -283,6 +313,11 @@ enum Expansion<'a> {
     Children(ChildrenNamed<'a>),
     /// Unpredicated `descendant::tag`, streamed off the store cursor.
     Descendants(DescendantsNamed<'a>),
+    /// A predicated `child::tag` / `descendant::tag`: this context's
+    /// matches, predicates applied.
+    Nodes(std::vec::IntoIter<Node>),
+    /// An unpredicated attribute step's value, if any.
+    One(Option<Item>),
     /// Everything else: this context's matches, predicates applied,
     /// buffered per context (bounded by one node's matches).
     Queue(std::vec::IntoIter<Item>),
@@ -309,10 +344,11 @@ enum Stage<'a> {
     /// straight off the index), so early termination never drains the
     /// upstream. Only pushed when the upstream cannot nest and the
     /// index resolved at open time; otherwise the two generic steps
-    /// are planned instead.
+    /// are planned instead. `active` is the context being read and the
+    /// position of its next text node.
     ValueTail {
         values: Arc<ChildValues>,
-        active: Option<std::vec::IntoIter<Item>>,
+        active: Option<(Node, usize)>,
     },
 }
 
@@ -364,7 +400,7 @@ impl<'a> BlockingOp<'a> {
 pub(crate) struct PathCursor<'a> {
     env: Env<'a>,
     source: PathSource<'a>,
-    stages: Vec<Stage<'a>>,
+    stages: InlineOne<Stage<'a>>,
 }
 
 impl<'a> PathCursor<'a> {
@@ -384,6 +420,23 @@ impl<'a> PathCursor<'a> {
         // Resolve the base. The root base consumes its first step
         // specially; `//tag` stays lazy unless predicated.
         let (source, start_index, mut nested) = match (&p.base, steps.first()) {
+            // A zero-or-one-item base cannot contain an ancestor/
+            // descendant pair; a longer one may hold any order, duplicates
+            // included.
+            (PlanBase::Context, _) => {
+                let item = ctx.ok_or(EvalError::NoContext)?.clone();
+                (PathSource::Context(Some(item)), 0, false)
+            }
+            (PlanBase::Var(name), _) => {
+                let frame = Arc::clone(ev.binding(env, name)?);
+                let nested = frame.items().len() > 1;
+                (PathSource::Bound(frame, 0), 0, nested)
+            }
+            (PlanBase::Expr(e), _) => {
+                let items = ev.eval(e, env, ctx)?;
+                let nested = items.len() > 1;
+                (PathSource::Items(items.into_iter()), 0, nested)
+            }
             (PlanBase::Root, Some(first))
                 if matches!(
                     (&first.axis, &first.test),
@@ -408,13 +461,10 @@ impl<'a> PathCursor<'a> {
                     true,
                 )
             }
-            _ => {
-                let (items, start_index) = ev.root_base(p, env, ctx)?;
-                // A zero-or-one-item base cannot contain an
-                // ancestor/descendant pair; a longer one may hold any
-                // order, duplicates included.
-                let nested = items.len() > 1;
-                (PathSource::Items(items.into_iter()), start_index, nested)
+            (PlanBase::Root, _) => {
+                let (nodes, start_index) = ev.root_base(p, env)?;
+                let nested = nodes.len() > 1;
+                (PathSource::Nodes(nodes.into_iter()), start_index, nested)
             }
         };
 
@@ -422,54 +472,50 @@ impl<'a> PathCursor<'a> {
         // flowing context set may contain ancestor/descendant pairs (or,
         // straight off a multi-item base, any order) — the one condition
         // under which lazy concatenation is not document order.
-        let mut stages = Vec::with_capacity(steps.len().saturating_sub(start_index));
+        let total = steps.len().saturating_sub(start_index);
+        let mut stages = InlineOne::default();
         let mut i = start_index;
         while i < steps.len() {
             let step = &steps[i];
             if i + 2 == steps.len() && !nested {
                 if let Some(tag) = &p.inlined_tail {
-                    stages.push(Stage::Blocking {
-                        op: BlockingOp::InlinedTail {
-                            tag: tag.as_str(),
-                            first: step,
-                            second: &steps[i + 1],
-                        },
-                        out: None,
-                    });
+                    let op = BlockingOp::InlinedTail {
+                        tag: tag.as_str(),
+                        first: step,
+                        second: &steps[i + 1],
+                    };
+                    stages.push_within(Stage::Blocking { op, out: None }, total);
                     i += 2;
                     continue;
                 }
                 if let Some(tag) = &p.value_tail {
                     if let Some(values) = ev.child_values(tag, materializing) {
-                        stages.push(Stage::ValueTail {
-                            values,
-                            active: None,
-                        });
+                        let active = None;
+                        stages.push_within(Stage::ValueTail { values, active }, total);
                         i += 2;
                         continue;
                     }
                 }
             }
             if let StepAccess::IdProbe(literal) = &step.access {
-                stages.push(Stage::Blocking {
-                    op: BlockingOp::IdProbe {
-                        step,
-                        literal: literal.as_str(),
-                    },
-                    out: None,
-                });
+                let op = BlockingOp::IdProbe {
+                    step,
+                    literal: literal.as_str(),
+                };
+                stages.push_within(Stage::Blocking { op, out: None }, total);
                 nested = false; // the probe yields at most one node
                 i += 1;
                 continue;
             }
-            stages.push(if nested {
+            let stage = if nested {
                 Stage::Blocking {
                     op: BlockingOp::Step(step),
                     out: None,
                 }
             } else {
                 Stage::Lazy { step, active: None }
-            });
+            };
+            stages.push_within(stage, total);
             nested = match (&step.axis, &step.test) {
                 // Text nodes are leaves; attribute steps yield strings.
                 (_, NodeTest::Text) | (Axis::Attribute, _) => false,
@@ -482,15 +528,20 @@ impl<'a> PathCursor<'a> {
             i += 1;
         }
 
-        Ok(Cursor::Path(Box::new(PathCursor {
+        Ok(Cursor::Path(PathCursor {
             env: env.clone(),
             source,
             stages,
-        })))
+        }))
     }
 
     fn next(&mut self, ev: &Evaluator<'a>) -> Option<EResult<Item>> {
-        pull_through(ev, &mut self.source, &mut self.stages, &mut self.env)
+        pull_through(
+            ev,
+            &mut self.source,
+            self.stages.as_mut_slice(),
+            &mut self.env,
+        )
     }
 }
 
@@ -520,6 +571,16 @@ fn pull_through<'a>(
                         if let Some(n) = iter.next() {
                             ev.count_pulls(1);
                             return Some(Ok(Item::Node(n)));
+                        }
+                    }
+                    Expansion::Nodes(iter) => {
+                        if let Some(n) = iter.next() {
+                            return Some(Ok(Item::Node(n)));
+                        }
+                    }
+                    Expansion::One(item) => {
+                        if let Some(item) = item.take() {
+                            return Some(Ok(item));
                         }
                     }
                     Expansion::Queue(iter) => {
@@ -556,22 +617,18 @@ fn pull_through<'a>(
             iter.next().map(Ok)
         }
         Stage::ValueTail { values, active } => loop {
-            if let Some(iter) = active {
-                if let Some(item) = iter.next() {
-                    return Some(Ok(item));
+            if let Some((n, pos)) = active {
+                if let Some(&id) = values.get(*n).get(*pos) {
+                    *pos += 1;
+                    return Some(Ok(Item::Node(Node(id))));
                 }
                 *active = None;
             }
             match pull_through(ev, source, upstream, env)? {
                 Err(e) => return Some(Err(e)),
                 Ok(Item::Node(n)) => {
-                    let items: Vec<Item> = values
-                        .get(n)
-                        .iter()
-                        .map(|&id| Item::Node(Node(id)))
-                        .collect();
-                    ev.count_pulls(items.len() as u64);
-                    *active = Some(items.into_iter());
+                    ev.count_pulls(values.get(n).len() as u64);
+                    *active = Some((n, 0));
                 }
                 Ok(_) => return Some(Err(EvalError::PathOverNonNode)),
             }
@@ -596,29 +653,40 @@ fn drain_upstream<'a>(
 
 /// Expand one context node under a lazy step: big extents stream off the
 /// store's axis cursors; predicated or specialized steps buffer this one
-/// context's matches.
+/// context's matches, and an attribute step holds its 0–1 values.
 fn expand<'a>(
     ev: &Evaluator<'a>,
     n: Node,
     step: &'a PlanStep,
     env: &mut Env<'a>,
 ) -> EResult<Expansion<'a>> {
-    if step.preds.is_empty() {
-        match (&step.axis, &step.test, &step.access) {
-            (Axis::Child, NodeTest::Tag(tag), StepAccess::Generic) => {
-                return Ok(Expansion::Children(ev.store.children_named_iter(n, tag)));
-            }
-            // IndexScan descendants stream off the shared posting slice;
-            // generic ones off the native axis cursor — same enum.
-            (Axis::Descendant, NodeTest::Tag(tag), StepAccess::Generic | StepAccess::IndexScan) => {
-                return Ok(Expansion::Descendants(ev.descendant_iter(
-                    n,
-                    tag,
-                    &step.access,
-                )));
-            }
-            _ => {}
+    match (&step.axis, &step.test, &step.access) {
+        (Axis::Child, NodeTest::Tag(tag), StepAccess::Generic) if step.preds.is_empty() => {
+            return Ok(Expansion::Children(ev.store.children_named_iter(n, tag)));
         }
+        // IndexScan descendants stream off the shared posting slice;
+        // generic ones off the native axis cursor — same enum.
+        (Axis::Descendant, NodeTest::Tag(tag), StepAccess::Generic | StepAccess::IndexScan)
+            if step.preds.is_empty() =>
+        {
+            return Ok(Expansion::Descendants(ev.descendant_iter(
+                n,
+                tag,
+                &step.access,
+            )));
+        }
+        (Axis::Child, NodeTest::Tag(tag), StepAccess::Generic)
+        | (Axis::Descendant, NodeTest::Tag(tag), StepAccess::Generic | StepAccess::IndexScan) => {
+            let nodes = ev.tag_step_nodes(n, step, tag, env)?;
+            ev.count_pulls(nodes.len() as u64);
+            return Ok(Expansion::Nodes(nodes.into_iter()));
+        }
+        (Axis::Attribute, NodeTest::Tag(name), _) if step.preds.is_empty() => {
+            let value = ev.store.attribute(n, name).map(Item::str);
+            ev.count_pulls(value.is_some() as u64);
+            return Ok(Expansion::One(value));
+        }
+        _ => {}
     }
     let mut out = Vec::new();
     ev.expand_step(n, step, env, &mut out)?;
@@ -887,7 +955,7 @@ impl<'a> NestedLoopProducer<'a> {
             match &self.clauses[d] {
                 PlanClause::Let(var, src) => {
                     let seq = ev.eval(src, &mut self.env, self.ctx.as_ref())?;
-                    self.env.push(var, Arc::new(seq));
+                    self.env.push(var, Bound::Seq(seq));
                     self.stack.push(ClauseState::Let);
                     if self.filters_pass(ev, d + 1)? {
                         depth = d + 1;
@@ -935,7 +1003,7 @@ impl<'a> NestedLoopProducer<'a> {
                 Some(Err(e)) => return Err(e),
                 Some(Ok(item)) => {
                     ev.count_pulls(1);
-                    self.env.push(var, Arc::new(vec![item]));
+                    self.env.push(var, Bound::One(item));
                     self.stack.push(ClauseState::For(cursor));
                     if self.filters_pass(ev, d + 1)? {
                         return Ok(Some(d + 1));
@@ -1080,7 +1148,7 @@ impl<'a> HashJoinProducer<'a> {
                 return Ok(false);
             };
             if let Some(item) = state.matched.next() {
-                self.env.push(self.build_var, Arc::new(vec![item]));
+                self.env.push(self.build_var, Bound::One(item));
                 self.build_bound = true;
                 if self.residual_passes(ev)? {
                     return Ok(true);
@@ -1128,7 +1196,7 @@ impl<'a> HashJoinProducer<'a> {
             let probe_item = state.left[li].clone();
             state.matched = items.into_iter();
             ev.count_pulls(1);
-            self.env.push(self.probe_var, Arc::new(vec![probe_item]));
+            self.env.push(self.probe_var, Bound::One(probe_item));
             self.probe_bound = true;
         }
     }
@@ -1207,7 +1275,7 @@ impl<'a> IndexLookupProducer<'a> {
                 return Ok(false);
             };
             ev.count_pulls(1);
-            self.env.push(self.var, Arc::new(vec![item]));
+            self.env.push(self.var, Bound::One(item));
             self.bound = true;
             if self.residual_passes(ev)? {
                 return Ok(true);

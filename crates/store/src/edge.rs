@@ -235,12 +235,12 @@ impl XmlStore for EdgeStore {
         self.nodes.cell(n.index(), 3).as_str().map(Cow::Borrowed)
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         self.owner_idx
             .get(&Value::Int(n.0 as i64))
             .iter()
             .find(|&&rid| self.attrs.cell(rid, 1).as_str() == Some(name))
-            .and_then(|&rid| self.attrs.cell(rid, 2).as_str().map(str::to_string))
+            .and_then(|&rid| self.attrs.cell(rid, 2).as_str().map(Cow::Borrowed))
     }
 
     fn children_iter(&self, n: Node) -> ChildIter<'_> {

@@ -357,13 +357,13 @@ impl XmlStore for FragmentedStore {
             .map(Cow::Borrowed)
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         let tag = self.tag_of(n)?;
         let frag = self.attr.get(&format!("{tag}.{name}"))?;
         frag.owner_idx
             .get(&Value::Int(n.0 as i64))
             .first()
-            .and_then(|&rid| frag.rows.cell(rid, 1).as_str().map(str::to_string))
+            .and_then(|&rid| frag.rows.cell(rid, 1).as_str().map(Cow::Borrowed))
     }
 
     fn attributes_iter(&self, n: Node) -> AttrIter<'_> {

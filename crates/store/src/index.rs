@@ -224,7 +224,7 @@ impl AttrIndex {
             // A by-name probe, not the whole attribute list: every
             // backend allocates only when the node carries an `id`.
             if let Some(value) = store.attribute(n, "id") {
-                map.entry(value).or_insert(n.0);
+                map.entry(value.into_owned()).or_insert(n.0);
             }
         });
         AttrIndex { map }

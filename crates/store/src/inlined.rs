@@ -171,7 +171,7 @@ impl XmlStore for InlinedStore {
         self.base.text(n)
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         self.base.attribute(n, name)
     }
 

@@ -290,12 +290,12 @@ impl XmlStore for IntervalStore {
         (self.tag_code[n.index()] == TEXT_TAG).then(|| Cow::Borrowed(&*self.text[n.index()]))
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         self.attrs
             .get(&n.0)?
             .iter()
             .find(|(k, _)| k == name)
-            .map(|(_, v)| v.clone())
+            .map(|(_, v)| Cow::Borrowed(v.as_str()))
     }
 
     fn attributes_iter(&self, n: Node) -> AttrIter<'_> {

@@ -155,10 +155,10 @@ impl XmlStore for NaiveStore {
         self.doc.text(xmark_xml::NodeId(n.0)).map(Cow::Borrowed)
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         self.doc
             .attribute(xmark_xml::NodeId(n.0), name)
-            .map(str::to_string)
+            .map(Cow::Borrowed)
     }
 
     fn children_iter(&self, n: Node) -> ChildIter<'_> {

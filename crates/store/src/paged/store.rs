@@ -794,10 +794,12 @@ impl XmlStore for PagedStore {
         Some(Cow::Owned(s))
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         let names = &self.catalog.attr_names;
         let code = names.iter().position(|a| a == name)? as u16;
-        PageRun::new(self).find_attr(n.0, |c, value| (c == code).then(|| value.into_owned()))
+        PageRun::new(self)
+            .find_attr(n.0, |c, value| (c == code).then(|| value.into_owned()))
+            .map(Cow::Owned)
     }
 
     fn attributes_iter(&self, n: Node) -> AttrIter<'_> {

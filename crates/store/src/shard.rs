@@ -381,7 +381,7 @@ impl XmlStore for ShardedStore {
         }
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         match self.locate(n) {
             Loc::In(k, l) => self.seg_store(k).attribute(l, name),
             _ => None,
@@ -606,7 +606,7 @@ mod tests {
         let people = u.children_named_iter(u.root(), "people").next().unwrap();
         let ids: Vec<String> = u
             .children_iter(people)
-            .map(|p| u.attribute(p, "id").unwrap())
+            .map(|p| u.attribute(p, "id").unwrap().into_owned())
             .collect();
         assert_eq!(ids, ["person0", "person1", "person2"]);
         // Global ids ascend (document order = id order).

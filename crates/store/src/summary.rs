@@ -324,12 +324,12 @@ impl XmlStore for SummaryStore {
         self.is_text[n.index()].then(|| Cow::Borrowed(&*self.text[n.index()]))
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         self.attrs
             .get(&n.0)?
             .iter()
             .find(|(k, _)| k == name)
-            .map(|(_, v)| v.clone())
+            .map(|(_, v)| Cow::Borrowed(v.as_str()))
     }
 
     fn attributes_iter(&self, n: Node) -> AttrIter<'_> {

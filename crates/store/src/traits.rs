@@ -282,8 +282,11 @@ pub trait XmlStore: Send + Sync {
         self.text(n).is_some()
     }
 
-    /// Attribute value.
-    fn attribute(&self, n: Node, name: &str) -> Option<String>;
+    /// The value of `n`'s attribute `name`. Backends A–G lend it from
+    /// their resident node, attribute or fragment tables, and a snapshot
+    /// or a sharded union lends what its delta or its owning shard lends;
+    /// backend H copies it off the pinned page.
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>>;
 
     // ---- streaming axes --------------------------------------------------
 

@@ -229,18 +229,18 @@ impl XmlStore for SnapshotStore {
         }
     }
 
-    fn attribute(&self, n: Node, name: &str) -> Option<String> {
-        let find = |attrs: &[(String, String)]| {
-            attrs
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
+        let own = self
+            .delta
+            .inserted
+            .get(&n.0)
+            .map(|node| node.attrs.as_slice())
+            .or_else(|| self.delta.attr_over.get(&n.0).map(|list| list.as_slice()));
+        if let Some(attrs) = own {
+            return attrs
                 .iter()
                 .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone())
-        };
-        if let Some(node) = self.delta.inserted.get(&n.0) {
-            return find(&node.attrs);
-        }
-        if let Some(list) = self.delta.attr_over.get(&n.0) {
-            return find(list);
+                .map(|(_, v)| Cow::Borrowed(v.as_str()));
         }
         self.base.attribute(n, name)
     }

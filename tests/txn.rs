@@ -434,7 +434,7 @@ fn id_values(s: &dyn XmlStore) -> Vec<String> {
     let mut values = Vec::new();
     let mut stack = vec![s.root()];
     while let Some(n) = stack.pop() {
-        values.extend(s.attribute(n, "id"));
+        values.extend(s.attribute(n, "id").map(String::from));
         stack.extend(s.children_iter(n));
     }
     values
