@@ -214,7 +214,7 @@ pub struct ThroughputReport {
     /// Plan-cache misses during this run (cold compilations).
     pub plan_cache_misses: u64,
     /// Shared-index structures built during this run (element postings,
-    /// attribute indexes, join build sides). Zero on a warm service: the
+    /// attribute indexes, Lookup indexes). Zero on a warm service: the
     /// whole point of the store-resident [`xmark_store::IndexManager`].
     pub index_builds: u64,
     /// Probes served from already-built shared index structures during

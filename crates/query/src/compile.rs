@@ -153,7 +153,7 @@ pub fn run_query(text: &str, store: &dyn XmlStore) -> Result<Sequence, Box<dyn s
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{PlanExpr, Strategy};
+    use crate::plan::{PlanClause, PlanExpr};
     use xmark_store::{EdgeStore, FragmentedStore};
 
     const DOC: &str = r#"<site><people><person id="person0"><name>Alice</name></person><person id="person1"><name>Bob</name></person></people></site>"#;
@@ -206,22 +206,28 @@ mod tests {
         let PlanExpr::Flwor(f) = &naive.plan.body else {
             panic!("body is a FLWOR");
         };
-        let Strategy::NestedLoop { clauses, filters } = &f.strategy else {
-            panic!("naive mode must not plan joins, got {:?}", f.strategy);
-        };
-        // No pushdown either: the single conjunct sits at the deepest level.
-        assert_eq!(clauses.len(), 2);
-        assert!(filters[..2].iter().all(Vec::is_empty));
-        assert_eq!(filters[2].len(), 1);
+        // No Lookup and no pushdown: the single conjunct sits at the
+        // deepest level, over plain path sources.
+        assert_eq!(f.clauses.len(), 2);
+        assert!(
+            f.clauses
+                .iter()
+                .all(|c| matches!(c, PlanClause::For(_, PlanExpr::Path(_)))),
+            "naive mode must not plan Lookups, got {:?}",
+            f.clauses
+        );
+        assert!(f.filters[..2].iter().all(Vec::is_empty));
+        assert_eq!(f.filters[2].len(), 1);
 
         let optimized = compile(q, &store).unwrap();
         let PlanExpr::Flwor(f) = &optimized.plan.body else {
             panic!("body is a FLWOR");
         };
         assert!(
-            matches!(f.strategy, Strategy::HashJoin { .. }),
-            "optimized mode plans the equi-join as a hash join"
+            matches!(f.clauses[1], PlanClause::For(_, PlanExpr::Lookup(_))),
+            "optimized mode plans the equi-join as a Lookup"
         );
+        assert!(f.filters.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -2,19 +2,18 @@
 //!
 //! The evaluator walks a [`PhysicalPlan`] produced by the compile-time
 //! planner ([`crate::planner`]). It contains **no strategy decisions**:
-//! which FLWOR runs as a hash join, where predicates are filtered, and
-//! which store access path answers a step were all chosen when the query
-//! was compiled and are visible via [`crate::explain`]. What remains here
-//! is mechanism:
+//! which `for` clause probes a Lookup index, where predicates are
+//! filtered, and which store access path answers a step were all chosen
+//! when the query was compiled and are visible via [`crate::explain`].
+//! What remains here is mechanism:
 //!
 //! * operator execution — the pipelining operators (PathScan, NestedLoop,
-//!   HashJoin probe sides, IndexLookup probes, Project) run as pull-based
-//!   cursors defined in [`crate::stream`](mod@crate::stream); this module supplies the
+//!   Project) run as pull-based cursors defined in
+//!   [`crate::stream`](mod@crate::stream); this module supplies the
 //!   shared per-context mechanics they call into (step expansion,
-//!   predicate application, join build sides, order keys),
-//! * per-execution memos (loop-invariant path materialization, join hash
-//!   tables, probe key lists) keyed by the signatures the planner
-//!   computed,
+//!   predicate application, Lookup indexes and probes, order keys),
+//! * per-execution memos (loop-invariant path materialization, Lookup
+//!   indexes) keyed by the signatures the planner computed,
 //! * graceful fallbacks where a plan annotation turns out not to cover a
 //!   node (an un-inlined value, an unsupported positional probe) — the
 //!   generic cursor path always remains correct.
@@ -82,9 +81,9 @@ impl std::error::Error for EvalError {}
 
 pub(crate) type EResult<T> = Result<T, EvalError>;
 
-/// A lookup index for join operators: canonical key → (source position,
-/// item) pairs in source order.
-pub(crate) type JoinIndex = HashMap<String, Vec<(usize, Item)>>;
+/// A Lookup operator's index: canonical key → (source position, item)
+/// pairs in source order.
+type JoinIndex = HashMap<String, Vec<(usize, Item)>>;
 
 /// Variable environment with lexical scoping, borrowing its names from
 /// the plan (`'a`).
@@ -157,7 +156,7 @@ pub(crate) struct Evaluator<'a> {
     pub(crate) store: &'a dyn XmlStore,
     /// The store's persistent index subsystem: shared element postings
     /// (IndexScan), the `@id` attribute index, and the cross-execution
-    /// value indexes the join operators probe.
+    /// value indexes the Lookup operator probes.
     indexes: &'a IndexManager,
     /// Whether this execution consults (and feeds) the shared value
     /// indexes: only optimized plans do. Naive-mode executions stay fully
@@ -171,14 +170,11 @@ pub(crate) struct Evaluator<'a> {
     /// Memo for loop-invariant absolute paths — the materialization every
     /// system in the paper performs before joining.
     path_cache: RefCell<HashMap<String, Arc<Sequence>>>,
-    /// Per-execution (L1) memo for IndexLookup indexes and HashJoin build
-    /// sides, keyed by the planner's signatures. Populated from the
-    /// store-resident value indexes (L2) when those are enabled, so after
-    /// warmup an execution performs zero builds — only probes.
-    index_cache: RefCell<HashMap<String, Arc<JoinIndex>>>,
-    /// Per-execution (L1) memo for hash-join probe-side key lists,
-    /// aligned with the cached source sequence.
-    key_cache: RefCell<HashMap<String, Arc<Vec<Vec<String>>>>>,
+    /// Per-execution (L1) memo for Lookup indexes, keyed by the planner's
+    /// signatures. Populated from the store-resident value indexes (L2)
+    /// when those are enabled, so after warmup an execution performs zero
+    /// builds — only probes.
+    index_cache: RefCell<HashMap<&'a str, Arc<JoinIndex>>>,
     /// The element index, resolved once per execution (see
     /// [`Evaluator::index_postings`]).
     element_index: std::cell::OnceCell<&'a xmark_store::ElementIndex>,
@@ -214,7 +210,6 @@ impl<'a> Evaluator<'a> {
                 .collect(),
             path_cache: RefCell::new(HashMap::new()),
             index_cache: RefCell::new(HashMap::new()),
-            key_cache: RefCell::new(HashMap::new()),
             element_index: std::cell::OnceCell::new(),
             child_values_cache: RefCell::new(HashMap::new()),
             pulls: Cell::new(0),
@@ -302,6 +297,7 @@ impl<'a> Evaluator<'a> {
             PlanExpr::Path(p) => self.eval_path(p, env, ctx),
             PlanExpr::Aggregate(a) => self.eval_aggregate(a, env, ctx),
             PlanExpr::Flwor(f) => self.drain(flwor_cursor(f, env, ctx, false)),
+            PlanExpr::Lookup(l) => self.eval_lookup(l, env, ctx),
             PlanExpr::Some {
                 bindings,
                 satisfies,
@@ -530,83 +526,79 @@ impl<'a> Evaluator<'a> {
 
     // ---- FLWOR support ---------------------------------------------------
 
-    /// Fetch — or build exactly once — the hash table `canonical key →
-    /// (index, item)` over the items of `src`, keyed by `key_expr`
-    /// evaluated with `var` bound to each item. Blocking by nature: the
-    /// build side of a hash join buffers before the first probe.
-    ///
-    /// Lookup order: the per-execution memo (L1, lock-free), then the
-    /// store-resident value index (L2, [`IndexManager`]) when the planner
-    /// produced a loop-invariance signature and the backend persists
-    /// values — so after warmup, repeated executions (and every worker of
-    /// a service pool) probe one shared structure and never rebuild.
-    pub(crate) fn join_build_side(
+    /// The Lookup operator: the source items whose key equals, by general
+    /// `=`, any canonical key of the outer expression — in source order,
+    /// each once. Blocking: the index is built (or fetched) before the
+    /// first probe.
+    fn eval_lookup(
         &self,
-        var: &'a str,
-        src: &'a PlanExpr,
-        key_expr: &'a PlanExpr,
-        sig: Option<&str>,
+        l: &'a LookupPlan,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
-    ) -> EResult<Arc<JoinIndex>> {
-        if let Some(sig) = sig {
-            if let Some(cached) = self.index_cache.borrow().get(sig) {
-                return Ok(Arc::clone(cached));
-            }
-        }
-        let rc = match sig.filter(|_| self.shared_values) {
-            Some(sig) => {
-                let erased = self.indexes.value_or_build(&format!("idx|{sig}"), || {
-                    let map = self.build_join_index(var, src, key_expr, env, ctx)?;
-                    let bytes = join_index_bytes(&map);
-                    Ok::<_, EvalError>((Arc::new(map) as Arc<dyn Any + Send + Sync>, bytes))
-                })?;
-                erased
-                    .downcast::<JoinIndex>()
-                    // lint: allow(R1) slot key "idx|…" is written only by the
-                    // closure above, so the type is fixed by construction
-                    .expect("value slot idx|… holds a JoinIndex")
-            }
-            None => Arc::new(self.build_join_index(var, src, key_expr, env, ctx)?),
-        };
-        if let Some(sig) = sig {
-            self.index_cache
-                .borrow_mut()
-                .insert(sig.to_string(), Arc::clone(&rc));
-        }
-        Ok(rc)
+    ) -> EResult<Sequence> {
+        let index = self.join_build_side(l, env, ctx)?;
+        let mut matched: Vec<&(usize, Item)> = Vec::new();
+        self.eval_each(&l.outer, env, ctx, |key| {
+            // NaN matches nothing.
+            let hits = canonical_key(&atomized(self.store, &key)).and_then(|k| index.get(&k));
+            matched.extend(hits.into_iter().flatten());
+        })?;
+        matched.sort_by_key(|(i, _)| *i);
+        matched.dedup_by_key(|(i, _)| *i);
+        Ok(matched.into_iter().map(|(_, item)| item.clone()).collect())
     }
 
-    /// The IndexLookup operator's index over `source`: canonical key →
-    /// (position, item) pairs in source order. Identical structure and
-    /// identical caching discipline to a hash-join build side, so it *is*
-    /// one — the planner's signature makes it persistent.
-    pub(crate) fn lookup_index(
+    /// Fetch — or build exactly once — the Lookup index `canonical key →
+    /// (position, item)` over `l`'s source, keyed by its key path
+    /// evaluated with the clause variable bound to each item.
+    ///
+    /// Lookup order: the per-execution memo (L1, lock-free), then the
+    /// store-resident value index (L2, [`IndexManager`]) under
+    /// `idx|{sig}` — so after warmup, repeated executions (and every
+    /// worker of a service pool) probe one shared structure and never
+    /// rebuild, and Lookups over the same source and key (Q8's and Q9's)
+    /// share one index.
+    fn join_build_side(
         &self,
-        var: &'a str,
-        source: &'a PlanExpr,
-        inner_key: &'a PlanExpr,
-        sig: &str,
+        l: &'a LookupPlan,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
     ) -> EResult<Arc<JoinIndex>> {
-        self.join_build_side(var, source, inner_key, Some(sig), env, ctx)
+        if let Some(cached) = self.index_cache.borrow().get(l.sig.as_str()) {
+            return Ok(Arc::clone(cached));
+        }
+        let index = if self.shared_values {
+            let erased = self.indexes.value_or_build(&format!("idx|{}", l.sig), || {
+                let map = self.build_join_index(l, env, ctx)?;
+                let bytes = join_index_bytes(&map);
+                Ok::<_, EvalError>((Arc::new(map) as Arc<dyn Any + Send + Sync>, bytes))
+            })?;
+            erased
+                .downcast::<JoinIndex>()
+                // lint: allow(R1) slot key "idx|…" is written only by the
+                // closure above, so the type is fixed by construction
+                .expect("value slot idx|… holds a JoinIndex")
+        } else {
+            Arc::new(self.build_join_index(l, env, ctx)?)
+        };
+        self.index_cache
+            .borrow_mut()
+            .insert(l.sig.as_str(), Arc::clone(&index));
+        Ok(index)
     }
 
     /// The actual build walk behind [`Evaluator::join_build_side`].
     fn build_join_index(
         &self,
-        var: &'a str,
-        src: &'a PlanExpr,
-        key_expr: &'a PlanExpr,
+        l: &'a LookupPlan,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
     ) -> EResult<JoinIndex> {
-        let source = self.eval(src, env, ctx)?;
+        let source = self.eval_path(&l.source, env, ctx)?;
         let mut map: JoinIndex = HashMap::with_capacity(source.len());
         for (i, item) in source.into_iter().enumerate() {
-            env.push(var, Bound::One(item.clone()));
-            let keys = self.eval(key_expr, env, ctx);
+            env.push(&l.var, Bound::One(item.clone()));
+            let keys = self.eval_path(&l.key, env, ctx);
             env.pop();
             for key in keys? {
                 if let Some(canonical) = canonical_key(&atomized(self.store, &key)) {
@@ -615,90 +607,6 @@ impl<'a> Evaluator<'a> {
             }
         }
         Ok(map)
-    }
-
-    /// Per-item canonical key lists for the probe side, memoized like the
-    /// build sides: per-execution first, store-resident when
-    /// loop-invariant (aligned with the deterministic source sequence).
-    pub(crate) fn join_probe_keys(
-        &self,
-        var: &'a str,
-        key_expr: &'a PlanExpr,
-        sig: Option<&str>,
-        left: &[Item],
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<Arc<Vec<Vec<String>>>> {
-        if let Some(sig) = sig {
-            if let Some(cached) = self.key_cache.borrow().get(sig) {
-                if cached.len() == left.len() {
-                    return Ok(Arc::clone(cached));
-                }
-            }
-        }
-        let rc = match sig.filter(|_| self.shared_values) {
-            Some(sig) => {
-                let erased = self.indexes.value_or_build(&format!("keys|{sig}"), || {
-                    let keys = self.build_probe_keys(var, key_expr, left, env, ctx)?;
-                    let bytes: usize = keys
-                        .iter()
-                        .flatten()
-                        .map(|k| k.capacity() + 24)
-                        .sum::<usize>()
-                        + keys.capacity() * 24;
-                    Ok::<_, EvalError>((Arc::new(keys) as Arc<dyn Any + Send + Sync>, bytes))
-                })?;
-                let shared = erased
-                    .downcast::<Vec<Vec<String>>>()
-                    // lint: allow(R1) slot key "keys|…" is written only by the
-                    // closure above, so the type is fixed by construction
-                    .expect("value slot keys|… holds probe key lists");
-                if shared.len() == left.len() {
-                    shared
-                } else {
-                    // Defensive: a probe side whose cardinality diverged
-                    // from the shared structure rebuilds locally.
-                    Arc::new(self.build_probe_keys(var, key_expr, left, env, ctx)?)
-                }
-            }
-            None => Arc::new(self.build_probe_keys(var, key_expr, left, env, ctx)?),
-        };
-        if let Some(sig) = sig {
-            self.key_cache
-                .borrow_mut()
-                .insert(sig.to_string(), Arc::clone(&rc));
-        }
-        Ok(rc)
-    }
-
-    /// The actual key-evaluation walk behind [`Evaluator::join_probe_keys`].
-    fn build_probe_keys(
-        &self,
-        var: &'a str,
-        key_expr: &'a PlanExpr,
-        left: &[Item],
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<Vec<Vec<String>>> {
-        let mut keys = Vec::with_capacity(left.len());
-        for item in left {
-            env.push(var, Bound::One(item.clone()));
-            let evaluated = self.eval(key_expr, env, ctx);
-            env.pop();
-            keys.push(
-                evaluated?
-                    .iter()
-                    .filter_map(|k| canonical_key(&atomized(self.store, k)))
-                    .collect::<Vec<String>>(),
-            );
-        }
-        Ok(keys)
-    }
-
-    /// Canonicalize an atomized value for join lookup (`None` = NaN,
-    /// which matches nothing).
-    pub(crate) fn canonical_join_key(&self, item: &Item) -> Option<String> {
-        canonical_key(&atomized(self.store, item))
     }
 
     /// Evaluate the Sort operator's key for the current tuple.
@@ -1555,7 +1463,7 @@ fn join_index_bytes(map: &JoinIndex) -> usize {
         .sum()
 }
 
-/// Canonical hash-join key, aligned with the general comparison the
+/// Canonical Lookup key, aligned with the general comparison the
 /// nested-loop specification evaluates: numeric values normalize ("40"
 /// and "40.0" join, "-0" joins "0"), non-numeric values compare
 /// *trimmed* exactly like the string fallback. `None` for NaN — NaN
@@ -1828,8 +1736,8 @@ mod tests {
             if mode == PlanMode::Optimized {
                 let plan = crate::explain::explain_plan(&compiled.plan);
                 assert!(
-                    plan.contains("HashJoin") || plan.contains("IndexLookup"),
-                    "the value join must run as a join operator:\n{plan}"
+                    plan.contains("Lookup"),
+                    "the value join must run as a Lookup:\n{plan}"
                 );
             }
             let result = execute(&compiled, &store).unwrap();

@@ -15,6 +15,8 @@
 //! positions), so every access-path choice is visible:
 //!
 //! * `~N` — the planner's cardinality estimate (omitted when unknown),
+//! * `Lookup key = outer` — a `for` source answered by probing the value
+//!   index over its source (rendered beneath) with `outer`'s keys,
 //! * `[memo]` — loop-invariant path, materialized once per execution,
 //! * `->id("x")` — ID-index probe for that step,
 //! * `->idx` — IndexScan: the step streams off the shared element-name
@@ -64,7 +66,7 @@ fn line(indent: usize, text: String, out: &mut String) {
 /// with their operator children beneath.
 fn render_operator_or_eval(expr: &PlanExpr, indent: usize, out: &mut String) {
     match expr {
-        PlanExpr::Flwor(_) | PlanExpr::Path(_) | PlanExpr::Aggregate(_) => {
+        PlanExpr::Flwor(_) | PlanExpr::Path(_) | PlanExpr::Aggregate(_) | PlanExpr::Lookup(_) => {
             render_operator(expr, indent, out)
         }
         other => {
@@ -92,6 +94,10 @@ fn render_operator(expr: &PlanExpr, indent: usize, out: &mut String) {
             line(indent, text, out);
             line(indent + 1, path_line(&a.input), out);
         }
+        PlanExpr::Lookup(l) => {
+            line(indent, lookup_line(l), out);
+            line(indent + 1, path_line(&l.source), out);
+        }
         other => render_operator_or_eval(other, indent, out),
     }
 }
@@ -116,105 +122,17 @@ fn render_flwor(f: &FlworPlan, indent: usize, out: &mut String) {
         );
         indent += 1;
     }
-    match &f.strategy {
-        Strategy::NestedLoop { clauses, filters } => {
-            line(indent, "NestedLoop".to_string(), out);
-            let indent = indent + 1;
-            // Execution order: filters scheduled at depth d run after d
-            // clauses are bound, before clause d itself binds.
-            for (depth, scheduled) in filters.iter().enumerate() {
-                for filter in scheduled {
-                    line(indent, format!("Filter@{depth} {}", inline(filter)), out);
-                }
-                if depth < clauses.len() {
-                    render_clause(&clauses[depth], indent, out);
-                }
-            }
+    line(indent, "NestedLoop".to_string(), out);
+    let indent = indent + 1;
+    // Execution order: filters scheduled at depth d run after d clauses
+    // are bound, before clause d itself binds.
+    for (depth, scheduled) in f.filters.iter().enumerate() {
+        for filter in scheduled {
+            line(indent, format!("Filter@{depth} {}", inline(filter)), out);
         }
-        Strategy::HashJoin {
-            probe_var,
-            probe_src,
-            probe_key,
-            build_var,
-            build_src,
-            build_key,
-            build_sig,
-            hoisted,
-            residual,
-            est_probe,
-            est_build,
-            ..
-        } => {
-            line(
-                indent,
-                format!(
-                    "HashJoin {} = {}{}",
-                    inline(probe_key),
-                    inline(build_key),
-                    cost_suffix(*est_probe, *est_build)
-                ),
-                out,
-            );
-            let indent = indent + 1;
-            render_source(&format!("probe ${probe_var}"), probe_src, indent, out);
-            render_source(
-                &format!(
-                    "build ${build_var}{}",
-                    if build_sig.is_some() { " [memo]" } else { "" }
-                ),
-                build_src,
-                indent,
-                out,
-            );
-            for h in hoisted {
-                line(
-                    indent,
-                    format!(
-                        "Filter@probe {} = {}{}",
-                        inline(&h.probe_key),
-                        inline(&h.outer),
-                        if h.sig.is_some() { " [memo]" } else { "" }
-                    ),
-                    out,
-                );
-            }
-            for r in residual {
-                line(indent, format!("Filter {}", inline(r)), out);
-            }
+        if let Some(clause) = f.clauses.get(depth) {
+            render_clause(clause, indent, out);
         }
-        Strategy::IndexLookup {
-            var,
-            source,
-            inner_key,
-            outer_key,
-            residual,
-            est_build,
-            ..
-        } => {
-            line(
-                indent,
-                format!(
-                    "IndexLookup {} = {}{}",
-                    inline(inner_key),
-                    inline(outer_key),
-                    cost_suffix(*est_build, 0)
-                ),
-                out,
-            );
-            let indent = indent + 1;
-            render_source(&format!("index ${var} [memo]"), source, indent, out);
-            for r in residual {
-                line(indent, format!("Filter {}", inline(r)), out);
-            }
-        }
-    }
-}
-
-fn cost_suffix(a: u64, b: u64) -> String {
-    match (a, b) {
-        (0, 0) => String::new(),
-        (a, 0) => format!(" ~{a}"),
-        (a, b) => format!(" ~{a}x{b}"),
     }
 }
 
@@ -226,11 +144,15 @@ fn render_clause(clause: &PlanClause, indent: usize, out: &mut String) {
     render_source(&format!("{word} ${var}"), src, indent, out);
 }
 
-/// A binding source: PathScans inline on the binding's own line, other
-/// operators as an indented subtree, scalars inline.
+/// A binding source: PathScans and Lookups inline on the binding's own
+/// line, other operators as an indented subtree, scalars inline.
 fn render_source(label: &str, src: &PlanExpr, indent: usize, out: &mut String) {
     match src {
         PlanExpr::Path(p) => line(indent, format!("{label} in {}", path_line(p)), out),
+        PlanExpr::Lookup(l) => {
+            line(indent, format!("{label} in {}", lookup_line(l)), out);
+            line(indent + 1, path_line(&l.source), out);
+        }
         PlanExpr::Flwor(_) | PlanExpr::Aggregate(_) => {
             line(indent, format!("{label} in"), out);
             render_operator(src, indent + 1, out);
@@ -247,7 +169,9 @@ fn render_source(label: &str, src: &PlanExpr, indent: usize, out: &mut String) {
 /// inline: scans are only operators in source positions.
 fn render_children(expr: &PlanExpr, indent: usize, out: &mut String) {
     match expr {
-        PlanExpr::Flwor(_) | PlanExpr::Aggregate(_) => render_operator(expr, indent, out),
+        PlanExpr::Flwor(_) | PlanExpr::Aggregate(_) | PlanExpr::Lookup(_) => {
+            render_operator(expr, indent, out)
+        }
         PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {
             for p in parts {
                 render_children(p, indent, out);
@@ -299,7 +223,17 @@ fn render_ctor_children(ctor: &PlanElement, indent: usize, out: &mut String) {
     }
 }
 
-// ---- the PathScan line ---------------------------------------------------
+// ---- the PathScan and Lookup lines ----------------------------------------
+
+/// `Lookup key = outer ~N`: the probed index's key path, the probing
+/// expression, and the source estimate; the source renders beneath.
+fn lookup_line(l: &LookupPlan) -> String {
+    let mut text = format!("Lookup {} = {}", path_inline(&l.key), inline(&l.outer));
+    if l.est_rows > 0 {
+        text.push_str(&format!(" ~{}", l.est_rows));
+    }
+    text
+}
 
 fn path_line(p: &PathPlan) -> String {
     let mut text = format!("PathScan {}", path_inline(p));
@@ -429,6 +363,12 @@ fn inline_untruncated(expr: &PlanExpr) -> String {
         PlanExpr::Path(p) => path_inline(p),
         PlanExpr::Aggregate(a) => format!("count({}//{})", path_inline(&a.input), a.tag),
         PlanExpr::Flwor(f) => format!("flwor(… return {})", inline_untruncated(&f.ret)),
+        PlanExpr::Lookup(l) => format!(
+            "lookup({}, {} = {})",
+            path_inline(&l.source),
+            path_inline(&l.key),
+            inline_untruncated(&l.outer)
+        ),
     }
 }
 

@@ -16,12 +16,12 @@
 //!      │  plan + optimize  (planner.rs — rule/cost-based, consumes the
 //!      ▼                    store's catalog estimates + capabilities)
 //!   plan::PhysicalPlan     (plan.rs — PathScan, IdProbe, Aggregate,
-//!      │                    NestedLoop, HashJoin, IndexLookup, Sort,
-//!      │  open cursors      Project; explain.rs renders it)
+//!      │                    NestedLoop, Lookup, Sort, Project;
+//!      │  open cursors      explain.rs renders it)
 //!      ▼
 //!   stream::ResultStream   (stream.rs — Volcano-style next() per
 //!      │        │           operator; eval.rs supplies the shared
-//!      │        │           step/join/memo mechanics)
+//!      │        │           step/lookup/memo mechanics)
 //!      │        └─ write_to(sink)   one item serialized at a time into
 //!      │                            any fmt::Write (IoSink adapts
 //!      │  collect                   io::Write)
@@ -38,10 +38,9 @@
 //! as the answer is known; its
 //! [`write_to`](stream::ResultStream::write_to) serializes straight
 //! into a sink without ever holding the result. Pipelining operators
-//! (path steps, FLWOR clause iteration, join probes, the `return`
-//! projection) never buffer; blocking operators (Sort, Aggregate, hash
-//! build sides, lookup indexes) buffer internally but still expose a
-//! cursor. Boolean contexts short-circuit the same way: an existential
+//! (path steps, FLWOR clause iteration, the `return` projection) never
+//! buffer; blocking operators (Sort, Aggregate, Lookup) buffer internally
+//! but still expose a cursor. Boolean contexts short-circuit the same way: an existential
 //! predicate like `[bidder]` pulls one child, not the whole axis.
 //!
 //! **One pull protocol.** The full drains
@@ -55,14 +54,15 @@
 //! * [`parse`] — parser producing the [`ast`] (FLWOR, paths, constructors,
 //!   quantifiers, the `<<` node-order operator, user-defined functions),
 //! * [`planner`] — lowers the AST into a [`plan::PhysicalPlan`], making
-//!   **every** rewrite decision at compile time: equi-joins become
-//!   HashJoin operators (with probe-side residual equalities hoisted
-//!   into precomputed key filters), correlated lookups become
-//!   IndexLookup joins, where-conjuncts are scheduled by predicate
-//!   pushdown, and steps are annotated with the access paths the
-//!   backend's [`xmark_store::PlannerCaps`] affords (ID probes,
-//!   positional indexes, inlined columns, summary counts, and the
-//!   shared element index's IndexScan — costed on exact posting
+//!   **every** rewrite decision at compile time: a `for` clause whose
+//!   where-conjunct equates a path over its variable with an expression
+//!   bound before it becomes a Lookup (every equi-join, correlated or
+//!   not, is a nested loop over index probes), the remaining
+//!   where-conjuncts are scheduled by predicate pushdown, and steps are
+//!   annotated with the access paths the backend's
+//!   [`xmark_store::PlannerCaps`] affords (ID probes, positional
+//!   indexes, inlined columns, summary counts, and the shared element
+//!   index's IndexScan — costed on exact posting
 //!   cardinalities, falling back to streamed scans when postings are
 //!   dense). Cardinalities come from
 //!   [`xmark_store::XmlStore::estimate_step`], which also reports the
@@ -71,10 +71,10 @@
 //!   golden tests so planner regressions are visible in review),
 //! * [`stream`](mod@stream) — the pull-based operator cursors and the public
 //!   [`ResultStream`]; [`eval`] supplies the shared execution mechanics
-//!   (step expansion, join build sides, two-level memos) and contains
-//!   no pattern-matching — it re-discovers nothing per execution. Join
-//!   build sides, lookup indexes, probe-key lists and loop-invariant
-//!   path materializations live in the store's persistent
+//!   (step expansion, Lookup indexes and probes, two-level memos) and
+//!   contains no pattern-matching — it re-discovers nothing per
+//!   execution. Lookup indexes and loop-invariant path
+//!   materializations live in the store's persistent
 //!   [`xmark_store::IndexManager`] (L2) behind a per-execution memo
 //!   (L1): after warmup an execution probes shared structures and
 //!   builds nothing,

@@ -11,15 +11,17 @@
 //!
 //! * [`PathPlan`] — a **PathScan**: a base plus navigation steps, each
 //!   annotated with its chosen [`StepAccess`] (generic streaming cursor,
-//!   **IndexLookup** via the ID index, positional index probe) and an
+//!   **IdProbe** via the ID index, positional index probe) and an
 //!   inlined-tail shortcut (System C's entity columns).
 //! * [`AggregatePlan`] — an **Aggregate**: `count(path//tag)` answered by
 //!   [`xmark_store::XmlStore::count_descendants_named`] without
 //!   materializing the counted extent (System D's structural summary).
-//! * [`FlworPlan`] — a binding [`Strategy`] (**NestedLoop** with a
-//!   predicate-pushdown **Filter** schedule, **HashJoin**, or the
-//!   decorrelated **IndexLookup** join), followed by an optional **Sort**
-//!   and a **Project** (the `return` expression).
+//! * [`FlworPlan`] — clause-by-clause iteration (**NestedLoop**) with a
+//!   predicate-pushdown **Filter** schedule, followed by an optional
+//!   **Sort** and a **Project** (the `return` expression).
+//! * [`LookupPlan`] — a **Lookup**: a `for` source whose equality
+//!   conjunct became a value-index probe. Every join (Q8–Q10's reference
+//!   chasing) is a nested loop over Lookups.
 //!
 //! Scalar expressions (comparisons, arithmetic, constructors, calls)
 //! mirror the AST one-to-one; only the decision-bearing nodes differ.
@@ -73,7 +75,8 @@ pub struct PlanFunction {
 }
 
 /// A planned expression. Scalar variants mirror [`crate::ast::Expr`];
-/// `Path`, `Aggregate` and `Flwor` are the operator-bearing nodes.
+/// `Path`, `Aggregate`, `Flwor` and `Lookup` are the operator-bearing
+/// nodes.
 #[derive(Debug, Clone)]
 pub enum PlanExpr {
     /// String literal.
@@ -113,8 +116,10 @@ pub enum PlanExpr {
     Path(Box<PathPlan>),
     /// Aggregate operator (`count` over a descendant extent).
     Aggregate(Box<AggregatePlan>),
-    /// FLWOR pipeline: binding strategy → sort → project.
+    /// FLWOR pipeline: nested loop → sort → project.
     Flwor(Box<FlworPlan>),
+    /// Lookup operator (a `for` source probing a value index).
+    Lookup(Box<LookupPlan>),
 }
 
 /// Where a PathScan starts.
@@ -224,11 +229,16 @@ pub struct AggregatePlan {
     pub est_rows: u64,
 }
 
-/// The FLWOR pipeline: bind → filter → sort → project.
+/// The FLWOR pipeline: clause-by-clause iteration (**NestedLoop**) with a
+/// predicate-pushdown **Filter** schedule → optional **Sort** → **Project**.
 #[derive(Debug, Clone)]
 pub struct FlworPlan {
-    /// How tuples are produced.
-    pub strategy: Strategy,
+    /// The clauses, in source order.
+    pub clauses: Vec<PlanClause>,
+    /// `clauses.len() + 1` filter buckets: `filters[d]` holds the
+    /// where-conjuncts evaluated once `d` clauses are bound (everything
+    /// sits at the deepest level in naive plans).
+    pub filters: Vec<Vec<PlanExpr>>,
     /// Optional Sort operator: key and `true` for ascending.
     pub order_by: Option<(PlanExpr, bool)>,
     /// The Project operator: the `return` expression.
@@ -244,88 +254,29 @@ pub enum PlanClause {
     Let(String, PlanExpr),
 }
 
-/// The binding strategy chosen for a FLWOR expression.
+/// The Lookup operator: `for $var in source where key($var) = outer`
+/// answered by probing a value index instead of filtering the source —
+/// §7's "chasing the references basically amounted to executing
+/// equi-joins on strings". It yields the source items whose key equals,
+/// by general `=`, any canonical key of `outer`, in source order and
+/// without duplicates. The index over (`source`, `key`) is built once
+/// and shared through the store's value indexes under `sig`; `outer` is
+/// evaluated in the clause's scope, once per open.
 #[derive(Debug, Clone)]
-pub enum Strategy {
-    /// Clause-by-clause iteration with a Filter schedule: `filters[d]`
-    /// holds the where-conjuncts evaluated once `d` clauses are bound
-    /// (predicate pushdown; in naive plans everything sits at the deepest
-    /// level).
-    NestedLoop {
-        /// The clauses, in source order.
-        clauses: Vec<PlanClause>,
-        /// `clauses.len() + 1` filter buckets.
-        filters: Vec<Vec<PlanExpr>>,
-    },
-    /// Equi-join executed as a hash join (§7: "chasing the references
-    /// basically amounted to executing equi-joins on strings"). The probe
-    /// side is the first `for` clause so output order matches the nested
-    /// loop.
-    HashJoin {
-        /// Probe-side (outer) variable.
-        probe_var: String,
-        /// Probe-side source.
-        probe_src: PlanExpr,
-        /// Probe-side key expression (over `probe_var`).
-        probe_key: PlanExpr,
-        /// Cache signature for the probe key lists when loop-invariant.
-        probe_sig: Option<String>,
-        /// Build-side (inner) variable.
-        build_var: String,
-        /// Build-side source.
-        build_src: PlanExpr,
-        /// Build-side key expression (over `build_var`).
-        build_key: PlanExpr,
-        /// Cache signature for the hash table when loop-invariant.
-        build_sig: Option<String>,
-        /// Probe-side residual equalities (`path($probe) = outer-expr`)
-        /// hoisted out of the per-pair filter: the probe-var key lists
-        /// are computed once per execution — and persisted in the store's
-        /// value indexes when loop-invariant — instead of re-evaluating
-        /// the path for every (pair × outer binding). Q9's correlated
-        /// `$t/buyer/@person = $p/@id` is the motivating case.
-        hoisted: Vec<HoistedEq>,
-        /// Remaining where-conjuncts, evaluated per joined tuple.
-        residual: Vec<PlanExpr>,
-        /// Estimated probe/build cardinalities (0 = unknown).
-        est_probe: u64,
-        /// Estimated build-side cardinality (0 = unknown).
-        est_build: u64,
-    },
-    /// Decorrelated lookup join (Q8's correlated inner query): a lookup
-    /// index over `source` keyed by `inner_key`, probed with `outer_key`
-    /// from the enclosing scope — the index-nested-loop plan a relational
-    /// optimizer produces for reference chasing.
-    IndexLookup {
-        /// The bound variable.
-        var: String,
-        /// The indexed source (a loop-invariant PathScan).
-        source: PlanExpr,
-        /// Key expression over `var`.
-        inner_key: PlanExpr,
-        /// The probing expression from the enclosing scope.
-        outer_key: PlanExpr,
-        /// Cache signature of the lookup index.
-        sig: String,
-        /// Remaining where-conjuncts.
-        residual: Vec<PlanExpr>,
-        /// Estimated indexed-source cardinality (0 = unknown).
-        est_build: u64,
-    },
-}
-
-/// One hoisted probe-side residual equality of a hash join (see
-/// [`Strategy::HashJoin`]).
-#[derive(Debug, Clone)]
-pub struct HoistedEq {
-    /// Canonical-key path over the probe variable.
-    pub probe_key: PlanExpr,
-    /// The enclosing-scope side — free of both join variables, so it is
-    /// evaluated once per producer open, not per pair.
+pub struct LookupPlan {
+    /// The variable `key` is rooted at (the clause's own variable).
+    pub var: String,
+    /// The loop-invariant source: an absolute predicate-free PathScan.
+    pub source: PathPlan,
+    /// The key path, a predicate-free path over `var`.
+    pub key: PathPlan,
+    /// The probing expression; free of `var` and of later clauses.
     pub outer: PlanExpr,
-    /// Persistence signature when the probe source is loop-invariant
-    /// (same keying as the join's probe-key lists).
-    pub sig: Option<String>,
+    /// Index signature `"{source}|{key}"` over the canonical path
+    /// signatures — equal sources and keys share one index.
+    pub sig: String,
+    /// Estimated source cardinality (0 = unknown).
+    pub est_rows: u64,
 }
 
 /// A planned element constructor.
@@ -360,7 +311,7 @@ pub enum PlanContent {
 }
 
 /// Canonical signature of a step sequence — the key for path memos and
-/// join caches, and the compact rendering EXPLAIN uses.
+/// Lookup indexes, and the compact rendering EXPLAIN uses.
 pub fn path_signature(steps: &[PlanStep]) -> String {
     let mut sig = String::new();
     for s in steps {

@@ -7,13 +7,15 @@
 //! plan choices directly. The decisions, formerly pattern-matched inside
 //! the evaluator on **every execution**:
 //!
-//! * **IndexLookup join** — a single-`for` FLWOR whose `where` equates a
-//!   path over the bound variable with an outer expression (Q8's
-//!   correlated inner query) builds a lookup index over the source once
-//!   and probes it, unless the source is estimated to be a singleton.
-//! * **HashJoin** — a two-`for` FLWOR with an equi-join conjunct (Q9/Q10)
-//!   hashes the build side, unless the estimates say a nested loop is
-//!   cheaper (`n₁·n₂ ≤ n₁+n₂`).
+//! * **Lookup** — one rule per `for` clause turns every equi-join into a
+//!   nested loop over index probes. For `for $v in S` with `S` absolute,
+//!   predicate-free and not estimated to be a singleton, the first
+//!   where-conjunct `k($v) = e` (`k` a predicate-free path over `$v`,
+//!   `e` free of `$v` and of every later clause's variable) is dropped
+//!   and the source becomes `Lookup(S, k, e)`: the value index over
+//!   `(S, k)` is built once and probed with `e`'s keys. Q8 and Q10 probe
+//!   with the outer scope's `$p/@id` / `$i`; Q9 becomes two Lookups, the
+//!   second probing with the first one's binding.
 //! * **Predicate pushdown** — each `where` conjunct is scheduled at the
 //!   shallowest clause depth where its variables are bound (the
 //!   optimization that makes the paper's Q12 cheaper than Q11).
@@ -343,7 +345,7 @@ impl Planner<'_> {
         StepAccess::Generic
     }
 
-    // ---- FLWOR strategies -------------------------------------------------
+    // ---- FLWOR: nested loops over Lookups --------------------------------
 
     fn plan_flwor(&mut self, f: &Flwor) -> FlworPlan {
         let conjuncts_ast: Vec<&Expr> = match &f.where_clause {
@@ -352,7 +354,7 @@ impl Planner<'_> {
             Some(other) => vec![other],
         };
         // Plan every piece exactly once — the statistics pass counts each
-        // catalog touch once regardless of which strategy wins.
+        // catalog touch once regardless of which rewrites apply.
         let sources: Vec<PlanExpr> = f
             .clauses
             .iter()
@@ -360,90 +362,44 @@ impl Planner<'_> {
                 Clause::For(_, e) | Clause::Let(_, e) => self.plan_expr(e),
             })
             .collect();
-        let conjuncts: Vec<PlanExpr> = conjuncts_ast.iter().map(|c| self.plan_expr(c)).collect();
+        let mut conjuncts: Vec<Option<PlanExpr>> = conjuncts_ast
+            .iter()
+            .map(|c| Some(self.plan_expr(c)))
+            .collect();
         let order_by = f
             .order_by
             .as_ref()
             .map(|(k, asc)| (self.plan_expr(k), *asc));
         let ret = self.plan_expr(&f.ret);
-        let strategy = self.choose_strategy(f, &conjuncts_ast, sources, conjuncts);
-        FlworPlan {
-            strategy,
-            order_by,
-            ret,
-        }
-    }
-
-    fn choose_strategy(
-        &self,
-        f: &Flwor,
-        conjuncts_ast: &[&Expr],
-        sources: Vec<PlanExpr>,
-        conjuncts: Vec<PlanExpr>,
-    ) -> Strategy {
-        if self.optimized() {
-            if let Some((join_idx, inner_is_lhs)) = detect_index_lookup(f, conjuncts_ast) {
-                let est_build = expr_estimate(&sources[0]);
-                // Cost gate: a singleton source makes the index useless.
-                if est_build != 1 {
-                    return build_index_lookup(
-                        f,
-                        sources,
-                        conjuncts,
-                        join_idx,
-                        inner_is_lhs,
-                        est_build,
-                    );
-                }
-            }
-            if let Some((join_idx, v1_is_lhs)) = detect_hash_join(f, conjuncts_ast) {
-                let est_probe = expr_estimate(&sources[0]);
-                let est_build = expr_estimate(&sources[1]);
-                // Cost gate: hash when n₁·n₂ reaches n₁+n₂ or the sizes
-                // are unknown (System F/G plan optimistically, as the old
-                // runtime rewrites did unconditionally). Only degenerate
-                // singleton sides fall back to the nested loop.
-                let hash_wins = est_probe == 0
-                    || est_build == 0
-                    || est_probe * est_build >= est_probe + est_build;
-                if hash_wins {
-                    return build_hash_join(
-                        f,
-                        conjuncts_ast,
-                        sources,
-                        conjuncts,
-                        join_idx,
-                        v1_is_lhs,
-                        est_probe,
-                        est_build,
-                    );
-                }
-            }
-        }
-        self.nested_loop(f, conjuncts_ast, sources, conjuncts)
-    }
-
-    /// The fallback strategy: clause-by-clause iteration with the
-    /// predicate-pushdown schedule (everything at the deepest level in
-    /// naive mode).
-    fn nested_loop(
-        &self,
-        f: &Flwor,
-        conjuncts_ast: &[&Expr],
-        sources: Vec<PlanExpr>,
-        conjuncts: Vec<PlanExpr>,
-    ) -> Strategy {
-        let clauses: Vec<PlanClause> = f
-            .clauses
-            .iter()
-            .zip(sources)
-            .map(|(c, src)| match c {
-                Clause::For(v, _) => PlanClause::For(v.clone(), src),
+        let mut clauses = Vec::with_capacity(f.clauses.len());
+        for (i, (clause, src)) in f.clauses.iter().zip(sources).enumerate() {
+            clauses.push(match clause {
                 Clause::Let(v, _) => PlanClause::Let(v.clone(), src),
-            })
-            .collect();
+                Clause::For(v, _) => {
+                    let found = if self.optimized() {
+                        lookup_conjunct(f, i, &conjuncts_ast)
+                    } else {
+                        None
+                    };
+                    let src = match (found, src) {
+                        // Cost gate: a singleton source makes the index useless.
+                        (Some((c, key_is_lhs)), PlanExpr::Path(source)) if source.est_rows != 1 => {
+                            let conjunct = conjuncts[c].take().expect("one conjunct per Lookup");
+                            lookup(v, *source, conjunct, key_is_lhs)
+                        }
+                        (_, src) => src,
+                    };
+                    PlanClause::For(v.clone(), src)
+                }
+            });
+        }
+        // Predicate pushdown over what did not become a Lookup
+        // (everything at the deepest level in naive mode).
         let mut filters: Vec<Vec<PlanExpr>> = vec![Vec::new(); clauses.len() + 1];
         for (ast, planned) in conjuncts_ast.iter().zip(conjuncts) {
+            let Some(planned) = planned else {
+                continue;
+            };
             let depth = if self.optimized() {
                 schedule_depth(f, ast)
             } else {
@@ -451,7 +407,12 @@ impl Planner<'_> {
             };
             filters[depth].push(planned);
         }
-        Strategy::NestedLoop { clauses, filters }
+        FlworPlan {
+            clauses,
+            filters,
+            order_by,
+            ret,
+        }
     }
 }
 
@@ -470,61 +431,49 @@ fn schedule_depth(f: &Flwor, conjunct: &Expr) -> usize {
     depth
 }
 
-// ---- join detection (syntactic, over the AST) ----------------------------
+// ---- the Lookup rule -------------------------------------------------------
 
-/// Decorrelated-lookup shape: `for $v in <absolute pred-free path> where
-/// path($v) = <outer expr> [and rest] …`. Returns the join conjunct's index
-/// and whether the inner key is the left side.
-fn detect_index_lookup(f: &Flwor, conjuncts: &[&Expr]) -> Option<(usize, bool)> {
-    let [Clause::For(v, src)] = f.clauses.as_slice() else {
-        return None;
-    };
-    let Expr::Path {
-        base: PathBase::Root,
-        steps: src_steps,
-    } = src
+/// The Lookup shape for clause `i`: `for $v in <absolute predicate-free
+/// path>` and a where-conjunct `path($v) = e` (or mirrored) whose `e`
+/// uses neither `$v` nor any later clause's variable. Returns the first
+/// such conjunct's index and whether the key is its left side.
+fn lookup_conjunct(f: &Flwor, i: usize, conjuncts: &[&Expr]) -> Option<(usize, bool)> {
+    let Clause::For(
+        v,
+        Expr::Path {
+            base: PathBase::Root,
+            steps,
+        },
+    ) = &f.clauses[i]
     else {
         return None;
     };
-    if src_steps.iter().any(|s| !s.preds.is_empty()) {
+    if steps.iter().any(|s| !s.preds.is_empty()) {
         return None;
     }
-    for (i, conjunct) in conjuncts.iter().enumerate() {
+    let later: Vec<&str> = f.clauses[i + 1..]
+        .iter()
+        .map(|c| match c {
+            Clause::For(var, _) | Clause::Let(var, _) => var.as_str(),
+        })
+        .collect();
+    // A later clause rebinding `$v` owns the conjuncts' `$v`.
+    if later.contains(&v.as_str()) {
+        return None;
+    }
+    let free = |e: &Expr| !expr_uses_var(e, v) && later.iter().all(|l| !expr_uses_var(e, l));
+    conjuncts.iter().enumerate().find_map(|(c, conjunct)| {
         let Expr::Cmp(CmpOp::Eq, a, b) = conjunct else {
-            continue;
+            return None;
         };
-        if is_var_key(a, v) && !expr_uses_var(b, v) {
-            return Some((i, true));
+        if is_var_key(a, v) && free(b) {
+            Some((c, true))
+        } else if is_var_key(b, v) && free(a) {
+            Some((c, false))
+        } else {
+            None
         }
-        if is_var_key(b, v) && !expr_uses_var(a, v) {
-            return Some((i, false));
-        }
-    }
-    None
-}
-
-/// Equi-join shape: `for $a in s1, $b in s2 where path($a) = path($b)
-/// [and rest] …` with `s2` independent of `$a`. Returns the join conjunct's
-/// index and whether the `$a`-side key is the left side.
-fn detect_hash_join(f: &Flwor, conjuncts: &[&Expr]) -> Option<(usize, bool)> {
-    let [Clause::For(v1, _), Clause::For(v2, s2)] = f.clauses.as_slice() else {
-        return None;
-    };
-    if expr_uses_var(s2, v1) {
-        return None;
-    }
-    for (i, conjunct) in conjuncts.iter().enumerate() {
-        let Expr::Cmp(CmpOp::Eq, a, b) = conjunct else {
-            continue;
-        };
-        if is_var_key(a, v1) && is_var_key(b, v2) {
-            return Some((i, true));
-        }
-        if is_var_key(a, v2) && is_var_key(b, v1) {
-            return Some((i, false));
-        }
-    }
-    None
+    })
 }
 
 /// Is `e` a predicate-free path rooted at variable `v`?
@@ -538,168 +487,34 @@ fn is_var_key(e: &Expr, v: &str) -> bool {
     }
 }
 
-// ---- strategy construction (over planned pieces) -------------------------
-
-fn build_index_lookup(
-    f: &Flwor,
-    mut sources: Vec<PlanExpr>,
-    mut conjuncts: Vec<PlanExpr>,
-    join_idx: usize,
-    inner_is_lhs: bool,
-    est_build: u64,
-) -> Strategy {
-    let var = match &f.clauses[0] {
-        Clause::For(v, _) => v.clone(),
-        Clause::Let(..) => unreachable!("detection matched a for clause"),
-    };
-    let source = sources.remove(0);
-    let (inner_key, outer_key) = split_eq(conjuncts.remove(join_idx), inner_is_lhs);
-    let sig = format!(
-        "{}|{}",
-        plan_path_signature(&source).expect("detection guaranteed an invariant source"),
-        plan_path_signature(&inner_key).expect("detection guaranteed a path key"),
-    );
-    Strategy::IndexLookup {
-        var,
-        source,
-        inner_key,
-        outer_key,
-        sig,
-        residual: conjuncts,
-        est_build,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_hash_join(
-    f: &Flwor,
-    conjuncts_ast: &[&Expr],
-    mut sources: Vec<PlanExpr>,
-    mut conjuncts: Vec<PlanExpr>,
-    join_idx: usize,
-    v1_is_lhs: bool,
-    est_probe: u64,
-    est_build: u64,
-) -> Strategy {
-    let (probe_var, build_var) = match f.clauses.as_slice() {
-        [Clause::For(v1, _), Clause::For(v2, _)] => (v1.clone(), v2.clone()),
-        _ => unreachable!("detection matched two for clauses"),
-    };
-    let build_src = sources.remove(1);
-    let probe_src = sources.remove(0);
-    // Partition what is not the join conjunct: probe-side equalities
-    // against an outer expression hoist out of the per-pair filter; the
-    // rest stays residual.
-    let mut hoisted = Vec::new();
-    let mut residual = Vec::new();
-    let mut join_conjunct = None;
-    for (i, planned) in conjuncts.drain(..).enumerate() {
-        if i == join_idx {
-            join_conjunct = Some(planned);
-            continue;
-        }
-        match hoistable_side(conjuncts_ast[i], &probe_var, &build_var) {
-            Some(probe_is_lhs) => {
-                let (probe_key, outer) = split_eq(planned, probe_is_lhs);
-                let sig = invariant_join_signature(&probe_src, &probe_key).map(|s| s + "#probe");
-                hoisted.push(HoistedEq {
-                    probe_key,
-                    outer,
-                    sig,
-                });
-            }
-            None => residual.push(planned),
-        }
-    }
-    let (probe_key, build_key) = split_eq(join_conjunct.expect("join conjunct present"), v1_is_lhs);
-    let build_sig = invariant_join_signature(&build_src, &build_key);
-    let probe_sig = invariant_join_signature(&probe_src, &probe_key).map(|s| s + "#probe");
-    Strategy::HashJoin {
-        probe_var,
-        probe_src,
-        probe_key,
-        probe_sig,
-        build_var,
-        build_src,
-        build_key,
-        build_sig,
-        hoisted,
-        residual,
-        est_probe,
-        est_build,
-    }
-}
-
-/// Is this conjunct a probe-side equality against an expression free of
-/// both join variables (`path($probe) = outer` or mirrored)? Returns
-/// which side the probe key is on.
-fn hoistable_side(conjunct: &Expr, probe_var: &str, build_var: &str) -> Option<bool> {
-    let Expr::Cmp(CmpOp::Eq, a, b) = conjunct else {
-        return None;
-    };
-    let free = |e: &Expr| !expr_uses_var(e, probe_var) && !expr_uses_var(e, build_var);
-    if is_var_key(a, probe_var) && free(b) {
-        return Some(true);
-    }
-    if is_var_key(b, probe_var) && free(a) {
-        return Some(false);
-    }
-    None
-}
-
-/// Split a planned equality conjunct into its two sides, normalized so the
-/// first returned key is the probe/inner side.
-fn split_eq(conjunct: PlanExpr, first_is_lhs: bool) -> (PlanExpr, PlanExpr) {
+/// Rewrite `for $var in source` with its planned equality conjunct into
+/// a Lookup source.
+fn lookup(var: &str, source: PathPlan, conjunct: PlanExpr, key_is_lhs: bool) -> PlanExpr {
     let PlanExpr::Cmp(CmpOp::Eq, a, b) = conjunct else {
-        unreachable!("detection matched an equality conjunct")
+        unreachable!("the rule matched an equality conjunct")
     };
-    if first_is_lhs {
-        (*a, *b)
-    } else {
-        (*b, *a)
-    }
+    let (key, outer) = if key_is_lhs { (*a, *b) } else { (*b, *a) };
+    let PlanExpr::Path(key) = key else {
+        unreachable!("the rule matched a path key")
+    };
+    PlanExpr::Lookup(Box::new(LookupPlan {
+        var: var.to_string(),
+        sig: lookup_signature(&source, &key),
+        est_rows: source.est_rows,
+        source,
+        key: *key,
+        outer,
+    }))
 }
 
-/// The memo signature of a planned absolute predicate-free path, or the
-/// signature of a var-rooted key path.
-fn plan_path_signature(e: &PlanExpr) -> Option<String> {
-    match e {
-        PlanExpr::Path(p) => Some(path_signature(&p.steps)),
-        _ => None,
-    }
-}
-
-/// A cache signature for a (source, key-path) pair, or `None` when either
-/// side is not loop-invariant.
-pub(crate) fn invariant_join_signature(src: &PlanExpr, key: &PlanExpr) -> Option<String> {
-    let PlanExpr::Path(src_path) = src else {
-        return None;
-    };
-    // `memo` is only set for absolute predicate-free paths — exactly the
-    // loop-invariance condition.
-    src_path.memo.as_ref()?;
-    let PlanExpr::Path(key_path) = key else {
-        return None;
-    };
-    if !matches!(key_path.base, PlanBase::Var(_))
-        || key_path.steps.iter().any(|s| !s.preds.is_empty())
-    {
-        return None;
-    }
-    Some(format!(
+/// The index signature of a Lookup: `"{source}|{key}"` over the
+/// canonical path signatures.
+pub(crate) fn lookup_signature(source: &PathPlan, key: &PathPlan) -> String {
+    format!(
         "{}|{}",
-        path_signature(&src_path.steps),
-        path_signature(&key_path.steps)
-    ))
-}
-
-/// The planner's cardinality estimate for a planned source expression
-/// (0 = unknown).
-pub(crate) fn expr_estimate(e: &PlanExpr) -> u64 {
-    match e {
-        PlanExpr::Path(p) => p.est_rows,
-        _ => 0,
-    }
+        path_signature(&source.steps),
+        path_signature(&key.steps)
+    )
 }
 
 /// Estimate of a step sequence: the extent of its last resolved tag step.

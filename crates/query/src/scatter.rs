@@ -62,8 +62,8 @@ mod tests {
     #[test]
     fn append_flwor_partitions_the_driver() {
         oracle("for $p in /site/people/person return $p/name/text()");
-        // A non-equi filter keeps the strategy a NestedLoop; the equi
-        // predicate below plans as an IndexLookup.
+        // A non-equi filter stays a NestedLoop filter; the equi
+        // predicate below plans as a Lookup.
         oracle(r#"for $p in /site/people/person where $p/name != "Zed" return $p/name/text()"#);
         oracle(r#"for $p in /site/people/person where $p/@id = "person1" return $p/name/text()"#);
     }

@@ -13,15 +13,14 @@
 //! * PathScan steps over the store's streaming axis cursors,
 //! * NestedLoop clause iteration (for-clause sources are themselves
 //!   cursors, so `take(1)` over a FLWOR pulls one binding),
-//! * HashJoin probe emission and IndexLookup probe emission,
 //! * Project (the `return` expression streams per tuple).
 //!
 //! **Blocking operators** (buffer internally, still expose a cursor):
 //!
 //! * Sort (`order by`) collects all tuples before emitting,
 //! * Aggregate produces a single number,
-//! * HashJoin build sides and IndexLookup indexes (memoized per
-//!   execution under the planner's signatures),
+//! * Lookup: its index is built once (memoized under the planner's
+//!   signature), and each open probes it for the whole matched set,
 //! * a PathScan step whose *input* may contain nested
 //!   (ancestor/descendant) context nodes: merged output must be
 //!   re-sorted into document order, which needs the whole step result.
@@ -61,7 +60,7 @@ use xmark_store::{ChildValues, ChildrenNamed, DescendantsNamed, Node, XmlStore};
 
 use crate::ast::{Axis, NodeTest};
 use crate::eval::{
-    compare_keys, Bound, EResult, Env, EvalError, Evaluator, Frame, InlineOne, JoinIndex, OrderKey,
+    compare_keys, Bound, EResult, Env, EvalError, Evaluator, Frame, InlineOne, OrderKey,
 };
 use crate::plan::*;
 use crate::result::{write_item, Item, Sequence};
@@ -106,7 +105,7 @@ pub(crate) enum Cursor<'a> {
     },
     /// PathScan operator.
     Path(PathCursor<'a>),
-    /// FLWOR pipeline: binding strategy → (optional Sort) → Project.
+    /// FLWOR pipeline: nested loop → (optional Sort) → Project.
     Flwor(Box<FlworCursor<'a>>),
 }
 
@@ -696,11 +695,11 @@ fn expand<'a>(
 
 // ---- FLWOR -----------------------------------------------------------------
 
-/// The FLWOR operator pipeline: a tuple [`Producer`] (the binding
-/// strategy), an optional Sort buffer, and the streaming Project.
+/// The FLWOR operator pipeline: the nested-loop tuple producer, an
+/// optional Sort buffer, and the streaming Project.
 pub(crate) struct FlworCursor<'a> {
     f: &'a FlworPlan,
-    producer: Producer<'a>,
+    producer: NestedLoopProducer<'a>,
     mode: FlworMode<'a>,
 }
 
@@ -721,7 +720,15 @@ impl<'a> FlworCursor<'a> {
         ctx: Option<&Item>,
         for_ebv: bool,
     ) -> FlworCursor<'a> {
-        let producer = Producer::build(f, env, ctx);
+        let producer = NestedLoopProducer {
+            clauses: &f.clauses,
+            filters: &f.filters,
+            env: env.clone(),
+            ctx: ctx.cloned(),
+            stack: Vec::with_capacity(f.clauses.len()),
+            started: false,
+            done: false,
+        };
         let mode = match &f.order_by {
             Some((_, ascending)) if !for_ebv => FlworMode::Sorted {
                 ascending: *ascending,
@@ -745,10 +752,9 @@ impl<'a> FlworCursor<'a> {
                     Err(e) => return Some(Err(e)),
                     Ok(false) => return None,
                     Ok(true) => {
-                        let f = self.f;
-                        let (env, ctx) = self.producer.tuple_scope();
-                        let ctx = ctx.cloned();
-                        *ret = Some(Box::new(Cursor::build(ev, &f.ret, env, ctx.as_ref())));
+                        let p = &mut self.producer;
+                        let ret_cursor = Cursor::build(ev, &self.f.ret, &mut p.env, p.ctx.as_ref());
+                        *ret = Some(Box::new(ret_cursor));
                     }
                 }
             },
@@ -766,13 +772,12 @@ impl<'a> FlworCursor<'a> {
                                 Ok(false) => break,
                                 Ok(true) => {
                                     let f = self.f;
-                                    let (env, ctx) = self.producer.tuple_scope();
-                                    let ctx = ctx.cloned();
-                                    let key = match ev.order_key(f, env, ctx.as_ref()) {
+                                    let p = &mut self.producer;
+                                    let key = match ev.order_key(f, &mut p.env, p.ctx.as_ref()) {
                                         Ok(k) => k,
                                         Err(e) => return Some(Err(e)),
                                     };
-                                    let seq = match ev.eval(&f.ret, env, ctx.as_ref()) {
+                                    let seq = match ev.eval(&f.ret, &mut p.env, p.ctx.as_ref()) {
                                         Ok(s) => s,
                                         Err(e) => return Some(Err(e)),
                                     };
@@ -794,100 +799,6 @@ impl<'a> FlworCursor<'a> {
                 };
                 iter.next().map(Ok)
             }
-        }
-    }
-}
-
-/// The binding strategies as tuple producers: `advance` binds the next
-/// tuple's variables in the owned environment (filters and residual
-/// predicates already applied) and returns whether one exists.
-enum Producer<'a> {
-    Loop(NestedLoopProducer<'a>),
-    Hash(HashJoinProducer<'a>),
-    Lookup(IndexLookupProducer<'a>),
-}
-
-impl<'a> Producer<'a> {
-    fn build(f: &'a FlworPlan, env: &mut Env<'a>, ctx: Option<&Item>) -> Producer<'a> {
-        match &f.strategy {
-            Strategy::NestedLoop { clauses, filters } => Producer::Loop(NestedLoopProducer {
-                clauses,
-                filters,
-                env: env.clone(),
-                ctx: ctx.cloned(),
-                stack: Vec::with_capacity(clauses.len()),
-                started: false,
-                done: false,
-            }),
-            Strategy::HashJoin {
-                probe_var,
-                probe_src,
-                probe_key,
-                probe_sig,
-                build_var,
-                build_src,
-                build_key,
-                build_sig,
-                hoisted,
-                residual,
-                ..
-            } => Producer::Hash(HashJoinProducer {
-                probe_var,
-                probe_src,
-                probe_key,
-                probe_sig: probe_sig.as_deref(),
-                build_var,
-                build_src,
-                build_key,
-                build_sig: build_sig.as_deref(),
-                hoisted,
-                residual,
-                env: env.clone(),
-                ctx: ctx.cloned(),
-                state: None,
-                probe_bound: false,
-                build_bound: false,
-                done: false,
-            }),
-            Strategy::IndexLookup {
-                var,
-                source,
-                inner_key,
-                outer_key,
-                sig,
-                residual,
-                ..
-            } => Producer::Lookup(IndexLookupProducer {
-                var,
-                source,
-                inner_key,
-                outer_key,
-                sig,
-                residual,
-                env: env.clone(),
-                ctx: ctx.cloned(),
-                matched: None,
-                bound: false,
-                done: false,
-            }),
-        }
-    }
-
-    fn advance(&mut self, ev: &Evaluator<'a>) -> EResult<bool> {
-        match self {
-            Producer::Loop(p) => p.advance(ev),
-            Producer::Hash(p) => p.advance(ev),
-            Producer::Lookup(p) => p.advance(ev),
-        }
-    }
-
-    /// The environment (with the current tuple's bindings) and outer
-    /// context the Project/Sort expressions evaluate in.
-    fn tuple_scope(&mut self) -> (&mut Env<'a>, Option<&Item>) {
-        match self {
-            Producer::Loop(p) => (&mut p.env, p.ctx.as_ref()),
-            Producer::Hash(p) => (&mut p.env, p.ctx.as_ref()),
-            Producer::Lookup(p) => (&mut p.env, p.ctx.as_ref()),
         }
     }
 }
@@ -1040,258 +951,6 @@ impl<'a> NestedLoopProducer<'a> {
                 }
             }
         }
-    }
-}
-
-/// Equi-join as a hash join. The build side buffers (memoized under the
-/// planner's signature); the probe side streams tuple by tuple.
-struct HashJoinProducer<'a> {
-    probe_var: &'a str,
-    probe_src: &'a PlanExpr,
-    probe_key: &'a PlanExpr,
-    probe_sig: Option<&'a str>,
-    build_var: &'a str,
-    build_src: &'a PlanExpr,
-    build_key: &'a PlanExpr,
-    build_sig: Option<&'a str>,
-    hoisted: &'a [HoistedEq],
-    residual: &'a [PlanExpr],
-    env: Env<'a>,
-    ctx: Option<Item>,
-    state: Option<HashJoinState>,
-    probe_bound: bool,
-    build_bound: bool,
-    done: bool,
-}
-
-struct HashJoinState {
-    table: Arc<JoinIndex>,
-    left: Vec<Item>,
-    probe_keys: Arc<Vec<Vec<String>>>,
-    /// Per hoisted conjunct: canonical key lists aligned with `left`
-    /// (computed once per execution, persisted when loop-invariant).
-    hoisted_keys: Vec<Arc<Vec<Vec<String>>>>,
-    /// Per hoisted conjunct: the outer side's canonical keys, evaluated
-    /// once per producer open instead of once per pair.
-    hoisted_outer: Vec<Vec<String>>,
-    /// Next probe item index.
-    li: usize,
-    /// Distinct matched build items for the current probe item, in build
-    /// order.
-    matched: std::vec::IntoIter<Item>,
-}
-
-impl<'a> HashJoinProducer<'a> {
-    fn advance(&mut self, ev: &Evaluator<'a>) -> EResult<bool> {
-        if self.done {
-            return Ok(false);
-        }
-        if self.state.is_none() {
-            // Build side: hash the (canonicalized) keys of the inner
-            // source. When loop-invariant, the table is built once per
-            // execution and reused — the hoisting a relational optimizer
-            // performs when the join sits inside a correlated subquery
-            // (Q9). The probe key lists are memoized the same way.
-            let table = ev.join_build_side(
-                self.build_var,
-                self.build_src,
-                self.build_key,
-                self.build_sig,
-                &mut self.env,
-                self.ctx.as_ref(),
-            )?;
-            let left = ev.eval(self.probe_src, &mut self.env, self.ctx.as_ref())?;
-            let probe_keys = ev.join_probe_keys(
-                self.probe_var,
-                self.probe_key,
-                self.probe_sig,
-                &left,
-                &mut self.env,
-                self.ctx.as_ref(),
-            )?;
-            let mut hoisted_keys = Vec::with_capacity(self.hoisted.len());
-            let mut hoisted_outer = Vec::with_capacity(self.hoisted.len());
-            for h in self.hoisted {
-                hoisted_keys.push(ev.join_probe_keys(
-                    self.probe_var,
-                    &h.probe_key,
-                    h.sig.as_deref(),
-                    &left,
-                    &mut self.env,
-                    self.ctx.as_ref(),
-                )?);
-                let outer = ev.eval(&h.outer, &mut self.env, self.ctx.as_ref())?;
-                hoisted_outer.push(
-                    outer
-                        .iter()
-                        .filter_map(|i| ev.canonical_join_key(i))
-                        .collect(),
-                );
-            }
-            self.state = Some(HashJoinState {
-                table,
-                left,
-                probe_keys,
-                hoisted_keys,
-                hoisted_outer,
-                li: 0,
-                matched: Vec::new().into_iter(),
-            });
-        }
-        if self.build_bound {
-            self.env.pop();
-            self.build_bound = false;
-        }
-        loop {
-            // Initialized above; the guard keeps the pull path panic-free.
-            let Some(state) = self.state.as_mut() else {
-                return Ok(false);
-            };
-            if let Some(item) = state.matched.next() {
-                self.env.push(self.build_var, Bound::One(item));
-                self.build_bound = true;
-                if self.residual_passes(ev)? {
-                    return Ok(true);
-                }
-                self.env.pop();
-                self.build_bound = false;
-                continue;
-            }
-            // Next probe item.
-            if self.probe_bound {
-                self.env.pop();
-                self.probe_bound = false;
-            }
-            if state.li >= state.left.len() {
-                self.done = true;
-                return Ok(false);
-            }
-            let li = state.li;
-            state.li += 1;
-            // Hoisted probe-side equalities: a probe item failing any of
-            // them produces no pair for this open (the outer side does
-            // not involve the build variable), so skip it before probing
-            // the table — this replaces a per-pair path re-evaluation
-            // with a set intersection over precomputed keys.
-            let hoisted_pass = state
-                .hoisted_keys
-                .iter()
-                .zip(&state.hoisted_outer)
-                .all(|(keys, outer)| keys[li].iter().any(|k| outer.contains(k)));
-            if !hoisted_pass {
-                continue;
-            }
-            // Distinct matched build items, preserving build order (the
-            // nested loop visits inner items in order for each outer
-            // item).
-            let mut matched: Vec<(usize, &Item)> = Vec::new();
-            for key in &state.probe_keys[li] {
-                if let Some(entries) = state.table.get(key) {
-                    matched.extend(entries.iter().map(|(i, item)| (*i, item)));
-                }
-            }
-            matched.sort_by_key(|(i, _)| *i);
-            matched.dedup_by_key(|(i, _)| *i);
-            let items: Vec<Item> = matched.into_iter().map(|(_, item)| item.clone()).collect();
-            let probe_item = state.left[li].clone();
-            state.matched = items.into_iter();
-            ev.count_pulls(1);
-            self.env.push(self.probe_var, Bound::One(probe_item));
-            self.probe_bound = true;
-        }
-    }
-
-    fn residual_passes(&mut self, ev: &Evaluator<'a>) -> EResult<bool> {
-        for pred in self.residual {
-            if !ev.eval_ebv(pred, &mut self.env, self.ctx.as_ref())? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-}
-
-/// Decorrelated lookup join (Q8's correlated inner query): a lookup index
-/// over the source keyed by the inner key, probed with the outer key from
-/// the enclosing scope. The index buffers (memoized); the matched items
-/// stream.
-struct IndexLookupProducer<'a> {
-    var: &'a str,
-    source: &'a PlanExpr,
-    inner_key: &'a PlanExpr,
-    outer_key: &'a PlanExpr,
-    sig: &'a str,
-    residual: &'a [PlanExpr],
-    env: Env<'a>,
-    ctx: Option<Item>,
-    matched: Option<std::vec::IntoIter<Item>>,
-    bound: bool,
-    done: bool,
-}
-
-impl<'a> IndexLookupProducer<'a> {
-    fn advance(&mut self, ev: &Evaluator<'a>) -> EResult<bool> {
-        if self.done {
-            return Ok(false);
-        }
-        if self.matched.is_none() {
-            let index = ev.lookup_index(
-                self.var,
-                self.source,
-                self.inner_key,
-                self.sig,
-                &mut self.env,
-                self.ctx.as_ref(),
-            )?;
-            // Probe with the outer key(s).
-            let outer_keys = ev.eval(self.outer_key, &mut self.env, self.ctx.as_ref())?;
-            let mut matched: Vec<(usize, Item)> = Vec::new();
-            for key in outer_keys {
-                let Some(canonical) = ev.canonical_join_key(&key) else {
-                    continue; // NaN matches nothing
-                };
-                if let Some(items) = index.get(&canonical) {
-                    matched.extend(items.iter().cloned());
-                }
-            }
-            matched.sort_by_key(|(i, _)| *i);
-            matched.dedup_by_key(|(i, _)| *i);
-            self.matched = Some(
-                matched
-                    .into_iter()
-                    .map(|(_, item)| item)
-                    .collect::<Vec<_>>()
-                    .into_iter(),
-            );
-        }
-        if self.bound {
-            self.env.pop();
-            self.bound = false;
-        }
-        loop {
-            // Initialized above; the guard keeps the pull path panic-free.
-            let Some(item) = self.matched.as_mut().and_then(Iterator::next) else {
-                self.done = true;
-                return Ok(false);
-            };
-            ev.count_pulls(1);
-            self.env.push(self.var, Bound::One(item));
-            self.bound = true;
-            if self.residual_passes(ev)? {
-                return Ok(true);
-            }
-            self.env.pop();
-            self.bound = false;
-        }
-    }
-
-    fn residual_passes(&mut self, ev: &Evaluator<'a>) -> EResult<bool> {
-        for pred in self.residual {
-            if !ev.eval_ebv(pred, &mut self.env, self.ctx.as_ref())? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 }
 

@@ -9,18 +9,17 @@
 //! cardinalities, the canonical signature functions) and compares it with
 //! what the plan records.
 //!
-//! The nine invariants (codes are stable identifiers in audit output;
-//! the retired V10 and V11 are not reused):
+//! The eight invariants (codes are stable identifiers in audit output;
+//! the retired V5, V10 and V11 are not reused):
 //!
 //! | code | name            | what it pins |
 //! |------|-----------------|--------------|
 //! | V1   | caps-access     | access annotations (`IdProbe`, `Positional`, `IndexScan`, inlined/value tails, summary counts) appear only where [`PlannerCaps`] permits, and are well-formed |
 //! | V2   | density-gate    | every `IndexScan` step re-passes the posting-density gate against the element index of the store the plan was compiled on |
-//! | V3   | naive-purity    | [`PlanMode::Naive`] plans carry no access annotations, no Aggregates, no joins, no pushdown |
-//! | V4   | join-keys       | `HashJoin` / `IndexLookup` key expressions are canonical var-rooted predicate-free paths over the right variables |
-//! | V5   | hoist-live      | every hoisted probe-side filter references a live join side and its persistence signature re-derives |
+//! | V3   | naive-purity    | [`PlanMode::Naive`] plans carry no access annotations, no Aggregates, no Lookups, no pushdown |
+//! | V4   | join-keys       | a `Lookup`'s key is a predicate-free path over its clause variable, and neither its source nor its outer side uses that variable |
 //! | V6   | sort-presence   | a Sort operator exists exactly where the source `order by` clauses require one (AST↔plan walk) |
-//! | V7   | memo-sig        | memo / build / probe / lookup cache signatures equal their canonical recomputation |
+//! | V7   | memo-sig        | memo and `Lookup` index signatures equal their canonical recomputation |
 //! | V8   | card-consistent | cardinality annotations agree with each other and with exact posting counts |
 //! | V9   | var-scope       | every variable reference resolves to an enclosing binding |
 //!
@@ -42,11 +41,9 @@ use xmark_store::{PlannerCaps, XmlStore};
 
 use crate::ast::{self, Expr, Query};
 use crate::plan::*;
-use crate::planner::{
-    expr_estimate, invariant_join_signature, last_tag_estimate, INDEX_SCAN_DENSITY,
-};
+use crate::planner::{last_tag_estimate, lookup_signature, INDEX_SCAN_DENSITY};
 
-/// One of the nine verified plan invariants.
+/// One of the eight verified plan invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// V1: access annotations only where [`PlannerCaps`] permits.
@@ -56,10 +53,9 @@ pub enum Invariant {
     DensityGate,
     /// V3: naive plans are annotation-free nested loops.
     NaivePurity,
-    /// V4: join key expressions are canonical var-rooted paths.
+    /// V4: Lookup keys are canonical var-rooted paths over their own
+    /// clause variable.
     JoinKeys,
-    /// V5: hoisted probe filters reference a live join side.
-    HoistLive,
     /// V6: Sort present exactly where `order by` requires it.
     SortPresence,
     /// V7: cache signatures equal their canonical recomputation.
@@ -71,13 +67,12 @@ pub enum Invariant {
 }
 
 impl Invariant {
-    /// All invariants, in code order (V1…V9).
-    pub const ALL: [Invariant; 9] = [
+    /// All invariants, in code order (V1…V9; V5 is retired).
+    pub const ALL: [Invariant; 8] = [
         Invariant::CapsAccess,
         Invariant::DensityGate,
         Invariant::NaivePurity,
         Invariant::JoinKeys,
-        Invariant::HoistLive,
         Invariant::SortPresence,
         Invariant::MemoSig,
         Invariant::CardConsistent,
@@ -91,7 +86,6 @@ impl Invariant {
             Invariant::DensityGate => "V2",
             Invariant::NaivePurity => "V3",
             Invariant::JoinKeys => "V4",
-            Invariant::HoistLive => "V5",
             Invariant::SortPresence => "V6",
             Invariant::MemoSig => "V7",
             Invariant::CardConsistent => "V8",
@@ -106,7 +100,6 @@ impl Invariant {
             Invariant::DensityGate => "density-gate",
             Invariant::NaivePurity => "naive-purity",
             Invariant::JoinKeys => "join-keys",
-            Invariant::HoistLive => "hoist-live",
             Invariant::SortPresence => "sort-presence",
             Invariant::MemoSig => "memo-sig",
             Invariant::CardConsistent => "card-consistent",
@@ -133,7 +126,7 @@ impl std::fmt::Display for Invariant {
 pub struct Violation {
     /// The violated invariant.
     pub invariant: Invariant,
-    /// A breadcrumb into the plan tree (`body/flwor/probe_src/step[2]`).
+    /// A breadcrumb into the plan tree (`body/flwor/clause $t/lookup/source/step[2]`).
     pub location: String,
     /// Human-readable explanation.
     pub message: String,
@@ -321,6 +314,7 @@ impl Verifier<'_> {
             PlanExpr::Path(p) => self.scoped("path", |s| s.path(p)),
             PlanExpr::Aggregate(a) => self.scoped("aggregate", |s| s.aggregate(a)),
             PlanExpr::Flwor(f) => self.scoped("flwor", |s| s.flwor(f)),
+            PlanExpr::Lookup(l) => self.scoped("lookup", |s| s.lookup(l)),
         }
     }
 
@@ -539,13 +533,9 @@ impl Verifier<'_> {
 
     fn flwor(&mut self, f: &FlworPlan) {
         let depth = self.scope.len();
-        match &f.strategy {
-            Strategy::NestedLoop { clauses, filters } => self.nested_loop(clauses, filters),
-            Strategy::HashJoin { .. } => self.hash_join(&f.strategy),
-            Strategy::IndexLookup { .. } => self.index_lookup(&f.strategy),
-        }
-        // Strategy walks leave the bound variables on the scope stack for
-        // the FLWOR tail (order_by key + return projection).
+        self.nested_loop(&f.clauses, &f.filters);
+        // The clause walk leaves the bound variables on the scope stack
+        // for the FLWOR tail (order_by key + return projection).
         if let Some((key, _asc)) = &f.order_by {
             self.scoped("order_by", |s| s.expr(key));
         }
@@ -588,172 +578,52 @@ impl Verifier<'_> {
         }
     }
 
-    fn hash_join(&mut self, strategy: &Strategy) {
-        let Strategy::HashJoin {
-            probe_var,
-            probe_src,
-            probe_key,
-            probe_sig,
-            build_var,
-            build_src,
-            build_key,
-            build_sig,
-            hoisted,
-            residual,
-            est_probe,
-            est_build,
-        } = strategy
-        else {
-            return;
-        };
+    fn lookup(&mut self, l: &LookupPlan) {
+        let var = &l.var;
         self.check(
             Invariant::NaivePurity,
             self.mode == PlanMode::Optimized,
-            || "naive plan contains a HashJoin".to_string(),
+            || "naive plan contains a Lookup".to_string(),
         );
-        self.check(Invariant::JoinKeys, probe_var != build_var, || {
-            format!("HashJoin binds ${probe_var} on both sides")
-        });
-        // Sources evaluate in the enclosing scope; the build side must not
-        // depend on the probe variable (it is materialized once).
-        self.scoped("probe_src", |s| s.expr(probe_src));
-        self.scoped("build_src", |s| s.expr(build_src));
+        // Source and outer side evaluate in the clause's scope, before
+        // `$var` binds.
+        self.scoped("source", |s| s.path(&l.source));
+        self.scoped("outer", |s| s.expr(&l.outer));
         self.check(
             Invariant::JoinKeys,
-            !plan_uses_var(build_src, probe_var),
-            || format!("build source depends on probe variable ${probe_var}"),
+            !plan_path_uses_var(&l.source, var),
+            || format!("lookup source depends on its own variable ${var}"),
         );
-        self.check(
-            Invariant::JoinKeys,
-            is_plan_var_key(probe_key, probe_var),
-            || format!("probe key is not a predicate-free path over ${probe_var}"),
-        );
-        self.check(
-            Invariant::JoinKeys,
-            is_plan_var_key(build_key, build_var),
-            || format!("build key is not a predicate-free path over ${build_var}"),
-        );
-        // V7: cache signatures re-derive from the canonical function.
-        let expect_build = invariant_join_signature(build_src, build_key);
-        self.check(Invariant::MemoSig, *build_sig == expect_build, || {
-            format!("build_sig {build_sig:?} != canonical {expect_build:?}")
+        self.check(Invariant::JoinKeys, !plan_uses_var(&l.outer, var), || {
+            format!("outer side references the looked-up variable ${var}")
         });
-        let expect_probe = invariant_join_signature(probe_src, probe_key).map(|s| s + "#probe");
-        self.check(Invariant::MemoSig, *probe_sig == expect_probe, || {
-            format!("probe_sig {probe_sig:?} != canonical {expect_probe:?}")
+        let key_ok = matches!(&l.key.base, PlanBase::Var(v) if v == var)
+            && l.key.steps.iter().all(|s| s.preds.is_empty());
+        self.check(Invariant::JoinKeys, key_ok, || {
+            format!("lookup key is not a predicate-free path over ${var}")
         });
-        // V8: estimates restate the source estimates.
-        let (ep, eb) = (expr_estimate(probe_src), expr_estimate(build_src));
-        self.check(Invariant::CardConsistent, *est_probe == ep, || {
-            format!("est_probe {est_probe} != probe source estimate {ep}")
-        });
-        self.check(Invariant::CardConsistent, *est_build == eb, || {
-            format!("est_build {est_build} != build source estimate {eb}")
-        });
-        for (i, h) in hoisted.iter().enumerate() {
-            self.scoped(format!("hoisted[{i}]"), |s| {
-                s.hoisted_eq(h, probe_var, build_var, probe_src);
-            });
-        }
-        // Keys and residuals see their join variables.
-        self.scope.push(probe_var.clone());
-        self.scoped("probe_key", |s| s.expr(probe_key));
-        self.scope.push(build_var.clone());
-        self.scoped("build_key", |s| s.expr(build_key));
-        for (i, r) in residual.iter().enumerate() {
-            self.scoped(format!("residual[{i}]"), |s| s.expr(r));
-        }
-        // Leave both variables bound for the FLWOR tail.
-    }
-
-    fn hoisted_eq(
-        &mut self,
-        h: &HoistedEq,
-        probe_var: &str,
-        build_var: &str,
-        probe_src: &PlanExpr,
-    ) {
-        // V5: the hoisted filter references the live probe side …
+        // V7: the index signature is "{source}|{key}" over the canonical
+        // path signatures, and only exists for a loop-invariant source.
+        let expect = lookup_signature(&l.source, &l.key);
         self.check(
-            Invariant::HoistLive,
-            is_plan_var_key(&h.probe_key, probe_var),
-            || format!("hoisted key is not a predicate-free path over ${probe_var}"),
-        );
-        // … and its outer side is free of both join variables, so it is
-        // evaluated once per producer open, never per pair.
-        self.check(
-            Invariant::HoistLive,
-            !plan_uses_var(&h.outer, probe_var) && !plan_uses_var(&h.outer, build_var),
+            Invariant::MemoSig,
+            l.source.memo.is_some() && l.sig == expect,
             || {
                 format!(
-                    "hoisted outer side references a join variable \
-                     (${probe_var} or ${build_var})"
+                    "lookup sig {:?} != canonical {expect:?} over a memoized source",
+                    l.sig
                 )
             },
         );
-        let expect = invariant_join_signature(probe_src, &h.probe_key).map(|s| s + "#probe");
-        self.check(Invariant::HoistLive, h.sig == expect, || {
-            format!("hoisted sig {:?} != canonical {expect:?}", h.sig)
+        // V8: the estimate restates the source's.
+        let eb = l.source.est_rows;
+        self.check(Invariant::CardConsistent, l.est_rows == eb, || {
+            format!("lookup est_rows {} != source estimate {eb}", l.est_rows)
         });
-        self.scoped("outer", |s| s.expr(&h.outer));
         let depth = self.scope.len();
-        self.scope.push(probe_var.to_string());
-        self.scoped("key", |s| s.expr(&h.probe_key));
-        self.scope.truncate(depth);
-    }
-
-    fn index_lookup(&mut self, strategy: &Strategy) {
-        let Strategy::IndexLookup {
-            var,
-            source,
-            inner_key,
-            outer_key,
-            sig,
-            residual,
-            est_build,
-        } = strategy
-        else {
-            return;
-        };
-        self.check(
-            Invariant::NaivePurity,
-            self.mode == PlanMode::Optimized,
-            || "naive plan contains an IndexLookup join".to_string(),
-        );
-        self.scoped("source", |s| s.expr(source));
-        self.scoped("outer_key", |s| s.expr(outer_key));
-        self.check(Invariant::JoinKeys, !plan_uses_var(source, var), || {
-            format!("lookup source depends on its own variable ${var}")
-        });
-        self.check(Invariant::JoinKeys, !plan_uses_var(outer_key, var), || {
-            format!("outer key references the looked-up variable ${var}")
-        });
-        self.check(Invariant::JoinKeys, is_plan_var_key(inner_key, var), || {
-            format!("inner key is not a predicate-free path over ${var}")
-        });
-        // V7: the lookup signature is "{source}|{key}" over the canonical
-        // path signatures, and only exists for a loop-invariant source.
-        let expect = match (source, inner_key) {
-            (PlanExpr::Path(src), PlanExpr::Path(key)) if src.memo.is_some() => Some(format!(
-                "{}|{}",
-                path_signature(&src.steps),
-                path_signature(&key.steps)
-            )),
-            _ => None,
-        };
-        self.check(Invariant::MemoSig, Some(sig.clone()) == expect, || {
-            format!("lookup sig {sig:?} != canonical {expect:?}")
-        });
-        let eb = expr_estimate(source);
-        self.check(Invariant::CardConsistent, *est_build == eb, || {
-            format!("est_build {est_build} != lookup source estimate {eb}")
-        });
         self.scope.push(var.clone());
-        self.scoped("inner_key", |s| s.expr(inner_key));
-        for (i, r) in residual.iter().enumerate() {
-            self.scoped(format!("residual[{i}]"), |s| s.expr(r));
-        }
-        // Leave the variable bound for the FLWOR tail.
+        self.scoped("key", |s| s.path(&l.key));
+        self.scope.truncate(depth);
     }
 
     // ---- V6: sort-presence (AST ↔ plan) ----------------------------------
@@ -803,18 +673,6 @@ fn id_pred_literal(pred: &PlanPred) -> Option<&str> {
     id_shape.then_some(lit.as_str())
 }
 
-/// Is `e` a predicate-free path rooted at variable `v`? The canonical
-/// join-key shape (the planned mirror of the planner's `is_var_key`).
-fn is_plan_var_key(e: &PlanExpr, v: &str) -> bool {
-    match e {
-        PlanExpr::Path(p) => {
-            matches!(&p.base, PlanBase::Var(var) if var == v)
-                && p.steps.iter().all(|s| s.preds.is_empty())
-        }
-        _ => false,
-    }
-}
-
 /// Does a planned expression reference `var` anywhere? The plan-level
 /// mirror of the planner's AST `expr_uses_var`.
 pub(crate) fn plan_uses_var(e: &PlanExpr, var: &str) -> bool {
@@ -837,48 +695,18 @@ pub(crate) fn plan_uses_var(e: &PlanExpr, var: &str) -> bool {
         PlanExpr::Path(p) => plan_path_uses_var(p, var),
         PlanExpr::Aggregate(a) => plan_path_uses_var(&a.input, var),
         PlanExpr::Flwor(f) => {
-            let strategy = match &f.strategy {
-                Strategy::NestedLoop { clauses, filters } => {
-                    clauses.iter().any(|c| match c {
-                        PlanClause::For(_, e) | PlanClause::Let(_, e) => plan_uses_var(e, var),
-                    }) || filters.iter().flatten().any(|c| plan_uses_var(c, var))
-                }
-                Strategy::HashJoin {
-                    probe_src,
-                    probe_key,
-                    build_src,
-                    build_key,
-                    hoisted,
-                    residual,
-                    ..
-                } => {
-                    plan_uses_var(probe_src, var)
-                        || plan_uses_var(probe_key, var)
-                        || plan_uses_var(build_src, var)
-                        || plan_uses_var(build_key, var)
-                        || hoisted.iter().any(|h| {
-                            plan_uses_var(&h.probe_key, var) || plan_uses_var(&h.outer, var)
-                        })
-                        || residual.iter().any(|r| plan_uses_var(r, var))
-                }
-                Strategy::IndexLookup {
-                    source,
-                    inner_key,
-                    outer_key,
-                    residual,
-                    ..
-                } => {
-                    plan_uses_var(source, var)
-                        || plan_uses_var(inner_key, var)
-                        || plan_uses_var(outer_key, var)
-                        || residual.iter().any(|r| plan_uses_var(r, var))
-                }
-            };
-            strategy
+            f.clauses.iter().any(|c| match c {
+                PlanClause::For(_, e) | PlanClause::Let(_, e) => plan_uses_var(e, var),
+            }) || f.filters.iter().flatten().any(|c| plan_uses_var(c, var))
                 || f.order_by
                     .as_ref()
                     .is_some_and(|(k, _)| plan_uses_var(k, var))
                 || plan_uses_var(&f.ret, var)
+        }
+        PlanExpr::Lookup(l) => {
+            plan_path_uses_var(&l.source, var)
+                || plan_path_uses_var(&l.key, var)
+                || plan_uses_var(&l.outer, var)
         }
     }
 }
@@ -993,54 +821,15 @@ fn collect_plan_orders(e: &PlanExpr, out: &mut Vec<Option<bool>>) {
     match e {
         PlanExpr::Flwor(f) => {
             out.push(f.order_by.as_ref().map(|(_, asc)| *asc));
-            match &f.strategy {
-                Strategy::NestedLoop { clauses, filters } => {
-                    for c in clauses {
-                        match c {
-                            PlanClause::For(_, src) | PlanClause::Let(_, src) => {
-                                collect_plan_orders(src, out)
-                            }
-                        }
-                    }
-                    for c in filters.iter().flatten() {
-                        collect_plan_orders(c, out);
+            for c in &f.clauses {
+                match c {
+                    PlanClause::For(_, src) | PlanClause::Let(_, src) => {
+                        collect_plan_orders(src, out)
                     }
                 }
-                Strategy::HashJoin {
-                    probe_src,
-                    probe_key,
-                    build_src,
-                    build_key,
-                    hoisted,
-                    residual,
-                    ..
-                } => {
-                    collect_plan_orders(probe_src, out);
-                    collect_plan_orders(build_src, out);
-                    collect_plan_orders(probe_key, out);
-                    collect_plan_orders(build_key, out);
-                    for h in hoisted {
-                        collect_plan_orders(&h.probe_key, out);
-                        collect_plan_orders(&h.outer, out);
-                    }
-                    for r in residual {
-                        collect_plan_orders(r, out);
-                    }
-                }
-                Strategy::IndexLookup {
-                    source,
-                    inner_key,
-                    outer_key,
-                    residual,
-                    ..
-                } => {
-                    collect_plan_orders(source, out);
-                    collect_plan_orders(inner_key, out);
-                    collect_plan_orders(outer_key, out);
-                    for r in residual {
-                        collect_plan_orders(r, out);
-                    }
-                }
+            }
+            for c in f.filters.iter().flatten() {
+                collect_plan_orders(c, out);
             }
             if let Some((k, _)) = &f.order_by {
                 collect_plan_orders(k, out);
@@ -1049,6 +838,11 @@ fn collect_plan_orders(e: &PlanExpr, out: &mut Vec<Option<bool>>) {
         }
         PlanExpr::Path(p) => collect_plan_path_orders(p, out),
         PlanExpr::Aggregate(a) => collect_plan_path_orders(&a.input, out),
+        PlanExpr::Lookup(l) => {
+            collect_plan_path_orders(&l.source, out);
+            collect_plan_path_orders(&l.key, out);
+            collect_plan_orders(&l.outer, out);
+        }
         PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {
             for p in parts {
                 collect_plan_orders(p, out);

@@ -5,7 +5,7 @@
 //! these tests prove each invariant actually fires.
 
 use xmark_query::ast::CmpOp;
-use xmark_query::plan::{HoistedEq, PlanExpr, PlanMode, StepAccess, Strategy};
+use xmark_query::plan::{LookupPlan, PlanClause, PlanExpr, PlanMode, StepAccess};
 use xmark_query::verify::{verify_plan, verify_plan_against, Invariant};
 use xmark_query::{compile_with_mode, parse_query, Compiled};
 use xmark_store::{EdgeStore, SummaryStore, XmlStore};
@@ -20,13 +20,9 @@ fn compile(store: &dyn XmlStore, text: &str, mode: PlanMode) -> Compiled {
 fn body_path(compiled: &mut Compiled) -> &mut xmark_query::plan::PathPlan {
     match &mut compiled.plan.body {
         PlanExpr::Path(p) => p,
-        PlanExpr::Flwor(f) => match &mut f.strategy {
-            Strategy::NestedLoop { clauses, .. } => match &mut clauses[0] {
-                xmark_query::plan::PlanClause::For(_, PlanExpr::Path(p))
-                | xmark_query::plan::PlanClause::Let(_, PlanExpr::Path(p)) => p,
-                other => panic!("unexpected clause source: {other:?}"),
-            },
-            other => panic!("unexpected strategy: {other:?}"),
+        PlanExpr::Flwor(f) => match &mut f.clauses[0] {
+            PlanClause::For(_, PlanExpr::Path(p)) | PlanClause::Let(_, PlanExpr::Path(p)) => p,
+            other => panic!("unexpected clause source: {other:?}"),
         },
         other => panic!("unexpected body: {other:?}"),
     }
@@ -103,65 +99,97 @@ fn naive_plan_with_access_annotation_is_rejected() {
     assert!(report.violations_of(Invariant::NaivePurity) > 0, "{report}");
 }
 
-#[test]
-fn dangling_hoisted_filter_is_rejected() {
-    // A hoisted probe-side filter whose outer side references a join
-    // variable would be evaluated with the variable unbound at producer
-    // open — V5 hoist-live must catch both the dead key and the live-var
-    // leak.
-    let store = EdgeStore::load(DOC).unwrap();
-    let q = r#"for $a in /site/people/person, $b in /site/people/person
-               where $a/name/text() = $b/name/text() return $a"#;
-    let mut compiled = compile(&store, q, PlanMode::Optimized);
+/// The equi-join's Lookup: `$b` probes the index over its source with
+/// `$a`'s key.
+const JOIN: &str = r#"for $a in /site/people/person, $b in /site/people/person
+                      where $a/name/text() = $b/name/text() return $a"#;
+
+/// The Lookup source of the body FLWOR's second clause.
+fn body_lookup(compiled: &mut Compiled) -> &mut LookupPlan {
     let PlanExpr::Flwor(f) = &mut compiled.plan.body else {
         panic!("body is a FLWOR");
     };
-    let Strategy::HashJoin {
-        probe_var, hoisted, ..
-    } = &mut f.strategy
-    else {
-        panic!("equi-join plans as a hash join");
-    };
-    hoisted.push(HoistedEq {
-        probe_key: PlanExpr::Str("not a key path".into()),
-        outer: PlanExpr::Var(probe_var.clone()),
-        sig: None,
-    });
+    match &mut f.clauses[1] {
+        PlanClause::For(_, PlanExpr::Lookup(l)) => l,
+        other => panic!("the equi-join plans as a Lookup: {other:?}"),
+    }
+}
 
+#[test]
+fn dangling_hoisted_filter_is_rejected() {
+    // A Lookup whose outer side references its own variable would be
+    // evaluated before that variable binds — V4 join-keys names the
+    // leak (and V9 finds the variable unbound). A key that is not a path
+    // over the clause variable is a dead key — V4 again.
+    let store = EdgeStore::load(DOC).unwrap();
+    let mut compiled = compile(&store, JOIN, PlanMode::Optimized);
+    let lookup = body_lookup(&mut compiled);
+    lookup.outer = PlanExpr::Var(lookup.var.clone());
     let report = verify_plan(&compiled.plan, &store);
-    assert!(report.violations_of(Invariant::HoistLive) >= 2, "{report}");
+    assert!(report.violations_of(Invariant::JoinKeys) >= 1, "{report}");
+    assert!(report.violations_of(Invariant::VarScope) >= 1, "{report}");
     assert!(
         report
             .violations
             .iter()
-            .any(|v| v.message.contains("join variable")),
+            .any(|v| v.message.contains("looked-up variable")),
         "diagnostic names the leaked variable:\n{report}"
+    );
+
+    let mut compiled = compile(&store, JOIN, PlanMode::Optimized);
+    let PlanExpr::Flwor(f) = &compiled.plan.body else {
+        panic!("body is a FLWOR");
+    };
+    let PlanClause::For(_, PlanExpr::Path(root_path)) = &f.clauses[0] else {
+        panic!("the first clause scans a path");
+    };
+    let root_path = root_path.as_ref().clone();
+    body_lookup(&mut compiled).key = root_path;
+    let report = verify_plan(&compiled.plan, &store);
+    assert!(report.violations_of(Invariant::JoinKeys) >= 1, "{report}");
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.message.contains("not a predicate-free path over $b")),
+        "diagnostic names the dead key:\n{report}"
     );
 }
 
 #[test]
 fn swapped_join_keys_are_rejected() {
-    // Keys rooted at the wrong variable break the canonical probe/build
-    // orientation — V4 join-keys.
+    // Swapping the Lookup's key with its outer side roots the key at the
+    // wrong variable and puts the clause's own variable on the probing
+    // side — V4 join-keys, twice.
     let store = EdgeStore::load(DOC).unwrap();
-    let q = r#"for $a in /site/people/person, $b in /site/people/person
-               where $a/name/text() = $b/name/text() return $a"#;
-    let mut compiled = compile(&store, q, PlanMode::Optimized);
-    let PlanExpr::Flwor(f) = &mut compiled.plan.body else {
-        panic!("body is a FLWOR");
+    let mut compiled = compile(&store, JOIN, PlanMode::Optimized);
+    let lookup = body_lookup(&mut compiled);
+    let PlanExpr::Path(outer) = lookup.outer.clone() else {
+        panic!("the outer side is $a's key path");
     };
-    let Strategy::HashJoin {
-        probe_key,
-        build_key,
-        ..
-    } = &mut f.strategy
-    else {
-        panic!("equi-join plans as a hash join");
-    };
-    std::mem::swap(probe_key, build_key);
+    lookup.outer = PlanExpr::Path(Box::new(std::mem::replace(&mut lookup.key, *outer)));
 
     let report = verify_plan(&compiled.plan, &store);
     assert!(report.violations_of(Invariant::JoinKeys) >= 2, "{report}");
+}
+
+#[test]
+fn corrupted_lookup_signature_is_rejected() {
+    // The index signature must re-derive as "{source}|{key}": a drifted
+    // one would share a wrong index between Lookups — V7 memo-sig.
+    let store = EdgeStore::load(DOC).unwrap();
+    let mut compiled = compile(&store, JOIN, PlanMode::Optimized);
+    body_lookup(&mut compiled).sig.push_str("#drift");
+
+    let report = verify_plan(&compiled.plan, &store);
+    assert!(report.violations_of(Invariant::MemoSig) >= 1, "{report}");
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.message.contains("lookup sig")),
+        "diagnostic names the signature:\n{report}"
+    );
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! §2(2) of the paper: "Strings are the basic data type" of XML, and §7
 //! notes that "all character data … were stored as strings and cast at
 //! runtime to richer data types whenever necessary" (Queries 3, 5, 11, 12,
-//! 18, 20). [`Value::as_f64`] is that runtime cast; Q5 measures its cost.
+//! 18, 20). Character data lands here as [`Value::Str`]; those queries'
+//! numeric casts happen in the query layer, whose one number rule
+//! (`xmark_query`'s `xs_double`) every comparison goes through.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -27,17 +29,6 @@ impl Value {
     /// Build a string value.
     pub fn str(s: impl Into<String>) -> Self {
         Value::Str(s.into())
-    }
-
-    /// Runtime cast to `f64` — the coercion XMark Q5 charges for.
-    /// Returns `None` for NULL or non-numeric strings.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            Value::Str(s) => s.trim().parse::<f64>().ok(),
-            Value::Null => None,
-        }
     }
 
     /// Cast to `i64` (truncating floats).
@@ -128,11 +119,9 @@ impl Ord for OrdValue {
             (Null, Null) => Ordering::Equal,
             (Int(a), Int(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
-            (a @ (Int(_) | Float(_)), b @ (Int(_) | Float(_))) => {
-                let fa = a.as_f64().unwrap_or(f64::NAN);
-                let fb = b.as_f64().unwrap_or(f64::NAN);
-                fa.total_cmp(&fb)
-            }
+            (Float(a), Float(b)) => a.total_cmp(b),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
+            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
             (a, b) => class(a).cmp(&class(b)),
         }
     }
@@ -166,10 +155,7 @@ mod tests {
 
     #[test]
     fn casts_strings_at_runtime() {
-        assert_eq!(Value::str("40.50").as_f64(), Some(40.5));
         assert_eq!(Value::str(" 7 ").as_i64(), Some(7));
-        assert_eq!(Value::str("gold").as_f64(), None);
-        assert_eq!(Value::Null.as_f64(), None);
     }
 
     #[test]

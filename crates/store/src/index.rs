@@ -25,11 +25,11 @@
 //!   it. This single code path answers [`XmlStore::lookup_id`] on *all
 //!   eight* backends; the per-backend `@id` hash maps are retired.
 //! * **Value indexes** — planner-signature-keyed slots holding the query
-//!   layer's join build sides and decorrelated lookup indexes
-//!   (canonical key → postings). The signatures exist only for
-//!   loop-invariant (source, key-path) pairs, so a built slot is valid
-//!   for the lifetime of the store; repeated executions of the join
-//!   queries (Q8–Q12) probe instead of rebuilding.
+//!   layer's Lookup indexes (canonical key → postings) and path memos.
+//!   Every signature names a loop-invariant structure (an absolute
+//!   path, or a (source, key-path) pair), so a built slot is valid for
+//!   the lifetime of the store; repeated executions of the join queries
+//!   (Q8–Q12) probe instead of rebuilding.
 //!
 //! Builds are exactly-once under concurrency: the element and `@id`
 //! indexes sit in [`OnceLock`]s, and value slots are per-key locks, so two

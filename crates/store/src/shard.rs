@@ -22,7 +22,7 @@
 //!   **partial-aggregate combine**: per-shard counts summed, each answered
 //!   by whatever summary/extent arithmetic the shard backend has,
 //! * the union owns its own [`IndexManager`], so id lookups, element
-//!   postings and the query layer's shared join build sides work
+//!   postings and the query layer's shared Lookup indexes work
 //!   unchanged — the shard stores' own index managers stay empty.
 //!
 //! Queries therefore run on the union through the same executor as on

@@ -11,8 +11,7 @@
 //!
 //! * **`cvals|` typed-value slots** — surgical patch of the
 //!   parent → text-children map;
-//! * **every other value slot** (join build sides, keyed lookups, path
-//!   materializations) — survives iff its planner signature mentions no
+//! * **every other value slot** (Lookup indexes, path materializations) — survives iff its planner signature mentions no
 //!   touched tag or attribute name. The match is a conservative
 //!   substring test: signatures embed step tags with single-character
 //!   axis prefixes, so substring matching can only over-invalidate

@@ -46,8 +46,7 @@
 //!   [`SnapshotStore`]'s `lookup_id` corrects it through the delta (see
 //!   below); every snapshot after the first gets an empty element
 //!   index. `cvals` typed-value slots are patched surgically, and every
-//!   other value slot (join build sides, lookup indexes, path
-//!   materializations) survives **iff** its planner signature mentions
+//!   other value slot (Lookup indexes, path materializations) survives **iff** its planner signature mentions
 //!   no touched tag or attribute name — signature-keyed invalidation
 //!   instead of a full rebuild. Compiled
 //!   plans need no invalidation at all: every access path a plan can

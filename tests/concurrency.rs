@@ -21,7 +21,7 @@ use xmark::query::CompileStats;
 
 /// A mix that exercises every access-path family: ID lookup (Q1),
 /// positional index (Q2), casting (Q5), structural-summary counting (Q6),
-/// reference chasing / hash join (Q8), and long path traversal (Q17).
+/// reference chasing / Lookup join (Q8), and long path traversal (Q17).
 const MIX: [usize; 6] = [1, 2, 5, 6, 8, 17];
 const THREADS: usize = 4;
 /// Closed-loop rounds each thread runs over the whole mix.

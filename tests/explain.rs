@@ -88,26 +88,29 @@ Project <item person="{$p/name/text()->vals("name")}">{count($a)}</item>
     For $p in PathScan /site/people/person ~51 [memo]
     Let $a in
       Project $t
-        IndexLookup $t/buyer/@person = $p/@id ~19
-          index $t [memo] in PathScan /site/closed_auctions/closed_auction ~19 [memo]
+        NestedLoop
+          For $t in Lookup $t/buyer/@person = $p/@id ~19
+            PathScan /site/closed_auctions/closed_auction ~19 [memo]
 === A Q9 ===
 Project <person name="{$p/name/text()->vals("name")}">{$a}</person>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
     Let $a in
       Project <item>{$e/name/text()->vals("name")}</item>
-        HashJoin $t/itemref/@item = $e/@id ~19x43
-          probe $t in PathScan /site/closed_auctions/closed_auction ~19 [memo]
-          build $e [memo] in PathScan /site/regions/europe/item ~43 [memo]
-          Filter@probe $t/buyer/@person = $p/@id [memo]
+        NestedLoop
+          For $t in Lookup $t/buyer/@person = $p/@id ~19
+            PathScan /site/closed_auctions/closed_auction ~19 [memo]
+          For $e in Lookup $e/@id = $t/itemref/@item ~43
+            PathScan /site/regions/europe/item ~43 [memo]
 === A Q10 ===
 Project <categorie>{(<id>{$i}</id>, $p)}</categorie>
   NestedLoop
     For $i in distinct-values(/site/people/person/profile/interest/@category)
     Let $p in
       Project <personne><statistiques><sexe>{$t/profile/gender/text()->vals("gender")}</sexe><age>{$t/profile…
-        IndexLookup $t/profile/interest/@category = $i ~51
-          index $t [memo] in PathScan /site/people/person ~51 [memo]
+        NestedLoop
+          For $t in Lookup $t/profile/interest/@category = $i ~51
+            PathScan /site/people/person ~51 [memo]
 === A Q11 ===
 Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
@@ -216,26 +219,29 @@ Project <item person="{$p/name/text()->vals("name")}">{count($a)}</item>
     For $p in PathScan /site/people/person ~51 [memo]
     Let $a in
       Project $t
-        IndexLookup $t/buyer/@person = $p/@id ~19
-          index $t [memo] in PathScan /site/closed_auctions/closed_auction ~19 [memo]
+        NestedLoop
+          For $t in Lookup $t/buyer/@person = $p/@id ~19
+            PathScan /site/closed_auctions/closed_auction ~19 [memo]
 === E Q9 ===
 Project <person name="{$p/name/text()->vals("name")}">{$a}</person>
   NestedLoop
     For $p in PathScan /site/people/person ~51 [memo]
     Let $a in
       Project <item>{$e/name/text()->vals("name")}</item>
-        HashJoin $t/itemref/@item = $e/@id ~19x43
-          probe $t in PathScan /site/closed_auctions/closed_auction ~19 [memo]
-          build $e [memo] in PathScan /site/regions/europe/item ~43 [memo]
-          Filter@probe $t/buyer/@person = $p/@id [memo]
+        NestedLoop
+          For $t in Lookup $t/buyer/@person = $p/@id ~19
+            PathScan /site/closed_auctions/closed_auction ~19 [memo]
+          For $e in Lookup $e/@id = $t/itemref/@item ~43
+            PathScan /site/regions/europe/item ~43 [memo]
 === E Q10 ===
 Project <categorie>{(<id>{$i}</id>, $p)}</categorie>
   NestedLoop
     For $i in distinct-values(/site/people/person/profile/interest/@category)
     Let $p in
       Project <personne><statistiques><sexe>{$t/profile/gender/text()->vals("gender")}</sexe><age>{$t/profile…
-        IndexLookup $t/profile/interest/@category = $i ~51
-          index $t [memo] in PathScan /site/people/person ~51 [memo]
+        NestedLoop
+          For $t in Lookup $t/profile/interest/@category = $i ~51
+            PathScan /site/people/person ~51 [memo]
 === E Q11 ===
 Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
@@ -365,8 +371,7 @@ fn naive_plans_contain_no_rewrites() {
         let naive = compile_with_mode(q.text, store.as_ref(), PlanMode::Naive).unwrap();
         let rendered = naive.explain();
         for operator in [
-            "HashJoin",
-            "IndexLookup",
+            "Lookup",
             "Aggregate",
             "->id(",
             "->pos(",

@@ -3,6 +3,7 @@
 //! specification, exactly-once builds under concurrency, and the
 //! planner's density gate for IndexScan.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use xmark::prelude::*;
@@ -41,8 +42,8 @@ fn all_backends_answer_id_lookups() {
 }
 
 /// Index ≡ scan oracle: with every shared index warm, the optimized
-/// plans (IndexScan postings, persistent IndexLookup/HashJoin build
-/// sides, indexed aggregates) must stay byte-identical to the pure
+/// plans (IndexScan postings, persistent Lookup indexes, indexed
+/// aggregates) must stay byte-identical to the pure
 /// nested-loop specification on all twenty queries × all seven backends.
 #[test]
 fn warm_indexes_preserve_all_twenty_queries_on_every_backend() {
@@ -134,6 +135,41 @@ fn q8_to_q12_rebuild_nothing_after_warmup() {
                 "{system} Q{q} warm output diverged from the specification"
             );
         }
+    }
+}
+
+/// Q8 and Q9 chase the same reference (`$t/buyer/@person = $p/@id`), so
+/// their Lookups share one value index over `closed_auction`: after Q8,
+/// Q9 adds only its own index over the European items — no second slot
+/// over `closed_auction` and no per-source key lists.
+#[test]
+fn q9_reuses_q8_lookup_index() {
+    let doc = generate_document(0.002);
+    let slots = |store: &dyn XmlStore| -> BTreeSet<String> {
+        let built = store.indexes().built_values();
+        built.into_iter().map(|(sig, _, _)| sig).collect()
+    };
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        execute(&compile(query(8).text, store).unwrap(), store).unwrap();
+        let after_q8 = slots(store);
+        assert!(
+            after_q8.contains("idx|/site/closed_auctions/closed_auction|/buyer@person"),
+            "{system}: Q8 builds the buyer index: {after_q8:?}"
+        );
+        execute(&compile(query(9).text, store).unwrap(), store).unwrap();
+        let added: Vec<String> = slots(store).difference(&after_q8).cloned().collect();
+        assert!(
+            added
+                .iter()
+                .all(|sig| !sig.contains("closed_auction") && !sig.starts_with("keys|")),
+            "{system}: Q9 rebuilt what Q8 left: {added:?}"
+        );
+        assert!(
+            added.contains(&"idx|/site/regions/europe/item|@id".to_string()),
+            "{system}: Q9 indexes the European items: {added:?}"
+        );
     }
 }
 

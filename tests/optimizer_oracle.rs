@@ -1,6 +1,6 @@
-//! Optimizer oracle: every decision the planner makes (hash join,
-//! decorrelated index lookup, predicate pushdown, ID/positional/inlined
-//! access paths, summary aggregates) must be *semantically invisible* —
+//! Optimizer oracle: every decision the planner makes (Lookup joins,
+//! predicate pushdown, ID/positional/inlined access paths, summary
+//! aggregates) must be *semantically invisible* —
 //! the optimized and the pure nested-loop execution of all twenty queries
 //! must produce byte-identical canonical output on **every** backend A–G.
 //!
@@ -156,7 +156,7 @@ fn multi_item_path_bases_answer_in_document_order_on_every_backend() {
 fn join_plan_handles_duplicate_keys() {
     // Hand-built document where join keys repeat on both sides: the
     // nested loop emits one tuple per matching *pair*, and so must the
-    // hash join.
+    // Lookup.
     let xml = r#"<site><l><x k="a"/><x k="a"/><x k="b"/></l><r><y k="a"/><y k="a"/><y k="c"/></r></site>"#;
     let q = r#"for $l in document("d")/site/l/x, $r in document("d")/site/r/y
                where $l/@k = $r/@k
@@ -198,12 +198,34 @@ fn decorrelation_handles_empty_probe_keys() {
                          where $t/@ref = $p/@id
                          return $t
                return <n c="{count($a)}"/>"#;
-    for system in SystemId::ALL {
+    for system in SystemId::EXTENDED {
         let store = build_store(system, xml).unwrap();
         let optimized = run_with(store.as_ref(), q, PlanMode::Optimized);
         let naive = run_with(store.as_ref(), q, PlanMode::Naive);
         assert_eq!(optimized, naive, "{system}");
         assert_eq!(optimized, "<n c=\"1\"/>\n<n c=\"0\"/>", "{system}");
+    }
+    // More outer keys: a sequence that reaches `t2` twice and `t1` after
+    // it (each match emitted once, in source order), an empty one, and a
+    // NaN, which equals nothing — not even the source's own NaN.
+    let xml = concat!(
+        r#"<site><p><r k="t2"/><r k="t1"/><r k="t2"/></p><p/><p><r k="NaN"/></p>"#,
+        r#"<t ref="t1"/><t ref="t2"/><t ref="NaN"/><t ref="t3"/></site>"#
+    );
+    let q = r#"for $p in document("d")/site/p
+               let $a := for $t in document("d")/site/t
+                         where $t/@ref = $p/r/@k
+                         return <hit ref="{$t/@ref}"/>
+               return <n>{$a}</n>"#;
+    let expected = concat!(r#"<n><hit ref="t1"/><hit ref="t2"/></n>"#, "\n<n/>\n<n/>");
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, xml).unwrap();
+        let compiled = compile(q, store.as_ref()).unwrap();
+        assert!(compiled.explain().contains("Lookup"), "{system}");
+        let optimized = run_with(store.as_ref(), q, PlanMode::Optimized);
+        let naive = run_with(store.as_ref(), q, PlanMode::Naive);
+        assert_eq!(optimized, naive, "{system}");
+        assert_eq!(optimized, expected, "{system}");
     }
 }
 
@@ -236,24 +258,65 @@ fn join_keys_follow_general_comparison_semantics() {
 
 #[test]
 fn hoisted_probe_filters_match_per_pair_evaluation() {
-    // A hash join with a second, correlated equality (Q9's shape): the
-    // hoisted probe-side filter must keep exactly the pairs the naive
-    // per-pair evaluation keeps.
+    // Q9's shape: `$t` probes with the outer scope's `$p/@id`, `$e` with
+    // the earlier clause's `$t/@item`; both Lookups must keep exactly the
+    // pairs the naive per-pair evaluation keeps.
     let xml = concat!(
         r#"<site><p id="p1"/><p id="p2"/>"#,
         r#"<t item="i1" owner="p1"/><t item="i1" owner="p2"/><t item="i9" owner="p1"/>"#,
-        r#"<e id="i1"/><e id="i2"/></site>"#
+        r#"<e id="i1"/><e id="i2"/><x n="a"/><x n="skip"/><x n="b"/></site>"#
     );
     let q = r#"for $p in document("d")/site/p
                let $a := for $t in document("d")/site/t, $e in document("d")/site/e
                          where $t/@item = $e/@id and $t/@owner = $p/@id
                          return $e
                return <n c="{count($a)}"/>"#;
-    for system in SystemId::ALL {
+    // Three clauses: the outer-scope probe on the first, a filtered
+    // cross product in the middle, and an earlier-clause probe on the
+    // last, which skips over the middle clause to `$t`.
+    let three = r#"for $p in document("d")/site/p
+                   let $a := for $t in document("d")/site/t, $x in document("d")/site/x,
+                                 $e in document("d")/site/e
+                             where $t/@owner = $p/@id and $e/@id = $t/@item and $x/@n != "skip"
+                             return <hit x="{$x/@n}" e="{$e/@id}"/>
+                   return <n>{$a}</n>"#;
+    let three_expected = concat!(
+        r#"<n><hit e="i1" x="a"/><hit e="i1" x="b"/></n>"#,
+        "\n",
+        r#"<n><hit e="i1" x="a"/><hit e="i1" x="b"/></n>"#
+    );
+    // A source estimated to hold one item gains nothing from an index:
+    // it stays a plain nested loop wherever the backend estimates.
+    let singleton = r#"for $p in document("d")/site/p
+                       let $a := for $s in document("d")/site
+                                 where $s/p/@id = $p/@id
+                                 return $s
+                       return <n c="{count($a)}"/>"#;
+    let mut estimated = 0;
+    for system in SystemId::EXTENDED {
         let store = build_store(system, xml).unwrap();
-        let optimized = run_with(store.as_ref(), q, PlanMode::Optimized);
-        let naive = run_with(store.as_ref(), q, PlanMode::Naive);
-        assert_eq!(optimized, naive, "{system}");
-        assert_eq!(optimized, "<n c=\"1\"/>\n<n c=\"1\"/>", "{system}");
+        let store = store.as_ref();
+        for (text, expected) in [
+            (q, "<n c=\"1\"/>\n<n c=\"1\"/>"),
+            (three, three_expected),
+            (singleton, "<n c=\"1\"/>\n<n c=\"1\"/>"),
+        ] {
+            let optimized = run_with(store, text, PlanMode::Optimized);
+            let naive = run_with(store, text, PlanMode::Naive);
+            assert_eq!(optimized, naive, "{system}: {text}");
+            assert_eq!(optimized, expected, "{system}: {text}");
+        }
+        let plan = compile(three, store).unwrap().explain();
+        assert_eq!(plan.matches("Lookup").count(), 2, "{system}:\n{plan}");
+        assert!(
+            plan.contains("Lookup $e/@id = $t/@item"),
+            "{system}:\n{plan}"
+        );
+        let plan = compile(singleton, store).unwrap().explain();
+        if plan.contains("PathScan /site ~1") {
+            assert!(!plan.contains("Lookup"), "{system}:\n{plan}");
+            estimated += 1;
+        }
     }
+    assert!(estimated > 0, "no backend estimated the singleton source");
 }

@@ -24,7 +24,7 @@ const GOLDEN: [(usize, usize, u64, u64); 20] = [
     (6, 1, 2, 1),
     (7, 1, 1, 1),
     (8, 51, 262, 172),
-    (9, 51, 284, 182),
+    (9, 51, 256, 230),
     (10, 2, 855, 521),
     (11, 51, 4495, 4446),
     (12, 17, 1779, 1779),
