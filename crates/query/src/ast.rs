@@ -149,6 +149,32 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// The operator as written.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "!=",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        }
+    }
+
+    /// The operator with its operands swapped: `a op b` is
+    /// `b op.mirrored() a`.
+    pub fn mirrored(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            symmetric => symmetric,
+        }
+    }
+}
+
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
@@ -162,6 +188,19 @@ pub enum ArithOp {
     Div,
     /// `mod`
     Mod,
+}
+
+impl ArithOp {
+    /// The operator as written.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            ArithOp::Add => "+",
+            ArithOp::Sub => "-",
+            ArithOp::Mul => "*",
+            ArithOp::Div => "div",
+            ArithOp::Mod => "mod",
+        }
+    }
 }
 
 /// FLWOR internals.

@@ -11,7 +11,9 @@
 //!   Project) run as pull-based cursors defined in
 //!   [`crate::stream`](mod@crate::stream); this module supplies the
 //!   shared per-context mechanics they call into (step expansion,
-//!   predicate application, Lookup indexes and probes, order keys),
+//!   predicate application, order keys, and the Lookup's sorted key
+//!   index, where each of `= < <= > >=` is a binary-searched range that
+//!   agrees with the general comparison pair for pair),
 //! * per-execution memos (loop-invariant path materialization, Lookup
 //!   indexes) keyed by the signatures the planner computed,
 //! * graceful fallbacks where a plan annotation turns out not to cover a
@@ -31,7 +33,9 @@
 use std::any::Any;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use xmark_store::{ChildValues, DescendantsNamed, IndexManager, Node, XmlStore};
@@ -81,9 +85,97 @@ impl std::error::Error for EvalError {}
 
 pub(crate) type EResult<T> = Result<T, EvalError>;
 
-/// A Lookup operator's index: canonical key → (source position, item)
-/// pairs in source order.
-type JoinIndex = HashMap<String, Vec<(usize, Item)>>;
+/// A Lookup operator's index over its source: every key item sorted
+/// twice — by number and by trimmed text — so that each operator's
+/// matches for one outer item are one range of a sorted list, found by
+/// binary search. The ranges reproduce [`general_compare`] pair for
+/// pair: two numbers compare as numbers, anything else as text.
+struct KeyIndex {
+    /// The source items, in source order; shared with the source's
+    /// loop-invariant path memo.
+    items: Arc<Sequence>,
+    /// The numeric keys by value (`-0` sorts apart from `0` but compares
+    /// equal to it), with their source positions. NaN, which compares
+    /// false with every number, is left out.
+    nums: Vec<(f64, u32)>,
+    /// Every key's trimmed text (a number's is its [`format_number`]
+    /// rendering) in string order, with its source position.
+    texts: Vec<(Box<str>, u32)>,
+    /// Each distinct text's run in `texts`. An equality probe by an item
+    /// that is not a number — every probe of Q8–Q10 — hashes instead of
+    /// searching: a binary search made Q8 and Q9 up to 7 % slower.
+    runs: HashMap<Box<str>, Range<usize>>,
+    /// The positions in `texts` of the keys that are not numbers, in
+    /// order: the only keys a number outer item compares as text.
+    non_numeric: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// Append the source positions whose key satisfies `key op outer`:
+    /// a number outer item compares as a number with the numeric keys
+    /// and as text with the rest, any other outer item as text with all.
+    fn probe(&self, op: CmpOp, outer: &CmpKey<'_>, out: &mut Vec<u32>) {
+        let Some(x) = outer.num() else {
+            let text = outer.text();
+            let ranges = match op {
+                CmpOp::Eq => [self.runs.get(&*text).cloned().unwrap_or_default(), 0..0],
+                _ => op_ranges(&self.texts, op, |k| (*k.0).cmp(&text)),
+            };
+            for r in ranges {
+                out.extend(self.texts[r].iter().map(|k| k.1));
+            }
+            return;
+        };
+        if !x.is_nan() {
+            let cmp = |k: &(f64, u32)| k.0.partial_cmp(&x).unwrap_or(Ordering::Equal);
+            for r in op_ranges(&self.nums, op, cmp) {
+                out.extend(self.nums[r].iter().map(|k| k.1));
+            }
+        }
+        if !self.non_numeric.is_empty() {
+            let text = outer.text();
+            let cmp = |&i: &u32| (*self.texts[i as usize].0).cmp(&text);
+            for r in op_ranges(&self.non_numeric, op, cmp) {
+                let positions = self.non_numeric[r].iter();
+                out.extend(positions.map(|&i| self.texts[i as usize].1));
+            }
+        }
+    }
+
+    /// Approximate resident bytes, for the store's index accounting. The
+    /// items are not counted: the source's path memo holds them too, and
+    /// a commit that drops that memo drops this index with it.
+    fn size_bytes(&self) -> usize {
+        let texts: usize = self.texts.iter().map(|k| k.0.len() + 24).sum();
+        let runs: usize = self.runs.keys().map(|k| k.len() + 48).sum();
+        self.nums.len() * 16 + texts + runs + self.non_numeric.len() * 4 + 120
+    }
+}
+
+/// The ranges of `sorted` — ascending, `cmp` giving each key's order
+/// against the outer value — whose keys satisfy `key op outer`: one
+/// range, or two for `!=`. One binary search each; `=` walks its run
+/// of equal keys, which it returns anyway.
+fn op_ranges<T>(sorted: &[T], op: CmpOp, cmp: impl Fn(&T) -> Ordering) -> [Range<usize>; 2] {
+    let below = || sorted.partition_point(|k| cmp(k) == Ordering::Less);
+    let upto = || sorted.partition_point(|k| cmp(k) != Ordering::Greater);
+    let end = sorted.len();
+    let none = end..end;
+    match op {
+        CmpOp::Eq => {
+            let lo = below();
+            let run = sorted[lo..]
+                .iter()
+                .take_while(|k| cmp(k) == Ordering::Equal);
+            [lo..lo + run.count(), none]
+        }
+        CmpOp::Ne => [0..below(), upto()..end],
+        CmpOp::Lt => [0..below(), none],
+        CmpOp::Le => [0..upto(), none],
+        CmpOp::Gt => [upto()..end, none],
+        CmpOp::Ge => [below()..end, none],
+    }
+}
 
 /// Variable environment with lexical scoping, borrowing its names from
 /// the plan (`'a`).
@@ -174,7 +266,7 @@ pub(crate) struct Evaluator<'a> {
     /// signatures. Populated from the store-resident value indexes (L2)
     /// when those are enabled, so after warmup an execution performs zero
     /// builds — only probes.
-    index_cache: RefCell<HashMap<&'a str, Arc<JoinIndex>>>,
+    index_cache: RefCell<HashMap<&'a str, Arc<KeyIndex>>>,
     /// The element index, resolved once per execution (see
     /// [`Evaluator::index_postings`]).
     element_index: std::cell::OnceCell<&'a xmark_store::ElementIndex>,
@@ -526,60 +618,65 @@ impl<'a> Evaluator<'a> {
 
     // ---- FLWOR support ---------------------------------------------------
 
-    /// The Lookup operator: the source items whose key equals, by general
-    /// `=`, any canonical key of the outer expression — in source order,
-    /// each once. Blocking: the index is built (or fetched) before the
-    /// first probe.
+    /// The Lookup operator: the source items whose key compares true
+    /// against any item of the outer expression — in source order, each
+    /// once. Blocking: the index is built (or fetched) before the first
+    /// probe. Over an empty source the outer expression is never
+    /// evaluated, as the nested loop never evaluates its `where`.
     fn eval_lookup(
         &self,
         l: &'a LookupPlan,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
     ) -> EResult<Sequence> {
-        let index = self.join_build_side(l, env, ctx)?;
-        let mut matched: Vec<&(usize, Item)> = Vec::new();
-        self.eval_each(&l.outer, env, ctx, |key| {
-            // NaN matches nothing.
-            let hits = canonical_key(&atomized(self.store, &key)).and_then(|k| index.get(&k));
-            matched.extend(hits.into_iter().flatten());
+        let index = self.key_index(l, env, ctx)?;
+        if index.items.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut matched: Vec<u32> = Vec::new();
+        self.eval_each(&l.outer, env, ctx, |item| {
+            index.probe(l.op, &CmpKey::of(self.store, item), &mut matched);
         })?;
-        matched.sort_by_key(|(i, _)| *i);
-        matched.dedup_by_key(|(i, _)| *i);
-        Ok(matched.into_iter().map(|(_, item)| item.clone()).collect())
+        matched.sort_unstable();
+        matched.dedup();
+        Ok(matched
+            .into_iter()
+            .map(|pos| index.items[pos as usize].clone())
+            .collect())
     }
 
-    /// Fetch — or build exactly once — the Lookup index `canonical key →
-    /// (position, item)` over `l`'s source, keyed by its key path
-    /// evaluated with the clause variable bound to each item.
+    /// Fetch — or build exactly once — the sorted key index over `l`'s
+    /// source, keyed by its key evaluated with the clause variable bound
+    /// to each item.
     ///
     /// Lookup order: the per-execution memo (L1, lock-free), then the
     /// store-resident value index (L2, [`IndexManager`]) under
     /// `idx|{sig}` — so after warmup, repeated executions (and every
     /// worker of a service pool) probe one shared structure and never
-    /// rebuild, and Lookups over the same source and key (Q8's and Q9's)
-    /// share one index.
-    fn join_build_side(
+    /// rebuild, and Lookups over the same source and key (Q8's and Q9's,
+    /// Q11's and Q12's) share one index.
+    fn key_index(
         &self,
         l: &'a LookupPlan,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
-    ) -> EResult<Arc<JoinIndex>> {
+    ) -> EResult<Arc<KeyIndex>> {
         if let Some(cached) = self.index_cache.borrow().get(l.sig.as_str()) {
             return Ok(Arc::clone(cached));
         }
         let index = if self.shared_values {
             let erased = self.indexes.value_or_build(&format!("idx|{}", l.sig), || {
-                let map = self.build_join_index(l, env, ctx)?;
-                let bytes = join_index_bytes(&map);
-                Ok::<_, EvalError>((Arc::new(map) as Arc<dyn Any + Send + Sync>, bytes))
+                let index = self.build_key_index(l, env, ctx)?;
+                let bytes = index.size_bytes();
+                Ok::<_, EvalError>((Arc::new(index) as Arc<dyn Any + Send + Sync>, bytes))
             })?;
             erased
-                .downcast::<JoinIndex>()
+                .downcast::<KeyIndex>()
                 // lint: allow(R1) slot key "idx|…" is written only by the
                 // closure above, so the type is fixed by construction
-                .expect("value slot idx|… holds a JoinIndex")
+                .expect("value slot idx|… holds a KeyIndex")
         } else {
-            Arc::new(self.build_join_index(l, env, ctx)?)
+            Arc::new(self.build_key_index(l, env, ctx)?)
         };
         self.index_cache
             .borrow_mut()
@@ -587,26 +684,53 @@ impl<'a> Evaluator<'a> {
         Ok(index)
     }
 
-    /// The actual build walk behind [`Evaluator::join_build_side`].
-    fn build_join_index(
+    /// The actual build walk behind [`Evaluator::key_index`].
+    fn build_key_index(
         &self,
         l: &'a LookupPlan,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
-    ) -> EResult<JoinIndex> {
-        let source = self.eval_path(&l.source, env, ctx)?;
-        let mut map: JoinIndex = HashMap::with_capacity(source.len());
-        for (i, item) in source.into_iter().enumerate() {
+    ) -> EResult<KeyIndex> {
+        let items = match &l.source.memo {
+            Some(sig) => self.memo_path(sig, &l.source, env, ctx)?,
+            None => Arc::new(self.eval_path(&l.source, env, ctx)?),
+        };
+        let mut nums = Vec::new();
+        let mut texts = Vec::new();
+        for (pos, item) in items.iter().enumerate() {
+            let pos = pos as u32;
             env.push(&l.var, Bound::One(item.clone()));
-            let keys = self.eval_path(&l.key, env, ctx);
-            env.pop();
-            for key in keys? {
-                if let Some(canonical) = canonical_key(&atomized(self.store, &key)) {
-                    map.entry(canonical).or_default().push((i, item.clone()));
+            let keyed = self.eval_each(&l.key, env, ctx, |key| {
+                let key = CmpKey::of(self.store, key);
+                let num = key.num();
+                if let Some(n) = num.filter(|n| !n.is_nan()) {
+                    nums.push((n, pos));
                 }
+                texts.push((Box::<str>::from(key.text()), pos, num.is_some()));
+            });
+            env.pop();
+            keyed?;
+        }
+        nums.sort_by(|a, b| a.0.total_cmp(&b.0));
+        texts.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut runs: HashMap<Box<str>, Range<usize>> = HashMap::new();
+        let mut non_numeric = Vec::new();
+        for (i, (text, _, numeric)) in texts.iter().enumerate() {
+            runs.entry(text.clone()).or_insert(i..i).end = i + 1;
+            if !numeric {
+                non_numeric.push(i as u32);
             }
         }
-        Ok(map)
+        Ok(KeyIndex {
+            items,
+            nums,
+            texts: texts
+                .into_iter()
+                .map(|(text, pos, _)| (text, pos))
+                .collect(),
+            runs,
+            non_numeric,
+        })
     }
 
     /// Evaluate the Sort operator's key for the current tuple.
@@ -1455,27 +1579,6 @@ fn join_atomized<'s>(store: &'s dyn XmlStore, seq: &'s [Item]) -> Cow<'s, str> {
     Cow::Owned(out)
 }
 
-/// Approximate resident bytes of a join index, for the store's index
-/// accounting (keys, entry overhead, and per-posting item slots).
-fn join_index_bytes(map: &JoinIndex) -> usize {
-    map.iter()
-        .map(|(k, v)| k.capacity() + 48 + v.len() * 48)
-        .sum()
-}
-
-/// Canonical Lookup key, aligned with the general comparison the
-/// nested-loop specification evaluates: numeric values normalize ("40"
-/// and "40.0" join, "-0" joins "0"), non-numeric values compare
-/// *trimmed* exactly like the string fallback. `None` for NaN — NaN
-/// equals nothing, so a NaN key must never enter or probe a join index.
-fn canonical_key(s: &str) -> Option<String> {
-    match xs_double(s.trim()) {
-        Some(n) if n.is_nan() => None,
-        Some(n) => Some(format_number(if n == 0.0 { 0.0 } else { n })),
-        None => Some(s.trim().to_string()),
-    }
-}
-
 fn expect_arity(name: &str, args: &[Sequence], n: usize) -> EResult<()> {
     if args.len() == n {
         Ok(())
@@ -1725,7 +1828,7 @@ mod tests {
     #[test]
     fn join_keys_agree_with_comparison_on_number_spellings() {
         // `inf` and `Infinity` are two different words, not one number:
-        // the join's canonical key must not pair them, or the join would
+        // the Lookup's key index must not pair them, or the join would
         // disagree with the comparison the nested loop evaluates.
         let doc = r#"<site><people><person id="inf"><name>A</name></person><person id="Infinity"><name>B</name></person><person id="1e1"><name>C</name></person></people><open_auctions><open_auction><bidder><personref person="Infinity"/></bidder><bidder><personref person="10"/></bidder></open_auction></open_auctions></site>"#;
         let q = r#"for $p in /site/people/person let $a := for $t in /site/open_auctions/open_auction/bidder/personref where $t/@person = $p/@id return $t return <n name="{$p/name/text()}">{count($a)}</n>"#;

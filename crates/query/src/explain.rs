@@ -15,8 +15,9 @@
 //! positions), so every access-path choice is visible:
 //!
 //! * `~N` — the planner's cardinality estimate (omitted when unknown),
-//! * `Lookup key = outer` — a `for` source answered by probing the value
-//!   index over its source (rendered beneath) with `outer`'s keys,
+//! * `Lookup key op outer` — a `for` source answered by probing the
+//!   sorted key index over its source (rendered beneath) with `outer`'s
+//!   items, `op` one of `=`, `<`, `<=`, `>`, `>=`,
 //! * `[memo]` — loop-invariant path, materialized once per execution,
 //! * `->id("x")` — ID-index probe for that step,
 //! * `->idx` — IndexScan: the step streams off the shared element-name
@@ -29,7 +30,7 @@
 //! * `[idx]` — Aggregate answered by a posting-range length of the shared
 //!   element-name index.
 
-use crate::ast::{ArithOp, Axis, CmpOp, NodeTest};
+use crate::ast::{Axis, NodeTest};
 use crate::plan::*;
 
 /// Maximum width of an inline scalar rendering before truncation.
@@ -225,10 +226,16 @@ fn render_ctor_children(ctor: &PlanElement, indent: usize, out: &mut String) {
 
 // ---- the PathScan and Lookup lines ----------------------------------------
 
-/// `Lookup key = outer ~N`: the probed index's key path, the probing
-/// expression, and the source estimate; the source renders beneath.
+/// `Lookup key op outer ~N`: the probed index's key, the operator, the
+/// probing expression, and the source estimate; the source renders
+/// beneath.
 fn lookup_line(l: &LookupPlan) -> String {
-    let mut text = format!("Lookup {} = {}", path_inline(&l.key), inline(&l.outer));
+    let mut text = format!(
+        "Lookup {} {} {}",
+        inline_untruncated(&l.key),
+        l.op.symbol(),
+        inline(&l.outer)
+    );
     if l.est_rows > 0 {
         text.push_str(&format!(" ~{}", l.est_rows));
     }
@@ -322,27 +329,18 @@ fn inline_untruncated(expr: &PlanExpr) -> String {
         PlanExpr::Sequence(parts) => format!("({})", join_inline(parts, ", ")),
         PlanExpr::Or(parts) => join_inline(parts, " or "),
         PlanExpr::And(parts) => join_inline(parts, " and "),
-        PlanExpr::Cmp(op, a, b) => {
-            let op = match op {
-                CmpOp::Eq => "=",
-                CmpOp::Ne => "!=",
-                CmpOp::Lt => "<",
-                CmpOp::Le => "<=",
-                CmpOp::Gt => ">",
-                CmpOp::Ge => ">=",
-            };
-            format!("{} {op} {}", inline_untruncated(a), inline_untruncated(b))
-        }
-        PlanExpr::Arith(op, a, b) => {
-            let op = match op {
-                ArithOp::Add => "+",
-                ArithOp::Sub => "-",
-                ArithOp::Mul => "*",
-                ArithOp::Div => "div",
-                ArithOp::Mod => "mod",
-            };
-            format!("{} {op} {}", inline_untruncated(a), inline_untruncated(b))
-        }
+        PlanExpr::Cmp(op, a, b) => format!(
+            "{} {} {}",
+            inline_untruncated(a),
+            op.symbol(),
+            inline_untruncated(b)
+        ),
+        PlanExpr::Arith(op, a, b) => format!(
+            "{} {} {}",
+            inline_untruncated(a),
+            op.symbol(),
+            inline_untruncated(b)
+        ),
         PlanExpr::Neg(e) => format!("-{}", inline_untruncated(e)),
         PlanExpr::Before(a, b) => {
             format!("{} << {}", inline_untruncated(a), inline_untruncated(b))
@@ -364,9 +362,10 @@ fn inline_untruncated(expr: &PlanExpr) -> String {
         PlanExpr::Aggregate(a) => format!("count({}//{})", path_inline(&a.input), a.tag),
         PlanExpr::Flwor(f) => format!("flwor(… return {})", inline_untruncated(&f.ret)),
         PlanExpr::Lookup(l) => format!(
-            "lookup({}, {} = {})",
+            "lookup({}, {} {} {})",
             path_inline(&l.source),
-            path_inline(&l.key),
+            inline_untruncated(&l.key),
+            l.op.symbol(),
             inline_untruncated(&l.outer)
         ),
     }

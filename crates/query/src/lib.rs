@@ -55,9 +55,11 @@
 //!   quantifiers, the `<<` node-order operator, user-defined functions),
 //! * [`planner`] — lowers the AST into a [`plan::PhysicalPlan`], making
 //!   **every** rewrite decision at compile time: a `for` clause whose
-//!   where-conjunct equates a path over its variable with an expression
-//!   bound before it becomes a Lookup (every equi-join, correlated or
-//!   not, is a nested loop over index probes), the remaining
+//!   where-conjunct compares a key over its variable (`=`, or `<`, `<=`,
+//!   `>`, `>=` against an enclosing clause's variable) with an
+//!   expression bound before it becomes a Lookup (every join, equi- or
+//!   value join, is a nested loop over range probes of a sorted key
+//!   index), the remaining
 //!   where-conjuncts are scheduled by predicate pushdown, and steps are
 //!   annotated with the access paths the backend's
 //!   [`xmark_store::PlannerCaps`] affords (ID probes, positional

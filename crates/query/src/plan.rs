@@ -19,9 +19,10 @@
 //! * [`FlworPlan`] — clause-by-clause iteration (**NestedLoop**) with a
 //!   predicate-pushdown **Filter** schedule, followed by an optional
 //!   **Sort** and a **Project** (the `return` expression).
-//! * [`LookupPlan`] — a **Lookup**: a `for` source whose equality
-//!   conjunct became a value-index probe. Every join (Q8–Q10's reference
-//!   chasing) is a nested loop over Lookups.
+//! * [`LookupPlan`] — a **Lookup**: a `for` source whose comparison
+//!   conjunct (`=`, `<`, `<=`, `>` or `>=`) became a range probe of a
+//!   sorted key index. Every join — Q8–Q10's reference chasing and
+//!   Q11/Q12's value joins — is a nested loop over Lookups.
 //!
 //! Scalar expressions (comparisons, arithmetic, constructors, calls)
 //! mirror the AST one-to-one; only the decision-bearing nodes differ.
@@ -120,6 +121,74 @@ pub enum PlanExpr {
     Flwor(Box<FlworPlan>),
     /// Lookup operator (a `for` source probing a value index).
     Lookup(Box<LookupPlan>),
+}
+
+impl PlanExpr {
+    /// Does this expression reference `var` anywhere? The plan-level
+    /// mirror of the planner's AST `expr_uses_var`.
+    pub(crate) fn uses_var(&self, var: &str) -> bool {
+        match self {
+            PlanExpr::Var(v) => v == var,
+            PlanExpr::Str(_) | PlanExpr::Num(_) | PlanExpr::Empty => false,
+            PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {
+                parts.iter().any(|p| p.uses_var(var))
+            }
+            PlanExpr::Cmp(_, a, b) | PlanExpr::Arith(_, a, b) | PlanExpr::Before(a, b) => {
+                a.uses_var(var) || b.uses_var(var)
+            }
+            PlanExpr::Neg(inner) => inner.uses_var(var),
+            PlanExpr::Call(_, args) => args.iter().any(|a| a.uses_var(var)),
+            PlanExpr::Element(ctor) => ctor.uses_var(var),
+            PlanExpr::Some {
+                bindings,
+                satisfies,
+            } => bindings.iter().any(|(_, e)| e.uses_var(var)) || satisfies.uses_var(var),
+            PlanExpr::Path(p) => p.uses_var(var),
+            PlanExpr::Aggregate(a) => a.input.uses_var(var),
+            PlanExpr::Flwor(f) => {
+                f.clauses.iter().any(|c| match c {
+                    PlanClause::For(_, e) | PlanClause::Let(_, e) => e.uses_var(var),
+                }) || f.filters.iter().flatten().any(|c| c.uses_var(var))
+                    || f.order_by.as_ref().is_some_and(|(k, _)| k.uses_var(var))
+                    || f.ret.uses_var(var)
+            }
+            PlanExpr::Lookup(l) => {
+                l.source.uses_var(var) || l.key.uses_var(var) || l.outer.uses_var(var)
+            }
+        }
+    }
+}
+
+impl PathPlan {
+    /// Does this path reference `var` in its base or a predicate?
+    pub(crate) fn uses_var(&self, var: &str) -> bool {
+        let base = match &self.base {
+            PlanBase::Var(v) => v == var,
+            PlanBase::Expr(e) => e.uses_var(var),
+            PlanBase::Root | PlanBase::Context => false,
+        };
+        base || self.steps.iter().any(|s| {
+            s.preds.iter().any(|pred| match pred {
+                PlanPred::Expr(e) => e.uses_var(var),
+                _ => false,
+            })
+        })
+    }
+}
+
+impl PlanElement {
+    fn uses_var(&self, var: &str) -> bool {
+        self.attrs.iter().any(|(_, parts)| {
+            parts.iter().any(|p| match p {
+                PlanAttrPart::Expr(e) => e.uses_var(var),
+                PlanAttrPart::Lit(_) => false,
+            })
+        }) || self.content.iter().any(|c| match c {
+            PlanContent::Expr(e) => e.uses_var(var),
+            PlanContent::Element(nested) => nested.uses_var(var),
+            PlanContent::Text(_) => false,
+        })
+    }
 }
 
 /// Where a PathScan starts.
@@ -254,26 +323,33 @@ pub enum PlanClause {
     Let(String, PlanExpr),
 }
 
-/// The Lookup operator: `for $var in source where key($var) = outer`
-/// answered by probing a value index instead of filtering the source —
-/// §7's "chasing the references basically amounted to executing
-/// equi-joins on strings". It yields the source items whose key equals,
-/// by general `=`, any canonical key of `outer`, in source order and
-/// without duplicates. The index over (`source`, `key`) is built once
-/// and shared through the store's value indexes under `sig`; `outer` is
-/// evaluated in the clause's scope, once per open.
+/// The Lookup operator: `for $var in source where key($var) op outer`
+/// answered by probing a sorted key index instead of filtering the
+/// source — §7's "chasing the references basically amounted to executing
+/// equi-joins on strings", and Q11/Q12's value joins, which compare
+/// with `>`. It yields the source items whose key compares true, by
+/// general comparison, against any item of `outer`, in source order and
+/// without duplicates. The index over (`source`, `key`) is built once,
+/// serves all five operators, and is shared through the store's value
+/// indexes under `sig`; `outer` is evaluated in the clause's scope, once
+/// per open, and not at all over an empty source.
 #[derive(Debug, Clone)]
 pub struct LookupPlan {
     /// The variable `key` is rooted at (the clause's own variable).
     pub var: String,
     /// The loop-invariant source: an absolute predicate-free PathScan.
     pub source: PathPlan,
-    /// The key path, a predicate-free path over `var`.
-    pub key: PathPlan,
+    /// The key (see [`key_signature`]): predicate-free paths over
+    /// `var`, combined by arithmetic with numeric literals.
+    pub key: PlanExpr,
+    /// The comparison, stated key first: `key op outer`. One of `=`,
+    /// `<`, `<=`, `>` and `>=`.
+    pub op: CmpOp,
     /// The probing expression; free of `var` and of later clauses.
     pub outer: PlanExpr,
-    /// Index signature `"{source}|{key}"` over the canonical path
-    /// signatures — equal sources and keys share one index.
+    /// Index signature `"{source}|{key}"` over the canonical signatures
+    /// ([`path_signature`], [`key_signature`]) — equal sources and keys
+    /// share one index, whatever the operator.
     pub sig: String,
     /// Estimated source cardinality (0 = unknown).
     pub est_rows: u64,
@@ -311,7 +387,7 @@ pub enum PlanContent {
 }
 
 /// Canonical signature of a step sequence — the key for path memos and
-/// Lookup indexes, and the compact rendering EXPLAIN uses.
+/// Lookup indexes.
 pub fn path_signature(steps: &[PlanStep]) -> String {
     let mut sig = String::new();
     for s in steps {
@@ -327,4 +403,46 @@ pub fn path_signature(steps: &[PlanStep]) -> String {
         }
     }
     sig
+}
+
+/// Canonical signature of a Lookup key over `var`, or `None` when `key`
+/// lies outside the key grammar: a predicate-free path over `$var`, or
+/// `+ - * div mod` and unary minus over such paths and numeric
+/// literals, with at least one path. Its arithmetic raises nothing:
+/// over a non-number or a longer sequence it is the empty sequence. A
+/// path key signs as its [`path_signature`]; arithmetic
+/// signs fully parenthesized (`(5000 * /#t)`), which no path signature
+/// can spell.
+pub fn key_signature(key: &PlanExpr, var: &str) -> Option<String> {
+    fn sign(e: &PlanExpr, var: &str, paths: &mut usize) -> Option<String> {
+        match e {
+            PlanExpr::Path(p) => {
+                let over_var = matches!(&p.base, PlanBase::Var(v) if v == var)
+                    && p.steps.iter().all(|s| s.preds.is_empty());
+                over_var.then(|| {
+                    *paths += 1;
+                    path_signature(&p.steps)
+                })
+            }
+            PlanExpr::Num(n) => Some(crate::result::format_number(*n)),
+            PlanExpr::Neg(inner) => Some(format!("(-{})", sign(inner, var, paths)?)),
+            PlanExpr::Arith(op, a, b) => Some(format!(
+                "({} {} {})",
+                sign(a, var, paths)?,
+                op.symbol(),
+                sign(b, var, paths)?
+            )),
+            _ => None,
+        }
+    }
+    let mut paths = 0;
+    let sig = sign(key, var, &mut paths)?;
+    (paths > 0).then_some(sig)
+}
+
+/// The index signature of a Lookup: `"{source}|{key}"` over the
+/// canonical signatures, or `None` for a key outside the grammar.
+pub(crate) fn lookup_signature(source: &PathPlan, key: &PlanExpr, var: &str) -> Option<String> {
+    let key = key_signature(key, var)?;
+    Some(format!("{}|{key}", path_signature(&source.steps)))
 }

@@ -7,15 +7,20 @@
 //! plan choices directly. The decisions, formerly pattern-matched inside
 //! the evaluator on **every execution**:
 //!
-//! * **Lookup** — one rule per `for` clause turns every equi-join into a
+//! * **Lookup** — one rule per `for` clause turns every join into a
 //!   nested loop over index probes. For `for $v in S` with `S` absolute,
 //!   predicate-free and not estimated to be a singleton, the first
-//!   where-conjunct `k($v) = e` (`k` a predicate-free path over `$v`,
-//!   `e` free of `$v` and of every later clause's variable) is dropped
-//!   and the source becomes `Lookup(S, k, e)`: the value index over
-//!   `(S, k)` is built once and probed with `e`'s keys. Q8 and Q10 probe
-//!   with the outer scope's `$p/@id` / `$i`; Q9 becomes two Lookups, the
-//!   second probing with the first one's binding.
+//!   where-conjunct `k($v) op e` (`op` one of `= < <= > >=`, `k` a key —
+//!   predicate-free paths over `$v` under arithmetic with numeric
+//!   literals — and `e` free of `$v` and of every later clause's
+//!   variable) is dropped and the source becomes `Lookup(S, k, op, e)`:
+//!   the sorted key index over `(S, k)` is built once and probed with
+//!   `e`'s items. A key on the right mirrors the operator. An ordered
+//!   `op` also needs `e` to use an enclosing clause's variable, so that
+//!   comparisons with constants stay selections. Q8 and Q10 probe with
+//!   the outer scope's `$p/@id` / `$i`; Q9 becomes two Lookups, the
+//!   second probing with the first one's binding; Q11 and Q12 probe
+//!   `5000 * $i/text() < $p/profile/@income`.
 //! * **Predicate pushdown** — each `where` conjunct is scheduled at the
 //!   shallowest clause depth where its variables are bound (the
 //!   optimization that makes the paper's Q12 cheaper than Q11).
@@ -61,14 +66,20 @@ pub fn plan_query(
         mode,
         caps: store.planner_caps(),
         stats: CompileStats::default(),
+        scope: Vec::new(),
     };
     let functions = query
         .functions
         .iter()
-        .map(|f| PlanFunction {
-            name: f.name.clone(),
-            params: f.params.clone(),
-            body: planner.plan_expr(&f.body),
+        .map(|f| {
+            planner.scope.clone_from(&f.params);
+            let body = planner.plan_expr(&f.body);
+            planner.scope.clear();
+            PlanFunction {
+                name: f.name.clone(),
+                params: f.params.clone(),
+                body,
+            }
         })
         .collect();
     let body = planner.plan_expr(&query.body);
@@ -87,6 +98,9 @@ struct Planner<'s> {
     mode: PlanMode,
     caps: PlannerCaps,
     stats: CompileStats,
+    /// The variables bound around the expression being planned,
+    /// innermost last.
+    scope: Vec<String>,
 }
 
 impl Planner<'_> {
@@ -124,13 +138,20 @@ impl Planner<'_> {
             Expr::Some {
                 bindings,
                 satisfies,
-            } => PlanExpr::Some {
-                bindings: bindings
-                    .iter()
-                    .map(|(v, e)| (v.clone(), self.plan_expr(e)))
-                    .collect(),
-                satisfies: Box::new(self.plan_expr(satisfies)),
-            },
+            } => {
+                let depth = self.scope.len();
+                let mut planned = Vec::with_capacity(bindings.len());
+                for (v, e) in bindings {
+                    planned.push((v.clone(), self.plan_expr(e)));
+                    self.scope.push(v.clone());
+                }
+                let satisfies = Box::new(self.plan_expr(satisfies));
+                self.scope.truncate(depth);
+                PlanExpr::Some {
+                    bindings: planned,
+                    satisfies,
+                }
+            }
             Expr::Path { base, steps } => PlanExpr::Path(Box::new(self.plan_path(base, steps))),
             Expr::Flwor(f) => PlanExpr::Flwor(Box::new(self.plan_flwor(f))),
         }
@@ -355,13 +376,13 @@ impl Planner<'_> {
         };
         // Plan every piece exactly once — the statistics pass counts each
         // catalog touch once regardless of which rewrites apply.
-        let sources: Vec<PlanExpr> = f
-            .clauses
-            .iter()
-            .map(|c| match c {
-                Clause::For(_, e) | Clause::Let(_, e) => self.plan_expr(e),
-            })
-            .collect();
+        let depth = self.scope.len();
+        let mut sources = Vec::with_capacity(f.clauses.len());
+        for c in &f.clauses {
+            let (Clause::For(v, e) | Clause::Let(v, e)) = c;
+            sources.push(self.plan_expr(e));
+            self.scope.push(v.clone());
+        }
         let mut conjuncts: Vec<Option<PlanExpr>> = conjuncts_ast
             .iter()
             .map(|c| Some(self.plan_expr(c)))
@@ -377,15 +398,19 @@ impl Planner<'_> {
                 Clause::Let(v, _) => PlanClause::Let(v.clone(), src),
                 Clause::For(v, _) => {
                     let found = if self.optimized() {
-                        lookup_conjunct(f, i, &conjuncts_ast)
+                        lookup_conjunct(f, i, &conjuncts, &self.scope[..depth + i])
                     } else {
                         None
                     };
                     let src = match (found, src) {
-                        // Cost gate: a singleton source makes the index useless.
-                        (Some((c, key_is_lhs)), PlanExpr::Path(source)) if source.est_rows != 1 => {
+                        // The source must be loop-invariant (absolute and
+                        // predicate-free: memoized). Cost gate: a
+                        // singleton source makes the index useless.
+                        (Some((c, key_is_lhs, op)), PlanExpr::Path(source))
+                            if source.memo.is_some() && source.est_rows != 1 =>
+                        {
                             let conjunct = conjuncts[c].take().expect("one conjunct per Lookup");
-                            lookup(v, *source, conjunct, key_is_lhs)
+                            lookup(v, *source, conjunct, key_is_lhs, op)
                         }
                         (_, src) => src,
                     };
@@ -393,6 +418,7 @@ impl Planner<'_> {
                 }
             });
         }
+        self.scope.truncate(depth);
         // Predicate pushdown over what did not become a Lookup
         // (everything at the deepest level in naive mode).
         let mut filters: Vec<Vec<PlanExpr>> = vec![Vec::new(); clauses.len() + 1];
@@ -433,24 +459,24 @@ fn schedule_depth(f: &Flwor, conjunct: &Expr) -> usize {
 
 // ---- the Lookup rule -------------------------------------------------------
 
-/// The Lookup shape for clause `i`: `for $v in <absolute predicate-free
-/// path>` and a where-conjunct `path($v) = e` (or mirrored) whose `e`
-/// uses neither `$v` nor any later clause's variable. Returns the first
-/// such conjunct's index and whether the key is its left side.
-fn lookup_conjunct(f: &Flwor, i: usize, conjuncts: &[&Expr]) -> Option<(usize, bool)> {
-    let Clause::For(
-        v,
-        Expr::Path {
-            base: PathBase::Root,
-            steps,
-        },
-    ) = &f.clauses[i]
-    else {
+/// The Lookup conjunct for clause `i`, a `for $v`: the first planned
+/// where-conjunct `k($v) op e` (or mirrored), `op` one of `= < <= > >=`,
+/// whose `k` is a key over `$v` ([`key_signature`]) and whose `e` uses
+/// neither `$v` nor any later clause's variable. An ordered `op` also
+/// needs `e` to use a variable of `enclosing` (the variables bound
+/// before clause `i`): a comparison with a constant (Q5's
+/// `price >= 40`, Q12's `income > 50000`) is a selection, and stays a
+/// filter. Returns the conjunct's index, whether the key is its left
+/// side, and the operator stated key first.
+fn lookup_conjunct(
+    f: &Flwor,
+    i: usize,
+    conjuncts: &[Option<PlanExpr>],
+    enclosing: &[String],
+) -> Option<(usize, bool, CmpOp)> {
+    let Clause::For(v, _) = &f.clauses[i] else {
         return None;
     };
-    if steps.iter().any(|s| !s.preds.is_empty()) {
-        return None;
-    }
     let later: Vec<&str> = f.clauses[i + 1..]
         .iter()
         .map(|c| match c {
@@ -461,60 +487,53 @@ fn lookup_conjunct(f: &Flwor, i: usize, conjuncts: &[&Expr]) -> Option<(usize, b
     if later.contains(&v.as_str()) {
         return None;
     }
-    let free = |e: &Expr| !expr_uses_var(e, v) && later.iter().all(|l| !expr_uses_var(e, l));
+    let free = |e: &PlanExpr| !e.uses_var(v) && later.iter().all(|l| !e.uses_var(l));
     conjuncts.iter().enumerate().find_map(|(c, conjunct)| {
-        let Expr::Cmp(CmpOp::Eq, a, b) = conjunct else {
+        let Some(PlanExpr::Cmp(op, a, b)) = conjunct else {
             return None;
         };
-        if is_var_key(a, v) && free(b) {
-            Some((c, true))
-        } else if is_var_key(b, v) && free(a) {
-            Some((c, false))
+        let (key_is_lhs, outer) = if key_signature(a, v).is_some() && free(b) {
+            (true, b)
+        } else if key_signature(b, v).is_some() && free(a) {
+            (false, a)
         } else {
-            None
-        }
+            return None;
+        };
+        let op = if key_is_lhs { *op } else { op.mirrored() };
+        let planned = match op {
+            CmpOp::Eq => true,
+            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
+                enclosing.iter().any(|e| outer.uses_var(e))
+            }
+            CmpOp::Ne => false,
+        };
+        planned.then_some((c, key_is_lhs, op))
     })
 }
 
-/// Is `e` a predicate-free path rooted at variable `v`?
-fn is_var_key(e: &Expr, v: &str) -> bool {
-    match e {
-        Expr::Path {
-            base: PathBase::Var(var),
-            steps,
-        } => var == v && steps.iter().all(|s| s.preds.is_empty()),
-        _ => false,
-    }
-}
-
-/// Rewrite `for $var in source` with its planned equality conjunct into
-/// a Lookup source.
-fn lookup(var: &str, source: PathPlan, conjunct: PlanExpr, key_is_lhs: bool) -> PlanExpr {
-    let PlanExpr::Cmp(CmpOp::Eq, a, b) = conjunct else {
-        unreachable!("the rule matched an equality conjunct")
+/// Rewrite `for $var in source` with its planned comparison conjunct
+/// into a Lookup source.
+fn lookup(
+    var: &str,
+    source: PathPlan,
+    conjunct: PlanExpr,
+    key_is_lhs: bool,
+    op: CmpOp,
+) -> PlanExpr {
+    let PlanExpr::Cmp(_, a, b) = conjunct else {
+        unreachable!("the rule matched a comparison conjunct")
     };
     let (key, outer) = if key_is_lhs { (*a, *b) } else { (*b, *a) };
-    let PlanExpr::Path(key) = key else {
-        unreachable!("the rule matched a path key")
-    };
+    let sig = lookup_signature(&source, &key, var).expect("the rule matched a key");
     PlanExpr::Lookup(Box::new(LookupPlan {
         var: var.to_string(),
-        sig: lookup_signature(&source, &key),
+        sig,
         est_rows: source.est_rows,
         source,
-        key: *key,
+        key,
+        op,
         outer,
     }))
-}
-
-/// The index signature of a Lookup: `"{source}|{key}"` over the
-/// canonical path signatures.
-pub(crate) fn lookup_signature(source: &PathPlan, key: &PathPlan) -> String {
-    format!(
-        "{}|{}",
-        path_signature(&source.steps),
-        path_signature(&key.steps)
-    )
 }
 
 /// Estimate of a step sequence: the extent of its last resolved tag step.

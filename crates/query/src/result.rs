@@ -88,7 +88,7 @@ pub fn format_number(n: f64) -> String {
 /// `nan`, `inf`, `infinity` and `+inf` in any case, and none of those is
 /// an XQuery number. Callers trim first. Every site that asks "is this
 /// text a number" (general comparison, `number()`, order keys and the
-/// Lookup's canonical key) asks here, so they agree.
+/// Lookup's key index) asks here, so they agree.
 pub(crate) fn xs_double(s: &str) -> Option<f64> {
     match s {
         "NaN" => return Some(f64::NAN),

@@ -17,7 +17,7 @@
 //! | V1   | caps-access     | access annotations (`IdProbe`, `Positional`, `IndexScan`, inlined/value tails, summary counts) appear only where [`PlannerCaps`] permits, and are well-formed |
 //! | V2   | density-gate    | every `IndexScan` step re-passes the posting-density gate against the element index of the store the plan was compiled on |
 //! | V3   | naive-purity    | [`PlanMode::Naive`] plans carry no access annotations, no Aggregates, no Lookups, no pushdown |
-//! | V4   | join-keys       | a `Lookup`'s key is a predicate-free path over its clause variable, and neither its source nor its outer side uses that variable |
+//! | V4   | join-keys       | a `Lookup`'s operator is one of `= < <= > >=`, its key lies in the key grammar over its clause variable (predicate-free paths over it under arithmetic with numeric literals), neither its source nor its outer side uses that variable, and an ordered operator's outer side uses an enclosing variable |
 //! | V6   | sort-presence   | a Sort operator exists exactly where the source `order by` clauses require one (AST↔plan walk) |
 //! | V7   | memo-sig        | memo and `Lookup` index signatures equal their canonical recomputation |
 //! | V8   | card-consistent | cardinality annotations agree with each other and with exact posting counts |
@@ -41,7 +41,7 @@ use xmark_store::{PlannerCaps, XmlStore};
 
 use crate::ast::{self, Expr, Query};
 use crate::plan::*;
-use crate::planner::{last_tag_estimate, lookup_signature, INDEX_SCAN_DENSITY};
+use crate::planner::{last_tag_estimate, INDEX_SCAN_DENSITY};
 
 /// One of the eight verified plan invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,8 +53,9 @@ pub enum Invariant {
     DensityGate,
     /// V3: naive plans are annotation-free nested loops.
     NaivePurity,
-    /// V4: Lookup keys are canonical var-rooted paths over their own
-    /// clause variable.
+    /// V4: Lookup operators, keys and outer sides are well-formed: keys
+    /// in the key grammar over their own clause variable, ordered
+    /// operators probing with an enclosing variable.
     JoinKeys,
     /// V6: Sort present exactly where `order by` requires it.
     SortPresence,
@@ -589,32 +590,50 @@ impl Verifier<'_> {
         // `$var` binds.
         self.scoped("source", |s| s.path(&l.source));
         self.scoped("outer", |s| s.expr(&l.outer));
-        self.check(
-            Invariant::JoinKeys,
-            !plan_path_uses_var(&l.source, var),
-            || format!("lookup source depends on its own variable ${var}"),
-        );
-        self.check(Invariant::JoinKeys, !plan_uses_var(&l.outer, var), || {
+        self.check(Invariant::JoinKeys, !l.source.uses_var(var), || {
+            format!("lookup source depends on its own variable ${var}")
+        });
+        self.check(Invariant::JoinKeys, !l.outer.uses_var(var), || {
             format!("outer side references the looked-up variable ${var}")
         });
-        let key_ok = matches!(&l.key.base, PlanBase::Var(v) if v == var)
-            && l.key.steps.iter().all(|s| s.preds.is_empty());
-        self.check(Invariant::JoinKeys, key_ok, || {
-            format!("lookup key is not a predicate-free path over ${var}")
+        self.check(Invariant::JoinKeys, l.op != ast::CmpOp::Ne, || {
+            format!(
+                "lookup operator {} is not one of = < <= > >=",
+                l.op.symbol()
+            )
         });
-        // V7: the index signature is "{source}|{key}" over the canonical
-        // path signatures, and only exists for a loop-invariant source.
-        let expect = lookup_signature(&l.source, &l.key);
         self.check(
-            Invariant::MemoSig,
-            l.source.memo.is_some() && l.sig == expect,
+            Invariant::JoinKeys,
+            key_signature(&l.key, var).is_some(),
+            || format!("lookup key is outside the key grammar over ${var}"),
+        );
+        // An ordered comparison with a constant is a selection, not a
+        // join: the planner leaves it a filter.
+        let correlated = self.scope.iter().any(|v| l.outer.uses_var(v));
+        self.check(
+            Invariant::JoinKeys,
+            l.op == ast::CmpOp::Eq || correlated,
             || {
                 format!(
-                    "lookup sig {:?} != canonical {expect:?} over a memoized source",
-                    l.sig
+                    "ordered lookup {} probes with no enclosing variable",
+                    l.op.symbol()
                 )
             },
         );
+        // V7: the index signature is "{source}|{key}" over the canonical
+        // signatures, and only exists for a loop-invariant source.
+        if let Some(expect) = lookup_signature(&l.source, &l.key, var) {
+            self.check(
+                Invariant::MemoSig,
+                l.source.memo.is_some() && l.sig == expect,
+                || {
+                    format!(
+                        "lookup sig {:?} != canonical {expect:?} over a memoized source",
+                        l.sig
+                    )
+                },
+            );
+        }
         // V8: the estimate restates the source's.
         let eb = l.source.est_rows;
         self.check(Invariant::CardConsistent, l.est_rows == eb, || {
@@ -622,7 +641,7 @@ impl Verifier<'_> {
         });
         let depth = self.scope.len();
         self.scope.push(var.clone());
-        self.scoped("key", |s| s.path(&l.key));
+        self.scoped("key", |s| s.expr(&l.key));
         self.scope.truncate(depth);
     }
 
@@ -671,71 +690,6 @@ fn id_pred_literal(pred: &PlanPred) -> Option<&str> {
         && path.steps[0].axis == ast::Axis::Attribute
         && path.steps[0].test == ast::NodeTest::Tag("id".to_string());
     id_shape.then_some(lit.as_str())
-}
-
-/// Does a planned expression reference `var` anywhere? The plan-level
-/// mirror of the planner's AST `expr_uses_var`.
-pub(crate) fn plan_uses_var(e: &PlanExpr, var: &str) -> bool {
-    match e {
-        PlanExpr::Var(v) => v == var,
-        PlanExpr::Str(_) | PlanExpr::Num(_) | PlanExpr::Empty => false,
-        PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {
-            parts.iter().any(|p| plan_uses_var(p, var))
-        }
-        PlanExpr::Cmp(_, a, b) | PlanExpr::Arith(_, a, b) | PlanExpr::Before(a, b) => {
-            plan_uses_var(a, var) || plan_uses_var(b, var)
-        }
-        PlanExpr::Neg(inner) => plan_uses_var(inner, var),
-        PlanExpr::Call(_, args) => args.iter().any(|a| plan_uses_var(a, var)),
-        PlanExpr::Element(ctor) => plan_ctor_uses_var(ctor, var),
-        PlanExpr::Some {
-            bindings,
-            satisfies,
-        } => bindings.iter().any(|(_, e)| plan_uses_var(e, var)) || plan_uses_var(satisfies, var),
-        PlanExpr::Path(p) => plan_path_uses_var(p, var),
-        PlanExpr::Aggregate(a) => plan_path_uses_var(&a.input, var),
-        PlanExpr::Flwor(f) => {
-            f.clauses.iter().any(|c| match c {
-                PlanClause::For(_, e) | PlanClause::Let(_, e) => plan_uses_var(e, var),
-            }) || f.filters.iter().flatten().any(|c| plan_uses_var(c, var))
-                || f.order_by
-                    .as_ref()
-                    .is_some_and(|(k, _)| plan_uses_var(k, var))
-                || plan_uses_var(&f.ret, var)
-        }
-        PlanExpr::Lookup(l) => {
-            plan_path_uses_var(&l.source, var)
-                || plan_path_uses_var(&l.key, var)
-                || plan_uses_var(&l.outer, var)
-        }
-    }
-}
-
-fn plan_path_uses_var(p: &PathPlan, var: &str) -> bool {
-    let base = match &p.base {
-        PlanBase::Var(v) => v == var,
-        PlanBase::Expr(e) => plan_uses_var(e, var),
-        PlanBase::Root | PlanBase::Context => false,
-    };
-    base || p.steps.iter().any(|s| {
-        s.preds.iter().any(|pred| match pred {
-            PlanPred::Expr(e) => plan_uses_var(e, var),
-            _ => false,
-        })
-    })
-}
-
-fn plan_ctor_uses_var(ctor: &PlanElement, var: &str) -> bool {
-    ctor.attrs.iter().any(|(_, parts)| {
-        parts.iter().any(|p| match p {
-            PlanAttrPart::Expr(e) => plan_uses_var(e, var),
-            PlanAttrPart::Lit(_) => false,
-        })
-    }) || ctor.content.iter().any(|c| match c {
-        PlanContent::Expr(e) => plan_uses_var(e, var),
-        PlanContent::Element(nested) => plan_ctor_uses_var(nested, var),
-        PlanContent::Text(_) => false,
-    })
 }
 
 // ---- AST ↔ plan sort collection ------------------------------------------
@@ -840,7 +794,7 @@ fn collect_plan_orders(e: &PlanExpr, out: &mut Vec<Option<bool>>) {
         PlanExpr::Aggregate(a) => collect_plan_path_orders(&a.input, out),
         PlanExpr::Lookup(l) => {
             collect_plan_path_orders(&l.source, out);
-            collect_plan_path_orders(&l.key, out);
+            collect_plan_orders(&l.key, out);
             collect_plan_orders(&l.outer, out);
         }
         PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {

@@ -4,7 +4,7 @@
 //! on every debug-build compile and swept by the `plan_audit` binary;
 //! these tests prove each invariant actually fires.
 
-use xmark_query::ast::CmpOp;
+use xmark_query::ast::{ArithOp, CmpOp};
 use xmark_query::plan::{LookupPlan, PlanClause, PlanExpr, PlanMode, StepAccess};
 use xmark_query::verify::{verify_plan, verify_plan_against, Invariant};
 use xmark_query::{compile_with_mode, parse_query, Compiled};
@@ -116,7 +116,7 @@ fn body_lookup(compiled: &mut Compiled) -> &mut LookupPlan {
 }
 
 #[test]
-fn dangling_hoisted_filter_is_rejected() {
+fn lookup_outer_over_its_own_variable_is_rejected() {
     // A Lookup whose outer side references its own variable would be
     // evaluated before that variable binds — V4 join-keys names the
     // leak (and V9 finds the variable unbound). A key that is not a path
@@ -144,15 +144,73 @@ fn dangling_hoisted_filter_is_rejected() {
         panic!("the first clause scans a path");
     };
     let root_path = root_path.as_ref().clone();
-    body_lookup(&mut compiled).key = root_path;
+    body_lookup(&mut compiled).key = PlanExpr::Path(Box::new(root_path));
     let report = verify_plan(&compiled.plan, &store);
     assert!(report.violations_of(Invariant::JoinKeys) >= 1, "{report}");
     assert!(
         report
             .violations
             .iter()
-            .any(|v| v.message.contains("not a predicate-free path over $b")),
+            .any(|v| v.message.contains("outside the key grammar over $b")),
         "diagnostic names the dead key:\n{report}"
+    );
+}
+
+/// A range join: `$b` probes the sorted index over its source for keys
+/// above `$a`'s.
+const RANGE: &str = r#"for $a in /site/people/person, $b in /site/people/person
+                       where $b/age/text() > 2 * $a/age/text() - 31 return $b"#;
+
+#[test]
+fn corrupted_range_lookup_is_rejected() {
+    let store = EdgeStore::load(DOC).unwrap();
+    let clean = compile(&store, RANGE, PlanMode::Optimized);
+    assert!(
+        clean
+            .explain()
+            .contains(r#"Lookup $b/age/text()->vals("age") > 2 * $a/age"#),
+        "{}",
+        clean.explain()
+    );
+    let violations = |edit: &dyn Fn(&mut LookupPlan)| {
+        let mut compiled = clean.clone();
+        edit(body_lookup(&mut compiled));
+        let report = verify_plan(&compiled.plan, &store);
+        assert!(report.violations_of(Invariant::JoinKeys) >= 1, "{report}");
+        report
+            .violations
+            .iter()
+            .map(|v| v.message.clone())
+            .collect::<Vec<_>>()
+    };
+    // A key that reads another clause's variable is no key of `$b`'s
+    // index: V4 names the grammar.
+    let messages = violations(&|l| {
+        l.key = PlanExpr::Arith(
+            ArithOp::Mul,
+            Box::new(PlanExpr::Num(2.0)),
+            Box::new(l.outer.clone()),
+        )
+    });
+    assert!(
+        messages
+            .iter()
+            .any(|m| m.contains("outside the key grammar over $b")),
+        "{messages:?}"
+    );
+    // `!=` is no range of a sorted list.
+    let messages = violations(&|l| l.op = CmpOp::Ne);
+    assert!(
+        messages.iter().any(|m| m.contains("operator !=")),
+        "{messages:?}"
+    );
+    // An ordered comparison with a constant is a selection.
+    let messages = violations(&|l| l.outer = PlanExpr::Num(30.0));
+    assert!(
+        messages
+            .iter()
+            .any(|m| m.contains("probes with no enclosing variable")),
+        "{messages:?}"
     );
 }
 
@@ -167,7 +225,7 @@ fn swapped_join_keys_are_rejected() {
     let PlanExpr::Path(outer) = lookup.outer.clone() else {
         panic!("the outer side is $a's key path");
     };
-    lookup.outer = PlanExpr::Path(Box::new(std::mem::replace(&mut lookup.key, *outer)));
+    lookup.outer = std::mem::replace(&mut lookup.key, PlanExpr::Path(outer));
 
     let report = verify_plan(&compiled.plan, &store);
     assert!(report.violations_of(Invariant::JoinKeys) >= 2, "{report}");

@@ -25,9 +25,10 @@
 //!   it. This single code path answers [`XmlStore::lookup_id`] on *all
 //!   eight* backends; the per-backend `@id` hash maps are retired.
 //! * **Value indexes** — planner-signature-keyed slots holding the query
-//!   layer's Lookup indexes (canonical key → postings) and path memos.
+//!   layer's Lookup indexes (keys sorted by number and by text → source
+//!   positions) and path memos.
 //!   Every signature names a loop-invariant structure (an absolute
-//!   path, or a (source, key-path) pair), so a built slot is valid for
+//!   path, or a (source, key) pair), so a built slot is valid for
 //!   the lifetime of the store; repeated executions of the join queries
 //!   (Q8–Q12) probe instead of rebuilding.
 //!

@@ -15,7 +15,9 @@
 //!   touched tag or attribute name. The match is a conservative
 //!   substring test: signatures embed step tags with single-character
 //!   axis prefixes, so substring matching can only over-invalidate
-//!   (costing a lazy rebuild), never under-invalidate.
+//!   (costing a lazy rebuild), never under-invalidate. A signature with
+//!   a `*` — a wildcard step, or the multiplication in Q11's Lookup key
+//!   `(5000 * /#t)` — counts as touched by every commit.
 
 use std::any::Any;
 use std::collections::HashSet;

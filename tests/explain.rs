@@ -118,8 +118,8 @@ Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
     Let $l in
       Project $i
         NestedLoop
-          For $i in PathScan /site/open_auctions/open_auction/initial ~24 [memo]
-          Filter@1 $p/profile/@income > 5000 * $i/text()
+          For $i in Lookup 5000 * $i/text() < $p/profile/@income ~24
+            PathScan /site/open_auctions/open_auction/initial ~24 [memo]
 === A Q12 ===
 Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
@@ -128,8 +128,8 @@ Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
     Let $l in
       Project $i
         NestedLoop
-          For $i in PathScan /site/open_auctions/open_auction/initial ~24 [memo]
-          Filter@1 $p/profile/@income > 5000 * $i/text()
+          For $i in Lookup 5000 * $i/text() < $p/profile/@income ~24
+            PathScan /site/open_auctions/open_auction/initial ~24 [memo]
 === A Q13 ===
 Project <item name="{$i/name/text()->vals("name")}">{$i/description}</item>
   NestedLoop
@@ -249,8 +249,8 @@ Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
     Let $l in
       Project $i
         NestedLoop
-          For $i in PathScan /site/open_auctions/open_auction/initial ~24 [memo]
-          Filter@1 $p/profile/@income > 5000 * $i/text()
+          For $i in Lookup 5000 * $i/text() < $p/profile/@income ~24
+            PathScan /site/open_auctions/open_auction/initial ~24 [memo]
 === E Q12 ===
 Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
@@ -259,8 +259,8 @@ Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
     Let $l in
       Project $i
         NestedLoop
-          For $i in PathScan /site/open_auctions/open_auction/initial ~24 [memo]
-          Filter@1 $p/profile/@income > 5000 * $i/text()
+          For $i in Lookup 5000 * $i/text() < $p/profile/@income ~24
+            PathScan /site/open_auctions/open_auction/initial ~24 [memo]
 === E Q13 ===
 Project <item name="{$i/name/text()->vals("name")}">{$i/description}</item>
   NestedLoop

@@ -145,21 +145,17 @@ fn q8_to_q12_rebuild_nothing_after_warmup() {
 #[test]
 fn q9_reuses_q8_lookup_index() {
     let doc = generate_document(0.002);
-    let slots = |store: &dyn XmlStore| -> BTreeSet<String> {
-        let built = store.indexes().built_values();
-        built.into_iter().map(|(sig, _, _)| sig).collect()
-    };
     for system in SystemId::EXTENDED {
         let store = build_store(system, &doc.xml).unwrap();
         let store = store.as_ref();
         execute(&compile(query(8).text, store).unwrap(), store).unwrap();
-        let after_q8 = slots(store);
+        let after_q8 = value_slots(store);
         assert!(
             after_q8.contains("idx|/site/closed_auctions/closed_auction|/buyer@person"),
             "{system}: Q8 builds the buyer index: {after_q8:?}"
         );
         execute(&compile(query(9).text, store).unwrap(), store).unwrap();
-        let added: Vec<String> = slots(store).difference(&after_q8).cloned().collect();
+        let added: Vec<String> = value_slots(store).difference(&after_q8).cloned().collect();
         assert!(
             added
                 .iter()
@@ -171,6 +167,36 @@ fn q9_reuses_q8_lookup_index() {
             "{system}: Q9 indexes the European items: {added:?}"
         );
     }
+}
+
+/// Q11 builds one sorted key index over the initials, keyed by
+/// `5000 * $i/text()`; Q12 probes the same index (same source, same
+/// key) and adds no value slot at all.
+#[test]
+fn q12_reuses_q11_range_index() {
+    let doc = generate_document(0.002);
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        execute(&compile(query(11).text, store).unwrap(), store).unwrap();
+        let after_q11 = value_slots(store);
+        assert!(
+            after_q11.contains("idx|/site/open_auctions/open_auction/initial|(5000 * /#t)"),
+            "{system}: Q11 builds the initials' key index: {after_q11:?}"
+        );
+        execute(&compile(query(12).text, store).unwrap(), store).unwrap();
+        assert_eq!(
+            value_slots(store),
+            after_q11,
+            "{system}: Q12 built value slots Q11 left"
+        );
+    }
+}
+
+/// The signatures of the value slots `store` has built.
+fn value_slots(store: &dyn XmlStore) -> BTreeSet<String> {
+    let built = store.indexes().built_values();
+    built.into_iter().map(|(sig, _, _)| sig).collect()
 }
 
 /// Satellite: the cost gate. Sparse postings plan an IndexScan; dense

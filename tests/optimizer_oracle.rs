@@ -161,13 +161,24 @@ fn join_plan_handles_duplicate_keys() {
     let q = r#"for $l in document("d")/site/l/x, $r in document("d")/site/r/y
                where $l/@k = $r/@k
                return <pair l="{$l/@k}" r="{$r/@k}"/>"#;
-    for system in SystemId::ALL {
+    // The range form: every left key at most its right partner, as
+    // text — "a" reaches both "a"s and "c", "b" only "c".
+    let range = r#"for $l in document("d")/site/l/x, $r in document("d")/site/r/y
+                   where $l/@k <= $r/@k
+                   return <pair l="{$l/@k}" r="{$r/@k}"/>"#;
+    for system in SystemId::EXTENDED {
         let store = build_store(system, xml).unwrap();
-        let optimized = run_with(store.as_ref(), q, PlanMode::Optimized);
-        let naive = run_with(store.as_ref(), q, PlanMode::Naive);
-        assert_eq!(optimized, naive, "{system}");
-        // 2 left "a" × 2 right "a" = 4 pairs.
-        assert_eq!(optimized.lines().count(), 4, "{system}");
+        // 2 left "a" × 2 right "a" = 4 pairs; 2 × 3 + 1 = 7 for `<=`.
+        for (text, pairs) in [(q, 4), (range, 7)] {
+            assert!(compile(text, store.as_ref())
+                .unwrap()
+                .explain()
+                .contains("Lookup"));
+            let optimized = run_with(store.as_ref(), text, PlanMode::Optimized);
+            let naive = run_with(store.as_ref(), text, PlanMode::Naive);
+            assert_eq!(optimized, naive, "{system}: {text}");
+            assert_eq!(optimized.lines().count(), pairs, "{system}: {text}");
+        }
     }
 }
 
@@ -218,14 +229,54 @@ fn decorrelation_handles_empty_probe_keys() {
                          return <hit ref="{$t/@ref}"/>
                return <n>{$a}</n>"#;
     let expected = concat!(r#"<n><hit ref="t1"/><hit ref="t2"/></n>"#, "\n<n/>\n<n/>");
+    // The same outer keys under `>`: "t2" and "t3" exceed some key, each
+    // emitted once; the NaN outer still compares as the text "NaN" with
+    // the keys that are not numbers, and below every "t…" — but not with
+    // the source's own NaN, a number.
+    let range = q.replace("$t/@ref = $p/r/@k", "$t/@ref > $p/r/@k");
+    let range_expected = concat!(
+        r#"<n><hit ref="t2"/><hit ref="t3"/></n>"#,
+        "\n<n/>\n",
+        r#"<n><hit ref="t1"/><hit ref="t2"/><hit ref="t3"/></n>"#
+    );
     for system in SystemId::EXTENDED {
         let store = build_store(system, xml).unwrap();
-        let compiled = compile(q, store.as_ref()).unwrap();
-        assert!(compiled.explain().contains("Lookup"), "{system}");
-        let optimized = run_with(store.as_ref(), q, PlanMode::Optimized);
-        let naive = run_with(store.as_ref(), q, PlanMode::Naive);
-        assert_eq!(optimized, naive, "{system}");
-        assert_eq!(optimized, expected, "{system}");
+        for (text, expected) in [(q, expected), (range.as_str(), range_expected)] {
+            let compiled = compile(text, store.as_ref()).unwrap();
+            assert!(compiled.explain().contains("Lookup"), "{system}");
+            let optimized = run_with(store.as_ref(), text, PlanMode::Optimized);
+            let naive = run_with(store.as_ref(), text, PlanMode::Naive);
+            assert_eq!(optimized, naive, "{system}: {text}");
+            assert_eq!(optimized, expected, "{system}: {text}");
+        }
+    }
+    // An empty source: the nested loop never evaluates the `where`, so
+    // an outer side that would raise is never evaluated by the Lookup
+    // either, under any operator.
+    let xml = r#"<site><people><person><x/><x/></person></people><closed_auctions/></site>"#;
+    for op in ["=", "<", ">="] {
+        let q = format!(
+            r#"for $p in /site/people/person
+               let $a := for $t in /site/closed_auctions/closed_auction
+                         where $t/buyer/@person {op} zero-or-one($p/x)
+                         return $t
+               return count($a)"#
+        );
+        for system in SystemId::EXTENDED {
+            let store = build_store(system, xml).unwrap();
+            let store = store.as_ref();
+            assert!(
+                compile(&q, store).unwrap().explain().contains("Lookup"),
+                "{system}"
+            );
+            for mode in [PlanMode::Optimized, PlanMode::Naive] {
+                assert_eq!(
+                    run_streamed(store, &q, mode),
+                    Ok("0".to_string()),
+                    "{system}: {mode:?}: {q}"
+                );
+            }
+        }
     }
 }
 
@@ -242,7 +293,7 @@ fn join_keys_follow_general_comparison_semantics() {
     let q = r#"for $l in document("d")/site/l/x, $r in document("d")/site/r/y
                where $l/@k = $r/@k
                return <pair l="{$l/@k}" r="{$r/@k}"/>"#;
-    for system in SystemId::ALL {
+    for system in SystemId::EXTENDED {
         let store = build_store(system, xml).unwrap();
         let optimized = run_with(store.as_ref(), q, PlanMode::Optimized);
         let naive = run_with(store.as_ref(), q, PlanMode::Naive);
@@ -254,10 +305,142 @@ fn join_keys_follow_general_comparison_semantics() {
             "{system}: NaN must join nothing"
         );
     }
+
+    // The ordered operators, with the key (`$r`'s) on either side, over
+    // numbers, padded numbers, words, NaN, ±INF, -0 and empty keys: two
+    // numbers compare as numbers, every other pair as trimmed text.
+    let xml = concat!(
+        r#"<site><l><x k="  a  "/><x k="-0"/><x k="NaN"/><x k="40.0"/><x k=" 7 "/>"#,
+        r#"<x k="INF"/><x k="abc"/><x k="-INF"/><x k=""/></l>"#,
+        r#"<r><y k="a"/><y k="0"/><y k="NaN"/><y k="40"/><y k="  12.5"/><y k="INF"/>"#,
+        r#"<y k="b"/><y k="-3"/><y/><y k=""/><y k="40"/></r></site>"#
+    );
+    let ordered = ["<", "<=", ">", ">="];
+    let mut texts = Vec::new();
+    for op in ordered.iter().chain(&["="]) {
+        for (lhs, rhs) in [
+            ("$l/@k", "$r/@k"),
+            ("$r/@k", "$l/@k"),
+            ("$l/@k", "2 * $r/@k"),
+        ] {
+            texts.push(format!(
+                r#"for $l in document("d")/site/l/x, $r in document("d")/site/r/y
+                   where {lhs} {op} {rhs}
+                   return <pair l="{{$l/@k}}" r="{{$r/@k}}"/>"#
+            ));
+        }
+    }
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, xml).unwrap();
+        let store = store.as_ref();
+        for text in &texts {
+            let plan = compile(text, store).unwrap().explain();
+            assert!(plan.contains("For $r in Lookup"), "{system}:\n{plan}");
+            let optimized = run_with(store, text, PlanMode::Optimized);
+            let naive = run_with(store, text, PlanMode::Naive);
+            assert_eq!(optimized, naive, "{system}: {text}");
+            assert!(!optimized.is_empty(), "{system}: {text}");
+        }
+    }
+
+    // Q11 and Q12, and their other operators and sides, on a document
+    // made of edge cases: incomes that are padded, words (`abc` matches
+    // through the text fallback), NaN, INF, -0, empty, missing, or two
+    // per person; initials that are words, empty, two text nodes, INF,
+    // -0, NaN and repeated values.
+    let xml = concat!(
+        r#"<site><people>"#,
+        r#"<person id="p0"><name>a</name><profile income="95000.00"/></person>"#,
+        r#"<person id="p1"><name>b</name><profile income=" 60000 "/><profile income="abc"/></person>"#,
+        r#"<person id="p2"><name>c</name><profile income="abc"/></person>"#,
+        r#"<person id="p3"><name>d</name><profile income="NaN"/></person>"#,
+        r#"<person id="p4"><name>e</name><profile income="INF"/></person>"#,
+        r#"<person id="p5"><name>f</name><profile income="-0"/></person>"#,
+        r#"<person id="p6"><name>g</name></person>"#,
+        r#"<person id="p7"><name>h</name><profile income=""/></person>"#,
+        r#"</people><open_auctions>"#,
+        r#"<open_auction><initial>10.00</initial></open_auction>"#,
+        r#"<open_auction><initial> 7 </initial></open_auction>"#,
+        r#"<open_auction><initial>abc</initial></open_auction>"#,
+        r#"<open_auction><initial>1<b/>2</initial></open_auction>"#,
+        r#"<open_auction><initial/></open_auction>"#,
+        r#"<open_auction><initial>INF</initial></open_auction>"#,
+        r#"<open_auction><initial>-0</initial></open_auction>"#,
+        r#"<open_auction><initial>NaN</initial></open_auction>"#,
+        r#"<open_auction><initial>10</initial></open_auction>"#,
+        r#"<open_auction><initial>-INF</initial></open_auction>"#,
+        r#"</open_auctions></site>"#
+    );
+    let join = "$p/profile/@income > 5000 * $i/text()";
+    let mut texts = vec![query(11).text.to_string(), query(12).text.to_string()];
+    for op in ordered.iter().chain(&["="]) {
+        for cond in [
+            format!("$p/profile/@income {op} 5000 * $i/text()"),
+            format!("5000 * $i/text() {op} $p/profile/@income"),
+            format!("-$i/text() div 2 {op} $p/profile/@income"),
+        ] {
+            texts.push(
+                query(11)
+                    .text
+                    .replace(join, &cond)
+                    .replace("{count($l)}", "{$l}"),
+            );
+        }
+    }
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, xml).unwrap();
+        let store = store.as_ref();
+        for text in &texts {
+            let plan = compile(text, store).unwrap().explain();
+            assert!(plan.contains("For $i in Lookup"), "{system}:\n{plan}");
+            let optimized = run_with(store, text, PlanMode::Optimized);
+            let naive = run_with(store, text, PlanMode::Naive);
+            assert_eq!(optimized, naive, "{system}: {text}");
+        }
+        assert!(
+            compile(query(11).text, store)
+                .unwrap()
+                .explain()
+                .contains("Lookup 5000 * $i/text() < $p/profile/@income"),
+            "{system}: Q11 probes with the mirrored operator"
+        );
+        // "abc" is above every key's text and "INF" above every number
+        // but INF; `b` counts each initial its two incomes reach once.
+        assert_eq!(
+            run_with(store, query(11).text, PlanMode::Optimized),
+            concat!(
+                r#"<items name="a">5</items>"#,
+                "\n",
+                r#"<items name="b">7</items>"#,
+                "\n",
+                r#"<items name="c">7</items>"#,
+                "\n",
+                r#"<items name="d">0</items>"#,
+                "\n",
+                r#"<items name="e">5</items>"#,
+                "\n",
+                r#"<items name="f">1</items>"#,
+                "\n",
+                r#"<items name="g">0</items>"#,
+                "\n",
+                r#"<items name="h">0</items>"#
+            ),
+            "{system}"
+        );
+        // Arithmetic is lenient: a word, an empty initial and one with
+        // two text nodes make the key empty, not an error.
+        let keys = r#"for $i in /site/open_auctions/open_auction/initial
+                      return <k>{5000 * $i/text()}</k>"#;
+        assert_eq!(
+            run_with(store, keys, PlanMode::Naive),
+            "<k>50000</k>\n<k>35000</k>\n<k/>\n<k/>\n<k/>\n<k>INF</k>\n<k>0</k>\n<k>NaN</k>\n<k>50000</k>\n<k>-INF</k>",
+            "{system}"
+        );
+    }
 }
 
 #[test]
-fn hoisted_probe_filters_match_per_pair_evaluation() {
+fn lookups_match_per_pair_evaluation() {
     // Q9's shape: `$t` probes with the outer scope's `$p/@id`, `$e` with
     // the earlier clause's `$t/@item`; both Lookups must keep exactly the
     // pairs the naive per-pair evaluation keeps.

@@ -26,8 +26,8 @@ const GOLDEN: [(usize, usize, u64, u64); 20] = [
     (8, 51, 262, 172),
     (9, 51, 256, 230),
     (10, 2, 855, 521),
-    (11, 51, 4495, 4446),
-    (12, 17, 1779, 1779),
+    (11, 51, 294, 221),
+    (12, 17, 205, 205),
     (13, 4, 18, 12),
     (14, 31, 160, 117),
     (15, 3, 99, 3),

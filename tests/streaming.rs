@@ -359,7 +359,7 @@ fn write_to_reaches_the_sink_after_the_first_pull() {
 }
 
 #[test]
-fn take_one_over_a_hash_join_probes_no_item_past_the_first_match() {
+fn take_one_over_a_lookup_probes_no_item_past_the_first_match() {
     // Ten probe items of which only the `HIT`-th has a join partner:
     // the join emits one tuple. `take(1)` must stop probing right there,
     // so it pulls exactly the `PROBES - HIT` trailing probe items' work

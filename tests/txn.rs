@@ -26,7 +26,7 @@ use common::{
 };
 use proptest::prelude::*;
 use xmark::prelude::*;
-use xmark::query::{canonicalize, Compiled};
+use xmark::query::{canonicalize, compile_with_mode, Compiled};
 use xmark::store::paged::{wal_path_for, LogManager, LogRecord};
 use xmark::store::{descendants_by_cursors, Node, PagedStore};
 
@@ -227,6 +227,65 @@ fn updated_snapshots_answer_like_a_reload_of_their_serialization() {
 }
 
 // ---- plan portability ------------------------------------------------------
+
+/// Commits drop the sorted key index Q11 and Q12 probe. Its signature,
+/// `idx|…/initial|(5000 * /#t)`, holds a `*`, which the signature test
+/// of commit-time index maintenance treats as touched by every commit;
+/// an inserted or deleted `<initial>` must drop it in any case. After
+/// each commit — an open auction with an `<initial>` inserted, then
+/// deleted, then a person's income rewritten — Q11 and Q12 answer as
+/// the naive plan does on the same snapshot.
+#[test]
+fn commits_drop_the_range_lookup_index() {
+    let sig = "idx|/site/open_auctions/open_auction/initial|(5000 * /#t)";
+    let doc = generate_document(0.001);
+    for system in [SystemId::E, SystemId::H] {
+        let versioned = VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
+        let has_index = |snap: &SnapshotStore| {
+            let slots = snap.indexes().built_values();
+            slots.iter().any(|(s, _, _)| s == sig)
+        };
+        let answers = |snap: &SnapshotStore, context: &str| {
+            for q in [11, 12] {
+                let text = query(q).text;
+                let naive = compile_with_mode(text, snap, PlanMode::Naive).expect("compiles");
+                assert_eq!(
+                    run_on(&compile(text, snap).expect("compiles"), snap),
+                    run_on(&naive, snap),
+                    "{system}: Q{q} {context}"
+                );
+            }
+            assert!(has_index(snap), "{system}: Q11 probed no index {context}");
+        };
+        answers(&versioned.snapshot(), "before any commit");
+
+        let auction = r#"<open_auction id="txnauction0"><initial>0.01</initial></open_auction>"#;
+        let snap = commit_with(&versioned, |s, txn| {
+            txn.insert_subtree(descend(s, &["open_auctions"]), auction)
+        });
+        assert!(!has_index(&snap), "{system}: the insert kept the index");
+        answers(&snap, "after inserting an auction");
+
+        let snap = commit_with(&versioned, |s, txn| {
+            let inserted = s
+                .children_named_iter(descend(s, &["open_auctions"]), "open_auction")
+                .find(|&a| s.attribute(a, "id").as_deref() == Some("txnauction0"))
+                .expect("the inserted auction is there");
+            txn.delete_subtree(inserted)
+        });
+        assert!(!has_index(&snap), "{system}: the delete kept the index");
+        answers(&snap, "after deleting it");
+
+        let snap = commit_with(&versioned, |s, txn| {
+            let profile = s
+                .descendants_named_iter(s.root(), "profile")
+                .find(|&p| s.attribute(p, "income").is_some())
+                .expect("some profile states an income");
+            txn.replace_attr(profile, "income", "9999999.99")
+        });
+        answers(&snap, "after rewriting an income");
+    }
+}
 
 /// A deletion-only update script: prune a closed auction, then an open
 /// auction's first bidder. Element ids stay in document order, so
