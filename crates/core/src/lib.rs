@@ -78,8 +78,8 @@
 //! owns an [`xmark_store::IndexManager`] whose element postings,
 //! attribute values, and join-side value indexes build lazily, exactly
 //! once, and are shared by all workers.
-//! [`service::QueryService::build_indexes`] warms the store-walk indexes
-//! off the request path; [`service::ThroughputReport`] reports index
+//! [`service::QueryService::build_indexes`] warms the whole-document
+//! indexes off the request path; [`service::ThroughputReport`] reports index
 //! builds and hits per run (zero builds once warm).
 //!
 //! The loaded stores stay alive in the report, and navigation is exposed

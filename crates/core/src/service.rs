@@ -332,7 +332,7 @@ impl QueryService {
         }
     }
 
-    /// Explicit index warmup: eagerly build the store-walk indexes
+    /// Explicit index warmup: eagerly build the whole-document indexes
     /// (element postings + `@id` values) off the request path, returning
     /// the build time. Join-side value indexes warm on their first
     /// probing request; after one pass of a mix, a service performs zero

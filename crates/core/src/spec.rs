@@ -101,7 +101,10 @@ pub struct LoadedStore {
     pub system: SystemId,
     /// The loaded store.
     pub store: Box<dyn XmlStore>,
-    /// Bulkload wall time (parse + conversion + index build).
+    /// Bulkload wall time (parse + conversion + the backend's own
+    /// structures). The shared [`IndexManager`](xmark_store::IndexManager)
+    /// builds are not in it: they run lazily, after the load, and
+    /// `table1_bulkload` times them in a column of their own.
     pub load_time: Duration,
     /// Resident size of the store's structures.
     pub size_bytes: usize,

@@ -270,10 +270,10 @@ pub(crate) struct Evaluator<'a> {
     /// The element index, resolved once per execution (see
     /// [`Evaluator::index_postings`]).
     element_index: std::cell::OnceCell<&'a xmark_store::ElementIndex>,
-    /// Per-execution memo of resolved child-value indexes by tag, so the
-    /// per-open resolution never touches the manager's locks on the hot
-    /// path.
-    child_values_cache: RefCell<HashMap<String, Arc<ChildValues>>>,
+    /// Per-execution memo of resolved child-value indexes by tag, peek
+    /// misses (`None`) included, so the per-open resolution never
+    /// touches the manager's locks on the hot path.
+    child_values_cache: RefCell<HashMap<String, Option<Arc<ChildValues>>>>,
     /// Items pulled through operator cursors (path-step expansions and
     /// clause bindings). The probe behind the early-termination tests:
     /// `exists()`/`take(n)` must pull strictly fewer items than a full
@@ -940,20 +940,22 @@ impl<'a> Evaluator<'a> {
         if !self.shared_values {
             return None;
         }
+        // A remembered peek miss answers only peeks: a materializing
+        // consumer still builds, and its build replaces the miss.
         if let Some(cached) = self.child_values_cache.borrow().get(tag) {
-            return Some(Arc::clone(cached));
+            if cached.is_some() || !build {
+                return cached.clone();
+            }
         }
         let resolved = if build {
-            self.indexes.child_values(self.store, tag)
+            Some(self.indexes.child_values(self.store, tag))
         } else {
-            // A peek miss is not cached: a later materializing consumer
-            // may still build within this execution.
-            self.indexes.child_values_if_built(tag)?
+            self.indexes.child_values_if_built(tag)
         };
         self.child_values_cache
             .borrow_mut()
-            .insert(tag.to_string(), Arc::clone(&resolved));
-        Some(resolved)
+            .insert(tag.to_string(), resolved.clone());
+        resolved
     }
 
     /// `…/tag/text()` over inlined columns. Returns `Some` only if *every*

@@ -387,6 +387,7 @@ impl Planner<'_> {
             .iter()
             .map(|c| Some(self.plan_expr(c)))
             .collect();
+        let depths: Vec<usize> = conjuncts_ast.iter().map(|c| schedule_depth(f, c)).collect();
         let order_by = f
             .order_by
             .as_ref()
@@ -398,7 +399,7 @@ impl Planner<'_> {
                 Clause::Let(v, _) => PlanClause::Let(v.clone(), src),
                 Clause::For(v, _) => {
                     let found = if self.optimized() {
-                        lookup_conjunct(f, i, &conjuncts, &self.scope[..depth + i])
+                        lookup_conjunct(f, i, &conjuncts, &depths, &self.scope[..depth + i])
                     } else {
                         None
                     };
@@ -422,12 +423,12 @@ impl Planner<'_> {
         // Predicate pushdown over what did not become a Lookup
         // (everything at the deepest level in naive mode).
         let mut filters: Vec<Vec<PlanExpr>> = vec![Vec::new(); clauses.len() + 1];
-        for (ast, planned) in conjuncts_ast.iter().zip(conjuncts) {
+        for (&scheduled, planned) in depths.iter().zip(conjuncts) {
             let Some(planned) = planned else {
                 continue;
             };
             let depth = if self.optimized() {
-                schedule_depth(f, ast)
+                scheduled
             } else {
                 f.clauses.len()
             };
@@ -460,18 +461,23 @@ fn schedule_depth(f: &Flwor, conjunct: &Expr) -> usize {
 // ---- the Lookup rule -------------------------------------------------------
 
 /// The Lookup conjunct for clause `i`, a `for $v`: the first planned
-/// where-conjunct `k($v) op e` (or mirrored), `op` one of `= < <= > >=`,
+/// where-conjunct scheduled at depth `i + 1` (`depths`), if it is
+/// `k($v) op e` (or mirrored), `op` one of `= < <= > >=`,
 /// whose `k` is a key over `$v` ([`key_signature`]) and whose `e` uses
 /// neither `$v` nor any later clause's variable. An ordered `op` also
 /// needs `e` to use a variable of `enclosing` (the variables bound
 /// before clause `i`): a comparison with a constant (Q5's
 /// `price >= 40`, Q12's `income > 50000`) is a selection, and stays a
-/// filter. Returns the conjunct's index, whether the key is its left
-/// side, and the operator stated key first.
+/// filter. Only the first conjunct at that depth qualifies: the nested
+/// loop evaluates the conjuncts there in order, so one behind it may
+/// never be evaluated, while a Lookup evaluates its `e` on every open.
+/// Returns the conjunct's index, whether the key is its left side, and
+/// the operator stated key first.
 fn lookup_conjunct(
     f: &Flwor,
     i: usize,
     conjuncts: &[Option<PlanExpr>],
+    depths: &[usize],
     enclosing: &[String],
 ) -> Option<(usize, bool, CmpOp)> {
     let Clause::For(v, _) = &f.clauses[i] else {
@@ -488,27 +494,26 @@ fn lookup_conjunct(
         return None;
     }
     let free = |e: &PlanExpr| !e.uses_var(v) && later.iter().all(|l| !e.uses_var(l));
-    conjuncts.iter().enumerate().find_map(|(c, conjunct)| {
-        let Some(PlanExpr::Cmp(op, a, b)) = conjunct else {
-            return None;
-        };
-        let (key_is_lhs, outer) = if key_signature(a, v).is_some() && free(b) {
-            (true, b)
-        } else if key_signature(b, v).is_some() && free(a) {
-            (false, a)
-        } else {
-            return None;
-        };
-        let op = if key_is_lhs { *op } else { op.mirrored() };
-        let planned = match op {
-            CmpOp::Eq => true,
-            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                enclosing.iter().any(|e| outer.uses_var(e))
-            }
-            CmpOp::Ne => false,
-        };
-        planned.then_some((c, key_is_lhs, op))
-    })
+    let c = (0..conjuncts.len()).find(|&c| conjuncts[c].is_some() && depths[c] == i + 1)?;
+    let Some(PlanExpr::Cmp(op, a, b)) = &conjuncts[c] else {
+        return None;
+    };
+    let (key_is_lhs, outer) = if key_signature(a, v).is_some() && free(b) {
+        (true, b)
+    } else if key_signature(b, v).is_some() && free(a) {
+        (false, a)
+    } else {
+        return None;
+    };
+    let op = if key_is_lhs { *op } else { op.mirrored() };
+    let planned = match op {
+        CmpOp::Eq => true,
+        CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
+            enclosing.iter().any(|e| outer.uses_var(e))
+        }
+        CmpOp::Ne => false,
+    };
+    planned.then_some((c, key_is_lhs, op))
 }
 
 /// Rewrite `for $var in source` with its planned comparison conjunct

@@ -1136,3 +1136,16 @@ impl<W: fmt::Write + ?Sized> fmt::Write for CountingSink<'_, W> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    /// Every operator input is a `Cursor`, so the enum's size is paid
+    /// per operator and per open. 128 bytes (on 64-bit targets) is its
+    /// size since paths stopped boxing their cursor: `Cursor::Path`
+    /// holds an `Env` (8), a `PathSource` (48) and an inline `Stage` (72).
+    #[test]
+    fn cursor_stays_within_128_bytes() {
+        let size = std::mem::size_of::<super::Cursor<'_>>();
+        assert!(size <= 128, "Cursor grew to {size} bytes");
+    }
+}

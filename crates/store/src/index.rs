@@ -45,16 +45,20 @@
 //! Posting-list stabbing assumes node ids are assigned in document
 //! (pre-)order, so a subtree occupies the contiguous id range
 //! `[n, subtree_end(n)]`. All eight backends number nodes that way; the
-//! build walk *verifies* it (ids strictly increase along the pre-order
-//! traversal) and marks the index [`ElementIndex::ordered`] only when the
-//! invariant holds. An unordered index degrades gracefully: `postings_in`
+//! build scan *verifies* the nesting half of it (id `0` is the root and
+//! every node's parent is still open on a stack of ancestors when its id
+//! comes up) and marks the index [`ElementIndex::ordered`] only when it
+//! holds. Sibling order is the numbering's own promise (see [`Node`]).
+//! An unordered index degrades gracefully: `postings_in`
 //! returns `None` and both the planner and the executor fall back to the
 //! native streamed axis cursors. The transaction layer relies on this:
 //! every snapshot after the first carries an empty, unordered index, and
 //! its cursors stab the immutable base store's index instead, merging the
 //! inserted elements in by order rank. Its `@id` lookups likewise read
 //! the base's `@id` index, shared by every snapshot, and correct it
-//! through the snapshot's delta.
+//! through the snapshot's delta. Snapshots number inserted nodes above
+//! the base range, so neither build scan would be valid over one: both
+//! indexes come seeded, and no snapshot builds them.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -68,26 +72,6 @@ use crate::traits::{Node, XmlStore};
 /// `String` header) used by the size accounting.
 const MAP_ENTRY_OVERHEAD: usize = 48;
 
-/// Visit every node of `store` in document (pre-)order — the shared walk
-/// behind the whole-document index builds. (The element index keeps its
-/// own specialized walk: it also needs subtree-exit events.)
-fn preorder<S: XmlStore + ?Sized>(store: &S, mut visit: impl FnMut(Node)) {
-    let root = store.root();
-    visit(root);
-    let mut stack = vec![store.children_iter(root)];
-    while let Some(iter) = stack.last_mut() {
-        match iter.next() {
-            Some(child) => {
-                visit(child);
-                stack.push(store.children_iter(child));
-            }
-            None => {
-                stack.pop();
-            }
-        }
-    }
-}
-
 /// The element-name index: per tag, the document-ordered posting list of
 /// element node ids, plus each node's subtree end for range stabbing.
 /// The default is empty and unordered: it can never stab. A clone
@@ -100,64 +84,58 @@ pub struct ElementIndex {
     postings: HashMap<String, Arc<Vec<u32>>>,
     /// node id → largest id in its subtree (inclusive). Indexed by id.
     subtree_end: Arc<Vec<u32>>,
-    /// Whether ids were verified to increase along the pre-order walk —
-    /// the invariant subtree stabbing rests on.
+    /// Whether the build verified that ids number the tree in pre-order
+    /// — the invariant subtree stabbing rests on.
     ordered: bool,
 }
 
 impl ElementIndex {
-    /// Build by one pre-order walk over `store`'s streaming axis cursors.
-    fn build<S: XmlStore + ?Sized>(store: &S) -> ElementIndex {
-        let root = store.root();
-        let mut postings: HashMap<String, Arc<Vec<u32>>> = HashMap::new();
-        let mut subtree_end: Vec<u32> = vec![0; store.node_count()];
-        let mut ordered = true;
-
-        let mut push_posting = |n: Node| {
-            if let Some(tag) = store.tag_of(n) {
-                match postings.get_mut(tag) {
-                    // Arc never escapes during the build, so this is a
-                    // plain in-place push.
-                    Some(list) => Arc::make_mut(list).push(n.0),
-                    None => {
-                        postings.insert(tag.to_string(), Arc::new(vec![n.0]));
-                    }
-                }
+    /// Build by one ascending scan of the ids `0..count`, reading only
+    /// parents and tags (a walk over `children_iter` costs System B one
+    /// probe per fragment per node). The scan checks the pre-order
+    /// numbering against a stack of open ancestors: `0` is the root, each
+    /// later node's parent is open, and the nodes popped to reach it end
+    /// their subtrees just before this id. A failed check yields the
+    /// default, unordered index.
+    fn build<'s>(
+        root: Node,
+        count: usize,
+        parent: impl Fn(Node) -> Option<Node>,
+        tag_of: impl Fn(Node) -> Option<&'s str>,
+    ) -> ElementIndex {
+        let mut lists: HashMap<&str, Vec<u32>> = HashMap::new();
+        let mut subtree_end: Vec<u32> = vec![0; count];
+        let mut open: Vec<u32> = Vec::new();
+        for id in 0..count as u32 {
+            let n = Node(id);
+            let depth = match parent(n) {
+                None if id == 0 && n == root => 0,
+                p => match open.iter().rposition(|&a| p == Some(Node(a))) {
+                    Some(at) => at + 1,
+                    None => return ElementIndex::default(),
+                },
+            };
+            for done in open.drain(depth..) {
+                subtree_end[done as usize] = id - 1;
             }
-        };
-        push_posting(root);
-
-        // Iterative pre-order DFS. While ids stay monotonic, the last
-        // visited id at the moment a node is popped is exactly the end of
-        // its subtree.
-        let mut last = root.0;
-        if (root.index()) >= subtree_end.len() {
-            subtree_end.resize(root.index() + 1, 0);
+            open.push(id);
+            if let Some(tag) = tag_of(n) {
+                lists
+                    .entry(tag)
+                    .or_insert_with(|| Vec::with_capacity(1))
+                    .push(id);
+            }
         }
-        let mut stack = vec![(root, store.children_iter(root))];
-        while let Some((_, iter)) = stack.last_mut() {
-            match iter.next() {
-                Some(child) => {
-                    if child.0 <= last {
-                        ordered = false;
-                    }
-                    last = last.max(child.0);
-                    if child.index() >= subtree_end.len() {
-                        subtree_end.resize(child.index() + 1, 0);
-                    }
-                    push_posting(child);
-                    stack.push((child, store.children_iter(child)));
-                }
-                None => {
-                    let (done, _) = stack.pop().expect("non-empty while looping");
-                    subtree_end[done.index()] = last;
-                }
-            }
+        for done in open {
+            subtree_end[done as usize] = count as u32 - 1;
         }
         ElementIndex {
-            postings,
+            postings: lists
+                .into_iter()
+                .map(|(tag, list)| (tag.to_string(), Arc::new(list)))
+                .collect(),
             subtree_end: Arc::new(subtree_end),
-            ordered,
+            ordered: true,
         }
     }
 
@@ -219,15 +197,17 @@ pub struct AttrIndex {
 }
 
 impl AttrIndex {
+    /// Build by one ascending scan of the ids `0..node_count`, which a
+    /// bulkloaded store assigns densely in document order.
     fn build<S: XmlStore + ?Sized>(store: &S) -> AttrIndex {
         let mut map = HashMap::new();
-        preorder(store, |n| {
+        for id in 0..store.node_count() as u32 {
             // A by-name probe, not the whole attribute list: every
             // backend allocates only when the node carries an `id`.
-            if let Some(value) = store.attribute(n, "id") {
-                map.entry(value.into_owned()).or_insert(n.0);
+            if let Some(value) = store.attribute(Node(id), "id") {
+                map.entry(value.into_owned()).or_insert(id);
             }
-        });
+        }
         AttrIndex { map }
     }
 
@@ -363,35 +343,40 @@ impl IndexManager {
         }
     }
 
+    /// `cell`'s structure, built by `init` on first use and counted as
+    /// a build, or as a hit once built.
+    fn once<'m, T>(&self, cell: &'m OnceLock<T>, init: impl FnOnce() -> T) -> &'m T {
+        let mut built = false;
+        let value = cell.get_or_init(|| {
+            built = true;
+            self.counters.builds.fetch_add(1, Ordering::Relaxed);
+            init()
+        });
+        if !built {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
     /// The element-name index, building it on first use (exactly once,
     /// even under concurrent callers).
     pub fn element<S: XmlStore + ?Sized>(&self, store: &S) -> &ElementIndex {
-        let mut built = false;
-        let index = self.element.get_or_init(|| {
-            built = true;
-            self.counters.builds.fetch_add(1, Ordering::Relaxed);
-            ElementIndex::build(store)
-        });
-        if !built {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        index
+        self.once(&self.element, || {
+            ElementIndex::build(
+                store.root(),
+                store.node_count(),
+                |n| store.parent(n),
+                |n| store.tag_of(n),
+            )
+        })
     }
 
     /// The `@id` index, building it over `store` on first use (exactly
-    /// once, even under concurrent callers) — the single code path behind
-    /// [`XmlStore::lookup_id`] on every backend.
+    /// once) — the single code path behind [`XmlStore::lookup_id`] on
+    /// every backend.
     pub fn ids<S: XmlStore + ?Sized>(&self, store: &S) -> &AttrIndex {
-        let mut built = false;
-        let index = self.ids.get_or_init(|| {
-            built = true;
-            self.counters.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(AttrIndex::build(store))
-        });
-        if !built {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        index
+        self.once(&self.ids, || Arc::new(AttrIndex::build(store)))
+            .as_ref()
     }
 
     /// The `@id` index if (and only if) it has already been built — what
@@ -514,8 +499,8 @@ impl IndexManager {
             .collect()
     }
 
-    /// Eagerly build the store-walk indexes (element postings + `@id`
-    /// values) — the warmup `Session`/`QueryService` expose so serving
+    /// Eagerly build the whole-document indexes (element postings +
+    /// `@id` values) — the warmup `Session`/`QueryService` expose so serving
     /// never pays a build on the request path. Value indexes warm on
     /// their first probing execution.
     pub fn build_all<S: XmlStore + ?Sized>(&self, store: &S) {
@@ -583,6 +568,20 @@ mod tests {
                 .unwrap();
             assert_eq!(index.count_in("name", europe), Some(2), "{system}");
         }
+    }
+
+    #[test]
+    fn build_rejects_numberings_that_are_not_preorder() {
+        let unordered = |root: u32, parents: &[Option<u32>]| {
+            let parent = |n: Node| parents[n.index()].map(Node);
+            let index = ElementIndex::build(Node(root), parents.len(), parent, |_| Some("e"));
+            !index.ordered() && index.postings_in("e", Node(0)).is_none()
+        };
+        let child_before_parent: &[_] = &[None, Some(2), Some(0)];
+        assert!(unordered(0, child_before_parent));
+        assert!(unordered(1, &[Some(1), None, Some(1)]), "root other than 0");
+        let parent_not_open: &[_] = &[None, Some(0), Some(0), Some(1)];
+        assert!(unordered(0, parent_not_open));
     }
 
     #[test]

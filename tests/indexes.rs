@@ -3,13 +3,13 @@
 //! specification, exactly-once builds under concurrency, and the
 //! planner's density gate for IndexScan.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use xmark::prelude::*;
 use xmark::query::compile_with_mode;
 use xmark::query::{canonicalize, execute};
-use xmark::store::NaiveStore;
+use xmark::store::{NaiveStore, Node};
 
 /// Satellite: every backend answers `lookup_id` through the shared
 /// attribute-value index — including System G, which used to return
@@ -261,5 +261,113 @@ fn size_accounting_includes_index_memory() {
             before + index_bytes,
             "{system}: size_bytes must include index memory"
         );
+    }
+}
+
+/// The reference the element and `@id` index builds are held to: one
+/// depth-first walk over `children_iter`, recording postings, subtree
+/// ends and `id` holders in document order, and whether ids strictly
+/// increase along it.
+struct Walked {
+    postings: HashMap<String, Vec<u32>>,
+    subtree_end: Vec<u32>,
+    ordered: bool,
+    ids: HashMap<String, u32>,
+}
+
+fn walk(store: &dyn XmlStore) -> Walked {
+    let root = store.root();
+    let mut walked = Walked {
+        postings: HashMap::new(),
+        subtree_end: vec![0; store.node_count()],
+        ordered: true,
+        ids: HashMap::new(),
+    };
+    let visit = |walked: &mut Walked, n: Node| {
+        if let Some(tag) = store.tag_of(n) {
+            match walked.postings.get_mut(tag) {
+                Some(list) => list.push(n.0),
+                None => {
+                    walked.postings.insert(tag.to_string(), vec![n.0]);
+                }
+            }
+        }
+        if let Some(id) = store.attribute(n, "id") {
+            walked.ids.entry(id.into_owned()).or_insert(n.0);
+        }
+    };
+    visit(&mut walked, root);
+    let mut last = root.0;
+    let mut stack = vec![(root, store.children_iter(root))];
+    while let Some((_, children)) = stack.last_mut() {
+        match children.next() {
+            Some(child) => {
+                walked.ordered &= child.0 > last;
+                last = last.max(child.0);
+                visit(&mut walked, child);
+                stack.push((child, store.children_iter(child)));
+            }
+            None => {
+                let (done, _) = stack.pop().expect("non-empty while looping");
+                walked.subtree_end[done.index()] = last;
+            }
+        }
+    }
+    walked
+}
+
+/// The index builds scan ids in ascending order instead of walking the
+/// tree; on every backend and on a 2-shard union they must match the
+/// walk: each tag's postings, each node's subtree end, `ordered()`, both
+/// indexes' `size_bytes()`, and `lookup_id` of every `id` naming its
+/// holder.
+#[test]
+fn index_builds_match_a_tree_walk_on_every_backend() {
+    const ENTRY: usize = 48; // the index layer's per-map-entry estimate
+    let session = Benchmark::at_factor(0.002).generate();
+    let mut stores: Vec<(String, Box<dyn XmlStore>)> = SystemId::EXTENDED
+        .iter()
+        .map(|&system| (system.to_string(), session.load(system).store))
+        .collect();
+    stores.push((
+        "E x2 shards".into(),
+        session.load_sharded(SystemId::E, 2).store,
+    ));
+    for (name, store) in &stores {
+        let store = store.as_ref();
+        let walked = walk(store);
+        let index = store.indexes().element(store);
+        assert!(walked.ordered, "{name}: ids are pre-order");
+        assert_eq!(index.ordered(), walked.ordered, "{name}");
+        for (tag, list) in &walked.postings {
+            assert_eq!(index.postings(tag), &list[..], "{name}: postings of {tag}");
+        }
+        assert_eq!(
+            index.shared_subtree_end().as_slice(),
+            &walked.subtree_end[..],
+            "{name}: subtree ends"
+        );
+        let postings_bytes: usize = walked
+            .postings
+            .iter()
+            .map(|(tag, list)| tag.capacity() + list.capacity() * 4 + ENTRY)
+            .sum();
+        assert_eq!(
+            index.size_bytes(),
+            postings_bytes + walked.subtree_end.capacity() * 4,
+            "{name}: element index bytes"
+        );
+
+        let ids = store.indexes().ids(store);
+        assert_eq!(ids.len(), walked.ids.len(), "{name}");
+        let id_bytes: usize = walked.ids.keys().map(|k| k.capacity() + 4 + ENTRY).sum();
+        assert_eq!(ids.size_bytes(), id_bytes, "{name}: @id index bytes");
+        for (value, &holder) in &walked.ids {
+            assert_eq!(
+                store.lookup_id(value),
+                Some(Node(holder)),
+                "{name}: {value}"
+            );
+        }
     }
 }

@@ -281,6 +281,51 @@ fn decorrelation_handles_empty_probe_keys() {
 }
 
 #[test]
+fn lookup_takes_only_the_first_conjunct_at_its_depth() {
+    // Two closed auctions, neither with five `<y>`, and a person with two
+    // `<x>`: the nested loop evaluates `count($t/y) = 5` first and never
+    // reaches the comparison, whose outer side would raise. A Lookup
+    // evaluates its outer side on every open, so the comparison stays a
+    // filter there. Written first, it is evaluated, raises in both
+    // modes, and becomes the Lookup.
+    let xml = concat!(
+        r#"<site><people><person><x/><x/></person></people><closed_auctions>"#,
+        r#"<closed_auction><buyer person="a"/></closed_auction>"#,
+        r#"<closed_auction><buyer person="b"/></closed_auction></closed_auctions></site>"#
+    );
+    let (guard, key) = ("count($t/y) = 5", "$t/buyer/@person = zero-or-one($p/x)");
+    for (conjuncts, expected, lookup) in [
+        (format!("{guard} and {key}"), Ok("0".to_string()), false),
+        (
+            format!("{key} and {guard}"),
+            Err(EvalError::Cardinality("zero-or-one")),
+            true,
+        ),
+    ] {
+        let q = format!(
+            r#"for $p in /site/people/person
+               let $a := for $t in /site/closed_auctions/closed_auction
+                         where {conjuncts}
+                         return $t
+               return count($a)"#
+        );
+        for system in SystemId::EXTENDED {
+            let store = build_store(system, xml).unwrap();
+            let store = store.as_ref();
+            let plan = compile(&q, store).unwrap().explain();
+            assert_eq!(plan.contains("Lookup"), lookup, "{system}:\n{plan}");
+            for mode in [PlanMode::Optimized, PlanMode::Naive] {
+                assert_eq!(
+                    run_streamed(store, &q, mode),
+                    expected,
+                    "{system}: {mode:?}: {q}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn join_keys_follow_general_comparison_semantics() {
     // The canonical join key must agree with the general comparison the
     // nested-loop specification evaluates: whitespace-padded strings

@@ -12,7 +12,7 @@
 
 mod common;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -488,15 +488,21 @@ fn normalized(
     map.into_iter().filter(|(_, v)| !v.is_empty()).collect()
 }
 
-/// Every `id` value an element of `s` carries.
-fn id_values(s: &dyn XmlStore) -> Vec<String> {
-    let mut values = Vec::new();
+/// Every `id` value an element of `s` carries, mapped to its first
+/// holder in document order: a pre-order walk of `s`'s cursors. (A
+/// snapshot numbers inserted nodes above the base, so the `@id` index's
+/// id-order scan cannot serve as this reference.)
+fn first_holders(s: &dyn XmlStore) -> HashMap<String, Node> {
+    let mut holders = HashMap::new();
     let mut stack = vec![s.root()];
     while let Some(n) = stack.pop() {
-        values.extend(s.attribute(n, "id").map(String::from));
-        stack.extend(s.children_iter(n));
+        if let Some(value) = s.attribute(n, "id") {
+            holders.entry(value.into_owned()).or_insert(n);
+        }
+        let children: Vec<Node> = s.children_iter(n).collect();
+        stack.extend(children.into_iter().rev());
     }
-    values
+    holders
 }
 
 /// Assert the indexes of `snap`, a post-commit snapshot, answer
@@ -513,16 +519,16 @@ fn assert_indexes_match_rebuild(snap: &SnapshotStore, ever_held: &BTreeSet<Strin
         "{context}: a commit derived element postings"
     );
 
-    let rebuilt = IndexManager::new();
-    let fresh_ids = rebuilt.ids(snap);
+    let holders = first_holders(snap);
     for value in ever_held {
         assert_eq!(
             snap.lookup_id(value),
-            fresh_ids.get(value),
+            holders.get(value).copied(),
             "{context}: lookup_id({value}) drifted"
         );
     }
 
+    let rebuilt = IndexManager::new();
     for tag in ["increase", "current"] {
         let kept_cv = snap.indexes().child_values(snap, tag);
         let fresh_cv = rebuilt.child_values(snap, tag);
@@ -553,7 +559,7 @@ proptest! {
             s.indexes().build_all(s.as_ref());
             s.indexes().child_values(s.as_ref(), "increase");
             s.indexes().child_values(s.as_ref(), "current");
-            let mut ever_held: BTreeSet<String> = id_values(s.as_ref()).into_iter().collect();
+            let mut ever_held: BTreeSet<String> = first_holders(s.as_ref()).into_keys().collect();
             let mut uniq = 0u32;
             for &(kind, selector, value) in &script {
                 let s = versioned.snapshot();
@@ -564,7 +570,7 @@ proptest! {
                 }
                 txn.commit().expect("scripted op commits");
                 let snap = versioned.snapshot();
-                ever_held.extend(id_values(snap.as_ref()));
+                ever_held.extend(first_holders(snap.as_ref()).into_keys());
                 assert_indexes_match_rebuild(
                     &snap,
                     &ever_held,
@@ -587,7 +593,7 @@ fn id_lookups_follow_deletes_rewrites_and_duplicates() {
     for system in SystemId::EXTENDED {
         let versioned = VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
         let s = versioned.snapshot();
-        let mut ever_held: BTreeSet<String> = id_values(s.as_ref()).into_iter().collect();
+        let mut ever_held: BTreeSet<String> = first_holders(s.as_ref()).into_keys().collect();
         let person = descend(s.as_ref(), &["people", "person"]);
         let taken = s.attribute(person, "id").expect("persons carry an id");
         let dup = format!("<item id=\"{taken}\"><name>dup</name></item>");
@@ -600,7 +606,7 @@ fn id_lookups_follow_deletes_rewrites_and_duplicates() {
         };
         let mut step = |name: &str, stage: &dyn Fn(&dyn XmlStore, &mut Transaction)| {
             let snap = commit_with(&versioned, |s, txn| stage(s, txn));
-            ever_held.extend(id_values(snap.as_ref()));
+            ever_held.extend(first_holders(snap.as_ref()).into_keys());
             assert_indexes_match_rebuild(&snap, &ever_held, &format!("{system} after {name}"));
         };
         step("dup before", &|s, txn| {
@@ -1206,6 +1212,34 @@ fn index_hits_count_on_the_pinned_epoch() {
         "each Q1 probes the @id index (counted {})",
         report.index_hits
     );
+}
+
+/// Commits build neither an element nor an `@id` index: each successor
+/// manager is seeded from its predecessor, and both builds scan ids
+/// `0..node_count`, which no snapshot numbers in document order. Across
+/// inserts, a delete, a text and an `id` rewrite, the base's manager and
+/// the snapshots' shared counters record no build.
+#[test]
+fn commits_build_no_element_or_id_index() {
+    let doc = generate_document(0.001);
+    for system in SystemId::EXTENDED {
+        let base: Arc<dyn XmlStore> = Arc::from(load_system(system, &doc.xml).store);
+        let versioned = VersionedStore::new(Arc::clone(&base));
+        let builds = |snap: &SnapshotStore| (base.indexes().builds(), snap.indexes().builds());
+        let before = builds(&versioned.snapshot());
+        apply_update_script(&versioned);
+        let snap = commit_with(&versioned, |s, txn| {
+            txn.replace_attr(descend(s, &["people", "person"]), "id", "person-renamed")
+        });
+        assert_eq!(builds(&snap), before, "{system}: a commit built an index");
+        let kept = snap.indexes().element(snap.as_ref());
+        assert!(!kept.ordered() && kept.size_bytes() == 0, "{system}");
+        assert_eq!(
+            builds(&snap),
+            before,
+            "{system}: the element index was not seeded"
+        );
+    }
 }
 
 /// No snapshot walks itself to build an element or `@id` index: on a
