@@ -20,15 +20,19 @@
 //!   node (an un-inlined value, an unsupported positional probe) — the
 //!   generic cursor path always remains correct.
 //!
-//! Function arguments and other scalar contexts evaluate to materialized
-//! [`Sequence`]s via `Evaluator::eval`; comparison and arithmetic
-//! operands, `count()` and constructor content take their items one at a
-//! time through `Evaluator::eval_each`, which pulls exactly what `eval`
-//! would without building the sequence. Boolean contexts (where-filters,
-//! predicates, quantifiers, `and`/`or`, comparisons and the boolean
-//! built-ins) go through `eval_ebv`, which answers a `bool` and, for a
-//! streamable operand, pulls at most two items from its cursor instead of
-//! draining it.
+//! One evaluation protocol: `Cursor::build` is the only way an
+//! expression produces items, and `Evaluator::eval_ebv` the only way it
+//! answers a boolean. Paths, FLWORs and comma sequences stream; scalar
+//! forms (comparisons, arithmetic, calls, constructors, quantifiers,
+//! Aggregate, Lookup) compute their value when their cursor opens.
+//! Consumers that fold every item — comparison keys, arithmetic
+//! operands, function arguments, constructor content, and every place
+//! that needs a [`Sequence`] — pull the cursor `Evaluator::items` opens
+//! with the `materializing` flag, so a path may pay its one-time index
+//! builds at open. Boolean contexts (where-filters, predicates,
+//! quantifiers, `and`/`or`, comparisons) pull at most two items from a
+//! streaming cursor instead of draining it; `not()` drains through the
+//! same code.
 
 use std::any::Any;
 use std::borrow::Cow;
@@ -40,10 +44,10 @@ use std::sync::Arc;
 
 use xmark_store::{ChildValues, DescendantsNamed, IndexManager, Node, XmlStore};
 
-use crate::ast::{Axis, CmpOp, NodeTest};
+use crate::ast::{ArithOp, Axis, CmpOp, NodeTest};
 use crate::plan::*;
 use crate::result::{atomize, atomized, format_number, number, xs_double, CElem, Item, Sequence};
-use crate::stream::{flwor_cursor, path_cursor, Cursor};
+use crate::stream::{flwor_cursor, open_path, Cursor, Items};
 
 /// Evaluation errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,8 +263,11 @@ pub(crate) struct Evaluator<'a> {
     /// first level either way.
     shared_values: bool,
     functions: HashMap<&'a str, &'a PlanFunction>,
-    /// Memo for loop-invariant absolute paths — the materialization every
-    /// system in the paper performs before joining.
+    /// Per-execution (L1) memo for loop-invariant absolute paths — the
+    /// materialization every system in the paper performs before joining.
+    /// Filled when a [`Cursor::Tee`] drains to the end or a store-resident
+    /// (L2) `path|` slot is hit; every later open of the path replays it
+    /// ([`crate::stream::open_path`]).
     path_cache: RefCell<HashMap<String, Arc<Sequence>>>,
     /// Per-execution (L1) memo for Lookup indexes, keyed by the planner's
     /// signatures. Populated from the store-resident value indexes (L2)
@@ -279,13 +286,6 @@ pub(crate) struct Evaluator<'a> {
     /// `exists()`/`take(n)` must pull strictly fewer items than a full
     /// evaluation.
     pulls: Cell<u64>,
-    /// Memoized-path signatures already opened by a streaming cursor
-    /// this execution. A second open proves the loop-invariant path is
-    /// being re-evaluated (an inner FLWOR clause restarted per outer
-    /// binding), at which point it materializes into `path_cache`; first
-    /// opens stay lazy so one-shot top-level paths keep their
-    /// time-to-first-item.
-    streamed_paths: RefCell<HashSet<String>>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -305,7 +305,6 @@ impl<'a> Evaluator<'a> {
             element_index: std::cell::OnceCell::new(),
             child_values_cache: RefCell::new(HashMap::new()),
             pulls: Cell::new(0),
-            streamed_paths: RefCell::new(HashSet::new()),
         }
     }
 
@@ -320,95 +319,23 @@ impl<'a> Evaluator<'a> {
         self.pulls.set(self.pulls.get() + n);
     }
 
-    /// Drain a cursor into a materialized sequence.
-    pub(crate) fn drain(&self, mut cur: Cursor<'a>) -> EResult<Sequence> {
-        let mut out = Vec::new();
-        while let Some(r) = cur.next(self) {
-            out.push(r?);
-        }
-        Ok(out)
-    }
-
-    pub(crate) fn eval(
-        &self,
+    /// The items of `expr`, pulled one at a time by a consumer that folds
+    /// every one of them: comparison keys, arithmetic operands, function
+    /// arguments, constructor content, and every `Sequence` the executor
+    /// needs. The cursor opens `materializing`, so a memoized path's
+    /// complete drain publishes it.
+    pub(crate) fn items<'e>(
+        &'e self,
         expr: &'a PlanExpr,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
-    ) -> EResult<Sequence> {
-        match expr {
-            PlanExpr::Str(s) => Ok(vec![Item::str(s)]),
-            PlanExpr::Num(n) => Ok(vec![Item::Num(*n)]),
-            PlanExpr::Empty => Ok(Vec::new()),
-            PlanExpr::Var(name) => Ok(self.binding(env, name)?.items().to_vec()),
-            PlanExpr::Sequence(parts) => {
-                let mut out = Vec::new();
-                for p in parts {
-                    out.extend(self.eval(p, env, ctx)?);
-                }
-                Ok(out)
-            }
-            PlanExpr::Or(_) | PlanExpr::And(_) | PlanExpr::Cmp(..) => {
-                Ok(vec![Item::Bool(self.eval_ebv(expr, env, ctx)?)])
-            }
-            PlanExpr::Before(lhs, rhs) => {
-                let l = self.eval(lhs, env, ctx)?;
-                let r = self.eval(rhs, env, ctx)?;
-                let before = l.iter().any(|a| {
-                    r.iter().any(|b| match (a, b) {
-                        // Compare order *keys*, not raw ids: MVCC
-                        // snapshots number inserted nodes above the base
-                        // range but interleave them by rank.
-                        (Item::Node(x), Item::Node(y)) => {
-                            self.store.doc_order_key(*x) < self.store.doc_order_key(*y)
-                        }
-                        _ => false,
-                    })
-                });
-                Ok(vec![Item::Bool(before)])
-            }
-            PlanExpr::Arith(op, lhs, rhs) => {
-                let l = self.singleton_number(lhs, env, ctx)?;
-                let r = self.singleton_number(rhs, env, ctx)?;
-                let (Some(a), Some(b)) = (l, r) else {
-                    return Ok(Vec::new());
-                };
-                use crate::ast::ArithOp;
-                let v = match op {
-                    ArithOp::Add => a + b,
-                    ArithOp::Sub => a - b,
-                    ArithOp::Mul => a * b,
-                    ArithOp::Div => a / b,
-                    ArithOp::Mod => a % b,
-                };
-                Ok(vec![Item::Num(v)])
-            }
-            PlanExpr::Neg(inner) => Ok(match self.singleton_number(inner, env, ctx)? {
-                Some(n) => vec![Item::Num(-n)],
-                None => Vec::new(),
-            }),
-            PlanExpr::Path(p) => self.eval_path(p, env, ctx),
-            PlanExpr::Aggregate(a) => self.eval_aggregate(a, env, ctx),
-            PlanExpr::Flwor(f) => self.drain(flwor_cursor(f, env, ctx, false)),
-            PlanExpr::Lookup(l) => self.eval_lookup(l, env, ctx),
-            PlanExpr::Some {
-                bindings,
-                satisfies,
-            } => {
-                let found = self.eval_some(bindings, 0, satisfies, env, ctx)?;
-                Ok(vec![Item::Bool(found)])
-            }
-            PlanExpr::Call(name, args) => self.eval_call(name, args, env, ctx),
-            PlanExpr::Element(ctor) => {
-                let elem = self.build_element(ctor, env, ctx)?;
-                Ok(vec![Item::Elem(Arc::new(elem))])
-            }
-        }
+    ) -> Items<'e, 'a> {
+        Cursor::build(self, expr, env, ctx, true).iter(self)
     }
 
-    /// Effective boolean value of `expr`, short-circuiting: for the
-    /// streamable operators (paths, FLWORs, comma sequences) this pulls at
-    /// most two items from a cursor instead of draining the operand — an
-    /// existential predicate like `[bidder]` stops at the first child.
+    /// Effective boolean value of `expr`, short-circuiting: this pulls at
+    /// most two items from the operand's cursor instead of draining it —
+    /// an existential predicate like `[bidder]` stops at the first child.
     ///
     /// Consequence (shared with the `exists`/`empty` fast paths and
     /// permitted by XQuery's errors-and-optimization rules): an
@@ -423,29 +350,6 @@ impl<'a> Evaluator<'a> {
         ctx: Option<&Item>,
     ) -> EResult<bool> {
         match expr {
-            PlanExpr::Path(_) | PlanExpr::Flwor(_) | PlanExpr::Sequence(_) => {
-                // `order by` cannot change whether any tuple exists, so the
-                // EBV cursor for a FLWOR skips the Sort buffer entirely.
-                let mut cur = match expr {
-                    PlanExpr::Flwor(f) => flwor_cursor(f, env, ctx, true),
-                    _ => Cursor::build(self, expr, env, ctx),
-                };
-                let Some(first) = cur.next(self).transpose()? else {
-                    return Ok(false);
-                };
-                match first {
-                    Item::Node(_) | Item::Elem(_) => Ok(true),
-                    atom => {
-                        // A second item of any kind makes the sequence true;
-                        // a singleton atom follows the atomic EBV rules.
-                        if cur.next(self).transpose()?.is_some() {
-                            Ok(true)
-                        } else {
-                            Ok(ebv(&[atom]))
-                        }
-                    }
-                }
-            }
             PlanExpr::Or(parts) => {
                 for p in parts {
                     if self.eval_ebv(p, env, ctx)? {
@@ -462,87 +366,58 @@ impl<'a> Evaluator<'a> {
                 }
                 Ok(true)
             }
-            // Both operands are evaluated in full, left first, as `eval`
-            // would: no early exit, so pull counts and the error reported
-            // do not depend on which pair matches.
+            // Both operands are keyed in full, left first: no early exit,
+            // so pull counts and the error reported do not depend on which
+            // pair matches.
             PlanExpr::Cmp(op, lhs, rhs) => {
-                let l = self.cmp_keys(lhs, env, ctx)?;
-                let r = self.cmp_keys(rhs, env, ctx)?;
+                let mut sides = [InlineOne::default(), InlineOne::default()];
+                for (keys, side) in sides.iter_mut().zip([lhs, rhs]) {
+                    match &**side {
+                        // A literal is keyed in place, with no cursor.
+                        PlanExpr::Num(n) => keys.push(CmpKey::Num(*n)),
+                        PlanExpr::Str(s) => keys.push(CmpKey::from_text(Cow::Borrowed(s))),
+                        side => {
+                            for item in self.items(side, env, ctx) {
+                                keys.push(CmpKey::of(self.store, item?));
+                            }
+                        }
+                    }
+                }
+                let [l, r] = &sides;
                 Ok(general_compare(*op, l.as_slice(), r.as_slice()))
             }
             PlanExpr::Call(name, args) => match self.bool_call(name, args, env, ctx) {
                 Some(answer) => answer,
-                None => Ok(ebv(&self.eval_call(name, args, env, ctx)?)),
+                None => self.ebv_of(Cursor::build(self, expr, env, ctx, false), false),
             },
-            _ => Ok(ebv(&self.eval(expr, env, ctx)?)),
+            // `order by` cannot change whether any tuple exists, so the
+            // EBV cursor for a FLWOR skips the Sort buffer entirely.
+            PlanExpr::Flwor(f) => self.ebv_of(flwor_cursor(f, env, ctx, true), false),
+            _ => self.ebv_of(Cursor::build(self, expr, env, ctx, false), false),
         }
     }
 
-    /// `ebv(&eval(expr))` without materializing the value: unlike
-    /// [`Evaluator::eval_ebv`], every item of a streamable operand is
-    /// pulled, as `not()` has always done.
-    fn drained_ebv(
-        &self,
-        expr: &'a PlanExpr,
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<bool> {
-        if !matches!(
-            expr,
-            PlanExpr::Path(_) | PlanExpr::Flwor(_) | PlanExpr::Sequence(_)
-        ) {
-            return self.eval_ebv(expr, env, ctx);
+    /// The effective boolean value of the items `cur` yields. It pulls at
+    /// most two, or, with `drain`, every item, as `not()` does.
+    fn ebv_of(&self, mut cur: Cursor<'a>, drain: bool) -> EResult<bool> {
+        let Some(first) = cur.next(self).transpose()? else {
+            return Ok(false);
+        };
+        // A node first, or a second item of any kind, makes the sequence
+        // true; a singleton atom follows the atomic EBV rules.
+        let answer = match first {
+            Item::Node(_) | Item::Elem(_) => true,
+            _ if cur.next(self).transpose()?.is_some() => true,
+            Item::Bool(b) => b,
+            Item::Num(n) => n != 0.0 && !n.is_nan(),
+            Item::Str(s) => !s.is_empty(),
+        };
+        if drain {
+            for item in cur.iter(self) {
+                item?;
+            }
         }
-        let mut first = None;
-        let mut more = false;
-        self.eval_each(expr, env, ctx, |item| match first {
-            None => first = Some(item),
-            Some(_) => more = true,
-        })?;
-        Ok(match first {
-            None => false,
-            Some(_) if more => true,
-            Some(item) => ebv(std::slice::from_ref(&item)),
-        })
-    }
-
-    /// Feed each item of `expr`'s value to `sink` in order: `eval`
-    /// without the sequence. A variable's items are read off its binding,
-    /// and a path streams off the same materializing cursor `eval`
-    /// drains (or replays its memo), so the pulls are `eval`'s.
-    pub(crate) fn eval_each(
-        &self,
-        expr: &'a PlanExpr,
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-        mut sink: impl FnMut(Item),
-    ) -> EResult<()> {
-        match expr {
-            PlanExpr::Empty => {}
-            PlanExpr::Num(n) => sink(Item::Num(*n)),
-            PlanExpr::Str(s) => sink(Item::str(s)),
-            PlanExpr::Var(name) => self
-                .binding(env, name)?
-                .items()
-                .iter()
-                .cloned()
-                .for_each(sink),
-            PlanExpr::Path(p) => match &p.memo {
-                Some(sig) => self
-                    .memo_path(sig, p, env, ctx)?
-                    .iter()
-                    .cloned()
-                    .for_each(sink),
-                None => {
-                    let mut cur = path_cursor(self, p, env, ctx, true);
-                    while let Some(item) = cur.next(self) {
-                        sink(item?);
-                    }
-                }
-            },
-            _ => self.eval(expr, env, ctx)?.into_iter().for_each(sink),
-        }
-        Ok(())
+        Ok(answer)
     }
 
     /// The frame binding `$name`.
@@ -551,69 +426,90 @@ impl<'a> Evaluator<'a> {
             .ok_or_else(|| EvalError::UndefinedVariable(name.to_string()))
     }
 
-    /// One general-comparison operand, keyed item by item. A literal is
-    /// keyed in place; at most one item needs no vector.
-    fn cmp_keys(
-        &self,
-        expr: &'a PlanExpr,
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<InlineOne<CmpKey<'a>>> {
-        let mut keys = InlineOne::default();
-        match expr {
-            PlanExpr::Num(n) => keys.push(CmpKey::Num(*n)),
-            PlanExpr::Str(s) => keys.push(CmpKey::from_text(Cow::Borrowed(s))),
-            _ => self.eval_each(expr, env, ctx, |item| {
-                keys.push(CmpKey::of(self.store, item));
-            })?,
-        }
-        Ok(keys)
-    }
-
     /// The numeric value of `expr` if it is exactly one item that has one
     /// (the operand rule of arithmetic).
-    fn singleton_number(
+    pub(crate) fn singleton_number(
         &self,
         expr: &'a PlanExpr,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
     ) -> EResult<Option<f64>> {
-        let mut only = None;
-        let mut len = 0;
-        self.eval_each(expr, env, ctx, |item| {
-            len += 1;
-            only = Some(item);
-        })?;
-        Ok(match only {
-            Some(item) if len == 1 => number(self.store, &item),
-            _ => None,
-        })
+        let mut items = self.items(expr, env, ctx);
+        let only = items.next().transpose()?;
+        let mut more = false;
+        for item in items {
+            item?;
+            more = true;
+        }
+        Ok(only
+            .filter(|_| !more)
+            .and_then(|item| number(self.store, &item)))
     }
 
-    /// The built-in functions that answer a boolean, answered without a
-    /// sequence; `None` for every other call, and for a wrong arity
-    /// (which the generic path reports after evaluating the arguments).
-    /// `exists`/`empty` are existence checks: they pull at most one item
-    /// from the argument instead of materializing it.
-    fn bool_call(
+    /// Arithmetic: empty unless both operands are single numbers.
+    pub(crate) fn arith(
         &self,
-        name: &str,
-        args: &'a [PlanExpr],
+        op: ArithOp,
+        lhs: &'a PlanExpr,
+        rhs: &'a PlanExpr,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
-    ) -> Option<EResult<bool>> {
-        match (name, args) {
-            ("exists" | "empty", [arg]) => {
-                let mut cur = Cursor::build(self, arg, env, ctx);
-                Some(
-                    cur.next(self)
-                        .transpose()
-                        .map(|first| first.is_some() == (name == "exists")),
-                )
+    ) -> EResult<Option<Item>> {
+        let l = self.singleton_number(lhs, env, ctx)?;
+        let r = self.singleton_number(rhs, env, ctx)?;
+        let (Some(a), Some(b)) = (l, r) else {
+            return Ok(None);
+        };
+        Ok(Some(Item::Num(match op {
+            ArithOp::Add => a + b,
+            ArithOp::Sub => a - b,
+            ArithOp::Mul => a * b,
+            ArithOp::Div => a / b,
+            ArithOp::Mod => a % b,
+        })))
+    }
+
+    /// `lhs << rhs`: whether some node of `lhs` precedes some node of
+    /// `rhs`, i.e. the earliest of the first before the latest of the
+    /// second.
+    pub(crate) fn before(
+        &self,
+        lhs: &'a PlanExpr,
+        rhs: &'a PlanExpr,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<bool> {
+        // Compare order *keys*, not raw ids: MVCC snapshots number
+        // inserted nodes above the base range but interleave them by rank.
+        let mut order_keys = |side: &'a PlanExpr| -> EResult<Vec<_>> {
+            let mut keys = Vec::new();
+            for item in self.items(side, env, ctx) {
+                if let Item::Node(n) = item? {
+                    keys.push(self.store.doc_order_key(n));
+                }
             }
-            ("not", [arg]) => Some(self.drained_ebv(arg, env, ctx).map(|b| !b)),
-            _ => None,
+            Ok(keys)
+        };
+        let earliest = order_keys(lhs)?.into_iter().min();
+        let latest = order_keys(rhs)?.into_iter().max();
+        Ok(matches!((earliest, latest), (Some(a), Some(b)) if a < b))
+    }
+
+    /// The at most one item of `expr`: pulls at most two, and a second
+    /// is a cardinality error in `what`.
+    fn zero_or_one(
+        &self,
+        what: &'static str,
+        expr: &'a PlanExpr,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<Option<Item>> {
+        let mut items = self.items(expr, env, ctx);
+        let first = items.next().transpose()?;
+        if first.is_some() && items.next().transpose()?.is_some() {
+            return Err(EvalError::Cardinality(what));
         }
+        Ok(first)
     }
 
     // ---- FLWOR support ---------------------------------------------------
@@ -623,7 +519,7 @@ impl<'a> Evaluator<'a> {
     /// once. Blocking: the index is built (or fetched) before the first
     /// probe. Over an empty source the outer expression is never
     /// evaluated, as the nested loop never evaluates its `where`.
-    fn eval_lookup(
+    pub(crate) fn lookup(
         &self,
         l: &'a LookupPlan,
         env: &mut Env<'a>,
@@ -634,9 +530,9 @@ impl<'a> Evaluator<'a> {
             return Ok(Vec::new());
         }
         let mut matched: Vec<u32> = Vec::new();
-        self.eval_each(&l.outer, env, ctx, |item| {
-            index.probe(l.op, &CmpKey::of(self.store, item), &mut matched);
-        })?;
+        for item in self.items(&l.outer, env, ctx) {
+            index.probe(l.op, &CmpKey::of(self.store, item?), &mut matched);
+        }
         matched.sort_unstable();
         matched.dedup();
         Ok(matched
@@ -691,25 +587,32 @@ impl<'a> Evaluator<'a> {
         env: &mut Env<'a>,
         ctx: Option<&Item>,
     ) -> EResult<KeyIndex> {
-        let items = match &l.source.memo {
-            Some(sig) => self.memo_path(sig, &l.source, env, ctx)?,
-            None => Arc::new(self.eval_path(&l.source, env, ctx)?),
+        let items = match open_path(self, &l.source, env, ctx, true) {
+            Cursor::Shared(items, _) => items,
+            walk => {
+                let items = walk.iter(self).collect::<EResult<Sequence>>()?;
+                // The complete drain published a memoized source: share
+                // the memo's copy.
+                let memo = l.source.memo.as_deref();
+                memo.and_then(|sig| self.cached_path(sig))
+                    .unwrap_or_else(|| Arc::new(items))
+            }
         };
         let mut nums = Vec::new();
         let mut texts = Vec::new();
         for (pos, item) in items.iter().enumerate() {
             let pos = pos as u32;
             env.push(&l.var, Bound::One(item.clone()));
-            let keyed = self.eval_each(&l.key, env, ctx, |key| {
-                let key = CmpKey::of(self.store, key);
+            let keys = self.items(&l.key, env, ctx);
+            env.pop();
+            for key in keys {
+                let key = CmpKey::of(self.store, key?);
                 let num = key.num();
                 if let Some(n) = num.filter(|n| !n.is_nan()) {
                     nums.push((n, pos));
                 }
                 texts.push((Box::<str>::from(key.text()), pos, num.is_some()));
-            });
-            env.pop();
-            keyed?;
+            }
         }
         nums.sort_by(|a, b| a.0.total_cmp(&b.0));
         texts.sort_by(|a, b| a.0.cmp(&b.0));
@@ -733,27 +636,26 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Evaluate the Sort operator's key for the current tuple.
+    /// Evaluate the Sort operator's key for the current tuple: at most
+    /// one item.
     pub(crate) fn order_key(
         &self,
         f: &'a FlworPlan,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
     ) -> EResult<Option<OrderKey>> {
-        match &f.order_by {
-            Some((key_expr, _)) => {
-                let key_seq = self.eval(key_expr, env, ctx)?;
-                Ok(key_seq.first().map(|item| {
-                    let s = atomize(self.store, item);
-                    let n = xs_double(s.trim());
-                    OrderKey { text: s, num: n }
-                }))
-            }
-            None => Ok(None),
-        }
+        let Some((key_expr, _)) = &f.order_by else {
+            return Ok(None);
+        };
+        let key = self.zero_or_one("order by", key_expr, env, ctx)?;
+        Ok(key.map(|item| {
+            let text = atomize(self.store, &item);
+            let num = xs_double(text.trim());
+            OrderKey { text, num }
+        }))
     }
 
-    fn eval_some(
+    pub(crate) fn eval_some(
         &self,
         bindings: &'a [(String, PlanExpr)],
         depth: usize,
@@ -767,7 +669,7 @@ impl<'a> Evaluator<'a> {
         let (var, source) = &bindings[depth];
         // Pull bindings lazily: the quantifier stops at the first witness
         // without draining the binding sequence.
-        let mut cur = Cursor::build(self, source, env, ctx);
+        let mut cur = Cursor::build(self, source, env, ctx, false);
         while let Some(next) = cur.next(self) {
             let item = next?;
             self.count_pulls(1);
@@ -815,39 +717,6 @@ impl<'a> Evaluator<'a> {
         self.store.descendants_named_iter(n, tag)
     }
 
-    /// Materializing path evaluation with the loop-invariant memo; drains
-    /// a [`crate::stream`] path cursor on a miss and publishes the result
-    /// to the store-resident value index, so later executions replay a
-    /// shared sequence instead of re-walking the store.
-    pub(crate) fn eval_path(
-        &self,
-        p: &'a PathPlan,
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<Sequence> {
-        match &p.memo {
-            Some(sig) => Ok(self.memo_path(sig, p, env, ctx)?.as_ref().clone()),
-            None => self.drain(path_cursor(self, p, env, ctx, true)),
-        }
-    }
-
-    /// The memoized path `p` under signature `sig`: replayed if already
-    /// materialized, else drained once and published.
-    fn memo_path(
-        &self,
-        sig: &str,
-        p: &'a PathPlan,
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<Arc<Sequence>> {
-        if let Some(cached) = self.cached_path(sig) {
-            return Ok(cached);
-        }
-        let shared = Arc::new(self.drain(path_cursor(self, p, env, ctx, true))?);
-        self.publish_path(sig, Arc::clone(&shared));
-        Ok(shared)
-    }
-
     /// The memoized path sequence for `sig`, if already materialized —
     /// this execution (L1) or any earlier one (the store-resident L2).
     pub(crate) fn cached_path(&self, sig: &str) -> Option<Arc<Sequence>> {
@@ -871,9 +740,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Record a fully materialized loop-invariant path in both memo
-    /// levels. Streaming cursors call this when a lazy first open drains
-    /// to completion (the tee in [`crate::stream`]); `eval_path` calls it
-    /// on every materializing miss.
+    /// levels: a [`Cursor::Tee`] calls this when it drains to completion.
     pub(crate) fn publish_path(&self, sig: &str, seq: Arc<Sequence>) {
         self.path_cache
             .borrow_mut()
@@ -886,14 +753,6 @@ impl<'a> Evaluator<'a> {
                 });
             let _ = result;
         }
-    }
-
-    /// Note a streaming open of the memoized path `sig`, returning
-    /// whether it had been opened before this execution — the signal that
-    /// the loop-invariant path is being re-evaluated and should
-    /// materialize into the cache instead of re-walking the store.
-    pub(crate) fn note_streamed_path(&self, sig: &str) -> bool {
-        !self.streamed_paths.borrow_mut().insert(sig.to_string())
     }
 
     /// Resolve a root-based path's base nodes and the index of the first
@@ -1228,16 +1087,16 @@ impl<'a> Evaluator<'a> {
     /// D), a posting-range length of the shared element index on walking
     /// backends, and a counting cursor walk as the last resort. Blocking
     /// by nature: the answer is one number.
-    fn eval_aggregate(
+    pub(crate) fn aggregate(
         &self,
         a: &'a AggregatePlan,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
-    ) -> EResult<Sequence> {
-        let contexts = self.eval_path(&a.input, env, ctx)?;
+    ) -> EResult<f64> {
+        let contexts = open_path(self, &a.input, env, ctx, true);
         let mut total = 0usize;
-        for item in contexts {
-            let Item::Node(n) = item else {
+        for item in contexts.iter(self) {
+            let Item::Node(n) = item? else {
                 return Err(EvalError::PathOverNonNode);
             };
             let indexed = a
@@ -1249,107 +1108,137 @@ impl<'a> Evaluator<'a> {
                 None => self.store.count_descendants_named(n, &a.tag),
             };
         }
-        Ok(vec![Item::Num(total as f64)])
+        Ok(total as f64)
     }
 
     // ---- functions ---------------------------------------------------------
 
-    fn eval_call(
+    /// The boolean built-ins, answered without a cursor; `None` for every
+    /// other call and for a wrong arity. Existence checks pull at most
+    /// one item; `not()` drains its argument.
+    fn bool_call(
+        &self,
+        name: &str,
+        args: &'a [PlanExpr],
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> Option<EResult<bool>> {
+        match (name, args) {
+            ("exists" | "empty", [arg]) => {
+                let mut cur = Cursor::build(self, arg, env, ctx, false);
+                let found = cur.next(self).transpose().map(|first| first.is_some());
+                Some(found.map(|found| found == (name == "exists")))
+            }
+            ("not", [arg]) => {
+                let cur = Cursor::build(self, arg, env, ctx, true);
+                Some(self.ebv_of(cur, true).map(|b| !b))
+            }
+            _ => None,
+        }
+    }
+
+    /// A function call's cursor. Each built-in matches its arity before
+    /// any argument is evaluated: a wrong one is a static error.
+    pub(crate) fn call(
         &self,
         name: &'a str,
         args: &'a [PlanExpr],
         env: &mut Env<'a>,
         ctx: Option<&Item>,
-    ) -> EResult<Sequence> {
-        if let Some(answer) = self.bool_call(name, args, env, ctx) {
-            return Ok(vec![Item::Bool(answer?)]);
-        }
-        if let ("count", [arg]) = (name, args) {
-            let mut n = 0usize;
-            self.eval_each(arg, env, ctx, |_| n += 1)?;
-            return Ok(vec![Item::Num(n as f64)]);
-        }
-
-        let mut evaluated: Vec<Sequence> = Vec::with_capacity(args.len());
-        for a in args {
-            evaluated.push(self.eval(a, env, ctx)?);
-        }
-
-        match name {
-            // Their unary forms are answered above.
-            "count" | "not" | "empty" | "exists" => Err(EvalError::Arity(name.to_string())),
-            "sum" => {
-                expect_arity(name, &evaluated, 1)?;
-                let total: f64 = evaluated[0]
-                    .iter()
-                    .filter_map(|i| number(self.store, i))
-                    .sum();
-                Ok(vec![Item::Num(total)])
+        materializing: bool,
+    ) -> EResult<Cursor<'a>> {
+        let item = match (name, args) {
+            ("exists" | "empty" | "not", _) => match self.bool_call(name, args, env, ctx) {
+                Some(answer) => Item::Bool(answer?),
+                None => return Err(EvalError::Arity(name.to_string())),
+            },
+            ("count", [arg]) => {
+                let mut n = 0usize;
+                for item in self.items(arg, env, ctx) {
+                    item?;
+                    n += 1;
+                }
+                Item::Num(n as f64)
             }
-            "contains" => {
-                expect_arity(name, &evaluated, 2)?;
-                let hay = join_atomized(self.store, &evaluated[0]);
-                let needle = join_atomized(self.store, &evaluated[1]);
-                Ok(vec![Item::Bool(hay.contains(&*needle))])
+            ("sum", [arg]) => {
+                let numbers = self.items(arg, env, ctx);
+                let numbers =
+                    numbers.filter_map(|item| item.map(|i| number(self.store, &i)).transpose());
+                Item::Num(numbers.sum::<EResult<f64>>()?)
             }
-            "string" => {
-                expect_arity(name, &evaluated, 1)?;
-                Ok(vec![Item::str(join_atomized(self.store, &evaluated[0]))])
+            ("contains", [hay, needle]) => {
+                let hay = self.zero_or_one("contains", hay, env, ctx)?;
+                let needle = self.zero_or_one("contains", needle, env, ctx)?;
+                let needle = atomized_or_empty(self.store, &needle);
+                Item::Bool(atomized_or_empty(self.store, &hay).contains(&*needle))
             }
-            "data" => {
-                expect_arity(name, &evaluated, 1)?;
-                Ok(evaluated[0]
-                    .iter()
-                    .map(|i| Item::str(atomize(self.store, i)))
-                    .collect())
+            ("string", [arg]) => {
+                let arg = self.zero_or_one("string", arg, env, ctx)?;
+                Item::str(atomized_or_empty(self.store, &arg))
             }
-            "distinct-values" => {
-                expect_arity(name, &evaluated, 1)?;
-                let mut seen = std::collections::HashSet::new();
+            // XQuery `fn:number`: unparseable input (and the empty
+            // sequence) is NaN, not the empty sequence.
+            ("number", [arg]) => {
+                let arg = self.zero_or_one("number", arg, env, ctx)?;
+                Item::Num(arg.and_then(|i| number(self.store, &i)).unwrap_or(f64::NAN))
+            }
+            ("zero-or-one", [arg]) => {
+                return Ok(Cursor::One(self.zero_or_one(
+                    "zero-or-one",
+                    arg,
+                    env,
+                    ctx,
+                )?));
+            }
+            ("data" | "distinct-values", [arg]) => {
+                let mut seen = HashSet::new();
                 let mut out = Vec::new();
-                for i in &evaluated[0] {
-                    let v = atomize(self.store, i);
-                    if seen.insert(v.clone()) {
-                        out.push(Item::str(v));
+                for item in self.items(arg, env, ctx) {
+                    let value = atomize(self.store, &item?);
+                    if name == "data" || seen.insert(value.clone()) {
+                        out.push(Item::str(value));
                     }
                 }
-                Ok(out)
+                return Ok(Cursor::Materialized(out.into_iter()));
             }
-            "zero-or-one" => {
-                expect_arity(name, &evaluated, 1)?;
-                let arg = evaluated.swap_remove(0);
-                if arg.len() > 1 {
-                    return Err(EvalError::Cardinality("zero-or-one"));
-                }
-                Ok(arg)
-            }
-            "number" => {
-                expect_arity(name, &evaluated, 1)?;
-                // XQuery `fn:number`: unparseable input (and the empty
-                // sequence) is NaN, not the empty sequence.
-                let n = evaluated[0]
-                    .first()
-                    .and_then(|i| number(self.store, i))
-                    .unwrap_or(f64::NAN);
-                Ok(vec![Item::Num(n)])
-            }
-            _ => {
-                let Some(decl) = self.functions.get(name) else {
-                    return Err(EvalError::UnknownFunction(name.to_string()));
-                };
-                if decl.params.len() != evaluated.len() {
-                    return Err(EvalError::Arity(name.to_string()));
-                }
-                for (param, value) in decl.params.iter().zip(evaluated) {
-                    env.push(param, Bound::Seq(value));
-                }
-                let result = self.eval(&decl.body, env, ctx);
-                for _ in &decl.params {
-                    env.pop();
-                }
-                result
-            }
+            (
+                "count" | "sum" | "contains" | "string" | "number" | "zero-or-one" | "data"
+                | "distinct-values",
+                _,
+            ) => return Err(EvalError::Arity(name.to_string())),
+            _ => return self.call_function(name, args, env, ctx, materializing),
+        };
+        Ok(Cursor::One(Some(item)))
+    }
+
+    /// A user function's body, opened with the call's `materializing`
+    /// flag and its parameters bound to the drained arguments.
+    fn call_function(
+        &self,
+        name: &'a str,
+        args: &'a [PlanExpr],
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+        materializing: bool,
+    ) -> EResult<Cursor<'a>> {
+        let Some(decl) = self.functions.get(name) else {
+            return Err(EvalError::UnknownFunction(name.to_string()));
+        };
+        if decl.params.len() != args.len() {
+            return Err(EvalError::Arity(name.to_string()));
         }
+        let mut values = Vec::with_capacity(args.len());
+        for arg in args {
+            values.push(self.items(arg, env, ctx).collect::<EResult<Sequence>>()?);
+        }
+        for (param, value) in decl.params.iter().zip(values) {
+            env.push(param, Bound::Seq(value));
+        }
+        let body = Cursor::build(self, &decl.body, env, ctx, materializing);
+        for _ in &decl.params {
+            env.pop();
+        }
+        Ok(body)
     }
 
     // ---- constructors ------------------------------------------------------
@@ -1368,14 +1257,12 @@ impl<'a> Evaluator<'a> {
                     PlanAttrPart::Lit(s) => value.push_str(s),
                     PlanAttrPart::Expr(e) => {
                         // AVT: items joined with single spaces.
-                        let mut first = true;
-                        self.eval_each(e, env, ctx, |item| {
-                            if !first {
+                        for (i, item) in self.items(e, env, ctx).enumerate() {
+                            if i > 0 {
                                 value.push(' ');
                             }
-                            first = false;
-                            value.push_str(&atomized(self.store, &item));
-                        })?;
+                            value.push_str(&atomized(self.store, &item?));
+                        }
                     }
                 }
             }
@@ -1385,7 +1272,11 @@ impl<'a> Evaluator<'a> {
         for content in &ctor.content {
             match content {
                 PlanContent::Text(t) => children.push(Item::str(t)),
-                PlanContent::Expr(e) => self.eval_each(e, env, ctx, |item| children.push(item))?,
+                PlanContent::Expr(e) => {
+                    for item in self.items(e, env, ctx) {
+                        children.push(item?);
+                    }
+                }
                 PlanContent::Element(nested) => {
                     children.push(Item::Elem(Arc::new(self.build_element(nested, env, ctx)?)));
                 }
@@ -1554,38 +1445,12 @@ fn collect_descendant_text(store: &dyn XmlStore, n: Node, out: &mut Sequence) {
     }
 }
 
-/// Effective boolean value.
-pub(crate) fn ebv(seq: &[Item]) -> bool {
-    match seq.first() {
-        None => false,
-        Some(Item::Bool(b)) => *b && seq.len() == 1 || seq.len() > 1,
-        Some(Item::Num(n)) if seq.len() == 1 => *n != 0.0 && !n.is_nan(),
-        Some(Item::Str(s)) if seq.len() == 1 => !s.is_empty(),
-        Some(_) => true,
-    }
-}
-
-/// The items' atomized values joined with single spaces; one item lends
-/// its value where [`atomized`] can.
-fn join_atomized<'s>(store: &'s dyn XmlStore, seq: &'s [Item]) -> Cow<'s, str> {
-    if let [item] = seq {
-        return atomized(store, item);
-    }
-    let mut out = String::new();
-    for (i, item) in seq.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(&atomized(store, item));
-    }
-    Cow::Owned(out)
-}
-
-fn expect_arity(name: &str, args: &[Sequence], n: usize) -> EResult<()> {
-    if args.len() == n {
-        Ok(())
-    } else {
-        Err(EvalError::Arity(name.to_string()))
+/// An optional item's atomized value, lent where [`atomized`] can; the
+/// empty sequence's is empty.
+fn atomized_or_empty<'s>(store: &'s dyn XmlStore, item: &'s Option<Item>) -> Cow<'s, str> {
+    match item {
+        Some(item) => atomized(store, item),
+        None => Cow::Borrowed(""),
     }
 }
 
@@ -1760,15 +1625,15 @@ mod tests {
     #[test]
     fn number_of_unparseable_is_nan() {
         // XQuery: number("x") is NaN, not the empty sequence.
-        assert_eq!(run("number(/site/people/person/name)"), "NaN");
-        assert_eq!(run("count(number(/site/people/person/name))"), "1");
+        assert_eq!(run("number(/site/people/person[1]/name)"), "NaN");
+        assert_eq!(run("count(number(/site/people/person[1]/name))"), "1");
         // The empty sequence coerces to NaN too.
         assert_eq!(run("number(/site/ghosts)"), "NaN");
         // NaN formats canonically and compares unequal to everything,
         // including itself.
         assert_eq!(crate::result::format_number(f64::NAN), "NaN");
         assert_eq!(
-            run("number(/site/people/person/name) = number(/site/people/person/name)"),
+            run("number(/site/people/person[1]/name) = number(/site/people/person[1]/name)"),
             "false"
         );
         assert_eq!(run("number(/site/ghosts) = 0"), "false");
@@ -1918,8 +1783,41 @@ mod tests {
     }
 
     #[test]
+    fn single_item_functions_reject_a_second_item() {
+        // Two names, two increases: each consumer takes at most one item.
+        let two_names = "/site/people/person/name";
+        let two_increases = "$a/bidder/increase";
+        let auctions = "for $a in /site/open_auctions/open_auction";
+        for (query, what) in [
+            (format!("string({two_names})"), "string"),
+            (format!("contains({two_names}, \"A\")"), "contains"),
+            (format!("contains(\"Alice\", {two_names})"), "contains"),
+            (
+                format!("{auctions} return number({two_increases})"),
+                "number",
+            ),
+            (
+                format!("{auctions} order by {two_increases} return $a"),
+                "order by",
+            ),
+        ] {
+            assert_eq!(run_err(&query), EvalError::Cardinality(what), "{query}");
+        }
+        // One item is fine, and the empty sequence is the empty string.
+        assert_eq!(run("string(/site/people/person[1]/name)"), "Alice");
+        assert_eq!(run("string(/site/ghosts)"), "");
+        assert_eq!(run("contains(/site/people/person[2]/name, \"o\")"), "true");
+    }
+
+    #[test]
     fn wrong_arity_is_reported() {
         assert!(matches!(run_err("count(1, 2)"), EvalError::Arity(_)));
+        // Wrong arity is a static error: it is reported before any
+        // argument is evaluated.
+        for f in ["count", "sum", "string"] {
+            let query = format!("{f}(1, $undefined)");
+            assert_eq!(run_err(&query), EvalError::Arity(f.to_string()), "{query}");
+        }
     }
 
     #[test]

@@ -74,33 +74,37 @@ pub(crate) enum Cursor<'a> {
     Done,
     /// An error to report once, then fused.
     Failed(Option<EvalError>),
-    /// A fully materialized sequence (scalar expressions, and the
-    /// re-open of a memoized path).
+    /// A sequence computed at open: a Lookup's matches, `data` and
+    /// `distinct-values`.
     Materialized(std::vec::IntoIter<Item>),
-    /// At most one item: a literal or a constructed element.
+    /// At most one item: a literal, a constructed element or a scalar.
     One(Option<Item>),
     /// A shared sequence streamed without cloning the vector (path-memo
     /// hits).
     Shared(Arc<Sequence>, usize),
-    /// A variable's items, streamed off its binding.
+    /// A variable's items, streamed off its binding (a lone item is a
+    /// [`Cursor::One`]).
     Bound(Arc<Frame<'a>>, usize),
-    /// A lazy first open of a loop-invariant path that records what it
-    /// emits: one complete drain publishes the materialization to the
-    /// path memos (including the store-resident value index), so every
-    /// later open — in this execution or any future one — replays a
+    /// A memoized path's open on a memo miss: it records what it emits,
+    /// and one complete drain publishes the materialization to the path
+    /// memos (including the store-resident value index), so every later
+    /// open — in this execution or any future one — replays a
     /// [`Cursor::Shared`] instead of re-walking the store. Early
-    /// termination simply drops the buffer.
+    /// termination simply drops the buffer, and the next open tees
+    /// afresh.
     Tee {
         sig: &'a str,
         inner: Box<Cursor<'a>>,
         buf: Option<Sequence>,
     },
-    /// Comma sequence: parts streamed one after another.
+    /// Comma sequence: parts streamed one after another, each opened
+    /// with the sequence's `materializing` flag.
     Concat {
         parts: &'a [PlanExpr],
         env: Env<'a>,
         ctx: Option<Item>,
         idx: usize,
+        materializing: bool,
         cur: Option<Box<Cursor<'a>>>,
     },
     /// PathScan operator.
@@ -110,68 +114,85 @@ pub(crate) enum Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    /// Build the cursor for an expression. Streamable operators get real
-    /// cursors; everything else evaluates eagerly into a
-    /// [`Cursor::Materialized`].
+    /// Build the cursor for an expression: the executor's only way to
+    /// evaluate one. Paths, FLWORs and comma sequences stream; every
+    /// scalar form computes its value here and yields it.
+    /// `materializing` marks a consumer that pulls every item (see
+    /// [`path_cursor`]).
     pub(crate) fn build(
         ev: &Evaluator<'a>,
         expr: &'a PlanExpr,
         env: &mut Env<'a>,
         ctx: Option<&Item>,
+        materializing: bool,
     ) -> Cursor<'a> {
-        match expr {
-            PlanExpr::Empty => Cursor::Done,
-            PlanExpr::Num(n) => Cursor::One(Some(Item::Num(*n))),
-            PlanExpr::Str(s) => Cursor::One(Some(Item::str(s))),
-            PlanExpr::Var(name) => match ev.binding(env, name) {
-                Ok(frame) => Cursor::Bound(Arc::clone(frame), 0),
-                Err(e) => Cursor::Failed(Some(e)),
-            },
-            PlanExpr::Element(ctor) => match ev.build_element(ctor, env, ctx) {
-                Ok(elem) => Cursor::One(Some(Item::Elem(Arc::new(elem)))),
-                Err(e) => Cursor::Failed(Some(e)),
-            },
-            PlanExpr::Sequence(parts) => Cursor::Concat {
-                parts,
-                env: env.clone(),
-                ctx: ctx.cloned(),
-                idx: 0,
-                cur: None,
-            },
-            PlanExpr::Path(p) => {
-                if let Some(sig) = &p.memo {
-                    if let Some(cached) = ev.cached_path(sig) {
-                        return Cursor::Shared(cached, 0);
-                    }
-                    // A second open within one execution proves the
-                    // loop-invariant path is being re-evaluated (an inner
-                    // clause restarted per outer binding): materialize it
-                    // into the path cache so every later open replays the
-                    // sequence instead of re-walking the store. First
-                    // opens stay lazy — a one-shot top-level path keeps
-                    // its time-to-first-item — but tee what they emit, so
-                    // one complete drain publishes the materialization
-                    // for every later execution against this store.
-                    if ev.note_streamed_path(sig) {
-                        return match ev.eval_path(p, env, ctx) {
-                            Ok(seq) => Cursor::Materialized(seq.into_iter()),
-                            Err(e) => Cursor::Failed(Some(e)),
-                        };
-                    }
-                    return Cursor::Tee {
-                        sig,
-                        inner: Box::new(path_cursor(ev, p, env, ctx, false)),
-                        buf: Some(Vec::new()),
-                    };
-                }
-                path_cursor(ev, p, env, ctx, false)
+        let scalar = match expr {
+            PlanExpr::Empty => return Cursor::Done,
+            PlanExpr::Var(name) => {
+                return match ev.binding(env, name) {
+                    // A lone item is cloned: a node costs no count bump.
+                    Ok(frame) => match frame.items() {
+                        [item] => Cursor::One(Some(item.clone())),
+                        _ => Cursor::Bound(Arc::clone(frame), 0),
+                    },
+                    Err(e) => Cursor::Failed(Some(e)),
+                };
             }
-            PlanExpr::Flwor(f) => flwor_cursor(f, env, ctx, false),
-            other => match ev.eval(other, env, ctx) {
-                Ok(seq) => Cursor::Materialized(seq.into_iter()),
-                Err(e) => Cursor::Failed(Some(e)),
-            },
+            PlanExpr::Sequence(parts) => {
+                return Cursor::Concat {
+                    parts,
+                    env: env.clone(),
+                    ctx: ctx.cloned(),
+                    idx: 0,
+                    materializing,
+                    cur: None,
+                }
+            }
+            PlanExpr::Path(p) => return open_path(ev, p, env, ctx, materializing),
+            PlanExpr::Flwor(f) => return flwor_cursor(f, env, ctx, false),
+            PlanExpr::Call(name, args) => {
+                return ev
+                    .call(name, args, env, ctx, materializing)
+                    .unwrap_or_else(|e| Cursor::Failed(Some(e)))
+            }
+            PlanExpr::Lookup(l) => {
+                return match ev.lookup(l, env, ctx) {
+                    Ok(seq) => Cursor::Materialized(seq.into_iter()),
+                    Err(e) => Cursor::Failed(Some(e)),
+                }
+            }
+            PlanExpr::Num(n) => Ok(Some(Item::Num(*n))),
+            PlanExpr::Str(s) => Ok(Some(Item::str(s))),
+            PlanExpr::Or(_) | PlanExpr::And(_) | PlanExpr::Cmp(..) => {
+                ev.eval_ebv(expr, env, ctx).map(|b| Some(Item::Bool(b)))
+            }
+            PlanExpr::Some {
+                bindings,
+                satisfies,
+            } => ev
+                .eval_some(bindings, 0, satisfies, env, ctx)
+                .map(|b| Some(Item::Bool(b))),
+            PlanExpr::Before(lhs, rhs) => {
+                ev.before(lhs, rhs, env, ctx).map(|b| Some(Item::Bool(b)))
+            }
+            PlanExpr::Arith(op, lhs, rhs) => ev.arith(*op, lhs, rhs, env, ctx),
+            PlanExpr::Neg(inner) => ev
+                .singleton_number(inner, env, ctx)
+                .map(|n| n.map(|n| Item::Num(-n))),
+            PlanExpr::Aggregate(a) => ev.aggregate(a, env, ctx).map(|n| Some(Item::Num(n))),
+            PlanExpr::Element(ctor) => ev
+                .build_element(ctor, env, ctx)
+                .map(|elem| Some(Item::Elem(Arc::new(elem)))),
+        };
+        match scalar {
+            Ok(item) => Cursor::One(item),
+            Err(e) => Cursor::Failed(Some(e)),
         }
+    }
+
+    /// This cursor as an iterator over its items.
+    pub(crate) fn iter<'e>(self, ev: &'e Evaluator<'a>) -> Items<'e, 'a> {
+        Items { ev, cur: self }
     }
 
     /// Pull the next item.
@@ -218,6 +239,7 @@ impl<'a> Cursor<'a> {
                 env,
                 ctx,
                 idx,
+                materializing,
                 cur,
             } => loop {
                 if let Some(c) = cur {
@@ -228,7 +250,8 @@ impl<'a> Cursor<'a> {
                 }
                 let part = parts.get(*idx)?;
                 *idx += 1;
-                *cur = Some(Box::new(Cursor::build(ev, part, env, ctx.as_ref())));
+                let part = Cursor::build(ev, part, env, ctx.as_ref(), *materializing);
+                *cur = Some(Box::new(part));
             },
             Cursor::Path(p) => p.next(ev),
             Cursor::Flwor(f) => f.next(ev),
@@ -236,12 +259,49 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Build the PathScan cursor for `p` (no memo handling — callers check
-/// the path cache first). `materializing` marks callers that will drain
-/// the cursor anyway (scalar contexts, the path memo): only they may
-/// pay one-time index builds at open; a streaming open must keep its
-/// O(first item) cost and only peeks at already-built structures.
-pub(crate) fn path_cursor<'a>(
+/// A cursor pulled as an iterator ([`Cursor::iter`]).
+pub(crate) struct Items<'e, 'a> {
+    ev: &'e Evaluator<'a>,
+    cur: Cursor<'a>,
+}
+
+impl Iterator for Items<'_, '_> {
+    type Item = EResult<Item>;
+
+    fn next(&mut self) -> Option<EResult<Item>> {
+        self.cur.next(self.ev)
+    }
+}
+
+/// Open the path `p`: the one way a memoized path opens. A memo hit (this
+/// execution's, or the store's) replays [`Cursor::Shared`]; a miss tees
+/// the walk, which publishes the memo if it is drained to the end.
+pub(crate) fn open_path<'a>(
+    ev: &Evaluator<'a>,
+    p: &'a PathPlan,
+    env: &mut Env<'a>,
+    ctx: Option<&Item>,
+    materializing: bool,
+) -> Cursor<'a> {
+    let Some(sig) = &p.memo else {
+        return path_cursor(ev, p, env, ctx, materializing);
+    };
+    if let Some(cached) = ev.cached_path(sig) {
+        return Cursor::Shared(cached, 0);
+    }
+    Cursor::Tee {
+        sig,
+        inner: Box::new(path_cursor(ev, p, env, ctx, materializing)),
+        buf: Some(Vec::new()),
+    }
+}
+
+/// Build the PathScan cursor for `p`, bypassing its memo.
+/// `materializing` marks callers that will drain the cursor anyway:
+/// only they may pay one-time index builds at open; a streaming open
+/// must keep its O(first item) cost and only peeks at already-built
+/// structures.
+fn path_cursor<'a>(
     ev: &Evaluator<'a>,
     p: &'a PathPlan,
     env: &mut Env<'a>,
@@ -432,7 +492,7 @@ impl<'a> PathCursor<'a> {
                 (PathSource::Bound(frame, 0), 0, nested)
             }
             (PlanBase::Expr(e), _) => {
-                let items = ev.eval(e, env, ctx)?;
+                let items = ev.items(e, env, ctx).collect::<EResult<Sequence>>()?;
                 let nested = items.len() > 1;
                 (PathSource::Items(items.into_iter()), 0, nested)
             }
@@ -753,7 +813,8 @@ impl<'a> FlworCursor<'a> {
                     Ok(false) => return None,
                     Ok(true) => {
                         let p = &mut self.producer;
-                        let ret_cursor = Cursor::build(ev, &self.f.ret, &mut p.env, p.ctx.as_ref());
+                        let ret_cursor =
+                            Cursor::build(ev, &self.f.ret, &mut p.env, p.ctx.as_ref(), false);
                         *ret = Some(Box::new(ret_cursor));
                     }
                 }
@@ -777,7 +838,8 @@ impl<'a> FlworCursor<'a> {
                                         Ok(k) => k,
                                         Err(e) => return Some(Err(e)),
                                     };
-                                    let seq = match ev.eval(&f.ret, &mut p.env, p.ctx.as_ref()) {
+                                    let items = ev.items(&f.ret, &mut p.env, p.ctx.as_ref());
+                                    let seq = match items.collect() {
                                         Ok(s) => s,
                                         Err(e) => return Some(Err(e)),
                                     };
@@ -865,7 +927,8 @@ impl<'a> NestedLoopProducer<'a> {
             let d = depth;
             match &self.clauses[d] {
                 PlanClause::Let(var, src) => {
-                    let seq = ev.eval(src, &mut self.env, self.ctx.as_ref())?;
+                    let items = ev.items(src, &mut self.env, self.ctx.as_ref());
+                    let seq = items.collect::<EResult<Sequence>>()?;
                     self.env.push(var, Bound::Seq(seq));
                     self.stack.push(ClauseState::Let);
                     if self.filters_pass(ev, d + 1)? {
@@ -881,7 +944,7 @@ impl<'a> NestedLoopProducer<'a> {
                     }
                 }
                 PlanClause::For(var, src) => {
-                    let cursor = Cursor::build(ev, src, &mut self.env, self.ctx.as_ref());
+                    let cursor = Cursor::build(ev, src, &mut self.env, self.ctx.as_ref(), false);
                     match self.bind_next(ev, d, var, cursor)? {
                         Some(nd) => depth = nd,
                         None => match self.retreat(ev)? {
@@ -1010,7 +1073,7 @@ impl<'a> ResultStream<'a> {
     pub fn new(plan: &'a PhysicalPlan, store: &'a dyn XmlStore) -> Self {
         let ev = Evaluator::new(store, plan);
         let mut env = Env::default();
-        let cursor = Cursor::build(&ev, &plan.body, &mut env, None);
+        let cursor = Cursor::build(&ev, &plan.body, &mut env, None, false);
         ResultStream {
             ev,
             cursor,

@@ -425,3 +425,58 @@ fn session_stream_facade_short_circuits() {
     assert_eq!(stats.items, all.len());
     assert_eq!(sunk, serialize_sequence(store, &all));
 }
+
+/// How many loop-invariant path memos `store` has published.
+fn path_slots(store: &dyn XmlStore) -> usize {
+    let built = store.indexes().built_values();
+    built
+        .iter()
+        .filter(|(sig, _, _)| sig.starts_with("path|"))
+        .count()
+}
+
+#[test]
+fn a_memoized_path_is_published_only_by_a_complete_optimized_drain() {
+    // A root-based, predicate-free path is memoized: its open streams
+    // through a tee that publishes the path's items to the store only
+    // when it is drained to the end. Abandoning the stream publishes
+    // nothing, a naive plan never publishes, and a path opened again in
+    // the same execution after an abandoned open streams lazily again.
+    const PEOPLE: &str = r#"document("auction.xml")/site/people/person"#;
+    let doc = generate_document(0.002);
+    for system in [SystemId::E, SystemId::H] {
+        let fresh = || build_store(system, &doc.xml).unwrap();
+
+        let store = fresh();
+        let store = store.as_ref();
+        let people = compiled(store, PEOPLE);
+        assert!(people.explain().contains("[memo]"), "{}", people.explain());
+        assert_eq!(stream(&people, store).take(1).unwrap().len(), 1);
+        assert!(stream(&people, store).exists().unwrap());
+        assert_eq!(path_slots(store), 0, "{system}: take/exists");
+        let (items, _) = drain_counting(stream(&people, store));
+        assert!(items > 1);
+        assert_eq!(path_slots(store), 1, "{system}: a complete drain");
+
+        let store = fresh();
+        let store = store.as_ref();
+        let naive = compile_with_mode(PEOPLE, store, PlanMode::Naive).unwrap();
+        drain_counting(stream(&naive, store));
+        assert_eq!(path_slots(store), 0, "{system}: naive");
+
+        let store = fresh();
+        let store = store.as_ref();
+        let first_item = pulls_after_taking(stream(&people, store), 1);
+        assert!(
+            first_item <= 2,
+            "{system}: {first_item} pulls to the first person"
+        );
+        let twice = compiled(store, &format!("(exists({PEOPLE}), {PEOPLE})"));
+        let pulls = pulls_after_taking(stream(&twice, store), 2);
+        assert!(
+            pulls <= 2 * first_item,
+            "{system}: {pulls} pulls to the first person of a re-open — it materialized"
+        );
+        assert_eq!(path_slots(store), 0, "{system}: re-open");
+    }
+}
