@@ -162,6 +162,18 @@ impl CmpOp {
         }
     }
 
+    /// Which side of `b` an ordered `a op b` puts `a`: `Less` for `<`
+    /// and `<=`, `Greater` for `>` and `>=`, `None` for `=` and `!=`.
+    /// Two comparisons of one key with opposite directions bound it
+    /// from both sides.
+    pub fn direction(self) -> Option<std::cmp::Ordering> {
+        match self {
+            CmpOp::Lt | CmpOp::Le => Some(std::cmp::Ordering::Less),
+            CmpOp::Gt | CmpOp::Ge => Some(std::cmp::Ordering::Greater),
+            CmpOp::Eq | CmpOp::Ne => None,
+        }
+    }
+
     /// The operator with its operands swapped: `a op b` is
     /// `b op.mirrored() a`.
     pub fn mirrored(self) -> CmpOp {
@@ -223,6 +235,14 @@ pub enum Clause {
     For(String, Expr),
     /// `let $v := expr` — binds the whole sequence.
     Let(String, Expr),
+}
+
+impl Clause {
+    /// The variable the clause binds.
+    pub fn var(&self) -> &str {
+        let (Clause::For(v, _) | Clause::Let(v, _)) = self;
+        v
+    }
 }
 
 /// A direct element constructor.

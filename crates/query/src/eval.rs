@@ -40,7 +40,7 @@ use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use xmark_store::{ChildValues, DescendantsNamed, IndexManager, Node, XmlStore};
 
@@ -89,70 +89,92 @@ impl std::error::Error for EvalError {}
 
 pub(crate) type EResult<T> = Result<T, EvalError>;
 
-/// A Lookup operator's index over its source: every key item sorted
-/// twice — by number and by trimmed text — so that each operator's
-/// matches for one outer item are one range of a sorted list, found by
+/// A Lookup operator's index over its source, for one execution: the
+/// source items, plus two sides of sorted keys — the ones a number
+/// probes and the ones any other item probes — so that each operator's
+/// matches for one outer item are ranges of sorted lists, found by
 /// binary search. The ranges reproduce [`general_compare`] pair for
-/// pair: two numbers compare as numbers, anything else as text.
+/// pair: two numbers compare as numbers, anything else as text. Each
+/// side is its own store-resident value slot, built by the first probe
+/// that needs it: a selection by a number (Q5, Q12, Q20) never builds
+/// the text side, and a join on ids (Q8–Q10) never builds the number
+/// side.
 struct KeyIndex {
     /// The source items, in source order; shared with the source's
     /// loop-invariant path memo.
     items: Arc<Sequence>,
+    /// The number side, once a probe has needed it.
+    numbers: OnceLock<Arc<NumberKeys>>,
+    /// The text side, once a probe has needed it.
+    texts: OnceLock<Arc<TextKeys>>,
+}
+
+/// The side of a [`KeyIndex`] that a number probes.
+struct NumberKeys {
     /// The numeric keys by value (`-0` sorts apart from `0` but compares
     /// equal to it), with their source positions. NaN, which compares
     /// false with every number, is left out.
     nums: Vec<(f64, u32)>,
-    /// Every key's trimmed text (a number's is its [`format_number`]
-    /// rendering) in string order, with its source position.
-    texts: Vec<(Box<str>, u32)>,
-    /// Each distinct text's run in `texts`. An equality probe by an item
-    /// that is not a number — every probe of Q8–Q10 — hashes instead of
-    /// searching: a binary search made Q8 and Q9 up to 7 % slower.
-    runs: HashMap<Box<str>, Range<usize>>,
-    /// The positions in `texts` of the keys that are not numbers, in
-    /// order: the only keys a number outer item compares as text.
-    non_numeric: Vec<u32>,
+    /// The trimmed texts of the keys that are not numbers, in string
+    /// order, with their source positions: a number compares with these
+    /// as its [`format_number`] text.
+    words: Vec<(Box<str>, u32)>,
 }
 
-impl KeyIndex {
-    /// Append the source positions whose key satisfies `key op outer`:
-    /// a number outer item compares as a number with the numeric keys
-    /// and as text with the rest, any other outer item as text with all.
-    fn probe(&self, op: CmpOp, outer: &CmpKey<'_>, out: &mut Vec<u32>) {
-        let Some(x) = outer.num() else {
-            let text = outer.text();
-            let ranges = match op {
-                CmpOp::Eq => [self.runs.get(&*text).cloned().unwrap_or_default(), 0..0],
-                _ => op_ranges(&self.texts, op, |k| (*k.0).cmp(&text)),
-            };
-            for r in ranges {
-                out.extend(self.texts[r].iter().map(|k| k.1));
-            }
-            return;
-        };
+impl NumberKeys {
+    /// Append the source positions whose key satisfies `key op outer`,
+    /// where `outer` holds the number `x`.
+    fn probe(&self, op: CmpOp, x: f64, outer: &CmpKey<'_>, out: &mut Vec<u32>) {
         if !x.is_nan() {
             let cmp = |k: &(f64, u32)| k.0.partial_cmp(&x).unwrap_or(Ordering::Equal);
             for r in op_ranges(&self.nums, op, cmp) {
                 out.extend(self.nums[r].iter().map(|k| k.1));
             }
         }
-        if !self.non_numeric.is_empty() {
+        if !self.words.is_empty() {
             let text = outer.text();
-            let cmp = |&i: &u32| (*self.texts[i as usize].0).cmp(&text);
-            for r in op_ranges(&self.non_numeric, op, cmp) {
-                let positions = self.non_numeric[r].iter();
-                out.extend(positions.map(|&i| self.texts[i as usize].1));
+            for r in op_ranges(&self.words, op, |k| (*k.0).cmp(&text)) {
+                out.extend(self.words[r].iter().map(|k| k.1));
             }
         }
     }
 
-    /// Approximate resident bytes, for the store's index accounting. The
-    /// items are not counted: the source's path memo holds them too, and
-    /// a commit that drops that memo drops this index with it.
+    /// Approximate resident bytes, for the store's index accounting.
+    fn size_bytes(&self) -> usize {
+        let words: usize = self.words.iter().map(|k| k.0.len() + 24).sum();
+        self.nums.len() * 16 + words + 64
+    }
+}
+
+/// The side of a [`KeyIndex`] that any item but a number probes: it
+/// compares as text with every key.
+struct TextKeys {
+    /// Every key's trimmed text (a number's is its [`format_number`]
+    /// rendering) in string order, with its source position.
+    texts: Vec<(Box<str>, u32)>,
+    /// Each distinct text's run in `texts`. An equality probe — every
+    /// probe of Q8–Q10 — hashes instead of searching: a binary search
+    /// made Q8 and Q9 up to 7 % slower.
+    runs: HashMap<Box<str>, Range<usize>>,
+}
+
+impl TextKeys {
+    /// Append the source positions whose key satisfies `key op text`.
+    fn probe(&self, op: CmpOp, text: &str, out: &mut Vec<u32>) {
+        let ranges = match op {
+            CmpOp::Eq => [self.runs.get(text).cloned().unwrap_or_default(), 0..0],
+            _ => op_ranges(&self.texts, op, |k| (*k.0).cmp(text)),
+        };
+        for r in ranges {
+            out.extend(self.texts[r].iter().map(|k| k.1));
+        }
+    }
+
+    /// Approximate resident bytes, for the store's index accounting.
     fn size_bytes(&self) -> usize {
         let texts: usize = self.texts.iter().map(|k| k.0.len() + 24).sum();
         let runs: usize = self.runs.keys().map(|k| k.len() + 48).sum();
-        self.nums.len() * 16 + texts + runs + self.non_numeric.len() * 4 + 120
+        texts + runs + 64
     }
 }
 
@@ -270,9 +292,10 @@ pub(crate) struct Evaluator<'a> {
     /// ([`crate::stream::open_path`]).
     path_cache: RefCell<HashMap<String, Arc<Sequence>>>,
     /// Per-execution (L1) memo for Lookup indexes, keyed by the planner's
-    /// signatures. Populated from the store-resident value indexes (L2)
-    /// when those are enabled, so after warmup an execution performs zero
-    /// builds — only probes.
+    /// signatures: the source items and the sides fetched so far. Each
+    /// side comes from the store-resident value indexes (L2) when those
+    /// are enabled, so after warmup an execution performs zero builds —
+    /// only probes.
     index_cache: RefCell<HashMap<&'a str, Arc<KeyIndex>>>,
     /// The element index, resolved once per execution (see
     /// [`Evaluator::index_postings`]).
@@ -515,10 +538,11 @@ impl<'a> Evaluator<'a> {
     // ---- FLWOR support ---------------------------------------------------
 
     /// The Lookup operator: the source items whose key compares true
-    /// against any item of the outer expression — in source order, each
-    /// once. Blocking: the index is built (or fetched) before the first
-    /// probe. Over an empty source the outer expression is never
-    /// evaluated, as the nested loop never evaluates its `where`.
+    /// against any item of the outer expression (and against any item of
+    /// the second bound's, if there is one) — in source order, each
+    /// once. Blocking: the index sides a probe needs are built (or
+    /// fetched) before it. Over an empty source the outer expression is
+    /// never evaluated, as the nested loop never evaluates its `where`.
     pub(crate) fn lookup(
         &self,
         l: &'a LookupPlan,
@@ -529,28 +553,49 @@ impl<'a> Evaluator<'a> {
         if index.items.is_empty() {
             return Ok(Vec::new());
         }
-        let mut matched: Vec<u32> = Vec::new();
-        for item in self.items(&l.outer, env, ctx) {
-            index.probe(l.op, &CmpKey::of(self.store, item?), &mut matched);
+        let mut matched = self.probe(l, &index, l.op, &l.outer, env, ctx)?;
+        if let Some(second) = l.second.as_ref().filter(|_| !matched.is_empty()) {
+            // Each bound is existential on its own: intersect positions,
+            // not keys.
+            let within = self.probe(l, &index, second.op, &second.outer, env, ctx)?;
+            matched.retain(|pos| within.binary_search(pos).is_ok());
         }
-        matched.sort_unstable();
-        matched.dedup();
         Ok(matched
             .into_iter()
             .map(|pos| index.items[pos as usize].clone())
             .collect())
     }
 
-    /// Fetch — or build exactly once — the sorted key index over `l`'s
-    /// source, keyed by its key evaluated with the clause variable bound
-    /// to each item.
-    ///
-    /// Lookup order: the per-execution memo (L1, lock-free), then the
-    /// store-resident value index (L2, [`IndexManager`]) under
-    /// `idx|{sig}` — so after warmup, repeated executions (and every
-    /// worker of a service pool) probe one shared structure and never
-    /// rebuild, and Lookups over the same source and key (Q8's and Q9's,
-    /// Q11's and Q12's) share one index.
+    /// The sorted, distinct source positions whose key satisfies
+    /// `key op o` for some item `o` of `outer`.
+    fn probe(
+        &self,
+        l: &'a LookupPlan,
+        index: &KeyIndex,
+        op: CmpOp,
+        outer: &'a PlanExpr,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<Vec<u32>> {
+        let mut matched: Vec<u32> = Vec::new();
+        for item in self.items(outer, env, ctx) {
+            let outer = CmpKey::of(self.store, item?);
+            match outer.num() {
+                Some(x) => self
+                    .number_keys(l, index, env, ctx)?
+                    .probe(op, x, &outer, &mut matched),
+                None => self
+                    .text_keys(l, index, env, ctx)?
+                    .probe(op, &outer.text(), &mut matched),
+            }
+        }
+        matched.sort_unstable();
+        matched.dedup();
+        Ok(matched)
+    }
+
+    /// This execution's index over `l`'s source (the per-execution memo,
+    /// L1, lock-free), its sides not yet fetched.
     fn key_index(
         &self,
         l: &'a LookupPlan,
@@ -560,33 +605,6 @@ impl<'a> Evaluator<'a> {
         if let Some(cached) = self.index_cache.borrow().get(l.sig.as_str()) {
             return Ok(Arc::clone(cached));
         }
-        let index = if self.shared_values {
-            let erased = self.indexes.value_or_build(&format!("idx|{}", l.sig), || {
-                let index = self.build_key_index(l, env, ctx)?;
-                let bytes = index.size_bytes();
-                Ok::<_, EvalError>((Arc::new(index) as Arc<dyn Any + Send + Sync>, bytes))
-            })?;
-            erased
-                .downcast::<KeyIndex>()
-                // lint: allow(R1) slot key "idx|…" is written only by the
-                // closure above, so the type is fixed by construction
-                .expect("value slot idx|… holds a KeyIndex")
-        } else {
-            Arc::new(self.build_key_index(l, env, ctx)?)
-        };
-        self.index_cache
-            .borrow_mut()
-            .insert(l.sig.as_str(), Arc::clone(&index));
-        Ok(index)
-    }
-
-    /// The actual build walk behind [`Evaluator::key_index`].
-    fn build_key_index(
-        &self,
-        l: &'a LookupPlan,
-        env: &mut Env<'a>,
-        ctx: Option<&Item>,
-    ) -> EResult<KeyIndex> {
         let items = match open_path(self, &l.source, env, ctx, true) {
             Cursor::Shared(items, _) => items,
             walk => {
@@ -598,42 +616,117 @@ impl<'a> Evaluator<'a> {
                     .unwrap_or_else(|| Arc::new(items))
             }
         };
-        let mut nums = Vec::new();
-        let mut texts = Vec::new();
+        let index = Arc::new(KeyIndex {
+            items,
+            numbers: OnceLock::new(),
+            texts: OnceLock::new(),
+        });
+        self.index_cache
+            .borrow_mut()
+            .insert(l.sig.as_str(), Arc::clone(&index));
+        Ok(index)
+    }
+
+    /// The number side of `index`, fetched from — or built exactly once
+    /// into — the store-resident value slot `num|{sig}` (L2,
+    /// [`IndexManager`]), so that after warmup repeated executions and
+    /// every worker of a service pool probe one shared structure, and
+    /// Lookups over the same source and key (Q11's and Q12's, Q20's
+    /// three bands) share it.
+    fn number_keys<'i>(
+        &self,
+        l: &'a LookupPlan,
+        index: &'i KeyIndex,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<&'i NumberKeys> {
+        if let Some(side) = index.numbers.get() {
+            return Ok(side);
+        }
+        let side = self.key_side(&format!("num|{}", l.sig), || {
+            let mut nums = Vec::new();
+            let mut words = Vec::new();
+            self.each_key(l, &index.items, env, ctx, |key, pos| match key.num() {
+                Some(n) if n.is_nan() => {}
+                Some(n) => nums.push((n, pos)),
+                None => words.push((Box::<str>::from(key.text()), pos)),
+            })?;
+            nums.sort_by(|a, b| a.0.total_cmp(&b.0));
+            words.sort_by(|a, b| a.0.cmp(&b.0));
+            let side = NumberKeys { nums, words };
+            let bytes = side.size_bytes();
+            Ok((side, bytes))
+        })?;
+        Ok(index.numbers.get_or_init(|| side))
+    }
+
+    /// The text side of `index`, in the value slot `txt|{sig}` (see
+    /// [`Evaluator::number_keys`]).
+    fn text_keys<'i>(
+        &self,
+        l: &'a LookupPlan,
+        index: &'i KeyIndex,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+    ) -> EResult<&'i TextKeys> {
+        if let Some(side) = index.texts.get() {
+            return Ok(side);
+        }
+        let side = self.key_side(&format!("txt|{}", l.sig), || {
+            let mut texts = Vec::new();
+            self.each_key(l, &index.items, env, ctx, |key, pos| {
+                texts.push((Box::<str>::from(key.text()), pos));
+            })?;
+            texts.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut runs: HashMap<Box<str>, Range<usize>> = HashMap::new();
+            for (i, (text, _)) in texts.iter().enumerate() {
+                runs.entry(text.clone()).or_insert(i..i).end = i + 1;
+            }
+            let side = TextKeys { texts, runs };
+            let bytes = side.size_bytes();
+            Ok((side, bytes))
+        })?;
+        Ok(index.texts.get_or_init(|| side))
+    }
+
+    /// The value slot `slot`, built by `build` on its first use. Only
+    /// optimized plans hold Lookups, so the slot is always shared.
+    fn key_side<T: Any + Send + Sync>(
+        &self,
+        slot: &str,
+        build: impl FnOnce() -> EResult<(T, usize)>,
+    ) -> EResult<Arc<T>> {
+        let erased = self.indexes.value_or_build(slot, || {
+            let (side, bytes) = build()?;
+            Ok::<_, EvalError>((Arc::new(side) as Arc<dyn Any + Send + Sync>, bytes))
+        })?;
+        Ok(erased
+            .downcast::<T>()
+            // lint: allow(R1) the slot names "num|…" and "txt|…" are
+            // written only here, each with one side type
+            .expect("a key-index slot holds its side"))
+    }
+
+    /// Call `each` with every key of `l` over `items` — the key evaluated
+    /// with the clause variable bound to each item — and the item's
+    /// source position.
+    fn each_key(
+        &self,
+        l: &'a LookupPlan,
+        items: &Sequence,
+        env: &mut Env<'a>,
+        ctx: Option<&Item>,
+        mut each: impl FnMut(CmpKey<'a>, u32),
+    ) -> EResult<()> {
         for (pos, item) in items.iter().enumerate() {
-            let pos = pos as u32;
             env.push(&l.var, Bound::One(item.clone()));
             let keys = self.items(&l.key, env, ctx);
             env.pop();
             for key in keys {
-                let key = CmpKey::of(self.store, key?);
-                let num = key.num();
-                if let Some(n) = num.filter(|n| !n.is_nan()) {
-                    nums.push((n, pos));
-                }
-                texts.push((Box::<str>::from(key.text()), pos, num.is_some()));
+                each(CmpKey::of(self.store, key?), pos as u32);
             }
         }
-        nums.sort_by(|a, b| a.0.total_cmp(&b.0));
-        texts.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut runs: HashMap<Box<str>, Range<usize>> = HashMap::new();
-        let mut non_numeric = Vec::new();
-        for (i, (text, _, numeric)) in texts.iter().enumerate() {
-            runs.entry(text.clone()).or_insert(i..i).end = i + 1;
-            if !numeric {
-                non_numeric.push(i as u32);
-            }
-        }
-        Ok(KeyIndex {
-            items,
-            nums,
-            texts: texts
-                .into_iter()
-                .map(|(text, pos, _)| (text, pos))
-                .collect(),
-            runs,
-            non_numeric,
-        })
+        Ok(())
     }
 
     /// Evaluate the Sort operator's key for the current tuple: at most

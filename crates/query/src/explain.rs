@@ -17,7 +17,8 @@
 //! * `~N` — the planner's cardinality estimate (omitted when unknown),
 //! * `Lookup key op outer` — a `for` source answered by probing the
 //!   sorted key index over its source (rendered beneath) with `outer`'s
-//!   items, `op` one of `=`, `<`, `<=`, `>`, `>=`,
+//!   items, `op` one of `=`, `<`, `<=`, `>`, `>=`; a second bound
+//!   follows as `and key op literal`,
 //! * `[memo]` — loop-invariant path, materialized once per execution,
 //! * `->id("x")` — ID-index probe for that step,
 //! * `->idx` — IndexScan: the step streams off the shared element-name
@@ -227,15 +228,10 @@ fn render_ctor_children(ctor: &PlanElement, indent: usize, out: &mut String) {
 // ---- the PathScan and Lookup lines ----------------------------------------
 
 /// `Lookup key op outer ~N`: the probed index's key, the operator, the
-/// probing expression, and the source estimate; the source renders
-/// beneath.
+/// probing expression, any second bound, and the source estimate; the
+/// source renders beneath.
 fn lookup_line(l: &LookupPlan) -> String {
-    let mut text = format!(
-        "Lookup {} {} {}",
-        inline_untruncated(&l.key),
-        l.op.symbol(),
-        inline(&l.outer)
-    );
+    let mut text = format!("Lookup {}", lookup_bounds(l));
     if l.est_rows > 0 {
         text.push_str(&format!(" ~{}", l.est_rows));
     }
@@ -361,14 +357,26 @@ fn inline_untruncated(expr: &PlanExpr) -> String {
         PlanExpr::Path(p) => path_inline(p),
         PlanExpr::Aggregate(a) => format!("count({}//{})", path_inline(&a.input), a.tag),
         PlanExpr::Flwor(f) => format!("flwor(… return {})", inline_untruncated(&f.ret)),
-        PlanExpr::Lookup(l) => format!(
-            "lookup({}, {} {} {})",
-            path_inline(&l.source),
-            inline_untruncated(&l.key),
-            l.op.symbol(),
-            inline_untruncated(&l.outer)
-        ),
+        PlanExpr::Lookup(l) => format!("lookup({}, {})", path_inline(&l.source), lookup_bounds(l)),
     }
+}
+
+/// `key op outer`, and ` and key op outer` for a second bound.
+fn lookup_bounds(l: &LookupPlan) -> String {
+    let bound = |key: &PlanExpr, op: crate::ast::CmpOp, outer: &PlanExpr| {
+        format!(
+            "{} {} {}",
+            inline_untruncated(key),
+            op.symbol(),
+            inline(outer)
+        )
+    };
+    let mut text = bound(&l.key, l.op, &l.outer);
+    if let Some(b) = &l.second {
+        text.push_str(" and ");
+        text.push_str(&bound(&b.key, b.op, &b.outer));
+    }
+    text
 }
 
 fn join_inline(parts: &[PlanExpr], sep: &str) -> String {

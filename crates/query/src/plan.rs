@@ -21,8 +21,10 @@
 //!   **Sort** and a **Project** (the `return` expression).
 //! * [`LookupPlan`] — a **Lookup**: a `for` source whose comparison
 //!   conjunct (`=`, `<`, `<=`, `>` or `>=`) became a range probe of a
-//!   sorted key index. Every join — Q8–Q10's reference chasing and
-//!   Q11/Q12's value joins — is a nested loop over Lookups.
+//!   sorted key index, optionally bounded from the other side by a
+//!   second conjunct. Every join — Q8–Q10's reference chasing and
+//!   Q11/Q12's value joins — is a nested loop over Lookups, and so is
+//!   every selection by a loop-invariant value (Q5, Q12, Q20).
 //!
 //! Scalar expressions (comparisons, arithmetic, constructors, calls)
 //! mirror the AST one-to-one; only the decision-bearing nodes differ.
@@ -153,7 +155,12 @@ impl PlanExpr {
                     || f.ret.uses_var(var)
             }
             PlanExpr::Lookup(l) => {
-                l.source.uses_var(var) || l.key.uses_var(var) || l.outer.uses_var(var)
+                l.source.uses_var(var)
+                    || l.key.uses_var(var)
+                    || l.outer.uses_var(var)
+                    || l.second
+                        .as_ref()
+                        .is_some_and(|b| b.key.uses_var(var) || b.outer.uses_var(var))
             }
         }
     }
@@ -326,13 +333,15 @@ pub enum PlanClause {
 /// The Lookup operator: `for $var in source where key($var) op outer`
 /// answered by probing a sorted key index instead of filtering the
 /// source — §7's "chasing the references basically amounted to executing
-/// equi-joins on strings", and Q11/Q12's value joins, which compare
-/// with `>`. It yields the source items whose key compares true, by
-/// general comparison, against any item of `outer`, in source order and
-/// without duplicates. The index over (`source`, `key`) is built once,
-/// serves all five operators, and is shared through the store's value
-/// indexes under `sig`; `outer` is evaluated in the clause's scope, once
-/// per open, and not at all over an empty source.
+/// equi-joins on strings", Q11/Q12's value joins, which compare with
+/// `>`, and the range selections of Q5, Q12 and Q20. It yields the
+/// source items whose key compares true, by general comparison, against
+/// any item of `outer` — and, with a `second` bound, against its outer
+/// too — in source order and without duplicates. The index over
+/// (`source`, `key`) is built once, serves all five operators, and is
+/// shared through the store's value indexes under `sig`; `outer` is
+/// evaluated in the clause's scope, once per open, and not at all over
+/// an empty source.
 #[derive(Debug, Clone)]
 pub struct LookupPlan {
     /// The variable `key` is rooted at (the clause's own variable).
@@ -347,12 +356,28 @@ pub struct LookupPlan {
     pub op: CmpOp,
     /// The probing expression; free of `var` and of later clauses.
     pub outer: PlanExpr,
+    /// A second conjunct over the same key, bounding it from the other
+    /// side by a literal (Q20's `@income < 100000 and @income >=
+    /// 30000`). Each bound is existential on its own: a key of two
+    /// items may meet one bound with each.
+    pub second: Option<LookupBound>,
     /// Index signature `"{source}|{key}"` over the canonical signatures
     /// ([`path_signature`], [`key_signature`]) — equal sources and keys
     /// share one index, whatever the operator.
     pub sig: String,
     /// Estimated source cardinality (0 = unknown).
     pub est_rows: u64,
+}
+
+/// One bound of a [`LookupPlan`]: `key op outer`.
+#[derive(Debug, Clone)]
+pub struct LookupBound {
+    /// The key over the Lookup's variable.
+    pub key: PlanExpr,
+    /// The comparison, stated key first.
+    pub op: CmpOp,
+    /// The probing expression.
+    pub outer: PlanExpr,
 }
 
 /// A planned element constructor.

@@ -7,20 +7,34 @@
 //! plan choices directly. The decisions, formerly pattern-matched inside
 //! the evaluator on **every execution**:
 //!
-//! * **Lookup** — one rule per `for` clause turns every join into a
-//!   nested loop over index probes. For `for $v in S` with `S` absolute,
+//! * **Selections** — the trailing boolean predicates of the last step
+//!   of an absolute path become `where` conjuncts over a variable bound
+//!   to the path's items, so that equivalent spellings reach one plan:
+//!   `for $v in S[p]` plans as `for $v in S where p`, and a bare `S[p]`
+//!   as `for $#n in S where p return $#n` (no query can spell `#n`).
+//!   `S` becomes loop-invariant, and `p` can become a Lookup. A
+//!   predicate moves only if it is a comparison, `and`, `or`, `not`,
+//!   `empty` or `exists`, each of its conjuncts reads the context item,
+//!   it calls only built-in functions (a user function's body sees the
+//!   caller's context item), and it mentions no variable that its new
+//!   scope binds. Positional predicates, `[@id = "…"]` (the ID probe)
+//!   and the predicates of attribute and `text()` steps stay.
+//! * **Lookup** — one rule per `for` clause turns every join and range
+//!   selection into index probes. For `for $v in S` with `S` absolute,
 //!   predicate-free and not estimated to be a singleton, the first
 //!   where-conjunct `k($v) op e` (`op` one of `= < <= > >=`, `k` a key —
 //!   predicate-free paths over `$v` under arithmetic with numeric
 //!   literals — and `e` free of `$v` and of every later clause's
 //!   variable) is dropped and the source becomes `Lookup(S, k, op, e)`:
 //!   the sorted key index over `(S, k)` is built once and probed with
-//!   `e`'s items. A key on the right mirrors the operator. An ordered
-//!   `op` also needs `e` to use an enclosing clause's variable, so that
-//!   comparisons with constants stay selections. Q8 and Q10 probe with
-//!   the outer scope's `$p/@id` / `$i`; Q9 becomes two Lookups, the
-//!   second probing with the first one's binding; Q11 and Q12 probe
-//!   `5000 * $i/text() < $p/profile/@income`.
+//!   `e`'s items. A key on the right mirrors the operator. When the next
+//!   conjunct at that depth bounds the same key from the other side by
+//!   a literal (Q20's `@income < 100000 and @income >= 30000`), it
+//!   becomes the Lookup's second bound. Q8 and Q10 probe with the outer
+//!   scope's `$p/@id` / `$i`; Q9 becomes two Lookups, the second
+//!   probing with the first one's binding; Q11 and Q12 probe
+//!   `5000 * $i/text() < $p/profile/@income`; Q5, Q12's outer loop and
+//!   Q20 select with constants.
 //! * **Predicate pushdown** — each `where` conjunct is scheduled at the
 //!   shallowest clause depth where its variables are bound (the
 //!   optimization that makes the paper's Q12 cheaper than Q11).
@@ -152,9 +166,35 @@ impl Planner<'_> {
                     satisfies,
                 }
             }
-            Expr::Path { base, steps } => PlanExpr::Path(Box::new(self.plan_path(base, steps))),
+            Expr::Path { base, steps } => match self.selection_flwor(base, steps) {
+                Some(f) => PlanExpr::Flwor(Box::new(self.plan_flwor(&f))),
+                None => PlanExpr::Path(Box::new(self.plan_path(base, steps))),
+            },
             Expr::Flwor(f) => PlanExpr::Flwor(Box::new(self.plan_flwor(f))),
         }
+    }
+
+    /// A bare absolute path `S[p]` as `for $#n in S where p return $#n`
+    /// (see the module docs), or `None` when no predicate moves.
+    fn selection_flwor(&self, base: &PathBase, steps: &[Step]) -> Option<Flwor> {
+        let predicated = steps.last().is_some_and(|s| !s.preds.is_empty());
+        if !self.optimized() || !matches!(base, PathBase::Root) || !predicated {
+            return None;
+        }
+        let mut steps = steps.to_vec();
+        let conjuncts = take_selection(&mut steps, SELECTION_VAR, &[SELECTION_VAR])?;
+        Some(Flwor {
+            clauses: vec![Clause::For(
+                SELECTION_VAR.to_string(),
+                Expr::Path {
+                    base: PathBase::Root,
+                    steps,
+                },
+            )],
+            where_clause: Some(Expr::And(conjuncts)),
+            order_by: None,
+            ret: Expr::Var(SELECTION_VAR.to_string()),
+        })
     }
 
     // ---- calls: the Aggregate lowering ----------------------------------
@@ -369,6 +409,12 @@ impl Planner<'_> {
     // ---- FLWOR: nested loops over Lookups --------------------------------
 
     fn plan_flwor(&mut self, f: &Flwor) -> FlworPlan {
+        let moved = if self.optimized() {
+            move_source_selections(f)
+        } else {
+            None
+        };
+        let f = moved.as_ref().unwrap_or(f);
         let conjuncts_ast: Vec<&Expr> = match &f.where_clause {
             None => Vec::new(),
             Some(Expr::And(parts)) => parts.iter().collect(),
@@ -379,9 +425,9 @@ impl Planner<'_> {
         let depth = self.scope.len();
         let mut sources = Vec::with_capacity(f.clauses.len());
         for c in &f.clauses {
-            let (Clause::For(v, e) | Clause::Let(v, e)) = c;
+            let (Clause::For(_, e) | Clause::Let(_, e)) = c;
             sources.push(self.plan_expr(e));
-            self.scope.push(v.clone());
+            self.scope.push(c.var().to_string());
         }
         let mut conjuncts: Vec<Option<PlanExpr>> = conjuncts_ast
             .iter()
@@ -399,7 +445,7 @@ impl Planner<'_> {
                 Clause::Let(v, _) => PlanClause::Let(v.clone(), src),
                 Clause::For(v, _) => {
                     let found = if self.optimized() {
-                        lookup_conjunct(f, i, &conjuncts, &depths, &self.scope[..depth + i])
+                        lookup_conjuncts(f, i, &conjuncts, &depths)
                     } else {
                         None
                     };
@@ -407,11 +453,16 @@ impl Planner<'_> {
                         // The source must be loop-invariant (absolute and
                         // predicate-free: memoized). Cost gate: a
                         // singleton source makes the index useless.
-                        (Some((c, key_is_lhs, op)), PlanExpr::Path(source))
+                        (Some((first, second)), PlanExpr::Path(source))
                             if source.memo.is_some() && source.est_rows != 1 =>
                         {
-                            let conjunct = conjuncts[c].take().expect("one conjunct per Lookup");
-                            lookup(v, *source, conjunct, key_is_lhs, op)
+                            let mut bound = |p: &Probe| {
+                                let conjunct = conjuncts[p.conjunct].take();
+                                p.bound(conjunct.expect("one conjunct per bound"))
+                            };
+                            let first = bound(&first);
+                            let second = second.as_ref().map(bound);
+                            lookup(v, *source, first, second)
                         }
                         (_, src) => src,
                     };
@@ -448,96 +499,307 @@ impl Planner<'_> {
 fn schedule_depth(f: &Flwor, conjunct: &Expr) -> usize {
     let mut depth = 0;
     for (i, clause) in f.clauses.iter().enumerate() {
-        let var = match clause {
-            Clause::For(v, _) | Clause::Let(v, _) => v,
-        };
-        if expr_uses_var(conjunct, var) {
+        if expr_uses_var(conjunct, clause.var()) {
             depth = i + 1;
         }
     }
     depth
 }
 
+// ---- the selection rewrite -------------------------------------------------
+
+/// The variable a bare path's selection binds: `#` starts no name a
+/// query can spell.
+const SELECTION_VAR: &str = "#n";
+
+/// The functions a moved predicate may call: the built-ins, which see
+/// no context item but their arguments'.
+const BUILTINS: [&str; 11] = [
+    "count",
+    "sum",
+    "contains",
+    "string",
+    "number",
+    "zero-or-one",
+    "data",
+    "distinct-values",
+    "exists",
+    "empty",
+    "not",
+];
+
+/// `f` with the selections of its absolute `for` sources moved into its
+/// `where` clause — `for $v in S[p] … where w` as
+/// `for $v in S … where p and w` — or `None` when no predicate moves.
+/// The moved conjuncts go first: at their depth the nested loop
+/// evaluates them before `w`, as the source evaluated the predicate.
+fn move_source_selections(f: &Flwor) -> Option<Flwor> {
+    let mut clauses = f.clauses.clone();
+    let mut conjuncts = Vec::new();
+    for (i, clause) in clauses.iter_mut().enumerate() {
+        if let Clause::For(
+            v,
+            Expr::Path {
+                base: PathBase::Root,
+                steps,
+            },
+        ) = clause
+        {
+            // The `where` clause sees this clause's and every later
+            // clause's binding.
+            let rebound: Vec<&str> = f.clauses[i..].iter().map(Clause::var).collect();
+            conjuncts.extend(take_selection(steps, v, &rebound).into_iter().flatten());
+        }
+    }
+    if conjuncts.is_empty() {
+        return None;
+    }
+    match &f.where_clause {
+        Some(Expr::And(parts)) => conjuncts.extend(parts.iter().cloned()),
+        Some(other) => conjuncts.push(other.clone()),
+        None => {}
+    }
+    Some(Flwor {
+        clauses,
+        where_clause: Some(Expr::And(conjuncts)),
+        order_by: f.order_by.clone(),
+        ret: f.ret.clone(),
+    })
+}
+
+/// Take the trailing predicates of the last of `steps` that move into
+/// `where` conjuncts over `$var` (see the module docs), rebased onto it,
+/// in evaluation order; `None` when none moves. A predicate must not
+/// mention any of `rebound`, the variables bound where it lands.
+fn take_selection(steps: &mut [Step], var: &str, rebound: &[&str]) -> Option<Vec<Expr>> {
+    let last = steps.last_mut()?;
+    if last.axis == Axis::Attribute || last.test == NodeTest::Text {
+        return None;
+    }
+    let moved: Vec<Option<Vec<Expr>>> = last
+        .preds
+        .iter()
+        .map(|p| selection(p, var, rebound))
+        .collect();
+    // Filters commute with filters but not with a positional predicate:
+    // only the run after the last one that stays can move.
+    let keep = moved.iter().rposition(Option::is_none).map_or(0, |i| i + 1);
+    if keep == moved.len() {
+        return None;
+    }
+    last.preds.truncate(keep);
+    Some(moved.into_iter().flatten().flatten().collect())
+}
+
+/// `pred` as `where` conjuncts over `$var`, or `None` when it stays.
+fn selection(pred: &Pred, var: &str, rebound: &[&str]) -> Option<Vec<Expr>> {
+    let Pred::Expr(e) = pred else {
+        return None;
+    };
+    let boolean = match e {
+        Expr::Cmp(..) | Expr::And(_) | Expr::Or(_) => true,
+        Expr::Call(name, args) => {
+            args.len() == 1 && matches!(name.as_str(), "not" | "empty" | "exists")
+        }
+        _ => false,
+    };
+    let calls_user_function = || {
+        any_expr(
+            e,
+            &mut |x| matches!(x, Expr::Call(name, _) if !BUILTINS.contains(&name.as_str())),
+        )
+    };
+    if !boolean
+        || id_literal(pred).is_some()
+        || rebound.iter().any(|v| mentions_var(e, v))
+        || calls_user_function()
+    {
+        return None;
+    }
+    let mut e = e.clone();
+    rebase_context(&mut e, var);
+    let conjuncts = match e {
+        Expr::And(parts) => parts,
+        other => vec![other],
+    };
+    conjuncts
+        .iter()
+        .all(|c| expr_uses_var(c, var))
+        .then_some(conjuncts)
+}
+
+/// Rebase onto `$var` every path in `expr` that starts at the context
+/// item — but not inside step predicates, which have their own.
+fn rebase_context(expr: &mut Expr, var: &str) {
+    match expr {
+        Expr::Path { base, .. } => match base {
+            PathBase::Context => *base = PathBase::Var(var.to_string()),
+            PathBase::Expr(e) => rebase_context(e, var),
+            PathBase::Root | PathBase::Var(_) => {}
+        },
+        Expr::Flwor(f) => {
+            for c in &mut f.clauses {
+                let (Clause::For(_, e) | Clause::Let(_, e)) = c;
+                rebase_context(e, var);
+            }
+            if let Some(w) = &mut f.where_clause {
+                rebase_context(w, var);
+            }
+            if let Some((k, _)) = &mut f.order_by {
+                rebase_context(k, var);
+            }
+            rebase_context(&mut f.ret, var);
+        }
+        Expr::Or(parts) | Expr::And(parts) | Expr::Sequence(parts) | Expr::Call(_, parts) => {
+            parts.iter_mut().for_each(|p| rebase_context(p, var));
+        }
+        Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::Before(a, b) => {
+            rebase_context(a, var);
+            rebase_context(b, var);
+        }
+        Expr::Neg(e) => rebase_context(e, var),
+        Expr::Some {
+            bindings,
+            satisfies,
+        } => {
+            bindings
+                .iter_mut()
+                .for_each(|(_, e)| rebase_context(e, var));
+            rebase_context(satisfies, var);
+        }
+        Expr::Element(ctor) => rebase_ctor(ctor, var),
+        Expr::Str(_) | Expr::Num(_) | Expr::Empty | Expr::Var(_) => {}
+    }
+}
+
+fn rebase_ctor(ctor: &mut ElementCtor, var: &str) {
+    for (_, parts) in &mut ctor.attrs {
+        for part in parts {
+            if let AttrPart::Expr(e) = part {
+                rebase_context(e, var);
+            }
+        }
+    }
+    for c in &mut ctor.content {
+        match c {
+            Content::Expr(e) => rebase_context(e, var),
+            Content::Element(nested) => rebase_ctor(nested, var),
+            Content::Text(_) => {}
+        }
+    }
+}
+
 // ---- the Lookup rule -------------------------------------------------------
 
-/// The Lookup conjunct for clause `i`, a `for $v`: the first planned
+/// A where-conjunct the Lookup rule takes as a bound: its index, the
+/// side its key is on, the operator stated key first, and the key's
+/// [`key_signature`].
+struct Probe {
+    conjunct: usize,
+    key_is_lhs: bool,
+    op: CmpOp,
+    key: String,
+}
+
+impl Probe {
+    /// `conjunct` split into the key, the operator and the outer side.
+    fn bound(&self, conjunct: PlanExpr) -> LookupBound {
+        let PlanExpr::Cmp(_, a, b) = conjunct else {
+            unreachable!("the rule matched a comparison conjunct")
+        };
+        let (key, outer) = if self.key_is_lhs { (*a, *b) } else { (*b, *a) };
+        LookupBound {
+            key,
+            op: self.op,
+            outer,
+        }
+    }
+}
+
+/// The Lookup bounds for clause `i`, a `for $v`: the first planned
 /// where-conjunct scheduled at depth `i + 1` (`depths`), if it is
-/// `k($v) op e` (or mirrored), `op` one of `= < <= > >=`,
-/// whose `k` is a key over `$v` ([`key_signature`]) and whose `e` uses
-/// neither `$v` nor any later clause's variable. An ordered `op` also
-/// needs `e` to use a variable of `enclosing` (the variables bound
-/// before clause `i`): a comparison with a constant (Q5's
-/// `price >= 40`, Q12's `income > 50000`) is a selection, and stays a
-/// filter. Only the first conjunct at that depth qualifies: the nested
-/// loop evaluates the conjuncts there in order, so one behind it may
-/// never be evaluated, while a Lookup evaluates its `e` on every open.
-/// Returns the conjunct's index, whether the key is its left side, and
-/// the operator stated key first.
-fn lookup_conjunct(
+/// `k($v) op e` (or mirrored), `op` one of `= < <= > >=`, whose `k` is
+/// a key over `$v` ([`key_signature`]) and whose `e` uses neither `$v`
+/// nor any later clause's variable; and, as its second bound, the next
+/// conjunct at that depth if it compares the same key with a literal
+/// in the opposite direction. Only the first conjunct at that depth
+/// qualifies as the first bound: the nested loop evaluates the
+/// conjuncts there in order, so one behind it may never be evaluated,
+/// while a Lookup evaluates its `e` on every open. A second bound
+/// cannot raise, and nothing ran between the two, so folding it in
+/// hides no error.
+fn lookup_conjuncts(
     f: &Flwor,
     i: usize,
     conjuncts: &[Option<PlanExpr>],
     depths: &[usize],
-    enclosing: &[String],
-) -> Option<(usize, bool, CmpOp)> {
+) -> Option<(Probe, Option<Probe>)> {
     let Clause::For(v, _) = &f.clauses[i] else {
         return None;
     };
-    let later: Vec<&str> = f.clauses[i + 1..]
-        .iter()
-        .map(|c| match c {
-            Clause::For(var, _) | Clause::Let(var, _) => var.as_str(),
-        })
-        .collect();
+    let later: Vec<&str> = f.clauses[i + 1..].iter().map(Clause::var).collect();
     // A later clause rebinding `$v` owns the conjuncts' `$v`.
     if later.contains(&v.as_str()) {
         return None;
     }
     let free = |e: &PlanExpr| !e.uses_var(v) && later.iter().all(|l| !e.uses_var(l));
-    let c = (0..conjuncts.len()).find(|&c| conjuncts[c].is_some() && depths[c] == i + 1)?;
+    let literal = |e: &PlanExpr| matches!(e, PlanExpr::Num(_) | PlanExpr::Str(_));
+    let mut at_depth =
+        (0..conjuncts.len()).filter(|&c| conjuncts[c].is_some() && depths[c] == i + 1);
+    let first = probe(conjuncts, at_depth.next()?, v, &free)?;
+    let second = at_depth
+        .next()
+        .and_then(|c| probe(conjuncts, c, v, &literal))
+        .filter(|second| {
+            let directions = first.op.direction().zip(second.op.direction());
+            second.key == first.key && directions.is_some_and(|(a, b)| a != b)
+        });
+    Some((first, second))
+}
+
+/// Conjunct `c` as a bound of a Lookup over `$v`: a comparison other
+/// than `!=` of a key over `$v` with an outer side that passes `outer`.
+fn probe(
+    conjuncts: &[Option<PlanExpr>],
+    c: usize,
+    v: &str,
+    outer: &dyn Fn(&PlanExpr) -> bool,
+) -> Option<Probe> {
     let Some(PlanExpr::Cmp(op, a, b)) = &conjuncts[c] else {
         return None;
     };
-    let (key_is_lhs, outer) = if key_signature(a, v).is_some() && free(b) {
-        (true, b)
-    } else if key_signature(b, v).is_some() && free(a) {
-        (false, a)
-    } else {
-        return None;
+    let (key_is_lhs, key) = match (key_signature(a, v), key_signature(b, v)) {
+        (Some(key), _) if outer(b) => (true, key),
+        (_, Some(key)) if outer(a) => (false, key),
+        _ => return None,
     };
     let op = if key_is_lhs { *op } else { op.mirrored() };
-    let planned = match op {
-        CmpOp::Eq => true,
-        CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-            enclosing.iter().any(|e| outer.uses_var(e))
-        }
-        CmpOp::Ne => false,
-    };
-    planned.then_some((c, key_is_lhs, op))
+    (op != CmpOp::Ne).then_some(Probe {
+        conjunct: c,
+        key_is_lhs,
+        op,
+        key,
+    })
 }
 
-/// Rewrite `for $var in source` with its planned comparison conjunct
-/// into a Lookup source.
+/// Rewrite `for $var in source` with its planned bounds into a Lookup
+/// source.
 fn lookup(
     var: &str,
     source: PathPlan,
-    conjunct: PlanExpr,
-    key_is_lhs: bool,
-    op: CmpOp,
+    first: LookupBound,
+    second: Option<LookupBound>,
 ) -> PlanExpr {
-    let PlanExpr::Cmp(_, a, b) = conjunct else {
-        unreachable!("the rule matched a comparison conjunct")
-    };
-    let (key, outer) = if key_is_lhs { (*a, *b) } else { (*b, *a) };
-    let sig = lookup_signature(&source, &key, var).expect("the rule matched a key");
+    let sig = lookup_signature(&source, &first.key, var).expect("the rule matched a key");
     PlanExpr::Lookup(Box::new(LookupPlan {
         var: var.to_string(),
         sig,
         est_rows: source.est_rows,
         source,
-        key,
-        op,
-        outer,
+        key: first.key,
+        op: first.op,
+        outer: first.outer,
+        second,
     }))
 }
 
@@ -588,60 +850,76 @@ fn id_literal(pred: &Pred) -> Option<&str> {
 
 /// Does `expr` reference the variable `var` anywhere?
 pub(crate) fn expr_uses_var(expr: &Expr, var: &str) -> bool {
+    any_expr(expr, &mut |e| match e {
+        Expr::Var(v)
+        | Expr::Path {
+            base: PathBase::Var(v),
+            ..
+        } => v == var,
+        _ => false,
+    })
+}
+
+/// Does `expr` reference or bind the variable `var` anywhere?
+fn mentions_var(expr: &Expr, var: &str) -> bool {
+    any_expr(expr, &mut |e| match e {
+        Expr::Var(v)
+        | Expr::Path {
+            base: PathBase::Var(v),
+            ..
+        } => v == var,
+        Expr::Flwor(f) => f.clauses.iter().any(|c| c.var() == var),
+        Expr::Some { bindings, .. } => bindings.iter().any(|(v, _)| v == var),
+        _ => false,
+    })
+}
+
+/// Does `test` hold for `expr` or any expression inside it, step
+/// predicates and constructor content included?
+fn any_expr(expr: &Expr, test: &mut impl FnMut(&Expr) -> bool) -> bool {
+    if test(expr) {
+        return true;
+    }
     match expr {
-        Expr::Var(v) => v == var,
         Expr::Path { base, steps } => {
-            let base_uses = match base {
-                PathBase::Var(v) => v == var,
-                PathBase::Expr(e) => expr_uses_var(e, var),
-                PathBase::Root | PathBase::Context => false,
-            };
-            base_uses
-                || steps.iter().any(|s| {
-                    s.preds.iter().any(|p| match p {
-                        Pred::Expr(e) => expr_uses_var(e, var),
-                        _ => false,
-                    })
-                })
+            matches!(base, PathBase::Expr(e) if any_expr(e, test))
+                || steps
+                    .iter()
+                    .flat_map(|s| &s.preds)
+                    .any(|p| matches!(p, Pred::Expr(e) if any_expr(e, test)))
         }
         Expr::Flwor(f) => {
-            f.clauses.iter().any(|c| match c {
-                Clause::For(_, e) | Clause::Let(_, e) => expr_uses_var(e, var),
-            }) || f
-                .where_clause
-                .as_ref()
-                .is_some_and(|w| expr_uses_var(w, var))
-                || f.order_by
-                    .as_ref()
-                    .is_some_and(|(k, _)| expr_uses_var(k, var))
-                || expr_uses_var(&f.ret, var)
+            f.clauses.iter().any(|c| {
+                let (Clause::For(_, e) | Clause::Let(_, e)) = c;
+                any_expr(e, test)
+            }) || f.where_clause.as_ref().is_some_and(|w| any_expr(w, test))
+                || f.order_by.as_ref().is_some_and(|(k, _)| any_expr(k, test))
+                || any_expr(&f.ret, test)
         }
-        Expr::Or(parts) | Expr::And(parts) | Expr::Sequence(parts) => {
-            parts.iter().any(|p| expr_uses_var(p, var))
+        Expr::Or(parts) | Expr::And(parts) | Expr::Sequence(parts) | Expr::Call(_, parts) => {
+            parts.iter().any(|p| any_expr(p, test))
         }
         Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::Before(a, b) => {
-            expr_uses_var(a, var) || expr_uses_var(b, var)
+            any_expr(a, test) || any_expr(b, test)
         }
-        Expr::Neg(e) => expr_uses_var(e, var),
-        Expr::Call(_, args) => args.iter().any(|a| expr_uses_var(a, var)),
+        Expr::Neg(e) => any_expr(e, test),
         Expr::Some {
             bindings,
             satisfies,
-        } => bindings.iter().any(|(_, e)| expr_uses_var(e, var)) || expr_uses_var(satisfies, var),
-        Expr::Element(ctor) => ctor_uses_var(ctor, var),
-        Expr::Str(_) | Expr::Num(_) | Expr::Empty => false,
+        } => bindings.iter().any(|(_, e)| any_expr(e, test)) || any_expr(satisfies, test),
+        Expr::Element(ctor) => ctor_any(ctor, test),
+        Expr::Str(_) | Expr::Num(_) | Expr::Empty | Expr::Var(_) => false,
     }
 }
 
-fn ctor_uses_var(ctor: &ElementCtor, var: &str) -> bool {
+fn ctor_any(ctor: &ElementCtor, test: &mut impl FnMut(&Expr) -> bool) -> bool {
     ctor.attrs.iter().any(|(_, parts)| {
-        parts.iter().any(|p| match p {
-            AttrPart::Expr(e) => expr_uses_var(e, var),
-            AttrPart::Lit(_) => false,
-        })
+        parts
+            .iter()
+            .any(|p| matches!(p, AttrPart::Expr(e) if any_expr(e, test)))
     }) || ctor.content.iter().any(|c| match c {
-        Content::Expr(e) => expr_uses_var(e, var),
-        Content::Element(nested) => ctor_uses_var(nested, var),
+        Content::Expr(e) => any_expr(e, test),
+        Content::Element(nested) => ctor_any(nested, test),
         Content::Text(_) => false,
     })
 }

@@ -17,7 +17,7 @@
 //! | V1   | caps-access     | access annotations (`IdProbe`, `Positional`, `IndexScan`, inlined/value tails, summary counts) appear only where [`PlannerCaps`] permits, and are well-formed |
 //! | V2   | density-gate    | every `IndexScan` step re-passes the posting-density gate against the element index of the store the plan was compiled on |
 //! | V3   | naive-purity    | [`PlanMode::Naive`] plans carry no access annotations, no Aggregates, no Lookups, no pushdown |
-//! | V4   | join-keys       | a `Lookup`'s operator is one of `= < <= > >=`, its key lies in the key grammar over its clause variable (predicate-free paths over it under arithmetic with numeric literals), neither its source nor its outer side uses that variable, and an ordered operator's outer side uses an enclosing variable |
+//! | V4   | join-keys       | a `Lookup`'s operator is one of `= < <= > >=`, its key lies in the key grammar over its clause variable (predicate-free paths over it under arithmetic with numeric literals), neither its source nor its outer side uses that variable or a later clause's, and a second bound has the same key signature, the opposite direction and a literal outer side |
 //! | V6   | sort-presence   | a Sort operator exists exactly where the source `order by` clauses require one (AST↔plan walk) |
 //! | V7   | memo-sig        | memo and `Lookup` index signatures equal their canonical recomputation |
 //! | V8   | card-consistent | cardinality annotations agree with each other and with exact posting counts |
@@ -54,8 +54,9 @@ pub enum Invariant {
     /// V3: naive plans are annotation-free nested loops.
     NaivePurity,
     /// V4: Lookup operators, keys and outer sides are well-formed: keys
-    /// in the key grammar over their own clause variable, ordered
-    /// operators probing with an enclosing variable.
+    /// in the key grammar over their own clause variable, outer sides
+    /// free of it and of later clauses, a second bound the other side of
+    /// the same key by a literal.
     JoinKeys,
     /// V6: Sort present exactly where `order by` requires it.
     SortPresence,
@@ -564,6 +565,19 @@ impl Verifier<'_> {
             let (var, src) = match clause {
                 PlanClause::For(v, e) | PlanClause::Let(v, e) => (v, e),
             };
+            if let PlanExpr::Lookup(l) = src {
+                // The outer side runs before the later clauses bind.
+                let later = clauses[d + 1..].iter().find_map(|c| {
+                    let (PlanClause::For(v, _) | PlanClause::Let(v, _)) = c;
+                    l.outer.uses_var(v).then_some(v)
+                });
+                self.check(Invariant::JoinKeys, later.is_none(), || {
+                    format!(
+                        "lookup outer side reads ${} of a later clause",
+                        later.map_or("", String::as_str)
+                    )
+                });
+            }
             self.scoped(format!("clause ${var}"), |s| s.expr(src));
             self.scope.push(var.clone());
             for (i, conjunct) in filters.get(d + 1).into_iter().flatten().enumerate() {
@@ -607,19 +621,30 @@ impl Verifier<'_> {
             key_signature(&l.key, var).is_some(),
             || format!("lookup key is outside the key grammar over ${var}"),
         );
-        // An ordered comparison with a constant is a selection, not a
-        // join: the planner leaves it a filter.
-        let correlated = self.scope.iter().any(|v| l.outer.uses_var(v));
-        self.check(
-            Invariant::JoinKeys,
-            l.op == ast::CmpOp::Eq || correlated,
-            || {
-                format!(
-                    "ordered lookup {} probes with no enclosing variable",
-                    l.op.symbol()
-                )
-            },
-        );
+        if let Some(second) = &l.second {
+            self.scoped("second", |s| s.expr(&second.outer));
+            let sig = key_signature(&second.key, var);
+            let same_key = sig.is_some() && sig == key_signature(&l.key, var);
+            self.check(Invariant::JoinKeys, same_key, || {
+                "second lookup bound is over another key".to_string()
+            });
+            let directions = l.op.direction().zip(second.op.direction());
+            self.check(
+                Invariant::JoinKeys,
+                directions.is_some_and(|(a, b)| a != b),
+                || {
+                    format!(
+                        "second lookup bound {} does not bound {} from the other side",
+                        second.op.symbol(),
+                        l.op.symbol()
+                    )
+                },
+            );
+            let literal = matches!(second.outer, PlanExpr::Num(_) | PlanExpr::Str(_));
+            self.check(Invariant::JoinKeys, literal, || {
+                "second lookup bound probes with no literal".to_string()
+            });
+        }
         // V7: the index signature is "{source}|{key}" over the canonical
         // signatures, and only exists for a loop-invariant source.
         if let Some(expect) = lookup_signature(&l.source, &l.key, var) {
@@ -642,6 +667,9 @@ impl Verifier<'_> {
         let depth = self.scope.len();
         self.scope.push(var.clone());
         self.scoped("key", |s| s.expr(&l.key));
+        if let Some(second) = &l.second {
+            self.scoped("second key", |s| s.expr(&second.key));
+        }
         self.scope.truncate(depth);
     }
 
@@ -649,8 +677,9 @@ impl Verifier<'_> {
 
     /// A Sort operator must exist exactly where the source text's
     /// `order by` clauses demand one. Both trees are walked collecting
-    /// every FLWOR's sort annotation (direction or absence); the planner
-    /// preserves FLWOR structure one-to-one, so the multisets must match.
+    /// every Sort's direction; the planner keeps each FLWOR's `order by`
+    /// and adds only unsorted FLWORs (a bare path's selection), so the
+    /// multisets must match.
     fn sort_presence(&mut self, query: &Query, plan: &PhysicalPlan) {
         let mut want = Vec::new();
         collect_ast_orders(&query.body, &mut want);
@@ -668,8 +697,7 @@ impl Verifier<'_> {
         self.check(Invariant::SortPresence, want == got, || {
             format!(
                 "plan Sort operators {got:?} do not match the query's \
-                 order-by clauses {want:?} (None = unsorted FLWOR, \
-                 Some(true) = ascending)"
+                 order-by clauses {want:?} (true = ascending)"
             )
         });
         self.path.pop();
@@ -694,10 +722,10 @@ fn id_pred_literal(pred: &PlanPred) -> Option<&str> {
 
 // ---- AST ↔ plan sort collection ------------------------------------------
 
-fn collect_ast_orders(e: &Expr, out: &mut Vec<Option<bool>>) {
+fn collect_ast_orders(e: &Expr, out: &mut Vec<bool>) {
     match e {
         Expr::Flwor(f) => {
-            out.push(f.order_by.as_ref().map(|(_, asc)| *asc));
+            out.extend(f.order_by.as_ref().map(|(_, asc)| *asc));
             for c in &f.clauses {
                 match c {
                     ast::Clause::For(_, src) | ast::Clause::Let(_, src) => {
@@ -754,7 +782,7 @@ fn collect_ast_orders(e: &Expr, out: &mut Vec<Option<bool>>) {
     }
 }
 
-fn collect_ctor_orders(ctor: &ast::ElementCtor, out: &mut Vec<Option<bool>>) {
+fn collect_ctor_orders(ctor: &ast::ElementCtor, out: &mut Vec<bool>) {
     for (_, parts) in &ctor.attrs {
         for p in parts {
             if let ast::AttrPart::Expr(e) = p {
@@ -771,10 +799,10 @@ fn collect_ctor_orders(ctor: &ast::ElementCtor, out: &mut Vec<Option<bool>>) {
     }
 }
 
-fn collect_plan_orders(e: &PlanExpr, out: &mut Vec<Option<bool>>) {
+fn collect_plan_orders(e: &PlanExpr, out: &mut Vec<bool>) {
     match e {
         PlanExpr::Flwor(f) => {
-            out.push(f.order_by.as_ref().map(|(_, asc)| *asc));
+            out.extend(f.order_by.as_ref().map(|(_, asc)| *asc));
             for c in &f.clauses {
                 match c {
                     PlanClause::For(_, src) | PlanClause::Let(_, src) => {
@@ -826,7 +854,7 @@ fn collect_plan_orders(e: &PlanExpr, out: &mut Vec<Option<bool>>) {
     }
 }
 
-fn collect_plan_path_orders(p: &PathPlan, out: &mut Vec<Option<bool>>) {
+fn collect_plan_path_orders(p: &PathPlan, out: &mut Vec<bool>) {
     if let PlanBase::Expr(inner) = &p.base {
         collect_plan_orders(inner, out);
     }
@@ -839,7 +867,7 @@ fn collect_plan_path_orders(p: &PathPlan, out: &mut Vec<Option<bool>>) {
     }
 }
 
-fn collect_plan_ctor_orders(ctor: &PlanElement, out: &mut Vec<Option<bool>>) {
+fn collect_plan_ctor_orders(ctor: &PlanElement, out: &mut Vec<bool>) {
     for (_, parts) in &ctor.attrs {
         for p in parts {
             if let PlanAttrPart::Expr(e) = p {

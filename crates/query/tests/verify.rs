@@ -5,7 +5,7 @@
 //! these tests prove each invariant actually fires.
 
 use xmark_query::ast::{ArithOp, CmpOp};
-use xmark_query::plan::{LookupPlan, PlanClause, PlanExpr, PlanMode, StepAccess};
+use xmark_query::plan::{LookupBound, LookupPlan, PlanClause, PlanExpr, PlanMode, StepAccess};
 use xmark_query::verify::{verify_plan, verify_plan_against, Invariant};
 use xmark_query::{compile_with_mode, parse_query, Compiled};
 use xmark_store::{EdgeStore, SummaryStore, XmlStore};
@@ -157,9 +157,10 @@ fn lookup_outer_over_its_own_variable_is_rejected() {
 }
 
 /// A range join: `$b` probes the sorted index over its source for keys
-/// above `$a`'s.
+/// above `$a`'s; a later clause binds `$c`.
 const RANGE: &str = r#"for $a in /site/people/person, $b in /site/people/person
-                       where $b/age/text() > 2 * $a/age/text() - 31 return $b"#;
+                       let $c := $b/name
+                       where $b/age/text() > 2 * $a/age/text() - 31 return $c"#;
 
 #[test]
 fn corrupted_range_lookup_is_rejected() {
@@ -172,10 +173,13 @@ fn corrupted_range_lookup_is_rejected() {
         "{}",
         clean.explain()
     );
-    let violations = |edit: &dyn Fn(&mut LookupPlan)| {
+    let report = |edit: &dyn Fn(&mut LookupPlan)| {
         let mut compiled = clean.clone();
         edit(body_lookup(&mut compiled));
-        let report = verify_plan(&compiled.plan, &store);
+        verify_plan(&compiled.plan, &store)
+    };
+    let violations = |edit: &dyn Fn(&mut LookupPlan)| {
+        let report = report(edit);
         assert!(report.violations_of(Invariant::JoinKeys) >= 1, "{report}");
         report
             .violations
@@ -204,12 +208,29 @@ fn corrupted_range_lookup_is_rejected() {
         messages.iter().any(|m| m.contains("operator !=")),
         "{messages:?}"
     );
-    // An ordered comparison with a constant is a selection.
-    let messages = violations(&|l| l.outer = PlanExpr::Num(30.0));
+    // A range selection by a constant is a Lookup too.
+    let constant = report(&|l| l.outer = PlanExpr::Num(30.0));
+    assert!(constant.is_clean(), "{constant}");
+    // The outer side runs before `$c` binds.
+    let messages = violations(&|l| l.outer = PlanExpr::Var("c".to_string()));
     assert!(
         messages
             .iter()
-            .any(|m| m.contains("probes with no enclosing variable")),
+            .any(|m| m.contains("reads $c of a later clause")),
+        "{messages:?}"
+    );
+    // A second bound must close the range from the other side.
+    let messages = violations(&|l| {
+        l.second = Some(LookupBound {
+            key: l.key.clone(),
+            op: CmpOp::Ge,
+            outer: PlanExpr::Num(3.0),
+        })
+    });
+    assert!(
+        messages
+            .iter()
+            .any(|m| m.contains("second lookup bound >= does not bound >")),
         "{messages:?}"
     );
 }

@@ -290,6 +290,16 @@ impl XmlStore for IntervalStore {
         (self.tag_code[n.index()] == TEXT_TAG).then(|| Cow::Borrowed(&*self.text[n.index()]))
     }
 
+    fn string_value_into(&self, n: Node, out: &mut String) {
+        // The subtree's text in document order is the text nodes of the
+        // interval `n..=end[n]` in ascending id: one scan, no recursion.
+        for id in n.index()..=self.end[n.index()] as usize {
+            if self.tag_code[id] == TEXT_TAG {
+                out.push_str(&self.text[id]);
+            }
+        }
+    }
+
     fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
         self.attrs
             .get(&n.0)?
@@ -403,6 +413,37 @@ mod tests {
             assert_eq!(items.len(), 2);
             assert_eq!(store.attribute(items[0], "id").as_deref(), Some("item0"));
             assert_eq!(store.string_value(items[1]), "gold coin");
+        }
+    }
+
+    /// The string value the default cursor walk assembles, recursing
+    /// through `text` and `children_iter` only (the trait's default goes
+    /// back through the override for each child).
+    fn walked_string_value(store: &IntervalStore, n: Node, out: &mut String) {
+        if let Some(t) = store.text(n) {
+            out.push_str(&t);
+            return;
+        }
+        for child in store.children_iter(n) {
+            walked_string_value(store, child, out);
+        }
+    }
+
+    #[test]
+    fn interval_scan_string_values_match_the_cursor_walk() {
+        let xml = xmark_gen::generate_string(&xmark_gen::GeneratorConfig {
+            factor: 0.002,
+            seed: 0,
+        });
+        for store in [
+            IntervalStore::load_indexed(&xml).unwrap(),
+            IntervalStore::load_scan(&xml).unwrap(),
+        ] {
+            for id in 0..store.node_count() as u32 {
+                let mut walked = String::new();
+                walked_string_value(&store, Node(id), &mut walked);
+                assert_eq!(store.string_value(Node(id)), walked, "node {id}");
+            }
         }
     }
 

@@ -64,8 +64,8 @@ Project <history>{$b/reserve/text()->vals("reserve")}</history>
 Eval count(flwor(… return $i/price))
   Project $i/price
     NestedLoop
-      For $i in PathScan /site/closed_auctions/closed_auction ~19 [memo]
-      Filter@1 $i/price/text()->vals("price") >= 40
+      For $i in Lookup $i/price/text()->vals("price") >= 40 ~19
+        PathScan /site/closed_auctions/closed_auction ~19 [memo]
 === A Q6 ===
 Project count($b//item)
   Aggregate count(//item) ~43 [idx]
@@ -123,8 +123,8 @@ Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
 === A Q12 ===
 Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
-    For $p in PathScan /site/people/person ~51 [memo]
-    Filter@1 $p/profile/@income > 50000
+    For $p in Lookup $p/profile/@income > 50000 ~51
+      PathScan /site/people/person ~51 [memo]
     Let $l in
       Project $i
         NestedLoop
@@ -166,7 +166,19 @@ Project <item name="{$k}">{$b/location/text()->vals("location")}</item>
       For $b in PathScan /site/regions//item->idx ~43 [memo]
       Let $k in PathScan $b/name/text()->vals("name") ~96
 === A Q20 ===
-Eval <result><preferred>{count(/site/people/person/profile[./@income >= 100000])}</preferred><standa…
+Eval <result><preferred>{count(flwor(… return $#n))}</preferred><standard>{count(flwor(… return $#n)…
+  Project $#n
+    NestedLoop
+      For $#n in Lookup $#n/@income >= 100000 ~43
+        PathScan /site/people/person/profile ~43 [memo]
+  Project $#n
+    NestedLoop
+      For $#n in Lookup $#n/@income < 100000 and $#n/@income >= 30000 ~43
+        PathScan /site/people/person/profile ~43 [memo]
+  Project $#n
+    NestedLoop
+      For $#n in Lookup $#n/@income < 30000 ~43
+        PathScan /site/people/person/profile ~43 [memo]
   Project $p
     NestedLoop
       For $p in PathScan /site/people/person ~51 [memo]
@@ -195,8 +207,8 @@ Project <history>{$b/reserve/text()->vals("reserve")}</history>
 Eval count(flwor(… return $i/price))
   Project $i/price
     NestedLoop
-      For $i in PathScan /site/closed_auctions/closed_auction ~19 [memo]
-      Filter@1 $i/price/text()->vals("price") >= 40
+      For $i in Lookup $i/price/text()->vals("price") >= 40 ~19
+        PathScan /site/closed_auctions/closed_auction ~19 [memo]
 === E Q6 ===
 Project count($b//item)
   Aggregate count(//item) ~43 [summary]
@@ -254,8 +266,8 @@ Project <items name="{$p/name/text()->vals("name")}">{count($l)}</items>
 === E Q12 ===
 Project <items person="{$p/name/text()->vals("name")}">{count($l)}</items>
   NestedLoop
-    For $p in PathScan /site/people/person ~51 [memo]
-    Filter@1 $p/profile/@income > 50000
+    For $p in Lookup $p/profile/@income > 50000 ~51
+      PathScan /site/people/person ~51 [memo]
     Let $l in
       Project $i
         NestedLoop
@@ -297,7 +309,19 @@ Project <item name="{$k}">{$b/location/text()->vals("location")}</item>
       For $b in PathScan /site/regions//item ~43 [memo]
       Let $k in PathScan $b/name/text()->vals("name") ~96
 === E Q20 ===
-Eval <result><preferred>{count(/site/people/person/profile[./@income >= 100000])}</preferred><standa…
+Eval <result><preferred>{count(flwor(… return $#n))}</preferred><standard>{count(flwor(… return $#n)…
+  Project $#n
+    NestedLoop
+      For $#n in Lookup $#n/@income >= 100000 ~43
+        PathScan /site/people/person/profile ~43 [memo]
+  Project $#n
+    NestedLoop
+      For $#n in Lookup $#n/@income < 100000 and $#n/@income >= 30000 ~43
+        PathScan /site/people/person/profile ~43 [memo]
+  Project $#n
+    NestedLoop
+      For $#n in Lookup $#n/@income < 30000 ~43
+        PathScan /site/people/person/profile ~43 [memo]
   Project $p
     NestedLoop
       For $p in PathScan /site/people/person ~51 [memo]

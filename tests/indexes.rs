@@ -109,21 +109,31 @@ fn concurrent_workers_share_one_index_build() {
 /// planned output stays byte-identical to naive on all seven backends.
 #[test]
 fn q8_to_q12_rebuild_nothing_after_warmup() {
+    assert_warm_mix_rebuilds_nothing(&[8, 9, 10, 11, 12]);
+}
+
+/// The range selections: Q5's price filter and Q20's income bands probe
+/// their number sides without a rebuild once warm.
+#[test]
+fn q5_and_q20_rebuild_nothing_after_warmup() {
+    assert_warm_mix_rebuilds_nothing(&[5, 20]);
+}
+
+fn assert_warm_mix_rebuilds_nothing(mix: &[usize]) {
     let doc = generate_document(0.002);
-    let mix = [8, 9, 10, 11, 12];
     for system in SystemId::EXTENDED {
         let store: Arc<dyn XmlStore> = build_store(system, &doc.xml).unwrap().into();
         let service = QueryService::start(Arc::clone(&store), 2);
         service.build_indexes();
-        let warmup = service.run_mix(&mix, mix.len());
-        let steady = service.run_mix(&mix, mix.len() * 4);
+        let warmup = service.run_mix(mix, mix.len());
+        let steady = service.run_mix(mix, mix.len() * 4);
         assert_eq!(
             steady.index_builds, 0,
-            "{system}: warm Q8–Q12 service must not rebuild (warmup built {})",
+            "{system}: warm {mix:?} service must not rebuild (warmup built {})",
             warmup.index_builds
         );
         drop(service);
-        for &q in &mix {
+        for &q in mix {
             let naive = compile_with_mode(query(q).text, store.as_ref(), PlanMode::Naive).unwrap();
             let optimized = compile(query(q).text, store.as_ref()).unwrap();
             assert_eq!(
@@ -151,7 +161,7 @@ fn q9_reuses_q8_lookup_index() {
         execute(&compile(query(8).text, store).unwrap(), store).unwrap();
         let after_q8 = value_slots(store);
         assert!(
-            after_q8.contains("idx|/site/closed_auctions/closed_auction|/buyer@person"),
+            after_q8.contains("txt|/site/closed_auctions/closed_auction|/buyer@person"),
             "{system}: Q8 builds the buyer index: {after_q8:?}"
         );
         execute(&compile(query(9).text, store).unwrap(), store).unwrap();
@@ -163,15 +173,17 @@ fn q9_reuses_q8_lookup_index() {
             "{system}: Q9 rebuilt what Q8 left: {added:?}"
         );
         assert!(
-            added.contains(&"idx|/site/regions/europe/item|@id".to_string()),
+            added.contains(&"txt|/site/regions/europe/item|@id".to_string()),
             "{system}: Q9 indexes the European items: {added:?}"
         );
     }
 }
 
 /// Q11 builds one sorted key index over the initials, keyed by
-/// `5000 * $i/text()`; Q12 probes the same index (same source, same
-/// key) and adds no value slot at all.
+/// `5000 * $i/text()`, and probes it with incomes: numbers, so only its
+/// number side. Q12 probes the same side (same source, same key) and
+/// adds exactly one slot, the number side of its income selection over
+/// the people Q11 already memoized.
 #[test]
 fn q12_reuses_q11_range_index() {
     let doc = generate_document(0.002);
@@ -181,14 +193,90 @@ fn q12_reuses_q11_range_index() {
         execute(&compile(query(11).text, store).unwrap(), store).unwrap();
         let after_q11 = value_slots(store);
         assert!(
-            after_q11.contains("idx|/site/open_auctions/open_auction/initial|(5000 * /#t)"),
+            after_q11.contains("num|/site/open_auctions/open_auction/initial|(5000 * /#t)"),
             "{system}: Q11 builds the initials' key index: {after_q11:?}"
         );
         execute(&compile(query(12).text, store).unwrap(), store).unwrap();
+        let added: Vec<String> = value_slots(store).difference(&after_q11).cloned().collect();
         assert_eq!(
-            value_slots(store),
-            after_q11,
-            "{system}: Q12 built value slots Q11 left"
+            added,
+            ["num|/site/people/person|/profile@income"],
+            "{system}: Q12 adds only its income selection's number side"
+        );
+    }
+}
+
+/// Q20's three income bands probe one key index with numbers: they
+/// share one number side, and no text side is built.
+#[test]
+fn q20_bands_share_one_number_side() {
+    let doc = generate_document(0.002);
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        execute(&compile(query(20).text, store).unwrap(), store).unwrap();
+        let sides: Vec<String> = value_slots(store)
+            .into_iter()
+            .filter(|sig| sig.starts_with("num|") || sig.starts_with("txt|"))
+            .collect();
+        assert_eq!(
+            sides,
+            ["num|/site/people/person/profile|@income"],
+            "{system}: Q20's bands build one number side"
+        );
+    }
+}
+
+/// A later probe of the income key by a word compares as text: it
+/// builds the key's text side, exactly once however many workers race
+/// for it, and leaves the number side Q20 built alone.
+#[test]
+fn racing_text_probes_build_the_text_side_once() {
+    let doc = generate_document(0.002);
+    let word = r#"count(/site/people/person/profile[@income >= "abc"])"#;
+    for system in [SystemId::A, SystemId::E, SystemId::H] {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        execute(&compile(query(20).text, store).unwrap(), store).unwrap();
+        let compiled = compile(word, store).unwrap();
+        assert!(
+            compiled.explain().contains("Lookup $#n/@income >= \"abc\""),
+            "{system}:\n{}",
+            compiled.explain()
+        );
+        let before = store.indexes().builds();
+        let expected = execute(
+            &compile_with_mode(word, store, PlanMode::Naive).unwrap(),
+            store,
+        );
+        let workers = 4;
+        let barrier = std::sync::Barrier::new(workers);
+        let answers: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        execute(&compiled, store)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for answer in &answers {
+            assert_eq!(answer, &expected, "{system}");
+        }
+        assert_eq!(store.indexes().builds() - before, 1, "{system}: one build");
+        let sides: Vec<String> = value_slots(store)
+            .into_iter()
+            .filter(|sig| sig.contains("|@income"))
+            .collect();
+        assert_eq!(
+            sides,
+            [
+                "num|/site/people/person/profile|@income",
+                "txt|/site/people/person/profile|@income"
+            ],
+            "{system}"
         );
     }
 }

@@ -548,3 +548,238 @@ fn lookups_match_per_pair_evaluation() {
     }
     assert!(estimated > 0, "no backend estimated the singleton source");
 }
+
+/// The selection document: persons whose profile incomes are a number,
+/// a padded number, a word, NaN, `-0`, empty, missing, two values (10
+/// and 200000) and a band edge; `limit` holds a loop-invariant outer
+/// value, and `nothing` an empty source.
+const SELECTIONS: &str = concat!(
+    r#"<site><limit v="60000"/><people>"#,
+    r#"<person id="p0"><profile income="95000.00"/></person>"#,
+    r#"<person id="p1"><profile income=" 60000 "/></person>"#,
+    r#"<person id="p2"><profile income="abc"/></person>"#,
+    r#"<person id="p3"><profile income="NaN"/></person>"#,
+    r#"<person id="p4"><profile income="-0"/></person>"#,
+    r#"<person id="p5"><profile income=""/></person>"#,
+    r#"<person id="p6"><profile/></person>"#,
+    r#"<person id="p7"><profile income="10"/><profile income="200000"/></person>"#,
+    r#"<person id="p8"><profile income="30000"/></person>"#,
+    r#"</people><nothing/></site>"#
+);
+
+/// One selection in its three spellings: `count(S[p])`,
+/// `for $v in S[p]` and `for $v in S where p`, with `{K}` in `cond`
+/// standing for the key path relative to the selected person.
+fn spellings(cond: &str) -> [String; 3] {
+    let rel = cond.replace("{K}", "profile/@income");
+    let var = cond.replace("{K}", "$v/profile/@income");
+    [
+        format!("count(/site/people/person[{rel}])"),
+        format!(r#"for $v in /site/people/person[{rel}] return <r id="{{$v/@id}}"/>"#),
+        format!(r#"for $v in /site/people/person where {var} return <r id="{{$v/@id}}"/>"#),
+    ]
+}
+
+#[test]
+fn selections_match_the_naive_plan_in_every_spelling() {
+    let outers = [
+        "60000",
+        "\"60000\"",
+        "\"abc\"",
+        "\"b\"",
+        "/site/limit/@v",
+        "-0",
+    ];
+    let mut conds = Vec::new();
+    for op in ["=", "<", "<=", ">", ">="] {
+        for outer in outers {
+            conds.push((format!("{{K}} {op} {outer}"), "Lookup"));
+            conds.push((format!("{outer} {op} {{K}}"), "Lookup"));
+        }
+    }
+    // Two bounds on one key, each existential: p7's 10 and 200000 meet
+    // `< 100000` and `>= 150000` one each.
+    for two in [
+        "{K} < 100000 and {K} >= 150000",
+        "{K} >= 30000 and {K} < 100000",
+        "100000 > {K} and {K} >= 30000",
+        r#"{K} > "a" and {K} < "b""#,
+    ] {
+        conds.push((two.to_string(), " and $v/profile/@income"));
+    }
+    // Boolean predicates that move but probe nothing.
+    for filter in [
+        "empty({K})",
+        "exists({K})",
+        r#"not({K} = "abc")"#,
+        r#"{K} = "abc" or {K} = 10"#,
+        "{K} != 10",
+    ] {
+        conds.push((filter.to_string(), "Filter@1"));
+    }
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, SELECTIONS).unwrap();
+        let store = store.as_ref();
+        for (cond, shape) in &conds {
+            let [count, source, clause] = spellings(cond);
+            for text in [&count, &source, &clause] {
+                let optimized = run_with(store, text, PlanMode::Optimized);
+                let naive = run_with(store, text, PlanMode::Naive);
+                assert_eq!(optimized, naive, "{system}: {text}");
+            }
+            let plan = compile(&source, store).unwrap().explain();
+            assert!(plan.contains(shape), "{system}: {source}\n{plan}");
+            let hits = run_with(store, &source, PlanMode::Optimized);
+            assert_eq!(hits, run_with(store, &clause, PlanMode::Optimized));
+            let counted = run_with(store, &count, PlanMode::Optimized);
+            assert_eq!(
+                counted,
+                hits.lines().count().to_string(),
+                "{system}: {cond}"
+            );
+        }
+        let [_, two_bounds, _] = spellings("{K} < 100000 and {K} >= 150000");
+        assert_eq!(
+            run_with(store, &two_bounds, PlanMode::Optimized),
+            r#"<r id="p7"/>"#,
+            "{system}"
+        );
+    }
+}
+
+#[test]
+fn selections_raise_as_the_nested_loop_does() {
+    // Over an empty source the predicate is never evaluated, so an outer
+    // side that would raise never is; over a non-empty one both plans
+    // raise.
+    let raising = "zero-or-one(/site/people/person)";
+    let empty = [
+        format!("count(/site/nothing/x[@a > {raising}])"),
+        format!("for $v in /site/nothing/x[@a > {raising}] return $v"),
+        format!("for $v in /site/nothing/x where $v/@a > {raising} return $v"),
+    ];
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, SELECTIONS).unwrap();
+        let store = store.as_ref();
+        for (text, expected) in empty.iter().zip(["0", "", ""]) {
+            assert!(compile(text, store).unwrap().explain().contains("Lookup"));
+            for mode in [PlanMode::Optimized, PlanMode::Naive] {
+                assert_eq!(
+                    run_streamed(store, text, mode),
+                    Ok(expected.to_string()),
+                    "{system}: {mode:?}: {text}"
+                );
+            }
+        }
+        for text in spellings(&format!("{{K}} > {raising}")) {
+            for mode in [PlanMode::Optimized, PlanMode::Naive] {
+                assert_eq!(
+                    run_streamed(store, &text, mode),
+                    Err(EvalError::Cardinality("zero-or-one")),
+                    "{system}: {mode:?}: {text}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn predicates_that_must_not_move_stay_on_their_step() {
+    // Positional predicates, the ID probe, non-boolean tests, predicates
+    // on a step before the last, predicates that never read the context
+    // item or call a user function (whose body sees the caller's context
+    // item), and a boolean predicate before a positional one: each stays
+    // on its step, so the plan holds no Lookup and binds no `$#n`.
+    let cases = [
+        "/site/people/person[1]",
+        "/site/people/person[last()]",
+        r#"/site/people/person[@id = "p7"]"#,
+        "/site/people/person[profile]",
+        "/site/people/person[profile/@income > 50000]/profile",
+        "/site/people/person[count(/site/people/person) > 3]",
+        "/site/people/person[profile/@income > 50000][1]",
+        "declare function local:f($x) { $x }; /site/people/person[local:f(profile/@income) > 5]",
+        "declare function local:g() { profile/@income }; /site/people/person[local:g() > 5]",
+    ];
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, SELECTIONS).unwrap();
+        let store = store.as_ref();
+        for path in cases {
+            let (decl, path) = path.rsplit_once("; ").unwrap_or(("", path));
+            let decl = if decl.is_empty() {
+                String::new()
+            } else {
+                format!("{decl}; ")
+            };
+            for text in [
+                format!("{decl}count({path})"),
+                format!(r#"{decl}for $v in {path} return <r id="{{$v/@id}}"/>"#),
+            ] {
+                let plan = compile(&text, store).unwrap().explain();
+                assert!(
+                    !plan.contains("Lookup") && !plan.contains("$#n"),
+                    "{system}: {text}\n{plan}"
+                );
+                assert_eq!(
+                    run_streamed(store, &text, PlanMode::Optimized),
+                    run_streamed(store, &text, PlanMode::Naive),
+                    "{system}: {text}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn equivalent_spellings_plan_alike() {
+    // A predicate on the `for` source and the same test as a `where`
+    // conjunct compile to one EXPLAIN; a bare `S[p]` and its FLWOR
+    // differ only in the bound variable's name. The join that a source
+    // predicate used to cut off from the Lookup rule is among them.
+    let pairs = [
+        (
+            "for $v in /site/people/person[profile/@income >= 60000] return $v/@id",
+            "for $v in /site/people/person where $v/profile/@income >= 60000 return $v/@id",
+        ),
+        (
+            "for $v in /site/people/person[profile/@income < 100000 and profile/@income >= 30000][empty(profile/@x)] return $v",
+            "for $v in /site/people/person where $v/profile/@income < 100000 and $v/profile/@income >= 30000 and empty($v/profile/@x) return $v",
+        ),
+        (
+            r#"for $v in /site/people/person[profile/@income = "abc"] where $v/@id != "p0" return $v"#,
+            r#"for $v in /site/people/person where $v/profile/@income = "abc" and $v/@id != "p0" return $v"#,
+        ),
+        (
+            r#"for $p in /site/people/person
+               let $a := for $t in /site/closed_auctions/closed_auction[price > 100]
+                         where $t/buyer/@person = $p/@id return $t
+               return count($a)"#,
+            r#"for $p in /site/people/person
+               let $a := for $t in /site/closed_auctions/closed_auction
+                         where $t/price > 100 and $t/buyer/@person = $p/@id return $t
+               return count($a)"#,
+        ),
+        (
+            "count(/site/people/person/profile[@income >= 100000])",
+            "count(for $x in /site/people/person/profile where $x/@income >= 100000 return $x)",
+        ),
+    ];
+    let doc = generate_document(0.002);
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let store = store.as_ref();
+        for (predicate, clause) in pairs {
+            let explain = |text: &str| compile(text, store).unwrap().explain();
+            assert_eq!(
+                explain(predicate).replace("$#n", "$x"),
+                explain(clause),
+                "{system}: {predicate}"
+            );
+            assert_eq!(
+                run_with(store, predicate, PlanMode::Naive),
+                run_with(store, clause, PlanMode::Optimized),
+                "{system}: {predicate}"
+            );
+        }
+    }
+}

@@ -228,22 +228,35 @@ fn updated_snapshots_answer_like_a_reload_of_their_serialization() {
 
 // ---- plan portability ------------------------------------------------------
 
-/// Commits drop the sorted key index Q11 and Q12 probe. Its signature,
-/// `idx|…/initial|(5000 * /#t)`, holds a `*`, which the signature test
-/// of commit-time index maintenance treats as touched by every commit;
-/// an inserted or deleted `<initial>` must drop it in any case. After
-/// each commit — an open auction with an `<initial>` inserted, then
-/// deleted, then a person's income rewritten — Q11 and Q12 answer as
-/// the naive plan does on the same snapshot.
+/// Commits drop the sorted key indexes Q11 and Q12 probe: the number
+/// side of the initials' index, whose signature
+/// `num|…/initial|(5000 * /#t)` holds a `*`, which the signature test
+/// of commit-time index maintenance treats as touched by every commit
+/// (an inserted or deleted `<initial>` must drop it in any case), and
+/// the number side of Q12's income selection, `num|…/person|/profile@income`,
+/// which a rewritten income must drop. After each commit — an open
+/// auction with an `<initial>` inserted, then deleted, then a person's
+/// income rewritten — Q11 and Q12 answer as the naive plan does on the
+/// same snapshot, rebuilding both sides.
 #[test]
 fn commits_drop_the_range_lookup_index() {
-    let sig = "idx|/site/open_auctions/open_auction/initial|(5000 * /#t)";
+    let sigs = [
+        "num|/site/open_auctions/open_auction/initial|(5000 * /#t)",
+        "num|/site/people/person|/profile@income",
+    ];
     let doc = generate_document(0.001);
     for system in [SystemId::E, SystemId::H] {
         let versioned = VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
         let has_index = |snap: &SnapshotStore| {
             let slots = snap.indexes().built_values();
-            slots.iter().any(|(s, _, _)| s == sig)
+            let held = sigs
+                .iter()
+                .filter(|&&sig| slots.iter().any(|(s, _, _)| s == sig));
+            match held.count() {
+                0 => false,
+                2 => true,
+                _ => panic!("{system}: one of {sigs:?} survived without the other"),
+            }
         };
         let answers = |snap: &SnapshotStore, context: &str| {
             for q in [11, 12] {
@@ -255,7 +268,10 @@ fn commits_drop_the_range_lookup_index() {
                     "{system}: Q{q} {context}"
                 );
             }
-            assert!(has_index(snap), "{system}: Q11 probed no index {context}");
+            assert!(
+                has_index(snap),
+                "{system}: Q11 and Q12 probed no index {context}"
+            );
         };
         answers(&versioned.snapshot(), "before any commit");
 
@@ -283,6 +299,10 @@ fn commits_drop_the_range_lookup_index() {
                 .expect("some profile states an income");
             txn.replace_attr(profile, "income", "9999999.99")
         });
+        assert!(
+            !has_index(&snap),
+            "{system}: the income rewrite kept the index"
+        );
         answers(&snap, "after rewriting an income");
     }
 }
