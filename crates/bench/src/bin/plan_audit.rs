@@ -4,7 +4,7 @@
 //! Every (query, backend, mode) cell compiles the query and runs the
 //! post-optimizer verifier ([`xmark::query::verify`]), which re-derives
 //! each structural invariant of the physical algebra — access-path
-//! capabilities, the IndexScan density gate, naive-plan purity, Lookup
+//! capabilities, the IndexScan's ordered element index, naive-plan purity, Lookup
 //! key canonicalization, Sort presence, cache signatures, cardinality
 //! consistency and variable scoping — from the
 //! live store and compares it with what the plan records. The exit code
@@ -14,9 +14,10 @@
 //! cargo run --release -p xmark-bench --bin plan_audit [--factor F] [--smoke]
 //! ```
 //!
+//! The full run (factor 0.01, all eight backends) is what CI gates on.
 //! `--smoke` shrinks the document and audits one backend per storage
-//! family (A, D, G, H) — the CI-speed subset; the matrix shape and the
-//! zero-violation gate are identical.
+//! family (A, D, G, H), for a quick local check; the matrix shape and
+//! the zero-violation gate are identical.
 
 use xmark::prelude::*;
 use xmark::query::verify::Invariant;

@@ -75,6 +75,74 @@ pub enum Expr {
     Empty,
 }
 
+impl Expr {
+    /// Call `f` on each direct sub-expression, in source order: path
+    /// bases and step predicates, FLWOR clauses, `where`, order key and
+    /// return, and a constructor's attribute templates and content,
+    /// nested constructors flattened. The one statement of the syntax
+    /// tree's shape for every read-only walk that treats children alike
+    /// (the planner's variable analysis, Sort collection). Every variant
+    /// and field is matched by name, so a new one does not compile until
+    /// it is visited.
+    pub(crate) fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        match self {
+            Expr::Str(_) | Expr::Num(_) | Expr::Empty | Expr::Var(_) => {}
+            Expr::Or(parts) | Expr::And(parts) | Expr::Sequence(parts) | Expr::Call(_, parts) => {
+                parts.iter().for_each(f)
+            }
+            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::Before(a, b) => {
+                f(a);
+                f(b);
+            }
+            Expr::Neg(inner) => f(inner),
+            Expr::Path { base, steps } => {
+                match base {
+                    PathBase::Expr(e) => f(e),
+                    PathBase::Root | PathBase::Var(_) | PathBase::Context => {}
+                }
+                for Step {
+                    axis: _,
+                    test: _,
+                    preds,
+                } in steps
+                {
+                    for pred in preds {
+                        match pred {
+                            Pred::Expr(e) => f(e),
+                            Pred::Position(_) | Pred::Last => {}
+                        }
+                    }
+                }
+            }
+            Expr::Flwor(flwor) => {
+                let Flwor {
+                    clauses,
+                    where_clause,
+                    order_by,
+                    ret,
+                } = &**flwor;
+                for clause in clauses {
+                    let (Clause::For(_, e) | Clause::Let(_, e)) = clause;
+                    f(e);
+                }
+                where_clause.iter().for_each(&mut *f);
+                if let Some((key, _ascending)) = order_by {
+                    f(key);
+                }
+                f(ret);
+            }
+            Expr::Some {
+                bindings,
+                satisfies,
+            } => {
+                bindings.iter().for_each(|(_, e)| f(e));
+                f(satisfies);
+            }
+            Expr::Element(ctor) => ctor.for_each_child(f),
+        }
+    }
+}
+
 /// Where a path expression starts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PathBase {
@@ -254,6 +322,31 @@ pub struct ElementCtor {
     pub attrs: Vec<(String, Vec<AttrPart>)>,
     /// Content items in order.
     pub content: Vec<Content>,
+}
+
+impl ElementCtor {
+    /// Attribute-template and content expressions, nested constructors
+    /// flattened: the constructor's part of [`Expr::for_each_child`].
+    fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+        let ElementCtor {
+            tag: _,
+            attrs,
+            content,
+        } = self;
+        for part in attrs.iter().flat_map(|(_, parts)| parts) {
+            match part {
+                AttrPart::Expr(e) => f(e),
+                AttrPart::Lit(_) => {}
+            }
+        }
+        for c in content {
+            match c {
+                Content::Expr(e) => f(e),
+                Content::Element(nested) => nested.for_each_child(f),
+                Content::Text(_) => {}
+            }
+        }
+    }
 }
 
 /// Part of an attribute-value template.

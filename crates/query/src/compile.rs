@@ -230,6 +230,109 @@ mod tests {
         assert!(f.filters.iter().all(Vec::is_empty));
     }
 
+    /// One query per child position of the two expression trees, `$x`
+    /// in that position only; together they take every arm of
+    /// `Expr::for_each_child` and `PlanExpr::for_each_child`.
+    const CHILD_POSITIONS: [&str; 23] = [
+        "($x, 1)",
+        "$x or 1",
+        "1 and $x",
+        "string($x)",
+        "1 = $x",
+        "$x + 1",
+        "1 << $x",
+        "-$x",
+        r#"<a b="{$x}"/>"#,
+        "<a>{$x}</a>",
+        "<a><b>{$x}</b></a>",
+        "some $s in $x satisfies 1",
+        "some $s in /site satisfies $x",
+        "$x/a",
+        "$y/a[$x]",
+        "count($x//a)",
+        "for $s in $x return 1",
+        "let $s := $x return 1",
+        "for $s in /site where $x return 1",
+        "for $s in /site order by $x return 1",
+        "for $s in /site return $x",
+        "for $p in /site/people/person where $p/name = $x return 1",
+        r#"for $x in /site/people/person where $x/name = "Alice" return 1"#,
+    ];
+
+    /// A FLWOR with a Sort, to put where `$x` stands.
+    const SORTED: &str = "(for $s in /site order by 1 return $s)";
+
+    /// A two-bound Lookup. The test places expressions in its slots by
+    /// hand: the planner builds none whose key is not a key over its
+    /// variable, whose second bound is not a literal or whose source is
+    /// not absolute.
+    const RANGE: &str =
+        r#"for $p in /site/people/person where $p/name > "A" and $p/name < "Z" return 1"#;
+
+    fn plan(text: &str, store: &dyn XmlStore) -> (Query, PhysicalPlan) {
+        let query = parse_query(text).unwrap();
+        let (plan, _) = plan_query(&query, store, PlanMode::Optimized);
+        (query, plan)
+    }
+
+    /// Does V6 find the Sorts of `plan` disagree with `query`'s?
+    fn sorts_differ(query: &Query, plan: &PhysicalPlan, store: &dyn XmlStore) -> bool {
+        let report = crate::verify::verify_plan_against(query, plan, store);
+        report.violations_of(crate::verify::Invariant::SortPresence) > 0
+    }
+
+    /// Places an expression in one child slot of `RANGE`'s Lookup.
+    type Place = fn(&mut crate::plan::LookupPlan, PlanExpr);
+
+    fn range_lookup(plan: &mut PhysicalPlan) -> &mut crate::plan::LookupPlan {
+        let PlanExpr::Flwor(f) = &mut plan.body else {
+            panic!("body is a FLWOR");
+        };
+        let PlanClause::For(_, PlanExpr::Lookup(l)) = &mut f.clauses[0] else {
+            panic!("the clause is a Lookup");
+        };
+        l
+    }
+
+    #[test]
+    fn child_visitors_reach_every_position() {
+        let store = EdgeStore::load(DOC).unwrap();
+        for text in CHILD_POSITIONS {
+            let (query, used) = plan(text, &store);
+            assert!(used.body.uses_var("x"), "{text}");
+            let (_, control) = plan(&text.replace("$x", "$y"), &store);
+            assert!(!control.body.uses_var("x"), "{text} with $y");
+            if text.starts_with("for $x") {
+                continue; // `$x` binds the Lookup's key: see below.
+            }
+            // V6 finds a Sort in that position, on either tree.
+            let (sorted_query, sorted) = plan(&text.replace("$x", SORTED), &store);
+            assert!(sorts_differ(&query, &sorted, &store), "plan: {text}");
+            assert!(sorts_differ(&sorted_query, &used, &store), "AST: {text}");
+        }
+
+        let places: [(&str, Place); 5] = [
+            ("key", |l, e| l.key = e),
+            ("outer", |l, e| l.outer = e),
+            ("second key", |l, e| l.second.as_mut().unwrap().key = e),
+            ("second outer", |l, e| l.second.as_mut().unwrap().outer = e),
+            ("source", |l, e| {
+                l.source.base = crate::plan::PlanBase::Expr(e)
+            }),
+        ];
+        let (query, range) = plan(RANGE, &store);
+        assert!(!range.body.uses_var("x"));
+        let (_, sort) = plan(SORTED, &store);
+        for (name, place) in places {
+            let mut used = range.clone();
+            place(range_lookup(&mut used), PlanExpr::Var("x".to_string()));
+            assert!(used.body.uses_var("x"), "lookup {name}");
+            let mut sorted = range.clone();
+            place(range_lookup(&mut sorted), sort.body.clone());
+            assert!(sorts_differ(&query, &sorted, &store), "lookup {name}");
+        }
+    }
+
     #[test]
     fn compile_then_execute_roundtrip() {
         let store = EdgeStore::load(DOC).unwrap();

@@ -167,61 +167,19 @@ fn render_source(label: &str, src: &PlanExpr, indent: usize, out: &mut String) {
 }
 
 /// Walk a scalar expression and render any operator-bearing
-/// sub-expressions (nested FLWORs, Aggregates) as children. Paths stay
-/// inline: scans are only operators in source positions.
+/// sub-expressions (nested FLWORs, Aggregates) as children. Paths render
+/// only their base: scans are only operators in source positions.
 fn render_children(expr: &PlanExpr, indent: usize, out: &mut String) {
     match expr {
         PlanExpr::Flwor(_) | PlanExpr::Aggregate(_) | PlanExpr::Lookup(_) => {
             render_operator(expr, indent, out)
         }
-        PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {
-            for p in parts {
-                render_children(p, indent, out);
-            }
-        }
-        PlanExpr::Cmp(_, a, b) | PlanExpr::Arith(_, a, b) | PlanExpr::Before(a, b) => {
-            render_children(a, indent, out);
-            render_children(b, indent, out);
-        }
-        PlanExpr::Neg(e) => render_children(e, indent, out),
-        PlanExpr::Call(_, args) => {
-            for a in args {
-                render_children(a, indent, out);
-            }
-        }
-        PlanExpr::Some {
-            bindings,
-            satisfies,
-        } => {
-            for (_, e) in bindings {
-                render_children(e, indent, out);
-            }
-            render_children(satisfies, indent, out);
-        }
-        PlanExpr::Element(ctor) => render_ctor_children(ctor, indent, out),
         PlanExpr::Path(p) => {
             if let PlanBase::Expr(e) = &p.base {
                 render_children(e, indent, out);
             }
         }
-        PlanExpr::Str(_) | PlanExpr::Num(_) | PlanExpr::Empty | PlanExpr::Var(_) => {}
-    }
-}
-
-fn render_ctor_children(ctor: &PlanElement, indent: usize, out: &mut String) {
-    for (_, parts) in &ctor.attrs {
-        for p in parts {
-            if let PlanAttrPart::Expr(e) = p {
-                render_children(e, indent, out);
-            }
-        }
-    }
-    for c in &ctor.content {
-        match c {
-            PlanContent::Expr(e) => render_children(e, indent, out),
-            PlanContent::Element(nested) => render_ctor_children(nested, indent, out),
-            PlanContent::Text(_) => {}
-        }
+        _ => expr.for_each_child(&mut |c| render_children(c, indent, out)),
     }
 }
 

@@ -126,75 +126,169 @@ pub enum PlanExpr {
 }
 
 impl PlanExpr {
-    /// Does this expression reference `var` anywhere? The plan-level
-    /// mirror of the planner's AST `expr_uses_var`.
-    pub(crate) fn uses_var(&self, var: &str) -> bool {
+    /// Call `f` on each direct sub-expression, in field order: path
+    /// bases and step predicates (of a PathScan, an Aggregate's input
+    /// and a Lookup's source), Aggregate inputs, FLWOR clauses, filters,
+    /// order key and return, a Lookup's key, outer side and second bound,
+    /// and a constructor's attribute templates and content, nested
+    /// constructors flattened. The one statement of the plan tree's
+    /// shape for every walk that treats children alike (variable use,
+    /// Sort collection, the verifier's and EXPLAIN's scalar arms). Every
+    /// variant and field is matched by name, so a new one does not
+    /// compile until it is visited.
+    pub(crate) fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a PlanExpr)) {
         match self {
-            PlanExpr::Var(v) => v == var,
-            PlanExpr::Str(_) | PlanExpr::Num(_) | PlanExpr::Empty => false,
-            PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {
-                parts.iter().any(|p| p.uses_var(var))
-            }
+            PlanExpr::Str(_) | PlanExpr::Num(_) | PlanExpr::Empty | PlanExpr::Var(_) => {}
+            PlanExpr::Sequence(parts)
+            | PlanExpr::Or(parts)
+            | PlanExpr::And(parts)
+            | PlanExpr::Call(_, parts) => parts.iter().for_each(f),
             PlanExpr::Cmp(_, a, b) | PlanExpr::Arith(_, a, b) | PlanExpr::Before(a, b) => {
-                a.uses_var(var) || b.uses_var(var)
+                f(a);
+                f(b);
             }
-            PlanExpr::Neg(inner) => inner.uses_var(var),
-            PlanExpr::Call(_, args) => args.iter().any(|a| a.uses_var(var)),
-            PlanExpr::Element(ctor) => ctor.uses_var(var),
+            PlanExpr::Neg(inner) => f(inner),
+            PlanExpr::Element(ctor) => ctor.for_each_child(f),
             PlanExpr::Some {
                 bindings,
                 satisfies,
-            } => bindings.iter().any(|(_, e)| e.uses_var(var)) || satisfies.uses_var(var),
-            PlanExpr::Path(p) => p.uses_var(var),
-            PlanExpr::Aggregate(a) => a.input.uses_var(var),
-            PlanExpr::Flwor(f) => {
-                f.clauses.iter().any(|c| match c {
-                    PlanClause::For(_, e) | PlanClause::Let(_, e) => e.uses_var(var),
-                }) || f.filters.iter().flatten().any(|c| c.uses_var(var))
-                    || f.order_by.as_ref().is_some_and(|(k, _)| k.uses_var(var))
-                    || f.ret.uses_var(var)
+            } => {
+                bindings.iter().for_each(|(_, e)| f(e));
+                f(satisfies);
+            }
+            PlanExpr::Path(p) => p.for_each_child(f),
+            PlanExpr::Aggregate(a) => {
+                let AggregatePlan {
+                    input,
+                    tag: _,
+                    summary: _,
+                    indexed: _,
+                    est_rows: _,
+                } = &**a;
+                input.for_each_child(f);
+            }
+            PlanExpr::Flwor(flwor) => {
+                let FlworPlan {
+                    clauses,
+                    filters,
+                    order_by,
+                    ret,
+                } = &**flwor;
+                for clause in clauses {
+                    let (PlanClause::For(_, e) | PlanClause::Let(_, e)) = clause;
+                    f(e);
+                }
+                filters.iter().flatten().for_each(&mut *f);
+                if let Some((key, _ascending)) = order_by {
+                    f(key);
+                }
+                f(ret);
             }
             PlanExpr::Lookup(l) => {
-                l.source.uses_var(var)
-                    || l.key.uses_var(var)
-                    || l.outer.uses_var(var)
-                    || l.second
-                        .as_ref()
-                        .is_some_and(|b| b.key.uses_var(var) || b.outer.uses_var(var))
+                let LookupPlan {
+                    var: _,
+                    source,
+                    key,
+                    op: _,
+                    outer,
+                    second,
+                    sig: _,
+                    est_rows: _,
+                } = &**l;
+                source.for_each_child(f);
+                f(key);
+                f(outer);
+                if let Some(LookupBound { key, op: _, outer }) = second {
+                    f(key);
+                    f(outer);
+                }
             }
         }
+    }
+
+    /// Does this expression reference `var` anywhere?
+    pub(crate) fn uses_var(&self, var: &str) -> bool {
+        let mut found = match self {
+            PlanExpr::Var(v) => v == var,
+            PlanExpr::Path(p) => p.based_on(var),
+            PlanExpr::Aggregate(a) => a.input.based_on(var),
+            PlanExpr::Lookup(l) => l.source.based_on(var),
+            _ => false,
+        };
+        self.for_each_child(&mut |c| found = found || c.uses_var(var));
+        found
     }
 }
 
 impl PathPlan {
+    /// The base and step-predicate expressions: the PathScan's part of
+    /// [`PlanExpr::for_each_child`].
+    fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a PlanExpr)) {
+        let PathPlan {
+            base,
+            steps,
+            memo: _,
+            inlined_tail: _,
+            value_tail: _,
+            est_rows: _,
+        } = self;
+        match base {
+            PlanBase::Expr(e) => f(e),
+            PlanBase::Root | PlanBase::Var(_) | PlanBase::Context => {}
+        }
+        for PlanStep {
+            axis: _,
+            test: _,
+            preds,
+            access: _,
+            est_rows: _,
+        } in steps
+        {
+            for pred in preds {
+                match pred {
+                    PlanPred::Expr(e) => f(e),
+                    PlanPred::Position(_) | PlanPred::Last => {}
+                }
+            }
+        }
+    }
+
+    /// Does the path start at `$var`? A variable base is no expression,
+    /// so [`PlanExpr::uses_var`] reads it here.
+    fn based_on(&self, var: &str) -> bool {
+        matches!(&self.base, PlanBase::Var(v) if v == var)
+    }
+
     /// Does this path reference `var` in its base or a predicate?
     pub(crate) fn uses_var(&self, var: &str) -> bool {
-        let base = match &self.base {
-            PlanBase::Var(v) => v == var,
-            PlanBase::Expr(e) => e.uses_var(var),
-            PlanBase::Root | PlanBase::Context => false,
-        };
-        base || self.steps.iter().any(|s| {
-            s.preds.iter().any(|pred| match pred {
-                PlanPred::Expr(e) => e.uses_var(var),
-                _ => false,
-            })
-        })
+        let mut found = self.based_on(var);
+        self.for_each_child(&mut |c| found = found || c.uses_var(var));
+        found
     }
 }
 
 impl PlanElement {
-    fn uses_var(&self, var: &str) -> bool {
-        self.attrs.iter().any(|(_, parts)| {
-            parts.iter().any(|p| match p {
-                PlanAttrPart::Expr(e) => e.uses_var(var),
-                PlanAttrPart::Lit(_) => false,
-            })
-        }) || self.content.iter().any(|c| match c {
-            PlanContent::Expr(e) => e.uses_var(var),
-            PlanContent::Element(nested) => nested.uses_var(var),
-            PlanContent::Text(_) => false,
-        })
+    /// Attribute-template and content expressions, nested constructors
+    /// flattened: the constructor's part of [`PlanExpr::for_each_child`].
+    fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a PlanExpr)) {
+        let PlanElement {
+            tag: _,
+            attrs,
+            content,
+        } = self;
+        for part in attrs.iter().flat_map(|(_, parts)| parts) {
+            match part {
+                PlanAttrPart::Expr(e) => f(e),
+                PlanAttrPart::Lit(_) => {}
+            }
+        }
+        for c in content {
+            match c {
+                PlanContent::Expr(e) => f(e),
+                PlanContent::Element(nested) => nested.for_each_child(f),
+                PlanContent::Text(_) => {}
+            }
+        }
     }
 }
 
@@ -282,8 +376,7 @@ pub enum StepAccess {
     /// Predicate-free `descendant::tag` served from the store's shared
     /// element-name index ([`xmark_store::IndexManager`]): the context's
     /// subtree range stabs the tag's posting list (two binary searches)
-    /// and matches stream off the slice — no walk. Chosen only when the
-    /// posting list is sparse relative to the store; the executor falls
+    /// and matches stream off the slice — no walk. The executor falls
     /// back to the native axis cursor if stabbing turns out invalid.
     IndexScan,
 }

@@ -45,22 +45,16 @@
 //!   affords it.
 //! * **IndexScan** — a predicate-free `descendant::tag` step on a backend
 //!   whose native descendant access walks (Systems A/B/C/F/G,
-//!   `PlannerCaps::element_index`) is costed against the shared
-//!   element-name index using the posting list's **exact** cardinality —
-//!   not an estimate, even on the statistics-free System F. Sparse
-//!   postings win (two binary searches + a slice); dense postings (more
-//!   than one element in [`INDEX_SCAN_DENSITY`]) fall back to the
-//!   streamed axis scan, whose sequential locality beats posting jumps
-//!   when most of the store matches anyway.
+//!   `PlannerCaps::element_index`) streams off the shared element-name
+//!   index's posting list (two binary searches + a slice) wherever that
+//!   index can serve the store, and records the list's **exact**
+//!   cardinality as the step's row count, even on the statistics-free
+//!   System F.
 //!
 //! [`PlanMode::Naive`] suppresses every rewrite and produces the pure
 //! nested-loop plan the optimizer oracle executes as the specification.
 
 use xmark_store::{PlannerCaps, PositionSpec, XmlStore};
-
-/// IndexScan density gate: the posting list must cover at most one node
-/// in this many for the stab to beat the streamed axis scan.
-pub const INDEX_SCAN_DENSITY: usize = 4;
 
 use crate::ast::*;
 use crate::compile::CompileStats;
@@ -366,20 +360,17 @@ impl Planner<'_> {
         if !self.optimized() {
             return StepAccess::Generic;
         }
-        // Predicate-free descendant steps: cost the shared element-name
-        // index against the streamed axis scan on its exact posting
-        // cardinality.
+        // Predicate-free descendant steps stab the shared element-name
+        // index wherever it can serve the store.
         if step.preds.is_empty() {
-            if self.caps.element_index && step.axis == Axis::Descendant {
-                if let NodeTest::Tag(tag) = &step.test {
-                    if let Some(postings) = self.exact_postings(tag) {
-                        if postings * INDEX_SCAN_DENSITY <= self.store.node_count() {
-                            return StepAccess::IndexScan;
-                        }
-                    }
-                }
-            }
-            return StepAccess::Generic;
+            let indexed = self.caps.element_index
+                && step.axis == Axis::Descendant
+                && matches!(&step.test, NodeTest::Tag(tag) if self.exact_postings(tag).is_some());
+            return if indexed {
+                StepAccess::IndexScan
+            } else {
+                StepAccess::Generic
+            };
         }
         if step.preds.len() != 1 {
             return StepAccess::Generic;
@@ -877,51 +868,9 @@ fn mentions_var(expr: &Expr, var: &str) -> bool {
 /// Does `test` hold for `expr` or any expression inside it, step
 /// predicates and constructor content included?
 fn any_expr(expr: &Expr, test: &mut impl FnMut(&Expr) -> bool) -> bool {
-    if test(expr) {
-        return true;
-    }
-    match expr {
-        Expr::Path { base, steps } => {
-            matches!(base, PathBase::Expr(e) if any_expr(e, test))
-                || steps
-                    .iter()
-                    .flat_map(|s| &s.preds)
-                    .any(|p| matches!(p, Pred::Expr(e) if any_expr(e, test)))
-        }
-        Expr::Flwor(f) => {
-            f.clauses.iter().any(|c| {
-                let (Clause::For(_, e) | Clause::Let(_, e)) = c;
-                any_expr(e, test)
-            }) || f.where_clause.as_ref().is_some_and(|w| any_expr(w, test))
-                || f.order_by.as_ref().is_some_and(|(k, _)| any_expr(k, test))
-                || any_expr(&f.ret, test)
-        }
-        Expr::Or(parts) | Expr::And(parts) | Expr::Sequence(parts) | Expr::Call(_, parts) => {
-            parts.iter().any(|p| any_expr(p, test))
-        }
-        Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::Before(a, b) => {
-            any_expr(a, test) || any_expr(b, test)
-        }
-        Expr::Neg(e) => any_expr(e, test),
-        Expr::Some {
-            bindings,
-            satisfies,
-        } => bindings.iter().any(|(_, e)| any_expr(e, test)) || any_expr(satisfies, test),
-        Expr::Element(ctor) => ctor_any(ctor, test),
-        Expr::Str(_) | Expr::Num(_) | Expr::Empty | Expr::Var(_) => false,
-    }
-}
-
-fn ctor_any(ctor: &ElementCtor, test: &mut impl FnMut(&Expr) -> bool) -> bool {
-    ctor.attrs.iter().any(|(_, parts)| {
-        parts
-            .iter()
-            .any(|p| matches!(p, AttrPart::Expr(e) if any_expr(e, test)))
-    }) || ctor.content.iter().any(|c| match c {
-        Content::Expr(e) => any_expr(e, test),
-        Content::Element(nested) => ctor_any(nested, test),
-        Content::Text(_) => false,
-    })
+    let mut found = test(expr);
+    expr.for_each_child(&mut |child| found = found || any_expr(child, test));
+    found
 }
 
 impl Planner<'_> {

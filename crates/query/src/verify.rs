@@ -15,7 +15,7 @@
 //! | code | name            | what it pins |
 //! |------|-----------------|--------------|
 //! | V1   | caps-access     | access annotations (`IdProbe`, `Positional`, `IndexScan`, inlined/value tails, summary counts) appear only where [`PlannerCaps`] permits, and are well-formed |
-//! | V2   | density-gate    | every `IndexScan` step re-passes the posting-density gate against the element index of the store the plan was compiled on |
+//! | V2   | ordered-index   | every `IndexScan` step's element index can stab the store the plan was compiled on (its ids are in pre-order) |
 //! | V3   | naive-purity    | [`PlanMode::Naive`] plans carry no access annotations, no Aggregates, no Lookups, no pushdown |
 //! | V4   | join-keys       | a `Lookup`'s operator is one of `= < <= > >=`, its key lies in the key grammar over its clause variable (predicate-free paths over it under arithmetic with numeric literals), neither its source nor its outer side uses that variable or a later clause's, and a second bound has the same key signature, the opposite direction and a literal outer side |
 //! | V6   | sort-presence   | a Sort operator exists exactly where the source `order by` clauses require one (AST↔plan walk) |
@@ -41,16 +41,16 @@ use xmark_store::{PlannerCaps, XmlStore};
 
 use crate::ast::{self, Expr, Query};
 use crate::plan::*;
-use crate::planner::{last_tag_estimate, INDEX_SCAN_DENSITY};
+use crate::planner::last_tag_estimate;
 
 /// One of the eight verified plan invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// V1: access annotations only where [`PlannerCaps`] permits.
     CapsAccess,
-    /// V2: `IndexScan` steps re-pass the posting-density gate on the
+    /// V2: `IndexScan` steps stab an element index that can serve the
     /// store the plan was compiled on.
-    DensityGate,
+    OrderedIndex,
     /// V3: naive plans are annotation-free nested loops.
     NaivePurity,
     /// V4: Lookup operators, keys and outer sides are well-formed: keys
@@ -72,7 +72,7 @@ impl Invariant {
     /// All invariants, in code order (V1…V9; V5 is retired).
     pub const ALL: [Invariant; 8] = [
         Invariant::CapsAccess,
-        Invariant::DensityGate,
+        Invariant::OrderedIndex,
         Invariant::NaivePurity,
         Invariant::JoinKeys,
         Invariant::SortPresence,
@@ -85,7 +85,7 @@ impl Invariant {
     pub fn code(self) -> &'static str {
         match self {
             Invariant::CapsAccess => "V1",
-            Invariant::DensityGate => "V2",
+            Invariant::OrderedIndex => "V2",
             Invariant::NaivePurity => "V3",
             Invariant::JoinKeys => "V4",
             Invariant::SortPresence => "V6",
@@ -99,7 +99,7 @@ impl Invariant {
     pub fn name(self) -> &'static str {
         match self {
             Invariant::CapsAccess => "caps-access",
-            Invariant::DensityGate => "density-gate",
+            Invariant::OrderedIndex => "ordered-index",
             Invariant::NaivePurity => "naive-purity",
             Invariant::JoinKeys => "join-keys",
             Invariant::SortPresence => "sort-presence",
@@ -278,29 +278,12 @@ impl Verifier<'_> {
 
     fn expr(&mut self, e: &PlanExpr) {
         match e {
-            PlanExpr::Str(_) | PlanExpr::Num(_) | PlanExpr::Empty => {}
             PlanExpr::Var(v) => {
                 let bound = self.scope.iter().any(|s| s == v);
                 self.check(Invariant::VarScope, bound, || {
                     format!("variable ${v} is not bound in scope")
                 });
             }
-            PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {
-                for p in parts {
-                    self.expr(p);
-                }
-            }
-            PlanExpr::Cmp(_, a, b) | PlanExpr::Arith(_, a, b) | PlanExpr::Before(a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            PlanExpr::Neg(inner) => self.expr(inner),
-            PlanExpr::Call(_, args) => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            PlanExpr::Element(ctor) => self.ctor(ctor),
             PlanExpr::Some {
                 bindings,
                 satisfies,
@@ -317,23 +300,7 @@ impl Verifier<'_> {
             PlanExpr::Aggregate(a) => self.scoped("aggregate", |s| s.aggregate(a)),
             PlanExpr::Flwor(f) => self.scoped("flwor", |s| s.flwor(f)),
             PlanExpr::Lookup(l) => self.scoped("lookup", |s| s.lookup(l)),
-        }
-    }
-
-    fn ctor(&mut self, ctor: &PlanElement) {
-        for (_, parts) in &ctor.attrs {
-            for p in parts {
-                if let PlanAttrPart::Expr(e) = p {
-                    self.expr(e);
-                }
-            }
-        }
-        for c in &ctor.content {
-            match c {
-                PlanContent::Text(_) => {}
-                PlanContent::Expr(e) => self.expr(e),
-                PlanContent::Element(nested) => self.ctor(nested),
-            }
+            _ => e.for_each_child(&mut |c| self.expr(c)),
         }
     }
 
@@ -472,25 +439,14 @@ impl Verifier<'_> {
         let ast::NodeTest::Tag(tag) = &step.test else {
             return;
         };
-        // V2: re-run the density gate against the live element index.
+        // V2: the live element index can stab this store.
         let index = self.store.indexes().element(self.store);
-        self.check(Invariant::DensityGate, index.ordered(), || {
+        self.check(Invariant::OrderedIndex, index.ordered(), || {
             "IndexScan but the element index cannot serve this store (ids not pre-order)"
                 .to_string()
         });
         if index.ordered() {
             let postings = index.count(tag);
-            let nodes = self.store.node_count();
-            self.check(
-                Invariant::DensityGate,
-                postings * INDEX_SCAN_DENSITY <= nodes,
-                || {
-                    format!(
-                        "IndexScan over {tag:?} fails the density gate \
-                         ({postings} postings × {INDEX_SCAN_DENSITY} > {nodes} nodes)"
-                    )
-                },
-            );
             // V8: IndexScan estimates are the exact posting cardinality.
             self.check(
                 Invariant::CardConsistent,
@@ -723,163 +679,15 @@ fn id_pred_literal(pred: &PlanPred) -> Option<&str> {
 // ---- AST ↔ plan sort collection ------------------------------------------
 
 fn collect_ast_orders(e: &Expr, out: &mut Vec<bool>) {
-    match e {
-        Expr::Flwor(f) => {
-            out.extend(f.order_by.as_ref().map(|(_, asc)| *asc));
-            for c in &f.clauses {
-                match c {
-                    ast::Clause::For(_, src) | ast::Clause::Let(_, src) => {
-                        collect_ast_orders(src, out)
-                    }
-                }
-            }
-            if let Some(w) = &f.where_clause {
-                collect_ast_orders(w, out);
-            }
-            if let Some((k, _)) = &f.order_by {
-                collect_ast_orders(k, out);
-            }
-            collect_ast_orders(&f.ret, out);
-        }
-        Expr::Path { base, steps } => {
-            if let ast::PathBase::Expr(inner) = base {
-                collect_ast_orders(inner, out);
-            }
-            for s in steps {
-                for p in &s.preds {
-                    if let ast::Pred::Expr(inner) = p {
-                        collect_ast_orders(inner, out);
-                    }
-                }
-            }
-        }
-        Expr::Sequence(parts) | Expr::Or(parts) | Expr::And(parts) => {
-            for p in parts {
-                collect_ast_orders(p, out);
-            }
-        }
-        Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::Before(a, b) => {
-            collect_ast_orders(a, out);
-            collect_ast_orders(b, out);
-        }
-        Expr::Neg(inner) => collect_ast_orders(inner, out),
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_ast_orders(a, out);
-            }
-        }
-        Expr::Some {
-            bindings,
-            satisfies,
-        } => {
-            for (_, src) in bindings {
-                collect_ast_orders(src, out);
-            }
-            collect_ast_orders(satisfies, out);
-        }
-        Expr::Element(ctor) => collect_ctor_orders(ctor, out),
-        Expr::Str(_) | Expr::Num(_) | Expr::Empty | Expr::Var(_) => {}
+    if let Expr::Flwor(f) = e {
+        out.extend(f.order_by.as_ref().map(|(_, asc)| *asc));
     }
-}
-
-fn collect_ctor_orders(ctor: &ast::ElementCtor, out: &mut Vec<bool>) {
-    for (_, parts) in &ctor.attrs {
-        for p in parts {
-            if let ast::AttrPart::Expr(e) = p {
-                collect_ast_orders(e, out);
-            }
-        }
-    }
-    for c in &ctor.content {
-        match c {
-            ast::Content::Expr(e) => collect_ast_orders(e, out),
-            ast::Content::Element(nested) => collect_ctor_orders(nested, out),
-            ast::Content::Text(_) => {}
-        }
-    }
+    e.for_each_child(&mut |c| collect_ast_orders(c, out));
 }
 
 fn collect_plan_orders(e: &PlanExpr, out: &mut Vec<bool>) {
-    match e {
-        PlanExpr::Flwor(f) => {
-            out.extend(f.order_by.as_ref().map(|(_, asc)| *asc));
-            for c in &f.clauses {
-                match c {
-                    PlanClause::For(_, src) | PlanClause::Let(_, src) => {
-                        collect_plan_orders(src, out)
-                    }
-                }
-            }
-            for c in f.filters.iter().flatten() {
-                collect_plan_orders(c, out);
-            }
-            if let Some((k, _)) = &f.order_by {
-                collect_plan_orders(k, out);
-            }
-            collect_plan_orders(&f.ret, out);
-        }
-        PlanExpr::Path(p) => collect_plan_path_orders(p, out),
-        PlanExpr::Aggregate(a) => collect_plan_path_orders(&a.input, out),
-        PlanExpr::Lookup(l) => {
-            collect_plan_path_orders(&l.source, out);
-            collect_plan_orders(&l.key, out);
-            collect_plan_orders(&l.outer, out);
-        }
-        PlanExpr::Sequence(parts) | PlanExpr::Or(parts) | PlanExpr::And(parts) => {
-            for p in parts {
-                collect_plan_orders(p, out);
-            }
-        }
-        PlanExpr::Cmp(_, a, b) | PlanExpr::Arith(_, a, b) | PlanExpr::Before(a, b) => {
-            collect_plan_orders(a, out);
-            collect_plan_orders(b, out);
-        }
-        PlanExpr::Neg(inner) => collect_plan_orders(inner, out),
-        PlanExpr::Call(_, args) => {
-            for a in args {
-                collect_plan_orders(a, out);
-            }
-        }
-        PlanExpr::Some {
-            bindings,
-            satisfies,
-        } => {
-            for (_, src) in bindings {
-                collect_plan_orders(src, out);
-            }
-            collect_plan_orders(satisfies, out);
-        }
-        PlanExpr::Element(ctor) => collect_plan_ctor_orders(ctor, out),
-        PlanExpr::Str(_) | PlanExpr::Num(_) | PlanExpr::Empty | PlanExpr::Var(_) => {}
+    if let PlanExpr::Flwor(f) = e {
+        out.extend(f.order_by.as_ref().map(|(_, asc)| *asc));
     }
-}
-
-fn collect_plan_path_orders(p: &PathPlan, out: &mut Vec<bool>) {
-    if let PlanBase::Expr(inner) = &p.base {
-        collect_plan_orders(inner, out);
-    }
-    for s in &p.steps {
-        for pred in &s.preds {
-            if let PlanPred::Expr(inner) = pred {
-                collect_plan_orders(inner, out);
-            }
-        }
-    }
-}
-
-fn collect_plan_ctor_orders(ctor: &PlanElement, out: &mut Vec<bool>) {
-    for (_, parts) in &ctor.attrs {
-        for p in parts {
-            if let PlanAttrPart::Expr(e) = p {
-                collect_plan_orders(e, out);
-            }
-        }
-    }
-    for c in &ctor.content {
-        match c {
-            PlanContent::Expr(e) => collect_plan_orders(e, out),
-            PlanContent::Element(nested) => collect_plan_ctor_orders(nested, out),
-            PlanContent::Text(_) => {}
-        }
-    }
+    e.for_each_child(&mut |c| collect_plan_orders(c, out));
 }

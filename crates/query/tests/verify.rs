@@ -63,29 +63,22 @@ fn index_scan_on_capless_backend_is_rejected() {
 }
 
 #[test]
-fn dense_index_scan_fails_the_density_gate() {
-    // Nearly every node is an `a`: postings × 4 exceeds the node count,
-    // so the planner must not stab — forcing the annotation violates V2
-    // density-gate.
+fn dense_index_scan_verifies_clean() {
+    // Nearly every node is an `a`: the planner still stabs the element
+    // index, and V2 ordered-index holds on the store it planned against.
     let store = EdgeStore::load("<site><a/><a/><a/><a/><a/><a/></site>").unwrap();
     let mut compiled = compile(&store, "/site//a", PlanMode::Optimized);
     let path = body_path(&mut compiled);
-    let step = path.steps.last_mut().unwrap();
+    let step = path.steps.last().unwrap();
     assert!(
-        matches!(step.access, StepAccess::Generic),
-        "planner should have refused the stab on a dense tag"
+        matches!(step.access, StepAccess::IndexScan),
+        "the planner stabs a dense tag too"
     );
-    step.access = StepAccess::IndexScan;
+    assert_eq!(step.est_rows, 6, "the estimate is the exact posting count");
 
     let report = verify_plan(&compiled.plan, &store);
-    assert!(report.violations_of(Invariant::DensityGate) > 0, "{report}");
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.message.contains("density gate")),
-        "diagnostic names the gate:\n{report}"
-    );
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.checks(Invariant::OrderedIndex), 1);
 }
 
 #[test]

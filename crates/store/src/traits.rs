@@ -300,27 +300,15 @@ pub trait XmlStore: Send + Sync {
     fn attributes_iter(&self, n: Node) -> AttrIter<'_>;
 
     /// Cursor over element children with the given tag, in document order.
-    ///
-    /// The default filters [`XmlStore::children_iter`] through
-    /// [`XmlStore::tag_of`]; backends override it with a cursor that tests
-    /// tags natively (interned symbols, tag codes, per-tag fragments).
-    fn children_named_iter<'a>(&'a self, n: Node, tag: &'a str) -> ChildrenNamed<'a> {
-        let matched: Vec<Node> = self
-            .children_iter(n)
-            .filter(|&c| self.tag_of(c) == Some(tag))
-            .collect();
-        ChildrenNamed::from_vec(matched)
-    }
+    /// Backends test tags natively (interned symbols, tag codes, per-tag
+    /// fragments).
+    fn children_named_iter<'a>(&'a self, n: Node, tag: &'a str) -> ChildrenNamed<'a>;
 
     /// Cursor over descendant elements with the given tag, in document
-    /// order.
-    ///
-    /// The default is [`descendants_by_cursors`]; every backend overrides
-    /// it with its native access path (tag extents, stab joins, summary
-    /// extents, stackless DOM walks).
-    fn descendants_named_iter<'a>(&'a self, n: Node, tag: &'a str) -> DescendantsNamed<'a> {
-        descendants_by_cursors(self, n, tag)
-    }
+    /// order, through the backend's native access path (tag extents, stab
+    /// joins, summary extents, stackless DOM walks);
+    /// [`descendants_by_cursors`] is the generic walk over the cursors.
+    fn descendants_named_iter<'a>(&'a self, n: Node, tag: &'a str) -> DescendantsNamed<'a>;
 
     // ---- derived / accelerated access paths -----------------------------
 
@@ -416,8 +404,9 @@ pub fn string_value_by_cursors<S: XmlStore + ?Sized>(store: &S, n: Node, out: &m
 }
 
 /// The `tag` descendants of `n` in document order, collected by a
-/// depth-first walk over the streaming cursors — the default
-/// [`XmlStore::descendants_named_iter`].
+/// depth-first walk over the streaming cursors: a snapshot's fallback
+/// for [`XmlStore::descendants_named_iter`] where no index can stab, and
+/// the reference its overlay scans are tested against.
 pub fn descendants_by_cursors<'a, S: XmlStore + ?Sized>(
     store: &S,
     n: Node,

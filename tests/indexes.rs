@@ -1,7 +1,7 @@
 //! The persistent index subsystem, end to end: one `@id` code path across
 //! all seven backends, warm-index execution equivalent to the naive
-//! specification, exactly-once builds under concurrency, and the
-//! planner's density gate for IndexScan.
+//! specification, exactly-once builds under concurrency, and where the
+//! planner chooses an IndexScan.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -287,36 +287,30 @@ fn value_slots(store: &dyn XmlStore) -> BTreeSet<String> {
     built.into_iter().map(|(sig, _, _)| sig).collect()
 }
 
-/// Satellite: the cost gate. Sparse postings plan an IndexScan; dense
-/// postings (most of the store matches) fall back to the streamed axis
-/// scan, whose sequential locality wins.
+/// Satellite: a predicate-free descendant tag step plans an IndexScan
+/// however many of the store's nodes its tag holds, and the plan
+/// verifies clean; backends with native extents never plan one.
 #[test]
-fn planner_gates_index_scans_on_posting_density() {
+fn planner_plans_index_scans_for_sparse_and_dense_tags() {
     // Sparse: two <needle> among hundreds of <hay>.
     let sparse_xml = format!(
         "<site>{}<needle/><needle/></site>",
         "<hay><straw/></hay>".repeat(100)
     );
     let sparse = NaiveStore::load(&sparse_xml).unwrap();
-    let plan = compile("/site//needle", &sparse).unwrap().explain();
-    assert!(
-        plan.contains("->idx"),
-        "sparse postings must plan an IndexScan:\n{plan}"
-    );
-
-    // Dense: <hay> is most of the document — streamed scan wins.
+    // Dense: <hay> is nearly every node of the document.
     let dense = NaiveStore::load(&format!("<site>{}</site>", "<hay/>".repeat(100))).unwrap();
-    let plan = compile("/site//hay", &dense).unwrap().explain();
-    assert!(
-        !plan.contains("->idx"),
-        "dense postings must fall back to the streamed scan:\n{plan}"
-    );
-
-    // The gate is per step: both can appear in one query.
-    let plan = compile("count(/site//needle) + count(/site//hay)", &sparse)
-        .unwrap()
-        .explain();
-    assert!(plan.contains("count(//needle)"));
+    for (store, text) in [(&sparse, "/site//needle"), (&dense, "/site//hay")] {
+        let compiled = compile(text, store).unwrap();
+        let plan = compiled.explain();
+        assert!(
+            plan.contains("->idx"),
+            "{text} must plan an IndexScan:\n{plan}"
+        );
+        let report = xmark::query::verify_plan(&compiled.plan, store);
+        assert!(report.is_clean(), "{text}:\n{report}");
+        assert_eq!(report.checks(xmark::query::Invariant::OrderedIndex), 1);
+    }
 
     // Backends whose native descendant access is already extent-based
     // never plan IndexScans (their architecture is the index).
