@@ -329,7 +329,12 @@ pub struct PathPlan {
     /// workload, medians with → without): `lookup_paged` qps 594.8 →
     /// 530.4 (4/4 pairs); `mixed_rw` qps 580.3 → 496.6 (3/4 pairs) and
     /// `lat_geo_p50_ms` 0.533 → 0.663; `lookup_mem` qps 1104 → 1070
-    /// (noise); `suite_all` qps 224.1 → 222.3 (flat).
+    /// (noise); `suite_all` qps 224.1 → 222.3 (flat). A later probe of
+    /// the same ablation, once commits carried the `cvals|` maps
+    /// unchanged (`--seconds 10 --trace 0`, 4 alternating
+    /// `lookup_paged` pairs): qps 700.5 / 731.3 / 767.4 / 788.9 with the
+    /// tail against 659.3 / 659.2 / 663.5 / 671.6 without (4/4), for
+    /// `space_ratio` 1.711 against 1.640. The tail stays.
     pub value_tail: Option<String>,
     /// Estimated output cardinality (0 = unknown).
     pub est_rows: u64,

@@ -403,11 +403,15 @@ enum Stage<'a> {
     /// straight off the index), so early termination never drains the
     /// upstream. Only pushed when the upstream cannot nest and the
     /// index resolved at open time; otherwise the two generic steps
-    /// are planned instead. `active` is the context being read and the
-    /// position of its next text node.
+    /// are planned instead. `active` is the context being read, the
+    /// position of its next text node, and whether the store vouches
+    /// for the context's index entry
+    /// ([`XmlStore::indexed_child_values`]); a declined context's text
+    /// nodes are found by walking its `tag` children instead.
     ValueTail {
         values: Arc<ChildValues>,
-        active: Option<(Node, usize)>,
+        tag: &'a str,
+        active: Option<(Node, usize, bool)>,
     },
 }
 
@@ -549,8 +553,15 @@ impl<'a> PathCursor<'a> {
                 }
                 if let Some(tag) = &p.value_tail {
                     if let Some(values) = ev.child_values(tag, materializing) {
-                        let active = None;
-                        stages.push_within(Stage::ValueTail { values, active }, total);
+                        let (tag, active) = (tag.as_str(), None);
+                        stages.push_within(
+                            Stage::ValueTail {
+                                values,
+                                tag,
+                                active,
+                            },
+                            total,
+                        );
                         i += 2;
                         continue;
                     }
@@ -675,24 +686,51 @@ fn pull_through<'a>(
             };
             iter.next().map(Ok)
         }
-        Stage::ValueTail { values, active } => loop {
-            if let Some((n, pos)) = active {
-                if let Some(&id) = values.get(*n).get(*pos) {
+        Stage::ValueTail {
+            values,
+            tag,
+            active,
+        } => loop {
+            if let Some((n, pos, covered)) = active {
+                let next = if *covered {
+                    values.get(*n).get(*pos).map(|&id| Node(id))
+                } else {
+                    nth_child_text(ev.store, *n, tag, *pos)
+                };
+                if let Some(id) = next {
+                    if !*covered {
+                        ev.count_pulls(1);
+                    }
                     *pos += 1;
-                    return Some(Ok(Item::Node(Node(id))));
+                    return Some(Ok(Item::Node(id)));
                 }
                 *active = None;
             }
             match pull_through(ev, source, upstream, env)? {
                 Err(e) => return Some(Err(e)),
                 Ok(Item::Node(n)) => {
-                    ev.count_pulls(values.get(n).len() as u64);
-                    *active = Some((n, 0));
+                    let entry = ev.store.indexed_child_values(values, n);
+                    if let Some(texts) = entry {
+                        ev.count_pulls(texts.len() as u64);
+                    }
+                    *active = Some((n, 0, entry.is_some()));
                 }
                 Ok(_) => return Some(Err(EvalError::PathOverNonNode)),
             }
         },
     }
+}
+
+/// The `pos`-th text node, in document order, among the children of
+/// `n`'s `tag` children: what a [`Stage::ValueTail`] emits for a context
+/// whose index entry the store declines. Recounts from the first child
+/// on every call, which keeps the stage free of a per-context buffer;
+/// XMark's tails hold one text node per `tag` child.
+fn nth_child_text(store: &dyn XmlStore, n: Node, tag: &str, pos: usize) -> Option<Node> {
+    store
+        .children_named_iter(n, tag)
+        .flat_map(|c| store.children_iter(c).filter(|&t| store.is_text_node(t)))
+        .nth(pos)
 }
 
 /// Drain everything the upstream pipeline still has — the entry into a

@@ -26,7 +26,7 @@
 //!   eight* backends; the per-backend `@id` hash maps are retired.
 //! * **Value indexes** — planner-signature-keyed slots holding the query
 //!   layer's Lookup indexes (keys sorted by number and by text → source
-//!   positions) and path memos.
+//!   positions), path memos and child-value maps ([`ChildValues`]).
 //!   Every signature names a loop-invariant structure (an absolute
 //!   path, or a (source, key) pair), so a built slot is valid for
 //!   the lifetime of the store; repeated executions of the join queries
@@ -58,7 +58,11 @@
 //! the base's `@id` index, shared by every snapshot, and correct it
 //! through the snapshot's delta. Snapshots number inserted nodes above
 //! the base range, so neither build scan would be valid over one: both
-//! indexes come seeded, and no snapshot builds them.
+//! indexes come seeded, and no snapshot builds them. A commit carries
+//! the `cvals|` child-value maps unchanged, whichever epoch built them,
+//! and readers take an entry only where
+//! [`XmlStore::indexed_child_values`] vouches for it (a clean subtree);
+//! every other value slot is dropped.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -241,6 +245,10 @@ impl AttrIndex {
 /// order — mixed content yields several, an empty child none). Storing
 /// node ids rather than strings keeps the rewrite invisible to every
 /// downstream operator, including node-order comparison (`<<`).
+///
+/// Read it through [`XmlStore::indexed_child_values`]: a snapshot
+/// overlay carries the map across commits unchanged, so an entry is
+/// exact only where the store vouches for it.
 pub struct ChildValues {
     map: HashMap<u32, Vec<u32>>,
 }
@@ -262,17 +270,6 @@ impl ChildValues {
             }
         }
         ChildValues { map }
-    }
-
-    /// Assemble from a pre-computed map — the transaction layer's
-    /// `cvals|` patch.
-    pub fn from_map(map: HashMap<u32, Vec<u32>>) -> ChildValues {
-        ChildValues { map }
-    }
-
-    /// A copy of the underlying map, for copy-on-write maintenance.
-    pub fn clone_map(&self) -> HashMap<u32, Vec<u32>> {
-        self.map.clone()
     }
 
     /// The `tag/text()` nodes under parent `n` (empty when it has no
@@ -451,9 +448,12 @@ impl IndexManager {
     }
 
     /// A successor manager pre-populated with structures carried over
-    /// (and patched) from this one — the transaction layer's commit path.
-    /// The successor shares this manager's build/hit counters; seeded
-    /// structures count as neither builds nor hits until probed.
+    /// unchanged from this one — the transaction layer's commit path,
+    /// which carries the `cvals|` slots and the `@id` index and drops
+    /// every other slot (a fold of a delta into a new base would have to
+    /// drop the `cvals|` slots too, as their ids would change). The successor shares this manager's build/hit
+    /// counters; seeded structures count as neither builds nor hits until
+    /// probed.
     pub fn seeded(
         &self,
         element: ElementIndex,
@@ -481,7 +481,8 @@ impl IndexManager {
     }
 
     /// Every filled value slot `(signature, structure, bytes)` — what a
-    /// commit filters through signature invalidation and carries forward.
+    /// commit filters: `cvals|` slots are carried, every other slot
+    /// dropped.
     pub fn built_values(&self) -> Vec<(String, Arc<dyn Any + Send + Sync>, usize)> {
         // Release the map before waiting on any slot: a build holds its
         // slot while it probes other slots through the map.

@@ -24,7 +24,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use crate::axis::{AttrIter, ChildIter, ChildrenNamed, DescendantsNamed};
-use crate::index::IndexManager;
+use crate::index::{ChildValues, IndexManager};
 
 /// A node handle. All stores number nodes in document (pre-)order during
 /// bulkload, but handle order is not document order in general: snapshot
@@ -337,6 +337,16 @@ pub trait XmlStore: Send + Sync {
     /// Outer `None` = not inlined here; inner `None` = inlined but NULL.
     fn typed_child_value(&self, _n: Node, _tag: &str) -> Option<Option<String>> {
         None
+    }
+
+    /// `values`' entry for `n` — the text nodes of `n`'s `tag` children,
+    /// as this store's child-value index of `tag` recorded them — *if*
+    /// that entry is exact here. Outer `None` = not covered: the caller
+    /// walks `n`'s `tag` children itself. The default trusts the index;
+    /// a snapshot overlay, whose index may have been built over an
+    /// earlier epoch, answers only for a clean subtree.
+    fn indexed_child_values<'v>(&self, values: &'v ChildValues, n: Node) -> Option<&'v [u32]> {
+        Some(values.get(n))
     }
 
     /// Positional child access (`bidder[1]`, `bidder[last()]`) if the store

@@ -16,9 +16,9 @@
 //!    │ snapshot() ──► Arc ──┼──┐   │ begin() ──► Transaction (ops)  │
 //!    │   pin epoch N        │  │   │ commit():                      │
 //!    └──────────────────────┘  │   │   1. re-check epoch (conflict) │
-//!        never blocks,         │   │   2. apply ops to a *copy* of  │
-//!        never sees N+1        │   │      the delta (O(changes))    │
-//!        mid-request           │   │   3. carry indexes forward     │
+//!        never blocks,         │   │   2. carry indexes forward     │
+//!        never sees N+1        │   │   3. apply ops to a *copy* of  │
+//!        mid-request           │   │      the delta (O(changes))    │
 //!                              │   │   4. WAL append + force (H)    │
 //!                              └── │   5. publish epoch N+1         │
 //!                                  └────────────────────────────────┘
@@ -45,13 +45,17 @@
 //!   built once by [`VersionedStore::new`], and
 //!   [`SnapshotStore`]'s `lookup_id` corrects it through the delta (see
 //!   below); every snapshot after the first gets an empty element
-//!   index. `cvals` typed-value slots are patched surgically, and every
-//!   other value slot (Lookup indexes, path materializations) survives **iff** its planner signature mentions
-//!   no touched tag or attribute name — signature-keyed invalidation
-//!   instead of a full rebuild. Compiled
-//!   plans need no invalidation at all: every access path a plan can
-//!   pick falls back at execution time on a snapshot that cannot serve
-//!   it, so a plan cache keyed on query text stays valid across commits.
+//!   index. `cvals|` typed-value slots are carried unchanged, and
+//!   every other value slot (Lookup indexes, path materializations) is
+//!   dropped, to rebuild on its next use. A carried map is never
+//!   patched: [`SnapshotStore`] vouches for a node's entry only while
+//!   the node's subtree is clean, and value tails walk the children of
+//!   any node it declines. A future fold of the delta into a new base
+//!   must drop the carried `cvals|` slots, whose ids it renumbers.
+//!   Compiled plans need no invalidation at all: every access path a
+//!   plan can pick falls back at execution time on a snapshot that
+//!   cannot serve it, so a plan cache keyed on query text stays valid
+//!   across commits.
 //! * **Durability on backend H.** When the base store exposes a WAL
 //!   ([`xmark_store::XmlStore::txn_wal`]), commit appends logical
 //!   redo/undo records (`TxnBegin … TxnCommit`) and forces the log
@@ -78,8 +82,8 @@
 //! sorts its output by the same key, never by raw id.
 //!
 //! A commit reads its own in-progress state through a *working*
-//! [`SnapshotStore`] — the same overlay readers use — and publishes that
-//! snapshot once its indexes are carried forward. The reload oracle in
+//! [`SnapshotStore`] — the same overlay readers use, holding the indexes
+//! carried forward — and publishes that snapshot. The reload oracle in
 //! the integration tests checks the result: an updated snapshot answers
 //! exactly like a fresh bulkload of its own serialization.
 //!

@@ -11,7 +11,8 @@
 //! ancestor lies in the node's base subtree. Only an inserted context
 //! node walks its (small) subtree through the overlay's cursors. The
 //! other subtree-granular *fast paths* (inlined typed values,
-//! positional probes) delegate to the base only when the delta's
+//! positional probes, carried child-value maps) delegate to the base, or
+//! trust the map, only when the delta's
 //! touched-interval gate proves the whole subtree unmodified; in dirty
 //! regions they answer `None`, which the query layer's established
 //! outer-`None` contract turns into a generic fallback. Serialization
@@ -29,8 +30,8 @@ use std::sync::{Arc, OnceLock};
 use xmark_store::paged::{LogManager, PoolStats};
 use xmark_store::{
     descendants_by_cursors, serialize_by_cursors, string_value_by_cursors, AttrIter, ChildIter,
-    ChildrenNamed, DescendantsNamed, IndexManager, Node, PlannerCaps, PositionSpec, StepEstimate,
-    SystemId, XmlStore,
+    ChildValues, ChildrenNamed, DescendantsNamed, IndexManager, Node, PlannerCaps, PositionSpec,
+    StepEstimate, SystemId, XmlStore,
 };
 
 use crate::delta::{base_rank, DeltaState, InsertedPosting};
@@ -75,11 +76,6 @@ impl SnapshotStore {
         self.inserted_postings.take();
         self.id_holders.take();
         &mut self.delta
-    }
-
-    /// Hand a working snapshot the indexes its commit maintained.
-    pub(crate) fn install_indexes(&mut self, indexes: IndexManager) {
-        self.indexes = indexes;
     }
 
     pub(crate) fn base(&self) -> &Arc<dyn XmlStore> {
@@ -140,6 +136,12 @@ impl XmlStore for SnapshotStore {
         self.base.node_count() - self.delta.deleted_base.len() + self.delta.inserted.len()
     }
 
+    /// The base's resident bytes plus the delta's. Leaves out this
+    /// snapshot's own [`IndexManager`] — its `cvals|` maps, Lookup
+    /// sides, path memos, and the `@id` index built into epoch 0 — so
+    /// it undercounts the trait's "whatever the shared IndexManager has
+    /// built"; counting it would move every versioned store's reported
+    /// size.
     fn size_bytes(&self) -> usize {
         self.base.size_bytes() + self.delta.size_bytes()
     }
@@ -306,6 +308,12 @@ impl XmlStore for SnapshotStore {
         // Dirty region: report "not inlined" so the evaluator computes
         // the value generically through the overlay cursors.
         None
+    }
+
+    /// A carried child-value map may predate this epoch: its entry for
+    /// `n` is exact only while `n`'s subtree is clean.
+    fn indexed_child_values<'v>(&self, values: &'v ChildValues, n: Node) -> Option<&'v [u32]> {
+        self.delta.subtree_clean(n).then(|| values.get(n))
     }
 
     fn positional_child(&self, n: Node, tag: &str, pos: PositionSpec) -> Option<Option<Node>> {

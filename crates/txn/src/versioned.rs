@@ -3,11 +3,11 @@
 //!
 //! Writers never mutate published state: a commit builds a *working*
 //! snapshot over a clone of the current delta (cheap — per-entry
-//! payloads are `Arc`-shared), applies the transaction's operations to
-//! it while reading the in-progress state through the same overlay
-//! readers use, derives the successor's indexes, makes the
-//! commit durable through the base's WAL when it has one, and only then
-//! publishes the working snapshot. Readers pin whatever snapshot was
+//! payloads are `Arc`-shared) and the indexes carried forward from the
+//! current snapshot, applies the transaction's operations to it while
+//! reading the in-progress state through the same overlay readers use,
+//! makes the commit durable through the base's WAL when it has one, and
+//! only then publishes the working snapshot. Readers pin whatever snapshot was
 //! current when they arrived and are never blocked or torn.
 
 use std::borrow::Cow;
@@ -22,7 +22,7 @@ use xmark_store::{IndexManager, Node, StoreSource, XmlStore};
 use xmark_xml::parse_document;
 
 use crate::delta::{DeltaState, InsertedNode};
-use crate::indexes::{maintain, Changes, DeletedElem, InsertedElem};
+use crate::indexes::maintain;
 use crate::snapshot::SnapshotStore;
 
 /// Why a transaction could not commit (or an operation was rejected).
@@ -177,13 +177,9 @@ impl VersionedStore {
             builder.apply(op)?;
         }
         let DeltaBuilder {
-            mut work,
-            changes,
-            records,
-            ..
+            mut work, records, ..
         } = builder;
         work.delta_mut().epoch = cur.epoch() + 1;
-        work.install_indexes(maintain(&cur, &work, &changes));
         if log {
             if let Some(wal) = self.base.txn_wal() {
                 wal.append(&LogRecord::TxnBegin { txn });
@@ -268,13 +264,13 @@ impl Transaction {
 }
 
 /// The writer-private state of one commit: a working snapshot over a
-/// copy-on-write clone of the predecessor delta, plus the change journal
-/// index maintenance consumes and the WAL records the commit appends.
+/// copy-on-write clone of the predecessor delta and the indexes carried
+/// forward from the predecessor, plus the WAL records the commit
+/// appends.
 /// Every read of the in-progress state, the delete's undo image
 /// included, goes through the working snapshot's [`XmlStore`] impl.
 struct DeltaBuilder {
     work: SnapshotStore,
-    changes: Changes,
     txn: u64,
     records: Vec<LogRecord>,
 }
@@ -285,9 +281,8 @@ impl DeltaBuilder {
             work: SnapshotStore::assemble(
                 Arc::clone(cur.base()),
                 cur.delta().clone(),
-                IndexManager::new(),
+                maintain(cur),
             ),
-            changes: Changes::default(),
             txn,
             records: Vec::new(),
         }
@@ -304,19 +299,6 @@ impl DeltaBuilder {
             }
         }
         self.work.delta_mut().touch(x.0, x.0);
-    }
-
-    /// Record the element tags on the path from `n` (inclusive) to the
-    /// root — paths and join keys mentioning any of them may observe
-    /// the change.
-    fn touch_ancestor_tags(&mut self, n: Node) {
-        let mut x = Some(n);
-        while let Some(node) = x {
-            if let Some(tag) = self.work.tag_of(node) {
-                self.changes.touched_tags.insert(tag.to_string());
-            }
-            x = self.work.parent(node);
-        }
     }
 
     /// Apply `edit` to `parent`'s child list in the working delta.
@@ -433,20 +415,6 @@ impl DeltaBuilder {
                     .iter()
                     .map(|(sym, value)| (doc.interner().resolve(*sym).to_string(), value.clone()))
                     .collect();
-                self.changes.touched_tags.insert(tag.to_string());
-                for (name, _) in &attrs {
-                    self.changes.touched_tags.insert(name.clone());
-                }
-                self.changes.inserted_elems.push(InsertedElem {
-                    id,
-                    tag: tag.to_string(),
-                    parent: node_parent,
-                    text_children: doc
-                        .children(doc_node)
-                        .filter(|&c| !doc.is_element(c))
-                        .map(id_of)
-                        .collect(),
-                });
                 InsertedNode {
                     tag: Some(tag.into()),
                     text: Box::default(),
@@ -472,9 +440,7 @@ impl DeltaBuilder {
         // Hook the fragment root into the parent's child list.
         self.edit_children(parent, |kids| kids.push(first_id));
 
-        // Gate + change journal.
         self.touch_anchor(parent);
-        self.touch_ancestor_tags(parent);
         self.records.push(LogRecord::TxnInsert {
             txn: self.txn,
             parent: parent.0,
@@ -502,25 +468,6 @@ impl DeltaBuilder {
         while i < doomed.len() {
             doomed.extend(self.work.children_iter(doomed[i]));
             i += 1;
-        }
-
-        self.touch_ancestor_tags(parent);
-        for &n in &doomed {
-            let n_parent = self.work.parent(n).unwrap_or(parent).0;
-            if let Some(tag) = self.work.tag_of(n) {
-                self.changes.touched_tags.insert(tag.to_string());
-                for (name, _) in self.work.attributes_iter(n) {
-                    self.changes.touched_tags.insert(name.to_string());
-                }
-                self.changes.deleted_elems.push(DeletedElem {
-                    id: n.0,
-                    tag: tag.to_string(),
-                    parent: n_parent,
-                });
-            } else {
-                self.changes.deleted_texts.push((n.0, n_parent));
-            }
-            self.changes.deleted_ids.insert(n.0);
         }
 
         // Unhook from the parent, then tombstone / drop each node.
@@ -573,7 +520,6 @@ impl DeltaBuilder {
             }
         }
         self.touch_anchor(node);
-        self.touch_ancestor_tags(node);
         self.records.push(LogRecord::TxnSetText {
             txn: self.txn,
             node: node.0,
@@ -611,8 +557,6 @@ impl DeltaBuilder {
             }
         }
         self.touch_anchor(node);
-        self.touch_ancestor_tags(node);
-        self.changes.touched_tags.insert(name.to_string());
         self.records.push(LogRecord::TxnSetAttr {
             txn: self.txn,
             node: node.0,

@@ -4,7 +4,8 @@
 //! serialization), plan portability (a plan compiled at one epoch ==
 //! a fresh compile at another), multi-op transactions == the same ops
 //! committed one by one, the index oracle (every `lookup_id` and
-//! patched slot == rebuilt-from-scratch), the overlay-scan oracle
+//! carried child-value answer == rebuilt-from-scratch, and commits carry
+//! `cvals|` slots and drop every other), the overlay-scan oracle
 //! (snapshot descendant scans == a walk of the overlay's cursors), WAL
 //! crash recovery on backend H, and non-blocking readers under a
 //! concurrent writer, whose cached plans and index counters span every
@@ -12,7 +13,8 @@
 
 mod common;
 
-use std::collections::{BTreeSet, HashMap};
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -499,15 +501,6 @@ fn one_transaction_equals_its_ops_committed_one_by_one() {
 
 // ---- index-maintenance oracle ---------------------------------------------
 
-/// Normalize a child-values map for comparison: a maintained map may
-/// keep an entry whose vec emptied out, a rebuilt one may omit it —
-/// both answer `get()` with the empty slice.
-fn normalized(
-    map: std::collections::HashMap<u32, Vec<u32>>,
-) -> std::collections::BTreeMap<u32, Vec<u32>> {
-    map.into_iter().filter(|(_, v)| !v.is_empty()).collect()
-}
-
 /// Every `id` value an element of `s` carries, mapped to its first
 /// holder in document order: a pre-order walk of `s`'s cursors. (A
 /// snapshot numbers inserted nodes above the base, so the `@id` index's
@@ -525,13 +518,37 @@ fn first_holders(s: &dyn XmlStore) -> HashMap<String, Node> {
     holders
 }
 
+/// Every element of `s`, by a pre-order walk of its cursors.
+fn live_elements(s: &dyn XmlStore) -> Vec<Node> {
+    let mut out = Vec::new();
+    let mut stack = vec![s.root()];
+    while let Some(n) = stack.pop() {
+        if s.tag_of(n).is_some() {
+            out.push(n);
+            stack.extend(s.children_iter(n));
+        }
+    }
+    out
+}
+
+/// The text nodes of `n`'s `tag` children, walked through the overlay's
+/// cursors: what a value tail reads for a context the store declines.
+fn walked_child_values(s: &dyn XmlStore, n: Node, tag: &str) -> Vec<u32> {
+    s.children_named_iter(n, tag)
+        .flat_map(|c| s.children_iter(c).filter(|&t| s.is_text_node(t)))
+        .map(|t| t.0)
+        .collect()
+}
+
 /// Assert the indexes of `snap`, a post-commit snapshot, answer
 /// identically to a fresh rebuild over the same snapshot: its element
 /// index holds no postings (readers stab the base's through the
 /// cursors), `lookup_id` of every value in `ever_held` — each value any
 /// holder ever carried — names the first holder in document order, or
-/// nothing once no element holds it, and the maintained child-value
-/// slots match.
+/// nothing once no element holds it, and every element's child values —
+/// the carried map's entry where the snapshot vouches for it, else the
+/// overlay walk — equal the rebuilt map's. A carried map's own entries
+/// are stale by design wherever the snapshot is dirty.
 fn assert_indexes_match_rebuild(snap: &SnapshotStore, ever_held: &BTreeSet<String>, context: &str) {
     let kept = snap.indexes().element(snap);
     assert!(
@@ -549,21 +566,29 @@ fn assert_indexes_match_rebuild(snap: &SnapshotStore, ever_held: &BTreeSet<Strin
     }
 
     let rebuilt = IndexManager::new();
+    let elements = live_elements(snap);
     for tag in ["increase", "current"] {
         let kept_cv = snap.indexes().child_values(snap, tag);
         let fresh_cv = rebuilt.child_values(snap, tag);
-        assert_eq!(
-            normalized(kept_cv.clone_map()),
-            normalized(fresh_cv.clone_map()),
-            "{context}: cvals|{tag} drifted"
-        );
+        for &p in &elements {
+            let answer = match snap.indexed_child_values(&kept_cv, p) {
+                Some(texts) => texts.to_vec(),
+                None => walked_child_values(snap, p, tag),
+            };
+            assert_eq!(
+                answer,
+                fresh_cv.get(p),
+                "{context}: cvals|{tag} answers drifted at node {}",
+                p.0
+            );
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The oracle: after a randomized update sequence, the maintained
+    /// The oracle: after a randomized update sequence, the carried
     /// index manager answers identically to one rebuilt from scratch
     /// over each snapshot — on every backend.
     #[test]
@@ -644,6 +669,96 @@ fn id_lookups_follow_deletes_rewrites_and_duplicates() {
         step("person gone", &|_, txn| txn.delete_subtree(person));
         step("taken id", &|s, txn| {
             txn.replace_attr(items(s)[1], "id", &taken)
+        });
+    }
+}
+
+/// The filled value slots of `snap`'s manager, by signature.
+fn value_slots(snap: &SnapshotStore) -> BTreeMap<String, Arc<dyn Any + Send + Sync>> {
+    let slots = snap.indexes().built_values().into_iter();
+    slots.map(|(sig, value, _)| (sig, value)).collect()
+}
+
+/// Carried child-value maps, one commit at a time on every backend.
+/// `cvals|increase` is warmed by a materializing `sum`; then a bidder
+/// insert, an `increase` rewrite and a bidder delete commit, and
+/// `cvals|current` is first built on the dirty snapshot before a last
+/// commit inserts an auction and rewrites a price. Each commit carries
+/// every `cvals|` slot as the predecessor's `Arc` and drops every other
+/// slot, and the streamed value tails (read through the snapshot's
+/// clean gate) equal the naive plan's walks. System C plans these tails
+/// over its entity columns, so there the slots are built directly.
+#[test]
+fn commits_carry_child_value_maps_behind_the_clean_gate() {
+    const TAILS: [&str; 4] = [
+        "for $b in /site/open_auctions/open_auction/bidder return $b/increase/text()",
+        "sum(/site/open_auctions/open_auction/bidder/increase/text())",
+        "for $a in /site/open_auctions/open_auction return $a/current/text()",
+        "sum(/site/open_auctions/open_auction/current/text())",
+    ];
+    const AUCTION: &str =
+        r#"<open_auction id="txnauction1"><current>1.00</current></open_auction>"#;
+    let doc = generate_document(0.001);
+    for system in SystemId::EXTENDED {
+        let versioned = VersionedStore::new(Arc::from(load_system(system, &doc.xml).store));
+        // The `sum` over `tag`'s value tail builds its slot.
+        let warm = |snap: &SnapshotStore, tag: &str, sum: &str| {
+            run_on(&compile(sum, snap).expect("compiles"), snap);
+            let sig = format!("cvals|{tag}");
+            if !value_slots(snap).contains_key(&sig) {
+                assert_eq!(system, SystemId::C, "{system}: `{sum}` built no {sig}");
+                snap.indexes().child_values(snap, tag);
+            }
+        };
+        let check = |snap: &SnapshotStore, context: &str| {
+            for text in TAILS {
+                let naive = compile_with_mode(text, snap, PlanMode::Naive).expect("compiles");
+                assert_eq!(
+                    run_on(&compile(text, snap).expect("compiles"), snap),
+                    run_on(&naive, snap),
+                    "{system}: `{text}` {context}"
+                );
+            }
+        };
+        let commit = |name: &str, stage: &dyn Fn(&dyn XmlStore, &mut Transaction)| {
+            let mut before = value_slots(&versioned.snapshot());
+            let count = before.len();
+            before.retain(|sig, _| sig.starts_with("cvals|"));
+            assert!(before.len() < count, "{system}: no slot to drop by {name}");
+            let snap = commit_with(&versioned, |s, txn| stage(s, txn));
+            let after = value_slots(&snap);
+            let kept: Vec<_> = after.keys().collect();
+            assert_eq!(kept, before.keys().collect::<Vec<_>>(), "{system}: {name}");
+            for (sig, value) in &before {
+                assert!(
+                    Arc::ptr_eq(value, &after[sig]),
+                    "{system}: {sig} was rebuilt or copied by {name}"
+                );
+            }
+            check(&snap, &format!("after {name}"));
+            snap
+        };
+
+        let snap = versioned.snapshot();
+        warm(&snap, "increase", TAILS[1]);
+        check(&snap, "at epoch 0");
+        commit("a bidder insert", &|s, txn| {
+            txn.insert_subtree(descend(s, &["open_auctions", "open_auction"]), NEW_BIDDER)
+        });
+        commit("an increase rewrite", &|s, txn| {
+            let increase = descend(s, &["open_auctions", "open_auction", "bidder", "increase"]);
+            txn.replace_text(first_text_child(s, increase), "13.37")
+        });
+        let snap = commit("a bidder delete", &|s, txn| {
+            let last = s.descendants_named_iter(s.root(), "bidder").last();
+            txn.delete_subtree(last.expect("some auction has bidders"))
+        });
+        warm(&snap, "current", TAILS[3]);
+
+        commit("an auction insert and a price rewrite", &|s, txn| {
+            txn.insert_subtree(descend(s, &["open_auctions"]), AUCTION);
+            let current = descend(s, &["open_auctions", "open_auction", "current"]);
+            txn.replace_text(first_text_child(s, current), "424.42");
         });
     }
 }
