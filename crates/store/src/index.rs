@@ -96,39 +96,55 @@ pub struct ElementIndex {
 impl ElementIndex {
     /// Build by one ascending scan of the ids `0..count`, reading only
     /// parents and tags (a walk over `children_iter` costs System B one
-    /// probe per fragment per node). The scan checks the pre-order
-    /// numbering against a stack of open ancestors: `0` is the root, each
-    /// later node's parent is open, and the nodes popped to reach it end
-    /// their subtrees just before this id. A failed check yields the
-    /// default, unordered index.
+    /// probe per fragment per node). `scan` feeds every node's
+    /// `(id, parent, tag)` to its visitor in id order, as
+    /// [`XmlStore::for_each_parent_and_tag`] does. The scan checks the
+    /// pre-order numbering against a stack of open ancestors: `0` is the
+    /// root, each later node's parent is open, and the nodes popped to
+    /// reach it end their subtrees just before this id. A failed check,
+    /// or a scan that skips or repeats an id, yields the default,
+    /// unordered index.
     fn build<'s>(
         root: Node,
         count: usize,
-        parent: impl Fn(Node) -> Option<Node>,
-        tag_of: impl Fn(Node) -> Option<&'s str>,
+        scan: impl FnOnce(&mut dyn FnMut(Node, Option<Node>, Option<&'s str>)),
     ) -> ElementIndex {
         let mut lists: HashMap<&str, Vec<u32>> = HashMap::new();
         let mut subtree_end: Vec<u32> = vec![0; count];
         let mut open: Vec<u32> = Vec::new();
-        for id in 0..count as u32 {
-            let n = Node(id);
-            let depth = match parent(n) {
-                None if id == 0 && n == root => 0,
-                p => match open.iter().rposition(|&a| p == Some(Node(a))) {
-                    Some(at) => at + 1,
-                    None => return ElementIndex::default(),
-                },
+        let mut next = 0u32;
+        let mut ordered = true;
+        scan(&mut |n, parent, tag| {
+            if !ordered {
+                return;
+            }
+            let id = n.0;
+            let depth = match parent {
+                _ if id != next => None,
+                None if id == 0 && n == root => Some(0),
+                p => open
+                    .iter()
+                    .rposition(|&a| p == Some(Node(a)))
+                    .map(|at| at + 1),
             };
+            let Some(depth) = depth else {
+                ordered = false;
+                return;
+            };
+            next += 1;
             for done in open.drain(depth..) {
                 subtree_end[done as usize] = id - 1;
             }
             open.push(id);
-            if let Some(tag) = tag_of(n) {
+            if let Some(tag) = tag {
                 lists
                     .entry(tag)
                     .or_insert_with(|| Vec::with_capacity(1))
                     .push(id);
             }
+        });
+        if !ordered || next as usize != count {
+            return ElementIndex::default();
         }
         for done in open {
             subtree_end[done as usize] = count as u32 - 1;
@@ -202,16 +218,16 @@ pub struct AttrIndex {
 
 impl AttrIndex {
     /// Build by one ascending scan of the ids `0..node_count`, which a
-    /// bulkloaded store assigns densely in document order.
+    /// bulkloaded store assigns densely in document order
+    /// ([`XmlStore::for_each_attribute_value`]); the first holder of a
+    /// duplicated value wins.
     fn build<S: XmlStore + ?Sized>(store: &S) -> AttrIndex {
         let mut map = HashMap::new();
-        for id in 0..store.node_count() as u32 {
-            // A by-name probe, not the whole attribute list: every
-            // backend allocates only when the node carries an `id`.
-            if let Some(value) = store.attribute(Node(id), "id") {
-                map.entry(value.into_owned()).or_insert(id);
+        store.for_each_attribute_value("id", &mut |n, value| {
+            if !map.contains_key(value) {
+                map.insert(value.to_owned(), n.0);
             }
-        }
+        });
         AttrIndex { map }
     }
 
@@ -359,12 +375,9 @@ impl IndexManager {
     /// even under concurrent callers).
     pub fn element<S: XmlStore + ?Sized>(&self, store: &S) -> &ElementIndex {
         self.once(&self.element, || {
-            ElementIndex::build(
-                store.root(),
-                store.node_count(),
-                |n| store.parent(n),
-                |n| store.tag_of(n),
-            )
+            ElementIndex::build(store.root(), store.node_count(), |visit| {
+                store.for_each_parent_and_tag(visit)
+            })
         })
     }
 
@@ -574,8 +587,11 @@ mod tests {
     #[test]
     fn build_rejects_numberings_that_are_not_preorder() {
         let unordered = |root: u32, parents: &[Option<u32>]| {
-            let parent = |n: Node| parents[n.index()].map(Node);
-            let index = ElementIndex::build(Node(root), parents.len(), parent, |_| Some("e"));
+            let index = ElementIndex::build(Node(root), parents.len(), |visit| {
+                for (id, parent) in parents.iter().enumerate() {
+                    visit(Node(id as u32), parent.map(Node), Some("e"));
+                }
+            });
             !index.ordered() && index.postings_in("e", Node(0)).is_none()
         };
         let child_before_parent: &[_] = &[None, Some(2), Some(0)];
@@ -583,6 +599,11 @@ mod tests {
         assert!(unordered(1, &[Some(1), None, Some(1)]), "root other than 0");
         let parent_not_open: &[_] = &[None, Some(0), Some(0), Some(1)];
         assert!(unordered(0, parent_not_open));
+        let skipping = ElementIndex::build(Node(0), 3, |visit| {
+            visit(Node(0), None, Some("e"));
+            visit(Node(2), Some(Node(0)), Some("e"));
+        });
+        assert!(!skipping.ordered(), "a scan that skips an id");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! replacement victim, so the bytes a cursor is reading cannot be
 //! evicted underneath it (pin-count safety is pinned by tests here).
 //! Replacement is exact LRU over unpinned frames: the victim is the
-//! frame unpinned longest ago. Evicting a dirty frame first flushes the
-//! WAL up to the page's LSN, seals the page checksum, and writes it
-//! back — the flush-before-write discipline the update path relies on.
+//! frame unpinned longest ago. Evicting a dirty frame whose LSN is not
+//! yet durable first forces the whole pending WAL, then seals the page
+//! checksum and writes it back — the flush-before-write discipline the
+//! update path relies on.
 //!
 //! # Latch protocol
 //!
@@ -605,13 +606,18 @@ impl BufferPool {
         Ok((idx, victim))
     }
 
-    /// WAL-disciplined write of a claimed frame as page `id`: flush the
-    /// log up to the page's LSN *before* the data write, then seal the
-    /// checksum and write. Caller holds the latch.
+    /// WAL-disciplined write of a claimed frame as page `id`: when the
+    /// page's LSN is not yet durable, force the whole pending log
+    /// *before* the data write, then seal the checksum and write. Forcing
+    /// all of it rather than the prefix up to this LSN makes the frames
+    /// written after it, whose LSNs are usually older, need no force of
+    /// their own. Caller holds the latch.
     fn write_back(&self, id: PageId, frame: &Frame) -> io::Result<()> {
         let mut slot = write(&frame.slot);
         if let Some(wal) = &self.wal {
-            wal.flush(slot.page.lsn())?;
+            if slot.page.lsn() > wal.flushed_lsn() {
+                wal.flush_all()?;
+            }
         }
         slot.page.seal();
         lock(&self.file).write_page(id, &slot.page)?;
@@ -634,7 +640,9 @@ impl BufferPool {
     }
 
     /// Write every dirty frame back (WAL first) and sync the file — the
-    /// bulkload commit point.
+    /// bulkload commit point. The first frame whose LSN is not durable
+    /// forces the whole pending log, so the rest force nothing: one log
+    /// force per call, not one per frame.
     ///
     /// # Errors
     /// I/O failure; also if a dirty frame is still pinned.

@@ -12,8 +12,9 @@
 //!      │                   hit/miss/eviction counters,
 //!      │                   flush-log-before-data write-back
 //!  FileManager (file.rs)   block read/write of PAGE_SIZE pages
-//!  LogManager (wal.rs)     append-only WAL: bulkload bracketing today,
-//!                          the durability substrate for updates next
+//!  LogManager (wal.rs)     append-only WAL: bulkload bracketing and
+//!                          the transaction layer's commit records,
+//!                          counted forces
 //!  Page (page.rs)          checksummed slotted page
 //!  layout.rs               record codecs, header page, catalog blob
 //! ```

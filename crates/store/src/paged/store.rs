@@ -18,10 +18,12 @@
 //! and its pins are a cache: at most one per extent (3 per thread),
 //! dropped and retried without when the pool runs out of frames.
 //! Single-record callers (`tag_of`, `parent`, `is_text_node`) pin per
-//! call. Node records are fixed-width
-//! ([`NODES_PER_PAGE`] per page), so a node id maps to a `(page, slot)`
-//! pair by arithmetic; text and attribute lookups binary-search the
-//! catalog's sparse first-id-per-page indexes. `text` and
+//! call; the whole-document scans behind the index builds read each
+//! node or attribute page under one pin instead. Node records are
+//! fixed-width ([`NODES_PER_PAGE`] per page), so a node id maps to a
+//! `(page, slot)` pair by arithmetic; text and attribute lookups
+//! binary-search the catalog's sparse first-id-per-page indexes, then
+//! bisect the first page's slots. `text` and
 //! `attributes_iter` cannot lend references into evictable frames, so
 //! they return owned copies of the values (`Cow::Owned`); the page file
 //! is the only copy of the document this store keeps.
@@ -286,8 +288,8 @@ impl PagedStore {
         }
         let (meta_pages, _) = writer.finish();
 
-        // Commit: data pages down (log first, per page LSN), then the
-        // bulkload end marker, then the header — strictly last.
+        // Commit: data pages down (one force of the whole log first),
+        // then the bulkload end marker, then the header — strictly last.
         pool.flush_all()?;
         let end_lsn = wal.append(&LogRecord::EndBulkLoad {
             pages: pool.num_pages(),
@@ -565,10 +567,25 @@ impl<'a> PageRun<'a> {
                 store.header.attr_pages,
             ),
         };
-        let start = PagedStore::sparse_start(firsts, owner)?;
-        for pi in start as u32..pages {
+        let start = PagedStore::sparse_start(firsts, owner)? as u32;
+        for pi in start..pages {
             let page = self.page(ext, first_page + pi);
-            for slot in 0..page.slot_count() {
+            // Records sit in owner order: on the first page, bisect to
+            // the first one of `owner` or later; a later page holds
+            // `owner`'s records from its slot 0.
+            let mut from = 0;
+            if pi == start {
+                let mut to = page.slot_count();
+                while from < to {
+                    let mid = from + (to - from) / 2;
+                    if le_u32(page.record(mid), 0) < owner {
+                        from = mid + 1;
+                    } else {
+                        to = mid;
+                    }
+                }
+            }
+            for slot in from..page.slot_count() {
                 let rec = page.record(slot);
                 match le_u32(rec, 0) {
                     o if o < owner => continue,
@@ -800,6 +817,45 @@ impl XmlStore for PagedStore {
         PageRun::new(self)
             .find_attr(n.0, |c, value| (c == code).then(|| value.into_owned()))
             .map(Cow::Owned)
+    }
+
+    fn for_each_parent_and_tag<'a>(
+        &'a self,
+        visit: &mut dyn FnMut(Node, Option<Node>, Option<&'a str>),
+    ) {
+        let tags = &self.catalog.tag_names;
+        let mut run = PageRun::new(self);
+        for pi in 0..self.header.node_pages {
+            let page = run.page(NODE, self.header.node_start + pi);
+            let first = pi * NODES_PER_PAGE as u32;
+            for slot in 0..page.slot_count() {
+                let rec = NodeRec::decode(page.record(slot));
+                let parent = (rec.parent != NONE).then_some(Node(rec.parent));
+                let tag = (rec.tag_code != TEXT_TAG).then(|| tags[rec.tag_code as usize].as_str());
+                visit(Node(first + u32::from(slot)), parent, tag);
+            }
+        }
+    }
+
+    fn for_each_attribute_value(&self, name: &str, visit: &mut dyn FnMut(Node, &str)) {
+        let names = &self.catalog.attr_names;
+        let Some(code) = names.iter().position(|a| a == name) else {
+            return;
+        };
+        let mut run = PageRun::new(self);
+        // `attribute` answers with a node's first record of `name`.
+        let mut last = None;
+        for pi in 0..self.header.attr_pages {
+            let page = run.page(ATTR, self.header.attr_start + pi);
+            for slot in 0..page.slot_count() {
+                let rec = page.record(slot);
+                let owner = le_u32(rec, 0);
+                if usize::from(le_u16(rec, 4)) == code && last != Some(owner) {
+                    last = Some(owner);
+                    visit(Node(owner), &String::from_utf8_lossy(&rec[6..]));
+                }
+            }
+        }
     }
 
     fn attributes_iter(&self, n: Node) -> AttrIter<'_> {
@@ -1091,6 +1147,40 @@ mod tests {
             assert!(msg.contains("checksum"), "version {garbage}: {msg}");
             assert!(!msg.contains("expected 2"), "version {garbage}: {msg}");
         }
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(wal_path_for(&path)).unwrap();
+    }
+
+    /// A dirty write-back forces the whole pending log, so a bulkload
+    /// whose pool holds the file forces it twice (the data pages, then
+    /// `EndBulkLoad`), and one behind a 64-frame pool about once per
+    /// pool-full of evicted pages rather than once per page.
+    #[test]
+    fn bulkload_forces_the_log_once_per_pool_full() {
+        let xml = xmark_gen::generate_string(&xmark_gen::GeneratorConfig {
+            factor: 0.01,
+            seed: 0,
+        });
+        let doc = xmark_xml::parse_document(&xml).unwrap();
+        let path =
+            super::super::scratch_dir().join(format!("h-forces-{}.pages", std::process::id()));
+        let fitting = PagedStore::create_at(&path, &doc, 1 << 16).unwrap();
+        let pages = u64::from(fitting.num_pages());
+        assert!(
+            pages > 4 * 64,
+            "the file spans several pools ({pages} pages)"
+        );
+        assert_eq!(fitting.pool_stats().evictions, 0);
+        assert_eq!(fitting.wal.forces(), 2);
+        drop(fitting);
+        let tight = PagedStore::create_at(&path, &doc, 64).unwrap();
+        assert!(tight.pool_stats().evictions > 0);
+        let forces = tight.wal.forces();
+        assert!(
+            forces <= pages.div_ceil(64) + 2,
+            "{forces} forces for {pages} pages through 64 frames"
+        );
+        drop(tight);
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(wal_path_for(&path)).unwrap();
     }

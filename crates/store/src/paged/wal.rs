@@ -6,8 +6,9 @@
 //!
 //! 1. every page mutation is *described* by a [`LogRecord`] appended
 //!    here first, and the resulting [`Lsn`] is stamped onto the page;
-//! 2. before the buffer pool writes a dirty page to the data file, it
-//!    calls [`LogManager::flush`] up to that page's LSN (**log before
+//! 2. before the buffer pool writes a dirty page whose LSN is not yet
+//!    durable to the data file, it forces the whole pending log
+//!    ([`LogManager::flush_all`]), which covers that LSN (**log before
 //!    data** — see `BufferPool::write_back`);
 //! 3. [`LogManager::read_all`] replays the records at open time, which
 //!    for the bulkload means one integrity check: a page file whose log
@@ -306,6 +307,8 @@ struct LogState {
     pending: Vec<u8>,
     /// LSN of the first pending byte (== bytes already durable).
     durable: Lsn,
+    /// `sync_data` calls made so far.
+    forces: u64,
     file: File,
 }
 
@@ -332,6 +335,7 @@ impl LogManager {
             state: Mutex::new(LogState {
                 pending: Vec::new(),
                 durable: 0,
+                forces: 0,
                 file,
             }),
             path: path.to_path_buf(),
@@ -347,6 +351,7 @@ impl LogManager {
             state: Mutex::new(LogState {
                 pending: Vec::new(),
                 durable,
+                forces: 0,
                 file,
             }),
             path: path.to_path_buf(),
@@ -381,17 +386,26 @@ impl LogManager {
         let chunk: Vec<u8> = state.pending.drain(..take).collect();
         state.file.write_all(&chunk)?;
         state.file.sync_data()?;
+        state.forces += 1;
         state.durable += chunk.len() as u64;
         Ok(())
     }
 
-    /// Flush everything appended so far.
+    /// Flush everything appended so far: one force, or none when
+    /// nothing is pending. A dirty write-back calls this rather than
+    /// [`LogManager::flush`] to its page's LSN, so one force covers every
+    /// page formatted since the last one.
     pub fn flush_all(&self) -> io::Result<()> {
         let lsn = {
             let state = lock(&self.state);
             state.durable + state.pending.len() as u64
         };
         self.flush(lsn)
+    }
+
+    /// Log forces (`sync_data` calls) made through this handle so far.
+    pub fn forces(&self) -> u64 {
+        lock(&self.state).forces
     }
 
     /// Bytes made durable so far.

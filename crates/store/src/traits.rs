@@ -288,6 +288,38 @@ pub trait XmlStore: Send + Sync {
     /// backend H copies it off the pinned page.
     fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>>;
 
+    // ---- whole-document scans (index builds) -----------------------------
+
+    /// Call `visit(n, parent(n), tag_of(n))` for every node `n`, in id
+    /// order `0..node_count` — the input of the element index's build
+    /// scan. The default asks [`XmlStore::parent`] and
+    /// [`XmlStore::tag_of`] per node. Backend H overrides it with one
+    /// sequential pass over its node pages, since each of those calls
+    /// pins a page there.
+    fn for_each_parent_and_tag<'a>(
+        &'a self,
+        visit: &mut dyn FnMut(Node, Option<Node>, Option<&'a str>),
+    ) {
+        for id in 0..self.node_count() as u32 {
+            let n = Node(id);
+            visit(n, self.parent(n), self.tag_of(n));
+        }
+    }
+
+    /// Call `visit(n, value)` for every node `n` that carries attribute
+    /// `name`, in id order, with [`XmlStore::attribute`]'s value — the
+    /// input of the `@id` index's build scan. The default probes every
+    /// node by name. Backend H overrides it with one sequential pass over
+    /// its attribute pages, which hold the records in owner order, so a
+    /// probe need not locate each node's records anew.
+    fn for_each_attribute_value(&self, name: &str, visit: &mut dyn FnMut(Node, &str)) {
+        for id in 0..self.node_count() as u32 {
+            if let Some(value) = self.attribute(Node(id), name) {
+                visit(Node(id), &value);
+            }
+        }
+    }
+
     // ---- streaming axes --------------------------------------------------
 
     /// Cursor over all children (elements and text nodes) in document

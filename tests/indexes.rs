@@ -453,3 +453,63 @@ fn index_builds_match_a_tree_walk_on_every_backend() {
         }
     }
 }
+
+/// H overrides both index-build scans with sequential page passes; at a
+/// pool that holds the file, a 64-frame pool and a 4-frame pool they
+/// must yield exactly what the default per-node loops yield, for every
+/// attribute name the document uses and for one it lacks.
+#[test]
+fn paged_scan_hooks_equal_the_per_node_loops() {
+    use xmark::store::paged::PagedStore;
+    let doc = generate_document(0.002);
+    for pool in [1 << 16, 64, 4] {
+        let store = PagedStore::load_temp(&doc.xml, pool).unwrap();
+        let ids = 0..store.node_count() as u32;
+        let nodes: Vec<_> = ids
+            .clone()
+            .map(|id| (Node(id), store.parent(Node(id)), store.tag_of(Node(id))))
+            .collect();
+        let mut scanned = Vec::new();
+        store.for_each_parent_and_tag(&mut |n, parent, tag| scanned.push((n, parent, tag)));
+        assert_eq!(scanned, nodes, "pool {pool}: parents and tags");
+        for name in [
+            "id", "person", "item", "category", "featured", "income", "ghost",
+        ] {
+            let values: Vec<_> = ids
+                .clone()
+                .filter_map(|id| Some((Node(id), store.attribute(Node(id), name)?.into_owned())))
+                .collect();
+            let mut scanned = Vec::new();
+            store.for_each_attribute_value(name, &mut |n, value| {
+                scanned.push((n, value.to_string()))
+            });
+            assert_eq!(scanned, values, "pool {pool}: @{name}");
+            if name == "id" {
+                assert!(values.len() > 100, "pool {pool}: the document has ids");
+            }
+        }
+        if pool == 4 {
+            assert!(store.pool_stats().evictions > 0, "a 4-frame pool evicts");
+        }
+    }
+}
+
+/// Two elements share an `id`, and one element carries `id` twice: on
+/// every backend the `@id` index names the first holder in document
+/// order and indexes only an element's first `id`, the one `attribute`
+/// answers with.
+#[test]
+fn a_duplicated_id_names_its_first_holder_on_every_backend() {
+    let xml = r#"<site><people><person id="p0"><name>first</name></person><person id="p1" id="p2"/><person id="p0"><name>second</name></person></people></site>"#;
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, xml).unwrap();
+        let people: Vec<Node> = store
+            .descendants_named_iter(store.root(), "person")
+            .collect();
+        assert_eq!(people.len(), 3, "{system}");
+        assert_eq!(store.lookup_id("p0"), Some(people[0]), "{system}");
+        assert_eq!(store.lookup_id("p1"), Some(people[1]), "{system}");
+        assert_eq!(store.lookup_id("p2"), None, "{system}");
+        assert_eq!(store.indexes().ids(store.as_ref()).len(), 2, "{system}");
+    }
+}
