@@ -5,7 +5,8 @@
 //! variables"*, implemented on top of the custom PRNG *"together with basic
 //! algorithms which can be found in statistics textbooks"*. This module is
 //! exactly those textbook algorithms: inverse-CDF exponential, Box–Muller
-//! normal, and a cumulative-table Zipf sampler for the text model.
+//! normal, and a cumulative-table Zipf sampler (with a guide table for
+//! constant expected work per draw) for the text model.
 
 use crate::rng::XmarkRng;
 
@@ -59,13 +60,27 @@ pub fn normal_index(rng: &mut XmarkRng, n: usize) -> usize {
 }
 
 /// A Zipf(s) sampler over ranks `0..n` backed by a precomputed cumulative
-/// table; O(log n) per sample.
+/// table and a guide table over it (Chen & Asau's indexed search): O(1)
+/// expected work per sample.
 ///
 /// The text generator uses this to mimic the word-frequency skew the paper
 /// measured in Shakespeare's plays (§4.3).
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cumulative: Vec<f64>,
+    /// `guide[k]` is the first rank whose cumulative value lies in bucket
+    /// `k` or later (capped at `n - 1`), where `bucket(x) = ⌊x · 2^16⌋`.
+    guide: Vec<u32>,
+}
+
+/// Number of guide-table buckets (256 KB of `u32`s).
+const GUIDE_BUCKETS: usize = 1 << 16;
+
+/// The guide bucket of a probability in `[0, 1]`. Monotone in `x`, which is
+/// all the search in `Zipf::rank_of` relies on.
+#[inline]
+fn bucket(x: f64) -> usize {
+    (x * GUIDE_BUCKETS as f64) as usize
 }
 
 impl Zipf {
@@ -73,6 +88,7 @@ impl Zipf {
     /// classical natural-language value).
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf over an empty domain");
+        assert!(u32::try_from(n).is_ok(), "Zipf domain exceeds u32 ranks");
         let mut cumulative = Vec::with_capacity(n);
         let mut total = 0.0;
         for rank in 1..=n {
@@ -84,7 +100,15 @@ impl Zipf {
         for c in &mut cumulative {
             *c /= norm;
         }
-        Zipf { cumulative }
+        let mut guide = Vec::with_capacity(GUIDE_BUCKETS);
+        let mut rank = 0;
+        for k in 0..GUIDE_BUCKETS {
+            while rank < n - 1 && bucket(cumulative[rank]) < k {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Zipf { cumulative, guide }
     }
 
     /// Number of ranks.
@@ -99,14 +123,21 @@ impl Zipf {
 
     /// Sample a rank in `[0, n)`; rank 0 is the most probable.
     pub fn sample(&self, rng: &mut XmarkRng) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("no NaN in table"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cumulative.len() - 1),
+        self.rank_of(rng.next_f64())
+    }
+
+    /// The first rank whose cumulative value is at least `u ∈ [0, 1)`,
+    /// clamped to `n - 1`. Every rank before `guide[bucket(u)]` has its
+    /// cumulative value in an earlier bucket, hence below `u`, so the scan
+    /// from there finds that rank; it is short because a bucket spans only
+    /// a few ranks.
+    fn rank_of(&self, u: f64) -> usize {
+        let last = self.cumulative.len() - 1;
+        let mut rank = self.guide[bucket(u)] as usize;
+        while rank < last && self.cumulative[rank] < u {
+            rank += 1;
         }
+        rank
     }
 
     /// Probability of the given rank.
@@ -222,6 +253,61 @@ mod tests {
         let mut rng = XmarkRng::new(8);
         for _ in 0..10_000 {
             assert!(z.sample(&mut rng) < 17);
+        }
+    }
+
+    /// The binary search `Zipf::sample` ran before the guide table: the
+    /// reference the guided scan must agree with on every `u`.
+    fn binary_search_rank(cumulative: &[f64], u: f64) -> usize {
+        match cumulative.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN in table")) {
+            Ok(i) => i,
+            Err(i) => i.min(cumulative.len() - 1),
+        }
+    }
+
+    /// `n = 17 000` is the standard vocabulary, `n = 760` the smallest
+    /// `Vocabulary::with_size` accepts.
+    const GUIDE_SIZES: [usize; 2] = [17_000, 760];
+
+    #[test]
+    fn guide_table_matches_binary_search_on_random_draws() {
+        for n in GUIDE_SIZES {
+            let z = Zipf::new(n, 1.0);
+            let mut rng = XmarkRng::new(9);
+            for _ in 0..1_000_000 {
+                let u = rng.next_f64();
+                assert_eq!(
+                    z.rank_of(u),
+                    binary_search_rank(&z.cumulative, u),
+                    "n={n} u={u}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_binary_search_at_every_boundary() {
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        for n in GUIDE_SIZES {
+            let z = Zipf::new(n, 1.0);
+            let mut probes = vec![0.0, below_one];
+            for &c in &z.cumulative {
+                let bits = c.to_bits();
+                probes.extend([f64::from_bits(bits - 1), c, f64::from_bits(bits + 1)]);
+            }
+            // Bucket edges too: the largest probability in each bucket
+            // and the first one of the next.
+            for k in 1..GUIDE_BUCKETS {
+                let edge = k as f64 / GUIDE_BUCKETS as f64;
+                probes.extend([f64::from_bits(edge.to_bits() - 1), edge]);
+            }
+            for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(
+                    z.rank_of(u),
+                    binary_search_rank(&z.cumulative, u),
+                    "n={n} u={u}"
+                );
+            }
         }
     }
 }

@@ -101,38 +101,27 @@ pub fn resolve_reference(body: &str, offset: usize) -> Result<char> {
 
 /// Unescape a slice of raw character data into `out`.
 ///
+/// `base_offset` is the byte offset of `raw` in its input; a bad reference
+/// is reported at `base_offset` plus the position of its `&`. Each run of
+/// character data between references is copied as one slice.
+///
 /// Returns an error for malformed or unknown references; the XMark
 /// generator never emits such data, but hand-written inputs might.
 pub fn unescape_into(raw: &str, base_offset: usize, out: &mut String) -> Result<()> {
-    let bytes = raw.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'&' {
-            let rest = &raw[i + 1..];
-            let end = rest.find(';').ok_or(Error::UnexpectedEof {
-                context: "entity reference",
-            })?;
-            let body = &rest[..end];
-            out.push(resolve_reference(body, base_offset + i)?);
-            i += end + 2;
-        } else {
-            // Advance over one UTF-8 character (ASCII fast path: one byte).
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&raw[i..i + ch_len]);
-            i += ch_len;
-        }
+    let mut rest = raw;
+    let mut offset = base_offset;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let reference = &rest[amp + 1..];
+        let end = reference.find(';').ok_or(Error::UnexpectedEof {
+            context: "entity reference",
+        })?;
+        out.push(resolve_reference(&reference[..end], offset + amp)?);
+        rest = &reference[end + 1..];
+        offset += amp + end + 2;
     }
+    out.push_str(rest);
     Ok(())
-}
-
-#[inline]
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 /// Unescape raw character data, returning a new string.
@@ -144,6 +133,8 @@ pub fn unescape(raw: &str) -> Result<String> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -190,5 +181,76 @@ mod tests {
     #[test]
     fn passes_multibyte_utf8_through() {
         assert_eq!(unescape("caf\u{e9}").unwrap(), "caf\u{e9}");
+    }
+
+    /// The character-at-a-time loop `unescape_into` ran before it copied
+    /// runs: the reference for output, error variant and error offset.
+    fn char_by_char_unescape_into(raw: &str, base_offset: usize, out: &mut String) -> Result<()> {
+        let bytes = raw.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'&' {
+                let rest = &raw[i + 1..];
+                let end = rest.find(';').ok_or(Error::UnexpectedEof {
+                    context: "entity reference",
+                })?;
+                out.push(resolve_reference(&rest[..end], base_offset + i)?);
+                i += end + 2;
+            } else {
+                let ch_len = match bytes[i] {
+                    0..=0x7f => 1,
+                    0xc0..=0xdf => 2,
+                    0xe0..=0xef => 3,
+                    _ => 4,
+                };
+                out.push_str(&raw[i..i + ch_len]);
+                i += ch_len;
+            }
+        }
+        Ok(())
+    }
+
+    /// Pieces the inputs are spliced from: ASCII, multi-byte UTF-8 that
+    /// lands next to references, known, numeric and unknown references, a
+    /// lone `&` or `;`, and an unterminated `&amp`.
+    const PIECES: &[&str] = &[
+        "a",
+        "price 40",
+        " ",
+        "\u{e9}",
+        "\u{65e5}\u{672c}",
+        "\u{1f980}",
+        "&amp;",
+        "&lt;",
+        "&gt;",
+        "&apos;",
+        "&quot;",
+        "&#65;",
+        "&#x42;",
+        "&#x1F980;",
+        "&#1114112;",
+        "&#xZZ;",
+        "&nbsp;",
+        "&",
+        ";",
+        "&amp",
+        "&;",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn run_copying_unescape_matches_the_char_loop(
+            picks in prop::collection::vec(0..PIECES.len(), 0..16),
+            base in 0..1000usize,
+        ) {
+            let raw: String = picks.iter().map(|&i| PIECES[i]).collect();
+            let (mut new_out, mut old_out) = (String::new(), String::new());
+            let new = unescape_into(&raw, base, &mut new_out);
+            let old = char_by_char_unescape_into(&raw, base, &mut old_out);
+            prop_assert_eq!(new, old, "input {:?}", raw);
+            prop_assert_eq!(new_out, old_out, "input {:?}", raw);
+        }
     }
 }

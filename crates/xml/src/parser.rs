@@ -30,9 +30,8 @@ pub fn parse_document(input: &str) -> Result<Document> {
             } => {
                 let element = doc.create_element(name);
                 for (attr_name, raw_value) in attrs {
-                    text_buf.clear();
-                    escape::unescape_into(raw_value, lexer.offset(), &mut text_buf)?;
-                    doc.set_attribute(element, attr_name, text_buf.clone());
+                    let value = unescaped(input, raw_value, &mut text_buf)?;
+                    doc.set_attribute(element, attr_name, value);
                 }
                 match stack.last() {
                     Some(&parent) => doc.append_child(parent, element),
@@ -77,9 +76,7 @@ pub fn parse_document(input: &str) -> Result<Document> {
                 let text = if cdata {
                     raw.to_string()
                 } else {
-                    text_buf.clear();
-                    escape::unescape_into(raw, lexer.offset(), &mut text_buf)?;
-                    text_buf.clone()
+                    unescaped(input, raw, &mut text_buf)?
                 };
                 let node = doc.create_text(text);
                 doc.append_child(parent, node);
@@ -97,6 +94,20 @@ pub fn parse_document(input: &str) -> Result<Document> {
         return Err(Error::StructureViolation("no root element".to_string()));
     }
     Ok(doc)
+}
+
+/// `raw`, a slice the lexer cut from `input`, with its references
+/// resolved, as a string whose capacity is its length. A slice with no `&`
+/// is copied once; any other is unescaped into `buf` and copied out of it,
+/// and a bad reference reports its own offset in `input`.
+fn unescaped(input: &str, raw: &str, buf: &mut String) -> Result<String> {
+    if !raw.contains('&') {
+        return Ok(raw.to_owned());
+    }
+    let offset = raw.as_ptr() as usize - input.as_ptr() as usize;
+    buf.clear();
+    escape::unescape_into(raw, offset, buf)?;
+    Ok(buf.clone())
 }
 
 /// Scan the input without building a DOM, returning the number of tokens.
@@ -201,6 +212,28 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort();
         assert_eq!(ids, sorted);
+    }
+
+    #[test]
+    fn bad_reference_in_text_reports_its_ampersand() {
+        assert_eq!(
+            parse_document("<a>x &nbsp; y</a>").unwrap_err(),
+            Error::BadReference {
+                offset: 5,
+                reference: "nbsp".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn bad_reference_in_attribute_reports_its_ampersand() {
+        assert_eq!(
+            parse_document(r#"<a b="&zz;" c="1">t</a>"#).unwrap_err(),
+            Error::BadReference {
+                offset: 6,
+                reference: "zz".to_string()
+            }
+        );
     }
 
     #[test]
