@@ -4,9 +4,9 @@
 //! Every (query, backend, mode) cell compiles the query and runs the
 //! post-optimizer verifier ([`xmark::query::verify`]), which re-derives
 //! each structural invariant of the physical algebra — access-path
-//! capabilities, the IndexScan's ordered element index, naive-plan purity, Lookup
-//! key canonicalization, Sort presence, cache signatures, cardinality
-//! consistency and variable scoping — from the
+//! capabilities, the ordered element index behind indexed counts,
+//! naive-plan purity, Lookup key canonicalization, Sort presence, cache
+//! signatures, cardinality consistency and variable scoping — from the
 //! live store and compares it with what the plan records. The exit code
 //! is non-zero if any cell reports a violation, so CI can gate on it.
 //!

@@ -74,9 +74,9 @@ pub const DEFAULT_PLAN_CACHE: usize = 64;
 /// of a versioned store is correct at every other. The planner reads the
 /// store through `planner_caps` and `estimate_step`, which a snapshot
 /// forwards to its unchanging base, and through the element index, which
-/// chooses an `IndexScan` wherever it can stab. Every access path falls
-/// back at execution time when the running snapshot cannot serve it: an
-/// `IndexScan` or indexed `Aggregate` walks the native axis cursor once
+/// makes a count an indexed `Aggregate` wherever it can stab. Every
+/// access path falls back at execution time when the running snapshot
+/// cannot serve it: an indexed `Aggregate` counts by walking once
 /// stabbing is off, and value tails and join sides resolve against the
 /// executing snapshot's own indexes.
 ///

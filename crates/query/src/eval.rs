@@ -42,7 +42,7 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use xmark_store::{ChildValues, DescendantsNamed, IndexManager, Node, XmlStore};
+use xmark_store::{ChildValues, IndexManager, Node, XmlStore};
 
 use crate::ast::{ArithOp, Axis, CmpOp, NodeTest};
 use crate::plan::*;
@@ -273,8 +273,8 @@ impl<'a> Env<'a> {
 pub(crate) struct Evaluator<'a> {
     pub(crate) store: &'a dyn XmlStore,
     /// The store's persistent index subsystem: shared element postings
-    /// (IndexScan), the `@id` attribute index, and the cross-execution
-    /// value indexes the Lookup operator probes.
+    /// (indexed counts), the `@id` attribute index, and the
+    /// cross-execution value indexes the Lookup operator probes.
     indexes: &'a IndexManager,
     /// Whether this execution consults (and feeds) the shared value
     /// indexes: only optimized plans do. Naive-mode executions stay fully
@@ -297,9 +297,6 @@ pub(crate) struct Evaluator<'a> {
     /// are enabled, so after warmup an execution performs zero builds —
     /// only probes.
     index_cache: RefCell<HashMap<&'a str, Arc<KeyIndex>>>,
-    /// The element index, resolved once per execution (see
-    /// [`Evaluator::index_postings`]).
-    element_index: std::cell::OnceCell<&'a xmark_store::ElementIndex>,
     /// Per-execution memo of resolved child-value indexes by tag, peek
     /// misses (`None`) included, so the per-open resolution never
     /// touches the manager's locks on the hot path.
@@ -325,7 +322,6 @@ impl<'a> Evaluator<'a> {
                 .collect(),
             path_cache: RefCell::new(HashMap::new()),
             index_cache: RefCell::new(HashMap::new()),
-            element_index: std::cell::OnceCell::new(),
             child_values_cache: RefCell::new(HashMap::new()),
             pulls: Cell::new(0),
         }
@@ -778,40 +774,21 @@ impl<'a> Evaluator<'a> {
 
     // ---- PathScan --------------------------------------------------------
 
-    /// The shared element index, resolved (and hit-counted) once per
-    /// execution instead of once per expanded context node — IndexScan
-    /// expansion is the hottest path in the executor and must not
-    /// contend on the manager's counters across worker threads.
-    fn element_index(&self) -> &'a xmark_store::ElementIndex {
-        self.element_index
-            .get_or_init(|| self.indexes.element(self.store))
-    }
-
-    /// The shared element index's posting slice for `tag` under `n`, or
-    /// `None` when subtree stabbing cannot serve this store.
-    pub(crate) fn index_postings(&self, n: Node, tag: &str) -> Option<&'a [u32]> {
-        self.element_index().postings_in(tag, n)
-    }
-
-    /// The descendant cursor for one planned step: an IndexScan streams
-    /// the stabbed posting slice; everything else (and the fallback when
-    /// stabbing is invalid) walks the store's native axis cursor.
-    pub(crate) fn descendant_iter(
-        &self,
-        n: Node,
-        tag: &'a str,
-        access: &StepAccess,
-    ) -> DescendantsNamed<'a> {
-        if matches!(access, StepAccess::IndexScan) {
-            if let Some(slice) = self.index_postings(n, tag) {
-                return DescendantsNamed::Extent(slice.iter());
-            }
-        }
-        self.store.descendants_named_iter(n, tag)
-    }
-
     /// The memoized path sequence for `sig`, if already materialized —
     /// this execution (L1) or any earlier one (the store-resident L2).
+    ///
+    /// The L2 `path|` slot earns its keep. Deleting only the L2 halves
+    /// of this method and [`Evaluator::publish_path`] (`perflab run
+    /// --workload lookup_mem --seconds 10 --trace 0`, 7 alternating
+    /// pairs) read `lat_geo_p50_ms` a median 1.16× worse, two pairs past
+    /// its 0.2 bound, and `qps` 0.97×, for `space_ratio` 1.917 against
+    /// 1.946 with the memo. The loss is Q15, whose plan is one memoized
+    /// path: warm on System E at factor 0.1 it went from 0.035 to
+    /// 0.52 ms, and a ~15× rise in one query alone moves the fifteen
+    /// queries' geometric mean by 15^(1/15) ≈ 1.20×. A warm Q15 thus
+    /// replays its answer; README's scorecard notes that its §7
+    /// Q16/Q15 verdict rests on that replay. A Lookup's key index also
+    /// takes its source items from this memo.
     pub(crate) fn cached_path(&self, sig: &str) -> Option<Arc<Sequence>> {
         if let Some(cached) = self.path_cache.borrow().get(sig) {
             return Some(Arc::clone(cached));
@@ -834,6 +811,7 @@ impl<'a> Evaluator<'a> {
 
     /// Record a fully materialized loop-invariant path in both memo
     /// levels: a [`Cursor::Tee`] calls this when it drains to completion.
+    /// Why the store-wide level stays: [`Evaluator::cached_path`].
     pub(crate) fn publish_path(&self, sig: &str, seq: Arc<Sequence>) {
         self.path_cache
             .borrow_mut()
@@ -871,7 +849,7 @@ impl<'a> Evaluator<'a> {
                 if self.store.tag_of(root) == Some(tag) {
                     nodes.push(root);
                 }
-                nodes.extend(self.descendant_iter(root, tag, &first.access));
+                nodes.extend(self.store.descendants_named_iter(root, tag));
             }
             // Rare forms (`/*`, `/@x`): evaluate the step against the
             // root element generically.
@@ -1073,11 +1051,8 @@ impl<'a> Evaluator<'a> {
                 return Ok(());
             }
             (Axis::Descendant, NodeTest::Tag(tag)) => {
-                // IndexScan and native walks share this arm: the helper
-                // streams the stabbed posting slice when the plan chose
-                // the shared element index.
                 if step.preds.is_empty() {
-                    out.extend(self.descendant_iter(n, tag, &step.access).map(Item::Node));
+                    out.extend(self.store.descendants_named_iter(n, tag).map(Item::Node));
                     return Ok(());
                 }
                 let matched = self.tag_step_nodes(n, step, tag, env)?;
@@ -1128,7 +1103,7 @@ impl<'a> Evaluator<'a> {
         env: &mut Env<'a>,
     ) -> EResult<Vec<Node>> {
         let mut nodes: Vec<Node> = match step.axis {
-            Axis::Descendant => self.descendant_iter(n, tag, &step.access).collect(),
+            Axis::Descendant => self.store.descendants_named_iter(n, tag).collect(),
             _ => self.store.children_named_iter(n, tag).collect(),
         };
         self.apply_predicates(&mut nodes, &step.preds, env)?;
@@ -1187,15 +1162,13 @@ impl<'a> Evaluator<'a> {
         ctx: Option<&Item>,
     ) -> EResult<f64> {
         let contexts = open_path(self, &a.input, env, ctx, true);
+        let index = a.indexed.then(|| self.indexes.element(self.store));
         let mut total = 0usize;
         for item in contexts.iter(self) {
             let Item::Node(n) = item? else {
                 return Err(EvalError::PathOverNonNode);
             };
-            let indexed = a
-                .indexed
-                .then(|| self.element_index().count_in(&a.tag, n))
-                .flatten();
+            let indexed = index.and_then(|index| index.count_in(&a.tag, n));
             total += match indexed {
                 Some(count) => count,
                 None => self.store.count_descendants_named(n, &a.tag),

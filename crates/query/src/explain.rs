@@ -21,8 +21,6 @@
 //!   follows as `and key op literal`,
 //! * `[memo]` — loop-invariant path, materialized once per execution,
 //! * `->id("x")` — ID-index probe for that step,
-//! * `->idx` — IndexScan: the step streams off the shared element-name
-//!   index's posting list instead of walking descendants,
 //! * `->pos(1)` / `->pos(last)` — positional-index probe for that step,
 //! * `->inlined("tag")` — entity-column read for a `tag/text()` tail,
 //! * `->vals("tag")` — a `tag/text()` tail answered from the shared typed
@@ -248,7 +246,6 @@ fn steps_inline(steps: &[PlanStep]) -> String {
         }
         match &s.access {
             StepAccess::Generic => {}
-            StepAccess::IndexScan => out.push_str("->idx"),
             StepAccess::IdProbe(lit) => out.push_str(&format!("->id({lit:?})")),
             StepAccess::Positional(spec) => {
                 let rendered = match spec {

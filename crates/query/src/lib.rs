@@ -63,10 +63,9 @@
 //!   where-conjuncts are scheduled by predicate pushdown, and steps are
 //!   annotated with the access paths the backend's
 //!   [`xmark_store::PlannerCaps`] affords (ID probes, positional
-//!   indexes, inlined columns, summary counts, and the shared element
-//!   index's IndexScan — costed on exact posting
-//!   cardinalities, falling back to streamed scans when postings are
-//!   dense). Cardinalities come from
+//!   indexes, inlined columns, summary counts, and counts answered by
+//!   the shared element index — costed on exact posting
+//!   cardinalities). Cardinalities come from
 //!   [`xmark_store::XmlStore::estimate_step`], which also reports the
 //!   catalog touches Table 2 counts as metadata accesses,
 //! * [`explain`] — stable one-line-per-operator plan rendering (pinned by

@@ -14,8 +14,9 @@
 //!   **IdProbe** via the ID index, positional index probe) and an
 //!   inlined-tail shortcut (System C's entity columns).
 //! * [`AggregatePlan`] — an **Aggregate**: `count(path//tag)` answered by
-//!   [`xmark_store::XmlStore::count_descendants_named`] without
-//!   materializing the counted extent (System D's structural summary).
+//!   [`xmark_store::XmlStore::count_descendants_named`] (System D's
+//!   structural summary) or by the shared element index's posting
+//!   ranges, without materializing the counted extent.
 //! * [`FlworPlan`] — clause-by-clause iteration (**NestedLoop**) with a
 //!   predicate-pushdown **Filter** schedule, followed by an optional
 //!   **Sort** and a **Project** (the `return` expression).
@@ -378,12 +379,6 @@ pub enum StepAccess {
     /// `tag[1]` / `tag[last()]` through the store's positional index,
     /// falling back per node where unsupported.
     Positional(PositionSpec),
-    /// Predicate-free `descendant::tag` served from the store's shared
-    /// element-name index ([`xmark_store::IndexManager`]): the context's
-    /// subtree range stabs the tag's posting list (two binary searches)
-    /// and matches stream off the slice — no walk. The executor falls
-    /// back to the native axis cursor if stabbing turns out invalid.
-    IndexScan,
 }
 
 /// The Aggregate operator: `count(prefix//tag)` without materializing.
@@ -396,10 +391,25 @@ pub struct AggregatePlan {
     /// Whether the store answers from summary/extent arithmetic
     /// (Systems D/E) rather than a counting cursor walk.
     pub summary: bool,
-    /// Whether the shared element-name index answers the count as a
-    /// posting-range length (backends without native summaries).
+    /// Whether the shared element-name index
+    /// ([`xmark_store::IndexManager`]) answers the count as a
+    /// posting-range length: two binary searches per context node, no
+    /// walk (backends without native summaries, wherever the index can
+    /// stab the store). The executor falls back to a counting cursor
+    /// walk if a snapshot's index cannot stab. This is the element
+    /// index's only plan form. Its win, from a probe of a planner that
+    /// never set it (release, factor 0.1, warm, one run per system): Q6
+    /// on System A went from 0.001 to 0.06–0.14 ms and Q7 from 0.001 to
+    /// 0.02–0.03 ms; on System H, a walk through the buffer pool, Q6
+    /// went to 1.9–2.0 ms and Q7 to 7.4–10.8 ms. The streaming form of
+    /// the same index (a descendant step reading the posting slice)
+    /// planned only Q14's and Q19's `//item` sources, each a `[memo]`
+    /// path that is walked once per store and then replayed, so it was
+    /// deleted.
     pub indexed: bool,
-    /// Estimated extent cardinality of the counted tag (0 = unknown).
+    /// Estimated extent cardinality of the counted tag (0 = unknown);
+    /// an indexed count records the exact posting cardinality, even on
+    /// the statistics-free System F.
     pub est_rows: u64,
 }
 

@@ -43,13 +43,11 @@
 //!   inlined-column read, and `count(…//tag)` an Aggregate over summary
 //!   counts — each only when [`XmlStore::planner_caps`] says the backend
 //!   affords it.
-//! * **IndexScan** — a predicate-free `descendant::tag` step on a backend
-//!   whose native descendant access walks (Systems A/B/C/F/G,
-//!   `PlannerCaps::element_index`) streams off the shared element-name
-//!   index's posting list (two binary searches + a slice) wherever that
-//!   index can serve the store, and records the list's **exact**
-//!   cardinality as the step's row count, even on the statistics-free
-//!   System F.
+//! * **Indexed counts** — on a backend whose native descendant access
+//!   walks (`PlannerCaps::element_index`), that Aggregate instead counts
+//!   posting ranges of the shared element-name index wherever the index
+//!   can serve the store, and records the list's **exact** cardinality
+//!   as its row count, even on the statistics-free System F.
 //!
 //! [`PlanMode::Naive`] suppresses every rewrite and produces the pure
 //! nested-loop plan the optimizer oracle executes as the specification.
@@ -233,14 +231,20 @@ impl Planner<'_> {
         path.inlined_tail = None;
         path.value_tail = None;
         path.est_rows = last_tag_estimate(&path.steps);
+        // Walking backends answer the count as a posting-range length of
+        // the shared element-name index, whose list length is the exact
+        // estimate.
+        let postings = self
+            .caps
+            .element_index
+            .then(|| self.exact_postings(&tag))
+            .flatten();
         Some(AggregatePlan {
             input: path,
             tag,
             summary: self.caps.summary_counts,
-            // Walking backends answer the count as a posting-range length
-            // of the shared element-name index instead.
-            indexed: matches!(counted.access, StepAccess::IndexScan),
-            est_rows: counted.est_rows,
+            indexed: postings.is_some(),
+            est_rows: postings.map_or(counted.est_rows, |n| n as u64),
         })
     }
 
@@ -308,7 +312,7 @@ impl Planner<'_> {
     fn plan_step(&mut self, step: &Step) -> PlanStep {
         // Catalog resolution: one estimate per non-attribute tag step,
         // whose reported accesses are the Table 2 metadata column.
-        let mut est_rows = match (&step.test, step.axis) {
+        let est_rows = match (&step.test, step.axis) {
             (NodeTest::Tag(_), Axis::Attribute) => 0,
             (NodeTest::Tag(tag), _) => {
                 self.stats.steps_resolved += 1;
@@ -319,20 +323,11 @@ impl Planner<'_> {
             }
             _ => 0,
         };
-        let access = self.step_access(step);
-        if let StepAccess::IndexScan = access {
-            // The posting list is the catalog here: record its exact
-            // cardinality (System F plans these steps with real numbers
-            // despite having no statistics of its own).
-            if let NodeTest::Tag(tag) = &step.test {
-                est_rows = self.exact_postings(tag).unwrap_or(est_rows as usize) as u64;
-            }
-        }
         PlanStep {
             axis: step.axis,
             test: step.test.clone(),
             preds: step.preds.iter().map(|p| self.plan_pred(p)).collect(),
-            access,
+            access: self.step_access(step),
             est_rows,
         }
     }
@@ -340,7 +335,7 @@ impl Planner<'_> {
     /// Exact whole-document posting cardinality of `tag` from the shared
     /// element-name index, or `None` when the index cannot serve this
     /// store (ids not verified pre-order). Builds the index on the first
-    /// compilation against the store — the lazily-paid analogue of System
+    /// count compiled against the store — the lazily-paid analogue of System
     /// D's "the summary is the metadata"; the plan cache and the
     /// `build_indexes()` warmups keep it off the request path.
     fn exact_postings(&self, tag: &str) -> Option<usize> {
@@ -357,22 +352,7 @@ impl Planner<'_> {
     }
 
     fn step_access(&self, step: &Step) -> StepAccess {
-        if !self.optimized() {
-            return StepAccess::Generic;
-        }
-        // Predicate-free descendant steps stab the shared element-name
-        // index wherever it can serve the store.
-        if step.preds.is_empty() {
-            let indexed = self.caps.element_index
-                && step.axis == Axis::Descendant
-                && matches!(&step.test, NodeTest::Tag(tag) if self.exact_postings(tag).is_some());
-            return if indexed {
-                StepAccess::IndexScan
-            } else {
-                StepAccess::Generic
-            };
-        }
-        if step.preds.len() != 1 {
+        if !self.optimized() || step.preds.len() != 1 {
             return StepAccess::Generic;
         }
         // `tag[@id = "literal"]` through the ID index (every mass-storage

@@ -514,9 +514,7 @@ impl<'a> PathCursor<'a> {
                 (
                     PathSource::RootDescendants {
                         pending,
-                        // IndexScan steps stream the stabbed posting slice
-                        // of the shared element index instead of walking.
-                        iter: ev.descendant_iter(root, tag, &first.access),
+                        iter: ev.store.descendants_named_iter(root, tag),
                     },
                     1,
                     // The root may contain later matches, and same-tag
@@ -761,19 +759,12 @@ fn expand<'a>(
         (Axis::Child, NodeTest::Tag(tag), StepAccess::Generic) if step.preds.is_empty() => {
             return Ok(Expansion::Children(ev.store.children_named_iter(n, tag)));
         }
-        // IndexScan descendants stream off the shared posting slice;
-        // generic ones off the native axis cursor — same enum.
-        (Axis::Descendant, NodeTest::Tag(tag), StepAccess::Generic | StepAccess::IndexScan)
-            if step.preds.is_empty() =>
-        {
-            return Ok(Expansion::Descendants(ev.descendant_iter(
-                n,
-                tag,
-                &step.access,
-            )));
+        (Axis::Descendant, NodeTest::Tag(tag), StepAccess::Generic) if step.preds.is_empty() => {
+            return Ok(Expansion::Descendants(
+                ev.store.descendants_named_iter(n, tag),
+            ));
         }
-        (Axis::Child, NodeTest::Tag(tag), StepAccess::Generic)
-        | (Axis::Descendant, NodeTest::Tag(tag), StepAccess::Generic | StepAccess::IndexScan) => {
+        (Axis::Child | Axis::Descendant, NodeTest::Tag(tag), StepAccess::Generic) => {
             let nodes = ev.tag_step_nodes(n, step, tag, env)?;
             ev.count_pulls(nodes.len() as u64);
             return Ok(Expansion::Nodes(nodes.into_iter()));

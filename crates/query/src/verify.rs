@@ -14,8 +14,8 @@
 //!
 //! | code | name            | what it pins |
 //! |------|-----------------|--------------|
-//! | V1   | caps-access     | access annotations (`IdProbe`, `Positional`, `IndexScan`, inlined/value tails, summary counts) appear only where [`PlannerCaps`] permits, and are well-formed |
-//! | V2   | ordered-index   | every `IndexScan` step's element index can stab the store the plan was compiled on (its ids are in pre-order) |
+//! | V1   | caps-access     | access annotations (`IdProbe`, `Positional`, inlined/value tails, summary and indexed counts) appear only where [`PlannerCaps`] permits, and are well-formed |
+//! | V2   | ordered-index   | every indexed `Aggregate`'s element index can stab the store the plan was compiled on (its ids are in pre-order) |
 //! | V3   | naive-purity    | [`PlanMode::Naive`] plans carry no access annotations, no Aggregates, no Lookups, no pushdown |
 //! | V4   | join-keys       | a `Lookup`'s operator is one of `= < <= > >=`, its key lies in the key grammar over its clause variable (predicate-free paths over it under arithmetic with numeric literals), neither its source nor its outer side uses that variable or a later clause's, and a second bound has the same key signature, the opposite direction and a literal outer side |
 //! | V6   | sort-presence   | a Sort operator exists exactly where the source `order by` clauses require one (AST↔plan walk) |
@@ -26,9 +26,8 @@
 //! V1 and V2 are the store-dependent invariants, and both hold for the
 //! store a plan was compiled on. Running the plan on another snapshot
 //! of the same versioned store — as the service's plan cache does —
-//! does not rely on them: an `IndexScan` or indexed `Aggregate` falls
-//! back to the native axis cursor when that snapshot's element index
-//! cannot stab, and the caps a snapshot reports are its base's at every
+//! does not rely on them: an indexed `Aggregate` falls back to a
+//! counting cursor walk when that snapshot's element index cannot stab, and the caps a snapshot reports are its base's at every
 //! epoch.
 //!
 //! [`compile_with_mode`](crate::compile::compile_with_mode) runs the
@@ -48,7 +47,7 @@ use crate::planner::last_tag_estimate;
 pub enum Invariant {
     /// V1: access annotations only where [`PlannerCaps`] permits.
     CapsAccess,
-    /// V2: `IndexScan` steps stab an element index that can serve the
+    /// V2: indexed Aggregates stab an element index that can serve the
     /// store the plan was compiled on.
     OrderedIndex,
     /// V3: naive plans are annotation-free nested loops.
@@ -385,7 +384,6 @@ impl Verifier<'_> {
             StepAccess::Generic => {}
             StepAccess::IdProbe(lit) => self.id_probe(step, lit),
             StepAccess::Positional(spec) => self.positional(step, *spec),
-            StepAccess::IndexScan => self.index_scan(step),
         }
         if self.mode == PlanMode::Naive {
             self.check(
@@ -426,41 +424,6 @@ impl Verifier<'_> {
         });
     }
 
-    fn index_scan(&mut self, step: &PlanStep) {
-        self.check(Invariant::CapsAccess, self.caps.element_index, || {
-            "IndexScan on a backend whose descendant access is already extent-based".to_string()
-        });
-        let shape_ok = step.axis == ast::Axis::Descendant
-            && matches!(step.test, ast::NodeTest::Tag(_))
-            && step.preds.is_empty();
-        self.check(Invariant::CapsAccess, shape_ok, || {
-            "IndexScan on a step that is not a predicate-free descendant tag test".to_string()
-        });
-        let ast::NodeTest::Tag(tag) = &step.test else {
-            return;
-        };
-        // V2: the live element index can stab this store.
-        let index = self.store.indexes().element(self.store);
-        self.check(Invariant::OrderedIndex, index.ordered(), || {
-            "IndexScan but the element index cannot serve this store (ids not pre-order)"
-                .to_string()
-        });
-        if index.ordered() {
-            let postings = index.count(tag);
-            // V8: IndexScan estimates are the exact posting cardinality.
-            self.check(
-                Invariant::CardConsistent,
-                step.est_rows == postings as u64,
-                || {
-                    format!(
-                        "IndexScan est_rows {} != exact posting count {postings}",
-                        step.est_rows
-                    )
-                },
-            );
-        }
-    }
-
     // ---- Aggregate -------------------------------------------------------
 
     fn aggregate(&mut self, a: &AggregatePlan) {
@@ -483,6 +446,22 @@ impl Verifier<'_> {
             self.check(Invariant::CapsAccess, !a.summary, || {
                 "Aggregate claims both summary arithmetic and an index-backed count".to_string()
             });
+            // V2: the live element index can stab this store.
+            let index = self.store.indexes().element(self.store);
+            self.check(Invariant::OrderedIndex, index.ordered(), || {
+                "indexed Aggregate but the element index cannot serve this store (ids not pre-order)"
+                    .to_string()
+            });
+            if index.ordered() {
+                // V8: indexed counts estimate the exact posting cardinality.
+                let postings = index.count(&a.tag) as u64;
+                self.check(Invariant::CardConsistent, a.est_rows == postings, || {
+                    format!(
+                        "indexed Aggregate est_rows {} != exact posting count {postings}",
+                        a.est_rows
+                    )
+                });
+            }
         }
         self.scoped("input", |s| s.path(&a.input));
     }

@@ -4,11 +4,18 @@
 //! on every debug-build compile and swept by the `plan_audit` binary;
 //! these tests prove each invariant actually fires.
 
+use std::borrow::Cow;
 use xmark_query::ast::{ArithOp, CmpOp};
-use xmark_query::plan::{LookupBound, LookupPlan, PlanClause, PlanExpr, PlanMode, StepAccess};
+
+use xmark_query::plan::{
+    AggregatePlan, LookupBound, LookupPlan, PlanClause, PlanExpr, PlanMode, StepAccess,
+};
 use xmark_query::verify::{verify_plan, verify_plan_against, Invariant};
 use xmark_query::{compile_with_mode, parse_query, Compiled};
-use xmark_store::{EdgeStore, SummaryStore, XmlStore};
+use xmark_store::{
+    build_store, AttrIter, ChildIter, ChildrenNamed, DescendantsNamed, EdgeStore, ElementIndex,
+    IndexManager, Node, PlannerCaps, SystemId, XmlStore,
+};
 
 const DOC: &str = r#"<site><people><person id="person0"><name>Alice</name><age>30</age></person><person id="person1"><name>Bob</name><age>31</age></person></people><regions><item featured="yes"><name>thing</name></item></regions></site>"#;
 
@@ -39,46 +46,167 @@ fn clean_plan_verifies_clean() {
     assert!(report.total_checks() > 0);
 }
 
-#[test]
-fn index_scan_on_capless_backend_is_rejected() {
-    // System D's architecture *is* the index (element_index = false):
-    // an IndexScan annotation there violates V1 caps-access.
-    let store = SummaryStore::load(DOC).unwrap();
-    assert!(!store.planner_caps().element_index);
-    let mut compiled = compile(&store, "/site//person", PlanMode::Optimized);
-    let path = body_path(&mut compiled);
-    let step = path.steps.last_mut().unwrap();
-    assert!(matches!(step.access, StepAccess::Generic));
-    step.access = StepAccess::IndexScan;
-
-    let report = verify_plan(&compiled.plan, &store);
-    assert!(report.violations_of(Invariant::CapsAccess) > 0, "{report}");
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.message.contains("IndexScan")),
-        "diagnostic names the annotation:\n{report}"
-    );
+/// The body Aggregate of a `count(…//tag)` query.
+fn body_aggregate(compiled: &mut Compiled) -> &mut AggregatePlan {
+    match &mut compiled.plan.body {
+        PlanExpr::Aggregate(a) => a,
+        other => panic!("count(…//tag) plans as an Aggregate: {other:?}"),
+    }
 }
 
 #[test]
-fn dense_index_scan_verifies_clean() {
-    // Nearly every node is an `a`: the planner still stabs the element
-    // index, and V2 ordered-index holds on the store it planned against.
+fn indexed_count_on_capless_backend_is_rejected() {
+    // Systems D and E count from their own summary or extents
+    // (element_index = false): an `[idx]` Aggregate there violates V1
+    // caps-access.
+    for system in [SystemId::D, SystemId::E] {
+        let store = build_store(system, DOC).unwrap();
+        assert!(!store.planner_caps().element_index);
+        let mut compiled = compile(store.as_ref(), "count(/site//person)", PlanMode::Optimized);
+        let aggregate = body_aggregate(&mut compiled);
+        assert!(aggregate.summary && !aggregate.indexed);
+        aggregate.indexed = true;
+
+        let report = verify_plan(&compiled.plan, store.as_ref());
+        assert!(
+            report.violations_of(Invariant::CapsAccess) > 0,
+            "{system:?}: {report}"
+        );
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.message.contains("indexed Aggregate")),
+            "{system:?}: diagnostic names the annotation:\n{report}"
+        );
+    }
+}
+
+#[test]
+fn dense_indexed_count_verifies_clean() {
+    // Nearly every node is an `a`: the planner still counts from the
+    // element index, and V2 ordered-index holds on the store it planned
+    // against.
     let store = EdgeStore::load("<site><a/><a/><a/><a/><a/><a/></site>").unwrap();
-    let mut compiled = compile(&store, "/site//a", PlanMode::Optimized);
-    let path = body_path(&mut compiled);
-    let step = path.steps.last().unwrap();
-    assert!(
-        matches!(step.access, StepAccess::IndexScan),
-        "the planner stabs a dense tag too"
+    let mut compiled = compile(&store, "count(/site//a)", PlanMode::Optimized);
+    let aggregate = body_aggregate(&mut compiled);
+    assert!(aggregate.indexed, "the planner counts a dense tag too");
+    assert_eq!(
+        aggregate.est_rows, 6,
+        "the estimate is the exact posting count"
     );
-    assert_eq!(step.est_rows, 6, "the estimate is the exact posting count");
 
     let report = verify_plan(&compiled.plan, &store);
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.checks(Invariant::OrderedIndex), 1);
+}
+
+/// System A whose index manager holds the default, unordered element
+/// index — what a transaction snapshot carries after its first commit.
+struct UnorderedIndex {
+    inner: EdgeStore,
+    indexes: IndexManager,
+}
+
+impl XmlStore for UnorderedIndex {
+    fn system(&self) -> SystemId {
+        self.inner.system()
+    }
+    fn root(&self) -> Node {
+        self.inner.root()
+    }
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn size_bytes(&self) -> usize {
+        self.inner.size_bytes()
+    }
+    fn indexes(&self) -> &IndexManager {
+        &self.indexes
+    }
+    fn tag_of(&self, n: Node) -> Option<&str> {
+        self.inner.tag_of(n)
+    }
+    fn parent(&self, n: Node) -> Option<Node> {
+        self.inner.parent(n)
+    }
+    fn text(&self, n: Node) -> Option<Cow<'_, str>> {
+        self.inner.text(n)
+    }
+    fn attribute(&self, n: Node, name: &str) -> Option<Cow<'_, str>> {
+        self.inner.attribute(n, name)
+    }
+    fn children_iter(&self, n: Node) -> ChildIter<'_> {
+        self.inner.children_iter(n)
+    }
+    fn attributes_iter(&self, n: Node) -> AttrIter<'_> {
+        self.inner.attributes_iter(n)
+    }
+    fn children_named_iter<'a>(&'a self, n: Node, tag: &'a str) -> ChildrenNamed<'a> {
+        self.inner.children_named_iter(n, tag)
+    }
+    fn descendants_named_iter<'a>(&'a self, n: Node, tag: &'a str) -> DescendantsNamed<'a> {
+        self.inner.descendants_named_iter(n, tag)
+    }
+    fn planner_caps(&self) -> PlannerCaps {
+        self.inner.planner_caps()
+    }
+}
+
+#[test]
+fn indexed_count_over_unordered_index_is_rejected() {
+    // Planned against an index that can stab, then verified against one
+    // that cannot: V2 ordered-index fires, and V8 has no posting count to
+    // compare with.
+    let store = EdgeStore::load(DOC).unwrap();
+    let compiled = compile(&store, "count(/site//person)", PlanMode::Optimized);
+    let unordered = UnorderedIndex {
+        inner: EdgeStore::load(DOC).unwrap(),
+        indexes: IndexManager::new().seeded(ElementIndex::default(), None, Vec::new()),
+    };
+    assert!(!unordered.indexes().element(&unordered).ordered());
+
+    let report = verify_plan(&compiled.plan, &unordered);
+    assert_eq!(report.violations_of(Invariant::OrderedIndex), 1, "{report}");
+    assert_eq!(
+        report.violations_of(Invariant::CardConsistent),
+        0,
+        "{report}"
+    );
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.message.contains("cannot serve this store")),
+        "{report}"
+    );
+    // The planner itself never counts from an index that cannot stab.
+    let planned = compile(&unordered, "count(/site//person)", PlanMode::Optimized);
+    assert!(matches!(&planned.plan.body, PlanExpr::Aggregate(a) if !a.indexed));
+    assert!(verify_plan(&planned.plan, &unordered).is_clean());
+}
+
+#[test]
+fn indexed_count_with_wrong_estimate_is_rejected() {
+    let store = EdgeStore::load(DOC).unwrap();
+    let mut compiled = compile(&store, "count(/site//person)", PlanMode::Optimized);
+    let aggregate = body_aggregate(&mut compiled);
+    assert_eq!(aggregate.est_rows, 2);
+    aggregate.est_rows = 3;
+
+    let report = verify_plan(&compiled.plan, &store);
+    assert_eq!(
+        report.violations_of(Invariant::CardConsistent),
+        1,
+        "{report}"
+    );
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.message.contains("!= exact posting count 2")),
+        "{report}"
+    );
 }
 
 #[test]
@@ -86,7 +214,7 @@ fn naive_plan_with_access_annotation_is_rejected() {
     let store = EdgeStore::load(DOC).unwrap();
     let mut compiled = compile(&store, "/site//person", PlanMode::Naive);
     let path = body_path(&mut compiled);
-    path.steps.last_mut().unwrap().access = StepAccess::IndexScan;
+    path.steps.last_mut().unwrap().access = StepAccess::IdProbe("person0".into());
 
     let report = verify_plan(&compiled.plan, &store);
     assert!(report.violations_of(Invariant::NaivePurity) > 0, "{report}");

@@ -16,11 +16,11 @@
 //!
 //! * **Element-name index** ([`ElementIndex`]) — tag → document-ordered
 //!   posting list of element ids, plus a per-node subtree-end array. A
-//!   predicate-free descendant step becomes an **IndexScan**: two binary
-//!   searches stab the posting list with the context's subtree range and
-//!   the matches stream off the slice, replacing full descendant walks
-//!   (System A's parent-chain climbs, System F's interval scans, System
-//!   G's DOM traversals).
+//!   `count(…//tag)` becomes an **indexed count**: two binary searches
+//!   stab the posting list with the context's subtree range, and the
+//!   slice's length replaces a counting descendant walk (System A's
+//!   parent-chain climbs, System F's interval scans, System G's DOM
+//!   traversals).
 //! * **`@id` index** ([`AttrIndex`]) — `id` value → the element carrying
 //!   it. This single code path answers [`XmlStore::lookup_id`] on *all
 //!   eight* backends; the per-backend `@id` hash maps are retired.
@@ -50,8 +50,8 @@
 //! comes up) and marks the index [`ElementIndex::ordered`] only when it
 //! holds. Sibling order is the numbering's own promise (see [`Node`]).
 //! An unordered index degrades gracefully: `postings_in`
-//! returns `None` and both the planner and the executor fall back to the
-//! native streamed axis cursors. The transaction layer relies on this:
+//! returns `None` and both the planner and the executor fall back to a
+//! counting walk. The transaction layer relies on this:
 //! every snapshot after the first carries an empty, unordered index, and
 //! its cursors stab the immutable base store's index instead, merging the
 //! inserted elements in by order rank. Its `@id` lookups likewise read

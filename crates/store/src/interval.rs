@@ -364,8 +364,9 @@ impl XmlStore for IntervalStore {
             }
         } else {
             // System F: intervals only — generic plans, no statistics. The
-            // shared store-layer indexes still serve it: posting-list
-            // stabs replace full interval scans.
+            // shared element index still serves its counts: a posting
+            // range's length replaces an interval scan, and its exact
+            // length is the count's estimate.
             PlannerCaps {
                 element_index: true,
                 ..PlannerCaps::default()

@@ -21,7 +21,7 @@
 //! On top of the per-architecture access paths sits the **persistent
 //! index subsystem** ([`index::IndexManager`], one per store via
 //! [`XmlStore::indexes`]): lazily-built, exactly-once, thread-safe
-//! element-name postings (the planner's IndexScan), a shared
+//! element-name postings (the planner's indexed counts), a shared
 //! attribute-value index (one `lookup_id` code path for all eight
 //! backends), typed child-value indexes (`tag/text()` tails), and
 //! signature-keyed value slots holding the query layer's join build

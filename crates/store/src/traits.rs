@@ -152,10 +152,10 @@ pub struct PlannerCaps {
     /// not a node walk (Systems D and E).
     pub summary_counts: bool,
     /// The shared element-name index ([`crate::index::ElementIndex`])
-    /// should back IndexScan plans on this mapping: predicate-free
-    /// descendant steps stab a posting list instead of walking. Backends
-    /// whose native descendant access is already extent-based (Systems D
-    /// and E) leave this off — their architecture *is* the index.
+    /// should answer `count(…//tag)` on this mapping: the count is a
+    /// posting range's length instead of a walk. Backends whose native
+    /// descendant access is already extent-based (Systems D and E) leave
+    /// this off — their architecture *is* the index.
     pub element_index: bool,
 }
 

@@ -342,11 +342,12 @@ proptest! {
 
     #[test]
     fn element_index_postings_equal_descendant_walks(xml in arb_document(), tag in 0..TAGS.len()) {
-        // The IndexScan contract: on every backend and every element of a
+        // The stabbing contract: on every backend and every element of a
         // random document, the shared element index's stabbed posting
         // slice must equal the native descendant cursor's output — same
         // nodes, same (document) order. This is what lets the planner
-        // swap a walk for a posting slice without an output diff.
+        // count a posting slice instead of a walk, and a transaction
+        // snapshot scan the base's slices, without an output diff.
         let tag = TAGS[tag];
         for store in stores(&xml) {
             let store = store.as_ref();

@@ -54,8 +54,9 @@
 //!   must drop the carried `cvals|` slots, whose ids it renumbers.
 //!   Compiled plans need no invalidation at all: every access path a
 //!   plan can pick falls back at execution time on a snapshot that
-//!   cannot serve it, so a plan cache keyed on query text stays valid
-//!   across commits.
+//!   cannot serve it (an indexed count walks once the snapshot's empty
+//!   element index cannot stab), so a plan cache keyed on query text
+//!   stays valid across commits.
 //! * **Durability on backend H.** When the base store exposes a WAL
 //!   ([`xmark_store::XmlStore::txn_wal`]), commit appends logical
 //!   redo/undo records (`TxnBegin … TxnCommit`) and forces the log

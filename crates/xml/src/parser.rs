@@ -20,7 +20,12 @@ pub fn parse_document(input: &str) -> Result<Document> {
     let mut stack: Vec<NodeId> = Vec::with_capacity(32);
     let mut text_buf = String::new();
 
-    while let Some(token) = lexer.next_token()? {
+    loop {
+        // Where the token starts: a mismatched end tag reports its `<`.
+        let start = lexer.offset();
+        let Some(token) = lexer.next_token()? else {
+            break;
+        };
         match token {
             Token::ProcessingInstruction(_) | Token::Comment(_) | Token::DocType(_) => {}
             Token::StartTag {
@@ -57,7 +62,7 @@ pub fn parse_document(input: &str) -> Result<Document> {
                     return Err(Error::MismatchedTag {
                         expected: open_name.to_string(),
                         found: name.to_string(),
-                        offset: lexer.offset(),
+                        offset: start,
                     });
                 }
             }
@@ -169,10 +174,20 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_tags() {
-        assert!(matches!(
-            parse_document("<a><b></a></b>"),
-            Err(Error::MismatchedTag { .. })
-        ));
+        let mismatched = |expected: &str, found: &str, offset| Error::MismatchedTag {
+            expected: expected.to_string(),
+            found: found.to_string(),
+            offset,
+        };
+        // The offset is the end tag's `<`, after an element and after text.
+        assert_eq!(
+            parse_document("<a><b></a></b>").unwrap_err(),
+            mismatched("b", "a", 6)
+        );
+        assert_eq!(
+            parse_document("<a>x</b>").unwrap_err(),
+            mismatched("a", "b", 4)
+        );
     }
 
     #[test]

@@ -137,7 +137,7 @@ Project <item name="{$i/name/text()->vals("name")}">{$i/description}</item>
 === A Q14 ===
 Project $i/name/text()->vals("name")
   NestedLoop
-    For $i in PathScan /site//item->idx ~43 [memo]
+    For $i in PathScan /site//item ~43 [memo]
     Filter@1 contains(string($i/description), "gold")
 === A Q15 ===
 Project <text>{$a}</text>
@@ -163,7 +163,7 @@ Project local:convert(zero-or-one($i/reserve/text()->vals("reserve")))
 Project <item name="{$k}">{$b/location/text()->vals("location")}</item>
   Sort zero-or-one($b/location) ascending
     NestedLoop
-      For $b in PathScan /site/regions//item->idx ~43 [memo]
+      For $b in PathScan /site/regions//item ~43 [memo]
       Let $k in PathScan $b/name/text()->vals("name") ~96
 === A Q20 ===
 Eval <result><preferred>{count(flwor(… return $#n))}</preferred><standard>{count(flwor(… return $#n)…
@@ -387,6 +387,69 @@ fn backend_capabilities_show_up_in_plans() {
     assert!(!a_q6.contains("[summary]"), "A counts by walking:\n{a_q6}");
 }
 
+/// The element index has one plan form, the counted `[idx]` Aggregate:
+/// on every backend, Q6's and Q7's counts carry it exactly where the
+/// backend's caps ask for the shared element index, and `[summary]`
+/// exactly where they count from the store's own summary or extents
+/// (D and E). An indexed estimate is the exact posting count, even on
+/// System F, which has no statistics of its own.
+#[test]
+fn counted_tags_plan_the_element_index_where_the_caps_say() {
+    let doc = generate_document(0.002);
+    for system in SystemId::EXTENDED {
+        let store = build_store(system, &doc.xml).unwrap();
+        let caps = store.planner_caps();
+        assert!(
+            !(caps.element_index && caps.summary_counts),
+            "{system}: one count form per backend"
+        );
+        let index = store.indexes().element(store.as_ref());
+        for number in [6, 7] {
+            let plan = compile(query(number).text, store.as_ref())
+                .unwrap()
+                .explain();
+            let mut aggregates = 0;
+            for line in plan.lines().map(str::trim_start) {
+                let Some(rest) = line.strip_prefix("Aggregate count(//") else {
+                    continue;
+                };
+                aggregates += 1;
+                let (tag, annotations) = rest.split_once(')').unwrap();
+                assert_eq!(
+                    annotations.ends_with(" [idx]"),
+                    caps.element_index,
+                    "{system} Q{number}: {line}"
+                );
+                assert_eq!(
+                    annotations.ends_with(" [summary]"),
+                    caps.summary_counts,
+                    "{system} Q{number}: {line}"
+                );
+                if caps.element_index {
+                    let exact = match index.count(tag) {
+                        0 => String::new(),
+                        n => format!(" ~{n}"),
+                    };
+                    assert_eq!(
+                        annotations,
+                        format!("{exact} [idx]"),
+                        "{system} Q{number}: the estimate is the posting count"
+                    );
+                }
+            }
+            assert_eq!(aggregates, if number == 6 { 1 } else { 3 }, "{plan}");
+        }
+    }
+    // F estimates nothing else: its counted tags' `~N` come from the index.
+    let f = build_store(SystemId::F, &doc.xml).unwrap();
+    let f_q6 = compile(query(6).text, f.as_ref()).unwrap().explain();
+    assert!(
+        f_q6.contains("Aggregate count(//item) ~43 [idx]")
+            && f_q6.contains("For $b in PathScan /site/regions [memo]"),
+        "{f_q6}"
+    );
+}
+
 #[test]
 fn naive_plans_contain_no_rewrites() {
     let doc = generate_document(0.002);
@@ -400,7 +463,6 @@ fn naive_plans_contain_no_rewrites() {
             "->id(",
             "->pos(",
             "->inlined(",
-            "->idx",
             "[idx]",
             "->vals(",
         ] {

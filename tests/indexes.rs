@@ -1,7 +1,7 @@
 //! The persistent index subsystem, end to end: one `@id` code path across
 //! all seven backends, warm-index execution equivalent to the naive
 //! specification, exactly-once builds under concurrency, and where the
-//! planner chooses an IndexScan.
+//! planner counts from the element index.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -42,8 +42,7 @@ fn all_backends_answer_id_lookups() {
 }
 
 /// Index ≡ scan oracle: with every shared index warm, the optimized
-/// plans (IndexScan postings, persistent Lookup indexes, indexed
-/// aggregates) must stay byte-identical to the pure
+/// plans (persistent Lookup indexes, indexed aggregates) must stay byte-identical to the pure
 /// nested-loop specification on all twenty queries × all seven backends.
 #[test]
 fn warm_indexes_preserve_all_twenty_queries_on_every_backend() {
@@ -287,11 +286,11 @@ fn value_slots(store: &dyn XmlStore) -> BTreeSet<String> {
     built.into_iter().map(|(sig, _, _)| sig).collect()
 }
 
-/// Satellite: a predicate-free descendant tag step plans an IndexScan
-/// however many of the store's nodes its tag holds, and the plan
-/// verifies clean; backends with native extents never plan one.
+/// Satellite: `count(…//tag)` counts from the element index however
+/// many of the store's nodes its tag holds, and the plan verifies clean;
+/// backends with native extents never plan an indexed count.
 #[test]
-fn planner_plans_index_scans_for_sparse_and_dense_tags() {
+fn planner_plans_indexed_counts_for_sparse_and_dense_tags() {
     // Sparse: two <needle> among hundreds of <hay>.
     let sparse_xml = format!(
         "<site>{}<needle/><needle/></site>",
@@ -300,12 +299,15 @@ fn planner_plans_index_scans_for_sparse_and_dense_tags() {
     let sparse = NaiveStore::load(&sparse_xml).unwrap();
     // Dense: <hay> is nearly every node of the document.
     let dense = NaiveStore::load(&format!("<site>{}</site>", "<hay/>".repeat(100))).unwrap();
-    for (store, text) in [(&sparse, "/site//needle"), (&dense, "/site//hay")] {
+    for (store, text, exact) in [
+        (&sparse, "count(/site//needle)", 2),
+        (&dense, "count(/site//hay)", 100),
+    ] {
         let compiled = compile(text, store).unwrap();
         let plan = compiled.explain();
         assert!(
-            plan.contains("->idx"),
-            "{text} must plan an IndexScan:\n{plan}"
+            plan.contains(&format!("~{exact} [idx]")),
+            "{text} must count from the element index:\n{plan}"
         );
         let report = xmark::query::verify_plan(&compiled.plan, store);
         assert!(report.is_clean(), "{text}:\n{report}");
@@ -313,15 +315,20 @@ fn planner_plans_index_scans_for_sparse_and_dense_tags() {
     }
 
     // Backends whose native descendant access is already extent-based
-    // never plan IndexScans (their architecture is the index).
+    // never count from the element index (their architecture is the
+    // index).
     let doc = generate_document(0.002);
     for system in [SystemId::D, SystemId::E] {
         let store = build_store(system, &doc.xml).unwrap();
-        let plan = compile(query(14).text, store.as_ref()).unwrap().explain();
-        assert!(
-            !plan.contains("->idx"),
-            "{system} has native extents; no IndexScan expected:\n{plan}"
-        );
+        for number in [6, 7] {
+            let plan = compile(query(number).text, store.as_ref())
+                .unwrap()
+                .explain();
+            assert!(
+                !plan.contains("[idx]"),
+                "{system} has native extents; no indexed count expected:\n{plan}"
+            );
+        }
     }
 }
 
